@@ -35,11 +35,11 @@ from repro.bench.experiments import experiment_s1, experiment_s3
 from repro.bench.sweep import Sweep
 from repro.core.dac import DACProcess
 from repro.net.ports import identity_ports
-from repro.sim.batch import numpy_available, run_dac_batch
+from repro.sim.batch import numpy_available, run_dac_batch, run_generic_batch
 from repro.sim.engine import Engine
 from repro.sim.parallel import run_trials, TrialSpec
 from repro.sim.rng import spawn_inputs
-from repro.workloads import run_dac_trial, run_dac_trial_batch
+from repro.workloads import build_dac_execution, run_dac_trial, run_dac_trial_batch
 
 
 def make_engine(n: int, record_trace: bool = False) -> Engine:
@@ -122,9 +122,9 @@ def test_batch_engine_scaling():
     """Report aggregate rounds/s: serial fast path vs batch vs batch x workers.
 
     Fault-free boundary-degree DAC (the ISSUE's acceptance scenario) at
-    several sizes, B = 32 lanes. The serial leg is the PR 1 fast path
-    (the batch engine's python backend *is* lock-step over fast-path
-    engines); the batch leg is the vectorized numpy kernel; the last
+    several sizes, B = 32 lanes. The serial leg is the fast path, one
+    untraced engine run per seed (``run_generic_batch`` over the DAC
+    builder); the batch leg is the vectorized numpy kernel; the last
     leg fans batches of 8 over 4 worker processes. Wall-clock ratios
     are reported, not asserted (load-sensitive); the correctness claim
     -- identical lane results -- is asserted here and, in full-state
@@ -138,7 +138,10 @@ def test_batch_engine_scaling():
     seeds = list(range(lanes))
     for n in (16, 32, 64):
         serial_start = time.perf_counter()
-        serial = run_dac_batch(n, 0, seeds, epsilon=1e-6, backend="python")
+        serial = run_generic_batch(
+            seeds,
+            lambda seed: build_dac_execution(n=n, f=0, epsilon=1e-6, seed=seed),
+        )
         serial_elapsed = time.perf_counter() - serial_start
         total_rounds = sum(lane.rounds for lane in serial)
 

@@ -39,7 +39,7 @@ def run_grid(trial, grid, **run_kwargs):
 
 
 def main() -> None:
-    backend = "numpy (vectorized)" if numpy_available() else "pure-python fallback"
+    backend = "numpy (vectorized)" if numpy_available() else "serial per seed (no numpy)"
     print(f"DBAC vs averaging baselines, batched (batch backend: {backend})")
     print("-" * 68)
 

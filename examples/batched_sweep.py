@@ -36,7 +36,7 @@ def timed_sweep(**run_kwargs):
 
 
 def main() -> None:
-    backend = "numpy (vectorized)" if numpy_available() else "pure-python fallback"
+    backend = "numpy (vectorized)" if numpy_available() else "serial per seed (no numpy)"
     print(f"Boundary DAC sweep, three ways (batch backend: {backend})")
     print("-" * 60)
 

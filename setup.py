@@ -2,9 +2,9 @@
 in offline environments without the ``wheel`` package.
 
 The package has no hard third-party dependencies; numpy is an optional
-extra that unlocks the vectorized batch-engine backend
-(:mod:`repro.sim.batch`) -- without it the pure-Python fallback runs
-the same contract (see docs/scaling.md).
+extra that unlocks the vectorized batch kernels
+(:mod:`repro.sim.batch`) -- without it batched trials run serially per
+seed, with identical results (see docs/scaling.md).
 """
 
 from setuptools import find_packages, setup

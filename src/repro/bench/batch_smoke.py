@@ -8,17 +8,17 @@ tracked from this PR on (CI runs it at tiny sizes; the
 
 - **dbac** -- aggregate rounds/s for boundary DBAC lanes (``nearest``
   enforcing adversary, equivocating Byzantine nodes) on the serial
-  fast path (the python backend is lock-step over fast-path engines)
-  vs the vectorized numpy kernel;
+  fast path (one untraced engine run per seed) vs the vectorized numpy
+  kernel;
 - **mobile** -- the same comparison for mobile-omission DAC lanes;
 - **compaction** -- long-tailed DBAC grids at capped vector width,
   chunked drain (``compact=False``) vs seed-queue refill
   (``compact=True``).
 
 Also asserts the kernel's identity contracts at tiny sizes (batched
-lanes vs independent serial engines by full state key; numpy vs python
-backend; compaction on/off equality), so the CI smoke is a correctness
-gate as well as a trend line.
+lanes vs independent serial engines by full state key; compaction
+on/off equality; mobile kernel lanes vs serial-engine lanes), so the CI
+smoke is a correctness gate as well as a trend line.
 
 Usage::
 
@@ -33,9 +33,14 @@ import sys
 import time
 from typing import Any
 
-from repro.sim.batch import numpy_available, run_byz_batch, run_dbac_batch
+from repro.sim.batch import (
+    numpy_available,
+    run_byz_batch,
+    run_dbac_batch,
+    run_generic_batch,
+)
 from repro.sim.engine import Engine
-from repro.workloads import build_dbac_execution
+from repro.workloads import build_dbac_execution, build_mobile_execution
 
 
 def _serial_dbac_lane(
@@ -71,29 +76,25 @@ def verify_contracts(n: int = 6) -> dict[str, Any]:
     """The batched Byzantine kernel's identity contracts, at tiny ``n``."""
     f = (n - 1) // 5
     seeds = [0, 1, 2, 3]
-    python_lanes = run_dbac_batch(n, f, seeds, backend="python")
-    for seed, lane in zip(seeds, python_lanes):
+    lanes = run_dbac_batch(n, f, seeds)
+    for seed, lane in zip(seeds, lanes):
         engine, result = _serial_dbac_lane(n, f, seed, epsilon=1e-3)
         assert lane.rounds == int(result) and lane.stopped == result.stopped, (
-            f"python batch lane diverged from serial engine (seed {seed})"
+            f"batch lane diverged from serial engine (seed {seed})"
         )
         assert lane.state_keys == {
             node: proc.state_key() for node, proc in engine.processes.items()
-        }, f"python batch state diverged from serial engine (seed {seed})"
-    checks: dict[str, Any] = {"serial_vs_python_batch": True, "numpy_checked": False}
+        }, f"batch state diverged from serial engine (seed {seed})"
+    checks: dict[str, Any] = {"serial_vs_batch": True, "numpy_checked": False}
     if numpy_available():
-        numpy_lanes = run_dbac_batch(n, f, seeds, backend="numpy")
-        assert numpy_lanes == python_lanes, "numpy DBAC backend diverged"
         compacted = run_dbac_batch(n, f, seeds * 3, width=3, compact=True)
         chunked = run_dbac_batch(n, f, seeds * 3, width=3, compact=False)
         assert compacted == chunked, "lane compaction changed results"
-        mobile_python = run_byz_batch(
-            n, None, seeds, adversary="mobile-block_min", backend="python"
+        mobile_serial = run_generic_batch(
+            seeds, lambda seed: build_mobile_execution(n=n, seed=seed)
         )
-        mobile_numpy = run_byz_batch(
-            n, None, seeds, adversary="mobile-block_min", backend="numpy"
-        )
-        assert mobile_numpy == mobile_python, "numpy mobile backend diverged"
+        mobile_numpy = run_byz_batch(n, None, seeds, adversary="mobile-block_min")
+        assert mobile_numpy == mobile_serial, "numpy mobile kernel diverged"
         checks["numpy_checked"] = True
         checks["compaction_identity"] = True
         checks["mobile_identity"] = True
@@ -107,7 +108,10 @@ def measure_dbac(
     f = (n - 1) // 5
     seeds = list(range(lanes))
     start = time.perf_counter()
-    serial = run_dbac_batch(n, f, seeds, epsilon=epsilon, backend="python")
+    serial = run_generic_batch(
+        seeds,
+        lambda seed: build_dbac_execution(n=n, f=f, epsilon=epsilon, seed=seed),
+    )
     serial_s = max(time.perf_counter() - start, 1e-9)
     rounds = sum(lane.rounds for lane in serial)
     start = time.perf_counter()
@@ -134,8 +138,11 @@ def measure_mobile(
     seeds = list(range(lanes))
     adversary = f"mobile-{mode}"
     start = time.perf_counter()
-    serial = run_byz_batch(
-        n, None, seeds, adversary=adversary, epsilon=epsilon, backend="python"
+    serial = run_generic_batch(
+        seeds,
+        lambda seed: build_mobile_execution(
+            n=n, mode=mode, epsilon=epsilon, seed=seed
+        ),
     )
     serial_s = max(time.perf_counter() - start, 1e-9)
     rounds = sum(lane.rounds for lane in serial)

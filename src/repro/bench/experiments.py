@@ -819,8 +819,9 @@ def experiment_s3(quick: bool = True) -> TableResult:
     grouped into :mod:`repro.sim.batch` lock-step batches -- and
     asserts the subsystem's core claim: the records are *identical*,
     batch size is purely a speed knob. Throughput for both legs is
-    reported; the speedup needs the vectorized numpy backend (the
-    pure-Python fallback exists for portability, not speed).
+    reported; the speedup needs the numpy kernel (without numpy the
+    batched form runs the serial trial per seed: portability, not
+    speed).
     """
     from repro.bench.sweep import Sweep
     from repro.sim.batch import numpy_available

@@ -280,25 +280,22 @@ def verify_contracts(n: int = 7) -> dict[str, Any]:
 
     seeds = [0, 1, 2]
     f = (n - 1) // 2
-    python_lanes = run_dac_batch(n, f, seeds, backend="python")
+    lanes = run_dac_batch(n, f, seeds)
     # Serial reference: independent Engine runs, lane for lane.
-    for seed, lane in zip(seeds, python_lanes):
+    for seed, lane in zip(seeds, lanes):
         kwargs = build_dac_execution(n=n, f=f, seed=seed)
         engine = _build_engine(kwargs)
         result = engine.run(
             kwargs["max_rounds"], stop_when=Engine.all_fault_free_output
         )
         assert lane.rounds == int(result) and lane.stopped == result.stopped, (
-            f"python batch lane diverged from serial engine (seed {seed})"
+            f"batch lane diverged from serial engine (seed {seed})"
         )
         assert lane.state_keys == {
             node: proc.state_key() for node, proc in engine.processes.items()
-        }, f"python batch state diverged from serial engine (seed {seed})"
-    checks = {"serial_vs_python_batch": True, "numpy_checked": False}
-    if numpy_available():
-        numpy_lanes = run_dac_batch(n, f, seeds, backend="numpy")
-        assert numpy_lanes == python_lanes, "numpy backend diverged"
-        checks["numpy_checked"] = True
+        }, f"batch state diverged from serial engine (seed {seed})"
+    # With numpy installed the lanes above came from the kernel.
+    checks = {"serial_vs_batch": True, "numpy_checked": numpy_available()}
 
     # No deepcopy inside the candidate loop.
     real_deepcopy = copy.deepcopy

@@ -6,9 +6,8 @@ families copy (see ``docs/scenarios.md``): one module that
 1. implements (or imports) its process --
    :class:`repro.core.averaging.AveragingProcess`;
 2. defines a module-level picklable trial function with a
-   ``batch_fn`` attachment (here through the generic python-backend
-   lock-step engine, :class:`repro.sim.batch.GenericBatchEngine` --
-   no dedicated kernel needed) and an ``arena_plan`` hook;
+   ``batch_fn`` attachment (here simply the serial trial once per
+   seed -- no dedicated kernel needed) and an ``arena_plan`` hook;
 3. subclasses :class:`repro.scenario.registry.AlgorithmFamily` and
    registers it with :func:`repro.scenario.registry.register_algorithm`
    at import time, reusing the declared component vocabulary
@@ -28,7 +27,6 @@ from typing import Any
 from repro.adversary.constrained import (
     LastMinuteQuorumAdversary,
     RotatingQuorumAdversary,
-    rotate_topology,
 )
 from repro.core.averaging import AVERAGING_RULES, AveragingProcess
 from repro.core.phases import dac_end_phase
@@ -88,27 +86,6 @@ def build_averaging_execution(
     }
 
 
-def _summary(lane, epsilon: float) -> dict[str, Any]:
-    """The trial summary for one lane, with the runner's float slack."""
-    from repro.sim.runner import _FLOAT_SLACK
-
-    outputs = lane.outputs
-    spread = max(outputs.values()) - min(outputs.values()) if outputs else 0.0
-    eps_agreement = not outputs or spread <= epsilon + _FLOAT_SLACK
-    hull_lo = min(lane.inputs.values())
-    hull_hi = max(lane.inputs.values())
-    validity = all(
-        hull_lo - _FLOAT_SLACK <= value <= hull_hi + _FLOAT_SLACK
-        for value in outputs.values()
-    )
-    return {
-        "rounds": lane.rounds,
-        "spread": spread,
-        "terminated": lane.stopped,
-        "correct": lane.stopped and validity and eps_agreement,
-    }
-
-
 def run_averaging_trial(
     n: int,
     rule: str = "mean",
@@ -136,6 +113,8 @@ def run_averaging_trial(
     """
     from repro.sim.runner import run_consensus
 
+    # The summary reads no trace, promise check or phase series, so
+    # the run takes the engine's fast path like every run_*_trial.
     report = run_consensus(
         **build_averaging_execution(
             n=n,
@@ -146,7 +125,10 @@ def run_averaging_trial(
             window=window,
             selector=selector,
             num_rounds=num_rounds,
-        )
+        ),
+        record_trace=False,
+        verify_promise=False,
+        track_phases=False,
     )
     return {
         "rounds": report.rounds,
@@ -168,25 +150,22 @@ def run_averaging_trial_batch(
 ) -> list[dict[str, Any]]:
     """Batched :func:`run_averaging_trial`: one summary per seed, in order.
 
-    Runs through :func:`repro.sim.batch.run_generic_batch` -- the
-    registry's no-kernel-required batched form: real serial engines
-    advanced in lock-step, bit-identical to per-seed serial runs by
-    construction.
+    Averaging has no kernel, so its batched form is the serial trial
+    once per seed -- equal to per-seed calls by construction.
     """
-    from repro.sim.batch import run_generic_batch
-
-    build = functools.partial(
-        _averaging_build_for_seed,
-        n=n,
-        rule=rule,
-        f=f,
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        num_rounds=num_rounds,
-    )
-    lanes = run_generic_batch([int(seed) for seed in seeds], build)
-    return [_summary(lane, epsilon) for lane in lanes]
+    return [
+        run_averaging_trial(
+            n=n,
+            rule=rule,
+            f=f,
+            epsilon=epsilon,
+            window=window,
+            selector=selector,
+            num_rounds=num_rounds,
+            seed=int(seed),
+        )
+        for seed in seeds
+    ]
 
 
 def _averaging_build_for_seed(seed: int, **params: Any) -> dict[str, Any]:
@@ -195,17 +174,9 @@ def _averaging_build_for_seed(seed: int, **params: Any) -> dict[str, Any]:
 
 
 def _averaging_arena_plan(params: dict[str, Any]) -> list[Any]:
-    """Topologies the batched form will need (all-live rotate cycle).
-
-    Averaging runs fault-free, so the enforcing rotate structure is
-    one all-live salt cycle at the DAC degree -- the same best-effort
-    contract as the :mod:`repro.workloads` plans.
-    """
-    if params.get("selector", "rotate") != "rotate":
-        return []
-    n = params["n"]
-    live = tuple(range(n))
-    return [rotate_topology(n, live, salt, dac_degree(n)) for salt in range(n)]
+    """No tables to prepublish: the batched form runs serial engines,
+    which never read the shared delivered-from tables."""
+    return []
 
 
 run_averaging_trial.batch_fn = run_averaging_trial_batch  # type: ignore[attr-defined]
@@ -236,12 +207,8 @@ class AveragingFamily(AlgorithmFamily):
     def build(self, *, seed, **params):
         return build_averaging_execution(seed=seed, **params)
 
-    def batch(self, seeds, *, backend="auto", **params):
+    def batch(self, seeds, **params):
         from repro.sim.batch import run_generic_batch
 
         build = functools.partial(_averaging_build_for_seed, **params)
-        return run_generic_batch(seeds, build, backend=backend)
-
-    def vectorizable(self, params):
-        # Python backend only (the generic lock-step engine).
-        return False
+        return run_generic_batch(seeds, build)

@@ -98,14 +98,14 @@ def check_numpy_guard(ctx) -> Iterator:
                 "numpy-guard",
                 f"numpy may only be imported in "
                 f"{', '.join(ctx.config.numpy_modules)}; route vectorized "
-                "work through the batch kernel's backend switch",
+                "work through a batch kernel behind its support predicate",
             )
         elif not record.guarded and not record.in_function:
             yield ctx.finding(
                 record.node,
                 "numpy-guard",
                 "module-level numpy import must sit in try/except "
-                "ImportError so the pure-Python fallback stays importable",
+                "ImportError so the package stays importable without numpy",
             )
 
 

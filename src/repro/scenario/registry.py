@@ -359,8 +359,8 @@ class AlgorithmFamily:
         """Keyword arguments for :func:`repro.sim.runner.run_consensus`."""
         raise NotImplementedError
 
-    def batch(self, seeds: Sequence[int], *, backend: str = "auto", **params: Any):
-        """Lock-step lanes (:class:`repro.sim.batch.LaneResult` list)."""
+    def batch(self, seeds: Sequence[int], **params: Any):
+        """Batch lanes (:class:`repro.sim.batch.LaneResult` list)."""
         raise NotImplementedError
 
     def trial_kwargs(self, params: Mapping[str, Scalar]) -> dict[str, Scalar]:
@@ -368,5 +368,9 @@ class AlgorithmFamily:
         return dict(params)
 
     def vectorizable(self, params: Mapping[str, Scalar]) -> bool:
-        """Whether the numpy batch backend supports these parameters."""
+        """Whether a numpy kernel runs ``batch`` for these parameters.
+
+        ``False`` also when numpy is missing; ``batch`` then returns
+        serial-engine lanes (:class:`repro.sim.batch.GenericBatchEngine`).
+        """
         return False

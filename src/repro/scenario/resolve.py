@@ -7,7 +7,7 @@ component entries, and one flat, fully-defaulted parameter dict. From
 there every existing execution surface is one call away: serial
 builds (``build_execution``), the module-level picklable trial
 (``trial_fn`` / ``trial_kwargs``, with the ``batch_fn`` /
-``arena_plan`` attachments riding along untouched), lock-step batch
+``arena_plan`` attachments riding along untouched), batch
 lanes (``batch``), and the parallel sweep machinery
 (:func:`resolve_trial`, consumed by :meth:`repro.bench.sweep.Sweep.run`
 and ``repro.cli sweep --spec``).
@@ -105,9 +105,9 @@ class ResolvedScenario:
         use = self.spec.seed if seed is None else seed
         return self.trial_fn(seed=use, **self.trial_kwargs())
 
-    def batch(self, seeds: Sequence[int], *, backend: str = "auto") -> list[Any]:
-        """Lock-step lanes for ``seeds`` (:class:`repro.sim.batch.LaneResult`)."""
-        return self.family.batch(seeds, backend=backend, **dict(self.params))
+    def batch(self, seeds: Sequence[int]) -> list[Any]:
+        """Batch lanes for ``seeds`` (:class:`repro.sim.batch.LaneResult`)."""
+        return self.family.batch(seeds, **dict(self.params))
 
     def canonical_spec(self) -> ScenarioSpec:
         """The spec with every component and parameter made explicit.

@@ -76,8 +76,8 @@ def delivered_table(topology: Topology) -> Any:
     diagonal. Served from, in order: a shared-memory view attached via
     :func:`attach_manifest` (warm workers), the process-wide memo, or
     a fresh build from :meth:`Topology.delivered_bytes`. Returns
-    ``None`` when numpy is unavailable (callers on the python backend
-    never ask). The array is never writable -- kernels that need a
+    ``None`` when numpy is unavailable (the serial fallback
+    never asks). The array is never writable -- kernels that need a
     diagonal or a transpose copy it first.
     """
     if _np is None:

@@ -1,35 +1,37 @@
-"""Batched lock-step execution: advance B independent trials at once.
+"""Batched execution: advance B independent trials with one kernel pass.
 
 Large sweeps are dominated by grids of *small, independent* executions
 (DAC trials across ``n``, ``f``, window and seed). The process-pool
 layer (:mod:`repro.sim.parallel`) scales those across cores; this
 module attacks the per-trial interpreter overhead inside one process:
-a :class:`BatchEngine` advances ``B`` independent executions of the
-boundary DAC family *in lock-step*, so one pass over the round
-structure serves every lane at once.
+a numpy kernel advances ``B`` independent executions of one lane
+family *in lock-step*, so one pass over the round structure serves
+every lane at once. Node states live in ``(B, n)`` arrays and each
+round is processed port-by-port with vectorized updates across all
+``B * n`` nodes. The port-major sweep preserves the serial engine's
+delivery order exactly (deliveries are consumed sorted by port; within
+one port, node transitions only read the round-start broadcast
+snapshot, so they are independent).
 
-Two backends implement the same contract:
-
-- **numpy** (used automatically when numpy -- an optional extra, see
-  ``setup.py`` -- is importable): node states live in ``(B, n)``
-  arrays and each round is processed port-by-port with vectorized
-  updates across all ``B * n`` nodes. The port-major sweep preserves
-  the serial engine's delivery order exactly (deliveries are consumed
-  sorted by port; within one port, node transitions only read the
-  round-start broadcast snapshot, so they are independent);
-- **python** (always importable, no third-party dependencies): the
-  same lock-step loop over ``B`` real :class:`~repro.sim.engine.Engine`
-  instances. No speedup -- it exists so batching is a pure speed knob
-  on any interpreter, and as the executable specification the numpy
-  kernel is tested against.
-
-Both backends produce **bit-identical final states and round counts**
+Every kernel produces **bit-identical final states and round counts**
 to ``B`` serial ``Engine`` runs: every lane derives its inputs, ports
 and crash plan from its own seed through the exact same
 :mod:`repro.sim.rng` child streams the serial builders use, so batching
 (and batch *order*) cannot perturb results.
 
-Three lane families are covered (see docs/batching.md):
+Each kernel has one support predicate next to it --
+:func:`dac_kernel_refusal`, :func:`byz_kernel_refusal`,
+:func:`baseline_kernel_refusal` -- naming why it cannot replicate a
+parameter assignment (numpy is missing, a selector or Byzantine
+strategy draws from an RNG stream the kernel does not model), or
+``None`` when it can. A kernel constructor raises ``ValueError`` with
+that reason. The ``run_*_batch`` functions consult the same predicate
+and, outside the kernel, return :class:`GenericBatchEngine` lanes: one
+serial :class:`~repro.sim.engine.Engine` run per seed over the family's
+own builder -- the semantic reference itself, so those lanes match by
+construction and every ``run_*_batch`` works without numpy.
+
+Three kernels cover the built-in lane families (see docs/batching.md):
 
 - :class:`BatchEngine` / :func:`run_dac_batch` -- fault-free and
   crash-fault boundary DAC under the enforcing quorum adversaries,
@@ -39,7 +41,7 @@ Three lane families are covered (see docs/batching.md):
   under the enforcing ``nearest``/``rotate`` adversaries, and
   mobile-omission DAC, precisely what
   :func:`repro.workloads.run_dbac_trial` / ``run_byz_trial`` run. The
-  numpy kernel vectorizes DBAC's witness counters and ``f+1``-trimmed
+  kernel vectorizes DBAC's witness counters and ``f+1``-trimmed
   updates, replicates the value-dependent ``nearest`` selection with
   one stable argsort per round, and supports **lane compaction**:
   finished rows are re-filled from a pending seed queue so long-tailed
@@ -53,10 +55,11 @@ Three lane families are covered (see docs/batching.md):
   ``num_rounds`` delivery rounds.
 
 Composition: :func:`repro.workloads.run_dac_trial_batch` (and the
-DBAC/Byzantine forms ``run_dbac_trial_batch`` / ``run_byz_trial_batch``)
-wrap these kernels in the batched-trial calling convention the
-parallel layer dispatches, so ``Sweep.run(workers=N, batch=B)`` fans
-*batches* over processes -- the two layers multiply.
+DBAC/Byzantine/baseline forms) wrap these kernels in the batched-trial
+calling convention the parallel layer dispatches, so
+``Sweep.run(workers=N, batch=B)`` fans *batches* over processes -- the
+two layers multiply. Parameter groups no kernel supports simply run
+the serial trial once per seed.
 """
 
 from __future__ import annotations
@@ -65,29 +68,16 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.adversary.constrained import (
-    LastMinuteQuorumAdversary,
-    RotatingQuorumAdversary,
-    rotate_topology,
-)
-from repro.core.baselines import IteratedMidpointProcess, TrimmedMeanProcess
-from repro.core.phases import dac_end_phase
+from repro.adversary.constrained import rotate_topology
 from repro.net.ports import random_ports
 from repro.sim.arena import delivered_table
+from repro.sim.engine import Engine
 from repro.sim.rng import child_rng, spawn_inputs
 
 try:  # numpy is an optional extra (``pip install repro[numpy]``)
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
-
-_BACKENDS = ("auto", "numpy", "python")
-
-# Selectors whose link choices the vectorized kernel replicates. The
-# shared structure is :func:`repro.adversary.constrained.rotate_picks`;
-# value-dependent ("nearest") and RNG-dependent ("random") selectors
-# fall back to the python backend.
-_VECTOR_SELECTORS = ("rotate",)
 
 # Sentinel crash round for nodes that never crash (far beyond any cap).
 _NEVER = 1 << 62
@@ -101,8 +91,43 @@ _STRUCTURE_CACHE_MAX = 4096
 
 
 def numpy_available() -> bool:
-    """Whether the vectorized numpy backend can be used at all."""
+    """Whether the vectorized numpy kernels can be used at all."""
     return _np is not None
+
+
+def _workloads():
+    """The serial builders' module, :mod:`repro.workloads`.
+
+    The one source of truth for what a lane *is*: kernels probe it for
+    their lane family's derived parameters, and the serial fallback
+    builds its executions through it. Deferred because
+    ``repro.workloads`` imports this module's package.
+    """
+    # lint: ignore[layering, hot-import] — setup-time access to the serial builders (one source of truth for lane families), deferred to break the cycle; never touched in the round loop
+    import repro.workloads as workloads
+
+    return workloads
+
+
+_NO_NUMPY = "numpy is not installed"
+
+
+def _selector_refusal(selector: str, supported: tuple[str, ...]) -> str | None:
+    if _np is None:
+        return _NO_NUMPY
+    if selector not in supported:
+        return f"selector {selector!r} is not vectorizable (supported: {supported})"
+    return None
+
+
+def _streamed(
+    lanes: list[LaneResult], on_lane: Callable[[LaneResult], None] | None
+) -> list[LaneResult]:
+    """Hand every finished lane to ``on_lane``, in lane (seed) order."""
+    if on_lane is not None:
+        for lane in lanes:
+            on_lane(lane)
+    return lanes
 
 
 @dataclass(frozen=True)
@@ -127,8 +152,26 @@ class LaneResult:
     state_keys: dict[int, tuple]
 
 
+# Selectors whose link choices the DAC kernel replicates. The shared
+# structure is :func:`repro.adversary.constrained.rotate_picks`;
+# value-dependent ("nearest") and RNG-dependent ("random") selectors run
+# serially.
+_DAC_VECTOR_SELECTORS = ("rotate",)
+
+
+def dac_kernel_refusal(selector: str = "rotate") -> str | None:
+    """Why :class:`BatchEngine` cannot run these lanes, or ``None``.
+
+    >>> dac_kernel_refusal("nearest") is None
+    False
+    >>> (dac_kernel_refusal("rotate") is None) == numpy_available()
+    True
+    """
+    return _selector_refusal(selector, _DAC_VECTOR_SELECTORS)
+
+
 class BatchEngine:
-    """Runs ``B`` independent boundary-DAC executions in lock-step.
+    """The numpy kernel for ``B`` boundary-DAC executions in lock-step.
 
     Parameters mirror :func:`repro.workloads.build_dac_execution` --
     one shared parameter assignment, one seed per lane:
@@ -142,14 +185,15 @@ class BatchEngine:
         ports and RNG streams derive from its seed exactly as the
         serial builder's do.
     epsilon, window, selector, crash_nodes, crash_start, enable_jump:
-        As in ``build_dac_execution``.
+        As in ``build_dac_execution``. Raises ``ValueError`` when
+        :func:`dac_kernel_refusal` refuses the selector (or numpy is
+        missing); :func:`run_dac_batch` runs those lanes serially.
     max_rounds:
         Hard cap per lane; defaults to the serial builder's formula.
-    backend:
-        ``"auto"`` (numpy when available and the selector is
-        vectorizable, python otherwise), ``"numpy"`` (raise when
-        unusable), or ``"python"``.
     """
+
+    #: Read-only marker: lanes of this class come from a numpy kernel.
+    backend = "numpy"
 
     def __init__(
         self,
@@ -164,7 +208,6 @@ class BatchEngine:
         crash_start: int = 1,
         enable_jump: bool = True,
         max_rounds: int | None = None,
-        backend: str = "auto",
     ) -> None:
         self.seeds = [int(seed) for seed in seeds]
         if not self.seeds:
@@ -174,10 +217,7 @@ class BatchEngine:
         # so there is exactly one source of truth for what a lane *is*
         # and the bit-identity contract cannot drift out from under a
         # builder change.
-        # lint: ignore[layering, hot-import] — setup-time probe of the serial builder (one source of truth for lane families), deferred to break the cycle; never touched in the round loop
-        from repro.workloads import build_dac_execution
-
-        probe = build_dac_execution(
+        probe = _workloads().build_dac_execution(
             n=n,
             f=f,
             epsilon=epsilon,
@@ -189,14 +229,15 @@ class BatchEngine:
             enable_jump=enable_jump,
             max_rounds=max_rounds,
         )
+        reason = dac_kernel_refusal(selector)
+        if reason:
+            raise ValueError(f"DAC kernel unavailable: {reason}")
         process = next(iter(probe["processes"].values()))
         self.n = n
         self.f = f
         self.epsilon = epsilon
         self.window = window
         self.selector = selector
-        self.crash_nodes = f if crash_nodes is None else crash_nodes
-        self.crash_start = crash_start
         self.enable_jump = enable_jump
         self.degree = probe["adversary"].degree
         self.quorum = process.quorum
@@ -204,8 +245,7 @@ class BatchEngine:
         self.max_rounds = probe["max_rounds"]
         self._crashes = probe["fault_plan"].crashes
         self._fault_free = sorted(probe["fault_plan"].fault_free)
-        self.backend = self._resolve_backend(backend)
-        # Round structure (delivered-from matrices) memo for the numpy
+        # Round structure (delivered-from matrices) memo for the
         # kernel: keyed by (live-set key, salt mod n), tiny and cyclic.
         self._structure_cache: dict[tuple, object] = {}
 
@@ -213,112 +253,6 @@ class BatchEngine:
     def batch_size(self) -> int:
         """Number of lanes ``B``."""
         return len(self.seeds)
-
-    def _resolve_backend(self, backend: str) -> str:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        vectorizable = numpy_available() and self.selector in _VECTOR_SELECTORS
-        if backend == "auto":
-            return "numpy" if vectorizable else "python"
-        if backend == "numpy" and not vectorizable:
-            reason = (
-                "numpy is not installed"
-                if not numpy_available()
-                else f"selector {self.selector!r} is not vectorizable "
-                f"(supported: {_VECTOR_SELECTORS})"
-            )
-            raise ValueError(f"numpy backend unavailable: {reason}")
-        return backend
-
-    def run(self) -> list[LaneResult]:
-        """Run every lane to its stop condition and return lane results.
-
-        Results come back in ``seeds`` order. Each lane stops exactly
-        like ``Engine.run(max_rounds, stop_when=all_fault_free_output)``
-        does: the stop condition is evaluated before each round and once
-        more at the cap, and the lane's state freezes at that point.
-        """
-        if self.backend == "numpy":
-            return self._run_numpy()
-        return self._run_python()
-
-    # -- python backend: lock-step over real engines --------------------
-
-    def _build_serial_engine(self, seed: int):
-        # Local imports: the runner/workloads layers import this module's
-        # package, so top-level imports here would be cyclic.
-        from repro.sim.engine import Engine
-
-        # lint: ignore[layering, hot-import] — python-backend fallback builds lanes through the serial builder (bit-identity reference), deferred to break the cycle
-        from repro.workloads import build_dac_execution
-
-        kwargs = build_dac_execution(
-            n=self.n,
-            f=self.f,
-            epsilon=self.epsilon,
-            seed=seed,
-            window=self.window,
-            selector=self.selector,
-            crash_nodes=self.crash_nodes,
-            crash_start=self.crash_start,
-            enable_jump=self.enable_jump,
-            max_rounds=self.max_rounds,
-        )
-        return Engine(
-            kwargs["processes"],
-            kwargs["adversary"],
-            kwargs["ports"],
-            fault_plan=kwargs["fault_plan"],
-            f=kwargs["f"],
-            seed=kwargs["seed"],
-            record_trace=False,
-        )
-
-    def _run_python(self) -> list[LaneResult]:
-        engines = [self._build_serial_engine(seed) for seed in self.seeds]
-        results: list[LaneResult | None] = [None] * len(engines)
-
-        def finalize(index: int, rounds: int, stopped: bool) -> None:
-            engine = engines[index]
-            plan = engine.fault_plan
-            outputs = {
-                v: engine.processes[v].output()
-                for v in sorted(plan.fault_free)
-                if engine.processes[v].has_output()
-            }
-            results[index] = LaneResult(
-                seed=self.seeds[index],
-                rounds=rounds,
-                stopped=stopped,
-                inputs={
-                    node: proc.input_value for node, proc in engine.processes.items()
-                },
-                outputs=outputs,
-                state_keys={
-                    node: proc.state_key() for node, proc in engine.processes.items()
-                },
-            )
-
-        active = list(range(len(engines)))
-        t = 0
-        while active:
-            # Same order as Engine.run: stop_when before each round,
-            # then the documented final check at the cap.
-            still = []
-            for index in active:
-                if engines[index].all_fault_free_output():
-                    finalize(index, t, True)
-                elif t >= self.max_rounds:
-                    finalize(index, t, False)
-                else:
-                    still.append(index)
-            for index in still:
-                engines[index].run_round()
-            active = still
-            t += 1
-        return [result for result in results if result is not None]
-
-    # -- numpy backend: vectorized port-major kernel ---------------------
 
     def _delivered_from(self, live_key: tuple[int, ...], salt: int):
         """``(n, n)`` bool: does ``u``'s round broadcast reach ``v``?
@@ -351,7 +285,14 @@ class BatchEngine:
             cached = delivered
         return cached
 
-    def _run_numpy(self) -> list[LaneResult]:
+    def run(self) -> list[LaneResult]:
+        """Run every lane to its stop condition and return lane results.
+
+        Results come back in ``seeds`` order. Each lane stops exactly
+        like ``Engine.run(max_rounds, stop_when=all_fault_free_output)``
+        does: the stop condition is evaluated before each round and once
+        more at the cap, and the lane's state freezes at that point.
+        """
         np = _np
         n = self.n
         lanes = len(self.seeds)
@@ -526,25 +467,25 @@ def run_dac_batch(
     crash_start: int = 1,
     enable_jump: bool = True,
     max_rounds: int | None = None,
-    backend: str = "auto",
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of boundary DAC executions, one lane per seed.
 
-    Convenience wrapper over :class:`BatchEngine`; see its docstring
-    for parameter semantics and the bit-identity contract. ``on_lane``
-    is called once per finished lane, in lane (seed) order -- the seam
-    :func:`repro.obs.attach.lane_finished` plugs into for per-lane
-    ``RunFinished`` events.
+    :class:`BatchEngine` lanes when :func:`dac_kernel_refusal` accepts
+    the selector, :class:`GenericBatchEngine` lanes over
+    :func:`repro.workloads.build_dac_execution` otherwise -- the same
+    results either way (see :class:`BatchEngine` for parameter
+    semantics). ``on_lane`` is called once per finished lane, in lane
+    (seed) order -- the seam :func:`repro.obs.attach.lane_finished`
+    plugs into for per-lane ``RunFinished`` events.
 
-    >>> lanes = run_dac_batch(5, 2, [0, 1], backend="python")
+    >>> lanes = run_dac_batch(5, 2, [0, 1])
     >>> [(lane.seed, lane.stopped) for lane in lanes]
     [(0, True), (1, True)]
+    >>> run_dac_batch(5, 2, [0, 1], selector="nearest")[1].stopped
+    True
     """
-    lanes = BatchEngine(
-        n,
-        f,
-        seeds,
+    params = dict(
         epsilon=epsilon,
         window=window,
         selector=selector,
@@ -552,37 +493,41 @@ def run_dac_batch(
         crash_start=crash_start,
         enable_jump=enable_jump,
         max_rounds=max_rounds,
-        backend=backend,
-    ).run()
-    if on_lane is not None:
-        for lane in lanes:
-            on_lane(lane)
-    return lanes
+    )
+    if dac_kernel_refusal(selector) is None:
+        lanes = BatchEngine(n, f, seeds, **params).run()
+    else:
+        build = _workloads().build_dac_execution
+        lanes = GenericBatchEngine(
+            seeds, lambda seed: build(n=n, f=f, seed=seed, **params)
+        ).run()
+    return _streamed(lanes, on_lane)
 
 
 # -- Batched DBAC / Byzantine / mobile-omission lanes ----------------------
 
-# Selectors the ByzBatchEngine numpy kernel replicates. ``nearest`` is
+# Selectors the ByzBatchEngine kernel replicates. ``nearest`` is
 # value-dependent: the kernel recomputes the serial two-pointer
 # selection (repro.adversary.constrained.nearest_picks) as one stable
 # argsort over each lane's value matrix per round. ``random`` draws
-# from the adversary's RNG stream and falls back to the python backend.
+# from the adversary's RNG stream, so its lanes run serially.
 _BYZ_VECTOR_SELECTORS = ("rotate", "nearest")
 
 _STOP_MODES = ("oracle", "output")
 
 
-def _strategy_vector_plan(strategy: object, n: int):
-    """How the numpy kernel reproduces one Byzantine strategy, or ``None``.
+def _strategy_vector_plan(strategy: object):
+    """How the kernel reproduces one Byzantine strategy, or ``None``.
 
     A vectorizable strategy's round messages factor into a static
-    per-receiver value row plus a phase that is either a constant or
-    tracks the maximum fault-free phase (with a fixed lead). Returns
-    ``(value_row, phase_kind, phase_arg)`` with ``phase_kind`` in
-    ``{"track", "const"}``, or ``None`` when the strategy cannot be
-    vectorized (e.g. the RNG-driven ``random`` strategy) and the lanes
-    must run on the python backend. Exact types are matched so
-    subclasses with overridden behavior are never mis-vectorized.
+    per-receiver value -- one value for even-numbered receivers, one
+    for odd -- plus a phase that is either a constant or tracks the
+    maximum fault-free phase (with a fixed lead). Returns
+    ``((even_value, odd_value), phase_kind, phase_arg)`` with
+    ``phase_kind`` in ``{"track", "const"}``, or ``None`` when the
+    strategy cannot be vectorized (e.g. the RNG-driven ``random``
+    strategy). Exact types are matched so subclasses with overridden
+    behavior are never mis-vectorized.
     """
     from repro.faults.byzantine import (
         ExtremeByzantine,
@@ -590,19 +535,48 @@ def _strategy_vector_plan(strategy: object, n: int):
         PhaseLiarByzantine,
     )
 
-    np = _np
     kind = type(strategy)
     if kind is ExtremeByzantine:
-        row = np.where(
-            np.arange(n) % 2 == 0, float(strategy.low), float(strategy.high)
-        )
-        return row, "track", 0
+        return (float(strategy.low), float(strategy.high)), "track", 0
     if kind is PhaseLiarByzantine:
-        return np.full(n, float(strategy.value)), "track", int(strategy.phase_lead)
+        value = float(strategy.value)
+        return (value, value), "track", int(strategy.phase_lead)
     if kind is FixedValueByzantine:
+        value = float(strategy.value)
         if strategy.phase_mode == "track":
-            return np.full(n, float(strategy.value)), "track", 0
-        return np.full(n, float(strategy.value)), "const", int(strategy.phase_mode)
+            return (value, value), "track", 0
+        return (value, value), "const", int(strategy.phase_mode)
+    return None
+
+
+def byz_kernel_refusal(
+    adversary: str = "quorum", selector: str = "nearest", strategy: str = "extreme"
+) -> str | None:
+    """Why :class:`ByzBatchEngine` cannot run these lanes, or ``None``.
+
+    Mobile-omission lanes vectorize in every mode; quorum lanes need a
+    vectorizable selector and a Byzantine strategy (named as in
+    :data:`repro.workloads.TRIAL_BYZANTINE_STRATEGIES`) whose messages
+    :func:`_strategy_vector_plan` reproduces.
+
+    >>> byz_kernel_refusal(strategy="random") is None
+    False
+    >>> (byz_kernel_refusal("mobile-block_min") is None) == numpy_available()
+    True
+    """
+    if _np is None:
+        return _NO_NUMPY
+    if adversary != "quorum":
+        return None
+    reason = _selector_refusal(selector, _BYZ_VECTOR_SELECTORS)
+    if reason:
+        return reason
+    factory = _workloads().TRIAL_BYZANTINE_STRATEGIES.get(strategy)
+    if factory is not None and _strategy_vector_plan(factory()) is None:
+        return (
+            f"Byzantine strategy {strategy!r} is not vectorizable "
+            "(RNG- or state-dependent messages)"
+        )
     return None
 
 
@@ -644,8 +618,63 @@ def nearest_delivered(values, byz, byz_chosen: int, remaining: int):
     return delivered
 
 
+def _byz_builder(
+    n: int,
+    f: int | None,
+    *,
+    epsilon: float,
+    window: int,
+    selector: str,
+    strategy: str,
+    adversary: str,
+    stop_mode: str,
+    max_rounds: int,
+) -> Callable[[int], dict]:
+    """``seed -> run_consensus kwargs`` for one Byzantine-or-mobile lane.
+
+    Exactly the serial builders :func:`repro.workloads.run_byz_trial`
+    runs: :func:`~repro.workloads.build_dbac_execution` with the named
+    strategy for ``"quorum"``, :func:`~repro.workloads.build_mobile_execution`
+    for ``"mobile-<mode>"``.
+    """
+    workloads = _workloads()
+    if adversary == "quorum":
+        strategies = workloads.TRIAL_BYZANTINE_STRATEGIES
+        if strategy not in strategies:
+            raise ValueError(
+                f"unknown strategy {strategy!r}; known: {sorted(strategies)}"
+            )
+        factory = strategies[strategy]
+        f = (n - 1) // 5 if f is None else f
+        return lambda seed: workloads.build_dbac_execution(
+            n=n,
+            f=f,
+            epsilon=epsilon,
+            seed=seed,
+            window=window,
+            selector=selector,
+            byzantine_factory=lambda node: factory(),
+            stop_mode=stop_mode,
+            max_rounds=max_rounds,
+        )
+    if not adversary.startswith("mobile-"):
+        raise ValueError(
+            f"unknown adversary {adversary!r}; use 'quorum' or 'mobile-<mode>'"
+        )
+    if f not in (None, 0):
+        raise ValueError(f"mobile-omission lanes are fault-free, got f={f}")
+    return lambda seed: workloads.build_mobile_execution(
+        n=n,
+        mode=adversary[len("mobile-") :],
+        epsilon=epsilon,
+        seed=seed,
+        stop_mode=stop_mode,
+        max_rounds=max_rounds,
+    )
+
+
 class ByzBatchEngine:
-    """Runs ``B`` independent DBAC / Byzantine / mobile lanes in lock-step.
+    """The numpy kernel for ``B`` DBAC / Byzantine / mobile lanes in lock-step.
 
     The Byzantine counterpart of :class:`BatchEngine`: one shared
     parameter assignment, one seed per lane, lane families exactly as
@@ -673,26 +702,25 @@ class ByzBatchEngine:
         ``run_byz_trial`` (``stop_mode="oracle"`` stops a lane when
         the fault-free spread first dips to ``epsilon``;
         ``"output"`` waits for algorithm-local termination).
-    backend:
-        ``"auto"`` / ``"numpy"`` / ``"python"`` as in
-        :class:`BatchEngine`. The numpy kernel requires a vectorizable
-        selector (``rotate``/``nearest``) and, for quorum lanes, a
-        vectorizable Byzantine strategy (``extreme``, ``pin-high``,
-        ``pin-low``, ``phase-liar``); ``random`` selector/strategy
-        lanes fall back to the python backend.
+        Raises ``ValueError`` when :func:`byz_kernel_refusal` refuses
+        the selector or strategy (``random``), or numpy is missing;
+        :func:`run_byz_batch` runs those lanes serially.
     width:
         Maximum concurrent vector lanes. ``None`` (default) runs all
-        seeds at once. With ``width=W < len(seeds)`` the numpy kernel
+        seeds at once. With ``width=W < len(seeds)`` the kernel
         processes the seed list through ``W`` rows.
     compact:
-        Lane compaction (numpy backend, only observable when ``width``
-        caps the row count): ``True`` re-fills each finished row from
+        Lane compaction (only observable when ``width`` caps the row
+        count): ``True`` re-fills each finished row from
         the pending seed queue immediately, keeping the vector width
         full through long-tailed grids; ``False`` drains each
         ``width``-sized chunk completely before starting the next.
         Purely a speed/scheduling knob -- lanes are fully independent,
         so results are bit-identical either way (pinned in tests).
     """
+
+    #: Read-only marker: lanes of this class come from a numpy kernel.
+    backend = "numpy"
 
     def __init__(
         self,
@@ -707,7 +735,6 @@ class ByzBatchEngine:
         adversary: str = "quorum",
         stop_mode: str = "oracle",
         max_rounds: int = 50_000,
-        backend: str = "auto",
         width: int | None = None,
         compact: bool = True,
     ) -> None:
@@ -728,48 +755,42 @@ class ByzBatchEngine:
         self.max_rounds = int(max_rounds)
         self.width = width
         self.compact = bool(compact)
+        # Derive the lane family from the serial builder itself (one
+        # source of truth, like BatchEngine does for DAC): validates
+        # n >= 5f+1, the adversary, mode and strategy names as a side
+        # effect.
+        probe = _byz_builder(
+            n,
+            f,
+            epsilon=self.epsilon,
+            window=self.window,
+            selector=selector,
+            strategy=strategy,
+            adversary=adversary,
+            stop_mode=stop_mode,
+            max_rounds=self.max_rounds,
+        )(self.seeds[0])
+        process = next(iter(probe["processes"].values()))
+        plan = probe["fault_plan"]
+        self.f = probe["f"]
+        self.quorum = process.quorum
+        self.end_phase = process.end_phase
         if adversary == "quorum":
             self.family = "quorum"
             self.mode = None
-            self.f = (n - 1) // 5 if f is None else f
-            probe = self._build_quorum_kwargs(self.seeds[0])
-            process = next(iter(probe["processes"].values()))
-            self.quorum = process.quorum
-            self.end_phase = process.end_phase
             self.trim = process.trim
             self.degree = probe["adversary"].degree
-            plan = probe["fault_plan"]
-            self._byz_nodes = tuple(sorted(plan.byzantine))
-            self._fault_free = tuple(sorted(plan.fault_free))
-            self._byz_strategies = [plan.byzantine[u] for u in self._byz_nodes]
-        elif adversary.startswith("mobile-"):
-            from repro.adversary.mobile import MOBILE_MODES
-
-            mode = adversary[len("mobile-") :]
-            if mode not in MOBILE_MODES:
-                raise ValueError(
-                    f"unknown mobile mode {mode!r}; known: {MOBILE_MODES}"
-                )
-            if f not in (None, 0):
-                raise ValueError(f"mobile-omission lanes are fault-free, got f={f}")
-            from repro.core.dac import DACProcess
-
+        else:
             self.family = "mobile"
-            self.mode = mode
-            self.f = 0
-            probe_process = DACProcess(n, 0, 0.0, 0, epsilon=self.epsilon)
-            self.quorum = probe_process.quorum
-            self.end_phase = probe_process.end_phase
+            self.mode = adversary[len("mobile-") :]
             self.trim = 0
             self.degree = 0
-            self._byz_nodes = ()
-            self._fault_free = tuple(range(n))
-            self._byz_strategies = []
-        else:
-            raise ValueError(
-                f"unknown adversary {adversary!r}; use 'quorum' or 'mobile-<mode>'"
-            )
-        self.backend = self._resolve_backend(backend)
+        self._byz_nodes = tuple(sorted(plan.byzantine))
+        self._fault_free = tuple(sorted(plan.fault_free))
+        self._byz_strategies = [plan.byzantine[u] for u in self._byz_nodes]
+        reason = byz_kernel_refusal(adversary, selector, strategy)
+        if reason:
+            raise ValueError(f"Byzantine kernel unavailable: {reason}")
         # salt -> receiver-major delivered-from matrix for the rotate
         # selector (cyclic in salt mod n once built).
         self._rotate_cache: dict[int, object] = {}
@@ -779,148 +800,7 @@ class ByzBatchEngine:
         """Number of lanes (seeds); the vector width is ``min(width, B)``."""
         return len(self.seeds)
 
-    # -- configuration -------------------------------------------------
-
-    def _build_quorum_kwargs(self, seed: int) -> dict:
-        # Derive the lane family from the serial builder itself (one
-        # source of truth, like BatchEngine does for DAC): validates
-        # n >= 5f+1, the selector and the strategy name as a side
-        # effect.
-        # lint: ignore[layering, hot-import] — setup-time probe of the serial builder (one source of truth for lane families), deferred to break the cycle; never touched in the round loop
-        from repro.workloads import TRIAL_BYZANTINE_STRATEGIES, build_dbac_execution
-
-        if self.strategy not in TRIAL_BYZANTINE_STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {self.strategy!r}; "
-                f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
-            )
-        factory = TRIAL_BYZANTINE_STRATEGIES[self.strategy]
-        return build_dbac_execution(
-            n=self.n,
-            f=self.f,
-            epsilon=self.epsilon,
-            seed=seed,
-            window=self.window,
-            selector=self.selector,
-            byzantine_factory=lambda node: factory(),
-            stop_mode=self.stop_mode,
-            max_rounds=self.max_rounds,
-        )
-
-    def _resolve_backend(self, backend: str) -> str:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        reason = None
-        if not numpy_available():
-            reason = "numpy is not installed"
-        elif self.family == "quorum":
-            if self.selector not in _BYZ_VECTOR_SELECTORS:
-                reason = (
-                    f"selector {self.selector!r} is not vectorizable "
-                    f"(supported: {_BYZ_VECTOR_SELECTORS})"
-                )
-            elif any(
-                _strategy_vector_plan(strategy, self.n) is None
-                for strategy in self._byz_strategies
-            ):
-                reason = (
-                    f"Byzantine strategy {self.strategy!r} is not vectorizable "
-                    "(RNG- or state-dependent messages)"
-                )
-        if backend == "auto":
-            return "python" if reason else "numpy"
-        if backend == "numpy" and reason:
-            raise ValueError(f"numpy backend unavailable: {reason}")
-        return backend
-
-    # -- python backend: lock-step over real engines -------------------
-
-    def _build_serial_engine(self, seed: int):
-        from repro.sim.engine import Engine
-
-        if self.family == "quorum":
-            kwargs = self._build_quorum_kwargs(seed)
-            return Engine(
-                kwargs["processes"],
-                kwargs["adversary"],
-                kwargs["ports"],
-                fault_plan=kwargs["fault_plan"],
-                f=kwargs["f"],
-                seed=kwargs["seed"],
-                record_trace=False,
-            )
-        from repro.adversary.mobile import MobileOmissionAdversary
-        from repro.core.dac import DACProcess
-        from repro.faults.base import FaultPlan
-
-        inputs = spawn_inputs(seed, self.n)
-        ports = random_ports(self.n, child_rng(seed, "ports"))
-        processes = {
-            node: DACProcess(
-                self.n, 0, inputs[node], ports.self_port(node), epsilon=self.epsilon
-            )
-            for node in range(self.n)
-        }
-        return Engine(
-            processes,
-            MobileOmissionAdversary(self.mode),
-            ports,
-            fault_plan=FaultPlan.fault_free_plan(self.n),
-            f=0,
-            seed=seed,
-            record_trace=False,
-        )
-
-    def _stop_holds(self, engine) -> bool:
-        if self.stop_mode == "output":
-            return engine.all_fault_free_output()
-        return engine.fault_free_range() <= self.epsilon
-
-    def _finalize_engine(self, engine, seed: int, rounds: int, stopped: bool) -> LaneResult:
-        plan = engine.fault_plan
-        if self.stop_mode == "output":
-            outputs = {
-                v: engine.processes[v].output()
-                for v in sorted(plan.fault_free)
-                if engine.processes[v].has_output()
-            }
-        else:
-            outputs = engine.fault_free_values()
-        return LaneResult(
-            seed=seed,
-            rounds=rounds,
-            stopped=stopped,
-            inputs={node: proc.input_value for node, proc in engine.processes.items()},
-            outputs=outputs,
-            state_keys={
-                node: proc.state_key() for node, proc in engine.processes.items()
-            },
-        )
-
-    def _run_python(self) -> list[LaneResult]:
-        engines = [self._build_serial_engine(seed) for seed in self.seeds]
-        results: list[LaneResult | None] = [None] * len(engines)
-        active = list(range(len(engines)))
-        t = 0
-        while active:
-            # Same order as Engine.run: stop_when before each round,
-            # then the documented final check at the cap.
-            still = []
-            for index in active:
-                holds = self._stop_holds(engines[index])
-                if holds or t >= self.max_rounds:
-                    results[index] = self._finalize_engine(
-                        engines[index], self.seeds[index], t, holds
-                    )
-                else:
-                    still.append(index)
-            for index in still:
-                engines[index].run_round()
-            active = still
-            t += 1
-        return [result for result in results if result is not None]
-
-    # -- numpy backend: vectorized kernels with lane compaction --------
+    # -- vectorized kernels with lane compaction -----------------------
 
     def run(self) -> list[LaneResult]:
         """Run every lane to its stop condition; results in seed order.
@@ -930,8 +810,6 @@ class ByzBatchEngine:
         mode: the condition is evaluated before each round and once
         more at the cap.
         """
-        if self.backend == "python":
-            return self._run_python()
         results: list[LaneResult | None] = [None] * len(self.seeds)
         pending: deque[tuple[int, int]] = deque(enumerate(self.seeds))
         width = len(self.seeds) if self.width is None else min(self.width, len(self.seeds))
@@ -1083,10 +961,10 @@ class ByzBatchEngine:
         byz_lead = np.zeros(n, dtype=np.int64)
         byz_const = np.zeros(n, dtype=np.int64)
         for node, strategy in zip(self._byz_nodes, self._byz_strategies):
-            plan = _strategy_vector_plan(strategy, n)
-            assert plan is not None  # guaranteed by backend resolution
-            row, phase_kind, phase_arg = plan
-            byz_value[node] = row
+            plan = _strategy_vector_plan(strategy)
+            assert plan is not None  # guaranteed by byz_kernel_refusal
+            (even, odd), phase_kind, phase_arg = plan
+            byz_value[node] = np.where(node_idx % 2 == 0, even, odd)
             if phase_kind == "track":
                 byz_track[node] = True
                 byz_lead[node] = phase_arg
@@ -1503,26 +1381,24 @@ def run_byz_batch(
     adversary: str = "quorum",
     stop_mode: str = "oracle",
     max_rounds: int = 50_000,
-    backend: str = "auto",
     width: int | None = None,
     compact: bool = True,
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of Byzantine-or-mobile executions, one lane per seed.
 
-    Convenience wrapper over :class:`ByzBatchEngine`; see its docstring
-    for parameter semantics and the bit-identity contract. ``on_lane``
-    is called once per finished lane, in lane (seed) order (see
-    :func:`run_dac_batch`).
+    :class:`ByzBatchEngine` lanes when :func:`byz_kernel_refusal`
+    accepts the parameters, :class:`GenericBatchEngine` lanes over the
+    serial builders otherwise (``width``/``compact`` only schedule the
+    kernel). See :class:`ByzBatchEngine` for parameter semantics;
+    ``on_lane`` is called once per finished lane, in lane (seed) order
+    (see :func:`run_dac_batch`).
 
-    >>> lanes = run_byz_batch(6, 1, [0, 1], backend="python")
+    >>> lanes = run_byz_batch(6, 1, [0, 1])
     >>> [lane.stopped for lane in lanes]
     [True, True]
     """
-    lanes = ByzBatchEngine(
-        n,
-        f,
-        seeds,
+    params = dict(
         epsilon=epsilon,
         window=window,
         selector=selector,
@@ -1530,14 +1406,14 @@ def run_byz_batch(
         adversary=adversary,
         stop_mode=stop_mode,
         max_rounds=max_rounds,
-        backend=backend,
-        width=width,
-        compact=compact,
-    ).run()
-    if on_lane is not None:
-        for lane in lanes:
-            on_lane(lane)
-    return lanes
+    )
+    if byz_kernel_refusal(adversary, selector, strategy) is None:
+        lanes = ByzBatchEngine(
+            n, f, seeds, width=width, compact=compact, **params
+        ).run()
+    else:
+        lanes = GenericBatchEngine(seeds, _byz_builder(n, f, **params)).run()
+    return _streamed(lanes, on_lane)
 
 
 def run_dbac_batch(
@@ -1551,7 +1427,6 @@ def run_dbac_batch(
     strategy: str = "extreme",
     stop_mode: str = "oracle",
     max_rounds: int = 50_000,
-    backend: str = "auto",
     width: int | None = None,
     compact: bool = True,
     on_lane: Callable[[LaneResult], None] | None = None,
@@ -1561,7 +1436,7 @@ def run_dbac_batch(
     :func:`run_byz_batch` pinned to the ``"quorum"`` family -- the
     batched counterpart of :func:`repro.workloads.run_dbac_trial`.
 
-    >>> lanes = run_dbac_batch(6, 1, [0, 1, 2], backend="python")
+    >>> lanes = run_dbac_batch(6, 1, [0, 1, 2], strategy="random")
     >>> [lane.seed for lane in lanes]
     [0, 1, 2]
     """
@@ -1576,7 +1451,6 @@ def run_dbac_batch(
         adversary="quorum",
         stop_mode=stop_mode,
         max_rounds=max_rounds,
-        backend=backend,
         width=width,
         compact=compact,
         on_lane=on_lane,
@@ -1587,20 +1461,17 @@ def run_dbac_batch(
 # whose delivered-from structure the vectorized kernel replicates.
 # ``rotate`` reuses the shared content-hash tables; ``nearest`` reuses
 # the stable-argsort helper (fault-free, no Byzantine quota); the
-# RNG-driven ``random`` selector falls back to the python backend.
+# RNG-driven ``random`` selector runs serially.
 _BASELINE_VECTOR_SELECTORS = ("rotate", "nearest")
 
-# Local name->process map, kept in sync with
-# ``repro.workloads._BASELINE_PROCESSES`` (not imported: workloads
-# imports this module's package).
-_BASELINE_ENGINE_PROCESSES = {
-    "midpoint": IteratedMidpointProcess,
-    "trimmed": TrimmedMeanProcess,
-}
+
+def baseline_kernel_refusal(selector: str = "rotate") -> str | None:
+    """Why :class:`BaselineBatchEngine` cannot run these lanes, or ``None``."""
+    return _selector_refusal(selector, _BASELINE_VECTOR_SELECTORS)
 
 
 class BaselineBatchEngine:
-    """Runs ``B`` independent averaging-baseline lanes in lock-step.
+    """The numpy kernel for ``B`` averaging-baseline lanes in lock-step.
 
     The baseline counterpart of :class:`BatchEngine`: one shared
     parameter assignment, one seed per lane, lane families exactly as
@@ -1610,7 +1481,7 @@ class BaselineBatchEngine:
     enforcing ``(window, floor(n/2))`` quorum adversary and seed/input
     streams as the DAC trials.
 
-    The numpy kernel exploits what makes these lanes special: every
+    The kernel exploits what makes these lanes special: every
     node advances its round counter on every engine round (self
     delivery keeps the batch non-empty), every lane outputs at exactly
     ``num_rounds``, and the whole per-node state is one float. Silent
@@ -1622,9 +1493,13 @@ class BaselineBatchEngine:
 
     Parameters mirror :func:`repro.workloads.run_baseline_trial`;
     ``num_rounds=None`` defaults to DAC's ``p_end`` for the given
-    ``epsilon``, and ``backend`` resolves as in :class:`BatchEngine`
-    with ``_BASELINE_VECTOR_SELECTORS`` as the vectorizable set.
+    ``epsilon``. Raises ``ValueError`` when
+    :func:`baseline_kernel_refusal` refuses the selector (or numpy is
+    missing); :func:`run_baseline_batch` runs those lanes serially.
     """
+
+    #: Read-only marker: lanes of this class come from a numpy kernel.
+    backend = "numpy"
 
     def __init__(
         self,
@@ -1637,42 +1512,33 @@ class BaselineBatchEngine:
         window: int = 1,
         selector: str = "rotate",
         num_rounds: int | None = None,
-        backend: str = "auto",
     ) -> None:
         self.seeds = [int(seed) for seed in seeds]
         if not self.seeds:
             raise ValueError("need at least one seed (one lane)")
-        if algorithm not in _BASELINE_ENGINE_PROCESSES:
-            raise ValueError(
-                f"unknown algorithm {algorithm!r}; "
-                f"known: {sorted(_BASELINE_ENGINE_PROCESSES)}"
-            )
+        # The serial builder validates exactly what a serial trial
+        # would reject (algorithm, negative round budgets, selectors,
+        # windows, n < 2) and derives the degree and round budget.
+        probe = _workloads().build_baseline_execution(
+            n,
+            algorithm=algorithm,
+            f=f,
+            epsilon=epsilon,
+            seed=self.seeds[0],
+            window=window,
+            selector=selector,
+            num_rounds=num_rounds,
+        )
+        reason = baseline_kernel_refusal(selector)
+        if reason:
+            raise ValueError(f"baseline kernel unavailable: {reason}")
         self.n = n
         self.f = int(f)
         self.algorithm = algorithm
-        self.epsilon = float(epsilon)
         self.window = int(window)
         self.selector = selector
-        # The DAC sufficiency threshold floor(n/2), kept in sync with
-        # :func:`repro.workloads.dac_degree` (not imported: workloads
-        # imports this module's package).
-        self.degree = n // 2
-        self.num_rounds = (
-            dac_end_phase(epsilon) if num_rounds is None else int(num_rounds)
-        )
-        # The serial trial's engine cap (the baselines complete one
-        # averaging phase per round plus a window of slack); lanes
-        # always output at num_rounds, so only the python backend's
-        # defensive cap can ever see it.
-        self.max_rounds = self.num_rounds + 2 * self.window
-        # Probes validate exactly what the serial builder would reject:
-        # the process refuses negative round budgets, the adversary
-        # refuses bad selectors, windows and degrees (n < 2).
-        _BASELINE_ENGINE_PROCESSES[algorithm](
-            n, self.f, 0.0, 0, num_rounds=self.num_rounds
-        )
-        self._adversary()
-        self.backend = self._resolve_backend(backend)
+        self.degree = probe["adversary"].degree
+        self.num_rounds = next(iter(probe["processes"].values())).num_rounds
         # salt -> receiver-major delivered-from table for the rotate
         # selector; at most n entries (cyclic in salt mod n).
         self._rotate_cache: dict[int, object] = {}
@@ -1681,113 +1547,6 @@ class BaselineBatchEngine:
     def batch_size(self) -> int:
         """Number of lanes ``B``."""
         return len(self.seeds)
-
-    def _adversary(self):
-        """A fresh enforcing adversary, exactly the serial trial's."""
-        if self.window == 1:
-            return RotatingQuorumAdversary(self.degree, selector=self.selector)
-        return LastMinuteQuorumAdversary(
-            self.window, self.degree, selector=self.selector
-        )
-
-    def _resolve_backend(self, backend: str) -> str:
-        if backend not in _BACKENDS:
-            raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-        vectorizable = numpy_available() and self.selector in _BASELINE_VECTOR_SELECTORS
-        if backend == "auto":
-            return "numpy" if vectorizable else "python"
-        if backend == "numpy" and not vectorizable:
-            reason = (
-                "numpy is not installed"
-                if not numpy_available()
-                else f"selector {self.selector!r} is not vectorizable "
-                f"(supported: {_BASELINE_VECTOR_SELECTORS})"
-            )
-            raise ValueError(f"numpy backend unavailable: {reason}")
-        return backend
-
-    def run(self) -> list[LaneResult]:
-        """Run every lane to its fixed round budget; results in seed order."""
-        if self.backend == "numpy":
-            return self._run_numpy()
-        return self._run_python()
-
-    # -- python backend: lock-step over real engines -------------------
-
-    def _build_serial_engine(self, seed: int):
-        # Local imports: the runner/workloads layers import this
-        # module's package, so top-level imports here would be cyclic.
-        from repro.faults.base import FaultPlan
-        from repro.sim.engine import Engine
-
-        inputs = spawn_inputs(seed, self.n)
-        ports = random_ports(self.n, child_rng(seed, "ports"))
-        process_type = _BASELINE_ENGINE_PROCESSES[self.algorithm]
-        processes = {
-            node: process_type(
-                self.n,
-                self.f,
-                inputs[node],
-                ports.self_port(node),
-                num_rounds=self.num_rounds,
-            )
-            for node in range(self.n)
-        }
-        return Engine(
-            processes,
-            self._adversary(),
-            ports,
-            fault_plan=FaultPlan.fault_free_plan(self.n),
-            f=self.f,
-            seed=seed,
-            record_trace=False,
-        )
-
-    def _run_python(self) -> list[LaneResult]:
-        engines = [self._build_serial_engine(seed) for seed in self.seeds]
-        results: list[LaneResult | None] = [None] * len(engines)
-
-        def finalize(index: int, rounds: int, stopped: bool) -> None:
-            engine = engines[index]
-            plan = engine.fault_plan
-            outputs = {
-                v: engine.processes[v].output()
-                for v in sorted(plan.fault_free)
-                if engine.processes[v].has_output()
-            }
-            results[index] = LaneResult(
-                seed=self.seeds[index],
-                rounds=rounds,
-                stopped=stopped,
-                inputs={
-                    node: proc.input_value for node, proc in engine.processes.items()
-                },
-                outputs=outputs,
-                state_keys={
-                    node: proc.state_key() for node, proc in engine.processes.items()
-                },
-            )
-
-        active = list(range(len(engines)))
-        t = 0
-        while active:
-            # Same order as Engine.run: stop_when before each round,
-            # then the documented final check at the cap.
-            still = []
-            for index in active:
-                if engines[index].all_fault_free_output():
-                    finalize(index, t, True)
-                elif t >= self.max_rounds:
-                    finalize(index, t, False)
-                else:
-                    still.append(index)
-            for index in still:
-                engines[index].run_round()
-            active = still
-            t += 1
-        return [result for result in results if result is not None]
-
-    # -- numpy backend: fixed-budget value iteration --------------------
 
     def _rotate_matrix(self, salt: int):
         """Receiver-major delivered-from bools of one rotate round.
@@ -1806,7 +1565,8 @@ class BaselineBatchEngine:
             self._rotate_cache[key] = cached
         return cached
 
-    def _run_numpy(self) -> list[LaneResult]:
+    def run(self) -> list[LaneResult]:
+        """Run every lane to its fixed round budget; results in seed order."""
         np = _np
         n = self.n
         lanes = len(self.seeds)
@@ -1887,77 +1647,67 @@ def run_baseline_batch(
     window: int = 1,
     selector: str = "rotate",
     num_rounds: int | None = None,
-    backend: str = "auto",
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of averaging-baseline executions, one lane per seed.
 
-    Convenience wrapper over :class:`BaselineBatchEngine`; see its
-    docstring for parameter semantics and the bit-identity contract.
-    ``on_lane`` is called once per finished lane, in lane (seed) order
-    (see :func:`run_dac_batch`).
+    :class:`BaselineBatchEngine` lanes when
+    :func:`baseline_kernel_refusal` accepts the selector,
+    :class:`GenericBatchEngine` lanes over
+    :func:`repro.workloads.build_baseline_execution` otherwise. See
+    :class:`BaselineBatchEngine` for parameter semantics; ``on_lane``
+    is called once per finished lane, in lane (seed) order (see
+    :func:`run_dac_batch`).
 
-    >>> lanes = run_baseline_batch(5, [0, 1], num_rounds=3, backend="python")
+    >>> lanes = run_baseline_batch(5, [0, 1], num_rounds=3)
     >>> [(lane.seed, lane.rounds, lane.stopped) for lane in lanes]
     [(0, 3, True), (1, 3, True)]
     """
-    lanes = BaselineBatchEngine(
-        n,
-        seeds,
+    params = dict(
         algorithm=algorithm,
         f=f,
         epsilon=epsilon,
         window=window,
         selector=selector,
         num_rounds=num_rounds,
-        backend=backend,
-    ).run()
-    if on_lane is not None:
-        for lane in lanes:
-            on_lane(lane)
-    return lanes
+    )
+    if baseline_kernel_refusal(selector) is None:
+        lanes = BaselineBatchEngine(n, seeds, **params).run()
+    else:
+        build = _workloads().build_baseline_execution
+        lanes = GenericBatchEngine(
+            seeds, lambda seed: build(n, seed=seed, **params)
+        ).run()
+    return _streamed(lanes, on_lane)
 
 
 class GenericBatchEngine:
-    """Lock-step lanes over serial engines built from an execution builder.
+    """Builder-defined lanes: one serial engine run per seed.
 
-    The registry's open end: a family registered through
+    The serial fallback under every ``run_*_batch`` function and the
+    registry's open end: a family registered through
     :mod:`repro.scenario` gets a batched form without writing a
     kernel. ``build(seed)`` returns the family's
     :func:`repro.sim.runner.run_consensus` keyword dict (processes,
     adversary, ports, fault plan, ``stop_mode``, ``max_rounds``,
-    ``epsilon``); the engine advances one real serial
-    :class:`~repro.sim.engine.Engine` per seed in lock-step, checking
-    each lane's stop condition before every round and once more at the
-    cap -- exactly the serial ``Engine.run`` order, so lanes are
-    bit-identical to per-seed serial runs by construction.
-
-    Python backend only: a family that wants vectorized lanes writes a
-    dedicated kernel (like :class:`BatchEngine` /
-    :class:`ByzBatchEngine`) and reports it via its ``vectorizable``
-    hook; ``backend="auto"`` degrades to python here.
+    ``epsilon``); each lane is one untraced serial
+    :class:`~repro.sim.engine.Engine` driven by
+    ``Engine.run(max_rounds, stop_when=...)`` for its stop mode, so
+    lanes are bit-identical to per-seed serial runs by construction. A
+    family that wants vectorized lanes writes a dedicated kernel (like
+    :class:`BatchEngine` / :class:`ByzBatchEngine`) with a support
+    predicate its ``vectorizable`` hook reports.
     """
 
-    def __init__(
-        self,
-        seeds: Sequence[int],
-        build: Callable[[int], dict],
-        *,
-        backend: str = "auto",
-    ) -> None:
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; use one of {_BACKENDS}")
-        if backend == "numpy":
-            raise ValueError(
-                "the generic batch engine is python-only; register a "
-                "dedicated kernel for vectorized lanes"
-            )
+    def __init__(self, seeds: Sequence[int], build: Callable[[int], dict]) -> None:
         self.seeds = [int(seed) for seed in seeds]
         self.build = build
 
-    def _build_engine(self, seed: int):
-        from repro.sim.engine import Engine
+    def run(self) -> list[LaneResult]:
+        """Run every lane to its stop condition; results in seed order."""
+        return [self._run_lane(seed) for seed in self.seeds]
 
+    def _run_lane(self, seed: int) -> LaneResult:
         kwargs = self.build(seed)
         engine = Engine(
             kwargs["processes"],
@@ -1968,28 +1718,25 @@ class GenericBatchEngine:
             seed=kwargs["seed"],
             record_trace=False,
         )
-        return engine, kwargs
-
-    @staticmethod
-    def _stop_holds(engine, stop_mode: str, epsilon: float) -> bool:
-        if stop_mode == "output":
-            return engine.all_fault_free_output()
-        return engine.fault_free_range() <= epsilon
-
-    @staticmethod
-    def _finalize(engine, stop_mode: str, seed: int, rounds: int, stopped: bool) -> LaneResult:
-        if stop_mode == "output":
+        fault_free = engine.fault_plan.fault_free
+        if kwargs.get("stop_mode", "output") == "output":
+            result = engine.run(kwargs["max_rounds"], stop_when=Engine.all_fault_free_output)
             outputs = {
                 v: engine.processes[v].output()
-                for v in sorted(engine.fault_plan.fault_free)
+                for v in sorted(fault_free)
                 if engine.processes[v].has_output()
             }
         else:
+            epsilon = kwargs.get("epsilon", 1e-3)
+            result = engine.run(
+                kwargs["max_rounds"],
+                stop_when=lambda eng: eng.fault_free_range() <= epsilon,
+            )
             outputs = engine.fault_free_values()
         return LaneResult(
             seed=seed,
-            rounds=rounds,
-            stopped=stopped,
+            rounds=int(result),
+            stopped=result.stopped,
             inputs={node: proc.input_value for node, proc in engine.processes.items()},
             outputs=outputs,
             state_keys={
@@ -1997,37 +1744,11 @@ class GenericBatchEngine:
             },
         )
 
-    def run(self) -> list[LaneResult]:
-        """Run every lane to its stop condition; results in seed order."""
-        lanes = [self._build_engine(seed) for seed in self.seeds]
-        results: list[LaneResult | None] = [None] * len(lanes)
-        active = list(range(len(lanes)))
-        t = 0
-        while active:
-            still = []
-            for index in active:
-                engine, kwargs = lanes[index]
-                stop_mode = kwargs.get("stop_mode", "output")
-                epsilon = kwargs.get("epsilon", 1e-3)
-                holds = self._stop_holds(engine, stop_mode, epsilon)
-                if holds or t >= kwargs["max_rounds"]:
-                    results[index] = self._finalize(
-                        engine, stop_mode, self.seeds[index], t, holds
-                    )
-                else:
-                    still.append(index)
-            for index in still:
-                lanes[index][0].run_round()
-            active = still
-            t += 1
-        return [result for result in results if result is not None]
-
 
 def run_generic_batch(
     seeds: Sequence[int],
     build: Callable[[int], dict],
     *,
-    backend: str = "auto",
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of builder-defined executions, one lane per seed.
@@ -2035,8 +1756,4 @@ def run_generic_batch(
     Convenience wrapper over :class:`GenericBatchEngine`, with the
     same ``on_lane`` streaming hook as :func:`run_dac_batch`.
     """
-    lanes = GenericBatchEngine(seeds, build, backend=backend).run()
-    if on_lane is not None:
-        for lane in lanes:
-            on_lane(lane)
-    return lanes
+    return _streamed(GenericBatchEngine(seeds, build).run(), on_lane)

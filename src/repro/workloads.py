@@ -432,8 +432,7 @@ def run_dac_trial(
 
     Deterministic in ``seed``: the same call always returns the same
     summary, on any worker schedule and at any batch size (the
-    ``batch_fn`` attribute carries the
-    :mod:`repro.sim.batch`-backed lock-step form the parallel layer
+    ``batch_fn`` attribute carries the batched form the parallel layer
     dispatches under ``batch=B``).
 
     >>> summary = run_dac_trial(n=5, seed=0)
@@ -527,18 +526,18 @@ def run_dac_trial_batch(
     The batched-trial form the parallel layer dispatches (attached
     below as ``run_dac_trial.batch_fn``): returns exactly
     ``[run_dac_trial(..., seed=s) for s in seeds]``, computed by one
-    lock-step :class:`repro.sim.batch.BatchEngine` pass -- vectorized
-    when numpy is installed, serial-engine lock-step otherwise. The
-    non-fast and observed paths record per-trial engine snapshots,
-    which batching cannot amortize, so they simply delegate to the
-    serial trial.
+    vectorized :class:`repro.sim.batch.BatchEngine` pass when
+    :func:`~repro.sim.batch.dac_kernel_refusal` accepts the selector.
+    Everything else -- no numpy, a selector the kernel does not model,
+    the non-fast and observed paths that record per-trial engine
+    snapshots -- runs the serial trial once per seed.
     """
-    from repro.sim.batch import run_dac_batch
+    from repro.sim.batch import BatchEngine, dac_kernel_refusal
 
     seeds = [int(seed) for seed in seeds]
     if f is None:
         f = (n - 1) // 2
-    if not fast or observe:
+    if not fast or observe or dac_kernel_refusal(selector):
         return [
             run_dac_trial(
                 n=n,
@@ -555,7 +554,7 @@ def run_dac_trial_batch(
             )
             for seed in seeds
         ]
-    lanes = run_dac_batch(
+    lanes = BatchEngine(
         n,
         f,
         seeds,
@@ -565,7 +564,7 @@ def run_dac_trial_batch(
         crash_nodes=crash_nodes,
         crash_start=crash_start,
         max_rounds=max_rounds,
-    )
+    ).run()
     return [_lane_summary(lane, epsilon) for lane in lanes]
 
 
@@ -614,8 +613,8 @@ def run_dbac_trial(
     the adversary can hold the honest spread above ``epsilon``.
 
     Deterministic in ``seed`` with the same batch_fn contract as
-    :func:`run_dac_trial`; under ``batch=B`` the lanes advance through
-    the vectorized :class:`repro.sim.batch.ByzBatchEngine` kernel.
+    :func:`run_dac_trial`; under ``batch=B`` vectorizable lanes advance
+    through the :class:`repro.sim.batch.ByzBatchEngine` kernel.
 
     >>> summary = run_dbac_trial(n=6, seed=1)
     >>> summary["terminated"]
@@ -679,17 +678,17 @@ def run_dbac_trial_batch(
     The batched-trial form the parallel layer dispatches (attached
     below as ``run_dbac_trial.batch_fn``): returns exactly
     ``[run_dbac_trial(..., seed=s) for s in seeds]``, computed by one
-    lock-step :class:`repro.sim.batch.ByzBatchEngine` pass --
-    vectorized (witness counters, trimmed updates, stable-argsort
-    ``nearest`` selection) when numpy is installed and the
-    selector/strategy pair is vectorizable, serial-engine lock-step
-    otherwise. The non-fast path records traces per trial, which
-    batching cannot amortize, so it delegates to the serial trial.
+    vectorized :class:`repro.sim.batch.ByzBatchEngine` pass (witness
+    counters, trimmed updates, stable-argsort ``nearest`` selection)
+    when :func:`~repro.sim.batch.byz_kernel_refusal` accepts the
+    selector/strategy pair, and by the serial trial once per seed
+    otherwise -- as for the non-fast and observed paths, whose
+    per-trial traces batching cannot amortize.
     """
-    from repro.sim.batch import run_dbac_batch
+    from repro.sim.batch import ByzBatchEngine, byz_kernel_refusal
 
     seeds = [int(seed) for seed in seeds]
-    if not fast or observe:
+    if not fast or observe or byz_kernel_refusal("quorum", selector, strategy):
         return [
             run_dbac_trial(
                 n=n,
@@ -706,7 +705,7 @@ def run_dbac_trial_batch(
             )
             for seed in seeds
         ]
-    lanes = run_dbac_batch(
+    lanes = ByzBatchEngine(
         n,
         f,
         seeds,
@@ -716,7 +715,7 @@ def run_dbac_trial_batch(
         strategy=strategy,
         stop_mode=stop_mode,
         max_rounds=max_rounds,
-    )
+    ).run()
     return [_lane_summary(lane, epsilon) for lane in lanes]
 
 
@@ -799,10 +798,10 @@ def run_byz_trial(
       ``none``). ``strategy``/``window``/``selector`` are ignored;
       ``f`` must be 0 (default).
 
-    Deterministic in ``seed``; both families batch through
-    :class:`repro.sim.batch.ByzBatchEngine` via the attached
-    ``batch_fn`` (one summary per seed, in seed order, equal to the
-    per-trial calls).
+    Deterministic in ``seed``; both families batch through the
+    attached ``batch_fn`` (one summary per seed, in seed order, equal
+    to the per-trial calls), vectorized by
+    :class:`repro.sim.batch.ByzBatchEngine` where it applies.
 
     >>> summary = run_byz_trial(n=6, adversary="mobile-none", seed=0)
     >>> summary["correct"]
@@ -878,16 +877,16 @@ def run_byz_trial_batch(
     Attached as ``run_byz_trial.batch_fn`` and dispatched by the
     parallel layer, so fault-model comparison grids batch too: both the
     ``"quorum"`` (DBAC) and ``"mobile-<mode>"`` lane families run
-    through one lock-step :class:`repro.sim.batch.ByzBatchEngine` pass,
-    vectorized when numpy is installed (the ``random``
-    selector/strategy falls back to serial-engine lock-step). The
-    non-fast path delegates to the serial trial like
+    through one vectorized :class:`repro.sim.batch.ByzBatchEngine`
+    pass when :func:`~repro.sim.batch.byz_kernel_refusal` accepts the
+    parameters; the ``random`` selector/strategy, a missing numpy and
+    the non-fast path run the serial trial per seed like
     :func:`run_dbac_trial_batch` does.
     """
-    from repro.sim.batch import run_byz_batch
+    from repro.sim.batch import ByzBatchEngine, byz_kernel_refusal
 
     seeds = [int(seed) for seed in seeds]
-    if not fast or observe:
+    if not fast or observe or byz_kernel_refusal(adversary, selector, strategy):
         return [
             run_byz_trial(
                 n=n,
@@ -905,7 +904,7 @@ def run_byz_trial_batch(
             )
             for seed in seeds
         ]
-    lanes = run_byz_batch(
+    lanes = ByzBatchEngine(
         n,
         f,
         seeds,
@@ -916,7 +915,7 @@ def run_byz_trial_batch(
         adversary=adversary,
         stop_mode=stop_mode,
         max_rounds=max_rounds,
-    )
+    ).run()
     return [_lane_summary(lane, epsilon) for lane in lanes]
 
 
@@ -1002,8 +1001,8 @@ def run_baseline_trial(
     comparable).
 
     Deterministic in ``seed`` with the same batch_fn contract as
-    :func:`run_dac_trial`; under ``batch=B`` the lanes advance through
-    the vectorized :class:`repro.sim.batch.BaselineBatchEngine` kernel
+    :func:`run_dac_trial`; under ``batch=B`` vectorizable lanes advance
+    through the :class:`repro.sim.batch.BaselineBatchEngine` kernel
     (two floats of per-node state, fixed round budget).
 
     >>> summary = run_baseline_trial(n=6, algorithm="midpoint", seed=0)
@@ -1058,17 +1057,16 @@ def run_baseline_trial_batch(
     The batched-trial form the parallel layer dispatches (attached
     below as ``run_baseline_trial.batch_fn``): returns exactly
     ``[run_baseline_trial(..., seed=s) for s in seeds]``, computed by
-    one lock-step :class:`repro.sim.batch.BaselineBatchEngine` pass --
-    a fixed-budget vectorized value iteration when numpy is installed
-    and the selector is vectorizable (``rotate``/``nearest``),
-    serial-engine lock-step otherwise. The non-fast and observed paths
-    record per-trial engine snapshots, which batching cannot amortize,
-    so they delegate to the serial trial.
+    one :class:`repro.sim.batch.BaselineBatchEngine` pass -- a
+    fixed-budget vectorized value iteration -- when
+    :func:`~repro.sim.batch.baseline_kernel_refusal` accepts the
+    selector (``rotate``/``nearest``), and by the serial trial once per
+    seed otherwise, as for the non-fast and observed paths.
     """
-    from repro.sim.batch import run_baseline_batch
+    from repro.sim.batch import BaselineBatchEngine, baseline_kernel_refusal
 
     seeds = [int(seed) for seed in seeds]
-    if not fast or observe:
+    if not fast or observe or baseline_kernel_refusal(selector):
         return [
             run_baseline_trial(
                 n=n,
@@ -1084,7 +1082,7 @@ def run_baseline_trial_batch(
             )
             for seed in seeds
         ]
-    lanes = run_baseline_batch(
+    lanes = BaselineBatchEngine(
         n,
         seeds,
         algorithm=algorithm,
@@ -1093,7 +1091,7 @@ def run_baseline_trial_batch(
         window=window,
         selector=selector,
         num_rounds=num_rounds,
-    )
+    ).run()
     return [_lane_summary(lane, epsilon) for lane in lanes]
 
 
@@ -1270,7 +1268,7 @@ class DacFamily(AlgorithmFamily):
     def build(self, *, seed, **params):
         return build_dac_execution(seed=seed, **params)
 
-    def batch(self, seeds, *, backend="auto", **params):
+    def batch(self, seeds, **params):
         from repro.sim.batch import run_dac_batch
 
         return run_dac_batch(
@@ -1283,12 +1281,12 @@ class DacFamily(AlgorithmFamily):
             crash_nodes=params["crash_nodes"],
             crash_start=params["crash_start"],
             max_rounds=params["max_rounds"],
-            backend=backend,
         )
 
     def vectorizable(self, params):
-        # The vectorized DAC kernel replicates the rotate structure only.
-        return params.get("selector", "rotate") == "rotate"
+        from repro.sim.batch import dac_kernel_refusal
+
+        return dac_kernel_refusal(params.get("selector", "rotate")) is None
 
 
 @register_algorithm("dbac", version=1)
@@ -1332,7 +1330,7 @@ class DbacFamily(AlgorithmFamily):
             max_rounds=params["max_rounds"],
         )
 
-    def batch(self, seeds, *, backend="auto", **params):
+    def batch(self, seeds, **params):
         from repro.sim.batch import run_dbac_batch
 
         return run_dbac_batch(
@@ -1344,15 +1342,16 @@ class DbacFamily(AlgorithmFamily):
             selector=params["selector"],
             strategy=params["strategy"],
             max_rounds=params["max_rounds"],
-            backend=backend,
         )
 
     def vectorizable(self, params):
-        # RNG-stream consumers fall back to the python backend.
-        return (
-            params.get("selector") != "random"
-            and params.get("strategy") != "random"
-        )
+        from repro.sim.batch import byz_kernel_refusal
+
+        return byz_kernel_refusal(
+            "quorum",
+            params.get("selector", "nearest"),
+            params.get("strategy", "extreme"),
+        ) is None
 
 
 @register_algorithm("byz", version=1)
@@ -1381,7 +1380,7 @@ class ByzFamily(AlgorithmFamily):
             max_rounds=params["max_rounds"],
         )
 
-    def batch(self, seeds, *, backend="auto", **params):
+    def batch(self, seeds, **params):
         from repro.sim.batch import run_byz_batch
 
         return run_byz_batch(
@@ -1391,7 +1390,6 @@ class ByzFamily(AlgorithmFamily):
             epsilon=params["epsilon"],
             adversary=f"mobile-{params['mode']}",
             max_rounds=params["max_rounds"],
-            backend=backend,
         )
 
     def trial_kwargs(self, params):
@@ -1400,7 +1398,9 @@ class ByzFamily(AlgorithmFamily):
         return params
 
     def vectorizable(self, params):
-        return True
+        from repro.sim.batch import byz_kernel_refusal
+
+        return byz_kernel_refusal(f"mobile-{params.get('mode', 'block_min')}") is None
 
 
 @register_algorithm("baseline", version=1)
@@ -1430,7 +1430,7 @@ class BaselineFamily(AlgorithmFamily):
     def build(self, *, seed, **params):
         return build_baseline_execution(seed=seed, **params)
 
-    def batch(self, seeds, *, backend="auto", **params):
+    def batch(self, seeds, **params):
         from repro.sim.batch import run_baseline_batch
 
         return run_baseline_batch(
@@ -1442,9 +1442,9 @@ class BaselineFamily(AlgorithmFamily):
             window=params["window"],
             selector=params["selector"],
             num_rounds=params["num_rounds"],
-            backend=backend,
         )
 
     def vectorizable(self, params):
-        # The value kernel replicates rotate/nearest selection only.
-        return params.get("selector") in ("rotate", "nearest")
+        from repro.sim.batch import baseline_kernel_refusal
+
+        return baseline_kernel_refusal(params.get("selector", "rotate")) is None

@@ -24,8 +24,9 @@ builds and batch dispatch all come from the
 is covered by every executor -- including the pooled/batched legs
 added in PR 8 -- with zero edits here. Executors cover the serial
 engine's port-major sweep, the legacy sender-major loop, fully traced
-execution, both :mod:`repro.sim.batch` backends (multi-seed lanes,
-exercising lock-step interplay), a ``workers=4`` process-pool leg,
+execution, the family's :mod:`repro.sim.batch` dispatch (numpy kernel
+lanes where the family vectorizes the parameters, serial-engine lanes
+otherwise), a ``workers=4`` process-pool leg,
 and an optional pooled *batched* leg (persistent pool + shared-memory
 arenas + guided chunking -- the full zero-copy dispatch stack).
 """
@@ -36,14 +37,8 @@ from typing import Any, Callable
 
 from repro.scenario.registry import RegistryEntry, lookup
 from repro.scenario.resolve import ensure_builtin_families, flat_params
-from repro.sim.batch import numpy_available
 from repro.sim.engine import Engine
 from repro.sim.parallel import TrialSpec, run_trials
-
-#: Sentinel an executor returns when a config is outside its domain
-#: (e.g. the numpy kernel for a non-vectorizable selector). The
-#: harness skips the comparison instead of failing.
-SKIPPED = object()
 
 #: Historical config-family spellings accepted by :func:`normalize_config`.
 #: ``"mobile"`` predates the registry, where the mobile-omission runs
@@ -217,38 +212,27 @@ def differential_trial_batch(seeds: Any = (), **params: Any) -> list[dict[str, A
     Dispatched by the pooled executor through the persistent pool's
     batched path (``run_trials(batch=B, batch_fn=...)``), so the
     zero-copy stack -- warm workers, manifest shipping, guided chunks
-    -- is exercised against the serial reference. Falls back to the
-    auto backend, which resolves per family exactly like the direct
-    batch executors.
+    -- is exercised against the serial reference.
     """
     config = dict(params)
     config["seeds"] = tuple(seeds)
-    result = run_config_batch(config, "auto")
-    assert result is not SKIPPED
-    return result
+    return run_config_batch(config)
 
 
-def run_config_batch(
-    config: dict[str, Any], backend: str
-) -> list[dict[str, Any]] | object:
-    """Run ``config``'s seeds as one lock-step batch, or ``SKIPPED``.
+def run_config_batch(config: dict[str, Any]) -> list[dict[str, Any]]:
+    """Run ``config``'s seeds as one batch through the family's dispatch.
 
     All seeds go through a single call of the family's registered
-    ``batch`` dispatch, so multi-seed configs exercise genuine lane
+    ``batch`` hook, so multi-seed configs exercise genuine lane
     interplay (mixed termination rounds, shared kernel state), not
-    just per-lane agreement. The ``numpy`` backend is skipped when
-    numpy is missing or the family reports the parameters
-    non-vectorizable (``vectorizable`` -- e.g. RNG-stream selectors,
-    or a family with only the generic python lock-step form).
+    just per-lane agreement. Vectorizable parameters
+    (the family's ``vectorizable`` hook) run a numpy kernel; the rest
+    run serial-engine lanes.
     """
     config = normalize_config(config)
     entry = family_entry(config["family"])
     params = _config_params(config)
-    if backend == "numpy" and (
-        not numpy_available() or not entry.obj.vectorizable(params)
-    ):
-        return SKIPPED
-    lanes = entry.obj.batch(list(config["seeds"]), backend=backend, **params)
+    lanes = entry.obj.batch(list(config["seeds"]), **params)
     return [
         {
             "rounds": lane.rounds,
@@ -269,15 +253,6 @@ def serial_executor(**options: Any) -> Callable:
 
     def executor(config: dict[str, Any]) -> list[dict[str, Any]]:
         return run_config_serial(config, **options)
-
-    return executor
-
-
-def batch_executor(backend: str) -> Callable:
-    """Per-config executor over :func:`run_config_batch`."""
-
-    def executor(config: dict[str, Any]):
-        return run_config_batch(config, backend)
 
     return executor
 
@@ -362,8 +337,7 @@ def differential_executors(
         executors["traced"] = serial_executor(traced=True)
         if legacy:
             executors["traced-legacy"] = serial_executor(traced=True, sweep=False)
-    executors["batch-python"] = batch_executor("python")
-    executors["batch-numpy"] = batch_executor("numpy")
+    executors["batch"] = run_config_batch
     if workers:
         executors[f"workers-{workers}"] = workers_executor(workers)
     if pooled:
@@ -400,13 +374,8 @@ def assert_equivalent_runs(
     reference_name = names[0]
     for index, config in enumerate(configs):
         reference = results[reference_name][index]
-        assert reference is not SKIPPED, (
-            f"reference executor {reference_name!r} cannot skip: {config!r}"
-        )
         for name in names[1:]:
             outcome = results[name][index]
-            if outcome is SKIPPED:
-                continue
             assert outcome == reference, (
                 f"executor {name!r} diverged from {reference_name!r}\n"
                 f"  config (reproduce with this): {config!r}\n"

@@ -2,25 +2,35 @@
 
 Three contracts make ``batch=B`` a pure speed knob:
 
-1. :class:`repro.sim.batch.BatchEngine` and
+1. the numpy kernels :class:`repro.sim.batch.BatchEngine` and
    :class:`repro.sim.batch.ByzBatchEngine` produce **bit-identical
    final states and round counts** to ``B`` serial ``Engine`` runs of
    the same lanes -- full ``state_key`` equality, not just outputs --
    across the DAC (crash), DBAC (Byzantine) and mobile-omission
-   families;
-2. the numpy backend and the always-importable pure-Python fallback
-   produce identical lane results (asserted when numpy is present),
-   and lane compaction / vector-width chunking never change results;
+   families: kernel lanes equal :class:`repro.sim.batch.GenericBatchEngine`
+   lanes over the family's own builder (one serial engine run per
+   seed), and lane compaction / vector-width chunking never change
+   results;
+2. each kernel refuses parameters it cannot replicate with a message
+   naming them, and every batched form runs those groups serially --
+   so every family's ``batch_fn`` equals its per-seed trial, with or
+   without numpy;
 3. ``Sweep.run(workers=4, batch=4)`` records are identical, element
    for element, to ``Sweep.run(workers=1, batch=1)`` records.
 """
 
+import functools
+
 import pytest
 
 from repro.bench.sweep import Sweep
+from repro.scenario.registry import entries
 from repro.sim.batch import (
     BatchEngine,
     ByzBatchEngine,
+    GenericBatchEngine,
+    byz_kernel_refusal,
+    dac_kernel_refusal,
     numpy_available,
     run_byz_batch,
     run_dac_batch,
@@ -35,8 +45,10 @@ from repro.sim.parallel import (
 )
 from repro.workloads import (
     TRIAL_BYZANTINE_STRATEGIES,
+    _lane_summary,
     build_dac_execution,
     build_dbac_execution,
+    build_mobile_execution,
     run_byz_trial,
     run_byz_trial_batch,
     run_dac_trial,
@@ -46,11 +58,16 @@ from repro.workloads import (
 )
 from tests.helpers import (
     assert_equivalent_runs,
-    batch_executor,
+    family_entry,
+    run_config_batch,
     serial_executor,
 )
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+
+# The two lane implementations behind every run_*_batch: the "numpy"
+# kernel, and the "python" GenericBatchEngine over the family builder.
+LANE_PATHS = ["python"] + (["numpy"] if numpy_available() else [])
 
 # (n, f, window): fault-free, crash-fault, multi-round windows.
 GRIDS = [(9, 0, 1), (9, 4, 1), (9, 4, 3), (12, 5, 2), (5, 2, 1)]
@@ -68,6 +85,38 @@ BYZ_GRIDS = [
 ]
 
 MOBILE_MODES = ["block_min", "block_max", "rotate", "none"]
+
+
+def generic_dac_lanes(n, f, seeds, **params):
+    """Serial reference lanes: one Engine run per seed over the DAC builder."""
+    return GenericBatchEngine(
+        seeds, lambda seed: build_dac_execution(n=n, f=f, seed=seed, **params)
+    ).run()
+
+
+def generic_dbac_lanes(n, f, seeds, strategy="extreme", **params):
+    """Serial reference lanes over the DBAC builder and a named strategy."""
+    factory = TRIAL_BYZANTINE_STRATEGIES[strategy]
+    return GenericBatchEngine(
+        seeds,
+        lambda seed: build_dbac_execution(
+            n=n, f=f, seed=seed, byzantine_factory=lambda node: factory(), **params
+        ),
+    ).run()
+
+
+@functools.lru_cache(maxsize=None)
+def cached_dbac_reference(seeds):
+    """Serial reference lanes shared by the compaction grid (n=11, f=2)."""
+    return generic_dbac_lanes(11, 2, list(seeds))
+
+
+def generic_mobile_lanes(n, seeds, mode, **params):
+    """Serial reference lanes over the mobile-omission builder."""
+    return GenericBatchEngine(
+        seeds,
+        lambda seed: build_mobile_execution(n=n, mode=mode, seed=seed, **params),
+    ).run()
 
 
 def run_serial_dbac_lane(
@@ -102,28 +151,26 @@ def run_serial_dbac_lane(
 class TestBatchMatchesSerial:
     @pytest.mark.parametrize("n,f,window", GRIDS)
     def test_finals_and_rounds_bit_identical(self, n, f, window):
-        # The shared harness: serial sweep (reference) == python
-        # backend == numpy backend (when installed), all 8 seeds as ONE
-        # multi-lane batch per backend so lock-step lane interplay is
+        # The shared harness: serial sweep (reference) == the family's
+        # batch dispatch (the numpy kernel when installed), all 8 seeds
+        # as ONE multi-lane batch so lock-step lane interplay is
         # exercised; full per-node state keys -- value, phase, port bit
         # vector, extremes, output -- the strongest equality available.
         assert_equivalent_runs(
             [{"family": "dac", "n": n, "f": f, "window": window,
               "seeds": tuple(range(8))}],
-            {
-                "serial-fast": serial_executor(),
-                "batch-python": batch_executor("python"),
-                "batch-numpy": batch_executor("numpy"),
-            },
+            {"serial-fast": serial_executor(), "batch": run_config_batch},
         )
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     @pytest.mark.parametrize("n,f,window", GRIDS)
     def test_numpy_backend_matches_python_fallback(self, n, f, window):
+        # The kernel against the serial fallback it replaces: one
+        # Engine run per seed over the DAC builder, full state keys.
         seeds = [3, 11, 20, 21, 22, 23, 100, 101]
-        assert run_dac_batch(
-            n, f, seeds, window=window, backend="numpy"
-        ) == run_dac_batch(n, f, seeds, window=window, backend="python")
+        assert BatchEngine(n, f, seeds, window=window).run() == generic_dac_lanes(
+            n, f, seeds, window=window
+        )
 
     def test_lane_order_is_seed_order_not_finish_order(self):
         # Lanes terminate at different rounds; results must still come
@@ -135,27 +182,42 @@ class TestBatchMatchesSerial:
         assert all(lane.stopped for lane in lanes)
 
     def test_backend_resolution_and_validation(self):
-        engine = BatchEngine(9, 4, [0], backend="auto")
-        expected = "numpy" if numpy_available() else "python"
-        assert engine.backend == expected
-        assert engine.batch_size == 1
-        # Value-dependent selectors are not vectorizable; auto falls
-        # back to the python backend, an explicit numpy request errors.
-        assert BatchEngine(9, 4, [0], selector="nearest").backend == "python"
-        with pytest.raises(ValueError, match="selector|numpy"):
-            BatchEngine(9, 4, [0], selector="nearest", backend="numpy")
-        with pytest.raises(ValueError, match="backend"):
-            BatchEngine(9, 4, [0], backend="cuda")
+        # One predicate decides the kernel: run_dac_batch takes it
+        # exactly when dac_kernel_refusal accepts, and the kernel
+        # constructor refuses everything else, naming the reason.
+        assert (dac_kernel_refusal("rotate") is None) == numpy_available()
+        assert dac_kernel_refusal("nearest") is not None
+        dac = family_entry("dac").obj
+        assert dac.vectorizable({"selector": "rotate"}) == numpy_available()
+        assert not dac.vectorizable({"selector": "nearest"})
+        if numpy_available():
+            engine = BatchEngine(9, 4, [0])
+            assert engine.backend == "numpy"
+            assert engine.batch_size == 1
+            # Value-dependent selectors are not vectorizable.
+            with pytest.raises(ValueError, match="selector 'nearest'"):
+                BatchEngine(9, 4, [0], selector="nearest")
+        else:
+            with pytest.raises(ValueError, match="numpy is not installed"):
+                BatchEngine(9, 4, [0])
+        # Outside the kernel the lanes are serial-engine lanes.
+        assert run_dac_batch(9, 4, [0, 1], selector="nearest") == generic_dac_lanes(
+            9, 4, [0, 1], selector="nearest"
+        )
         with pytest.raises(ValueError, match="seed"):
             BatchEngine(9, 4, [])
         with pytest.raises(ValueError, match="2f"):
             BatchEngine(8, 4, [0])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_rounds_cap_reports_unstopped_lanes(self, backend):
+    @pytest.mark.parametrize("path", LANE_PATHS)
+    def test_max_rounds_cap_reports_unstopped_lanes(self, path):
         # A cap far below termination: every lane must report exactly
         # the cap and stopped=False, like Engine.run does.
-        lanes = run_dac_batch(9, 4, [0, 1], max_rounds=3, backend=backend)
+        if path == "numpy":
+            lanes = BatchEngine(9, 4, [0, 1], max_rounds=3).run()
+        else:
+            lanes = generic_dac_lanes(9, 4, [0, 1], max_rounds=3)
+        assert lanes == run_dac_batch(9, 4, [0, 1], max_rounds=3)
         assert [lane.rounds for lane in lanes] == [3, 3]
         assert not any(lane.stopped for lane in lanes)
         assert all(lane.outputs == {} for lane in lanes)
@@ -272,37 +334,32 @@ class TestByzBatchMatchesSerial:
     def test_dbac_finals_and_rounds_bit_identical(
         self, n, f, window, selector, strategy
     ):
-        # The shared harness: serial sweep (reference) == python
-        # backend == numpy backend (when installed), all 6 seeds as ONE
-        # multi-lane batch per backend. Full per-node state keys --
-        # value, phase, port bit vector, R_low / R_high recording
-        # lists, output -- the strongest equality available; oracle
-        # outputs (the fault-free states at stop) ride along.
+        # The shared harness: serial sweep (reference) == the family's
+        # batch dispatch (the numpy kernel when installed), all 6 seeds
+        # as ONE multi-lane batch. Full per-node state keys -- value,
+        # phase, port bit vector, R_low / R_high recording lists,
+        # output -- the strongest equality available; oracle outputs
+        # (the fault-free states at stop) ride along.
         assert_equivalent_runs(
             [{
                 "family": "dbac", "n": n, "f": f, "window": window,
                 "selector": selector, "strategy": strategy,
                 "seeds": tuple(range(6)),
             }],
-            {
-                "serial-fast": serial_executor(),
-                "batch-python": batch_executor("python"),
-                "batch-numpy": batch_executor("numpy"),
-            },
+            {"serial-fast": serial_executor(), "batch": run_config_batch},
         )
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     @pytest.mark.parametrize("n,f,window,selector,strategy", BYZ_GRIDS)
     def test_numpy_backend_matches_python_fallback(
         self, n, f, window, selector, strategy
     ):
+        # The kernel against the serial fallback it replaces: one
+        # Engine run per seed over the DBAC builder, full state keys.
         seeds = [3, 11, 20, 21, 100]
-        assert run_dbac_batch(
-            n, f, seeds, window=window, selector=selector, strategy=strategy,
-            backend="numpy",
-        ) == run_dbac_batch(
-            n, f, seeds, window=window, selector=selector, strategy=strategy,
-            backend="python",
+        params = {"window": window, "selector": selector, "strategy": strategy}
+        assert ByzBatchEngine(n, f, seeds, **params).run() == generic_dbac_lanes(
+            n, f, seeds, **params
         )
 
     def test_stored_count_invariant_backs_the_kernel_layout(self, monkeypatch):
@@ -339,11 +396,14 @@ class TestByzBatchMatchesSerial:
             expected = min(process.stored_count, process.trim)
             assert len(low) == expected and len(high) == expected
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_max_rounds_cap_reports_unstopped_lanes(self, backend):
-        lanes = run_dbac_batch(
-            11, 2, [0, 1], epsilon=1e-15, max_rounds=4, backend=backend
-        )
+    @pytest.mark.parametrize("path", LANE_PATHS)
+    def test_max_rounds_cap_reports_unstopped_lanes(self, path):
+        params = {"epsilon": 1e-15, "max_rounds": 4}
+        if path == "numpy":
+            lanes = ByzBatchEngine(11, 2, [0, 1], **params).run()
+        else:
+            lanes = generic_dbac_lanes(11, 2, [0, 1], **params)
+        assert lanes == run_dbac_batch(11, 2, [0, 1], **params)
         assert [lane.rounds for lane in lanes] == [4, 4]
         assert not any(lane.stopped for lane in lanes)
         for seed, lane in zip([0, 1], lanes):
@@ -355,38 +415,52 @@ class TestByzBatchMatchesSerial:
                 for node, process in engine.processes.items()
             }
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_output_stop_mode_matches_serial_trials(self, backend):
+    @pytest.mark.parametrize("path", LANE_PATHS)
+    def test_output_stop_mode_matches_serial_trials(self, path):
         # Algorithm-local stopping: p_end is astronomically conservative
         # so cap tightly; summaries must equal the serial trial's.
         seeds = [0, 1, 2]
-        batched = run_dbac_trial_batch(
-            n=11, stop_mode="output", max_rounds=6, seeds=seeds
-        )
-        assert batched == [
-            run_dbac_trial(n=11, stop_mode="output", max_rounds=6, seed=s)
-            for s in seeds
-        ]
+        params = {"stop_mode": "output", "max_rounds": 6}
+        if path == "numpy":
+            lanes = ByzBatchEngine(11, None, seeds, **params).run()
+        else:
+            lanes = generic_dbac_lanes(11, 2, seeds, **params)
+        serial = [run_dbac_trial(n=11, seed=s, **params) for s in seeds]
+        assert [_lane_summary(lane, 1e-3) for lane in lanes] == serial
+        assert run_dbac_trial_batch(n=11, seeds=seeds, **params) == serial
 
     def test_random_strategy_and_selector_fall_back_to_python(self):
-        assert ByzBatchEngine(11, 2, [0], strategy="random").backend == "python"
-        assert ByzBatchEngine(11, 2, [0], selector="random").backend == "python"
+        # RNG-stream consumers run serially: the kernel refuses them,
+        # naming the parameter, and every batched form falls back to
+        # serial-engine lanes or per-seed trials.
         seeds = [0, 1]
-        for kwargs in ({"strategy": "random"}, {"selector": "random"}):
+        for name, kwargs in (
+            ("strategy 'random'", {"strategy": "random"}),
+            ("selector 'random'", {"selector": "random"}),
+        ):
+            assert byz_kernel_refusal(**kwargs) is not None
+            if numpy_available():
+                assert name in byz_kernel_refusal(**kwargs)
+                with pytest.raises(ValueError, match=name):
+                    ByzBatchEngine(11, 2, [0], **kwargs)
             lanes = run_dbac_batch(11, 2, seeds, **kwargs)
+            assert lanes == generic_dbac_lanes(11, 2, seeds, **kwargs)
             serial = [run_dbac_trial(n=11, f=2, seed=s, **kwargs) for s in seeds]
             assert [lane.rounds for lane in lanes] == [r["rounds"] for r in serial]
+            assert run_dbac_trial_batch(n=11, f=2, seeds=seeds, **kwargs) == serial
 
     def test_backend_resolution_and_validation(self):
-        expected = "numpy" if numpy_available() else "python"
-        assert ByzBatchEngine(11, 2, [0]).backend == expected
+        assert (byz_kernel_refusal() is None) == numpy_available()
+        dbac = family_entry("dbac").obj
+        assert dbac.vectorizable({"selector": "rotate"}) == numpy_available()
+        assert not dbac.vectorizable({"strategy": "random"})
+        mobile = family_entry("byz").obj
+        assert mobile.vectorizable({"mode": "rotate"}) == numpy_available()
         if numpy_available():
-            with pytest.raises(ValueError, match="strategy"):
-                ByzBatchEngine(11, 2, [0], strategy="random", backend="numpy")
-            with pytest.raises(ValueError, match="selector"):
-                ByzBatchEngine(11, 2, [0], selector="random", backend="numpy")
-        with pytest.raises(ValueError, match="backend"):
-            ByzBatchEngine(11, 2, [0], backend="cuda")
+            assert ByzBatchEngine(11, 2, [0]).backend == "numpy"
+        else:
+            with pytest.raises(ValueError, match="numpy is not installed"):
+                ByzBatchEngine(11, 2, [0])
         with pytest.raises(ValueError, match="seed"):
             ByzBatchEngine(11, 2, [])
         with pytest.raises(ValueError, match="5f"):
@@ -411,15 +485,11 @@ class TestMobileBatchMatchesSerial:
     @pytest.mark.parametrize("mode", MOBILE_MODES)
     def test_lanes_match_serial_engines_full_state(self, mode):
         # The shared harness, full state keys (strictly stronger than
-        # the old picklable-summary comparison): serial sweep == both
-        # batch backends on one 5-lane batch per backend.
+        # the old picklable-summary comparison): serial sweep == the
+        # family's batch dispatch on one 5-lane batch.
         assert_equivalent_runs(
             [{"family": "mobile", "n": 8, "mode": mode, "seeds": tuple(range(5))}],
-            {
-                "serial-fast": serial_executor(),
-                "batch-python": batch_executor("python"),
-                "batch-numpy": batch_executor("numpy"),
-            },
+            {"serial-fast": serial_executor(), "batch": run_config_batch},
         )
 
     def test_batched_summaries_equal_serial_trial_summaries(self):
@@ -428,19 +498,17 @@ class TestMobileBatchMatchesSerial:
         serial = [
             run_byz_trial(n=8, adversary="mobile-block_min", seed=s) for s in seeds
         ]
-        from repro.workloads import _lane_summary
-
         assert [_lane_summary(lane, 1e-3) for lane in lanes] == serial
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     @pytest.mark.parametrize("mode", MOBILE_MODES)
     def test_numpy_backend_matches_python_fallback(self, mode):
+        # The kernel against the serial fallback it replaces: one
+        # Engine run per seed over the mobile-omission builder.
         seeds = [2, 7, 9]
-        assert run_byz_batch(
-            8, None, seeds, adversary=f"mobile-{mode}", backend="numpy"
-        ) == run_byz_batch(
-            8, None, seeds, adversary=f"mobile-{mode}", backend="python"
-        )
+        assert ByzBatchEngine(
+            8, None, seeds, adversary=f"mobile-{mode}"
+        ).run() == generic_mobile_lanes(8, seeds, mode)
 
     def test_victim_hook_matches_per_receiver_specification(self):
         # mobile_victims (what both the serial adversary and the numpy
@@ -477,7 +545,7 @@ class TestMobileBatchMatchesSerial:
 class TestNearestVectorization:
     """The stable-argsort nearest replication, ties included."""
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     def test_vectorized_picks_match_selector_hook_on_tie_heavy_values(self):
         import numpy as np
 
@@ -510,15 +578,14 @@ class TestNearestVectorization:
                 chosen = {u for u in range(n) if delivered[lane, receiver, u]}
                 assert chosen == set(picks[receiver]), (lane, receiver)
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     def test_tie_heavy_grid_stays_bit_identical(self):
         # Converged DBAC lanes are the real tie storm: after one
         # trimmed-midpoint update many honest nodes share a value, so
         # every later round breaks distance ties by node ID. A tiny
         # epsilon keeps the lanes in that regime for many rounds.
         seeds = list(range(4))
-        lanes = run_dbac_batch(11, 2, seeds, epsilon=1e-12, backend="numpy")
-        assert lanes == run_dbac_batch(11, 2, seeds, epsilon=1e-12, backend="python")
+        lanes = ByzBatchEngine(11, 2, seeds, epsilon=1e-12).run()
         for seed, lane in zip(seeds, lanes):
             engine, result = run_serial_dbac_lane(
                 11, 2, seed, 1, "nearest", "extreme", epsilon=1e-12
@@ -533,44 +600,44 @@ class TestNearestVectorization:
 class TestLaneCompaction:
     """Compaction / width chunking: a pure scheduling knob."""
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     @pytest.mark.parametrize("width,compact", [
         (3, True), (3, False), (4, True), (1, True), (16, True), (16, False),
     ])
     def test_dbac_results_identical_at_any_width(self, width, compact):
-        seeds = [5, 0, 13, 2, 7, 7, 1, 9, 4, 3, 11, 6, 8, 10, 12, 14]
-        base = run_dbac_batch(11, 2, seeds, backend="numpy")
-        assert run_dbac_batch(
-            11, 2, seeds, width=width, compact=compact, backend="numpy"
-        ) == base
+        seeds = (5, 0, 13, 2, 7, 7, 1, 9, 4, 3, 11, 6, 8, 10, 12, 14)
+        assert ByzBatchEngine(
+            11, 2, seeds, width=width, compact=compact
+        ).run() == cached_dbac_reference(seeds)
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     def test_compaction_on_off_equality_across_families(self):
         seeds = list(range(12))
-        for kwargs in (
-            {"adversary": "quorum"},
-            {"adversary": "mobile-block_min"},
-            {"adversary": "quorum", "window": 2},
+        for kwargs, reference in (
+            ({"adversary": "quorum"}, lambda: generic_dbac_lanes(11, 2, seeds)),
+            (
+                {"adversary": "mobile-block_min"},
+                lambda: generic_mobile_lanes(11, seeds, "block_min"),
+            ),
+            (
+                {"adversary": "quorum", "window": 2},
+                lambda: generic_dbac_lanes(11, 2, seeds, window=2),
+            ),
         ):
-            on = run_byz_batch(
-                11, None if "mobile" in kwargs["adversary"] else 2, seeds,
-                width=4, compact=True, **kwargs,
-            )
-            off = run_byz_batch(
-                11, None if "mobile" in kwargs["adversary"] else 2, seeds,
-                width=4, compact=False, **kwargs,
-            )
-            assert on == off, kwargs
+            f = None if "mobile" in kwargs["adversary"] else 2
+            on = ByzBatchEngine(11, f, seeds, width=4, compact=True, **kwargs).run()
+            off = ByzBatchEngine(11, f, seeds, width=4, compact=False, **kwargs).run()
+            assert on == off == reference(), kwargs
             assert [lane.seed for lane in on] == seeds
 
-    @pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+    @needs_numpy
     def test_refilled_rows_restart_from_round_zero(self):
         # Mixed caps: with width 2 and compaction, later seeds run in
         # rows freed by earlier lanes; their round counts must match
         # full-width runs exactly.
         seeds = list(range(8))
-        full = run_dbac_batch(11, 2, seeds, backend="numpy")
-        narrow = run_dbac_batch(11, 2, seeds, width=2, compact=True, backend="numpy")
+        full = ByzBatchEngine(11, 2, seeds).run()
+        narrow = ByzBatchEngine(11, 2, seeds, width=2, compact=True).run()
         assert [lane.rounds for lane in narrow] == [lane.rounds for lane in full]
         assert narrow == full
 
@@ -620,3 +687,37 @@ class TestByzBatchedTrialFunctions:
         serial.run(run_byz_trial, workers=1, batch=1)
         composed.run(run_byz_trial, workers=2, batch=3)
         assert serial.records == composed.records
+
+
+# One parameter set per registered family that no kernel vectorizes
+# (RNG-driven selectors and strategies; averaging has no kernel). The
+# byz trial's non-vectorizable groups are its DBAC quorum lanes.
+SERIAL_FALLBACK_PARAMS = {
+    "dac": {"n": 9, "window": 2, "selector": "random"},
+    "dbac": {"n": 11, "strategy": "random", "max_rounds": 2_000},
+    "byz": {"n": 11, "adversary": "quorum", "selector": "random", "max_rounds": 2_000},
+    "baseline": {"n": 7, "algorithm": "trimmed", "selector": "random", "window": 2},
+    "averaging": {"n": 6, "num_rounds": 30},
+}
+
+
+class TestSerialFallbackPerFamily:
+    """Non-vectorizable groups run the family's serial trial per seed."""
+
+    def test_every_builtin_family_is_covered(self):
+        builtin = {
+            entry.name
+            for entry in entries("algorithm")
+            if entry.obj.trial is not None
+            and entry.obj.trial.__module__.startswith("repro.")
+        }
+        assert builtin <= set(SERIAL_FALLBACK_PARAMS)
+
+    @pytest.mark.parametrize("family", sorted(SERIAL_FALLBACK_PARAMS))
+    def test_batch_fn_equals_per_seed_trials(self, family):
+        trial = family_entry(family).obj.trial
+        params = SERIAL_FALLBACK_PARAMS[family]
+        seeds = [0, 3, 5]
+        assert trial.batch_fn(seeds=seeds, **params) == [
+            trial(seed=seed, **params) for seed in seeds
+        ]

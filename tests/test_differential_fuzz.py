@@ -3,7 +3,7 @@
 Fuzzed (n, fault plan, adversary, selector, rounds) configurations run
 through the full executor suite of the shared harness
 (:mod:`tests.helpers`): the serial port-major sweep (reference), the
-legacy untraced loop, fully traced execution, both batch backends, a
+legacy untraced loop, fully traced execution, the family's batch lanes, a
 ``workers=4`` pool and the pooled *batched* leg (persistent pool +
 shared-memory arenas + guided chunking) must agree on full
 ``state_key`` / rounds / outputs for every configuration.

@@ -345,7 +345,6 @@ class TestBatchLaneEvents:
             5,
             2,
             [0, 1, 2],
-            backend="python",
             on_lane=lambda lane: lane_finished(bus, lane),
         )
         assert [e.seed for e in finishes] == [0, 1, 2]
@@ -359,7 +358,7 @@ class TestBatchLaneEvents:
         batch_events = []
         bus.subscribe(RunFinished, batch_events.append)
         run_dac_batch(
-            5, 2, [9], backend="python",
+            5, 2, [9],
             on_lane=lambda lane: lane_finished(bus, lane),
         )
         serial = serial_executor()({"family": "dac", "n": 5, "seed": 9})

@@ -8,7 +8,7 @@ here with zero new test code:
 
 * every declared algorithm x adversary pairing runs through the full
   differential executor suite (serial sweep, legacy loop, traced,
-  both batch backends, ``workers=4``, and the pooled batched leg)
+  the family's batch lanes, ``workers=4``, and the pooled batched leg)
   pinned to full ``state_key`` equality;
 * the same pairings re-run on deterministically fuzzed seeds, so the
   pinning is not an artifact of seed 0;

@@ -246,3 +246,23 @@ def test_resolved_trial_fns_are_picklable():
     fn, base = resolve_trial("algorithm: averaging@1(n=5); rounds: 6")
     clone = pickle.loads(pickle.dumps(fn))
     assert clone(seed=3, **base) == fn(seed=3, **base)
+
+
+@pytest.mark.parametrize("params", [
+    {"n": 7, "num_rounds": 40},
+    {"n": 6, "rule": "midpoint", "window": 2, "selector": "nearest", "num_rounds": 30},
+])
+def test_averaging_fast_trial_matches_fully_checked_run(params):
+    # The trial runs untraced, without the promise check or phase
+    # series; the fully checked run must reach the same verdicts.
+    from repro.families.averaging import build_averaging_execution, run_averaging_trial
+    from repro.sim.runner import run_consensus
+
+    for seed in range(6):
+        report = run_consensus(**build_averaging_execution(seed=seed, **params))
+        assert run_averaging_trial(seed=seed, **params) == {
+            "rounds": report.rounds,
+            "spread": report.output_spread,
+            "terminated": report.terminated,
+            "correct": report.correct,
+        }

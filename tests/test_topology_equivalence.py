@@ -11,8 +11,8 @@ rounds / outputs equality between
 - an engine driven by an adversary whose graphs pass through the
   deprecated ``DirectedGraph`` constructor (the shim path), and the
   same execution on the native adversary (Topology path);
-- the serial engine (port-major sweep *and* the legacy loop) and both
-  ``repro.sim.batch`` backends;
+- the serial engine (port-major sweep *and* the legacy loop) and the
+  ``repro.sim.batch`` lanes (the numpy kernel where it applies);
 
 across crash, enforced-rotate and window (last-minute) grids.
 """
@@ -79,7 +79,7 @@ class _ShimRewrapAdversary(MessageAdversary):
 def test_shim_native_and_batch_backends_bit_identical():
     """One harness pass covers the whole old-vs-new matrix: native
     sweep (reference) == shim-rewrapped == legacy loop == traced ==
-    both batch backends, full state keys throughout."""
+    batch lanes, full state keys throughout."""
     executors = differential_executors(workers=None)
     executors["shim-rewrap"] = serial_executor(wrap_adversary=_ShimRewrapAdversary)
     assert_equivalent_runs(GRIDS, executors)
