@@ -34,6 +34,8 @@ from repro.adversary.base import MessageAdversary
 from repro.net.topology import Edge, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import random
+
     from repro.sim.engine import EngineView
 
 _SELECTORS = ("rotate", "nearest", "random")
@@ -196,6 +198,27 @@ def nearest_picks(
     return picks
 
 
+def random_picks(
+    n: int, live: tuple[int, ...], degree: int, rng: "random.Random"
+) -> list[list[int]]:
+    """The ``random`` selection for every receiver of one round.
+
+    Receiver ``v`` takes the first ``degree`` entries of one
+    ``rng.shuffle`` of the ascending live list without ``v``. The draw
+    order is part of the contract: one shuffle for *every* receiver
+    ``0 .. n-1`` in ascending order -- Byzantine and crashed receivers
+    included, although nothing reads their rows. Shared with
+    :mod:`repro.sim.batch`, whose kernels replay each lane's own
+    adversary stream through this function to stay bit-identical.
+    """
+    picks: list[list[int]] = []
+    for receiver in range(n):
+        candidates = [u for u in live if u != receiver]
+        rng.shuffle(candidates)
+        picks.append(candidates[:degree])
+    return picks
+
+
 class _QuorumSelector:
     """Shared sender-selection logic for the constrained adversaries.
 
@@ -232,22 +255,16 @@ class _QuorumSelector:
         receiver, to what the historical per-receiver ``pick`` chose
         (asserted by the adversary regression tests)."""
         live_tuple = view.live_senders_sorted()
-        live_sorted = list(live_tuple)
         n = view.n
         if self.selector == "rotate":
             return self._rotate_for(n, live_tuple, salt)
         if self.selector == "random":
-            picks = []
-            for receiver in range(n):
-                live = [u for u in live_sorted if u != receiver]
-                adversary.rng.shuffle(live)
-                picks.append(live[: self.degree])
-            return picks
+            return random_picks(n, live_tuple, self.degree, adversary.rng)
         # nearest: Byzantine first, then closest values -- the shared
         # module-level hook (one source of truth for the tie-breaking
         # the vectorized batch kernel must replicate bit for bit).
         plan = view.fault_plan
-        byzantine = frozenset(u for u in live_sorted if plan.is_byzantine(u))
+        byzantine = frozenset(u for u in live_tuple if plan.is_byzantine(u))
         values = [view.value(u) for u in range(n)]
         return nearest_picks(n, live_tuple, values, byzantine, self.degree)
 

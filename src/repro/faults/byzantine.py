@@ -122,14 +122,25 @@ class RandomByzantine(ByzantineStrategy):
         self.low = low
         self.high = high
 
+    def draw(self, top: int) -> tuple[float, int]:
+        """One receiver's ``(value, phase)``: ``randint(0, top + 1)``,
+        then ``uniform(low, high)`` from the node's stream.
+
+        :meth:`messages` calls it for every receiver but the node
+        itself, in ascending order, every round; the batch kernels
+        replay each lane's stream through it in that same order.
+        """
+        phase = self.rng.randint(0, top + 1)
+        return self.rng.uniform(self.low, self.high), phase
+
     def messages(self, t: int, view: Any) -> dict[int, StateMessage]:
         top = max(0, view.max_fault_free_phase())
         out: dict[int, StateMessage] = {}
         for receiver in range(self.n):
             if receiver == self.node:
                 continue
-            phase = self.rng.randint(0, top + 1)
-            out[receiver] = StateMessage(self.rng.uniform(self.low, self.high), phase)
+            value, phase = self.draw(top)
+            out[receiver] = StateMessage(value, phase)
         return out
 
 

@@ -92,22 +92,6 @@ class PortNumbering:
         """
         return tuple(self._sender_of)
 
-    def port_pairs(
-        self, receiver: int, senders: Sequence[int]
-    ) -> tuple[tuple[int, int], ...]:
-        """``(port, sender)`` pairs for the given senders, in port order.
-
-        In-row-aligned accessor for the engine's port-major delivery
-        sweep: handing it a topology's ``in_rows()[receiver]`` yields
-        each delivery's arrival port without per-element
-        :meth:`port_of` calls, and -- because ports are a bijection --
-        iterating the pairs builds ``receiver``'s delivery batch
-        already sorted by port, so the engine skips the per-round
-        batch sort entirely. Engine-side only (anonymity).
-        """
-        row = self._port_of[receiver]
-        return tuple(sorted((row[s], s) for s in senders))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PortNumbering):
             return NotImplemented

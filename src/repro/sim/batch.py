@@ -22,14 +22,23 @@ and crash plan from its own seed through the exact same
 Each kernel has one support predicate next to it --
 :func:`dac_kernel_refusal`, :func:`byz_kernel_refusal`,
 :func:`baseline_kernel_refusal` -- naming why it cannot replicate a
-parameter assignment (numpy is missing, a selector or Byzantine
-strategy draws from an RNG stream the kernel does not model), or
-``None`` when it can. A kernel constructor raises ``ValueError`` with
-that reason. The ``run_*_batch`` functions consult the same predicate
-and, outside the kernel, return :class:`GenericBatchEngine` lanes: one
+parameter assignment (numpy is missing, an unknown selector, a
+Byzantine strategy outside the trial menu), or ``None`` when it can.
+A kernel constructor raises ``ValueError`` with that reason. The
+``run_*_batch`` functions consult the same predicate and, outside the
+kernel, return :class:`GenericBatchEngine` lanes: one
 serial :class:`~repro.sim.engine.Engine` run per seed over the family's
 own builder -- the semantic reference itself, so those lanes match by
 construction and every ``run_*_batch`` works without numpy.
+
+One selector, :func:`select_delivered`, gives every kernel its
+per-round delivered-from masks for all three enforcing selectors:
+``rotate`` from the shared interned round tables, ``nearest`` by one
+stable argsort, and ``random`` by replaying each lane's own adversary
+stream through :func:`~repro.adversary.constrained.random_picks` --
+the same function, in the same call order, the serial adversary uses.
+The ``random`` Byzantine strategy is replayed the same way, through
+:meth:`~repro.faults.byzantine.RandomByzantine.draw`.
 
 Three kernels cover the built-in lane families (see docs/batching.md):
 
@@ -42,8 +51,7 @@ Three kernels cover the built-in lane families (see docs/batching.md):
   mobile-omission DAC, precisely what
   :func:`repro.workloads.run_dbac_trial` / ``run_byz_trial`` run. The
   kernel vectorizes DBAC's witness counters and ``f+1``-trimmed
-  updates, replicates the value-dependent ``nearest`` selection with
-  one stable argsort per round, and supports **lane compaction**:
+  updates and supports **lane compaction**:
   finished rows are re-filled from a pending seed queue so long-tailed
   grids keep full vector width;
 - :class:`BaselineBatchEngine` / :func:`run_baseline_batch` -- the
@@ -58,8 +66,9 @@ Composition: :func:`repro.workloads.run_dac_trial_batch` (and the
 DBAC/Byzantine/baseline forms) wrap these kernels in the batched-trial
 calling convention the parallel layer dispatches, so
 ``Sweep.run(workers=N, batch=B)`` fans *batches* over processes -- the
-two layers multiply. Parameter groups no kernel supports simply run
-the serial trial once per seed.
+two layers multiply. Parameter groups no kernel supports, observed and
+non-fast trials, and one-seed groups (a one-lane kernel pass is slower
+than one serial trial) run the serial trial once per seed.
 """
 
 from __future__ import annotations
@@ -67,8 +76,9 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 
-from repro.adversary.constrained import rotate_topology
+from repro.adversary.constrained import random_picks, rotate_topology
 from repro.net.ports import random_ports
 from repro.sim.arena import delivered_table
 from repro.sim.engine import Engine
@@ -111,12 +121,18 @@ def _workloads():
 
 _NO_NUMPY = "numpy is not installed"
 
+# The enforcing quorum adversaries' selectors, all replicated by
+# select_delivered for every kernel: rotate from the shared
+# content-hash tables, nearest by one stable argsort, random by
+# replaying each lane's own adversary stream.
+_VECTOR_SELECTORS = ("rotate", "nearest", "random")
 
-def _selector_refusal(selector: str, supported: tuple[str, ...]) -> str | None:
+
+def _selector_refusal(selector: str) -> str | None:
     if _np is None:
         return _NO_NUMPY
-    if selector not in supported:
-        return f"selector {selector!r} is not vectorizable (supported: {supported})"
+    if selector not in _VECTOR_SELECTORS:
+        return f"selector {selector!r} is not vectorizable (supported: {_VECTOR_SELECTORS})"
     return None
 
 
@@ -152,22 +168,117 @@ class LaneResult:
     state_keys: dict[int, tuple]
 
 
-# Selectors whose link choices the DAC kernel replicates. The shared
-# structure is :func:`repro.adversary.constrained.rotate_picks`;
-# value-dependent ("nearest") and RNG-dependent ("random") selectors run
-# serially.
-_DAC_VECTOR_SELECTORS = ("rotate",)
+def select_delivered(
+    selector: str,
+    degree: int,
+    values,
+    live,
+    byz,
+    salts,
+    rngs,
+    rotate_cache: dict,
+):
+    """Receiver-major delivered-from masks of one enforced round.
+
+    The vectorized form of the enforcing quorum adversaries' sender
+    selection, shared by every kernel. Per delivering lane ``b``:
+    ``values[b]`` is the ``(n,)`` round-start state row (Byzantine
+    entries ignored), ``salts[b]`` the rotate salt and ``rngs[b]`` the
+    lane's own ``child_rng(seed, "adversary")`` stream (``random``
+    only; ``None`` for a stopped lane, which draws nothing). ``live``
+    is the ``(n,)`` transmitting-sender mask (crashed senders out,
+    Byzantine senders in) and ``byz`` the sorted Byzantine index
+    array. Returns ``(B, n, n)`` bools where ``[b, v, u]`` says ``u``'s
+    round broadcast reaches ``v``, without a diagonal: each kernel
+    handles self-delivery itself. Rows of Byzantine and crashed
+    receivers are unspecified; nothing reads them.
+
+    - ``rotate``: the interned :func:`rotate_topology` table from the
+      shared content-hash memo (:func:`repro.sim.arena.delivered_table`,
+      zero-copy in warm pool workers), memoized in ``rotate_cache`` by
+      ``(live set, salt mod n)``.
+    - ``nearest``: :func:`~repro.adversary.constrained.nearest_picks`
+      as one stable argsort per lane. Non-live and Byzantine columns
+      sort last at ``+inf`` (the Byzantine senders are picked first,
+      separately), the receiver's own column first at ``-inf`` so it
+      drops out like the serial walk's ``u == receiver`` skip, and ties
+      fall in ascending node order, the specified sort's stability.
+    - ``random``: :func:`~repro.adversary.constrained.random_picks` on
+      each lane's stream -- a Python loop for the draws only, in the
+      serial call order, scattered into the mask in one assignment.
+    """
+    np = _np
+    lanes, n = values.shape
+    live_key = tuple(np.nonzero(live)[0].tolist())
+    if selector == "rotate":
+        tables = dict.fromkeys(salt % n for salt in salts)
+        for salt in tables:
+            table = rotate_cache.get((live_key, salt))
+            if table is None:
+                if len(rotate_cache) >= _STRUCTURE_CACHE_MAX:
+                    rotate_cache.clear()
+                table = delivered_table(rotate_topology(n, live_key, salt, degree))
+                rotate_cache[live_key, salt] = table
+            tables[salt] = table
+        if len(tables) == 1:
+            return np.broadcast_to(table, (lanes, n, n))
+        return np.stack([tables[salt % n] for salt in salts])
+    if selector == "random":
+        stopped = [[]] * n  # a lane without a stream draws nothing
+        picks = [
+            row
+            for rng in rngs
+            for row in (stopped if rng is None else random_picks(n, live_key, degree, rng))
+        ]
+        lengths = [len(row) for row in picks]
+        senders = np.fromiter(
+            chain.from_iterable(picks), dtype=np.intp, count=sum(lengths)
+        )
+        delivered = np.zeros((lanes * n, n), dtype=bool)
+        delivered[np.repeat(np.arange(lanes * n), lengths), senders] = True
+        return delivered.reshape(lanes, n, n)
+    node_idx = np.arange(n)
+    honest_live = live.copy()
+    honest_live[byz] = False
+    byz_live = byz[live[byz]]
+    byz_chosen = min(byz_live.size, degree)
+    dist = np.abs(values[:, :, None] - values[:, None, :])
+    dist[:, :, ~honest_live] = np.inf
+    dist[:, node_idx, node_idx] = -np.inf
+    order = np.argsort(dist, axis=2, kind="stable")
+    delivered = np.zeros((lanes, n, n), dtype=bool)
+    np.put_along_axis(delivered, order[:, :, 1 : degree - byz_chosen + 1], True, axis=2)
+    # Picks past the last honest live sender landed on +inf columns:
+    # the serial walk simply runs out of candidates there.
+    delivered &= honest_live
+    delivered[:, :, byz_live[:byz_chosen]] = True
+    return delivered
+
+
+def _in_port_order(delivered, sender_at_port):
+    """``[b, v, k]``: does the message on ``v``'s port ``k`` arrive?
+
+    Gathers :func:`select_delivered` masks through each lane's
+    ``sender_at_port`` table; a mask shared by every lane (one rotate
+    salt) is gathered from its single ``(n, n)`` table.
+    """
+    np = _np
+    lanes, n = sender_at_port.shape[:2]
+    col = np.arange(n)[None, :, None]
+    if delivered.strides[0] == 0:
+        return delivered[0][col, sender_at_port]
+    return delivered[np.arange(lanes)[:, None, None], col, sender_at_port]
 
 
 def dac_kernel_refusal(selector: str = "rotate") -> str | None:
     """Why :class:`BatchEngine` cannot run these lanes, or ``None``.
 
-    >>> dac_kernel_refusal("nearest") is None
+    >>> dac_kernel_refusal("bogus") is None
     False
-    >>> (dac_kernel_refusal("rotate") is None) == numpy_available()
+    >>> (dac_kernel_refusal("nearest") is None) == numpy_available()
     True
     """
-    return _selector_refusal(selector, _DAC_VECTOR_SELECTORS)
+    return _selector_refusal(selector)
 
 
 class BatchEngine:
@@ -186,8 +297,8 @@ class BatchEngine:
         serial builder's do.
     epsilon, window, selector, crash_nodes, crash_start, enable_jump:
         As in ``build_dac_execution``. Raises ``ValueError`` when
-        :func:`dac_kernel_refusal` refuses the selector (or numpy is
-        missing); :func:`run_dac_batch` runs those lanes serially.
+        :func:`dac_kernel_refusal` refuses (numpy is missing); the
+        builder itself rejects unknown selectors.
     max_rounds:
         Hard cap per lane; defaults to the serial builder's formula.
     """
@@ -245,45 +356,13 @@ class BatchEngine:
         self.max_rounds = probe["max_rounds"]
         self._crashes = probe["fault_plan"].crashes
         self._fault_free = sorted(probe["fault_plan"].fault_free)
-        # Round structure (delivered-from matrices) memo for the
-        # kernel: keyed by (live-set key, salt mod n), tiny and cyclic.
-        self._structure_cache: dict[tuple, object] = {}
+        # Rotate tables by (live-set key, salt mod n): tiny and cyclic.
+        self._rotate_cache: dict[tuple, object] = {}
 
     @property
     def batch_size(self) -> int:
         """Number of lanes ``B``."""
         return len(self.seeds)
-
-    def _delivered_from(self, live_key: tuple[int, ...], salt: int):
-        """``(n, n)`` bool: does ``u``'s round broadcast reach ``v``?
-
-        Derived from the *same* interned round
-        :class:`~repro.net.topology.Topology` the serial enforcing
-        adversary plays (:func:`repro.adversary.constrained.rotate_topology`),
-        via the shared content-hash table memo of
-        :func:`repro.sim.arena.delivered_table` -- one graph
-        representation across the serial, batched and pooled paths.
-        Diagonal entries encode the engine's reliable self-delivery.
-        The matrix depends only on the live set and ``salt mod n``, so
-        after the crash schedule settles it cycles with period ``n``.
-        """
-        key = (live_key, salt % self.n)
-        cached = self._structure_cache.get(key)
-        if cached is None:
-            topology = rotate_topology(self.n, live_key, salt, self.degree)
-            # Pure-graph table from the shared content-hash memo
-            # (zero-copy from an attached arena in warm pool workers);
-            # only the sender-major transpose with the live diagonal --
-            # per-execution state, not graph structure -- is private.
-            base = delivered_table(topology)
-            delivered = base.T.copy()
-            live = list(live_key)
-            delivered[live, live] = True
-            if len(self._structure_cache) >= _STRUCTURE_CACHE_MAX:
-                self._structure_cache.clear()
-            self._structure_cache[key] = delivered
-            cached = delivered
-        return cached
 
     def run(self) -> list[LaneResult]:
         """Run every lane to its stop condition and return lane results.
@@ -299,7 +378,7 @@ class BatchEngine:
 
         # Per-lane construction through the serial builders' exact RNG
         # streams: inputs, port bijections (sender-major inverse and
-        # self-ports are what the kernel indexes by).
+        # self-ports are what the kernel indexes by), adversary streams.
         inputs = np.empty((lanes, n), dtype=np.float64)
         sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
         self_port = np.empty((lanes, n), dtype=np.intp)
@@ -309,6 +388,8 @@ class BatchEngine:
             sender_at_port[b] = ports.sender_rows()
             for v in range(n):
                 self_port[b, v] = ports.self_port(v)
+        adversary_rngs = [child_rng(seed, "adversary") for seed in self.seeds]
+        no_byz = np.empty(0, dtype=np.intp)
 
         crash_round = np.full(n, _NEVER, dtype=np.int64)
         for node, event in self._crashes.items():
@@ -358,7 +439,6 @@ class BatchEngine:
             )
 
         gather_lane = lane_idx[:, None, None]
-        gather_col = np.arange(n)[None, :, None]
         lane_active = np.ones(lanes, dtype=bool)
         enable_jump = self.enable_jump
         end_phase = self.end_phase
@@ -386,16 +466,27 @@ class BatchEngine:
 
             live = crash_round > t  # clean crashes: senders == processors
             salt = t if self.window == 1 else t // self.window
-            delivered = self._delivered_from(
-                tuple(int(u) for u in np.nonzero(live)[0]), salt
+            # A stopped lane draws nothing from its adversary stream.
+            # The self message is never materialized: its port is
+            # pre-marked at phase start, so the engine's reliable
+            # self-delivery is always a no-op.
+            rngs = None
+            if self.selector == "random":
+                rngs = [
+                    rng if active else None
+                    for rng, active in zip(adversary_rngs, lane_active)
+                ]
+            delivered = select_delivered(
+                self.selector, self.degree, value, live, no_byz, [salt] * lanes,
+                rngs, self._rotate_cache,
             )
+            has_msg = _in_port_order(delivered, sender_at_port)
 
             # Round-start broadcast snapshot, then the port-major sweep.
             bc_value = value.copy()
             bc_phase = phase.copy()
             msg_value = bc_value[gather_lane, sender_at_port]
             msg_phase = bc_phase[gather_lane, sender_at_port]
-            has_msg = delivered[sender_at_port, gather_col]
             receiving = lane_active[:, None] & live[None, :]
 
             for port in range(n):
@@ -506,36 +597,34 @@ def run_dac_batch(
 
 # -- Batched DBAC / Byzantine / mobile-omission lanes ----------------------
 
-# Selectors the ByzBatchEngine kernel replicates. ``nearest`` is
-# value-dependent: the kernel recomputes the serial two-pointer
-# selection (repro.adversary.constrained.nearest_picks) as one stable
-# argsort over each lane's value matrix per round. ``random`` draws
-# from the adversary's RNG stream, so its lanes run serially.
-_BYZ_VECTOR_SELECTORS = ("rotate", "nearest")
-
 _STOP_MODES = ("oracle", "output")
 
 
 def _strategy_vector_plan(strategy: object):
     """How the kernel reproduces one Byzantine strategy, or ``None``.
 
-    A vectorizable strategy's round messages factor into a static
-    per-receiver value -- one value for even-numbered receivers, one
-    for odd -- plus a phase that is either a constant or tracks the
-    maximum fault-free phase (with a fixed lead). Returns
-    ``((even_value, odd_value), phase_kind, phase_arg)`` with
-    ``phase_kind`` in ``{"track", "const"}``, or ``None`` when the
-    strategy cannot be vectorized (e.g. the RNG-driven ``random``
-    strategy). Exact types are matched so subclasses with overridden
-    behavior are never mis-vectorized.
+    Most strategies' round messages factor into a static per-receiver
+    value -- one value for even-numbered receivers, one for odd -- plus
+    a phase that is either a constant or tracks the maximum fault-free
+    phase (with a fixed lead). Returns ``((even_value, odd_value),
+    phase_kind, phase_arg)`` with ``phase_kind`` in ``{"track",
+    "const"}``; ``(None, "draw", 0)`` for
+    :class:`~repro.faults.byzantine.RandomByzantine`, whose per-lane
+    streams the kernel replays through its
+    :meth:`~repro.faults.byzantine.RandomByzantine.draw`; or ``None``
+    when the strategy cannot be vectorized. Exact types are matched so
+    subclasses with overridden behavior are never mis-vectorized.
     """
     from repro.faults.byzantine import (
         ExtremeByzantine,
         FixedValueByzantine,
         PhaseLiarByzantine,
+        RandomByzantine,
     )
 
     kind = type(strategy)
+    if kind is RandomByzantine:
+        return None, "draw", 0
     if kind is ExtremeByzantine:
         return (float(strategy.low), float(strategy.high)), "track", 0
     if kind is PhaseLiarByzantine:
@@ -559,63 +648,25 @@ def byz_kernel_refusal(
     :data:`repro.workloads.TRIAL_BYZANTINE_STRATEGIES`) whose messages
     :func:`_strategy_vector_plan` reproduces.
 
-    >>> byz_kernel_refusal(strategy="random") is None
+    >>> byz_kernel_refusal(selector="bogus") is None
     False
-    >>> (byz_kernel_refusal("mobile-block_min") is None) == numpy_available()
+    >>> (byz_kernel_refusal(strategy="random") is None) == numpy_available()
     True
     """
     if _np is None:
         return _NO_NUMPY
     if adversary != "quorum":
         return None
-    reason = _selector_refusal(selector, _BYZ_VECTOR_SELECTORS)
+    reason = _selector_refusal(selector)
     if reason:
         return reason
     factory = _workloads().TRIAL_BYZANTINE_STRATEGIES.get(strategy)
     if factory is not None and _strategy_vector_plan(factory()) is None:
         return (
             f"Byzantine strategy {strategy!r} is not vectorizable "
-            "(RNG- or state-dependent messages)"
+            "(state-dependent messages)"
         )
     return None
-
-
-def nearest_delivered(values, byz, byz_chosen: int, remaining: int):
-    """Receiver-major delivered-from matrices for ``nearest`` rounds.
-
-    The vectorized form of
-    :func:`repro.adversary.constrained.nearest_picks` for executions
-    where every node transmits (no crashes): ``values`` is the
-    ``(B, n)`` round-start state matrix (Byzantine entries ignored),
-    ``byz`` the sorted Byzantine index array, ``byz_chosen`` /
-    ``remaining`` the split of the degree budget between
-    Byzantine-first picks and honest nearest picks. Returns
-    ``(B, n, n)`` bools where entry ``[b, v, u]`` says ``u``'s round
-    broadcast reaches ``v`` in lane ``b``.
-
-    One stable argsort per lane replicates the serial two-pointer
-    selection exactly: the spec sort is stable by ``(distance, node
-    id)`` over the honest live list, and the receiver's own
-    distance-zero entry is pinned first via ``-inf`` so it drops out
-    of the picks -- the serial walk's ``u == receiver`` skip. Rows for
-    Byzantine receivers are *not* meaningful (honest nodes never read
-    them; the serial adversary's choices there feed only no-op
-    strategy observations).
-    """
-    np = _np
-    lanes, n = values.shape
-    node_idx = np.arange(n)
-    dist = np.abs(values[:, :, None] - values[:, None, :])
-    if byz.size:
-        dist[:, :, byz] = np.inf
-    dist[:, node_idx, node_idx] = -np.inf
-    order = np.argsort(dist, axis=2, kind="stable")
-    picks = order[:, :, 1 : remaining + 1]
-    delivered = np.zeros((lanes, n, n), dtype=bool)
-    np.put_along_axis(delivered, picks, True, axis=2)
-    if byz_chosen:
-        delivered[:, :, byz[:byz_chosen]] = True
-    return delivered
 
 
 def _byz_builder(
@@ -703,7 +754,7 @@ class ByzBatchEngine:
         the fault-free spread first dips to ``epsilon``;
         ``"output"`` waits for algorithm-local termination).
         Raises ``ValueError`` when :func:`byz_kernel_refusal` refuses
-        the selector or strategy (``random``), or numpy is missing;
+        (numpy is missing, or a strategy outside the trial menu);
         :func:`run_byz_batch` runs those lanes serially.
     width:
         Maximum concurrent vector lanes. ``None`` (default) runs all
@@ -791,9 +842,8 @@ class ByzBatchEngine:
         reason = byz_kernel_refusal(adversary, selector, strategy)
         if reason:
             raise ValueError(f"Byzantine kernel unavailable: {reason}")
-        # salt -> receiver-major delivered-from matrix for the rotate
-        # selector (cyclic in salt mod n once built).
-        self._rotate_cache: dict[int, object] = {}
+        # Rotate tables by (live-set key, salt mod n): at most n entries.
+        self._rotate_cache: dict[tuple, object] = {}
 
     @property
     def batch_size(self) -> int:
@@ -833,6 +883,13 @@ class ByzBatchEngine:
         sender_at_port = ports.sender_rows()
         self_port = [ports.self_port(v) for v in range(n)]
         return inputs, sender_at_port, self_port
+
+    def _bound_strategy(self, node: int, seed: int):
+        """A fresh trial-menu strategy for ``node``, bound exactly as
+        the serial engine binds it for the lane with root ``seed``."""
+        strategy = _workloads().TRIAL_BYZANTINE_STRATEGIES[self.strategy]()
+        strategy.bind(node, self.n, self.f, 0.0, child_rng(seed, f"byzantine-{node}"))
+        return strategy
 
     def _drain_and_refill(
         self, cond_fn, lane_active, lane_t, finalize_row, reset_row, pending
@@ -890,28 +947,6 @@ class ByzBatchEngine:
         buffers["phase"][deliver_rows] = msg_phase_d
         return buffers["has"], buffers["value"], buffers["phase"]
 
-    def _rotate_matrix(self, salt: int):
-        """Receiver-major delivered-from bools of one ``rotate`` round.
-
-        Read off the same interned Topology the serial enforcing
-        adversaries replay. Every node transmits in these families
-        (Byzantine senders included, no crashes), so the matrix depends
-        only on ``salt mod n``.
-        """
-        key = salt % self.n
-        cached = self._rotate_cache.get(key)
-        if cached is None:
-            # The rotate matrix *is* the pure-graph delivered table:
-            # receiver-major, no diagonal. Serve it straight from the
-            # shared content-hash memo (zero-copy from an attached
-            # arena in warm pool workers); the per-engine key set is
-            # inherently bounded at n.
-            cached = delivered_table(
-                rotate_topology(self.n, tuple(range(self.n)), salt, self.degree)
-            )
-            self._rotate_cache[key] = cached
-        return cached
-
     def _kernel_quorum(self, rows, pending, results) -> None:
         """Advance DBAC lanes in lock-step until all rows (and, with a
         ``pending`` queue, all queued refills) are finalized.
@@ -960,22 +995,29 @@ class ByzBatchEngine:
         byz_track = np.zeros(n, dtype=bool)
         byz_lead = np.zeros(n, dtype=np.int64)
         byz_const = np.zeros(n, dtype=np.int64)
+        # Drawing strategies instead fill per-lane (sender, receiver)
+        # tables each round from their own replayed streams.
+        byz_draws = np.zeros(n, dtype=bool)
         for node, strategy in zip(self._byz_nodes, self._byz_strategies):
             plan = _strategy_vector_plan(strategy)
             assert plan is not None  # guaranteed by byz_kernel_refusal
-            (even, odd), phase_kind, phase_arg = plan
-            byz_value[node] = np.where(node_idx % 2 == 0, even, odd)
+            values, phase_kind, phase_arg = plan
+            if phase_kind == "draw":
+                byz_draws[node] = True
+                continue
+            byz_value[node] = np.where(node_idx % 2 == 0, *values)
             if phase_kind == "track":
                 byz_track[node] = True
                 byz_lead[node] = phase_arg
             else:
                 byz_const[node] = phase_arg
-        # The serial nearest selector hands every honest receiver all
-        # (up to degree) Byzantine senders first, then the closest
-        # honest values; clamp like the serial walk does when it runs
-        # out of candidates.
-        byz_chosen = min(byz.size, self.degree)
-        remaining = max(0, min(self.degree - byz_chosen, ff.size - 1))
+        draw_nodes = [int(u) for u in np.nonzero(byz_draws)[0]]
+        draw_targets = {u: [v for v in range(n) if v != u] for u in draw_nodes}
+        drawn_value = np.zeros((lanes, n, n), dtype=np.float64)
+        drawn_phase = np.zeros((lanes, n, n), dtype=np.int64)
+        lane_strategies: list[list] = [[] for _ in range(lanes)]
+        adversary_rngs: list = [None] * lanes
+        all_live = np.ones(n, dtype=bool)  # no crashes: everyone transmits
 
         slot = np.zeros(lanes, dtype=np.intp)
         lane_seed = [0] * lanes
@@ -1003,6 +1045,9 @@ class ByzBatchEngine:
             inputs[b] = lane_inputs
             sender_at_port[b] = lane_sap
             self_port[b] = lane_self
+            # A refilled row restarts its RNG streams from its new seed.
+            adversary_rngs[b] = child_rng(seed, "adversary")
+            lane_strategies[b] = [self._bound_strategy(u, seed) for u in draw_nodes]
             value[b] = inputs[b]
             phase[b] = 0
             received[b] = False
@@ -1074,6 +1119,19 @@ class ByzBatchEngine:
             if not lane_active.any():
                 return
 
+            if draw_nodes:
+                # Drawing strategies draw every round, silent window
+                # rounds included, on every active lane: one draw per
+                # receiver but the node itself, in ascending order.
+                tops = phase[:, ff].max(axis=1).tolist()
+                for b in np.nonzero(lane_active)[0]:
+                    top = tops[b]
+                    for u, strategy in zip(draw_nodes, lane_strategies[b]):
+                        targets = draw_targets[u]
+                        drawn = [strategy.draw(top) for _ in targets]
+                        drawn_value[b, u, targets] = [v for v, _p in drawn]
+                        drawn_phase[b, u, targets] = [p for _v, p in drawn]
+
             delivering = (
                 lane_active
                 if window == 1
@@ -1089,29 +1147,31 @@ class ByzBatchEngine:
                 max_ff_phase = bc_phase[:, ff].max(axis=1)
                 sap_d = sender_at_port[deliver_rows]
 
-                if self.selector == "nearest":
-                    delivered_recv = nearest_delivered(
-                        bc_value[deliver_rows], byz, byz_chosen, remaining
-                    )
-                else:  # rotate
-                    salts = lane_t[deliver_rows] if window == 1 else lane_t[deliver_rows] // window
-                    delivered_recv = np.stack(
-                        [self._rotate_matrix(int(salt)) for salt in salts]
-                    )
-                has_msg_d = np.take_along_axis(delivered_recv, sap_d, axis=2)
+                delivered_recv = select_delivered(
+                    self.selector, self.degree, bc_value[deliver_rows], all_live, byz,
+                    (lane_t[deliver_rows] // window).tolist(),
+                    [adversary_rngs[b] for b in deliver_rows], self._rotate_cache,
+                )
+                has_msg_d = _in_port_order(delivered_recv, sap_d)
 
-                msg_value_d = bc_value[deliver_rows[:, None, None], sap_d]
-                msg_phase_d = bc_phase[deliver_rows[:, None, None], sap_d]
+                gather_d = (deliver_rows[:, None, None], sap_d)
+                msg_value_d = bc_value[gather_d]
+                msg_phase_d = bc_phase[gather_d]
                 if byz.size:
                     is_byz_sender = byz_flag[sap_d]
                     byz_value_d = byz_value[sap_d, node_idx[None, :, None]]
-                    msg_value_d = np.where(is_byz_sender, byz_value_d, msg_value_d)
                     byz_phase = np.where(
                         byz_track[None, :],
                         max_ff_phase[:, None] + byz_lead[None, :],
                         byz_const[None, :],
                     )
-                    byz_phase_d = byz_phase[deliver_rows[:, None, None], sap_d]
+                    byz_phase_d = byz_phase[gather_d]
+                    if draw_nodes:
+                        drawn_d = (*gather_d, node_idx[None, :, None])
+                        is_drawn = byz_draws[sap_d]
+                        byz_value_d = np.where(is_drawn, drawn_value[drawn_d], byz_value_d)
+                        byz_phase_d = np.where(is_drawn, drawn_phase[drawn_d], byz_phase_d)
+                    msg_value_d = np.where(is_byz_sender, byz_value_d, msg_value_d)
                     msg_phase_d = np.where(is_byz_sender, byz_phase_d, msg_phase_d)
 
                 has_msg, msg_value, msg_phase = self._scatter_messages(
@@ -1457,17 +1517,9 @@ def run_dbac_batch(
     )
 
 
-# The averaging-baseline lane family (repro.core.baselines): selectors
-# whose delivered-from structure the vectorized kernel replicates.
-# ``rotate`` reuses the shared content-hash tables; ``nearest`` reuses
-# the stable-argsort helper (fault-free, no Byzantine quota); the
-# RNG-driven ``random`` selector runs serially.
-_BASELINE_VECTOR_SELECTORS = ("rotate", "nearest")
-
-
 def baseline_kernel_refusal(selector: str = "rotate") -> str | None:
     """Why :class:`BaselineBatchEngine` cannot run these lanes, or ``None``."""
-    return _selector_refusal(selector, _BASELINE_VECTOR_SELECTORS)
+    return _selector_refusal(selector)
 
 
 class BaselineBatchEngine:
@@ -1494,8 +1546,8 @@ class BaselineBatchEngine:
     Parameters mirror :func:`repro.workloads.run_baseline_trial`;
     ``num_rounds=None`` defaults to DAC's ``p_end`` for the given
     ``epsilon``. Raises ``ValueError`` when
-    :func:`baseline_kernel_refusal` refuses the selector (or numpy is
-    missing); :func:`run_baseline_batch` runs those lanes serially.
+    :func:`baseline_kernel_refusal` refuses (numpy is missing);
+    :func:`run_baseline_batch` runs those lanes serially.
     """
 
     #: Read-only marker: lanes of this class come from a numpy kernel.
@@ -1539,31 +1591,13 @@ class BaselineBatchEngine:
         self.selector = selector
         self.degree = probe["adversary"].degree
         self.num_rounds = next(iter(probe["processes"].values())).num_rounds
-        # salt -> receiver-major delivered-from table for the rotate
-        # selector; at most n entries (cyclic in salt mod n).
-        self._rotate_cache: dict[int, object] = {}
+        # Rotate tables by (live-set key, salt mod n): at most n entries.
+        self._rotate_cache: dict[tuple, object] = {}
 
     @property
     def batch_size(self) -> int:
         """Number of lanes ``B``."""
         return len(self.seeds)
-
-    def _rotate_matrix(self, salt: int):
-        """Receiver-major delivered-from bools of one rotate round.
-
-        The fault-free rotate structure from the shared content-hash
-        table memo (:func:`repro.sim.arena.delivered_table` -- zero
-        copy from an attached arena in warm pool workers); no diagonal,
-        self delivery is folded in explicitly by the update rules.
-        """
-        key = salt % self.n
-        cached = self._rotate_cache.get(key)
-        if cached is None:
-            cached = delivered_table(
-                rotate_topology(self.n, tuple(range(self.n)), salt, self.degree)
-            )
-            self._rotate_cache[key] = cached
-        return cached
 
     def run(self) -> list[LaneResult]:
         """Run every lane to its fixed round budget; results in seed order."""
@@ -1576,6 +1610,9 @@ class BaselineBatchEngine:
         for b, seed in enumerate(self.seeds):
             inputs[b] = spawn_inputs(seed, n)
         value = inputs.copy()
+        adversary_rngs = [child_rng(seed, "adversary") for seed in self.seeds]
+        all_live = np.ones(n, dtype=bool)
+        no_byz = np.empty(0, dtype=np.intp)
 
         for t in range(self.num_rounds):
             if self.window > 1 and (t + 1) % self.window != 0:
@@ -1586,12 +1623,11 @@ class BaselineBatchEngine:
                 # finalize block accounts for every t at once.
                 continue
             salt = t if self.window == 1 else t // self.window
-            if self.selector == "rotate":
-                delivered = np.broadcast_to(self._rotate_matrix(salt), (lanes, n, n))
-            else:
-                delivered = nearest_delivered(
-                    value, np.empty(0, dtype=np.intp), 0, self.degree
-                )
+            # No diagonal: self delivery is folded in by the update rules.
+            delivered = select_delivered(
+                self.selector, self.degree, value, all_live, no_byz,
+                [salt] * lanes, adversary_rngs, self._rotate_cache,
+            )
             vals = value[:, None, :]
             if self.algorithm == "midpoint":
                 # min/max over delivered senders and self -- the same

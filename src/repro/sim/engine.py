@@ -505,15 +505,15 @@ class Engine:
         plan = graph.routing_plan(self._route_token)
         if plan is None:
             in_rows = graph.in_rows()
-            port_pairs = self.ports.port_pairs
+            port_rows = self._port_rows
             rows_by_proc = []
             for node, _proc, _port in self._proc_plan:
-                pairs = port_pairs(node, in_rows[node])
-                # Split into parallel tuples so the sweep's full-senders
-                # path can run entirely in C (map/zip over the columns).
-                rows_by_proc.append(
-                    (tuple(p for p, _s in pairs), tuple(s for _p, s in pairs))
-                )
+                # Senders in port order (ports are a bijection), as
+                # parallel port/sender columns so the sweep's
+                # full-senders path runs entirely in C (map/zip).
+                port_of = port_rows[node].__getitem__
+                senders = tuple(sorted(in_rows[node], key=port_of))
+                rows_by_proc.append((tuple(map(port_of, senders)), senders))
             out_rows = graph.out_rows()
             sources = tuple(u for u in range(self.n) if out_rows[u])
             plan = (tuple(rows_by_proc), sources)

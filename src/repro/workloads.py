@@ -530,14 +530,15 @@ def run_dac_trial_batch(
     :func:`~repro.sim.batch.dac_kernel_refusal` accepts the selector.
     Everything else -- no numpy, a selector the kernel does not model,
     the non-fast and observed paths that record per-trial engine
-    snapshots -- runs the serial trial once per seed.
+    snapshots, and a single seed, where one serial trial beats a
+    one-lane kernel pass -- runs the serial trial once per seed.
     """
     from repro.sim.batch import BatchEngine, dac_kernel_refusal
 
     seeds = [int(seed) for seed in seeds]
     if f is None:
         f = (n - 1) // 2
-    if not fast or observe or dac_kernel_refusal(selector):
+    if not fast or observe or len(seeds) == 1 or dac_kernel_refusal(selector):
         return [
             run_dac_trial(
                 n=n,
@@ -683,12 +684,14 @@ def run_dbac_trial_batch(
     when :func:`~repro.sim.batch.byz_kernel_refusal` accepts the
     selector/strategy pair, and by the serial trial once per seed
     otherwise -- as for the non-fast and observed paths, whose
-    per-trial traces batching cannot amortize.
+    per-trial traces batching cannot amortize, and for a single seed.
     """
     from repro.sim.batch import ByzBatchEngine, byz_kernel_refusal
 
     seeds = [int(seed) for seed in seeds]
-    if not fast or observe or byz_kernel_refusal("quorum", selector, strategy):
+    if not fast or observe or len(seeds) == 1 or byz_kernel_refusal(
+        "quorum", selector, strategy
+    ):
         return [
             run_dbac_trial(
                 n=n,
@@ -879,14 +882,16 @@ def run_byz_trial_batch(
     ``"quorum"`` (DBAC) and ``"mobile-<mode>"`` lane families run
     through one vectorized :class:`repro.sim.batch.ByzBatchEngine`
     pass when :func:`~repro.sim.batch.byz_kernel_refusal` accepts the
-    parameters; the ``random`` selector/strategy, a missing numpy and
-    the non-fast path run the serial trial per seed like
+    parameters; a missing numpy, the non-fast and observed paths and a
+    single seed run the serial trial per seed like
     :func:`run_dbac_trial_batch` does.
     """
     from repro.sim.batch import ByzBatchEngine, byz_kernel_refusal
 
     seeds = [int(seed) for seed in seeds]
-    if not fast or observe or byz_kernel_refusal(adversary, selector, strategy):
+    if not fast or observe or len(seeds) == 1 or byz_kernel_refusal(
+        adversary, selector, strategy
+    ):
         return [
             run_byz_trial(
                 n=n,
@@ -1060,13 +1065,13 @@ def run_baseline_trial_batch(
     one :class:`repro.sim.batch.BaselineBatchEngine` pass -- a
     fixed-budget vectorized value iteration -- when
     :func:`~repro.sim.batch.baseline_kernel_refusal` accepts the
-    selector (``rotate``/``nearest``), and by the serial trial once per
-    seed otherwise, as for the non-fast and observed paths.
+    selector, and by the serial trial once per seed otherwise, as for
+    the non-fast and observed paths and a single seed.
     """
     from repro.sim.batch import BaselineBatchEngine, baseline_kernel_refusal
 
     seeds = [int(seed) for seed in seeds]
-    if not fast or observe or baseline_kernel_refusal(selector):
+    if not fast or observe or len(seeds) == 1 or baseline_kernel_refusal(selector):
         return [
             run_baseline_trial(
                 n=n,

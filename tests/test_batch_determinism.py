@@ -14,7 +14,9 @@ Three contracts make ``batch=B`` a pure speed knob:
 2. each kernel refuses parameters it cannot replicate with a message
    naming them, and every batched form runs those groups serially --
    so every family's ``batch_fn`` equals its per-seed trial, with or
-   without numpy;
+   without numpy. Every enforcing selector (``rotate``, ``nearest``,
+   ``random``) and every trial-menu Byzantine strategy runs on a
+   kernel; the RNG-driven ones replay each lane's own serial streams;
 3. ``Sweep.run(workers=4, batch=4)`` records are identical, element
    for element, to ``Sweep.run(workers=1, batch=1)`` records.
 """
@@ -26,12 +28,15 @@ import pytest
 from repro.bench.sweep import Sweep
 from repro.scenario.registry import entries
 from repro.sim.batch import (
+    BaselineBatchEngine,
     BatchEngine,
     ByzBatchEngine,
     GenericBatchEngine,
+    baseline_kernel_refusal,
     byz_kernel_refusal,
     dac_kernel_refusal,
     numpy_available,
+    run_baseline_batch,
     run_byz_batch,
     run_dac_batch,
     run_dbac_batch,
@@ -46,6 +51,7 @@ from repro.sim.parallel import (
 from repro.workloads import (
     TRIAL_BYZANTINE_STRATEGIES,
     _lane_summary,
+    build_baseline_execution,
     build_dac_execution,
     build_dbac_execution,
     build_mobile_execution,
@@ -109,6 +115,13 @@ def generic_dbac_lanes(n, f, seeds, strategy="extreme", **params):
 def cached_dbac_reference(seeds):
     """Serial reference lanes shared by the compaction grid (n=11, f=2)."""
     return generic_dbac_lanes(11, 2, list(seeds))
+
+
+def generic_baseline_lanes(n, seeds, **params):
+    """Serial reference lanes over the averaging-baseline builder."""
+    return GenericBatchEngine(
+        seeds, lambda seed: build_baseline_execution(n, seed=seed, **params)
+    ).run()
 
 
 def generic_mobile_lanes(n, seeds, mode, **params):
@@ -183,24 +196,25 @@ class TestBatchMatchesSerial:
 
     def test_backend_resolution_and_validation(self):
         # One predicate decides the kernel: run_dac_batch takes it
-        # exactly when dac_kernel_refusal accepts, and the kernel
-        # constructor refuses everything else, naming the reason.
-        assert (dac_kernel_refusal("rotate") is None) == numpy_available()
-        assert dac_kernel_refusal("nearest") is not None
+        # exactly when dac_kernel_refusal accepts -- every enforcing
+        # selector, given numpy -- and the kernel constructor refuses
+        # everything else, naming the reason.
         dac = family_entry("dac").obj
-        assert dac.vectorizable({"selector": "rotate"}) == numpy_available()
-        assert not dac.vectorizable({"selector": "nearest"})
+        for selector in ("rotate", "nearest", "random"):
+            assert (dac_kernel_refusal(selector) is None) == numpy_available()
+            assert dac.vectorizable({"selector": selector}) == numpy_available()
+        assert dac_kernel_refusal("bogus") is not None
         if numpy_available():
             engine = BatchEngine(9, 4, [0])
             assert engine.backend == "numpy"
             assert engine.batch_size == 1
-            # Value-dependent selectors are not vectorizable.
-            with pytest.raises(ValueError, match="selector 'nearest'"):
-                BatchEngine(9, 4, [0], selector="nearest")
+            for selector in ("nearest", "random"):
+                lanes = BatchEngine(9, 4, [0, 1], selector=selector).run()
+                assert lanes == generic_dac_lanes(9, 4, [0, 1], selector=selector)
         else:
             with pytest.raises(ValueError, match="numpy is not installed"):
                 BatchEngine(9, 4, [0])
-        # Outside the kernel the lanes are serial-engine lanes.
+        # Kernel or not, the lanes equal serial-engine lanes.
         assert run_dac_batch(9, 4, [0, 1], selector="nearest") == generic_dac_lanes(
             9, 4, [0, 1], selector="nearest"
         )
@@ -429,20 +443,16 @@ class TestByzBatchMatchesSerial:
         assert [_lane_summary(lane, 1e-3) for lane in lanes] == serial
         assert run_dbac_trial_batch(n=11, seeds=seeds, **params) == serial
 
-    def test_random_strategy_and_selector_fall_back_to_python(self):
-        # RNG-stream consumers run serially: the kernel refuses them,
-        # naming the parameter, and every batched form falls back to
-        # serial-engine lanes or per-seed trials.
+    def test_random_strategy_and_selector_on_kernel(self):
+        # RNG-stream consumers vectorize by replaying each lane's own
+        # streams: the kernel accepts them, and its lanes equal
+        # serial-engine lanes and per-seed trials.
         seeds = [0, 1]
-        for name, kwargs in (
-            ("strategy 'random'", {"strategy": "random"}),
-            ("selector 'random'", {"selector": "random"}),
-        ):
-            assert byz_kernel_refusal(**kwargs) is not None
+        for kwargs in ({"strategy": "random"}, {"selector": "random"}):
+            assert (byz_kernel_refusal(**kwargs) is None) == numpy_available()
             if numpy_available():
-                assert name in byz_kernel_refusal(**kwargs)
-                with pytest.raises(ValueError, match=name):
-                    ByzBatchEngine(11, 2, [0], **kwargs)
+                kernel = ByzBatchEngine(11, 2, seeds, **kwargs).run()
+                assert kernel == generic_dbac_lanes(11, 2, seeds, **kwargs)
             lanes = run_dbac_batch(11, 2, seeds, **kwargs)
             assert lanes == generic_dbac_lanes(11, 2, seeds, **kwargs)
             serial = [run_dbac_trial(n=11, f=2, seed=s, **kwargs) for s in seeds]
@@ -451,9 +461,11 @@ class TestByzBatchMatchesSerial:
 
     def test_backend_resolution_and_validation(self):
         assert (byz_kernel_refusal() is None) == numpy_available()
+        assert byz_kernel_refusal(selector="bogus") is not None
         dbac = family_entry("dbac").obj
         assert dbac.vectorizable({"selector": "rotate"}) == numpy_available()
-        assert not dbac.vectorizable({"strategy": "random"})
+        for kwargs in ({"strategy": "random"}, {"selector": "random"}):
+            assert dbac.vectorizable(kwargs) == numpy_available()
         mobile = family_entry("byz").obj
         assert mobile.vectorizable({"mode": "rotate"}) == numpy_available()
         if numpy_available():
@@ -550,12 +562,11 @@ class TestNearestVectorization:
         import numpy as np
 
         from repro.adversary.constrained import nearest_picks
-        from repro.sim.batch import nearest_delivered
+        from repro.sim.batch import select_delivered
 
         n = 10
         byzantine = frozenset({8, 9})
         degree = 6
-        remaining = degree - len(byzantine)
         # Crafted tie storms: duplicated values, symmetric distances
         # around a receiver, converged lanes where everything ties.
         value_rows = [
@@ -566,7 +577,9 @@ class TestNearestVectorization:
         ]
         values = np.array(value_rows)
         byz = np.array(sorted(byzantine), dtype=np.intp)
-        delivered = nearest_delivered(values, byz, len(byzantine), remaining)
+        delivered = select_delivered(
+            "nearest", degree, values, np.ones(n, dtype=bool), byz, None, None, {}
+        )
         for lane, row in enumerate(value_rows):
             spec_values = [
                 None if u in byzantine else row[u] for u in range(n)
@@ -595,6 +608,125 @@ class TestNearestVectorization:
                 node: process.state_key()
                 for node, process in engine.processes.items()
             }
+
+
+class TestSelectorKernels:
+    """The shared selector's crash-masked ``nearest`` and the RNG
+    replays (``random`` selector, ``random`` strategy) on every kernel,
+    against serial-engine lanes by full state key."""
+
+    @needs_numpy
+    def test_selector_masks_match_serial_picks_with_crashed_senders(self):
+        import random
+
+        import numpy as np
+
+        from repro.adversary.constrained import nearest_picks, random_picks
+        from repro.sim.batch import select_delivered
+
+        n, degree = 9, 4
+        live = (0, 1, 2, 4, 5, 7)  # 3, 6 and 8 have crashed
+        live_mask = np.zeros(n, dtype=bool)
+        live_mask[list(live)] = True
+        no_byz = np.empty(0, dtype=np.intp)
+        value_rows = [
+            [0.5, 0.25, 0.75, 0.5, 0.5, 0.25, 0.75, 0.1, 0.0],
+            [0.5] * n,
+            [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
+        ]
+        nearest = select_delivered(
+            "nearest", degree, np.array(value_rows), live_mask, no_byz, None, None, {}
+        )
+        drawn = select_delivered(
+            "random", degree, np.array(value_rows), live_mask, no_byz, None,
+            [random.Random(lane) for lane in range(len(value_rows))], {},
+        )
+        for lane, row in enumerate(value_rows):
+            spec = nearest_picks(n, live, row, frozenset(), degree)
+            replay = random_picks(n, live, degree, random.Random(lane))
+            for receiver in range(n):
+                if receiver in live:  # crashed receivers' rows are unread
+                    assert set(np.nonzero(nearest[lane, receiver])[0]) == set(
+                        spec[receiver]
+                    ), (lane, receiver)
+                assert set(np.nonzero(drawn[lane, receiver])[0]) == set(
+                    replay[receiver]
+                ), (lane, receiver)
+
+    @needs_numpy
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_dac_nearest_with_staggered_crashes(self, window):
+        seeds = [3, 11, 20, 21, 100]
+        for n, f, crash_start in ((9, 4, 1), (12, 5, 2)):
+            params = {"window": window, "selector": "nearest", "crash_start": crash_start}
+            assert BatchEngine(n, f, seeds, **params).run() == generic_dac_lanes(
+                n, f, seeds, **params
+            )
+
+    @needs_numpy
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_random_selector_on_every_kernel(self, window):
+        # Lanes stop at different rounds, so stopped lanes must stop
+        # drawing while the others keep replaying their streams.
+        seeds = [0, 4, 9, 17]
+        params = {"window": window, "selector": "random"}
+        assert BatchEngine(9, 4, seeds, **params).run() == generic_dac_lanes(
+            9, 4, seeds, **params
+        )
+        assert ByzBatchEngine(11, 2, seeds, **params).run() == generic_dbac_lanes(
+            11, 2, seeds, **params
+        )
+        for algorithm in ("midpoint", "trimmed"):
+            baseline = dict(params, algorithm=algorithm, f=1)
+            assert BaselineBatchEngine(7, seeds, **baseline).run() == (
+                generic_baseline_lanes(7, seeds, **baseline)
+            )
+            assert run_baseline_batch(7, seeds, **baseline) == (
+                generic_baseline_lanes(7, seeds, **baseline)
+            )
+        assert baseline_kernel_refusal("random") is None
+
+    @needs_numpy
+    @pytest.mark.parametrize("window", [1, 2])
+    def test_random_strategy_under_every_selector(self, window):
+        # Random Byzantine nodes draw on silent window rounds too.
+        seeds = [0, 4, 9, 17]
+        for selector in ("nearest", "rotate", "random"):
+            params = {"window": window, "selector": selector, "strategy": "random"}
+            assert ByzBatchEngine(11, 2, seeds, **params).run() == generic_dbac_lanes(
+                11, 2, seeds, **params
+            ), selector
+
+    @needs_numpy
+    def test_compaction_restarts_refilled_rows_streams(self):
+        seeds = list(range(10))
+        for params in (
+            {"selector": "random"},
+            {"strategy": "random", "window": 2},
+            {"selector": "random", "strategy": "random"},
+        ):
+            reference = generic_dbac_lanes(11, 2, seeds, **params)
+            for compact in (True, False):
+                assert ByzBatchEngine(
+                    11, 2, seeds, width=3, compact=compact, **params
+                ).run() == reference, (params, compact)
+
+
+class TestGridDispatch:
+    """Which perfbench grid cells run on a kernel (read-only pin)."""
+
+    @needs_numpy
+    def test_only_the_averaging_cell_runs_per_seed(self):
+        from perfbench.grid import SWEEP_CELLS
+
+        from repro.scenario import resolve
+
+        per_seed = []
+        for text, _count in SWEEP_CELLS:
+            resolved = resolve(text)
+            if not resolved.family.vectorizable(resolved.params):
+                per_seed.append(resolved.entry.name)
+        assert per_seed == ["averaging"]
 
 
 class TestLaneCompaction:
@@ -689,20 +821,34 @@ class TestByzBatchedTrialFunctions:
         assert serial.records == composed.records
 
 
-# One parameter set per registered family that no kernel vectorizes
-# (RNG-driven selectors and strategies; averaging has no kernel). The
-# byz trial's non-vectorizable groups are its DBAC quorum lanes.
+# One parameter set per registered family that still takes the serial
+# path: observed and non-fast trials record per-trial engine data a
+# kernel cannot produce, and averaging has no kernel.
 SERIAL_FALLBACK_PARAMS = {
-    "dac": {"n": 9, "window": 2, "selector": "random"},
-    "dbac": {"n": 11, "strategy": "random", "max_rounds": 2_000},
-    "byz": {"n": 11, "adversary": "quorum", "selector": "random", "max_rounds": 2_000},
-    "baseline": {"n": 7, "algorithm": "trimmed", "selector": "random", "window": 2},
+    "dac": {"n": 9, "window": 2, "selector": "random", "observe": True},
+    "dbac": {"n": 11, "strategy": "random", "max_rounds": 2_000, "observe": True},
+    "byz": {"n": 11, "adversary": "quorum", "selector": "random", "max_rounds": 2_000,
+            "fast": False},
+    "baseline": {"n": 7, "algorithm": "trimmed", "selector": "random", "window": 2,
+                 "observe": True},
     "averaging": {"n": 6, "num_rounds": 30},
 }
 
 
+@pytest.fixture
+def kernels_refused(monkeypatch):
+    """Fail any kernel construction: the code under test must take the
+    serial path."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a kernel ran where the serial path was expected")
+
+    for name in ("BatchEngine", "ByzBatchEngine", "BaselineBatchEngine"):
+        monkeypatch.setattr(f"repro.sim.batch.{name}", refuse)
+
+
 class TestSerialFallbackPerFamily:
-    """Non-vectorizable groups run the family's serial trial per seed."""
+    """Groups outside every kernel run the family's serial trial per seed."""
 
     def test_every_builtin_family_is_covered(self):
         builtin = {
@@ -714,10 +860,19 @@ class TestSerialFallbackPerFamily:
         assert builtin <= set(SERIAL_FALLBACK_PARAMS)
 
     @pytest.mark.parametrize("family", sorted(SERIAL_FALLBACK_PARAMS))
-    def test_batch_fn_equals_per_seed_trials(self, family):
+    def test_batch_fn_equals_per_seed_trials(self, family, kernels_refused):
         trial = family_entry(family).obj.trial
         params = SERIAL_FALLBACK_PARAMS[family]
         seeds = [0, 3, 5]
         assert trial.batch_fn(seeds=seeds, **params) == [
             trial(seed=seed, **params) for seed in seeds
         ]
+
+    @pytest.mark.parametrize("family", ["dac", "dbac", "byz", "baseline"])
+    def test_one_seed_batch_runs_the_serial_trial(self, family, kernels_refused):
+        # A single lane gains nothing from a kernel pass; it runs the
+        # serial trial even when its parameters are vectorizable.
+        trial = family_entry(family).obj.trial
+        params = {"dac": {"n": 9}, "dbac": {"n": 11}, "byz": {"n": 8},
+                  "baseline": {"n": 7}}[family]
+        assert trial.batch_fn(seeds=[3], **params) == [trial(seed=3, **params)]

@@ -45,11 +45,10 @@ def fuzz_configs(master_seed: int, count: int) -> list[dict]:
     """``count`` valid random configs drawn from ``master_seed``.
 
     Samples across all three scenario families and their full legal
-    parameter space: crash counts up to the DAC bound, both enforcing
-    selectors, every vectorizable (and one non-vectorizable) Byzantine
-    strategy, all mobile-omission modes, windows 1..3, and capped-round
-    runs (so unstopped lanes are compared too, not just terminating
-    ones).
+    parameter space: crash counts up to the DAC bound, all three
+    enforcing selectors, every trial-menu Byzantine strategy, all
+    mobile-omission modes, windows 1..3, and capped-round runs (so
+    unstopped lanes are compared too, not just terminating ones).
     """
     rng = random.Random(master_seed)
     configs: list[dict] = []
@@ -65,7 +64,7 @@ def fuzz_configs(master_seed: int, count: int) -> list[dict]:
                 "f": f,
                 "crash_nodes": rng.randint(0, f),
                 "window": rng.randint(1, 3),
-                "selector": rng.choice(("rotate", "nearest")),
+                "selector": rng.choice(("rotate", "nearest", "random")),
                 "seeds": seeds,
             }
             if rng.random() < 0.25:
@@ -80,7 +79,7 @@ def fuzz_configs(master_seed: int, count: int) -> list[dict]:
                 "n": n,
                 "f": f,
                 "window": rng.randint(1, 2),
-                "selector": rng.choice(("nearest", "rotate")),
+                "selector": rng.choice(("nearest", "rotate", "random")),
                 "strategy": rng.choice(_DBAC_STRATEGIES),
                 "seeds": seeds,
             }
