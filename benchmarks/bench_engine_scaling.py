@@ -169,114 +169,6 @@ def test_batch_engine_scaling():
         )
 
 
-def test_batch_dbac_engine_scaling():
-    """Report aggregate rounds/s for batched DBAC and mobile lanes, then
-    write BENCH_batch_dbac.json so the perf trajectory is tracked.
-
-    Boundary DBAC under the nearest-value enforcing adversary with
-    equivocating Byzantine nodes -- the value-dependent selector and
-    witness-counter/trimmed-update state the vectorized kernel had to
-    learn (ISSUE acceptance: >= 3x aggregate rounds/s at n <= 64,
-    B = 32 vs the serial fast path). Wall-clock ratios are reported,
-    not asserted (load-sensitive); the correctness claim -- identical
-    lane results -- is asserted inside every measure call and, in
-    full-state form, in tests/test_batch_determinism.py.
-    """
-    import json
-
-    from repro.bench.batch_smoke import (
-        measure_compaction,
-        measure_dbac,
-        measure_mobile,
-        run_smoke,
-    )
-
-    print()
-    backend = "numpy" if numpy_available() else "python fallback (no numpy)"
-    print(f"batch backend: {backend}")
-    print("family   n    mode/f        agg rounds/s   speedup")
-    legs = {}
-    for n in (16, 32, 64):
-        result = measure_dbac(n=n, lanes=32)
-        legs[f"dbac_n{n}"] = result
-        print(
-            f"dbac   {n:3d}    f={result['f']:<10d}"
-            f"{result['batched_rounds_per_s']:12.0f}   {result['speedup']:.2f}x"
-        )
-    for n in (16, 32):
-        result = measure_mobile(n=n, lanes=32)
-        legs[f"mobile_n{n}"] = result
-        print(
-            f"mobile {n:3d}    {result['mode']:<12s}"
-            f"{result['batched_rounds_per_s']:12.0f}   {result['speedup']:.2f}x"
-        )
-    compaction = measure_compaction(n=16, seeds_total=64, width=8)
-    legs["compaction_n16"] = compaction
-    print(
-        f"compaction n=16 width=8 seeds=64: "
-        f"{compaction['compaction_speedup']:.2f}x vs chunked drain"
-    )
-    # run_smoke() is the single owner of the BENCH_batch_dbac.json
-    # schema (same payload the CI smoke step uploads); the larger-n
-    # legs measured above ride along under their own keys.
-    payload = run_smoke()
-    payload.update(legs)
-    with open("BENCH_batch_dbac.json", "w") as handle:
-        json.dump(payload, handle, indent=1)
-    print("wrote BENCH_batch_dbac.json")
-
-
-def test_delivery_sweep_throughput():
-    """Report port-major-sweep vs legacy-loop rounds/s at the ISSUE's
-    acceptance sizes, then write BENCH_delivery.json so the perf
-    trajectory is tracked.
-
-    Untraced enforced-rotate and staggered-crash rounds at n = 33 and
-    65 (acceptance: >= 1.5x vs the PR 4 loop, which survives verbatim
-    as the traced path / sweep reference). Wall-clock ratios are
-    reported, not asserted (load-sensitive); the correctness claim --
-    bit-identical states on both paths -- is asserted inside
-    verify_contracts here and, in full-state form, by the shared
-    differential harness (tests/helpers.py) and the fuzz grids.
-    """
-    import json
-
-    from repro.bench.delivery_smoke import (
-        measure_family,
-        measure_plan_cache,
-        run_smoke,
-    )
-
-    print()
-    print("family    n    sweep r/s   legacy r/s   warm     cold-incl.")
-    legs = {}
-    for n, rounds in ((33, 2000), (65, 800)):
-        for crash in (False, True):
-            result = measure_family(n=n, rounds=rounds, crash=crash)
-            legs[f"{'crash' if crash else 'enforced'}_n{n}"] = result
-            print(
-                f"{'crash' if crash else 'enforced':8s}{n:4d}"
-                f"  {result['sweep_rounds_per_s']:10.0f}"
-                f"  {result['legacy_rounds_per_s']:11.0f}"
-                f"   {result['speedup']:.2f}x"
-                f"   {result['speedup_cold']:.2f}x"
-            )
-    cache = measure_plan_cache(n=33, rounds=400)
-    legs["plan_cache_n33"] = cache
-    print(
-        f"plan-cache n=33: {cache['stable_schedule_speedup']:.2f}x "
-        f"replayed cycle vs novel graphs"
-    )
-    # run_smoke() is the single owner of the BENCH_delivery.json schema
-    # (same payload the CI smoke step uploads); the acceptance-size
-    # legs measured above ride along under their own keys.
-    payload = run_smoke(n=17, rounds=1000)
-    payload.update(legs)
-    with open("BENCH_delivery.json", "w") as handle:
-        json.dump(payload, handle, indent=1)
-    print("wrote BENCH_delivery.json")
-
-
 def test_engine_scaling_table(benchmark):
     run_and_check(benchmark, experiment_s1)
 
@@ -289,72 +181,3 @@ def test_batched_dbac_table(benchmark):
     from repro.bench.experiments import experiment_s4
 
     run_and_check(benchmark, experiment_s4)
-
-
-def test_enforced_adversary_throughput():
-    """Report enforced-adversary rounds/s plus the graph-construction
-    micro-comparison (Topology PR acceptance leg).
-
-    Two scenarios: the memo-hit regime (``rotate``, where choose was
-    already cached pre-Topology and the win is the cheaper construction
-    plus adjacency-row routing) and the miss-every-round regime
-    (``nearest``, DBAC's default, where every round used to pay a full
-    dict-of-frozensets DirectedGraph build). Numbers are reported, not
-    asserted (load-sensitive); the bit-identity claims live in
-    tests/test_topology_equivalence.py.
-    """
-    from repro.bench.topology_smoke import measure_enforced
-
-    print()
-    print("selector  n    rounds/s   legacy/cold  legacy/hit (construction)")
-    for selector in ("rotate", "nearest"):
-        for n in (9, 33):
-            rounds = 2000 if n <= 17 else 600
-            result = measure_enforced(n=n, rounds=rounds, selector=selector)
-            print(
-                f"{selector:8s}{n:4d}  {result['rounds_per_s']:9.0f}"
-                f"   {result['construction_speedup_cold']:9.2f}x"
-                f"  {result['construction_speedup_hit']:9.2f}x"
-            )
-
-
-def test_lookahead_candidate_evaluation():
-    """Report lookahead throughput and the overlay-vs-deepcopy ratios,
-    then write BENCH_topology.json so the perf trajectory is tracked.
-
-    The state-management ratio isolates exactly what the refactor
-    removed (per-candidate ``copy.deepcopy`` of every process); the
-    end-to-end ratio also pays the delivery work both implementations
-    share. The no-deepcopy contract itself is asserted in
-    tests/test_adversary_greedy.py and by the CI topology smoke.
-    """
-    import json
-
-    from repro.bench.topology_smoke import measure_lookahead, run_smoke
-
-    print()
-    print("n   rounds/s  cand evals/s  end-to-end   state mgmt")
-    lookahead = {}
-    for n in (17, 33):
-        result = measure_lookahead(n=n, rounds=120 if n <= 17 else 40)
-        lookahead[n] = result
-        print(
-            f"{n:2d}  {result['rounds_per_s']:8.0f}  {result['candidate_evals_per_s']:12.0f}"
-            f"  {result['candidate_eval_speedup']:9.2f}x"
-            f"  {result['state_management_speedup']:9.2f}x"
-        )
-    # run_smoke() is the single owner of the BENCH_topology.json schema
-    # (same payload the CI smoke step uploads); the larger-n lookahead
-    # legs measured above ride along under their own keys.
-    payload = run_smoke()
-    payload["lookahead_n17"] = lookahead[17]
-    payload["lookahead_n33"] = lookahead[33]
-    base = payload["lookahead"]
-    print(
-        f" 9  {base['rounds_per_s']:8.0f}  {base['candidate_evals_per_s']:12.0f}"
-        f"  {base['candidate_eval_speedup']:9.2f}x"
-        f"  {base['state_management_speedup']:9.2f}x"
-    )
-    with open("BENCH_topology.json", "w") as handle:
-        json.dump(payload, handle, indent=1)
-    print("wrote BENCH_topology.json")

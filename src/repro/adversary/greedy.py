@@ -21,9 +21,9 @@ process objects, the outcome is measured, and the snapshot is written
 back before the next candidate. Delivery is deterministic in the
 pre-round state and the (fixed) broadcast map, so the measured
 ``(spread, advances)`` -- and therefore every chosen policy -- is
-bit-identical to the deep-copy implementation, at a fraction of the
-per-candidate cost (see ``bench_engine_scaling`` /
-``repro.bench.topology_smoke``).
+bit-identical to the deep-copy implementation (kept as the reference
+in ``tests/test_adversary_greedy.py``), at a fraction of the
+per-candidate cost.
 
 Used by the worst-case-rate tests: even this adversary cannot push
 DAC's per-phase contraction above 1/2, nor break its safety --

@@ -46,8 +46,8 @@ class LintConfig:
         ("workloads", ("repro.workloads", "repro.families")),
         ("scenario", ("repro.scenario",)),
         # The service daemon drives executions only through resolution
-        # and dispatch, and the bench layer's service smoke drives the
-        # daemon -- so service sits above scenario and below bench.
+        # and dispatch, so service sits above scenario; the CLI (top)
+        # starts and queries it. No bench module imports it.
         ("service", ("repro.service",)),
         ("bench", ("repro.bench",)),
         ("top", ("repro.cli", "repro.lint", "repro.__main__", "repro")),

@@ -52,6 +52,32 @@ def test_docs_checker_flags_a_dead_link(tmp_path):
     assert checker.dead_links(tmp_path) == ["docs/a.md: missing.md"]
 
 
+def test_docs_checker_flags_a_missing_module(tmp_path, capsys):
+    checker = _load_checker()
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.md").write_text(
+        "Run `PYTHONPATH=src python -m repro.cli dac -v` or\n"
+        "`python3 -m repro.bench.cli -e S1`, not `python -m\n"
+        "repro.bench.retired_tool --out x.json` nor `python -m repro.gone`."
+    )
+    skill = tmp_path / ".claude" / "skills" / "verify"
+    skill.mkdir(parents=True)
+    (skill / "SKILL.md").write_text("`python -m repro.sim.nowhere`")
+    assert checker.missing_modules(tmp_path) == [
+        "docs/a.md: repro.bench.retired_tool",
+        "docs/a.md: repro.gone",
+        ".claude/skills/verify/SKILL.md: repro.sim.nowhere",
+    ]
+    assert checker.main([str(tmp_path)]) == 1
+    assert "missing module: docs/a.md: repro.gone" in capsys.readouterr().out
+
+
+def test_docs_name_only_existing_modules():
+    checker = _load_checker()
+    assert checker.missing_modules(REPO_ROOT) == []
+
+
 @pytest.mark.parametrize("module_name", DOCTEST_MODULES)
 def test_docstring_examples_execute(module_name):
     module = __import__(module_name, fromlist=["_"])

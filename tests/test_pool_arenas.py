@@ -66,17 +66,35 @@ def test_warm_pool_reused_across_sweeps_matches_serial():
     assert second == serial
 
 
-def test_fresh_pool_and_no_arenas_are_pure_speed_knobs():
+DISPATCH_MODES = {
+    "persist-batched": {"batch": 3},
+    "persist-unbatched": {},
+    "fresh-batched": {"batch": 3, "pool": "fresh"},
+    "no-arenas": {"batch": 3, "arenas": False},
+    "fresh-no-arenas": {"batch": 3, "pool": "fresh", "arenas": False},
+}
+
+
+@pytest.mark.parametrize("mode", list(DISPATCH_MODES))
+def test_dispatch_mode_is_a_pure_speed_knob(mode):
+    """Each dispatch mode matches serial, cold and on a warm pool, and
+    never replaces the persistent pool it runs beside."""
     close_pool()
+    options = DISPATCH_MODES[mode]
     specs = _dac_specs(range(6))
     serial = run_trials(run_dac_trial, specs, workers=1)
-    fresh = run_trials(
-        run_dac_trial, specs, workers=2, batch=3, pool="fresh", arenas=False
+    cold = run_trials(run_dac_trial, specs, workers=2, **options)
+    fresh = options.get("pool") == "fresh"
+    assert (parallel._pool_executor is None) == fresh, (
+        "only fresh mode leaves no persistent pool behind"
     )
-    assert parallel._pool_executor is None, "fresh mode must not persist a pool"
-    persist = run_trials(run_dac_trial, specs, workers=2, batch=3)
-    assert fresh == serial
-    assert persist == serial
+    run_trials(run_dac_trial, specs, workers=2, batch=3)
+    pool_obj = parallel._pool_executor
+    assert pool_obj is not None, "persistent pool was not created"
+    warm = run_trials(run_dac_trial, specs, workers=2, **options)
+    assert parallel._pool_executor is pool_obj, "persistent pool was replaced"
+    assert cold == serial
+    assert warm == serial
 
 
 def test_pooled_observer_forwarding_matches_serial():

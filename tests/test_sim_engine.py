@@ -19,6 +19,8 @@ from repro.net.ports import PortNumbering, identity_ports
 from repro.sim.engine import Engine
 from repro.sim.messages import StateMessage
 from repro.sim.node import ConsensusProcess
+from repro.sim.persistence import trace_to_dict
+from repro.workloads import build_dac_execution, build_dbac_execution
 
 
 class RecorderProcess(ConsensusProcess):
@@ -331,3 +333,61 @@ class TestRunLoop:
         engine, _ = make_engine(3, StaticAdversary())
         assert engine.fault_free_values() == {0: 0.0, 1: 1.0, 2: 2.0}
         assert engine.fault_free_range() == 2.0
+
+
+# The enforced-family builds the port-major sweep is pinned against the
+# retained sender-major loop on: fault-free, staggered crashes, a
+# window-2 schedule and Byzantine DBAC.
+SWEEP_BUILDS = {
+    "enforced": lambda seed: build_dac_execution(n=9, f=4, seed=seed, crash_nodes=0),
+    "crash": lambda seed: build_dac_execution(n=9, f=4, seed=seed),
+    "window": lambda seed: build_dac_execution(n=9, f=4, seed=seed, window=2),
+    "byzantine": lambda seed: build_dbac_execution(n=9, f=1, seed=seed),
+}
+
+
+def _built_engine(kwargs, *, use_sweep, record_trace):
+    engine = Engine(
+        kwargs["processes"],
+        kwargs["adversary"],
+        kwargs["ports"],
+        fault_plan=kwargs["fault_plan"],
+        f=kwargs["f"],
+        seed=kwargs["seed"],
+        record_trace=record_trace,
+    )
+    engine._use_sweep = use_sweep
+    return engine
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("build", sorted(SWEEP_BUILDS))
+def test_sweep_matches_legacy_metrics_and_trace(build, seed):
+    """Sweep and legacy loop agree on states, traffic metrics and traces.
+
+    The differential harness compares state keys only; this pins the
+    rest of what a round produces: the delivered-message and bit
+    counters (untraced and traced) and the full serialized trace.
+    """
+    runs = {}
+    for use_sweep in (True, False):
+        for traced in (False, True):
+            engine = _built_engine(
+                SWEEP_BUILDS[build](seed), use_sweep=use_sweep, record_trace=traced
+            )
+            runs[use_sweep, traced] = (engine, int(engine.run(40)))
+    for traced in (False, True):
+        (swept, swept_rounds), (legacy, legacy_rounds) = (
+            runs[True, traced],
+            runs[False, traced],
+        )
+        assert swept_rounds == legacy_rounds
+        assert {v: p.state_key() for v, p in swept.processes.items()} == {
+            v: p.state_key() for v, p in legacy.processes.items()
+        }
+        assert swept.metrics == legacy.metrics
+        assert swept.metrics.delivered > 0
+    assert runs[True, False][0].metrics == runs[True, True][0].metrics
+    assert trace_to_dict(runs[True, True][0].trace) == trace_to_dict(
+        runs[False, True][0].trace
+    )

@@ -17,6 +17,11 @@ must have a ``### `rule-id` `` section on the docs page, and every
 such section must name a registered rule -- so the rule set and its
 documentation cannot drift apart.
 
+Finally, every ``python -m repro.<module>`` command in ``docs/*.md``
+and ``.claude/skills/verify/SKILL.md`` must name a module that
+``importlib.util.find_spec`` finds under ``src/`` -- so a deleted or
+renamed entry point cannot linger in a recipe.
+
 Used two ways: CI runs it as a standalone step, and
 ``tests/test_docs.py`` runs it inside tier-1 so a dead link fails the
 ordinary test suite too.
@@ -28,6 +33,7 @@ Usage::
 
 from __future__ import annotations
 
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -91,6 +97,42 @@ def lint_rule_parity(root: Path) -> list[str]:
     return problems
 
 
+# `python -m repro.x.y` / `python3 -m repro.x.y`, possibly wrapped
+# across a line break.
+_MODULE_COMMAND = re.compile(r"\bpython3?\s+-m\s+(repro(?:\.[A-Za-z_]\w*)*)")
+
+
+def command_files(root: Path) -> list[Path]:
+    """The recipes whose ``python -m`` commands must resolve."""
+    files = sorted((root / "docs").glob("*.md")) if (root / "docs").is_dir() else []
+    skill = root / ".claude" / "skills" / "verify" / "SKILL.md"
+    return files + ([skill] if skill.is_file() else [])
+
+
+def _module_exists(name: str) -> bool:
+    try:
+        return importlib.util.find_spec(name) is not None
+    except ImportError:  # a missing parent package
+        return False
+
+
+def missing_modules(root: Path) -> list[str]:
+    """``python -m`` targets that do not resolve, as ``file: module``."""
+    problems: list[str] = []
+    sys.path.insert(0, str(root / "src"))
+    try:
+        for path in command_files(root):
+            names = dict.fromkeys(_MODULE_COMMAND.findall(path.read_text()))
+            problems += [
+                f"{path.relative_to(root)}: {name}"
+                for name in names
+                if not _module_exists(name)
+            ]
+    finally:
+        sys.path.pop(0)
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parent.parent
@@ -102,6 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     for problem in parity:
         print(f"rule parity: {problem}")
     problems += parity
+    modules = missing_modules(root)
+    for problem in modules:
+        print(f"missing module: {problem}")
+    problems += modules
     print(f"checked {len(files)} markdown files: "
           f"{'FAIL' if problems else 'OK'} ({len(problems)} problems)")
     return 1 if problems else 0
