@@ -23,6 +23,6 @@ setup(
     extras_require={
         # Vectorized batched execution (repro.sim.batch numpy backend).
         "numpy": ["numpy>=1.24"],
-        "test": ["pytest", "pytest-benchmark"],
+        "test": ["pytest", "pytest-benchmark", "hypothesis"],
     },
 )

@@ -33,10 +33,10 @@ experiments run it in oracle mode to measure the real phase count, or
 override ``end_phase``.
 
 This class is also the executable specification of the vectorized
-DBAC lanes in :mod:`repro.sim.batch`: the kernel replicates
-:meth:`DBACProcess.deliver` port by port across ``(B, n)`` state
-arrays, with ``R_low``/``R_high`` as fixed-width sorted rows (see
-:attr:`DBACProcess.stored_count` and docs/batching.md). Changes to the
+DBAC lanes in :mod:`repro.sim.batch`: the kernel's event-segmented
+sweep replicates :meth:`DBACProcess.deliver` across ``(B, n)`` state
+arrays, with ``R_low``/``R_high`` rebuilt from a per-phase stored-value
+buffer (see :attr:`DBACProcess.stored_count` and docs/batching.md). Changes to the
 delivery or trimming rules here must be mirrored there; the
 determinism suite pins the two bit for bit.
 """

@@ -6,12 +6,12 @@ layer (:mod:`repro.sim.parallel`) scales those across cores; this
 module attacks the per-trial interpreter overhead inside one process:
 a numpy kernel advances ``B`` independent executions of one lane
 family *in lock-step*, so one pass over the round structure serves
-every lane at once. Node states live in ``(B, n)`` arrays and each
-round is processed port-by-port with vectorized updates across all
-``B * n`` nodes. The port-major sweep preserves the serial engine's
-delivery order exactly (deliveries are consumed sorted by port; within
-one port, node transitions only read the round-start broadcast
-snapshot, so they are independent).
+every lane at once. Node states live in ``(B, n)`` arrays, and each
+round's deliveries are consumed by an event-segmented sweep
+(:func:`_dac_sweep`, :func:`_dbac_sweep`): a node's state changes only
+at a jump or a quorum firing, so one vectorized pass settles every
+``(lane, node)`` cell up to its next event, in the serial engine's
+sorted-by-port order, and a round costs ``events + 1`` passes.
 
 Every kernel produces **bit-identical final states and round counts**
 to ``B`` serial ``Engine`` runs: every lane derives its inputs, ports
@@ -270,6 +270,184 @@ def _in_port_order(delivered, sender_at_port):
     return delivered[np.arange(lanes)[:, None, None], col, sender_at_port]
 
 
+# -- Event-segmented delivery sweeps ---------------------------------------
+#
+# A node's state changes at only two kinds of event: a jump (DAC lines
+# 5-8) and a quorum firing (DAC lines 9-15, DBAC lines 8-11). Between two
+# events each port's accept is independent of the others, so one pass
+# over the remaining ports settles a whole segment of every (lane, node)
+# cell at once; only cells with an event re-scan the ports after it. A
+# round costs (events per cell + 1) passes. Each sweep takes the round's
+# port-ordered (B, n, n) tables ([b, v, k]: the message on v's port k),
+# the (B, n) receiving cells and the process state arrays, which it
+# updates in place through flat (B * n)-cell views (the kernels' arrays
+# are C-contiguous). Table rows of other cells are never used, so stale
+# scatter-buffer rows are harmless.
+
+
+def _sweep_start(receiving, state):
+    """Flat state views, and each cell's first port: ``n`` (none) for
+    cells not receiving or decided."""
+    np = _np
+    if not all(array.flags.c_contiguous for array in state.values()):
+        raise ValueError("sweep state arrays must be C-contiguous: writes go through views")
+    n = state["received"].shape[2]
+    flat = {key: array.reshape(-1, *array.shape[2:]) for key, array in state.items()}
+    return flat, np.where((receiving & ~state["out_mask"]).reshape(-1), 0, n)
+
+
+def _record(accept, cells, flat, quorum):
+    """Record each cell's accepts up to its quorum event, if any.
+
+    ``count + cumsum(accept)`` is the witness count at every port; the
+    first accept reaching ``quorum`` fires. Returns that count, the
+    recorded accepts, the fired mask and the firing port (``n`` where
+    none fired).
+    """
+    np = _np
+    n = accept.shape[1]
+    reach = flat["count"][cells][:, None] + np.cumsum(accept, axis=1)
+    full = accept & (reach >= quorum)
+    fires = full.any(axis=1)
+    quorum_port = np.where(fires, full.argmax(axis=1), n)
+    taken = accept & (np.arange(n) <= quorum_port[:, None])
+    flat["received"][cells] |= taken
+    flat["count"][cells] += taken.sum(axis=1)
+    return reach, taken, fires, quorum_port
+
+
+def _new_phase(flat, cells, self_port, end_phase):
+    """Reset ``cells``, which hold their new value and phase, and decide
+    those at ``end_phase`` (DAC lines 16, 18-20; DBAC 12, 14-16).
+    Returns the decided mask."""
+    flat["received"][cells] = False
+    flat["received"][cells, self_port.reshape(-1)[cells]] = True
+    flat["count"][cells] = 1
+    decided = flat["phase"][cells] >= end_phase
+    done = cells[decided]
+    flat["phase"][done] = end_phase
+    flat["out_mask"][done] = True
+    flat["out_val"][done] = flat["value"][done]
+    return decided
+
+
+def _dac_sweep(
+    has_msg, msg_value, msg_phase, receiving, self_port, state, *,
+    quorum, end_phase, enable_jump,
+) -> None:
+    """One round of :meth:`~repro.core.dac.DACProcess.deliver` per cell.
+
+    ``state`` holds ``value``, ``phase``, ``received``, ``count``,
+    ``v_min``, ``v_max``, ``out_mask`` and ``out_val``. Per segment, the
+    jump event is the first port whose phase is ahead (with
+    ``enable_jump``), and the accepts are the fresh same-phase ports
+    strictly before it, recorded up to the quorum event. ``v_min`` and
+    ``v_max`` fold in the segment's first minimum and first maximum by
+    ``_store``'s strict ``<``/``>``.
+    """
+    np = _np
+    n = has_msg.shape[2]
+    flat, start = _sweep_start(receiving, state)
+    value, phase, v_min, v_max = (flat[key] for key in ("value", "phase", "v_min", "v_max"))
+    has_all, value_all, phase_all = (t.reshape(-1, n) for t in (has_msg, msg_value, msg_phase))
+    ports, ids = np.arange(n), np.arange(value.size)
+    cells = slice(None)  # the first pass covers every cell through views
+    while True:
+        incoming_value, incoming_phase = value_all[cells], phase_all[cells]
+        cell_phase = phase[cells][:, None]
+        pending = has_all[cells] & (ports >= start[:, None])
+        ahead = pending & (incoming_phase > cell_phase) & enable_jump
+        jump_port = np.where(ahead.any(axis=1), ahead.argmax(axis=1), n)
+        same = (
+            pending
+            & (incoming_phase == cell_phase)
+            & ~flat["received"][cells]
+            & (ports < jump_port[:, None])
+        )
+        _reach, taken, fires, quorum_port = _record(same, cells, flat, quorum)
+        rows = np.arange(start.size)
+        low = np.where(taken, incoming_value, np.inf)
+        low = low[rows, low.argmin(axis=1)]
+        high = np.where(taken, incoming_value, -np.inf)
+        high = high[rows, high.argmax(axis=1)]
+        cell_min, cell_max = v_min[cells], v_max[cells]
+        v_min[cells] = np.where(low < cell_min, low, cell_min)
+        v_max[cells] = np.where(high > cell_max, high, cell_max)
+
+        jumps = ~fires & (jump_port < n)
+        event = fires | jumps
+        if not event.any():
+            return
+        here = ids[cells]
+        fired = here[fires]  # quorum (lines 9-15): the midpoint, next phase
+        value[fired] = 0.5 * (v_min[fired] + v_max[fired])
+        phase[fired] += 1
+        jumped = (jumps, jump_port[jumps])  # jump (lines 5-8): copy the future state
+        value[here[jumps]] = incoming_value[jumped]
+        phase[here[jumps]] = incoming_phase[jumped]
+        start = np.where(fires, quorum_port, jump_port)[event] + 1
+        cells = here[event]
+        v_min[cells] = v_max[cells] = value[cells]
+        more = ~_new_phase(flat, cells, self_port, end_phase) & (start < n)
+        cells, start = cells[more], start[more]
+
+
+def _dbac_sweep(
+    has_msg, msg_value, msg_phase, receiving, self_port, state, *,
+    quorum, trim, end_phase,
+) -> None:
+    """One round of :meth:`~repro.core.dbac.DBACProcess.deliver` per cell.
+
+    ``state`` holds ``value``, ``phase``, ``received``, ``count``,
+    ``stored``, ``out_mask`` and ``out_val``; ``stored (B, n, quorum)``
+    keeps the phase's stored values in witness-count order. Accepts are
+    the fresh ports at the current phase or later, and each lands in
+    slot ``count - 1`` of its witness count. The quorum firing is the
+    only event: the ``trim``-th smallest and largest of the ``quorum``
+    stored values, by one ``np.partition``, give the midpoint.
+    """
+    np = _np
+    n = has_msg.shape[2]
+    flat, start = _sweep_start(receiving, state)
+    value, phase, stored = flat["value"], flat["phase"], flat["stored"]
+    has_all, value_all, phase_all = (t.reshape(-1, n) for t in (has_msg, msg_value, msg_phase))
+    ports, ids = np.arange(n), np.arange(value.size)
+    kth = sorted({trim - 1, quorum - trim})
+    cells = slice(None)  # the first pass covers every cell through views
+    while True:
+        accept = (
+            has_all[cells]
+            & (ports >= start[:, None])
+            & (phase_all[cells] >= phase[cells][:, None])
+            & ~flat["received"][cells]
+        )
+        reach, taken, fires, quorum_port = _record(accept, cells, flat, quorum)
+        here = ids[cells]
+        row, port = np.nonzero(taken)
+        stored[here[row], reach[row, port] - 1] = value_all[here[row], port]
+
+        if not fires.any():
+            return
+        start = quorum_port[fires] + 1
+        cells = here[fires]
+        part = np.partition(stored[cells], kth, axis=1)
+        value[cells] = 0.5 * (part[:, trim - 1] + part[:, quorum - trim])
+        phase[cells] += 1
+        stored[cells, 0] = value[cells]
+        more = ~_new_phase(flat, cells, self_port, end_phase) & (start < n)
+        cells, start = cells[more], start[more]
+
+
+def _dac_state_keys(state, b: int) -> dict[int, tuple]:
+    """Every node's :meth:`~repro.core.dac.DACProcess.state_key` in lane row ``b``."""
+    keys = ("value", "phase", "received", "v_min", "v_max", "out_mask", "out_val")
+    rows = zip(*(state[key][b].tolist() for key in keys))
+    return {
+        node: (value, phase, tuple(received), low, high, out if decided else None)
+        for node, (value, phase, received, low, high, decided, out) in enumerate(rows)
+    }
+
+
 def dac_kernel_refusal(selector: str = "rotate") -> str | None:
     """Why :class:`BatchEngine` cannot run these lanes, or ``None``.
 
@@ -396,35 +574,25 @@ class BatchEngine:
             crash_round[node] = event.round
         fault_free = np.array(self._fault_free, dtype=np.intp)
 
-        # DACProcess state, one row per lane (Algorithm 1 init block).
-        value = inputs.copy()
-        phase = np.zeros((lanes, n), dtype=np.int64)
-        v_min = value.copy()
-        v_max = value.copy()
-        received = np.zeros((lanes, n, n), dtype=bool)
+        # DACProcess state, one row per lane (Algorithm 1 init block);
+        # end phase 0 decides at once (the init-time _check_output).
+        decided = self.end_phase == 0
+        state = dict(
+            value=inputs.copy(), phase=np.zeros((lanes, n), dtype=np.int64),
+            received=np.zeros((lanes, n, n), dtype=bool),
+            count=np.ones((lanes, n), dtype=np.int64),
+            v_min=inputs.copy(), v_max=inputs.copy(),
+            out_mask=np.full((lanes, n), decided),
+            out_val=np.where(decided, inputs, 0.0),
+        )
         lane_idx = np.arange(lanes)
-        received[lane_idx[:, None], np.arange(n)[None, :], self_port] = True
-        count = np.ones((lanes, n), dtype=np.int64)
-        out_mask = np.zeros((lanes, n), dtype=bool)
-        out_val = np.zeros((lanes, n), dtype=np.float64)
-        if self.end_phase == 0:  # init-time _check_output: decide at once
-            out_mask[:] = True
-            out_val[:] = value
-
+        state["received"][lane_idx[:, None], np.arange(n)[None, :], self_port] = True
+        value, phase, out_mask, out_val = (
+            state[key] for key in ("value", "phase", "out_mask", "out_val")
+        )
         results: list[LaneResult | None] = [None] * lanes
 
         def finalize(b: int, rounds: int, stopped: bool) -> None:
-            state_keys = {}
-            for node in range(n):
-                decided = bool(out_mask[b, node])
-                state_keys[node] = (
-                    float(value[b, node]),
-                    int(phase[b, node]),
-                    tuple(bool(bit) for bit in received[b, node]),
-                    float(v_min[b, node]),
-                    float(v_max[b, node]),
-                    float(out_val[b, node]) if decided else None,
-                )
             results[b] = LaneResult(
                 seed=self.seeds[b],
                 rounds=rounds,
@@ -435,12 +603,11 @@ class BatchEngine:
                     for node in fault_free
                     if out_mask[b, node]
                 },
-                state_keys=state_keys,
+                state_keys=_dac_state_keys(state, b),
             )
 
         gather_lane = lane_idx[:, None, None]
         lane_active = np.ones(lanes, dtype=bool)
-        enable_jump = self.enable_jump
         end_phase = self.end_phase
         t = 0
         while True:
@@ -482,66 +649,14 @@ class BatchEngine:
             )
             has_msg = _in_port_order(delivered, sender_at_port)
 
-            # Round-start broadcast snapshot, then the port-major sweep.
-            bc_value = value.copy()
-            bc_phase = phase.copy()
-            msg_value = bc_value[gather_lane, sender_at_port]
-            msg_phase = bc_phase[gather_lane, sender_at_port]
+            # The gathered tables are the round-start broadcast snapshot.
+            msg_value = value[gather_lane, sender_at_port]
+            msg_phase = phase[gather_lane, sender_at_port]
             receiving = lane_active[:, None] & live[None, :]
-
-            for port in range(n):
-                here = has_msg[:, :, port] & receiving
-                if not here.any():
-                    continue
-                active = here & ~out_mask
-                if not active.any():
-                    continue
-                incoming_value = msg_value[:, :, port]
-                incoming_phase = msg_phase[:, :, port]
-                # Masks from the same pre-update phase, like the serial
-                # if/elif -- a jump must not re-match as same-phase.
-                jump = (
-                    active & (incoming_phase > phase)
-                    if enable_jump
-                    else np.zeros_like(active)
-                )
-                same = active & (incoming_phase == phase) & ~received[:, :, port]
-                if jump.any():
-                    value = np.where(jump, incoming_value, value)
-                    phase = np.where(jump, incoming_phase, phase)
-                    received[jump] = False
-                    jb, jn = np.nonzero(jump)
-                    received[jb, jn, self_port[jb, jn]] = True
-                    count[jump] = 1
-                    v_min = np.where(jump, value, v_min)
-                    v_max = np.where(jump, value, v_max)
-                    decided = jump & (phase >= end_phase)
-                    if decided.any():
-                        phase = np.where(decided, end_phase, phase)
-                        out_mask |= decided
-                        out_val = np.where(decided, value, out_val)
-                if same.any():
-                    received[:, :, port] |= same
-                    count = np.where(same, count + 1, count)
-                    lower = same & (incoming_value < v_min)
-                    v_min = np.where(lower, incoming_value, v_min)
-                    higher = same & ~lower & (incoming_value > v_max)
-                    v_max = np.where(higher, incoming_value, v_max)
-                    full = same & (count >= self.quorum)
-                    if full.any():
-                        value = np.where(full, 0.5 * (v_min + v_max), value)
-                        phase = np.where(full, phase + 1, phase)
-                        received[full] = False
-                        qb, qn = np.nonzero(full)
-                        received[qb, qn, self_port[qb, qn]] = True
-                        count[full] = 1
-                        v_min = np.where(full, value, v_min)
-                        v_max = np.where(full, value, v_max)
-                        decided = full & (phase >= end_phase)
-                        if decided.any():
-                            phase = np.where(decided, end_phase, phase)
-                            out_mask |= decided
-                            out_val = np.where(decided, value, out_val)
+            _dac_sweep(
+                has_msg, msg_value, msg_phase, receiving, self_port, state,
+                quorum=self.quorum, end_phase=end_phase, enable_jump=self.enable_jump,
+            )
             t += 1
         return [result for result in results if result is not None]
 
@@ -951,26 +1066,17 @@ class ByzBatchEngine:
         """Advance DBAC lanes in lock-step until all rows (and, with a
         ``pending`` queue, all queued refills) are finalized.
 
-        Port-major like the DAC kernel: deliveries are consumed sorted
-        by port, so processing port ``k`` across every (lane, node)
-        cell replicates each ``DBACProcess.deliver`` call's in-batch
-        order -- including quorum updates that fire mid-batch and
-        re-filter the remaining ports against the new phase. The self
-        message is never materialized: its port is pre-marked in
-        ``R_i`` at phase start, so the serial engine's reliable
-        self-delivery is always filtered (asserted by the equivalence
-        tests through full state keys).
-
-        The ``R_low``/``R_high`` recording lists are not maintained as
-        sorted lists per store (that cost dominated the kernel):
-        instead every stored value lands in a flat per-phase
-        ``(B, n, quorum)`` buffer indexed by the witness counter, and
-        the trimmed extremes -- the ``(f+1)``-st smallest and largest
-        of exactly ``quorum`` stored values -- come from one
-        ``np.partition`` over the cells whose quorum fired. The exact
-        serial lists are reconstructed from the buffer at finalize
-        time; both representations hold the same value multisets, so
-        the state keys (and the midpoint arithmetic) are bit-identical
+        Each delivering round is one :func:`_dbac_sweep`: quorums that
+        fire mid-batch re-filter the remaining ports against the new
+        phase, as in each ``DBACProcess.deliver`` call. The self message
+        is never materialized: its port is pre-marked in ``R_i`` at
+        phase start, so the engine's reliable self-delivery is always
+        filtered. ``R_low``/``R_high`` are not kept as sorted lists:
+        each phase's stored values fill a ``(B, n, quorum)`` buffer in
+        witness-count order, the sweep takes the trimmed extremes from
+        it by one ``np.partition``, and finalize rebuilds the exact
+        serial lists from it -- the same value multisets, so state keys
+        and midpoints are bit-identical
         (see :attr:`repro.core.dbac.DBACProcess.stored_count`).
         """
         np = _np
@@ -1035,6 +1141,10 @@ class ByzBatchEngine:
         stored = np.zeros((lanes, n, quorum), dtype=np.float64)
         out_mask = np.zeros((lanes, n), dtype=bool)
         out_val = np.zeros((lanes, n), dtype=np.float64)
+        state = dict(
+            value=value, phase=phase, received=received, count=count,
+            stored=stored, out_mask=out_mask, out_val=out_val,
+        )
         lane_t = np.zeros(lanes, dtype=np.int64)
         lane_active = np.zeros(lanes, dtype=bool)
 
@@ -1054,12 +1164,8 @@ class ByzBatchEngine:
             received[b, node_idx, self_port[b]] = True
             count[b] = 1
             stored[b, :, 0] = value[b]
-            if end_phase == 0:  # init-time _check_output: decide at once
-                out_mask[b] = True
-                out_val[b] = value[b]
-            else:
-                out_mask[b] = False
-                out_val[b] = 0.0
+            out_mask[b] = end_phase == 0  # the init-time _check_output
+            out_val[b] = value[b] if end_phase == 0 else 0.0
             lane_t[b] = 0
             lane_active[b] = True
 
@@ -1139,24 +1245,22 @@ class ByzBatchEngine:
             )
             if delivering.any():
                 deliver_rows = np.nonzero(delivering)[0]
-                # Round-start broadcast snapshot -- what the adversary
-                # and the Byzantine strategies see, and what honest
-                # senders transmit this round.
-                bc_value = value.copy()
-                bc_phase = phase.copy()
-                max_ff_phase = bc_phase[:, ff].max(axis=1)
+                # The round-start state -- what the adversary and the
+                # Byzantine strategies see and honest senders transmit --
+                # is read before the sweep updates it.
+                max_ff_phase = phase[:, ff].max(axis=1)
                 sap_d = sender_at_port[deliver_rows]
 
                 delivered_recv = select_delivered(
-                    self.selector, self.degree, bc_value[deliver_rows], all_live, byz,
+                    self.selector, self.degree, value[deliver_rows], all_live, byz,
                     (lane_t[deliver_rows] // window).tolist(),
                     [adversary_rngs[b] for b in deliver_rows], self._rotate_cache,
                 )
                 has_msg_d = _in_port_order(delivered_recv, sap_d)
 
                 gather_d = (deliver_rows[:, None, None], sap_d)
-                msg_value_d = bc_value[gather_d]
-                msg_phase_d = bc_phase[gather_d]
+                msg_value_d = value[gather_d]
+                msg_phase_d = phase[gather_d]
                 if byz.size:
                     is_byz_sender = byz_flag[sap_d]
                     byz_value_d = byz_value[sap_d, node_idx[None, :, None]]
@@ -1179,54 +1283,10 @@ class ByzBatchEngine:
                     has_msg_d, msg_value_d, msg_phase_d,
                 )
 
-                receiving = delivering[:, None] & honest[None, :]
-                for port in range(n):
-                    candidate = has_msg[:, :, port] & receiving
-                    if not candidate.any():
-                        continue
-                    # Lines 4-7 of Algorithm 2: frozen nodes skip the
-                    # rest of their batch, stale phases and repeat
-                    # ports are filtered, fresh ports are recorded.
-                    accept = (
-                        candidate
-                        & ~out_mask
-                        & (msg_phase[:, :, port] >= phase)
-                        & ~received[:, :, port]
-                    )
-                    if not accept.any():
-                        continue
-                    received[:, :, port] |= accept
-                    count = np.where(accept, count + 1, count)
-                    incoming = msg_value[:, :, port]
-                    accept_lane, accept_node = np.nonzero(accept)
-                    stored[
-                        accept_lane, accept_node, count[accept_lane, accept_node] - 1
-                    ] = incoming[accept_lane, accept_node]
-                    full = accept & (count >= quorum)
-                    if full.any():
-                        # Lines 8-11: trimmed-midpoint update -- the
-                        # (f+1)-st lowest and highest of the quorum
-                        # stored states (max(R_low) and min(R_high)) --
-                        # then next phase, reset, self-store.
-                        full_lane, full_node = np.nonzero(full)
-                        quorum_rows = stored[full_lane, full_node]
-                        kth = (trim - 1, quorum - trim)
-                        part = np.partition(
-                            quorum_rows, sorted(set(kth)), axis=1
-                        )
-                        value[full_lane, full_node] = 0.5 * (
-                            part[:, trim - 1] + part[:, quorum - trim]
-                        )
-                        phase = np.where(full, phase + 1, phase)
-                        received[full] = False
-                        received[full_lane, full_node, self_port[full_lane, full_node]] = True
-                        count = np.where(full, 1, count)
-                        stored[full_lane, full_node, 0] = value[full_lane, full_node]
-                        decided = full & (phase >= end_phase)
-                        if decided.any():
-                            phase = np.where(decided, end_phase, phase)
-                            out_mask |= decided
-                            out_val = np.where(decided, value, out_val)
+                _dbac_sweep(
+                    has_msg, msg_value, msg_phase, delivering[:, None] & honest[None, :],
+                    self_port, state, quorum=quorum, trim=trim, end_phase=end_phase,
+                )
             # Silent window rounds change no state: the only delivery
             # is each node's own message, whose port is already marked.
             lane_t = np.where(lane_active, lane_t + 1, lane_t)
@@ -1234,12 +1294,11 @@ class ByzBatchEngine:
     def _kernel_mobile(self, rows, pending, results) -> None:
         """Advance mobile-omission DAC lanes in lock-step (with refill).
 
-        DAC's jump/quorum update rule (mirroring
-        :class:`BatchEngine`'s kernel) under per-lane delivered-from
-        matrices: the complete graph minus each receiver's targeted
-        in-link, computed per lane from the round-start values with
-        two ``argmin``/``argmax`` passes -- the vectorized form of
-        :func:`repro.adversary.mobile.mobile_victims`.
+        :class:`BatchEngine`'s update rule, the same :func:`_dac_sweep`,
+        under per-lane delivered-from matrices: the complete graph minus
+        each receiver's targeted in-link, computed per lane from the
+        round-start values with two ``argmin``/``argmax`` passes -- the
+        vectorized form of :func:`repro.adversary.mobile.mobile_victims`.
         """
         np = _np
         n = self.n
@@ -1254,14 +1313,16 @@ class ByzBatchEngine:
         inputs = np.empty((lanes, n), dtype=np.float64)
         sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
         self_port = np.empty((lanes, n), dtype=np.intp)
-        value = np.empty((lanes, n), dtype=np.float64)
-        phase = np.zeros((lanes, n), dtype=np.int64)
-        v_min = np.empty((lanes, n), dtype=np.float64)
-        v_max = np.empty((lanes, n), dtype=np.float64)
-        received = np.zeros((lanes, n, n), dtype=bool)
-        count = np.ones((lanes, n), dtype=np.int64)
-        out_mask = np.zeros((lanes, n), dtype=bool)
-        out_val = np.zeros((lanes, n), dtype=np.float64)
+        state = dict(
+            value=np.empty((lanes, n)), phase=np.zeros((lanes, n), dtype=np.int64),
+            received=np.zeros((lanes, n, n), dtype=bool),
+            count=np.ones((lanes, n), dtype=np.int64),
+            v_min=np.empty((lanes, n)), v_max=np.empty((lanes, n)),
+            out_mask=np.zeros((lanes, n), dtype=bool), out_val=np.zeros((lanes, n)),
+        )
+        value, phase, received, out_mask, out_val = (
+            state[key] for key in ("value", "phase", "received", "out_mask", "out_val")
+        )
         lane_t = np.zeros(lanes, dtype=np.int64)
         lane_active = np.zeros(lanes, dtype=bool)
         complete = ~np.eye(n, dtype=bool)  # receiver-major, no self loop
@@ -1273,34 +1334,18 @@ class ByzBatchEngine:
             inputs[b] = lane_inputs
             sender_at_port[b] = lane_sap
             self_port[b] = lane_self
-            value[b] = inputs[b]
-            v_min[b] = value[b]
-            v_max[b] = value[b]
+            for key in ("value", "v_min", "v_max"):
+                state[key][b] = inputs[b]
             phase[b] = 0
             received[b] = False
             received[b, node_idx, self_port[b]] = True
-            count[b] = 1
-            if end_phase == 0:
-                out_mask[b] = True
-                out_val[b] = value[b]
-            else:
-                out_mask[b] = False
-                out_val[b] = 0.0
+            state["count"][b] = 1
+            out_mask[b] = end_phase == 0  # the init-time _check_output
+            out_val[b] = inputs[b] if end_phase == 0 else 0.0
             lane_t[b] = 0
             lane_active[b] = True
 
         def finalize_row(b: int, stopped: bool) -> None:
-            state_keys = {}
-            for node in range(n):
-                decided = bool(out_mask[b, node])
-                state_keys[node] = (
-                    float(value[b, node]),
-                    int(phase[b, node]),
-                    tuple(bool(bit) for bit in received[b, node]),
-                    float(v_min[b, node]),
-                    float(v_max[b, node]),
-                    float(out_val[b, node]) if decided else None,
-                )
             if self.stop_mode == "output":
                 outputs = {
                     int(node): float(out_val[b, node])
@@ -1315,7 +1360,7 @@ class ByzBatchEngine:
                 stopped=stopped,
                 inputs={int(node): float(inputs[b, node]) for node in range(n)},
                 outputs=outputs,
-                state_keys=state_keys,
+                state_keys=_dac_state_keys(state, b),
             )
             lane_active[b] = False
 
@@ -1337,8 +1382,6 @@ class ByzBatchEngine:
                 return
 
             deliver_rows = np.nonzero(lane_active)[0]
-            bc_value = value.copy()
-            bc_phase = phase.copy()
             sap_d = sender_at_port[deliver_rows]
 
             delivered_recv = np.broadcast_to(
@@ -1351,7 +1394,7 @@ class ByzBatchEngine:
                     np.nonzero(cut)[0], np.nonzero(cut)[1], victim[cut]
                 ] = False
             elif mode in ("block_min", "block_max"):
-                lane_values = bc_value[deliver_rows]
+                lane_values = value[deliver_rows]
                 pick = np.argmin if mode == "block_min" else np.argmax
                 first = pick(lane_values, axis=1)
                 masked = lane_values.copy()
@@ -1368,64 +1411,18 @@ class ByzBatchEngine:
                 ] = False
             # mode == "none": keep the complete graph.
             has_msg_d = np.take_along_axis(delivered_recv, sap_d, axis=2)
-            msg_value_d = bc_value[deliver_rows[:, None, None], sap_d]
-            msg_phase_d = bc_phase[deliver_rows[:, None, None], sap_d]
+            msg_value_d = value[deliver_rows[:, None, None], sap_d]
+            msg_phase_d = phase[deliver_rows[:, None, None], sap_d]
 
             has_msg, msg_value, msg_phase = self._scatter_messages(
                 scatter_buffers, lanes, deliver_rows,
                 has_msg_d, msg_value_d, msg_phase_d,
             )
 
-            receiving = np.broadcast_to(lane_active[:, None], (lanes, n))
-            for port in range(n):
-                here = has_msg[:, :, port] & receiving
-                if not here.any():
-                    continue
-                active = here & ~out_mask
-                if not active.any():
-                    continue
-                incoming_value = msg_value[:, :, port]
-                incoming_phase = msg_phase[:, :, port]
-                # Masks from the same pre-update phase, like the serial
-                # if/elif -- a jump must not re-match as same-phase.
-                jump = active & (incoming_phase > phase)
-                same = active & (incoming_phase == phase) & ~received[:, :, port]
-                if jump.any():
-                    value = np.where(jump, incoming_value, value)
-                    phase = np.where(jump, incoming_phase, phase)
-                    received[jump] = False
-                    jump_lane, jump_node = np.nonzero(jump)
-                    received[jump_lane, jump_node, self_port[jump_lane, jump_node]] = True
-                    count[jump] = 1
-                    v_min = np.where(jump, value, v_min)
-                    v_max = np.where(jump, value, v_max)
-                    decided = jump & (phase >= end_phase)
-                    if decided.any():
-                        phase = np.where(decided, end_phase, phase)
-                        out_mask |= decided
-                        out_val = np.where(decided, value, out_val)
-                if same.any():
-                    received[:, :, port] |= same
-                    count = np.where(same, count + 1, count)
-                    lower = same & (incoming_value < v_min)
-                    v_min = np.where(lower, incoming_value, v_min)
-                    higher = same & ~lower & (incoming_value > v_max)
-                    v_max = np.where(higher, incoming_value, v_max)
-                    full = same & (count >= quorum)
-                    if full.any():
-                        value = np.where(full, 0.5 * (v_min + v_max), value)
-                        phase = np.where(full, phase + 1, phase)
-                        received[full] = False
-                        full_lane, full_node = np.nonzero(full)
-                        received[full_lane, full_node, self_port[full_lane, full_node]] = True
-                        count[full] = 1
-                        v_min = np.where(full, value, v_min)
-                        v_max = np.where(full, value, v_max)
-                        decided = full & (phase >= end_phase)
-                        if decided.any():
-                            phase = np.where(decided, end_phase, phase)
-                            out_mask |= decided
-                            out_val = np.where(decided, value, out_val)
+            _dac_sweep(
+                has_msg, msg_value, msg_phase, lane_active[:, None], self_port, state,
+                quorum=quorum, end_phase=end_phase, enable_jump=True,
+            )
             lane_t = np.where(lane_active, lane_t + 1, lane_t)
 
 

@@ -383,11 +383,13 @@ class Engine:
         return record
 
     def _run_round_legacy(self, t: int) -> RoundRecord:
-        """The sender-major inbox loop (traced path / sweep reference).
+        """The sender-major inbox loop: the sweep's reference implementation.
 
-        Kept as the reference implementation the sweep is pinned
-        against, and as the path that materializes
-        :class:`RoundSnapshot`s for the trace and observers.
+        Runs only when ``_use_sweep`` is off, as the differential
+        harness sets it to pin the sweep against this loop; traced and
+        observer runs take :meth:`_run_round_swept` like every other
+        round. It assembles its own :class:`RoundSnapshot` so traced
+        runs compare on both paths too.
         """
         fault_plan = self.fault_plan
         broadcasts, send_meta = self._collect_broadcasts(t)
@@ -521,7 +523,7 @@ class Engine:
         return plan
 
     def _run_round_swept(self, t: int) -> RoundRecord:
-        """One untraced round as a port-major sweep over ``in_rows()``.
+        """One round as a port-major sweep over ``in_rows()``.
 
         Crash/omission masks are applied on the sender axis *before*
         fan-in: silent senders never enter the per-round message table,

@@ -504,6 +504,21 @@ class TestMobileBatchMatchesSerial:
             {"serial-fast": serial_executor(), "batch": run_config_batch},
         )
 
+    @needs_numpy
+    @pytest.mark.parametrize("compact", [True, False])
+    @pytest.mark.parametrize("mode", MOBILE_MODES)
+    def test_kernel_matches_serial_engine_with_and_without_compaction(self, mode, compact):
+        # Every receiver hears n - 2 peers a round, so these are the real
+        # executions most likely to put several events in one cell's
+        # round; width 3 < 7 seeds makes compaction refill rows mid-run.
+        seeds = list(range(7))
+        for stop_mode in ("oracle", "output"):
+            lanes = ByzBatchEngine(
+                13, None, seeds, adversary=f"mobile-{mode}", stop_mode=stop_mode,
+                width=3, compact=compact,
+            ).run()
+            assert lanes == generic_mobile_lanes(13, seeds, mode, stop_mode=stop_mode)
+
     def test_batched_summaries_equal_serial_trial_summaries(self):
         seeds = list(range(3))
         lanes = run_byz_batch(8, None, seeds, adversary="mobile-block_min")
