@@ -95,7 +95,6 @@ class Sweep:
         batch: int | None = None,
         batch_fn: Callable[..., Sequence[Any]] | None = None,
         pool: str | None = None,
-        arenas: bool | None = None,
     ) -> list[SweepRecord]:
         """Execute ``fn(**params, seed=...)`` over the whole grid.
 
@@ -105,7 +104,7 @@ class Sweep:
         registry (:func:`repro.scenario.resolve_trial`) to the
         family's module-level trial function plus its fully-defaulted
         parameters; grid cells override spec parameters key-by-key,
-        and the ``batch_fn``/``arena_plan`` attachments ride along, so
+        and the ``batch_fn`` attachment rides along, so
         every knob below works identically for spec-driven sweeps.
         The spec's own ``seed`` is ignored here -- sweep seeding stays
         with ``seed0``/``repeats``.
@@ -131,13 +130,11 @@ class Sweep:
         process-wide default (a CLI ``--batch`` flag), which degrades
         to unbatched execution for functions without a batched form.
 
-        ``pool`` and ``arenas`` pass through to
+        ``pool`` passes through to
         :func:`repro.sim.parallel.run_trials`: by default parallel runs
-        reuse the persistent module-level worker pool (and publish
-        shared-memory structure tables for batched dispatch);
-        ``pool="fresh"`` spins a pool up for this call only and
-        ``arenas=False`` disables table publication. Both are pure
-        speed knobs -- records are identical in any combination.
+        reuse the persistent module-level worker pool;
+        ``pool="fresh"`` spins a pool up for this call only. Either way
+        is a pure speed knob -- records are identical.
 
         Results are collected into :attr:`records` (appending across
         multiple ``run`` calls) and returned.
@@ -159,7 +156,6 @@ class Sweep:
             batch=batch,
             batch_fn=batch_fn,
             pool=pool,
-            arenas=arenas,
         )
         new_records = [
             SweepRecord(spec.params, spec.seed, result)

@@ -12,7 +12,7 @@ Usage::
     python -m repro.cli sweep --n 5 9 13 --window 1 2 --repeats 5 --workers 4
     python -m repro.cli sweep --n 9 --repeats 32 --workers 4 --batch 8
     python -m repro.cli sweep --family dbac --n 11 16 --strategy extreme --batch 8
-    python -m repro.cli sweep --n 9 --workers 4 --batch 8 --pool fresh --no-arenas
+    python -m repro.cli sweep --n 9 --workers 4 --batch 8 --pool fresh
     python -m repro.cli sweep --spec "algorithm: averaging@1(n=6); rounds: 40"
     python -m repro.cli spec "algorithm: dac@1(n=9); network: dynadegree@1(window=3)"
     python -m repro.cli serve --port 8787 --cache results.jsonl --workers 4
@@ -265,7 +265,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         workers=args.workers,
         batch=args.batch,
         pool=args.pool,
-        arenas=not args.no_arenas,
     )
     elapsed = time.perf_counter() - started
     table = sweep.to_table(
@@ -548,13 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker-pool lifecycle: 'persist' (default) reuses one "
         "warm pool across sweeps in this process, 'fresh' spins a "
         "pool up per sweep; records are identical either way",
-    )
-    p_sweep.add_argument(
-        "--no-arenas",
-        action="store_true",
-        help="disable shared-memory structure-table publication for "
-        "batched dispatch (repro.sim.arena); a pure speed knob, "
-        "records are identical either way",
     )
     p_sweep.set_defaults(fn=_cmd_sweep)
 

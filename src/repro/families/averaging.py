@@ -7,7 +7,7 @@ families copy (see ``docs/scenarios.md``): one module that
    :class:`repro.core.averaging.AveragingProcess`;
 2. defines a module-level picklable trial function with a
    ``batch_fn`` attachment (here simply the serial trial once per
-   seed -- no dedicated kernel needed) and an ``arena_plan`` hook;
+   seed -- no dedicated kernel needed);
 3. subclasses :class:`repro.scenario.registry.AlgorithmFamily` and
    registers it with :func:`repro.scenario.registry.register_algorithm`
    at import time, reusing the declared component vocabulary
@@ -33,6 +33,7 @@ from repro.core.phases import dac_end_phase
 from repro.faults.base import FaultPlan
 from repro.net.ports import random_ports
 from repro.scenario.registry import AlgorithmFamily, ParamSpec, register_algorithm
+from repro.sim.arena import empty_arena_plan
 from repro.sim.rng import child_rng, spawn_inputs
 from repro.workloads import dac_degree
 
@@ -173,14 +174,8 @@ def _averaging_build_for_seed(seed: int, **params: Any) -> dict[str, Any]:
     return build_averaging_execution(seed=seed, **params)
 
 
-def _averaging_arena_plan(params: dict[str, Any]) -> list[Any]:
-    """No tables to prepublish: the batched form runs serial engines,
-    which never read the shared delivered-from tables."""
-    return []
-
-
 run_averaging_trial.batch_fn = run_averaging_trial_batch  # type: ignore[attr-defined]
-run_averaging_trial_batch.arena_plan = _averaging_arena_plan  # type: ignore[attr-defined]
+run_averaging_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
 
 
 @register_algorithm("averaging", version=1)

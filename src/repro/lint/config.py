@@ -77,10 +77,10 @@ class LintConfig:
     )
 
     # -- optional numpy ---------------------------------------------------
-    # numpy is an optional extra: only the batch kernel and the
-    # shared-memory arena layer may import it, and only behind the
-    # documented try/except ImportError guard so the pure-Python
-    # fallback keeps the package importable without it.
+    # numpy is an optional extra: only the batch kernel and its
+    # structure-table memo (repro.sim.arena) may import it, and only
+    # behind the documented try/except ImportError guard so the
+    # pure-Python fallback keeps the package importable without it.
     numpy_modules: tuple[str, ...] = ("repro.sim.batch", "repro.sim.arena")
 
     # -- engine hot path --------------------------------------------------
@@ -182,12 +182,12 @@ class LintConfig:
     pool_keywords: tuple[str, ...] = ("pool",)
     batch_fn_attr: str = "batch_fn"
 
-    # -- shared-memory arenas ----------------------------------------------
-    # Tables served by the arena layer are read-only by contract:
-    # warm pool workers hand out zero-copy views into shared segments,
-    # so a write through one would corrupt every other worker's (and
-    # the parent's) view of the graph. Names bound to these factories
-    # must never be written through -- kernels copy first.
+    # -- structure-table memo ----------------------------------------------
+    # Tables served by the arena module are read-only by contract:
+    # one memoized array per topology is shared by every kernel in
+    # the process, so a write through one would corrupt every other
+    # kernel's view of the graph. Names bound to these factories must
+    # never be written through -- kernels copy first.
     arena_module: str = "repro.sim.arena"
     arena_factories: tuple[str, ...] = ("delivered_table",)
     arena_mutating_methods: tuple[str, ...] = (

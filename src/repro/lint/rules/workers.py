@@ -8,13 +8,12 @@ worker default); the ``worker-closure`` rule moves the failure to the
 call site. ``pool=`` keywords on the persistent-pool entry points mark
 the same fan-out surface and get the same treatment.
 
-The ``arena-readonly`` rule guards the other side of the boundary:
-tables served by :mod:`repro.sim.arena` are zero-copy views into
-shared-memory segments that warm pool workers hand out by content
-hash. A write through one would corrupt every attached process's view
-of the graph, so names bound to the arena factories must never be
-written through -- kernels copy first (``table.T.copy()``) and write
-to the copy.
+The ``arena-readonly`` rule guards the kernels' shared state: tables
+served by :mod:`repro.sim.arena` are one memoized array per content
+hash, handed to every kernel in the process. A write through one
+would corrupt every other kernel's view of the graph, so names bound
+to the arena factories must never be written through -- kernels copy
+first (``table.T.copy()``) and write to the copy.
 """
 
 from __future__ import annotations
@@ -158,9 +157,9 @@ def _arena_bound_names(scope: ast.AST, factories: tuple[str, ...]) -> set[str]:
 
 @rule(
     "arena-readonly",
-    summary="write through a shared arena table view",
+    summary="write through a shared arena table",
     invariant="tables served by repro.sim.arena are read-only "
-    "shared-memory views; kernels copy before writing",
+    "memo tables shared in-process; kernels copy before writing",
 )
 def check_arena_readonly(ctx) -> Iterator:
     config = ctx.config
@@ -184,9 +183,9 @@ def check_arena_readonly(ctx) -> Iterator:
                             target,
                             "arena-readonly",
                             f"write through arena table "
-                            f"{_base_name(target)!r}: shared-memory views "
-                            "are read-only across every attached process; "
-                            "copy first (e.g. table.T.copy())",
+                            f"{_base_name(target)!r}: memo tables are "
+                            "read-only, shared by every kernel in the "
+                            "process; copy first (e.g. table.T.copy())",
                         )
             elif isinstance(node, ast.AugAssign):
                 if _base_name(node.target) in names:
@@ -195,7 +194,7 @@ def check_arena_readonly(ctx) -> Iterator:
                         "arena-readonly",
                         f"in-place operator on arena table "
                         f"{_base_name(node.target)!r} mutates a read-only "
-                        "shared-memory view; copy first",
+                        "shared memo table; copy first",
                     )
             elif isinstance(node, ast.Call):
                 func = node.func

@@ -301,12 +301,10 @@ class Topology:
         model excludes self-loops, and reliable self-delivery is the
         engine's concern, applied per live set downstream.
 
-        This is the arena export hook (:mod:`repro.sim.arena`): the
-        bytes are position-independent and identical across processes,
-        so one copy per :attr:`content_hash` can be published to a
-        shared-memory segment and viewed zero-copy by every worker.
-        The result is rebuilt per call -- callers are expected to memo
-        it by content hash, not per instance.
+        This feeds the kernels' table memo
+        (:func:`repro.sim.arena.delivered_table`), which views the
+        bytes read-only. The result is rebuilt per call -- callers are
+        expected to memo it by content hash, not per instance.
         """
         n = self._n
         packed = bytearray(n * n)

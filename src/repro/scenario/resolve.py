@@ -6,8 +6,8 @@ This is the layer where names acquire meaning: a
 component entries, and one flat, fully-defaulted parameter dict. From
 there every existing execution surface is one call away: serial
 builds (``build_execution``), the module-level picklable trial
-(``trial_fn`` / ``trial_kwargs``, with the ``batch_fn`` /
-``arena_plan`` attachments riding along untouched), batch
+(``trial_fn`` / ``trial_kwargs``, with the ``batch_fn``
+attachment riding along untouched), batch
 lanes (``batch``), and the parallel sweep machinery
 (:func:`resolve_trial`, consumed by :meth:`repro.bench.sweep.Sweep.run`
 and ``repro.cli sweep --spec``).
@@ -291,9 +291,9 @@ def resolve_trial(spec: ScenarioSpec | str) -> tuple[Any, dict[str, Scalar]]:
 
     :meth:`repro.bench.sweep.Sweep.run` accepts a spec in place of a
     trial function and dispatches through this: the returned function
-    is the family's module-level trial (its ``batch_fn`` /
-    ``arena_plan`` attachments intact, so batching and arena
-    publication work exactly as for a hand-picked ``run_*_trial``) and
+    is the family's module-level trial (its ``batch_fn`` attachment
+    intact, so batching works exactly as for a hand-picked
+    ``run_*_trial``) and
     the kwargs are the spec's resolved parameters, which grid cells
     may override. The spec's own ``seed`` is ignored there -- sweep
     seeding stays with ``seed0``/``repeats``.

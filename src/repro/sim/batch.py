@@ -195,7 +195,7 @@ def select_delivered(
 
     - ``rotate``: the interned :func:`rotate_topology` table from the
       shared content-hash memo (:func:`repro.sim.arena.delivered_table`,
-      zero-copy in warm pool workers), memoized in ``rotate_cache`` by
+      warm across calls in pool workers), memoized in ``rotate_cache`` by
       ``(live set, salt mod n)``.
     - ``nearest``: :func:`~repro.adversary.constrained.nearest_picks`
       as one stable argsort per lane. Non-live and Byzantine columns

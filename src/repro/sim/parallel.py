@@ -34,20 +34,12 @@ process pool is a lazily-created module-level singleton reused across
 process instead of once per sweep and warm workers keep their
 per-process caches (interned Topologies, routing plans, and the
 content-hash keyed structure-table memo of :mod:`repro.sim.arena`)
-across sweeps. :func:`close_pool` tears it down explicitly (also
-wired to ``atexit``); ``pool="fresh"`` restores the old
-pool-per-call behaviour. A crashed pool is closed and rebuilt on the
-next call; the crash itself propagates.
-
-**Shared-memory arenas.** Batched dispatch additionally publishes the
-per-topology structure tables a sweep will need (declared by the
-batched function's optional ``arena_plan(params)`` attribute) to
-shared-memory segments, once per :attr:`Topology.content_hash`, and
-ships workers a tiny manifest instead of re-pickled arrays -- workers
-attach the tables read-only, zero-copy. ``arenas=False`` (CLI
-``--no-arenas``) disables publication; without numpy or
-``shared_memory`` it silently degrades to the plain pickle path.
-Results are bit-identical either way.
+across sweeps. A batched job ships only ``(batch_fn, params, seeds,
+forward)``: each worker builds the tables its kernels reach, once.
+:func:`close_pool` tears the pool down explicitly (also wired to
+``atexit``); ``pool="fresh"`` restores the old pool-per-call
+behaviour. A crashed pool is closed and rebuilt on the next call; the
+crash itself propagates.
 
 **Adaptive dispatch.** Work is submitted as deterministically-sized
 *guided* chunks (sizes decay from ``len/2W`` toward 1), so early
@@ -78,7 +70,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any
 
-from repro.sim.arena import ArenaRegistry, arenas_available, attach_manifest
+from repro.sim.arena import ArenaRegistry
 
 # Process-wide defaults consulted when ``workers=None`` / ``batch=None``
 # is requested. CLI entry points set these from their ``--workers`` and
@@ -172,14 +164,14 @@ _pool_atexit_installed = False
 # concurrent fan-out.
 _pool_lock = threading.Lock()
 
-# One registry for the process: segments published for any sweep stay
-# available (keyed by content hash) until the pool is closed.
-_arena_registry = ArenaRegistry()
-
-
 def arena_registry() -> ArenaRegistry:
-    """The process-wide arena registry (tests, benches, diagnostics)."""
-    return _arena_registry
+    """Compatibility stub: an always-empty registry.
+
+    perfbench's traced mode reads ``arena_registry().segment_names()``;
+    the ``[benchmark]`` follow-up that drops that read deletes this and
+    :class:`repro.sim.arena.ArenaRegistry`.
+    """
+    return ArenaRegistry()
 
 
 def get_pool(workers: int) -> ProcessPoolExecutor:
@@ -211,25 +203,21 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
 
 
 def close_pool() -> None:
-    """Shut down the persistent pool and unlink all arena segments.
+    """Shut down the persistent pool.
 
     Idempotent; the next pooled ``run_trials`` call simply recreates
-    both. This is the deterministic cleanup point -- ``atexit`` and
-    the arena module's signal path funnel into the same teardown.
-    Safe to race with :func:`get_pool` from another thread (the module
-    state swap is locked), and a failing executor shutdown still
-    reaches the arena teardown -- neither resource is leaked when the
-    other's cleanup raises.
+    it. This is the deterministic cleanup point (``atexit`` funnels
+    into it too). Safe to race with :func:`get_pool` from another
+    thread: the module state is swapped out under the lock before the
+    executor shuts down, so even a failing shutdown leaves no zombie
+    pool installed.
     """
     global _pool_executor, _pool_size
     with _pool_lock:
         executor, _pool_executor = _pool_executor, None
         _pool_size = 0
-    try:
-        if executor is not None:
-            executor.shutdown(wait=True)
-    finally:
-        _arena_registry.close()
+    if executor is not None:
+        executor.shutdown(wait=True)
 
 
 @dataclass(frozen=True)
@@ -323,18 +311,8 @@ def _invoke_chunk(payloads: list[Any]) -> list[Any]:
     return results
 
 
-def _invoke_batch_chunk(job: tuple[Any, list[Any]]) -> list[Any]:
-    """Worker-side entry point: attach arenas, then run a chunk of groups.
-
-    The manifest ships once per chunk (not per group): workers attach
-    the published structure tables read-only before the first group
-    runs, so every batched kernel in the chunk hits shared memory
-    instead of rebuilding tables. A ``None`` manifest (arenas off or
-    unavailable) is a no-op.
-    """
-    manifest, payloads = job
-    if manifest:
-        attach_manifest(manifest)
+def _invoke_batch_chunk(payloads: list[Any]) -> list[Any]:
+    """Worker-side entry point: run one guided chunk of batched groups."""
     results = []
     for payload in payloads:
         batch_fn, params, seeds, forward = payload
@@ -364,10 +342,9 @@ def _batch_groups(
 
 
 def _check_shippable(fn: Callable[..., Any], jobs: Any, count: int) -> None:
-    # Check shippability of *every* job up front -- the full tuples as
-    # dispatched, arena manifest included, not just the trial payloads
-    # (an unpicklable value may hide in any spec's parameters or in the
-    # manifest) -- so a pickling failure is diagnosed as such before
+    # Check shippability of *every* job up front -- the full chunks as
+    # dispatched (an unpicklable value may hide in any spec's
+    # parameters) -- so a pickling failure is diagnosed as such before
     # anything reaches the pool, and so exceptions raised *by* fn
     # inside workers propagate untouched instead of being mislabelled.
     try:
@@ -442,9 +419,8 @@ def _fan_out(
     try:
         return _collect(executor, chunk_fn, jobs)
     except BrokenProcessPool:
-        # A dead pool cannot be reused: tear it (and the arena
-        # segments only its workers held attached) down so the next
-        # call starts clean, then let the crash propagate.
+        # A dead pool cannot be reused: tear it down so the next call
+        # starts clean, then let the crash propagate.
         close_pool()
         raise
 
@@ -470,10 +446,10 @@ def run_trials(
 
     ``pool`` selects the pool lifecycle: ``"persist"`` (the default)
     reuses the module-level pool across calls (see :func:`get_pool` /
-    :func:`close_pool`), ``"fresh"`` spins one up per call. ``arenas``
-    (default True) lets batched dispatch publish shared-memory
-    structure tables for the workers to attach -- a pure speed knob,
-    silently skipped when unavailable.
+    :func:`close_pool`), ``"fresh"`` spins one up per call.
+    ``arenas`` is accepted and ignored: a compatibility stub for
+    perfbench's pooled workload, dropped by the ``[benchmark]``
+    follow-up that stops passing it.
 
     ``batch`` (with a ``batch_fn``, defaulting to ``fn``'s own
     ``batch_fn`` attribute) additionally groups consecutive
@@ -510,7 +486,6 @@ def run_trials(
     count = resolve_workers(workers)
     size = resolve_batch(batch)
     pool_mode = resolve_pool(pool)
-    use_arenas = True if arenas is None else bool(arenas)
     specs = list(specs)
     forward = on_event is not None
     if batch_fn is None:
@@ -549,18 +524,9 @@ def run_trials(
     if count <= 1 or len(payloads) <= 1:
         nested = [_invoke_batch(payload) for payload in payloads]
     else:
-        manifest = None
-        if use_arenas and arenas_available():
-            plan_fn = getattr(batch_fn, "arena_plan", None)
-            if plan_fn is not None:
-                topologies = []
-                for params, _seeds in groups:
-                    topologies.extend(plan_fn(dict(params)))
-                if topologies:
-                    manifest = _arena_registry.publish(topologies)
         max_workers = min(count, len(payloads))
         jobs = [
-            (manifest, payloads[start:stop])
+            payloads[start:stop]
             for start, stop in _chunk_bounds(len(payloads), max_workers)
         ]
         _check_shippable(batch_fn, jobs, count)

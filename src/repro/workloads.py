@@ -24,7 +24,6 @@ from typing import Any
 from repro.adversary.constrained import (
     LastMinuteQuorumAdversary,
     RotatingQuorumAdversary,
-    rotate_topology,
 )
 from repro.adversary.split import (
     IsolateThenConnectAdversary,
@@ -56,6 +55,7 @@ from repro.scenario.registry import (
     declare_network,
     register_algorithm,
 )
+from repro.sim.arena import empty_arena_plan
 from repro.sim.rng import child_rng, spawn_inputs
 
 
@@ -1103,93 +1103,12 @@ def run_baseline_trial_batch(
 run_baseline_trial.batch_fn = run_baseline_trial_batch  # type: ignore[attr-defined]
 
 
-def _rotate_cycle(n: int, live: tuple[int, ...], degree: int) -> list[Any]:
-    """One full salt cycle of interned rotate topologies (period ``n``)."""
-    return [rotate_topology(n, live, salt, degree) for salt in range(n)]
-
-
-def _fast_rotate_params(params: dict[str, Any], default_selector: str) -> bool:
-    """Whether a batched group will run a rotate-structured numpy kernel.
-
-    Arena plans only publish for parameter groups whose batched form
-    actually reaches a kernel with static (value-independent) round
-    structure: the ``rotate`` selector on the fast, unobserved path.
-    Everything else ships no tables -- never wrong, just not
-    prepublished.
-    """
-    return (
-        params.get("selector", default_selector) == "rotate"
-        and params.get("fast", True)
-        and not params.get("observe", False)
-    )
-
-
-def _dac_arena_plan(params: dict[str, Any]) -> list[Any]:
-    """Topologies :func:`run_dac_trial_batch` will need, for prepublication.
-
-    The enforcing rotate structure cycles over ``salt mod n`` for each
-    live set the staggered crash schedule produces (all nodes, then one
-    fewer for each of the ``f`` default crashes, highest-numbered nodes
-    first-to-crash). Publishing is best-effort: a live set the run
-    never reaches is merely unused, a missed one is built locally.
-    """
-    if not _fast_rotate_params(params, "rotate"):
-        return []
-    n = params["n"]
-    f = params.get("f")
-    if f is None:
-        f = (n - 1) // 2
-    topologies: list[Any] = []
-    for crashed in range(f + 1):
-        live = tuple(range(n - f)) + tuple(range(n - f + crashed, n))
-        topologies.extend(_rotate_cycle(n, live, dac_degree(n)))
-    return topologies
-
-
-def _dbac_arena_plan(params: dict[str, Any]) -> list[Any]:
-    """Topologies :func:`run_dbac_trial_batch` will need (all-live cycle).
-
-    DBAC executions have no crashes (Byzantine nodes keep
-    transmitting), so the rotate structure is one all-live salt cycle
-    at the DBAC degree. The default ``nearest`` selector is
-    value-dependent -- no static tables to publish.
-    """
-    if not _fast_rotate_params(params, "nearest"):
-        return []
-    n = params["n"]
-    f = params.get("f")
-    if f is None:
-        f = (n - 1) // 5
-    return _rotate_cycle(n, tuple(range(n)), dbac_degree(n, f))
-
-
-def _byz_arena_plan(params: dict[str, Any]) -> list[Any]:
-    """Topologies :func:`run_byz_trial_batch` will need.
-
-    Quorum lanes are exactly the DBAC plan; mobile lanes build their
-    per-round omission masks in-kernel and ship nothing.
-    """
-    if params.get("adversary", "quorum") != "quorum":
-        return []
-    return _dbac_arena_plan({k: v for k, v in params.items() if k != "adversary"})
-
-
-def _baseline_arena_plan(params: dict[str, Any]) -> list[Any]:
-    """Topologies :func:`run_baseline_trial_batch` will need.
-
-    The baselines run fault-free, so the rotate structure is one
-    all-live salt cycle at the DAC degree.
-    """
-    if not _fast_rotate_params(params, "rotate"):
-        return []
-    n = params["n"]
-    return _rotate_cycle(n, tuple(range(n)), dac_degree(n))
-
-
-run_dac_trial_batch.arena_plan = _dac_arena_plan  # type: ignore[attr-defined]
-run_dbac_trial_batch.arena_plan = _dbac_arena_plan  # type: ignore[attr-defined]
-run_byz_trial_batch.arena_plan = _byz_arena_plan  # type: ignore[attr-defined]
-run_baseline_trial_batch.arena_plan = _baseline_arena_plan  # type: ignore[attr-defined]
+# Compatibility stubs read by perfbench's traced pooled path; see
+# repro.sim.arena.empty_arena_plan.
+run_dac_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
+run_dbac_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
+run_byz_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
+run_baseline_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
 
 
 # -- Scenario registry: the built-in component vocabulary ------------------

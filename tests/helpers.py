@@ -27,8 +27,8 @@ engine's port-major sweep, the legacy sender-major loop, fully traced
 execution, the family's :mod:`repro.sim.batch` dispatch (numpy kernel
 lanes where the family vectorizes the parameters, serial-engine lanes
 otherwise), a ``workers=4`` process-pool leg,
-and an optional pooled *batched* leg (persistent pool + shared-memory
-arenas + guided chunking -- the full zero-copy dispatch stack).
+and an optional pooled *batched* leg (persistent pool + guided
+chunking -- the full pooled dispatch stack).
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def run_config_serial(
     port-major sweep's reference implementation -- combined with
     ``traced=True`` it exercises the legacy loop's inline snapshot
     path); ``wrap_adversary`` lets callers interpose on the chosen
-    graphs (e.g. the ``DirectedGraph`` shim round-trip in
+    graphs (e.g. the edge-list round-trip in
     test_topology_equivalence).
     """
     config = normalize_config(config)
@@ -211,8 +211,8 @@ def differential_trial_batch(seeds: Any = (), **params: Any) -> list[dict[str, A
 
     Dispatched by the pooled executor through the persistent pool's
     batched path (``run_trials(batch=B, batch_fn=...)``), so the
-    zero-copy stack -- warm workers, manifest shipping, guided chunks
-    -- is exercised against the serial reference.
+    pooled stack -- warm workers, guided chunks -- is exercised
+    against the serial reference.
     """
     config = dict(params)
     config["seeds"] = tuple(seeds)
@@ -291,13 +291,12 @@ def workers_executor(workers: int = 4) -> Callable:
 
 
 def pooled_executor(workers: int = 4, batch: int = 4) -> Callable:
-    """Grid-mode executor over the full zero-copy dispatch stack.
+    """Grid-mode executor over the full pooled dispatch stack.
 
     Batched groups fan out over the *persistent* pool (warm workers,
-    arenas enabled, guided chunking) via
-    :func:`differential_trial_batch` -- the strongest parallel leg:
-    any divergence between warm-worker shared-memory state and the
-    serial reference fails the harness equality.
+    guided chunking) via :func:`differential_trial_batch` -- the
+    strongest parallel leg: any divergence between warm-worker cached
+    state and the serial reference fails the harness equality.
     """
 
     def executor(configs: list[dict[str, Any]]):
@@ -309,7 +308,6 @@ def pooled_executor(workers: int = 4, batch: int = 4) -> Callable:
             batch=batch,
             batch_fn=differential_trial_batch,
             pool="persist",
-            arenas=True,
         )
         return _regroup(configs, flat)
 
@@ -327,7 +325,7 @@ def differential_executors(
     """The standard executor suite, reference (port-major sweep) first.
 
     ``pooled=B`` appends the persistent-pool batched leg (batch size
-    ``B`` over ``workers`` processes, arenas on) -- off by default
+    ``B`` over ``workers`` processes) -- off by default
     because it spins real worker processes; the fuzz grids turn it on.
     """
     executors: dict[str, Callable] = {"serial-fast": serial_executor()}

@@ -5,7 +5,7 @@ import pytest
 from repro.adversary.base import ScheduleAdversary, StaticAdversary
 from repro.faults.base import FaultPlan
 from repro.net.dynamic import EdgeSchedule
-from repro.net.graph import DirectedGraph
+from repro.net.topology import Topology
 from repro.sim.rng import child_rng
 
 
@@ -17,21 +17,21 @@ def setup(adversary, n):
 class TestStaticAdversary:
     def test_defaults_to_complete(self):
         adv = setup(StaticAdversary(), 4)
-        assert adv.choose(0, None) == DirectedGraph.complete(4)
+        assert adv.choose(0, None) == Topology.complete(4)
         assert adv.promised_dynadegree() == (1, 3)
 
     def test_custom_graph(self):
-        ring = DirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        ring = Topology(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         adv = setup(StaticAdversary(ring), 4)
         assert adv.choose(7, None) == ring
         assert adv.promised_dynadegree() == (1, 1)
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="engine has n=5"):
-            setup(StaticAdversary(DirectedGraph.complete(4)), 5)
+            setup(StaticAdversary(Topology.complete(4)), 5)
 
     def test_no_promise_when_someone_hears_nobody(self):
-        lonely = DirectedGraph(3, [(0, 1)])
+        lonely = Topology(3, [(0, 1)])
         adv = setup(StaticAdversary(lonely), 3)
         assert adv.promised_dynadegree() is None
 

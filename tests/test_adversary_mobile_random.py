@@ -7,8 +7,8 @@ from repro.adversary.random_adv import EventuallyStableAdversary, RandomLinkAdve
 from repro.core.baselines import FloodMinProcess
 from repro.faults.base import FaultPlan
 from repro.net.dynadegree import check_dynadegree
-from repro.net.graph import DirectedGraph
 from repro.net.ports import identity_ports
+from repro.net.topology import Topology
 from repro.sim.engine import Engine
 from repro.sim.rng import child_rng
 
@@ -64,7 +64,7 @@ class TestMobileOmission:
         n = 4
         adv = MobileOmissionAdversary("none")
         engine, procs = run_floodmin(adv, n, [0.0, 1.0, 1.0, 1.0], rounds=3)
-        assert engine.trace.at(0) == DirectedGraph.complete(n)
+        assert engine.trace.at(0) == Topology.complete(n)
         # Sanity: with no omissions FloodMin agrees.
         assert {procs[v].output() for v in range(n)} == {0.0}
 
@@ -88,7 +88,7 @@ class TestRandomLink:
     def test_p_one_is_complete(self):
         adv = RandomLinkAdversary(1.0)
         adv.setup(4, FaultPlan.fault_free_plan(4), child_rng(0, "adv"))
-        assert adv.choose(0, None) == DirectedGraph.complete(4)
+        assert adv.choose(0, None) == Topology.complete(4)
 
     def test_p_zero_is_empty(self):
         adv = RandomLinkAdversary(0.0)
@@ -113,7 +113,7 @@ class TestEventuallyStable:
         adv.setup(4, FaultPlan.fault_free_plan(4), child_rng(0, "adv"))
         assert len(adv.choose(0, None)) == 0
         assert len(adv.choose(2, None)) == 0
-        assert adv.choose(3, None) == DirectedGraph.complete(4)
+        assert adv.choose(3, None) == Topology.complete(4)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="non-negative"):

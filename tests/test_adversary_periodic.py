@@ -10,7 +10,7 @@ from repro.adversary.periodic import (
 from repro.faults.base import FaultPlan
 from repro.net.dynadegree import check_dynadegree
 from repro.net.dynamic import DynamicGraph
-from repro.net.graph import DirectedGraph
+from repro.net.topology import Topology
 from repro.sim.rng import child_rng
 
 
@@ -54,7 +54,7 @@ class TestFigure1:
         assert not check_dynadegree(trace, 1, 1).holds
 
     def test_base_graph_is_complete(self):
-        assert figure1_base_graph() == DirectedGraph.complete(3)
+        assert figure1_base_graph() == Topology.complete(3)
 
     def test_chosen_links_within_base_graph(self):
         trace = trace_of(figure1_adversary(), 3, 6)

@@ -10,7 +10,7 @@ from repro.adversary.split import (
     theorem10_groups,
 )
 from repro.faults.base import FaultPlan
-from repro.net.graph import DirectedGraph
+from repro.net.topology import Topology
 from repro.sim.rng import child_rng
 
 
@@ -78,8 +78,8 @@ class TestIsolateThenConnect:
         adv = setup(IsolateThenConnectAdversary([{0, 1}, {2, 3}], 3), 4)
         assert (0, 2) not in adv.choose(0, None)
         assert (0, 2) not in adv.choose(2, None)
-        assert adv.choose(3, None) == DirectedGraph.complete(4)
-        assert adv.choose(99, None) == DirectedGraph.complete(4)
+        assert adv.choose(3, None) == Topology.complete(4)
+        assert adv.choose(99, None) == Topology.complete(4)
 
     def test_promise(self):
         adv = setup(IsolateThenConnectAdversary([{0, 1}, {2, 3}], 5), 4)
@@ -91,7 +91,7 @@ class TestIsolateThenConnect:
 
     def test_zero_isolation_means_always_complete(self):
         adv = setup(IsolateThenConnectAdversary([{0, 1}, {2, 3}], 0), 4)
-        assert adv.choose(0, None) == DirectedGraph.complete(4)
+        assert adv.choose(0, None) == Topology.complete(4)
 
 
 class TestPartitionHelpers:

@@ -5,7 +5,7 @@ through the full executor suite of the shared harness
 (:mod:`tests.helpers`): the serial port-major sweep (reference), the
 legacy untraced loop, fully traced execution, the family's batch lanes, a
 ``workers=4`` pool and the pooled *batched* leg (persistent pool +
-shared-memory arenas + guided chunking) must agree on full
+guided chunking) must agree on full
 ``state_key`` / rounds / outputs for every configuration.
 
 The grids are *deterministically* fuzzed from a fixed master-seed

@@ -73,6 +73,44 @@ def test_docs_checker_flags_a_missing_module(tmp_path, capsys):
     assert "missing module: docs/a.md: repro.gone" in capsys.readouterr().out
 
 
+def test_docs_checker_flags_undefined_cli_flags(tmp_path, capsys):
+    checker = _load_checker()
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.md").write_text(
+        "```bash\n"
+        "# --pool fresh / --gone-comment opt out\n"
+        "python -m repro.cli sweep --n 9 --workers 2 --gone-inline\n"
+        "# --gone-unattached: no command follows this comment\n"
+        "\n"
+        "python -m repro.bench.cli --list --batch 4\n"
+        "```\n"
+        "Prose: `sweep --pool fresh` / `--gone-prose`, then\n"
+        "`python -m repro.cli dac --n 9 -v` and `dbac --strategy extreme`.\n"
+        "Not a command: `--anything` -- alone, nor `sweeper --x`.\n"
+    )
+    skill = tmp_path / ".claude" / "skills" / "verify"
+    skill.mkdir(parents=True)
+    (skill / "SKILL.md").write_text(
+        "`python -m repro.cli spec --out f.json --gone-skill`\n"
+        "`python -m repro.cli nosuch --n 1`\n"
+    )
+    assert checker.unknown_cli_flags(tmp_path) == [
+        "docs/a.md:2: sweep --gone-comment",
+        "docs/a.md:3: sweep --gone-inline",
+        "docs/a.md:8: sweep --gone-prose",
+        ".claude/skills/verify/SKILL.md:1: spec --gone-skill",
+        ".claude/skills/verify/SKILL.md:2: nosuch --n",
+    ]
+    assert checker.main([str(tmp_path)]) == 1
+    assert "unknown cli flag: docs/a.md:3: sweep --gone-inline" in capsys.readouterr().out
+
+
+def test_docs_use_only_defined_cli_flags():
+    checker = _load_checker()
+    assert checker.unknown_cli_flags(REPO_ROOT) == []
+
+
 def test_docs_name_only_existing_modules():
     checker = _load_checker()
     assert checker.missing_modules(REPO_ROOT) == []

@@ -5,8 +5,8 @@ from repro.core.dac import DACProcess
 from repro.faults.base import FaultPlan
 from repro.faults.byzantine import FixedValueByzantine
 from repro.faults.crash import CrashEvent
-from repro.net.graph import DirectedGraph
 from repro.net.ports import identity_ports
+from repro.net.topology import Topology
 from repro.sim.engine import Engine, EngineView
 
 from tests.helpers import spread_inputs
@@ -31,7 +31,7 @@ class ViewProbe(MessageAdversary):
                 "broadcast0": view.broadcast_of(0),
             }
         )
-        return DirectedGraph.complete(self.n)
+        return Topology.complete(self.n)
 
 
 def build(n=5, plan=None, f=0, epsilon=0.25):

@@ -8,7 +8,7 @@ from repro.mc.explorer import (
     full_graph_choice,
     mobile_omission_choices,
 )
-from repro.net.graph import DirectedGraph
+from repro.net.topology import Topology
 
 
 def floodmin_factory(n, rounds):
@@ -34,7 +34,7 @@ class TestChoiceGenerators:
 
     def test_full_graph_choice_single(self):
         graphs = list(full_graph_choice(4)(0))
-        assert graphs == [DirectedGraph.complete(4)]
+        assert graphs == [Topology.complete(4)]
 
 
 class TestSearch:

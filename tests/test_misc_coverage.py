@@ -8,8 +8,8 @@ from repro.core.piggyback import PiggybackDACProcess
 from repro.faults.base import FaultPlan
 from repro.net.dynadegree import DynaDegreeProfile, min_window_for_degree
 from repro.net.dynamic import DynamicGraph
-from repro.net.graph import DirectedGraph
 from repro.net.ports import identity_ports
+from repro.net.topology import Topology
 from repro.sim.engine import Engine, EngineView
 from repro.sim.messages import StateMessage
 from repro.sim.node import Delivery
@@ -51,14 +51,14 @@ class TestDynaDegreeOdds:
         dyn = DynamicGraph(3)
         for t in range(6):
             edges = [(0, 1), (1, 0), (1, 2), (2, 1)] if t % 2 == 0 else []
-            dyn.record(DirectedGraph(3, edges))
+            dyn.record(Topology(3, edges))
         assert min_window_for_degree(dyn, 1, max_window=1) is None
         assert min_window_for_degree(dyn, 1, max_window=3) == 2
 
     def test_profile_with_senders_filter(self):
         dyn = DynamicGraph(2)
         for _ in range(4):
-            dyn.record(DirectedGraph(2, [(0, 1), (1, 0)]))
+            dyn.record(Topology(2, [(0, 1), (1, 0)]))
         profile = DynaDegreeProfile.from_trace(
             dyn, windows=[1], fault_free=[1], senders_at=lambda t: {1}
         )

@@ -14,7 +14,7 @@ from repro.net.dynadegree import (
     min_window_for_degree,
 )
 from repro.net.dynamic import DynamicGraph, EdgeSchedule
-from repro.net.graph import DirectedGraph
+from repro.net.topology import Topology
 
 FIGURE1_EVEN = [(0, 1), (1, 0), (1, 2), (2, 1)]
 
@@ -27,7 +27,7 @@ def figure1_trace(rounds: int = 8) -> DynamicGraph:
 def complete_trace(n: int, rounds: int) -> DynamicGraph:
     dyn = DynamicGraph(n)
     for _ in range(rounds):
-        dyn.record(DirectedGraph.complete(n))
+        dyn.record(Topology.complete(n))
     return dyn
 
 
@@ -89,7 +89,7 @@ class TestCheckerBasics:
         # rescues the property.
         dyn = DynamicGraph(3)
         for _ in range(3):
-            dyn.record(DirectedGraph(3, [(0, 1), (1, 0)]))
+            dyn.record(Topology(3, [(0, 1), (1, 0)]))
         assert not check_dynadegree(dyn, 1, 1).holds
         assert check_dynadegree(dyn, 1, 1, fault_free=[0, 1]).holds
 
@@ -99,7 +99,7 @@ class TestCheckerBasics:
         # fail.
         dyn = DynamicGraph(2)
         for _ in range(4):
-            dyn.record(DirectedGraph(2, [(0, 1), (1, 0)]))
+            dyn.record(Topology(2, [(0, 1), (1, 0)]))
         alive_until_1 = lambda t: {0, 1} if t < 2 else {1}  # noqa: E731
         verdict = check_dynadegree(
             dyn, 1, 1, fault_free=[1], senders_at=alive_until_1
@@ -110,7 +110,7 @@ class TestCheckerBasics:
     def test_violation_cap(self):
         dyn = DynamicGraph(3)
         for _ in range(40):
-            dyn.record(DirectedGraph(3))  # all empty: violations everywhere
+            dyn.record(Topology(3))  # all empty: violations everywhere
         verdict = check_dynadegree(dyn, 1, 1, max_violations=5)
         assert not verdict.holds
         assert len(verdict.violations) == 5
@@ -126,16 +126,16 @@ class TestWindowAggregation:
         # Node 0 hears node 1 in round 0 and node 2 in round 1: degree 2
         # over the 2-round window though never 2 in a single round.
         dyn = DynamicGraph(3)
-        dyn.record(DirectedGraph(3, [(1, 0), (0, 1), (0, 2)]))
-        dyn.record(DirectedGraph(3, [(2, 0), (0, 1), (0, 2)]))
+        dyn.record(Topology(3, [(1, 0), (0, 1), (0, 2)]))
+        dyn.record(Topology(3, [(2, 0), (0, 1), (0, 2)]))
         assert check_dynadegree(dyn, 2, 2, fault_free=[0]).holds
         assert not check_dynadegree(dyn, 1, 2, fault_free=[0]).holds
 
     def test_repeated_neighbor_counts_once(self):
         # Hearing the same neighbor twice does not reach degree 2.
         dyn = DynamicGraph(3)
-        dyn.record(DirectedGraph(3, [(1, 0)]))
-        dyn.record(DirectedGraph(3, [(1, 0)]))
+        dyn.record(Topology(3, [(1, 0)]))
+        dyn.record(Topology(3, [(1, 0)]))
         assert not check_dynadegree(dyn, 2, 2, fault_free=[0]).holds
         assert check_dynadegree(dyn, 2, 1, fault_free=[0]).holds
 
@@ -157,28 +157,28 @@ class TestIncrementalChecker:
 
     def test_detects_violation_at_window_close(self):
         checker = DynaDegreeChecker(3, window=2, degree=1)
-        checker.observe(DirectedGraph(3))
+        checker.observe(Topology(3))
         assert checker.clean  # no window complete yet
-        checker.observe(DirectedGraph(3))
+        checker.observe(Topology(3))
         assert not checker.clean
         assert checker.violations[0].window_start == 0
 
     def test_retire_releases_constraint(self):
         checker = DynaDegreeChecker(2, window=1, degree=1)
         checker.retire(1)
-        checker.observe(DirectedGraph(2, [(1, 0)]))  # node 1 hears nobody
+        checker.observe(Topology(2, [(1, 0)]))  # node 1 hears nobody
         assert checker.clean
 
     def test_senders_filter(self):
         checker = DynaDegreeChecker(2, window=1, degree=1)
-        checker.observe(DirectedGraph(2, [(0, 1), (1, 0)]), senders={1})
+        checker.observe(Topology(2, [(0, 1), (1, 0)]), senders={1})
         # Node 1's only in-link came from the non-sender 0.
         assert not checker.clean
 
     def test_size_mismatch_rejected(self):
         checker = DynaDegreeChecker(3, window=1, degree=1)
         with pytest.raises(ValueError, match="expects 3"):
-            checker.observe(DirectedGraph(4))
+            checker.observe(Topology(4))
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="T must be >= 1"):
@@ -189,5 +189,5 @@ class TestIncrementalChecker:
     def test_rounds_observed(self):
         checker = DynaDegreeChecker(3, window=2, degree=1)
         assert checker.rounds_observed == 0
-        checker.observe(DirectedGraph.complete(3))
+        checker.observe(Topology.complete(3))
         assert checker.rounds_observed == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.dynamic import DynamicGraph, EdgeSchedule, window_union
-from repro.net.graph import DirectedGraph
+from repro.net.topology import Topology
 
 
 class TestEdgeSchedule:
@@ -16,7 +16,7 @@ class TestEdgeSchedule:
     def test_graph_at_builds_graph(self):
         sched = EdgeSchedule(3, lambda t: [(0, 1), (1, 2)])
         g = sched.graph_at(5)
-        assert isinstance(g, DirectedGraph)
+        assert isinstance(g, Topology)
         assert len(g) == 2
 
     def test_negative_round_rejected(self):
@@ -44,8 +44,8 @@ class TestEdgeSchedule:
 class TestDynamicGraph:
     def test_record_and_read_back(self):
         dyn = DynamicGraph(3)
-        g0 = DirectedGraph(3, [(0, 1)])
-        g1 = DirectedGraph(3, [(1, 2)])
+        g0 = Topology(3, [(0, 1)])
+        g1 = Topology(3, [(1, 2)])
         dyn.record(g0)
         dyn.record(g1)
         assert len(dyn) == 2
@@ -55,7 +55,7 @@ class TestDynamicGraph:
     def test_record_size_mismatch_rejected(self):
         dyn = DynamicGraph(3)
         with pytest.raises(ValueError, match="expected 3"):
-            dyn.record(DirectedGraph(4))
+            dyn.record(Topology(4))
 
     def test_zero_nodes_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
@@ -64,7 +64,7 @@ class TestDynamicGraph:
     def test_window_slicing(self):
         dyn = DynamicGraph(2)
         for _ in range(5):
-            dyn.record(DirectedGraph(2, [(0, 1)]))
+            dyn.record(Topology(2, [(0, 1)]))
         assert len(dyn.window(1, 3)) == 3
         with pytest.raises(ValueError, match="invalid window"):
             dyn.window(-1, 2)
@@ -74,9 +74,9 @@ class TestDynamicGraph:
     def test_window_union_is_papers_G_t(self):
         # G_t := (V, E(t) u E(t+1)): the figure-1 style aggregation.
         dyn = DynamicGraph(3)
-        dyn.record(DirectedGraph(3, [(0, 1)]))
-        dyn.record(DirectedGraph(3, [(1, 2)]))
-        dyn.record(DirectedGraph(3))
+        dyn.record(Topology(3, [(0, 1)]))
+        dyn.record(Topology(3, [(1, 2)]))
+        dyn.record(Topology(3))
         u01 = dyn.window_union(0, 2)
         assert set(u01.edges) == {(0, 1), (1, 2)}
         u12 = dyn.window_union(1, 2)
@@ -97,7 +97,7 @@ class TestDynamicGraph:
 
 class TestWindowUnion:
     def test_union_of_graphs(self):
-        graphs = [DirectedGraph(3, [(0, 1)]), DirectedGraph(3, [(2, 1)])]
+        graphs = [Topology(3, [(0, 1)]), Topology(3, [(2, 1)])]
         u = window_union(graphs)
         assert set(u.edges) == {(0, 1), (2, 1)}
 
@@ -109,7 +109,7 @@ class TestWindowUnion:
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError, match="mixes graphs"):
-            window_union([DirectedGraph(3), DirectedGraph(4)])
+            window_union([Topology(3), Topology(4)])
 
 
 class TestScheduleGraphIdentity:

@@ -14,7 +14,7 @@ from repro.net.generators import (
     split_edges,
     star_edges,
 )
-from repro.net.graph import DirectedGraph
+from repro.net.topology import Topology
 
 
 class TestBasicTopologies:
@@ -45,14 +45,14 @@ class TestBasicTopologies:
 
     def test_star(self):
         edges = star_edges(5, center=2)
-        g = DirectedGraph(5, edges)
+        g = Topology(5, edges)
         assert g.out_degree(2) == 4
         assert g.in_degree(2) == 4
         assert g.in_degree(0) == 1
 
     def test_star_one_way(self):
         edges = star_edges(4, center=0, bidirectional=False)
-        g = DirectedGraph(4, edges)
+        g = Topology(4, edges)
         assert g.in_degree(0) == 0
         assert g.out_degree(0) == 3
 
@@ -86,13 +86,13 @@ class TestRandomEdges:
 class TestSplitEdges:
     def test_disjoint_groups_stay_silent(self):
         edges = split_edges(6, [{0, 1, 2}, {3, 4, 5}])
-        g = DirectedGraph(6, edges)
+        g = Topology(6, edges)
         assert (0, 1) in g and (3, 4) in g
         assert (0, 3) not in g and (3, 0) not in g
 
     def test_overlapping_groups_union(self):
         edges = split_edges(5, [{0, 1, 2}, {2, 3, 4}])
-        g = DirectedGraph(5, edges)
+        g = Topology(5, edges)
         # Overlap node 2 hears both sides.
         assert g.in_neighbors(2) == {0, 1, 3, 4}
         # Exclusive members hear only their group.

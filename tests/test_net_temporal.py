@@ -7,16 +7,16 @@ import pytest
 from repro.net.dynadegree import max_degree_for_window
 from repro.net.dynamic import DynamicGraph
 from repro.net.generators import cycle_edges, random_edges
-from repro.net.graph import DirectedGraph
 from repro.net.temporal import (
     check_dynareach,
     max_reach_for_window,
     window_reach_sets,
 )
+from repro.net.topology import Topology
 
 
 def ring_trace(n, rounds):
-    ring = DirectedGraph(n, cycle_edges(n, bidirectional=False))
+    ring = Topology(n, cycle_edges(n, bidirectional=False))
     dyn = DynamicGraph(n)
     for _ in range(rounds):
         dyn.record(ring)
@@ -25,23 +25,23 @@ def ring_trace(n, rounds):
 
 class TestWindowReachSets:
     def test_single_round_is_direct_links_plus_self(self):
-        g = DirectedGraph(4, [(0, 1), (2, 1)])
+        g = Topology(4, [(0, 1), (2, 1)])
         reach = window_reach_sets([g])
         assert reach[1] == {0, 1, 2}
         assert reach[0] == {0}
 
     def test_two_hop_journey_over_two_rounds(self):
         # 0 -> 1 in round 0, 1 -> 2 in round 1: origin 0 reaches node 2.
-        r0 = DirectedGraph(3, [(0, 1)])
-        r1 = DirectedGraph(3, [(1, 2)])
+        r0 = Topology(3, [(0, 1)])
+        r1 = Topology(3, [(1, 2)])
         reach = window_reach_sets([r0, r1])
         assert 0 in reach[2]
 
     def test_journeys_respect_time_order(self):
         # Reversed rounds: 1 -> 2 happens before 0 -> 1, so origin 0
         # cannot reach node 2.
-        r0 = DirectedGraph(3, [(1, 2)])
-        r1 = DirectedGraph(3, [(0, 1)])
+        r0 = Topology(3, [(1, 2)])
+        r1 = Topology(3, [(0, 1)])
         reach = window_reach_sets([r0, r1])
         assert 0 not in reach[2]
         assert 0 in reach[1]
@@ -60,7 +60,7 @@ class TestWindowReachSets:
 
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mixes graphs"):
-            window_reach_sets([DirectedGraph(3), DirectedGraph(4)])
+            window_reach_sets([Topology(3), Topology(4)])
 
 
 class TestCheckDynaReach:
@@ -80,7 +80,7 @@ class TestCheckDynaReach:
             n = rng.randint(3, 7)
             dyn = DynamicGraph(n)
             for _ in range(6):
-                dyn.record(DirectedGraph(n, random_edges(n, 0.3, rng)))
+                dyn.record(Topology(n, random_edges(n, 0.3, rng)))
             for window in (1, 2, 4):
                 assert max_reach_for_window(dyn, window) >= max_degree_for_window(
                     dyn, window
@@ -90,7 +90,7 @@ class TestCheckDynaReach:
         rng = random.Random(9)
         dyn = DynamicGraph(5)
         for _ in range(4):
-            dyn.record(DirectedGraph(5, random_edges(5, 0.4, rng)))
+            dyn.record(Topology(5, random_edges(5, 0.4, rng)))
         assert max_reach_for_window(dyn, 1) == max_degree_for_window(dyn, 1)
 
     def test_parameter_validation(self):
@@ -105,7 +105,7 @@ class TestCheckDynaReach:
         # rescues the property.
         dyn = DynamicGraph(3)
         for _ in range(3):
-            dyn.record(DirectedGraph(3, [(0, 1), (1, 0)]))
+            dyn.record(Topology(3, [(0, 1), (1, 0)]))
         assert not check_dynareach(dyn, 2, 1).holds
         assert check_dynareach(dyn, 2, 1, fault_free=[0, 1]).holds
 

@@ -1,16 +1,16 @@
 """Unit tests for repro.net.topology.Topology (the hash-consed layer).
 
-The DirectedGraph-compatible surface is covered by test_net_graph.py
-(which now runs against the shim); this file pins the *new* contract:
-interning identity, the canonical sorted edge tuple, lazily cached
-adjacency rows, degree views, the stable content hash, and pickling.
+The DirectedGraph-compatible surface is covered by test_net_graph.py;
+this file pins the *new* contract: interning identity, the canonical
+sorted edge tuple, lazily cached adjacency rows, degree views, the
+stable content hash, and pickling.
 """
 
 import pickle
+import warnings
 
 import pytest
 
-from repro.net.graph import DirectedGraph
 from repro.net.topology import Topology
 
 
@@ -21,6 +21,10 @@ class TestHashConsing:
         assert a is b
 
     def test_shim_and_native_constructors_share_instances(self):
+        with warnings.catch_warnings():
+            # The alias's warning is pinned by test_graph_deprecation.py.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            from repro.net.graph import DirectedGraph
         assert DirectedGraph(3, [(0, 1)]) is Topology(3, [(0, 1)])
 
     def test_same_edges_different_n_are_distinct(self):

@@ -6,11 +6,12 @@ stresses:
 1. the persistent-pool *grow* path must be atomic -- a failing
    replacement constructor leaves the previous pool installed and the
    module state consistent, never a half-torn-down singleton;
-2. ``close_pool`` must reach both teardowns (executor and arena
-   registry) even when one of them raises, and must tolerate being
-   raced against ``get_pool`` from another thread;
-3. shippability is checked on the *full dispatched job tuples*
-   (manifest included) before anything reaches the pool, and the
+2. ``close_pool`` must clear the module state before the executor
+   shuts down, so a raising shutdown leaves no zombie pool installed,
+   and must tolerate being raced against ``get_pool`` from another
+   thread;
+3. shippability is checked on the *full dispatched jobs* (every
+   chunk's payloads) before anything reaches the pool, and the
    worker-side return path diagnoses unpicklable results/events with
    the offending trial's identity instead of an opaque pool crash.
 """
@@ -88,41 +89,28 @@ def test_reuse_never_replaces_a_wide_enough_pool():
 # -- close_pool robustness -------------------------------------------------
 
 
-def test_close_pool_reaches_arena_teardown_when_shutdown_raises(monkeypatch):
+def test_close_pool_clears_state_when_shutdown_raises(monkeypatch):
     pool = get_pool(1)
-    closed = {"registry": False}
-    monkeypatch.setattr(
-        parallel._arena_registry,
-        "close",
-        lambda: closed.__setitem__("registry", True),
-    )
+    real_shutdown = pool.shutdown
+    calls = []
 
     def exploding_shutdown(wait=True):
+        calls.append(wait)
+        real_shutdown(wait=wait)
         raise RuntimeError("shutdown interrupted")
 
     monkeypatch.setattr(pool, "shutdown", exploding_shutdown)
     with pytest.raises(RuntimeError, match="shutdown interrupted"):
         close_pool()
-    # The registry teardown still ran and the singleton is cleared, so
-    # the next call starts from scratch instead of reusing a zombie.
-    assert closed["registry"]
+    # The executor was asked to shut down (and waited), and the
+    # singleton is cleared, so the next call starts from scratch
+    # instead of reusing a zombie.
+    assert calls == [True]
     assert parallel._pool_executor is None
     assert parallel._pool_size == 0
-
-
-def test_close_pool_registry_failure_does_not_leak_the_executor(monkeypatch):
-    pool = get_pool(1)
-    monkeypatch.setattr(
-        parallel._arena_registry,
-        "close",
-        lambda: (_ for _ in ()).throw(RuntimeError("segment vanished")),
-    )
-    with pytest.raises(RuntimeError, match="segment vanished"):
-        close_pool()
-    # The executor was shut down before the registry failure surfaced.
-    assert parallel._pool_executor is None
     with pytest.raises(RuntimeError):
         pool.submit(max, 1, 2)  # "cannot schedule new futures after shutdown"
+    assert get_pool(1) is not pool
 
 
 def test_close_pool_is_idempotent():
@@ -167,15 +155,18 @@ def _trial(n, seed=0):
     return n * seed
 
 
-def test_check_shippable_covers_the_manifest_in_job_tuples():
-    manifest = {"segment": lambda: None}  # unpicklable manifest stand-in
-    jobs = [(manifest, [(_trial, (("n", 3),), (0,), False)])]
+def test_check_shippable_covers_every_job():
+    # The unpicklable value hides in the *last* chunk's parameters.
+    jobs = [
+        [(_trial, (("n", 3),), (0,), False)],
+        [(_trial, (("n", lambda: None),), (1,), False)],
+    ]
     with pytest.raises(ValueError, match="job envelope"):
         _check_shippable(_trial, jobs, count=2)
 
 
 def test_check_shippable_passes_plain_jobs():
-    jobs = [(None, [(_trial, (("n", 3),), (0,), False)])]
+    jobs = [[(_trial, (("n", 3),), (0,), False)]]
     _check_shippable(_trial, jobs, count=2)
 
 
@@ -219,9 +210,9 @@ def test_batched_return_path_names_params_and_seeds():
         record_event(lambda: None)
         return [n * seed for seed in seeds]
 
-    job = (None, [(batch, (("n", 3),), (1, 2), True)])
+    payloads = [(batch, (("n", 3),), (1, 2), True)]
     with pytest.raises(ValueError) as excinfo:
-        _invoke_batch_chunk(job)
+        _invoke_batch_chunk(payloads)
     assert "[1, 2]" in str(excinfo.value)
 
 

@@ -21,8 +21,8 @@ from repro.faults.crash import staggered_crashes
 from repro.net.dynadegree import check_dynadegree, max_degree_for_window
 from repro.net.dynamic import DynamicGraph
 from repro.net.generators import random_edges
-from repro.net.graph import DirectedGraph
 from repro.net.ports import random_ports
+from repro.net.topology import Topology
 from repro.sim.rng import child_rng
 from repro.sim.runner import run_consensus
 from repro.workloads import dbac_degree
@@ -38,7 +38,7 @@ def random_trace(n: int, rounds: int, p: float, seed: int) -> DynamicGraph:
     rng = random.Random(seed)
     dyn = DynamicGraph(n)
     for _ in range(rounds):
-        dyn.record(DirectedGraph(n, random_edges(n, p, rng)))
+        dyn.record(Topology(n, random_edges(n, p, rng)))
     return dyn
 
 

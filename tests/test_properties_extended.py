@@ -18,9 +18,9 @@ from repro.faults.crash import CrashEvent
 from repro.net.dynadegree import max_degree_for_window
 from repro.net.dynamic import DynamicGraph
 from repro.net.generators import random_edges
-from repro.net.graph import DirectedGraph
 from repro.net.ports import identity_ports, random_ports
 from repro.net.temporal import max_reach_for_window, window_reach_sets
+from repro.net.topology import Topology
 from repro.sim.persistence import replay_adversary, trace_from_dict, trace_to_dict
 from repro.sim.rng import child_rng
 from repro.sim.runner import run_consensus
@@ -36,7 +36,7 @@ def random_trace(n, rounds, p, seed):
     rng = random.Random(seed)
     dyn = DynamicGraph(n)
     for _ in range(rounds):
-        dyn.record(DirectedGraph(n, random_edges(n, p, rng)))
+        dyn.record(Topology(n, random_edges(n, p, rng)))
     return dyn
 
 

@@ -14,8 +14,8 @@ from repro.faults.base import FaultPlan
 from repro.faults.byzantine import ByzantineStrategy
 from repro.faults.crash import CrashEvent, partial_crash
 from repro.net.dynamic import EdgeSchedule
-from repro.net.graph import DirectedGraph
 from repro.net.ports import PortNumbering, identity_ports
+from repro.net.topology import Topology
 from repro.sim.engine import Engine
 from repro.sim.messages import StateMessage
 from repro.sim.node import ConsensusProcess
@@ -132,9 +132,9 @@ class TestDelivery:
     def test_adversary_graph_size_checked(self):
         class BadAdversary(StaticAdversary):
             def choose(self, t, view):
-                return DirectedGraph(2)
+                return Topology(2)
 
-        engine, _ = make_engine(3, BadAdversary(DirectedGraph.complete(3)))
+        engine, _ = make_engine(3, BadAdversary(Topology.complete(3)))
         with pytest.raises(ValueError, match="adversary chose"):
             engine.run_round()
 
@@ -290,7 +290,7 @@ class TestRunLoop:
         engine.run(4)
         assert engine.trace is not None
         assert len(engine.trace) == 4
-        assert engine.trace.rounds[0].graph == DirectedGraph.complete(3)
+        assert engine.trace.rounds[0].graph == Topology.complete(3)
 
     def test_trace_disabled(self):
         ports = identity_ports(3)

@@ -1,4 +1,4 @@
-"""Old-vs-new equivalence: the DirectedGraph shim and native Topology
+"""Old-vs-new equivalence: the legacy construction and native Topology
 paths must be bit-identical, across the grids the paper sweeps.
 
 The Topology refactor rewired the graph representation under every
@@ -8,8 +8,10 @@ pins that through the shared differential harness
 (:func:`tests.helpers.assert_equivalent_runs`): full ``state_key`` /
 rounds / outputs equality between
 
-- an engine driven by an adversary whose graphs pass through the
-  deprecated ``DirectedGraph`` constructor (the shim path), and the
+- an engine driven by an adversary whose graphs are rebuilt from raw
+  edge lists through the validating ``Topology`` constructor (the
+  path legacy ``DirectedGraph`` callers take -- the deprecated alias
+  is the same class, pinned by test_graph_deprecation.py), and the
   same execution on the native adversary (Topology path);
 - the serial engine (port-major sweep *and* the legacy loop) and the
   ``repro.sim.batch`` lanes (the numpy kernel where it applies);
@@ -18,7 +20,7 @@ across crash, enforced-rotate and window (last-minute) grids.
 """
 
 from repro.adversary.base import MessageAdversary
-from repro.net.graph import DirectedGraph
+from repro.net.topology import Topology
 from tests.helpers import (
     assert_equivalent_runs,
     differential_executors,
@@ -53,8 +55,8 @@ GRIDS = [
 
 class _ShimRewrapAdversary(MessageAdversary):
     """Wraps an adversary, round-tripping every chosen graph through the
-    deprecated ``DirectedGraph`` constructor from its raw edge list --
-    the legacy construction path external callers still use."""
+    validating ``Topology`` constructor from its raw edge list -- the
+    legacy construction path external callers still use."""
 
     def __init__(self, inner: MessageAdversary) -> None:
         super().__init__()
@@ -66,7 +68,7 @@ class _ShimRewrapAdversary(MessageAdversary):
 
     def choose(self, t, view):
         native = self._inner.choose(t, view)
-        shim = DirectedGraph(native.n, list(native.edge_list))
+        shim = Topology(native.n, list(native.edge_list))
         # Hash-consing: the legacy constructor must resolve to the very
         # same interned instance the native path plays.
         assert shim is native

@@ -4,8 +4,8 @@ adversaries that lie about their (T, D) promise."""
 
 from repro.adversary.base import MessageAdversary, StaticAdversary
 from repro.core.dac import DACProcess
-from repro.net.graph import DirectedGraph
 from repro.net.ports import identity_ports
+from repro.net.topology import Topology
 from repro.sim.runner import run_consensus
 
 from tests.helpers import spread_inputs
@@ -50,7 +50,7 @@ class LyingAdversary(MessageAdversary):
     """Claims (1, n-1) but delivers nothing at all."""
 
     def choose(self, t, view):
-        return DirectedGraph.empty(self.n)
+        return Topology.empty(self.n)
 
     def promised_dynadegree(self):
         return (1, self.n - 1)
@@ -61,7 +61,7 @@ class OverClaimingAdversary(MessageAdversary):
 
     def choose(self, t, view):
         edges = [(v, (v + 1) % self.n) for v in range(self.n)]
-        return DirectedGraph(self.n, edges)
+        return Topology(self.n, edges)
 
     def promised_dynadegree(self):
         return (1, self.n - 1)

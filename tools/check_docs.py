@@ -20,7 +20,13 @@ documentation cannot drift apart.
 Finally, every ``python -m repro.<module>`` command in ``docs/*.md``
 and ``.claude/skills/verify/SKILL.md`` must name a module that
 ``importlib.util.find_spec`` finds under ``src/`` -- so a deleted or
-renamed entry point cannot linger in a recipe.
+renamed entry point cannot linger in a recipe. In the same files,
+every ``--flag`` aimed at a ``python -m repro.cli <subcommand>`` must
+be defined by that subcommand's argparse parser -- so a deleted flag
+cannot linger either. A flag is aimed at a subcommand when it follows
+the command on its line, sits in the ``#`` comment lines directly
+above the command in a fenced block, or shares a line with an inline
+``<subcommand> --...`` code span.
 
 Used two ways: CI runs it as a standalone step, and
 ``tests/test_docs.py`` runs it inside tier-1 so a dead link fails the
@@ -33,6 +39,7 @@ Usage::
 
 from __future__ import annotations
 
+import argparse
 import importlib.util
 import re
 import sys
@@ -133,6 +140,86 @@ def missing_modules(root: Path) -> list[str]:
     return problems
 
 
+_CLI_COMMAND = re.compile(r"\bpython3?\s+-m\s+repro\.cli\s+([a-z][\w-]*)")
+_OTHER_COMMAND = re.compile(r"\bpython3?\s+-m\s+(?!repro\.cli\s)\S+")
+_CODE_SPAN_COMMAND = re.compile(r"`([a-z][\w-]*) --")
+_FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
+_FENCE = re.compile(r"^\s*```")
+
+
+def cli_flags(root: Path) -> dict[str, set[str]]:
+    """``{subcommand: option strings}`` from ``repro.cli.build_parser``."""
+    sys.path.insert(0, str(root / "src"))
+    try:
+        from repro.cli import build_parser
+    finally:
+        sys.path.pop(0)
+    flags: dict[str, set[str]] = {}
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, parser in action.choices.items():
+                flags[name] = {
+                    option
+                    for sub_action in parser._actions
+                    for option in sub_action.option_strings
+                }
+    return flags
+
+
+def _aimed_flags(line: str, subcommands: set[str]) -> list[tuple[str, str]]:
+    """``(subcommand, flag)`` pairs aimed at a repro.cli subcommand on one line.
+
+    The line is cut at every ``python -m`` command and every inline
+    code span opening with ``<subcommand> --``; the flags of a piece
+    count against the subcommand that opens it (none for another
+    module's command, nor for text before the first cut).
+    """
+    cuts = {m.start(): None for m in _OTHER_COMMAND.finditer(line)}
+    cuts.update((m.start(), m.group(1)) for m in _CLI_COMMAND.finditer(line))
+    cuts.update(
+        (m.start(), m.group(1))
+        for m in _CODE_SPAN_COMMAND.finditer(line)
+        if m.group(1) in subcommands
+    )
+    starts = sorted(cuts) + [len(line)]
+    return [
+        (cuts[start], flag)
+        for start, stop in zip(starts, starts[1:])
+        if cuts[start] is not None
+        for flag in _FLAG.findall(line, start, stop)
+    ]
+
+
+def unknown_cli_flags(root: Path) -> list[str]:
+    """``--flags`` that no repro.cli subcommand parser defines, as
+    ``file:line: subcommand --flag`` strings."""
+    flags = cli_flags(root)
+    problems: list[str] = []
+    for path in command_files(root):
+        fenced = False
+        comments: list[tuple[int, str]] = []
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if _FENCE.match(line):
+                fenced, comments = not fenced, []
+                continue
+            if fenced and line.lstrip().startswith("#"):
+                comments.append((number, line))
+                continue
+            aimed = [(number, pair) for pair in _aimed_flags(line, set(flags))]
+            command = _CLI_COMMAND.search(line) if fenced else None
+            if command:
+                aimed += [
+                    (at, (command.group(1), flag))
+                    for at, comment in comments
+                    for flag in _FLAG.findall(comment)
+                ]
+            comments = []
+            for at, (name, flag) in sorted(aimed):
+                if flag not in flags.get(name, ()):
+                    problems.append(f"{path.relative_to(root)}:{at}: {name} {flag}")
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parent.parent
@@ -148,6 +235,10 @@ def main(argv: list[str] | None = None) -> int:
     for problem in modules:
         print(f"missing module: {problem}")
     problems += modules
+    cli = unknown_cli_flags(root)
+    for problem in cli:
+        print(f"unknown cli flag: {problem}")
+    problems += cli
     print(f"checked {len(files)} markdown files: "
           f"{'FAIL' if problems else 'OK'} ({len(problems)} problems)")
     return 1 if problems else 0
