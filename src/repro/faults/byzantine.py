@@ -107,8 +107,10 @@ class ExtremeByzantine(ByzantineStrategy):
 
     def messages(self, t: int, view: Any) -> dict[int, StateMessage]:
         phase = max(0, view.max_fault_free_phase())
+        # Two payloads per round, shared by receivers (messages are frozen).
+        faces = (StateMessage(self.low, phase), StateMessage(self.high, phase))
         return {
-            receiver: StateMessage(self.low if receiver % 2 == 0 else self.high, phase)
+            receiver: faces[receiver % 2]
             for receiver in range(self.n)
             if receiver != self.node
         }

@@ -112,11 +112,37 @@ def identity_ports(n: int) -> PortNumbering:
     return PortNumbering([list(range(n)) for _ in range(n)])
 
 
-def random_ports(n: int, rng: random.Random) -> PortNumbering:
-    """Independent uniformly-random bijection at every node."""
+def port_tables(n: int, rng: random.Random) -> list[list[int]]:
+    """``n`` uniformly-random permutations of ``0..n-1``, one per node.
+
+    Bit-for-bit what ``n`` successive ``rng.shuffle(list(range(n)))``
+    calls produce -- the same rows and the same final generator state
+    -- with :meth:`random.Random.shuffle`'s Fisher-Yates loop inlined:
+    the ``(i, i + 1, bit length)`` steps are built once, and each
+    swap index is ``getrandbits(k)`` redrawn while it is ``>= i + 1``,
+    exactly as ``Random._randbelow`` draws it. ``rng`` must use that
+    getrandbits-based draw (any :class:`random.Random` that does not
+    override ``random()`` alone). Rows are not validated; callers that
+    need a :class:`PortNumbering` go through :func:`random_ports`.
+    """
+    steps = [(i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, n))]
+    getrandbits = rng.getrandbits
     tables = []
     for _ in range(n):
         row = list(range(n))
-        rng.shuffle(row)
+        for i, bound, k in steps:
+            j = getrandbits(k)
+            while j >= bound:
+                j = getrandbits(k)
+            row[i], row[j] = row[j], row[i]
         tables.append(row)
-    return PortNumbering(tables)
+    return tables
+
+
+def random_ports(n: int, rng: random.Random) -> PortNumbering:
+    """Independent uniformly-random bijection at every node.
+
+    >>> random_ports(4, random.Random(0)).port_rows()
+    ((2, 0, 1, 3), (0, 1, 3, 2), (0, 2, 1, 3), (1, 0, 3, 2))
+    """
+    return PortNumbering(port_tables(n, rng))

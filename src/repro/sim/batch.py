@@ -79,7 +79,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from repro.adversary.constrained import random_picks, rotate_topology
-from repro.net.ports import random_ports
+from repro.net.ports import port_tables
 from repro.sim.arena import delivered_table
 from repro.sim.engine import Engine
 from repro.sim.rng import child_rng, spawn_inputs
@@ -108,9 +108,9 @@ def numpy_available() -> bool:
 def _workloads():
     """The serial builders' module, :mod:`repro.workloads`.
 
-    The one source of truth for what a lane *is*: kernels probe it for
-    their lane family's derived parameters, and the serial fallback
-    builds its executions through it. Deferred because
+    The one source of truth for what a lane *is*: kernels read their
+    :class:`~repro.workloads.LaneFamily` from it, and the serial
+    fallback builds its executions through it. Deferred because
     ``repro.workloads`` imports this module's package.
     """
     # lint: ignore[layering, hot-import] — setup-time access to the serial builders (one source of truth for lane families), deferred to break the cycle; never touched in the round loop
@@ -501,16 +501,15 @@ class BatchEngine:
         self.seeds = [int(seed) for seed in seeds]
         if not self.seeds:
             raise ValueError("need at least one seed (one lane)")
-        # Derive the lane family -- validation, crash schedule, quorum,
-        # end phase, default round cap -- from the serial builder itself,
-        # so there is exactly one source of truth for what a lane *is*
-        # and the bit-identity contract cannot drift out from under a
-        # builder change.
-        probe = _workloads().build_dac_execution(
-            n=n,
-            f=f,
+        # The serial builder's seed-independent half -- validation, crash
+        # schedule, quorum, end phase, default round cap -- so there is
+        # exactly one source of truth for what a lane *is* and the
+        # bit-identity contract cannot drift out from under a builder
+        # change.
+        family = _workloads().dac_lane_family(
+            n,
+            f,
             epsilon=epsilon,
-            seed=self.seeds[0],
             window=window,
             selector=selector,
             crash_nodes=crash_nodes,
@@ -521,19 +520,18 @@ class BatchEngine:
         reason = dac_kernel_refusal(selector)
         if reason:
             raise ValueError(f"DAC kernel unavailable: {reason}")
-        process = next(iter(probe["processes"].values()))
         self.n = n
         self.f = f
         self.epsilon = epsilon
         self.window = window
         self.selector = selector
         self.enable_jump = enable_jump
-        self.degree = probe["adversary"].degree
-        self.quorum = process.quorum
-        self.end_phase = process.end_phase
-        self.max_rounds = probe["max_rounds"]
-        self._crashes = probe["fault_plan"].crashes
-        self._fault_free = sorted(probe["fault_plan"].fault_free)
+        self.degree = family.degree
+        self.quorum = family.quorum
+        self.end_phase = family.end_phase
+        self.max_rounds = family.max_rounds
+        self._crashes = family.crashes
+        self._fault_free = family.fault_free
         # Rotate tables by (live-set key, salt mod n): tiny and cyclic.
         self._rotate_cache: dict[tuple, object] = {}
 
@@ -555,17 +553,16 @@ class BatchEngine:
         lanes = len(self.seeds)
 
         # Per-lane construction through the serial builders' exact RNG
-        # streams: inputs, port bijections (sender-major inverse and
-        # self-ports are what the kernel indexes by), adversary streams.
-        inputs = np.empty((lanes, n), dtype=np.float64)
-        sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
-        self_port = np.empty((lanes, n), dtype=np.intp)
-        for b, seed in enumerate(self.seeds):
-            inputs[b] = spawn_inputs(seed, n)
-            ports = random_ports(n, child_rng(seed, "ports"))
-            sender_at_port[b] = ports.sender_rows()
-            for v in range(n):
-                self_port[b, v] = ports.self_port(v)
+        # streams. Drawn rows are permutations, so one argsort inverts
+        # them all (the kernel indexes senders by port) and the
+        # diagonal holds the self ports.
+        inputs = np.array([spawn_inputs(seed, n) for seed in self.seeds])
+        tables = np.array(
+            [port_tables(n, child_rng(seed, "ports")) for seed in self.seeds],
+            dtype=np.intp,
+        )
+        sender_at_port = np.argsort(tables, axis=2)
+        self_port = tables[:, np.arange(n), np.arange(n)]
         adversary_rngs = [child_rng(seed, "adversary") for seed in self.seeds]
         no_byz = np.empty(0, dtype=np.intp)
 
@@ -784,7 +781,7 @@ def byz_kernel_refusal(
     return None
 
 
-def _byz_builder(
+def _byz_family(
     n: int,
     f: int | None,
     *,
@@ -795,8 +792,8 @@ def _byz_builder(
     adversary: str,
     stop_mode: str,
     max_rounds: int,
-) -> Callable[[int], dict]:
-    """``seed -> run_consensus kwargs`` for one Byzantine-or-mobile lane.
+):
+    """The :class:`~repro.workloads.LaneFamily` of one Byzantine-or-mobile lane.
 
     Exactly the serial builders :func:`repro.workloads.run_byz_trial`
     runs: :func:`~repro.workloads.build_dbac_execution` with the named
@@ -811,12 +808,10 @@ def _byz_builder(
                 f"unknown strategy {strategy!r}; known: {sorted(strategies)}"
             )
         factory = strategies[strategy]
-        f = (n - 1) // 5 if f is None else f
-        return lambda seed: workloads.build_dbac_execution(
-            n=n,
-            f=f,
+        return workloads.dbac_lane_family(
+            n,
+            (n - 1) // 5 if f is None else f,
             epsilon=epsilon,
-            seed=seed,
             window=window,
             selector=selector,
             byzantine_factory=lambda node: factory(),
@@ -829,11 +824,10 @@ def _byz_builder(
         )
     if f not in (None, 0):
         raise ValueError(f"mobile-omission lanes are fault-free, got f={f}")
-    return lambda seed: workloads.build_mobile_execution(
-        n=n,
+    return workloads.mobile_lane_family(
+        n,
         mode=adversary[len("mobile-") :],
         epsilon=epsilon,
-        seed=seed,
         stop_mode=stop_mode,
         max_rounds=max_rounds,
     )
@@ -921,11 +915,10 @@ class ByzBatchEngine:
         self.max_rounds = int(max_rounds)
         self.width = width
         self.compact = bool(compact)
-        # Derive the lane family from the serial builder itself (one
-        # source of truth, like BatchEngine does for DAC): validates
-        # n >= 5f+1, the adversary, mode and strategy names as a side
-        # effect.
-        probe = _byz_builder(
+        # The serial builder's seed-independent half (one source of
+        # truth, like BatchEngine does for DAC): validates n >= 5f+1,
+        # the adversary, mode and strategy names as a side effect.
+        family = _byz_family(
             n,
             f,
             epsilon=self.epsilon,
@@ -935,25 +928,23 @@ class ByzBatchEngine:
             adversary=adversary,
             stop_mode=stop_mode,
             max_rounds=self.max_rounds,
-        )(self.seeds[0])
-        process = next(iter(probe["processes"].values()))
-        plan = probe["fault_plan"]
-        self.f = probe["f"]
-        self.quorum = process.quorum
-        self.end_phase = process.end_phase
+        )
+        self.f = family.f
+        self.quorum = family.quorum
+        self.end_phase = family.end_phase
+        self.degree = family.degree
         if adversary == "quorum":
             self.family = "quorum"
             self.mode = None
-            self.trim = process.trim
-            self.degree = probe["adversary"].degree
+            self.trim = family.trim
         else:
             self.family = "mobile"
             self.mode = adversary[len("mobile-") :]
             self.trim = 0
-            self.degree = 0
-        self._byz_nodes = tuple(sorted(plan.byzantine))
-        self._fault_free = tuple(sorted(plan.fault_free))
-        self._byz_strategies = [plan.byzantine[u] for u in self._byz_nodes]
+        self._byz_nodes = family.byzantine
+        self._fault_free = family.fault_free
+        self._make_strategy = family.make_strategy
+        self._byz_strategies = [self._make_strategy(u) for u in self._byz_nodes]
         reason = byz_kernel_refusal(adversary, selector, strategy)
         if reason:
             raise ValueError(f"Byzantine kernel unavailable: {reason}")
@@ -991,18 +982,16 @@ class ByzBatchEngine:
         return [result for result in results if result is not None]
 
     def _lane_tables(self, seed: int):
-        """Inputs and port tables for one lane, via the serial RNG streams."""
-        n = self.n
-        inputs = spawn_inputs(seed, n)
-        ports = random_ports(n, child_rng(seed, "ports"))
-        sender_at_port = ports.sender_rows()
-        self_port = [ports.self_port(v) for v in range(n)]
-        return inputs, sender_at_port, self_port
+        """Inputs, sender-at-port rows and self ports for one lane, via
+        the serial RNG streams (drawn rows are permutations: one argsort
+        inverts them, the diagonal holds the self ports)."""
+        table = _np.array(port_tables(self.n, child_rng(seed, "ports")))
+        return spawn_inputs(seed, self.n), _np.argsort(table, axis=1), table.diagonal()
 
     def _bound_strategy(self, node: int, seed: int):
         """A fresh trial-menu strategy for ``node``, bound exactly as
         the serial engine binds it for the lane with root ``seed``."""
-        strategy = _workloads().TRIAL_BYZANTINE_STRATEGIES[self.strategy]()
+        strategy = self._make_strategy(node)
         strategy.bind(node, self.n, self.f, 0.0, child_rng(seed, f"byzantine-{node}"))
         return strategy
 
@@ -1170,6 +1159,10 @@ class ByzBatchEngine:
             lane_active[b] = True
 
         def finalize_row(b: int, stopped: bool) -> None:
+            values, phases, counts, decided, outs, lane_inputs, rows = (
+                array[b].tolist()
+                for array in (value, phase, count, out_mask, out_val, inputs, received)
+            )
             state_keys = {}
             for node in self._fault_free:
                 # Reconstruct the exact R_low / R_high lists from the
@@ -1177,31 +1170,26 @@ class ByzBatchEngine:
                 # the min(stored, f+1) smallest / largest stored values
                 # in ascending order (the DBACProcess.stored_count
                 # invariant).
-                stores = int(count[b, node])
+                stores = counts[node]
                 length = min(stores, trim)
-                stored_sorted = np.sort(stored[b, node, :stores])
-                decided = bool(out_mask[b, node])
+                stored_sorted = np.sort(stored[b, node, :stores]).tolist()
                 state_keys[node] = (
-                    float(value[b, node]),
-                    int(phase[b, node]),
-                    tuple(bool(bit) for bit in received[b, node]),
-                    tuple(float(v) for v in stored_sorted[:length]),
-                    tuple(float(v) for v in stored_sorted[stores - length :]),
-                    float(out_val[b, node]) if decided else None,
+                    values[node],
+                    phases[node],
+                    tuple(rows[node]),
+                    tuple(stored_sorted[:length]),
+                    tuple(stored_sorted[stores - length :]),
+                    outs[node] if decided[node] else None,
                 )
             if self.stop_mode == "output":
-                outputs = {
-                    int(node): float(out_val[b, node])
-                    for node in ff
-                    if out_mask[b, node]
-                }
+                outputs = {node: outs[node] for node in self._fault_free if decided[node]}
             else:
-                outputs = {int(node): float(value[b, node]) for node in ff}
+                outputs = {node: values[node] for node in self._fault_free}
             results[slot[b]] = LaneResult(
                 seed=lane_seed[b],
                 rounds=int(lane_t[b]),
                 stopped=stopped,
-                inputs={int(node): float(inputs[b, node]) for node in ff},
+                inputs={node: lane_inputs[node] for node in self._fault_free},
                 outputs=outputs,
                 state_keys=state_keys,
             )
@@ -1469,7 +1457,11 @@ def run_byz_batch(
             n, f, seeds, width=width, compact=compact, **params
         ).run()
     else:
-        lanes = GenericBatchEngine(seeds, _byz_builder(n, f, **params)).run()
+        family = _byz_family(n, f, **params)
+        lane_execution = _workloads().lane_execution
+        lanes = GenericBatchEngine(
+            seeds, lambda seed: lane_execution(family, seed)
+        ).run()
     return _streamed(lanes, on_lane)
 
 
@@ -1565,15 +1557,15 @@ class BaselineBatchEngine:
         self.seeds = [int(seed) for seed in seeds]
         if not self.seeds:
             raise ValueError("need at least one seed (one lane)")
-        # The serial builder validates exactly what a serial trial
-        # would reject (algorithm, negative round budgets, selectors,
-        # windows, n < 2) and derives the degree and round budget.
-        probe = _workloads().build_baseline_execution(
+        # The serial builder's seed-independent half validates exactly
+        # what a serial trial would reject (algorithm, negative round
+        # budgets, selectors, windows, n < 2) and derives the degree and
+        # round budget.
+        family = _workloads().baseline_lane_family(
             n,
             algorithm=algorithm,
             f=f,
             epsilon=epsilon,
-            seed=self.seeds[0],
             window=window,
             selector=selector,
             num_rounds=num_rounds,
@@ -1586,8 +1578,8 @@ class BaselineBatchEngine:
         self.algorithm = algorithm
         self.window = int(window)
         self.selector = selector
-        self.degree = probe["adversary"].degree
-        self.num_rounds = next(iter(probe["processes"].values())).num_rounds
+        self.degree = family.degree
+        self.num_rounds = family.num_rounds
         # Rotate tables by (live-set key, salt mod n): at most n entries.
         self._rotate_cache: dict[tuple, object] = {}
 

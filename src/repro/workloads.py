@@ -15,10 +15,19 @@ benchmarks share one vocabulary of scenarios:
   construction (two silent halves);
 - :func:`theorem10_split_execution` -- the Theorem 10 necessity
   construction (overlapping groups, two-faced Byzantine core).
+
+The kernel-backed builders (DAC, DBAC, mobile omission, baselines) are
+each split in two: a ``*_lane_family`` function derives the
+seed-independent :class:`LaneFamily`, and :func:`lane_execution` adds
+one seed's inputs, ports and processes. The batch kernels in
+:mod:`repro.sim.batch` read the family alone and draw their own
+per-seed material.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.adversary.constrained import (
@@ -45,7 +54,7 @@ from repro.faults.byzantine import (
     RandomByzantine,
     TwoFacedByzantine,
 )
-from repro.faults.crash import staggered_crashes
+from repro.faults.crash import CrashEvent, staggered_crashes
 from repro.net.ports import random_ports
 from repro.scenario.registry import (
     AlgorithmFamily,
@@ -75,6 +84,126 @@ def _quorum_adversary(window: int, degree: int, selector: str):
     return LastMinuteQuorumAdversary(window, degree, selector=selector)
 
 
+@dataclass(frozen=True)
+class LaneFamily:
+    """The seed-independent half of a kernel-backed execution builder.
+
+    What every execution of one parameter assignment shares: the
+    validated parameters, the enforcing adversary's degree (0 for the
+    mobile-omission adversary, which has none), the round cap, the
+    crash schedule and Byzantine node set, and the constants of the
+    process class (quorum, end phase, trim depth, round budget; ``None``
+    where the class has none). Built by the ``*_lane_family``
+    functions; :func:`lane_execution` adds one seed's inputs, ports and
+    processes, and each ``build_*_execution`` builder is exactly that
+    pair. The batch kernels read a family and nothing else, so no kernel
+    builds an execution it would throw away.
+
+    The ``make_*`` factories build the per-execution objects: the
+    adversary and Byzantine strategies carry per-run state, so every
+    execution gets fresh ones, and a family serves any number of seeds.
+    """
+
+    n: int
+    f: int
+    epsilon: float
+    stop_mode: str
+    max_rounds: int
+    degree: int
+    make_adversary: Callable[[], Any]
+    make_process: Callable[[float, int], Any]
+    crashes: Mapping[int, CrashEvent] = field(default_factory=dict)
+    byzantine: tuple[int, ...] = ()
+    make_strategy: Callable[[int], ByzantineStrategy] | None = None
+    quorum: int | None = None
+    end_phase: int | None = None
+    trim: int | None = None
+    num_rounds: int | None = None
+
+    @property
+    def fault_free(self) -> tuple[int, ...]:
+        """The nodes that never fail, ascending."""
+        faulty = set(self.crashes) | set(self.byzantine)
+        return tuple(v for v in range(self.n) if v not in faulty)
+
+
+def _lane_family(**fields: Any) -> LaneFamily:
+    # One template process (input 0 on port 0) and one adversary: their
+    # constructors reject what a serial build would reject, and the
+    # process carries the class's seed-independent constants.
+    template = fields["make_process"](0.0, 0)
+    fields["make_adversary"]()
+    constants = ("quorum", "end_phase", "trim", "num_rounds")
+    return LaneFamily(**fields, **{name: getattr(template, name, None) for name in constants})
+
+
+def lane_execution(family: LaneFamily, seed: int) -> dict[str, Any]:
+    """The per-seed half of a kernel-backed builder.
+
+    Inputs and ports from the seed's child streams, a fault plan with
+    fresh Byzantine strategies, one process per non-Byzantine node and
+    a fresh adversary. Returns kwargs for
+    :func:`repro.sim.runner.run_consensus`.
+    """
+    n = family.n
+    inputs = spawn_inputs(seed, n)
+    ports = random_ports(n, child_rng(seed, "ports"))
+    byz = {node: family.make_strategy(node) for node in family.byzantine}
+    plan = FaultPlan(n, crashes=family.crashes, byzantine=byz)
+    processes = {
+        node: family.make_process(inputs[node], ports.self_port(node))
+        for node in plan.non_byzantine
+    }
+    return {
+        "processes": processes,
+        "adversary": family.make_adversary(),
+        "ports": ports,
+        "epsilon": family.epsilon,
+        "f": family.f,
+        "fault_plan": plan,
+        "stop_mode": family.stop_mode,
+        "max_rounds": family.max_rounds,
+        "seed": seed,
+    }
+
+
+def dac_lane_family(
+    n: int,
+    f: int,
+    epsilon: float = 1e-3,
+    window: int = 1,
+    selector: str = "rotate",
+    crash_nodes: int | None = None,
+    crash_start: int = 1,
+    enable_jump: bool = True,
+    stop_mode: str = "output",
+    max_rounds: int | None = None,
+) -> LaneFamily:
+    """The :class:`LaneFamily` of :func:`build_dac_execution`."""
+    if n < 2 * f + 1:
+        raise ValueError(f"DAC needs n >= 2f+1, got n={n}, f={f}")
+    num_crashes = f if crash_nodes is None else crash_nodes
+    if num_crashes > f:
+        raise ValueError(f"cannot crash {num_crashes} nodes with fault bound f={f}")
+    crashes = staggered_crashes(
+        range(n - num_crashes, n), first_round=crash_start, spacing=window
+    )
+    bound = rounds_upper_bound(window, dac_end_phase(epsilon))
+    return _lane_family(
+        n=n,
+        f=f,
+        epsilon=epsilon,
+        stop_mode=stop_mode,
+        max_rounds=max_rounds if max_rounds is not None else max(64, 4 * bound + 8 * window),
+        degree=dac_degree(n),
+        make_adversary=lambda: _quorum_adversary(window, dac_degree(n), selector),
+        make_process=lambda value, port: DACProcess(
+            n, f, value, port, epsilon=epsilon, enable_jump=enable_jump
+        ),
+        crashes=crashes,
+    )
+
+
 def build_dac_execution(
     n: int,
     f: int,
@@ -95,40 +224,49 @@ def build_dac_execution(
     ``crash_start``. Inputs are uniform on [0, 1] from ``seed``.
     Returns kwargs for :func:`repro.sim.runner.run_consensus`.
     """
-    if n < 2 * f + 1:
-        raise ValueError(f"DAC needs n >= 2f+1, got n={n}, f={f}")
-    num_crashes = f if crash_nodes is None else crash_nodes
-    if num_crashes > f:
-        raise ValueError(f"cannot crash {num_crashes} nodes with fault bound f={f}")
-    inputs = spawn_inputs(seed, n)
-    ports = random_ports(n, child_rng(seed, "ports"))
-    crashes = staggered_crashes(
-        range(n - num_crashes, n), first_round=crash_start, spacing=window
+    family = dac_lane_family(
+        n,
+        f,
+        epsilon=epsilon,
+        window=window,
+        selector=selector,
+        crash_nodes=crash_nodes,
+        crash_start=crash_start,
+        enable_jump=enable_jump,
+        stop_mode=stop_mode,
+        max_rounds=max_rounds,
     )
-    plan = FaultPlan(n, crashes=crashes)
-    processes = {
-        node: DACProcess(
-            n,
-            f,
-            inputs[node],
-            ports.self_port(node),
-            epsilon=epsilon,
-            enable_jump=enable_jump,
-        )
-        for node in plan.non_byzantine
-    }
-    bound = rounds_upper_bound(window, dac_end_phase(epsilon))
-    return {
-        "processes": processes,
-        "adversary": _quorum_adversary(window, dac_degree(n), selector),
-        "ports": ports,
-        "epsilon": epsilon,
-        "f": f,
-        "fault_plan": plan,
-        "stop_mode": stop_mode,
-        "max_rounds": max_rounds if max_rounds is not None else max(64, 4 * bound + 8 * window),
-        "seed": seed,
-    }
+    return lane_execution(family, seed)
+
+
+def dbac_lane_family(
+    n: int,
+    f: int,
+    epsilon: float = 1e-3,
+    window: int = 1,
+    selector: str = "nearest",
+    byzantine_factory=None,
+    end_phase: int | None = None,
+    stop_mode: str = "oracle",
+    max_rounds: int = 50_000,
+) -> LaneFamily:
+    """The :class:`LaneFamily` of :func:`build_dbac_execution`."""
+    if n < 5 * f + 1:
+        raise ValueError(f"DBAC needs n >= 5f+1, got n={n}, f={f}")
+    return _lane_family(
+        n=n,
+        f=f,
+        epsilon=epsilon,
+        stop_mode=stop_mode,
+        max_rounds=max_rounds,
+        degree=dbac_degree(n, f),
+        make_adversary=lambda: _quorum_adversary(window, dbac_degree(n, f), selector),
+        make_process=lambda value, port: DBACProcess(
+            n, f, value, port, epsilon=epsilon, end_phase=end_phase
+        ),
+        byzantine=tuple(range(n - f, n)),
+        make_strategy=byzantine_factory or (lambda node: ExtremeByzantine()),
+    )
 
 
 def build_dbac_execution(
@@ -152,36 +290,18 @@ def build_dbac_execution(
     astronomically conservative (see DESIGN.md) -- pass ``end_phase``
     plus ``stop_mode="output"`` for algorithm-local termination.
     """
-    if n < 5 * f + 1:
-        raise ValueError(f"DBAC needs n >= 5f+1, got n={n}, f={f}")
-    inputs = spawn_inputs(seed, n)
-    ports = random_ports(n, child_rng(seed, "ports"))
-    byz: dict[int, ByzantineStrategy] = {}
-    for node in range(n - f, n):
-        byz[node] = byzantine_factory(node) if byzantine_factory else ExtremeByzantine()
-    plan = FaultPlan(n, byzantine=byz)
-    processes = {
-        node: DBACProcess(
-            n,
-            f,
-            inputs[node],
-            ports.self_port(node),
-            epsilon=epsilon,
-            end_phase=end_phase,
-        )
-        for node in plan.non_byzantine
-    }
-    return {
-        "processes": processes,
-        "adversary": _quorum_adversary(window, dbac_degree(n, f), selector),
-        "ports": ports,
-        "epsilon": epsilon,
-        "f": f,
-        "fault_plan": plan,
-        "stop_mode": stop_mode,
-        "max_rounds": max_rounds,
-        "seed": seed,
-    }
+    family = dbac_lane_family(
+        n,
+        f,
+        epsilon=epsilon,
+        window=window,
+        selector=selector,
+        byzantine_factory=byzantine_factory,
+        end_phase=end_phase,
+        stop_mode=stop_mode,
+        max_rounds=max_rounds,
+    )
+    return lane_execution(family, seed)
 
 
 def theorem9_split_execution(
@@ -725,6 +845,30 @@ def run_dbac_trial_batch(
 run_dbac_trial.batch_fn = run_dbac_trial_batch  # type: ignore[attr-defined]
 
 
+def mobile_lane_family(
+    n: int,
+    mode: str = "block_min",
+    epsilon: float = 1e-3,
+    stop_mode: str = "oracle",
+    max_rounds: int = 50_000,
+) -> LaneFamily:
+    """The :class:`LaneFamily` of :func:`build_mobile_execution`."""
+    from repro.adversary.mobile import MobileOmissionAdversary
+
+    if mode not in _MOBILE_MODES:
+        raise ValueError(f"unknown mobile mode {mode!r}; known: {_MOBILE_MODES}")
+    return _lane_family(
+        n=n,
+        f=0,
+        epsilon=epsilon,
+        stop_mode=stop_mode,
+        max_rounds=max_rounds,
+        degree=0,
+        make_adversary=lambda: MobileOmissionAdversary(mode),
+        make_process=lambda value, port: DACProcess(n, 0, value, port, epsilon=epsilon),
+    )
+
+
 def build_mobile_execution(
     n: int,
     mode: str = "block_min",
@@ -743,27 +887,10 @@ def build_mobile_execution(
     holds the spread above ``epsilon``. Returns kwargs for
     :func:`repro.sim.runner.run_consensus`.
     """
-    from repro.adversary.mobile import MobileOmissionAdversary
-
-    if mode not in _MOBILE_MODES:
-        raise ValueError(f"unknown mobile mode {mode!r}; known: {_MOBILE_MODES}")
-    inputs = spawn_inputs(seed, n)
-    ports = random_ports(n, child_rng(seed, "ports"))
-    processes = {
-        node: DACProcess(n, 0, inputs[node], ports.self_port(node), epsilon=epsilon)
-        for node in range(n)
-    }
-    return {
-        "processes": processes,
-        "adversary": MobileOmissionAdversary(mode),
-        "ports": ports,
-        "epsilon": epsilon,
-        "f": 0,
-        "fault_plan": FaultPlan.fault_free_plan(n),
-        "stop_mode": stop_mode,
-        "max_rounds": max_rounds,
-        "seed": seed,
-    }
+    family = mobile_lane_family(
+        n, mode=mode, epsilon=epsilon, stop_mode=stop_mode, max_rounds=max_rounds
+    )
+    return lane_execution(family, seed)
 
 
 def run_byz_trial(
@@ -933,6 +1060,35 @@ _BASELINE_PROCESSES = {
 }
 
 
+def baseline_lane_family(
+    n: int,
+    algorithm: str = "midpoint",
+    f: int = 0,
+    epsilon: float = 1e-3,
+    window: int = 1,
+    selector: str = "rotate",
+    num_rounds: int | None = None,
+) -> LaneFamily:
+    """The :class:`LaneFamily` of :func:`build_baseline_execution`."""
+    if algorithm not in _BASELINE_PROCESSES:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; known: {sorted(_BASELINE_PROCESSES)}"
+        )
+    if num_rounds is None:
+        num_rounds = dac_end_phase(epsilon)
+    process_type = _BASELINE_PROCESSES[algorithm]
+    return _lane_family(
+        n=n,
+        f=f,
+        epsilon=epsilon,
+        stop_mode="output",
+        max_rounds=num_rounds + 2 * window,
+        degree=dac_degree(n),
+        make_adversary=lambda: _quorum_adversary(window, dac_degree(n), selector),
+        make_process=lambda value, port: process_type(n, f, value, port, num_rounds=num_rounds),
+    )
+
+
 def build_baseline_execution(
     n: int,
     algorithm: str = "midpoint",
@@ -953,32 +1109,16 @@ def build_baseline_execution(
     advance one round per delivery batch. Returns kwargs for
     :func:`repro.sim.runner.run_consensus`.
     """
-    if algorithm not in _BASELINE_PROCESSES:
-        raise ValueError(
-            f"unknown algorithm {algorithm!r}; known: {sorted(_BASELINE_PROCESSES)}"
-        )
-    if num_rounds is None:
-        num_rounds = dac_end_phase(epsilon)
-    inputs = spawn_inputs(seed, n)
-    ports = random_ports(n, child_rng(seed, "ports"))
-    process_type = _BASELINE_PROCESSES[algorithm]
-    processes = {
-        node: process_type(
-            n, f, inputs[node], ports.self_port(node), num_rounds=num_rounds
-        )
-        for node in range(n)
-    }
-    return {
-        "processes": processes,
-        "adversary": _quorum_adversary(window, dac_degree(n), selector),
-        "ports": ports,
-        "epsilon": epsilon,
-        "f": f,
-        "fault_plan": FaultPlan.fault_free_plan(n),
-        "stop_mode": "output",
-        "max_rounds": num_rounds + 2 * window,
-        "seed": seed,
-    }
+    family = baseline_lane_family(
+        n,
+        algorithm=algorithm,
+        f=f,
+        epsilon=epsilon,
+        window=window,
+        selector=selector,
+        num_rounds=num_rounds,
+    )
+    return lane_execution(family, seed)
 
 
 def run_baseline_trial(

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.sim.batch import _dac_sweep, _dbac_sweep
 
-np = pytest.importorskip("numpy")
+np = pytest.importorskip("numpy", exc_type=ImportError)
 
 DAC_KEYS = ("value", "phase", "received", "count", "v_min", "v_max", "out_mask", "out_val")
 DBAC_KEYS = ("value", "phase", "received", "count", "stored", "out_mask", "out_val")

@@ -14,10 +14,10 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# The public-API modules whose docstrings carry executable examples
-# (the PR 4 docstring pass): batching, the parallel layer, and the
-# picklable trial functions.
-DOCTEST_MODULES = ["repro.sim.batch", "repro.sim.parallel", "repro.workloads"]
+# The public-API modules whose docstrings carry executable examples:
+# batching, the parallel layer, the picklable trial functions, and the
+# port draw (its example pins the drawn rows for one seed).
+DOCTEST_MODULES = ["repro.sim.batch", "repro.sim.parallel", "repro.workloads", "repro.net.ports"]
 
 
 def _load_checker():

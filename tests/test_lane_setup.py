@@ -1,0 +1,79 @@
+"""Kernel lane set-up: no throwaway executions, one port draw per lane.
+
+The numpy kernels read their lane family (``repro.workloads.*_lane_family``)
+and draw each lane's ports once through :func:`repro.net.ports.port_tables`.
+None of them may build a full execution through a ``build_*_execution``
+builder -- that would cost ``n`` processes and one port draw per kernel
+call for constants that do not depend on the seed. The spies count both:
+builder calls, and port draws wherever they happen (the kernels' own
+import and the one :func:`~repro.net.ports.random_ports` uses).
+"""
+
+import pytest
+
+import repro.net.ports as ports_module
+import repro.sim.batch as batch
+import repro.workloads as workloads
+from repro.sim.batch import run_baseline_batch, run_byz_batch, run_dac_batch, run_dbac_batch
+
+pytest.importorskip("numpy", exc_type=ImportError)
+
+BUILDERS = (
+    "build_dac_execution",
+    "build_dbac_execution",
+    "build_mobile_execution",
+    "build_baseline_execution",
+)
+SEEDS = [0, 1, 2, 3, 4]
+
+# name -> (batch call over a seed list, port draws per lane)
+CASES = {
+    "dac-rotate": (lambda seeds: run_dac_batch(9, 4, seeds), 1),
+    "dac-nearest-window": (
+        lambda seeds: run_dac_batch(9, 4, seeds, selector="nearest", window=2), 1
+    ),
+    "dac-random": (lambda seeds: run_dac_batch(9, 4, seeds, selector="random"), 1),
+    "dbac-extreme": (lambda seeds: run_dbac_batch(11, 2, seeds), 1),
+    "dbac-random-strategy": (
+        lambda seeds: run_dbac_batch(
+            11, 2, seeds, selector="random", strategy="random", max_rounds=300
+        ),
+        1,
+    ),
+    "dbac-compacted": (lambda seeds: run_dbac_batch(11, 2, seeds, width=2), 1),
+    "mobile": (
+        lambda seeds: run_byz_batch(6, None, seeds, adversary="mobile-block_min"), 1
+    ),
+    "baseline": (
+        lambda seeds: run_baseline_batch(6, seeds, algorithm="trimmed", f=1, num_rounds=5),
+        0,
+    ),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = {"build": 0, "draw": 0}
+
+    def counting(fn, key):
+        def spy(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for name in BUILDERS:
+        monkeypatch.setattr(workloads, name, counting(getattr(workloads, name), "build"))
+    for module in (batch, ports_module):
+        monkeypatch.setattr(module, "port_tables", counting(module.port_tables, "draw"))
+    return counts
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_calls_build_nothing_and_draw_once_per_lane(case, calls):
+    run, draws_per_lane = CASES[case]
+    lanes = run(SEEDS)
+    assert [lane.seed for lane in lanes] == SEEDS
+    assert lanes[0].state_keys  # the kernel really ran the lanes
+    assert calls["build"] == 0
+    assert calls["draw"] == draws_per_lane * len(SEEDS)

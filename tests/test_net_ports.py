@@ -3,8 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.net.ports import PortNumbering, identity_ports, random_ports
+from repro.net.ports import PortNumbering, identity_ports, port_tables, random_ports
 
 
 class TestPortNumbering:
@@ -70,3 +72,20 @@ class TestPortNumbering:
         a = random_ports(8, random.Random(5))
         b = random_ports(8, random.Random(5))
         assert a == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=64), seed=st.integers())
+def test_port_tables_replays_shuffle_exactly(n, seed):
+    # The inlined Fisher-Yates draw must be n successive shuffles of
+    # range(n), bit for bit, and leave the generator where they leave it:
+    # every port numbering (and every stream drawn after it) depends on
+    # that, on whichever CPython runs the suite.
+    inlined, reference = random.Random(seed), random.Random(seed)
+    rows = []
+    for _ in range(n):
+        row = list(range(n))
+        reference.shuffle(row)
+        rows.append(row)
+    assert port_tables(n, inlined) == rows
+    assert inlined.getstate() == reference.getstate()

@@ -188,3 +188,79 @@ class TestPicklableTrials:
         baseline = run_baseline_trial(n=9, epsilon=1e-3, window=3, seed=0)
         assert dac["correct"]
         assert baseline["terminated"] and not baseline["correct"]
+
+
+class TestLaneFamily:
+    """Builders are a seed-independent family plus per-seed material."""
+
+    def test_family_carries_the_process_constants(self):
+        from repro.workloads import (
+            baseline_lane_family,
+            build_baseline_execution,
+            build_mobile_execution,
+            dac_lane_family,
+            dbac_lane_family,
+            mobile_lane_family,
+        )
+
+        cases = (
+            (dac_lane_family(9, 4, window=2), build_dac_execution(n=9, f=4, window=2)),
+            (dbac_lane_family(11, 2, end_phase=7), build_dbac_execution(n=11, f=2, end_phase=7)),
+            (mobile_lane_family(6, mode="rotate"), build_mobile_execution(n=6, mode="rotate")),
+            (
+                baseline_lane_family(6, algorithm="trimmed", f=1, num_rounds=5),
+                build_baseline_execution(6, algorithm="trimmed", f=1, num_rounds=5),
+            ),
+        )
+        for family, execution in cases:
+            process = next(iter(execution["processes"].values()))
+            for name in ("quorum", "end_phase", "trim", "num_rounds"):
+                assert getattr(family, name) == getattr(process, name, None), name
+            assert family.max_rounds == execution["max_rounds"]
+            plan = execution["fault_plan"]
+            assert family.fault_free == tuple(sorted(plan.fault_free))
+            assert family.byzantine == tuple(sorted(plan.byzantine))
+            assert family.crashes == plan.crashes
+            assert family.degree == getattr(execution["adversary"], "degree", 0)
+
+    def test_family_rejects_what_the_builder_rejects(self):
+        from repro.workloads import baseline_lane_family, dac_lane_family, dbac_lane_family
+
+        with pytest.raises(ValueError, match="2f"):
+            dac_lane_family(8, 4)
+        with pytest.raises(ValueError, match="selector"):
+            dac_lane_family(9, 4, selector="bogus")
+        with pytest.raises(ValueError, match="window"):
+            dac_lane_family(9, 4, window=0)
+        with pytest.raises(ValueError, match="5f"):
+            dbac_lane_family(10, 2)
+        with pytest.raises(ValueError, match="non-negative"):
+            baseline_lane_family(6, num_rounds=-1)
+        with pytest.raises(ValueError, match="degree"):
+            baseline_lane_family(1)
+
+    def test_one_family_serves_many_seeds(self):
+        # The adversary and the Byzantine strategies carry per-run state:
+        # every execution built from a shared family gets fresh ones, so
+        # reusing a family is the same as calling the builder per seed.
+        from repro.faults.byzantine import RandomByzantine
+        from repro.workloads import dbac_lane_family, lane_execution
+
+        family = dbac_lane_family(
+            11, 2, byzantine_factory=lambda node: RandomByzantine(), max_rounds=200
+        )
+        first, second = lane_execution(family, 1), lane_execution(family, 2)
+        assert first["adversary"] is not second["adversary"]
+        assert not set(map(id, first["fault_plan"].byzantine.values())) & set(
+            map(id, second["fault_plan"].byzantine.values())
+        )
+        for seed, shared in ((1, first), (2, second), (1, lane_execution(family, 1))):
+            fresh = build_dbac_execution(
+                n=11,
+                f=2,
+                seed=seed,
+                byzantine_factory=lambda node: RandomByzantine(),
+                max_rounds=200,
+            )
+            a, b = run_consensus(**shared), run_consensus(**fresh)
+            assert (a.rounds, a.outputs, a.phase_ranges) == (b.rounds, b.outputs, b.phase_ranges)
