@@ -23,10 +23,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 class MessageAdversary(ABC):
     """Chooses the reliable link set for every round."""
 
+    rng: random.Random
+
     def __init__(self) -> None:
         self.n: int = 0
         self.fault_plan: "FaultPlan | None" = None
-        self.rng: random.Random = random.Random(0)
+        # ``rng`` is bound by :meth:`setup`; nothing draws before that.
 
     def setup(self, n: int, fault_plan: "FaultPlan", rng: random.Random) -> None:
         """Bind the adversary to one execution; called once by the engine."""

@@ -31,6 +31,7 @@ from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.adversary.base import MessageAdversary
+from repro.net.ports import shuffle_rows
 from repro.net.topology import Edge, Topology
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -207,16 +208,28 @@ def random_picks(
     ``rng.shuffle`` of the ascending live list without ``v``. The draw
     order is part of the contract: one shuffle for *every* receiver
     ``0 .. n-1`` in ascending order -- Byzantine and crashed receivers
-    included, although nothing reads their rows. Shared with
-    :mod:`repro.sim.batch`, whose kernels replay each lane's own
-    adversary stream through this function to stay bit-identical.
+    included, although nothing reads their rows. The shuffles run
+    through :func:`repro.net.ports.shuffle_rows`, the inlined
+    Fisher-Yates loop :func:`~repro.net.ports.port_tables` uses: one
+    ``getrandbits`` call per draw, the same bits and final generator
+    state as ``rng.shuffle``. Shared with :mod:`repro.sim.batch`,
+    whose kernels replay each lane's own adversary stream through this
+    function to stay bit-identical.
+
+    >>> import random
+    >>> random_picks(4, (0, 1, 2, 3), 2, random.Random(0))
+    [[1, 3], [3, 2], [0, 1], [0, 2]]
+    >>> random_picks(5, (0, 2, 4), 1, random.Random(0))
+    [[2], [4], [0], [0], [0]]
     """
-    picks: list[list[int]] = []
+    position = {u: index for index, u in enumerate(live)}
+    rows: list[list[int]] = []
     for receiver in range(n):
-        candidates = [u for u in live if u != receiver]
-        rng.shuffle(candidates)
-        picks.append(candidates[:degree])
-    return picks
+        index = position.get(receiver)
+        rows.append(
+            list(live) if index is None else [*live[:index], *live[index + 1 :]]
+        )
+    return [row[:degree] for row in shuffle_rows(rows, rng)]
 
 
 class _QuorumSelector:

@@ -32,12 +32,14 @@ from repro.sim.node import ConsensusProcess, Delivery
 class ByzantineStrategy(ABC):
     """Base class: produces the faulty node's outgoing messages each round."""
 
+    rng: random.Random
+
     def __init__(self) -> None:
         self.node: int | None = None
         self.n: int = 0
         self.f: int = 0
         self.input_value: float = 0.0
-        self.rng: random.Random = random.Random(0)
+        # ``rng`` is bound by :meth:`bind`; nothing draws before that.
 
     def bind(self, node: int, n: int, f: int, input_value: float, rng: random.Random) -> None:
         """Attach the strategy to a concrete node; called once by the engine."""
@@ -124,26 +126,41 @@ class RandomByzantine(ByzantineStrategy):
         self.low = low
         self.high = high
 
-    def draw(self, top: int) -> tuple[float, int]:
-        """One receiver's ``(value, phase)``: ``randint(0, top + 1)``,
-        then ``uniform(low, high)`` from the node's stream.
+    def draw_row(self, top: int) -> tuple[list[float], list[int]]:
+        """One round's draws: ``(values, phases)`` for every receiver but
+        the node itself, in ascending receiver order.
 
-        :meth:`messages` calls it for every receiver but the node
-        itself, in ascending order, every round; the batch kernels
-        replay each lane's stream through it in that same order.
+        Per receiver, bit for bit ``randint(0, top + 1)`` and then
+        ``uniform(low, high)`` from the node's stream, with both inlined:
+        the phase is ``Random._randbelow``'s ``getrandbits`` loop (the
+        :func:`repro.net.ports.shuffle_rows` assumption about
+        :class:`random.Random`), the value ``low + (high - low) *
+        random()``. :meth:`messages` calls it once per round; the batch
+        kernels replay each lane's stream through it in that same order.
         """
-        phase = self.rng.randint(0, top + 1)
-        return self.rng.uniform(self.low, self.high), phase
+        bound = top + 2
+        k = bound.bit_length()
+        getrandbits = self.rng.getrandbits
+        unit = self.rng.random
+        low = self.low
+        span = self.high - self.low
+        values: list[float] = []
+        phases: list[int] = []
+        for _ in range(self.n - 1):
+            phase = getrandbits(k)
+            while phase >= bound:
+                phase = getrandbits(k)
+            phases.append(phase)
+            values.append(low + span * unit())
+        return values, phases
 
     def messages(self, t: int, view: Any) -> dict[int, StateMessage]:
-        top = max(0, view.max_fault_free_phase())
-        out: dict[int, StateMessage] = {}
-        for receiver in range(self.n):
-            if receiver == self.node:
-                continue
-            value, phase = self.draw(top)
-            out[receiver] = StateMessage(value, phase)
-        return out
+        values, phases = self.draw_row(max(0, view.max_fault_free_phase()))
+        receivers = [receiver for receiver in range(self.n) if receiver != self.node]
+        return {
+            receiver: StateMessage(value, phase)
+            for receiver, value, phase in zip(receivers, values, phases)
+        }
 
 
 class PhaseLiarByzantine(ByzantineStrategy):

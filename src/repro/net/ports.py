@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from functools import lru_cache
 
 
 class PortNumbering:
@@ -112,31 +113,46 @@ def identity_ports(n: int) -> PortNumbering:
     return PortNumbering([list(range(n)) for _ in range(n)])
 
 
-def port_tables(n: int, rng: random.Random) -> list[list[int]]:
-    """``n`` uniformly-random permutations of ``0..n-1``, one per node.
+@lru_cache(maxsize=256)
+def _fisher_yates_steps(length: int) -> tuple[tuple[int, int, int], ...]:
+    """``Random.shuffle``'s swap positions for a ``length``-long list:
+    ``(i, i + 1, (i + 1).bit_length())`` for ``i = length-1 .. 1``."""
+    return tuple((i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, length)))
 
-    Bit-for-bit what ``n`` successive ``rng.shuffle(list(range(n)))``
-    calls produce -- the same rows and the same final generator state
-    -- with :meth:`random.Random.shuffle`'s Fisher-Yates loop inlined:
-    the ``(i, i + 1, bit length)`` steps are built once, and each
-    swap index is ``getrandbits(k)`` redrawn while it is ``>= i + 1``,
-    exactly as ``Random._randbelow`` draws it. ``rng`` must use that
-    getrandbits-based draw (any :class:`random.Random` that does not
-    override ``random()`` alone). Rows are not validated; callers that
-    need a :class:`PortNumbering` go through :func:`random_ports`.
+
+def shuffle_rows(rows: list[list[int]], rng: random.Random) -> list[list[int]]:
+    """Shuffle every row of ``rows`` in place, in order; returns ``rows``.
+
+    Bit-for-bit what one ``rng.shuffle(row)`` per row produces -- the
+    same rows and the same final generator state -- with
+    :meth:`random.Random.shuffle`'s Fisher-Yates loop inlined: the
+    ``(i, i + 1, bit length)`` steps are built once per row length,
+    and each swap index is ``getrandbits(k)`` redrawn while it is
+    ``>= i + 1``, exactly as ``Random._randbelow`` draws it. ``rng``
+    must use that getrandbits-based draw (any :class:`random.Random`
+    that does not override ``random()`` alone). The one loop behind
+    :func:`port_tables` and
+    :func:`repro.adversary.constrained.random_picks`.
     """
-    steps = [(i, i + 1, (i + 1).bit_length()) for i in reversed(range(1, n))]
     getrandbits = rng.getrandbits
-    tables = []
-    for _ in range(n):
-        row = list(range(n))
-        for i, bound, k in steps:
+    for row in rows:
+        for i, bound, k in _fisher_yates_steps(len(row)):
             j = getrandbits(k)
             while j >= bound:
                 j = getrandbits(k)
             row[i], row[j] = row[j], row[i]
-        tables.append(row)
-    return tables
+    return rows
+
+
+def port_tables(n: int, rng: random.Random) -> list[list[int]]:
+    """``n`` uniformly-random permutations of ``0..n-1``, one per node.
+
+    Bit-for-bit what ``n`` successive ``rng.shuffle(list(range(n)))``
+    calls produce (rows and final generator state), through
+    :func:`shuffle_rows`. Rows are not validated; callers that need a
+    :class:`PortNumbering` go through :func:`random_ports`.
+    """
+    return shuffle_rows([list(range(n)) for _ in range(n)], rng)
 
 
 def random_ports(n: int, rng: random.Random) -> PortNumbering:

@@ -38,7 +38,7 @@ stable argsort, and ``random`` by replaying each lane's own adversary
 stream through :func:`~repro.adversary.constrained.random_picks` --
 the same function, in the same call order, the serial adversary uses.
 The ``random`` Byzantine strategy is replayed the same way, through
-:meth:`~repro.faults.byzantine.RandomByzantine.draw`.
+:meth:`~repro.faults.byzantine.RandomByzantine.draw_row`.
 
 Three kernels cover the built-in lane families (see docs/batching.md):
 
@@ -563,7 +563,12 @@ class BatchEngine:
         )
         sender_at_port = np.argsort(tables, axis=2)
         self_port = tables[:, np.arange(n), np.arange(n)]
-        adversary_rngs = [child_rng(seed, "adversary") for seed in self.seeds]
+        # Only the random selector draws from the adversary stream.
+        adversary_rngs = (
+            [child_rng(seed, "adversary") for seed in self.seeds]
+            if self.selector == "random"
+            else None
+        )
         no_byz = np.empty(0, dtype=np.intp)
 
         crash_round = np.full(n, _NEVER, dtype=np.int64)
@@ -723,7 +728,7 @@ def _strategy_vector_plan(strategy: object):
     "const"}``; ``(None, "draw", 0)`` for
     :class:`~repro.faults.byzantine.RandomByzantine`, whose per-lane
     streams the kernel replays through its
-    :meth:`~repro.faults.byzantine.RandomByzantine.draw`; or ``None``
+    :meth:`~repro.faults.byzantine.RandomByzantine.draw_row`; or ``None``
     when the strategy cannot be vectorized. Exact types are matched so
     subclasses with overridden behavior are never mis-vectorized.
     """
@@ -1107,7 +1112,14 @@ class ByzBatchEngine:
             else:
                 byz_const[node] = phase_arg
         draw_nodes = [int(u) for u in np.nonzero(byz_draws)[0]]
-        draw_targets = {u: [v for v in range(n) if v != u] for u in draw_nodes}
+        # [node, receiver] index grids of one lane's draw_row results:
+        # every receiver but the drawing node, ascending.
+        draw_index = (
+            np.array(draw_nodes, dtype=np.intp)[:, None],
+            np.array(
+                [[v for v in range(n) if v != u] for u in draw_nodes], dtype=np.intp
+            ).reshape(len(draw_nodes), n - 1),
+        )
         drawn_value = np.zeros((lanes, n, n), dtype=np.float64)
         drawn_phase = np.zeros((lanes, n, n), dtype=np.int64)
         lane_strategies: list[list] = [[] for _ in range(lanes)]
@@ -1144,8 +1156,10 @@ class ByzBatchEngine:
             inputs[b] = lane_inputs
             sender_at_port[b] = lane_sap
             self_port[b] = lane_self
-            # A refilled row restarts its RNG streams from its new seed.
-            adversary_rngs[b] = child_rng(seed, "adversary")
+            # A refilled row restarts its RNG streams from its new seed
+            # (only the random selector draws from the adversary's).
+            if self.selector == "random":
+                adversary_rngs[b] = child_rng(seed, "adversary")
             lane_strategies[b] = [self._bound_strategy(u, seed) for u in draw_nodes]
             value[b] = inputs[b]
             phase[b] = 0
@@ -1215,16 +1229,20 @@ class ByzBatchEngine:
 
             if draw_nodes:
                 # Drawing strategies draw every round, silent window
-                # rounds included, on every active lane: one draw per
-                # receiver but the node itself, in ascending order.
+                # rounds included, on every active lane: one row per
+                # node, for every receiver but the node, ascending.
+                # The rows land in one assignment per table.
+                active_rows = np.nonzero(lane_active)[0]
                 tops = phase[:, ff].max(axis=1).tolist()
-                for b in np.nonzero(lane_active)[0]:
-                    top = tops[b]
-                    for u, strategy in zip(draw_nodes, lane_strategies[b]):
-                        targets = draw_targets[u]
-                        drawn = [strategy.draw(top) for _ in targets]
-                        drawn_value[b, u, targets] = [v for v, _p in drawn]
-                        drawn_phase[b, u, targets] = [p for _v, p in drawn]
+                rows = [
+                    strategy.draw_row(tops[b])
+                    for b in active_rows.tolist()
+                    for strategy in lane_strategies[b]
+                ]
+                index = (active_rows[:, None, None], *draw_index)
+                shape = (active_rows.size, len(draw_nodes), n - 1)
+                drawn_value[index] = np.reshape([row[0] for row in rows], shape)
+                drawn_phase[index] = np.reshape([row[1] for row in rows], shape)
 
             delivering = (
                 lane_active
@@ -1599,7 +1617,12 @@ class BaselineBatchEngine:
         for b, seed in enumerate(self.seeds):
             inputs[b] = spawn_inputs(seed, n)
         value = inputs.copy()
-        adversary_rngs = [child_rng(seed, "adversary") for seed in self.seeds]
+        # Only the random selector draws from the adversary stream.
+        adversary_rngs = (
+            [child_rng(seed, "adversary") for seed in self.seeds]
+            if self.selector == "random"
+            else None
+        )
         all_live = np.ones(n, dtype=bool)
         no_byz = np.empty(0, dtype=np.intp)
 

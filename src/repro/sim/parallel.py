@@ -39,7 +39,10 @@ forward)``: each worker builds the tables its kernels reach, once.
 :func:`close_pool` tears the pool down explicitly (also wired to
 ``atexit``); ``pool="fresh"`` restores the old pool-per-call
 behaviour. A crashed pool is closed and rebuilt on the next call; the
-crash itself propagates.
+crash itself propagates. Workers cannot outlive their parent: each one
+watches the parent's death and exits with it, so a parent killed by
+``SIGTERM`` or ``SIGKILL`` (which skip ``atexit``) leaves no idle
+workers behind.
 
 **Adaptive dispatch.** Work is submitted as deterministically-sized
 *guided* chunks (sizes decay from ``len/2W`` toward 1), so early
@@ -61,6 +64,7 @@ ordinary sweeps pay nothing.
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import pickle
 import threading
@@ -152,6 +156,31 @@ def resolve_pool(pool: str | None) -> str:
 
 # -- Persistent worker pool ---------------------------------------------
 
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit the moment the parent process dies.
+
+    A daemon thread blocks on the parent's sentinel -- a pipe whose
+    write end the parent holds, readable once it is gone, however it
+    died -- and then ends the worker with ``os._exit``. A worker in the
+    middle of a job dies with it; its parent is gone, so nobody is
+    waiting for the result. No signal handler is installed.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:  # pragma: no cover - initializers run in workers
+        return
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, name="repro-parent-watch", daemon=True).start()
+
+
+def _new_executor(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+
+
 _pool_executor: ProcessPoolExecutor | None = None
 _pool_size = 0
 _pool_atexit_installed = False
@@ -189,12 +218,12 @@ def get_pool(workers: int) -> ProcessPoolExecutor:
     global _pool_executor, _pool_size, _pool_atexit_installed
     with _pool_lock:
         if _pool_executor is not None and _pool_size < workers:
-            replacement = ProcessPoolExecutor(max_workers=workers)
+            replacement = _new_executor(workers)
             previous, _pool_executor = _pool_executor, replacement
             _pool_size = workers
             previous.shutdown(wait=True)
         if _pool_executor is None:
-            _pool_executor = ProcessPoolExecutor(max_workers=workers)
+            _pool_executor = _new_executor(workers)
             _pool_size = workers
         if not _pool_atexit_installed:
             _pool_atexit_installed = True
@@ -413,7 +442,7 @@ def _fan_out(
     pool_mode: str,
 ) -> list[Any]:
     if pool_mode == "fresh":
-        with ProcessPoolExecutor(max_workers=max_workers) as executor:
+        with _new_executor(max_workers) as executor:
             return _collect(executor, chunk_fn, jobs)
     executor = get_pool(max_workers)
     try:

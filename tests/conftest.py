@@ -11,20 +11,39 @@ from repro.net.ports import identity_ports, random_ports
 from repro.sim.rng import child_rng
 
 
+def _running_children() -> list[int]:
+    """Children of this process that have not exited, from ``/proc``;
+    empty where ``/proc`` does not list children."""
+    from tests.helpers import process_running
+
+    children = []
+    for listing in Path(f"/proc/{os.getpid()}/task").glob("*/children"):
+        try:
+            pids = listing.read_text().split()
+        except OSError:
+            continue
+        children.extend(int(pid) for pid in pids if process_running(int(pid)))
+    return children
+
+
 @pytest.fixture(scope="session", autouse=True)
 def pool_arena_hygiene():
-    """Whole-suite shared-memory hygiene gate.
+    """Whole-suite process and shared-memory hygiene gate.
 
-    After the last test, close the persistent worker pool and assert
-    no ``repro_arena_<pid>_*`` segment of this process sits on the
+    After the last test, close the persistent worker pool, then assert
+    that no child process of the test run is still alive (a pool
+    worker, a daemon or a helper a test forgot to reap) and that no
+    ``repro_arena_<pid>_*`` segment of this process sits on the
     kernel's shared-memory filesystem. Nothing publishes segments any
-    more; the check guards against shared-memory publication coming
+    more; that check guards against shared-memory publication coming
     back without its cleanup.
     """
     yield
     from repro.sim import parallel
 
     parallel.close_pool()
+    stray = _running_children()
+    assert stray == [], f"stray child processes after the suite: {stray}"
     shm = Path("/dev/shm")
     if shm.is_dir():
         leaked = sorted(p.name for p in shm.glob(f"repro_arena_{os.getpid()}_*"))

@@ -33,6 +33,7 @@ chunking -- the full pooled dispatch stack).
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Any, Callable
 
 from repro.scenario.registry import RegistryEntry, lookup
@@ -54,6 +55,17 @@ def spread_inputs(n: int) -> list[float]:
 
 
 # -- Configs ---------------------------------------------------------------
+
+
+def process_running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited, read from
+    ``/proc`` (Linux). A zombie counts as exited: orphans are reaped by
+    whoever adopts them, maybe never."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
 
 
 def family_entry(name: str) -> RegistryEntry:

@@ -5,12 +5,17 @@ must satisfy the promised (T, D)-dynaDegree -- checked here with the
 independent checker, including under crashes.
 """
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.adversary.constrained import (
     LastMinuteQuorumAdversary,
     PhaseSkewAdversary,
     RotatingQuorumAdversary,
+    random_picks,
 )
 from repro.core.dac import DACProcess
 from repro.faults.base import FaultPlan
@@ -324,3 +329,28 @@ class TestNearestSelectorSpec:
     def test_mixed_side_rounded_ties(self):
         values = {0: 0.5, 1: 0.5 - 1e-17, 2: 0.5 + 1e-17, 3: 0.0, 4: 1.0}
         self._check(self._StubView(5, values), 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    live_bits=st.integers(min_value=0),
+    degree=st.integers(min_value=1, max_value=45),
+    seed=st.integers(),
+    rounds=st.integers(min_value=1, max_value=3),
+)
+def test_random_picks_replays_shuffle_exactly(n, live_bits, degree, seed, rounds):
+    """The inlined selection equals one ``rng.shuffle`` of the live list
+    without the receiver, for every receiver in ascending order, and
+    leaves the generator in the same state -- round after round."""
+    live = tuple(u for u in range(n) if live_bits >> u & 1)
+    rng = random.Random(seed)
+    reference = random.Random(seed)
+    for _ in range(rounds):
+        expected = []
+        for receiver in range(n):
+            candidates = [u for u in live if u != receiver]
+            reference.shuffle(candidates)
+            expected.append(candidates[:degree])
+        assert random_picks(n, live, degree, rng) == expected
+    assert rng.getstate() == reference.getstate()

@@ -61,6 +61,12 @@ class TestRegistry:
         with pytest.raises(KeyError, match="unknown experiment"):
             run_experiment("Q7")
 
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_experiment_passes_on_quick_grid(self, experiment_id):
+        # The paper's claims, each checked by its experiment's verdict.
+        result = run_experiment(experiment_id, quick=True)
+        assert result.passed, "\n".join(result.notes)
+
     def test_every_experiment_declares_headers(self):
         # Registry hygiene: ids match the functions' own table ids for
         # the quick smoke-testable ones.

@@ -16,8 +16,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # The public-API modules whose docstrings carry executable examples:
 # batching, the parallel layer, the picklable trial functions, and the
-# port draw (its example pins the drawn rows for one seed).
-DOCTEST_MODULES = ["repro.sim.batch", "repro.sim.parallel", "repro.workloads", "repro.net.ports"]
+# two shuffle replays (the port draw and the random selector; their
+# examples pin the drawn rows for one seed).
+DOCTEST_MODULES = [
+    "repro.sim.batch",
+    "repro.sim.parallel",
+    "repro.workloads",
+    "repro.net.ports",
+    "repro.adversary.constrained",
+]
 
 
 def _load_checker():

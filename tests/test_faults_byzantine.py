@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dbac import DBACProcess
 from repro.faults.base import FaultPlan
@@ -76,6 +78,44 @@ class TestRandom:
         a = bind(RandomByzantine(), seed=5).messages(0, FakeView())
         b = bind(RandomByzantine(), seed=5).messages(0, FakeView())
         assert a == b
+
+    def test_messages_are_one_row(self):
+        s = bind(RandomByzantine(), node=3, seed=9)
+        twin = bind(RandomByzantine(), node=3, seed=9)
+        values, phases = twin.draw_row(4)
+        out = s.messages(0, FakeView(max_phase=4))
+        assert list(out) == [0, 1, 2, 4, 5, 6, 7]
+        assert out == {
+            receiver: StateMessage(value, phase)
+            for receiver, value, phase in zip(out, values, phases)
+        }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    node=st.integers(min_value=0, max_value=39),
+    top=st.integers(min_value=0, max_value=5000),
+    low=st.floats(min_value=-1e6, max_value=1e6),
+    width=st.floats(min_value=0.0, max_value=1e6),
+    seed=st.integers(),
+    rounds=st.integers(min_value=1, max_value=3),
+)
+def test_draw_row_replays_randint_then_uniform(n, node, top, low, width, seed, rounds):
+    """Row draws are bit for bit ``randint(0, top + 1)`` then
+    ``uniform(low, high)`` per receiver, and leave the stream where
+    those calls leave it."""
+    high = low + width
+    strategy = RandomByzantine(low, high)
+    strategy.bind(node % n, n, 0, 0.0, random.Random(seed))
+    reference = random.Random(seed)
+    for _ in range(rounds):
+        expected_values, expected_phases = [], []
+        for _receiver in range(n - 1):
+            expected_phases.append(reference.randint(0, top + 1))
+            expected_values.append(reference.uniform(low, high))
+        assert strategy.draw_row(top) == (expected_values, expected_phases)
+    assert strategy.rng.getstate() == reference.getstate()
 
 
 class TestPhaseLiar:

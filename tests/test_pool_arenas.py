@@ -10,7 +10,8 @@ three properties carry all the weight:
   seeds, forward)``; workers build the structure tables they reach;
 - **recovery** -- a crashed pool is torn down, and the next call
   rebuilds it; an interpreter dying by ``KeyboardInterrupt`` still
-  reaches the pool teardown.
+  reaches the pool teardown, and one killed by ``SIGTERM`` or
+  ``SIGKILL`` takes its workers with it.
 
 The names the benchmark harness still reads (``run_trials(arenas=)``,
 ``arena_registry()``, ``batch_fn.arena_plan``) are pinned as inert
@@ -19,10 +20,13 @@ compatibility stubs at the end.
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -32,7 +36,7 @@ from repro.bench.sweep import Sweep
 from repro.sim import parallel
 from repro.sim.parallel import TrialSpec, close_pool, run_trials
 from repro.workloads import run_dac_trial
-from tests.helpers import family_entry
+from tests.helpers import family_entry, process_running
 
 REPO = Path(__file__).resolve().parent.parent
 BUILTIN_FAMILIES = ["averaging", "baseline", "byz", "dac", "dbac"]
@@ -190,6 +194,45 @@ def test_keyboard_interrupt_reaches_pool_teardown():
     assert proc.returncode != 0, "child was expected to die interrupted"
     assert "KeyboardInterrupt" in proc.stderr
     assert proc.stdout.splitlines() == ["SHUTDOWN"], proc.stdout + proc.stderr
+
+
+_ORPHAN_SCRIPT = """
+import json, time
+from repro.sim import parallel
+from repro.sim.parallel import TrialSpec, run_trials
+
+assert run_trials(dict, [TrialSpec((), seed=s) for s in range(4)], workers=2)
+print(json.dumps(sorted(parallel._pool_executor._processes)), flush=True)
+time.sleep(120)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["SIGTERM", "SIGKILL"])
+def test_pool_workers_die_with_their_parent(signum):
+    """A parent killed after a pooled call (neither signal runs atexit,
+    so close_pool never runs) takes its pool workers with it."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ORPHAN_SCRIPT], env=env, stdout=subprocess.PIPE, text=True
+    )
+    workers: list[int] = []
+    try:
+        workers = json.loads(proc.stdout.readline())
+        assert len(workers) == 2
+        proc.send_signal(signum)
+        assert proc.wait(timeout=30) == -signum
+        deadline = time.monotonic() + 5.0
+        while any(process_running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if process_running(pid)]
+        assert survivors == [], f"pool workers outlived their parent: {survivors}"
+    finally:
+        for pid in [proc.pid, *workers]:
+            if process_running(pid):
+                os.kill(pid, signal.SIGKILL)
+        proc.wait(timeout=30)
+        proc.stdout.close()
 
 
 # -- Compatibility stubs ----------------------------------------------------
