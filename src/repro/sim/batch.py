@@ -31,36 +31,36 @@ serial :class:`~repro.sim.engine.Engine` run per seed over the family's
 own builder -- the semantic reference itself, so those lanes match by
 construction and every ``run_*_batch`` works without numpy.
 
-One selector, :func:`select_delivered`, gives every kernel its
-per-round delivered-from masks for all three enforcing selectors:
-``rotate`` from the shared interned round tables, ``nearest`` by one
-stable argsort, and ``random`` by replaying each lane's own adversary
-stream through :func:`~repro.adversary.constrained.random_picks` --
-the same function, in the same call order, the serial adversary uses.
-The ``random`` Byzantine strategy is replayed the same way, through
-:meth:`~repro.faults.byzantine.RandomByzantine.draw_row`.
-
-Three kernels cover the built-in lane families (see docs/batching.md):
+One lane driver runs every kernel (see docs/batching.md). A round
+splits into the round's communication graph and the update rule that
+consumes it. :func:`select_delivered` gives the delivered-from masks of
+every lane: ``rotate`` from the shared interned round tables,
+``nearest`` by one stable argsort, ``random`` by replaying each lane's
+own adversary stream through
+:func:`~repro.adversary.constrained.random_picks` (the function the
+serial adversary calls, in the same call order), and the
+``mobile-<mode>`` cuts of the mobile-omission adversary. The kernel
+supplies only its state rows, its update and its state keys; the
+driver owns lane set-up from the :class:`~repro.workloads.LaneFamily`,
+the round clock all lanes share, stopping in ``Engine.run`` order and
+finalizing. The kernels:
 
 - :class:`BatchEngine` / :func:`run_dac_batch` -- fault-free and
   crash-fault boundary DAC under the enforcing quorum adversaries,
   precisely what :func:`repro.workloads.run_dac_trial` runs;
 - :class:`ByzBatchEngine` / :func:`run_dbac_batch` /
   :func:`run_byz_batch` -- boundary DBAC with Byzantine strategies
-  under the enforcing ``nearest``/``rotate`` adversaries, and
-  mobile-omission DAC, precisely what
-  :func:`repro.workloads.run_dbac_trial` / ``run_byz_trial`` run. The
-  kernel vectorizes DBAC's witness counters and ``f+1``-trimmed
-  updates and supports **lane compaction**:
-  finished rows are re-filled from a pending seed queue so long-tailed
-  grids keep full vector width;
+  (witness counters and ``f+1``-trimmed midpoints; the ``random``
+  strategy replayed through
+  :meth:`~repro.faults.byzantine.RandomByzantine.draw_row`), and
+  mobile-omission DAC (:class:`BatchEngine`'s update under the
+  ``mobile-<mode>`` masks), precisely what
+  :func:`repro.workloads.run_dbac_trial` / ``run_byz_trial`` run;
 - :class:`BaselineBatchEngine` / :func:`run_baseline_batch` -- the
   reliable-channel averaging baselines (iterated midpoint / trimmed
-  mean) under the same enforcing quorum adversaries, precisely what
-  :func:`repro.workloads.run_baseline_trial` runs. Two floats of
-  per-node state and a fixed round budget make these the simplest
-  lanes: one ``(B, n)`` value matrix advanced for exactly
-  ``num_rounds`` delivery rounds.
+  mean), precisely what :func:`repro.workloads.run_baseline_trial`
+  runs: one ``(B, n)`` value matrix advanced for exactly
+  ``num_rounds`` rounds.
 
 Composition: :func:`repro.workloads.run_dac_trial_batch` (and the
 DBAC/Byzantine/baseline forms) wrap these kernels in the batched-trial
@@ -73,7 +73,6 @@ than one serial trial) run the serial trial once per seed.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -92,11 +91,11 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 # Sentinel crash round for nodes that never crash (far beyond any cap).
 _NEVER = 1 << 62
 
-# Cap on each engine's derived-structure cache (live-diagonal matrices
-# keyed by (live_key, salt mod n)). Cleared wholesale at the cap, like
-# the Topology intern table: a realistic crash schedule settles into a
-# cycle of at most a few live sets x n salts, far below the cap, but
-# unbounded live-set streams (long mobile sweeps) must not grow it.
+# Cap on each engine's delivered-table cache (rotate tables keyed by
+# (live set, salt mod n), mobile tables by shift). Cleared wholesale at
+# the cap, like the Topology intern table: a realistic crash schedule
+# settles into a cycle of at most a few live sets x n salts, far below
+# the cap, but an unbounded stream of live sets must not grow it.
 _STRUCTURE_CACHE_MAX = 4096
 
 
@@ -168,30 +167,43 @@ class LaneResult:
     state_keys: dict[int, tuple]
 
 
+def _memo(cache: dict, key: tuple, build: Callable[[], object]):
+    """``cache[key]``, built on a miss; the cache clears at its cap."""
+    table = cache.get(key)
+    if table is None:
+        if len(cache) >= _STRUCTURE_CACHE_MAX:
+            cache.clear()
+        table = cache[key] = build()
+    return table
+
+
 def select_delivered(
     selector: str,
     degree: int,
     values,
     live,
     byz,
-    salts,
+    salt,
     rngs,
     rotate_cache: dict,
 ):
-    """Receiver-major delivered-from masks of one enforced round.
+    """Receiver-major delivered-from masks of one round, every lane.
 
-    The vectorized form of the enforcing quorum adversaries' sender
-    selection, shared by every kernel. Per delivering lane ``b``:
-    ``values[b]`` is the ``(n,)`` round-start state row (Byzantine
-    entries ignored), ``salts[b]`` the rotate salt and ``rngs[b]`` the
-    lane's own ``child_rng(seed, "adversary")`` stream (``random``
-    only; ``None`` for a stopped lane, which draws nothing). ``live``
-    is the ``(n,)`` transmitting-sender mask (crashed senders out,
-    Byzantine senders in) and ``byz`` the sorted Byzantine index
-    array. Returns ``(B, n, n)`` bools where ``[b, v, u]`` says ``u``'s
-    round broadcast reaches ``v``, without a diagonal: each kernel
-    handles self-delivery itself. Rows of Byzantine and crashed
-    receivers are unspecified; nothing reads them.
+    The vectorized form of the adversaries' sender selection: the
+    round's communication graph, which every kernel's update consumes.
+    ``values`` is the ``(B, n)`` round-start state (Byzantine entries
+    ignored), ``live`` the ``(n,)`` transmitting-sender mask (crashed
+    senders out, Byzantine senders in), ``byz`` the sorted Byzantine
+    index array, ``salt`` the round's rotate salt (all lanes share one
+    round clock) and ``rngs`` the lanes' own
+    ``child_rng(seed, "adversary")`` streams (``random`` only). Returns
+    ``(B, n, n)`` bools where ``[b, v, u]`` says ``u``'s round broadcast
+    reaches ``v``, without a diagonal: each kernel handles self-delivery
+    itself. A mask every lane shares is one ``(n, n)`` table broadcast
+    over the lanes. Rows of Byzantine and crashed receivers are
+    unspecified; nothing reads them.
+
+    The enforcing quorum adversaries:
 
     - ``rotate``: the interned :func:`rotate_topology` table from the
       shared content-hash memo (:func:`repro.sim.arena.delivered_table`,
@@ -206,30 +218,51 @@ def select_delivered(
     - ``random``: :func:`~repro.adversary.constrained.random_picks` on
       each lane's stream -- a Python loop for the draws only, in the
       serial call order, scattered into the mask in one assignment.
+
+    The mobile-omission adversary, :func:`repro.adversary.mobile.mobile_victims`
+    (the complete graph minus each receiver's victim in-link):
+
+    - ``mobile-rotate``: receiver ``v`` loses sender ``(v + salt) mod n``;
+      ``mobile-none`` is the shift 0, which cuts only the absent
+      self-loop. One table per shift, memoized in ``rotate_cache``.
+    - ``mobile-block_min`` / ``mobile-block_max``: every receiver loses
+      the holder of the first extremum, and that holder the second
+      one, by two ``argmin``/``argmax`` passes per lane.
     """
     np = _np
     lanes, n = values.shape
+    node_idx = np.arange(n)
+    if selector in ("mobile-rotate", "mobile-none"):
+        shift = salt % n if selector == "mobile-rotate" else 0
+
+        def cut():
+            table = ~np.eye(n, dtype=bool)
+            table[node_idx, (node_idx + shift) % n] = False
+            return table
+
+        return np.broadcast_to(_memo(rotate_cache, ("mobile", shift), cut), (lanes, n, n))
+    if selector in ("mobile-block_min", "mobile-block_max"):
+        pick, hide = (np.argmin, np.inf) if selector == "mobile-block_min" else (np.argmax, -np.inf)
+        rows = np.arange(lanes)
+        first = pick(values, axis=1)
+        masked = values.copy()
+        masked[rows, first] = hide
+        victim = np.repeat(first[:, None], n, axis=1)
+        victim[rows, first] = pick(masked, axis=1)
+        delivered = np.broadcast_to(~np.eye(n, dtype=bool), (lanes, n, n)).copy()
+        delivered[rows[:, None], node_idx, victim] = False
+        return delivered
     live_key = tuple(np.nonzero(live)[0].tolist())
     if selector == "rotate":
-        tables = dict.fromkeys(salt % n for salt in salts)
-        for salt in tables:
-            table = rotate_cache.get((live_key, salt))
-            if table is None:
-                if len(rotate_cache) >= _STRUCTURE_CACHE_MAX:
-                    rotate_cache.clear()
-                table = delivered_table(rotate_topology(n, live_key, salt, degree))
-                rotate_cache[live_key, salt] = table
-            tables[salt] = table
-        if len(tables) == 1:
-            return np.broadcast_to(table, (lanes, n, n))
-        return np.stack([tables[salt % n] for salt in salts])
+        salt %= n
+        table = _memo(
+            rotate_cache,
+            (live_key, salt),
+            lambda: delivered_table(rotate_topology(n, live_key, salt, degree)),
+        )
+        return np.broadcast_to(table, (lanes, n, n))
     if selector == "random":
-        stopped = [[]] * n  # a lane without a stream draws nothing
-        picks = [
-            row
-            for rng in rngs
-            for row in (stopped if rng is None else random_picks(n, live_key, degree, rng))
-        ]
+        picks = [row for rng in rngs for row in random_picks(n, live_key, degree, rng)]
         lengths = [len(row) for row in picks]
         senders = np.fromiter(
             chain.from_iterable(picks), dtype=np.intp, count=sum(lengths)
@@ -237,7 +270,6 @@ def select_delivered(
         delivered = np.zeros((lanes * n, n), dtype=bool)
         delivered[np.repeat(np.arange(lanes * n), lengths), senders] = True
         return delivered.reshape(lanes, n, n)
-    node_idx = np.arange(n)
     honest_live = live.copy()
     honest_live[byz] = False
     byz_live = byz[live[byz]]
@@ -281,8 +313,8 @@ def _in_port_order(delivered, sender_at_port):
 # port-ordered (B, n, n) tables ([b, v, k]: the message on v's port k),
 # the (B, n) receiving cells and the process state arrays, which it
 # updates in place through flat (B * n)-cell views (the kernels' arrays
-# are C-contiguous). Table rows of other cells are never used, so stale
-# scatter-buffer rows are harmless.
+# are C-contiguous). Table rows of cells that do not receive (crashed and
+# Byzantine nodes) are never read.
 
 
 def _sweep_start(receiving, state):
@@ -448,6 +480,188 @@ def _dac_state_keys(state, b: int) -> dict[int, tuple]:
     }
 
 
+# -- The lane driver --------------------------------------------------------
+
+
+def _objects(items: Sequence) -> object:
+    """A 1-D object array of per-lane Python objects (adversary streams,
+    bound strategies), so finished lanes leave it like any other table."""
+    array = _np.empty(len(items), dtype=object)
+    for i, item in enumerate(items):
+        array[i] = item
+    return array
+
+
+def _process_state(lanes: dict, end_phase: int, **extra) -> dict:
+    """The rows of fresh DAC/DBAC processes (the init blocks): ``R_i``
+    holds the node's own port, and end phase 0 decides at once (the
+    init-time ``_check_output``). ``extra`` adds the rule's own arrays."""
+    np = _np
+    inputs = lanes["inputs"]
+    rows, n = inputs.shape
+    received = np.zeros((rows, n, n), dtype=bool)
+    received[np.arange(rows)[:, None], np.arange(n), lanes["self_port"]] = True
+    decided = end_phase == 0
+    return dict(
+        value=inputs.copy(), phase=np.zeros((rows, n), dtype=np.int64),
+        received=received, count=np.ones((rows, n), dtype=np.int64),
+        out_mask=np.full((rows, n), decided), out_val=np.where(decided, inputs, 0.0),
+        **extra,
+    )
+
+
+def _dac_state(lanes: dict, family) -> dict:
+    """Fresh :class:`~repro.core.dac.DACProcess` rows: the extremes start at the input."""
+    inputs = lanes["inputs"]
+    return _process_state(lanes, family.end_phase, v_min=inputs.copy(), v_max=inputs.copy())
+
+
+def _dac_round(lanes, state, delivered, receiving, family, enable_jump: bool) -> None:
+    """One delivering round of DAC lanes: the round-start broadcast,
+    gathered through each lane's ports, through :func:`_dac_sweep`."""
+    sender_at_port = lanes["sender_at_port"]
+    gather = (_np.arange(len(sender_at_port))[:, None, None], sender_at_port)
+    _dac_sweep(
+        _in_port_order(delivered, sender_at_port),
+        state["value"][gather], state["phase"][gather], receiving, lanes["self_port"], state,
+        quorum=family.quorum, end_phase=family.end_phase, enable_jump=enable_jump,
+    )
+
+
+class _LaneKernel:
+    """The lane driver under every numpy kernel.
+
+    A kernel binds one :class:`~repro.workloads.LaneFamily` and its
+    seeds with :meth:`_bind`, and supplies three hooks:
+
+    - ``_init_state(lanes, seeds)`` returns the process-state rows of
+      the fresh lanes (and may add per-lane tables of its own to
+      ``lanes``);
+    - ``_round(lanes, state, delivered, receiving)`` applies one
+      delivering round's update, given the :func:`select_delivered`
+      masks and the ``(n,)`` mask of live honest receivers;
+    - ``_state_keys(state, i)`` returns row ``i``'s ``state_key()``
+      tuples.
+
+    :meth:`_run_lanes` does the rest. ``_stopped`` and ``_finish``
+    implement the two stop modes over ``out_mask`` / ``value`` rows;
+    the baselines, whose lanes all output at their round budget,
+    override both.
+    """
+
+    _reads_ports = True  # the baselines' update reads no port
+
+    def _bind(self, family, seeds: Sequence[int], refusal: str | None, kernel: str) -> None:
+        self.seeds = [int(seed) for seed in seeds]
+        if not self.seeds:
+            raise ValueError("need at least one seed (one lane)")
+        if refusal:
+            raise ValueError(f"{kernel} kernel unavailable: {refusal}")
+        self.family = family
+        self._fault_free = _np.array(family.fault_free, dtype=_np.intp)
+        # Delivered tables by structure key: tiny and cyclic.
+        self._rotate_cache: dict[tuple, object] = {}
+
+    @property
+    def batch_size(self) -> int:
+        """Number of lanes ``B``."""
+        return len(self.seeds)
+
+    def _run_lanes(self) -> list[LaneResult]:
+        """Run every lane to its stop condition; results in seed order.
+
+        Lane set-up draws each seed's inputs, ports and adversary stream
+        through the serial builders' child streams. All lanes start at
+        round 0 and share one round clock. On the last-minute
+        adversary's silent rounds nothing is computed: the only delivery
+        is each node's own message, whose port is already marked
+        received. Before each round, and once more at the cap, lanes
+        stop in ``Engine.run`` order: the condition first, the cap second
+        (a lane at the cap whose condition holds reports
+        ``stopped=True``). A lane that stops is finalized and its rows
+        leave every table, so later rounds compute only running lanes,
+        and a stopped lane draws nothing more.
+
+        No finished row is refilled with a further seed: the sweep
+        layer already caps a kernel call at its batch size, so a call's
+        lanes all start together.
+        """
+        np = _np
+        family, seeds = self.family, self.seeds
+        n, window = family.n, family.window
+        lanes = {
+            "row": np.arange(len(seeds)),
+            "inputs": np.array([spawn_inputs(seed, n) for seed in seeds]),
+        }
+        if self._reads_ports:
+            # Drawn rows are permutations: one argsort inverts them all
+            # (the kernels index senders by port), and the diagonal
+            # holds the self ports.
+            tables = np.array(
+                [port_tables(n, child_rng(seed, "ports")) for seed in seeds], dtype=np.intp
+            )
+            lanes["sender_at_port"] = np.argsort(tables, axis=2)
+            lanes["self_port"] = tables[:, np.arange(n), np.arange(n)]
+        if family.selector == "random":  # the one selector that draws
+            lanes["rng"] = _objects([child_rng(seed, "adversary") for seed in seeds])
+        state = self._init_state(lanes, seeds)
+
+        crash_round = np.full(n, _NEVER, dtype=np.int64)
+        for node, event in family.crashes.items():
+            crash_round[node] = event.round
+        byz = np.array(family.byzantine, dtype=np.intp)
+        honest = np.ones(n, dtype=bool)
+        honest[byz] = False
+        processes = np.nonzero(honest)[0].tolist()
+        results: list[LaneResult | None] = [None] * len(seeds)
+        t = 0
+        while True:
+            stopped = self._stopped(state, t)
+            done = stopped | (t >= family.max_rounds)
+            if done.any():
+                for i in np.nonzero(done)[0].tolist():
+                    b = int(lanes["row"][i])
+                    inputs = lanes["inputs"][i].tolist()
+                    results[b] = LaneResult(
+                        seed=seeds[b],
+                        rounds=t,
+                        stopped=bool(stopped[i]),
+                        inputs={node: inputs[node] for node in processes},
+                        **self._finish(state, i),
+                    )
+                if done.all():
+                    return results
+                lanes, state = ({key: rows[key][~done] for key in rows} for rows in (lanes, state))
+            if (t + 1) % window == 0:
+                live = crash_round > t  # clean crashes: senders == processors
+                delivered = select_delivered(
+                    family.selector, family.degree, state["value"], live, byz,
+                    t // window, lanes.get("rng"), self._rotate_cache,
+                )
+                self._round(lanes, state, delivered, live & honest)
+            t += 1
+
+    def _stopped(self, state: dict, t: int):
+        """Each row's stop condition: every fault-free node output
+        (``"output"``), or the fault-free spread within epsilon."""
+        if self.family.stop_mode == "output":
+            return state["out_mask"][:, self._fault_free].all(axis=1)
+        values = state["value"][:, self._fault_free]
+        return (values.max(axis=1) - values.min(axis=1)) <= self.family.epsilon
+
+    def _finish(self, state: dict, i: int) -> dict:
+        """Row ``i``'s outputs, as :func:`repro.sim.runner.run_consensus`
+        reports them for the stop mode, and its state keys."""
+        fault_free = self.family.fault_free
+        if self.family.stop_mode == "output":
+            decided, outs = state["out_mask"][i].tolist(), state["out_val"][i].tolist()
+            outputs = {node: outs[node] for node in fault_free if decided[node]}
+        else:
+            values = state["value"][i].tolist()
+            outputs = {node: values[node] for node in fault_free}
+        return {"outputs": outputs, "state_keys": self._state_keys(state, i)}
+
+
 def dac_kernel_refusal(selector: str = "rotate") -> str | None:
     """Why :class:`BatchEngine` cannot run these lanes, or ``None``.
 
@@ -459,7 +673,7 @@ def dac_kernel_refusal(selector: str = "rotate") -> str | None:
     return _selector_refusal(selector)
 
 
-class BatchEngine:
+class BatchEngine(_LaneKernel):
     """The numpy kernel for ``B`` boundary-DAC executions in lock-step.
 
     Parameters mirror :func:`repro.workloads.build_dac_execution` --
@@ -498,9 +712,6 @@ class BatchEngine:
         enable_jump: bool = True,
         max_rounds: int | None = None,
     ) -> None:
-        self.seeds = [int(seed) for seed in seeds]
-        if not self.seeds:
-            raise ValueError("need at least one seed (one lane)")
         # The serial builder's seed-independent half -- validation, crash
         # schedule, quorum, end phase, default round cap -- so there is
         # exactly one source of truth for what a lane *is* and the
@@ -517,28 +728,8 @@ class BatchEngine:
             enable_jump=enable_jump,
             max_rounds=max_rounds,
         )
-        reason = dac_kernel_refusal(selector)
-        if reason:
-            raise ValueError(f"DAC kernel unavailable: {reason}")
-        self.n = n
-        self.f = f
-        self.epsilon = epsilon
-        self.window = window
-        self.selector = selector
+        self._bind(family, seeds, dac_kernel_refusal(selector), "DAC")
         self.enable_jump = enable_jump
-        self.degree = family.degree
-        self.quorum = family.quorum
-        self.end_phase = family.end_phase
-        self.max_rounds = family.max_rounds
-        self._crashes = family.crashes
-        self._fault_free = family.fault_free
-        # Rotate tables by (live-set key, salt mod n): tiny and cyclic.
-        self._rotate_cache: dict[tuple, object] = {}
-
-    @property
-    def batch_size(self) -> int:
-        """Number of lanes ``B``."""
-        return len(self.seeds)
 
     def run(self) -> list[LaneResult]:
         """Run every lane to its stop condition and return lane results.
@@ -548,119 +739,15 @@ class BatchEngine:
         does: the stop condition is evaluated before each round and once
         more at the cap, and the lane's state freezes at that point.
         """
-        np = _np
-        n = self.n
-        lanes = len(self.seeds)
+        return self._run_lanes()
 
-        # Per-lane construction through the serial builders' exact RNG
-        # streams. Drawn rows are permutations, so one argsort inverts
-        # them all (the kernel indexes senders by port) and the
-        # diagonal holds the self ports.
-        inputs = np.array([spawn_inputs(seed, n) for seed in self.seeds])
-        tables = np.array(
-            [port_tables(n, child_rng(seed, "ports")) for seed in self.seeds],
-            dtype=np.intp,
-        )
-        sender_at_port = np.argsort(tables, axis=2)
-        self_port = tables[:, np.arange(n), np.arange(n)]
-        # Only the random selector draws from the adversary stream.
-        adversary_rngs = (
-            [child_rng(seed, "adversary") for seed in self.seeds]
-            if self.selector == "random"
-            else None
-        )
-        no_byz = np.empty(0, dtype=np.intp)
+    def _init_state(self, lanes: dict, seeds: list[int]) -> dict:
+        return _dac_state(lanes, self.family)
 
-        crash_round = np.full(n, _NEVER, dtype=np.int64)
-        for node, event in self._crashes.items():
-            crash_round[node] = event.round
-        fault_free = np.array(self._fault_free, dtype=np.intp)
+    def _round(self, lanes, state, delivered, receiving) -> None:
+        _dac_round(lanes, state, delivered, receiving, self.family, self.enable_jump)
 
-        # DACProcess state, one row per lane (Algorithm 1 init block);
-        # end phase 0 decides at once (the init-time _check_output).
-        decided = self.end_phase == 0
-        state = dict(
-            value=inputs.copy(), phase=np.zeros((lanes, n), dtype=np.int64),
-            received=np.zeros((lanes, n, n), dtype=bool),
-            count=np.ones((lanes, n), dtype=np.int64),
-            v_min=inputs.copy(), v_max=inputs.copy(),
-            out_mask=np.full((lanes, n), decided),
-            out_val=np.where(decided, inputs, 0.0),
-        )
-        lane_idx = np.arange(lanes)
-        state["received"][lane_idx[:, None], np.arange(n)[None, :], self_port] = True
-        value, phase, out_mask, out_val = (
-            state[key] for key in ("value", "phase", "out_mask", "out_val")
-        )
-        results: list[LaneResult | None] = [None] * lanes
-
-        def finalize(b: int, rounds: int, stopped: bool) -> None:
-            results[b] = LaneResult(
-                seed=self.seeds[b],
-                rounds=rounds,
-                stopped=stopped,
-                inputs={node: float(inputs[b, node]) for node in range(n)},
-                outputs={
-                    int(node): float(out_val[b, node])
-                    for node in fault_free
-                    if out_mask[b, node]
-                },
-                state_keys=_dac_state_keys(state, b),
-            )
-
-        gather_lane = lane_idx[:, None, None]
-        lane_active = np.ones(lanes, dtype=bool)
-        end_phase = self.end_phase
-        t = 0
-        while True:
-            # Stop handling in Engine.run order: the condition first,
-            # the cap second (a lane at the cap whose condition holds
-            # right now reports stopped=True either way).
-            finished = lane_active & out_mask[:, fault_free].all(axis=1)
-            for b in np.nonzero(finished)[0]:
-                finalize(int(b), t, True)
-            lane_active &= ~finished
-            if t >= self.max_rounds:
-                for b in np.nonzero(lane_active)[0]:
-                    finalize(int(b), t, False)
-                lane_active[:] = False
-            if not lane_active.any():
-                break
-            if self.window > 1 and (t + 1) % self.window != 0:
-                # The last-minute adversary's silent rounds change no
-                # state: the only delivery is each node's own message,
-                # whose port is already marked received.
-                t += 1
-                continue
-
-            live = crash_round > t  # clean crashes: senders == processors
-            salt = t if self.window == 1 else t // self.window
-            # A stopped lane draws nothing from its adversary stream.
-            # The self message is never materialized: its port is
-            # pre-marked at phase start, so the engine's reliable
-            # self-delivery is always a no-op.
-            rngs = None
-            if self.selector == "random":
-                rngs = [
-                    rng if active else None
-                    for rng, active in zip(adversary_rngs, lane_active)
-                ]
-            delivered = select_delivered(
-                self.selector, self.degree, value, live, no_byz, [salt] * lanes,
-                rngs, self._rotate_cache,
-            )
-            has_msg = _in_port_order(delivered, sender_at_port)
-
-            # The gathered tables are the round-start broadcast snapshot.
-            msg_value = value[gather_lane, sender_at_port]
-            msg_phase = phase[gather_lane, sender_at_port]
-            receiving = lane_active[:, None] & live[None, :]
-            _dac_sweep(
-                has_msg, msg_value, msg_phase, receiving, self_port, state,
-                quorum=self.quorum, end_phase=end_phase, enable_jump=self.enable_jump,
-            )
-            t += 1
-        return [result for result in results if result is not None]
+    _state_keys = staticmethod(_dac_state_keys)
 
 
 def run_dac_batch(
@@ -713,8 +800,6 @@ def run_dac_batch(
 
 
 # -- Batched DBAC / Byzantine / mobile-omission lanes ----------------------
-
-_STOP_MODES = ("oracle", "output")
 
 
 def _strategy_vector_plan(strategy: object):
@@ -838,7 +923,7 @@ def _byz_family(
     )
 
 
-class ByzBatchEngine:
+class ByzBatchEngine(_LaneKernel):
     """The numpy kernel for ``B`` DBAC / Byzantine / mobile lanes in lock-step.
 
     The Byzantine counterpart of :class:`BatchEngine`: one shared
@@ -850,7 +935,8 @@ class ByzBatchEngine:
       highest-numbered nodes running the named Byzantine ``strategy``;
     - ``adversary="mobile-<mode>"``: fault-free DAC under the
       Gafni-Losa mobile-omission adversary (one targeted in-link cut
-      per node per round).
+      per node per round), :class:`BatchEngine`'s update under the
+      ``mobile-<mode>`` masks of :func:`select_delivered`.
 
     Parameters
     ----------
@@ -870,18 +956,6 @@ class ByzBatchEngine:
         Raises ``ValueError`` when :func:`byz_kernel_refusal` refuses
         (numpy is missing, or a strategy outside the trial menu);
         :func:`run_byz_batch` runs those lanes serially.
-    width:
-        Maximum concurrent vector lanes. ``None`` (default) runs all
-        seeds at once. With ``width=W < len(seeds)`` the kernel
-        processes the seed list through ``W`` rows.
-    compact:
-        Lane compaction (only observable when ``width`` caps the row
-        count): ``True`` re-fills each finished row from
-        the pending seed queue immediately, keeping the vector width
-        full through long-tailed grids; ``False`` drains each
-        ``width``-sized chunk completely before starting the next.
-        Purely a speed/scheduling knob -- lanes are fully independent,
-        so results are bit-identical either way (pinned in tests).
     """
 
     #: Read-only marker: lanes of this class come from a numpy kernel.
@@ -900,68 +974,26 @@ class ByzBatchEngine:
         adversary: str = "quorum",
         stop_mode: str = "oracle",
         max_rounds: int = 50_000,
-        width: int | None = None,
-        compact: bool = True,
     ) -> None:
-        self.seeds = [int(seed) for seed in seeds]
-        if not self.seeds:
-            raise ValueError("need at least one seed (one lane)")
-        if stop_mode not in _STOP_MODES:
-            raise ValueError(f"stop_mode must be one of {_STOP_MODES}, got {stop_mode!r}")
-        if width is not None and width < 1:
-            raise ValueError(f"width must be >= 1 (or None), got {width}")
-        self.n = n
-        self.epsilon = float(epsilon)
-        self.window = int(window)
-        self.selector = selector
-        self.strategy = strategy
-        self.adversary = adversary
-        self.stop_mode = stop_mode
-        self.max_rounds = int(max_rounds)
-        self.width = width
-        self.compact = bool(compact)
         # The serial builder's seed-independent half (one source of
         # truth, like BatchEngine does for DAC): validates n >= 5f+1,
-        # the adversary, mode and strategy names as a side effect.
+        # the adversary, mode, strategy and stop mode names as a side
+        # effect.
         family = _byz_family(
             n,
             f,
-            epsilon=self.epsilon,
-            window=self.window,
+            epsilon=float(epsilon),
+            window=int(window),
             selector=selector,
             strategy=strategy,
             adversary=adversary,
             stop_mode=stop_mode,
-            max_rounds=self.max_rounds,
+            max_rounds=int(max_rounds),
         )
-        self.f = family.f
-        self.quorum = family.quorum
-        self.end_phase = family.end_phase
-        self.degree = family.degree
-        if adversary == "quorum":
-            self.family = "quorum"
-            self.mode = None
-            self.trim = family.trim
-        else:
-            self.family = "mobile"
-            self.mode = adversary[len("mobile-") :]
-            self.trim = 0
-        self._byz_nodes = family.byzantine
-        self._fault_free = family.fault_free
-        self._make_strategy = family.make_strategy
-        self._byz_strategies = [self._make_strategy(u) for u in self._byz_nodes]
-        reason = byz_kernel_refusal(adversary, selector, strategy)
-        if reason:
-            raise ValueError(f"Byzantine kernel unavailable: {reason}")
-        # Rotate tables by (live-set key, salt mod n): at most n entries.
-        self._rotate_cache: dict[tuple, object] = {}
-
-    @property
-    def batch_size(self) -> int:
-        """Number of lanes (seeds); the vector width is ``min(width, B)``."""
-        return len(self.seeds)
-
-    # -- vectorized kernels with lane compaction -----------------------
+        self._bind(family, seeds, byz_kernel_refusal(adversary, selector, strategy), "Byzantine")
+        self._mobile = adversary != "quorum"
+        if not self._mobile:
+            self._plan_byzantine()
 
     def run(self) -> list[LaneResult]:
         """Run every lane to its stop condition; results in seed order.
@@ -971,465 +1003,181 @@ class ByzBatchEngine:
         mode: the condition is evaluated before each round and once
         more at the cap.
         """
-        results: list[LaneResult | None] = [None] * len(self.seeds)
-        pending: deque[tuple[int, int]] = deque(enumerate(self.seeds))
-        width = len(self.seeds) if self.width is None else min(self.width, len(self.seeds))
-        kernel = self._kernel_quorum if self.family == "quorum" else self._kernel_mobile
-        if self.compact:
-            first = [pending.popleft() for _ in range(width)]
-            kernel(first, pending, results)
-        else:
-            while pending:
-                chunk = [
-                    pending.popleft() for _ in range(min(width, len(pending)))
-                ]
-                kernel(chunk, None, results)
-        return [result for result in results if result is not None]
+        return self._run_lanes()
 
-    def _lane_tables(self, seed: int):
-        """Inputs, sender-at-port rows and self ports for one lane, via
-        the serial RNG streams (drawn rows are permutations: one argsort
-        inverts them, the diagonal holds the self ports)."""
-        table = _np.array(port_tables(self.n, child_rng(seed, "ports")))
-        return spawn_inputs(seed, self.n), _np.argsort(table, axis=1), table.diagonal()
+    def _plan_byzantine(self) -> None:
+        """The Byzantine senders' message tables, from their strategies.
 
-    def _bound_strategy(self, node: int, seed: int):
-        """A fresh trial-menu strategy for ``node``, bound exactly as
-        the serial engine binds it for the lane with root ``seed``."""
-        strategy = self._make_strategy(node)
-        strategy.bind(node, self.n, self.f, 0.0, child_rng(seed, f"byzantine-{node}"))
-        return strategy
-
-    def _drain_and_refill(
-        self, cond_fn, lane_active, lane_t, finalize_row, reset_row, pending
-    ) -> None:
-        """Stop handling shared by both kernels, in ``Engine.run`` order
-        (condition first, cap second), then compaction: freed rows
-        immediately restart on queued seeds, and freshly refilled rows
-        are re-checked -- a refilled lane may satisfy its stop
-        condition at round zero, exactly like a serial run of zero
-        rounds.
-
-        ``cond_fn`` returns the per-lane stop-condition bools against
-        the kernel's *current* state arrays; ``finalize_row`` /
-        ``reset_row`` are the kernel's closures over them.
+        Most strategies give a static per-(sender, receiver) value
+        matrix plus a per-sender phase rule: track the maximum
+        fault-free phase with a fixed lead, or a constant. Drawing
+        strategies instead fill per-lane (sender, receiver) tables each
+        round from their own replayed streams (:meth:`_draw`).
         """
         np = _np
-        while True:
-            cond = cond_fn()
-            done = lane_active & (cond | (lane_t >= self.max_rounds))
-            done_rows = np.nonzero(done)[0]
-            if done_rows.size == 0:
-                return
-            for b in done_rows:
-                finalize_row(int(b), bool(cond[b]))
-            if not pending:
-                return
-            for b in done_rows:
-                if not pending:
-                    break
-                result_slot, seed = pending.popleft()
-                reset_row(int(b), result_slot, seed)
-
-    def _scatter_messages(
-        self, buffers: dict, lanes: int, deliver_rows, has_msg_d, msg_value_d, msg_phase_d
-    ):
-        """Full-width ``(B, n, n)`` views of one round's message arrays.
-
-        When every lane delivers this round the per-row arrays already
-        are full width; otherwise the delivering rows are scattered
-        into partial-width buffers cached in ``buffers`` (one dict per
-        kernel run, allocated lazily on the first partial round).
-        Stale rows from earlier rounds are never cleared -- the
-        per-round receiving mask filters them before any read.
-        """
-        if deliver_rows.size == lanes:
-            return has_msg_d, msg_value_d, msg_phase_d
-        np = _np
-        n = self.n
-        if not buffers:
-            buffers["has"] = np.empty((lanes, n, n), dtype=bool)
-            buffers["value"] = np.empty((lanes, n, n), dtype=np.float64)
-            buffers["phase"] = np.empty((lanes, n, n), dtype=np.int64)
-        buffers["has"][deliver_rows] = has_msg_d
-        buffers["value"][deliver_rows] = msg_value_d
-        buffers["phase"][deliver_rows] = msg_phase_d
-        return buffers["has"], buffers["value"], buffers["phase"]
-
-    def _kernel_quorum(self, rows, pending, results) -> None:
-        """Advance DBAC lanes in lock-step until all rows (and, with a
-        ``pending`` queue, all queued refills) are finalized.
-
-        Each delivering round is one :func:`_dbac_sweep`: quorums that
-        fire mid-batch re-filter the remaining ports against the new
-        phase, as in each ``DBACProcess.deliver`` call. The self message
-        is never materialized: its port is pre-marked in ``R_i`` at
-        phase start, so the engine's reliable self-delivery is always
-        filtered. ``R_low``/``R_high`` are not kept as sorted lists:
-        each phase's stored values fill a ``(B, n, quorum)`` buffer in
-        witness-count order, the sweep takes the trimmed extremes from
-        it by one ``np.partition``, and finalize rebuilds the exact
-        serial lists from it -- the same value multisets, so state keys
-        and midpoints are bit-identical
-        (see :attr:`repro.core.dbac.DBACProcess.stored_count`).
-        """
-        np = _np
-        n = self.n
-        trim = self.trim
-        quorum = self.quorum
-        end_phase = self.end_phase
-        window = self.window
-        lanes = len(rows)
+        family = self.family
+        n = family.n
         node_idx = np.arange(n)
-
-        byz = np.array(self._byz_nodes, dtype=np.intp)
-        ff = np.array(self._fault_free, dtype=np.intp)
-        honest = np.ones(n, dtype=bool)
-        if byz.size:
-            honest[byz] = False
-        byz_flag = ~honest
-        # Byzantine message tables: a static per-(sender, receiver)
-        # value matrix plus a per-sender phase rule (track the maximum
-        # fault-free phase with a fixed lead, or a constant).
-        byz_value = np.zeros((n, n), dtype=np.float64)
-        byz_track = np.zeros(n, dtype=bool)
-        byz_lead = np.zeros(n, dtype=np.int64)
-        byz_const = np.zeros(n, dtype=np.int64)
-        # Drawing strategies instead fill per-lane (sender, receiver)
-        # tables each round from their own replayed streams.
-        byz_draws = np.zeros(n, dtype=bool)
-        for node, strategy in zip(self._byz_nodes, self._byz_strategies):
-            plan = _strategy_vector_plan(strategy)
+        self._byz_flag = np.zeros(n, dtype=bool)
+        self._byz_flag[list(family.byzantine)] = True
+        self._byz_value = np.zeros((n, n), dtype=np.float64)
+        self._byz_track = np.zeros(n, dtype=bool)
+        self._byz_lead = np.zeros(n, dtype=np.int64)
+        self._byz_const = np.zeros(n, dtype=np.int64)
+        self._byz_draws = np.zeros(n, dtype=bool)
+        for node in family.byzantine:
+            plan = _strategy_vector_plan(family.make_strategy(node))
             assert plan is not None  # guaranteed by byz_kernel_refusal
             values, phase_kind, phase_arg = plan
             if phase_kind == "draw":
-                byz_draws[node] = True
+                self._byz_draws[node] = True
                 continue
-            byz_value[node] = np.where(node_idx % 2 == 0, *values)
+            self._byz_value[node] = np.where(node_idx % 2 == 0, *values)
             if phase_kind == "track":
-                byz_track[node] = True
-                byz_lead[node] = phase_arg
+                self._byz_track[node] = True
+                self._byz_lead[node] = phase_arg
             else:
-                byz_const[node] = phase_arg
-        draw_nodes = [int(u) for u in np.nonzero(byz_draws)[0]]
+                self._byz_const[node] = phase_arg
+        self._draw_nodes = np.nonzero(self._byz_draws)[0].tolist()
         # [node, receiver] index grids of one lane's draw_row results:
         # every receiver but the drawing node, ascending.
-        draw_index = (
-            np.array(draw_nodes, dtype=np.intp)[:, None],
+        self._draw_index = (
+            np.array(self._draw_nodes, dtype=np.intp)[:, None],
             np.array(
-                [[v for v in range(n) if v != u] for u in draw_nodes], dtype=np.intp
-            ).reshape(len(draw_nodes), n - 1),
+                [[v for v in range(n) if v != u] for u in self._draw_nodes], dtype=np.intp
+            ).reshape(len(self._draw_nodes), n - 1),
         )
-        drawn_value = np.zeros((lanes, n, n), dtype=np.float64)
-        drawn_phase = np.zeros((lanes, n, n), dtype=np.int64)
-        lane_strategies: list[list] = [[] for _ in range(lanes)]
-        adversary_rngs: list = [None] * lanes
-        all_live = np.ones(n, dtype=bool)  # no crashes: everyone transmits
 
-        slot = np.zeros(lanes, dtype=np.intp)
-        lane_seed = [0] * lanes
-        inputs = np.empty((lanes, n), dtype=np.float64)
-        sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
-        self_port = np.empty((lanes, n), dtype=np.intp)
-        value = np.empty((lanes, n), dtype=np.float64)
-        phase = np.zeros((lanes, n), dtype=np.int64)
-        received = np.zeros((lanes, n, n), dtype=bool)
-        count = np.ones((lanes, n), dtype=np.int64)
+    def _init_state(self, lanes: dict, seeds: list[int]) -> dict:
+        family = self.family
+        if self._mobile:
+            return _dac_state(lanes, family)
+        if self._draw_nodes:
+            # Each drawing node's strategy, bound exactly as the serial
+            # engine binds it for the lane's root seed.
+            def bound(node: int, seed: int):
+                strategy = family.make_strategy(node)
+                strategy.bind(node, family.n, family.f, 0.0, child_rng(seed, f"byzantine-{node}"))
+                return strategy
+
+            lanes["strategies"] = _objects(
+                [tuple(bound(node, seed) for node in self._draw_nodes) for seed in seeds]
+            )
         # Per-phase stored values in witness-counter order; slot i holds
         # the (i+1)-th stored value of the current phase (slot 0 is the
         # phase-start self value). count <= quorum always: the quorum
         # fires, and resets the counter, on the accept that reaches it.
-        stored = np.zeros((lanes, n, quorum), dtype=np.float64)
-        out_mask = np.zeros((lanes, n), dtype=bool)
-        out_val = np.zeros((lanes, n), dtype=np.float64)
-        state = dict(
-            value=value, phase=phase, received=received, count=count,
-            stored=stored, out_mask=out_mask, out_val=out_val,
+        inputs = lanes["inputs"]
+        stored = _np.zeros((*inputs.shape, family.quorum), dtype=_np.float64)
+        stored[:, :, 0] = inputs
+        return _process_state(lanes, family.end_phase, stored=stored)
+
+    def _round(self, lanes, state, delivered, receiving) -> None:
+        """One delivering round: :func:`_dac_sweep` for mobile lanes,
+        :func:`_dbac_sweep` with the Byzantine senders' messages for
+        DBAC lanes.
+
+        Quorums that fire mid-round re-filter the remaining ports
+        against the new phase, as in each ``DBACProcess.deliver`` call.
+        ``R_low``/``R_high`` are not kept as sorted lists: each phase's
+        stored values fill a ``(B, n, quorum)`` buffer in witness-count
+        order, the sweep takes the trimmed extremes from it by one
+        ``np.partition``, and :meth:`_state_keys` rebuilds the exact
+        serial lists from it -- the same value multisets, so state keys
+        and midpoints are bit-identical
+        (see :attr:`repro.core.dbac.DBACProcess.stored_count`).
+        """
+        family = self.family
+        if self._mobile:
+            _dac_round(lanes, state, delivered, receiving, family, True)
+            return
+        np = _np
+        value, phase = state["value"], state["phase"]
+        sender_at_port = lanes["sender_at_port"]
+        rows, n = value.shape
+        # The round-start state -- what the adversary and the Byzantine
+        # strategies see and honest senders transmit -- is read before
+        # the sweep updates it.
+        gather = (np.arange(rows)[:, None, None], sender_at_port)
+        msg_value, msg_phase = value[gather], phase[gather]
+        if family.byzantine:
+            top = phase[:, self._fault_free].max(axis=1)
+            receiver = np.arange(n)[None, :, None]
+            byz_value = self._byz_value[sender_at_port, receiver]
+            byz_phase = np.where(
+                self._byz_track, top[:, None] + self._byz_lead, self._byz_const
+            )[gather]
+            if self._draw_nodes:
+                drawn_value, drawn_phase = self._draw(lanes["strategies"], top)
+                drawn = (*gather, receiver)
+                is_drawn = self._byz_draws[sender_at_port]
+                byz_value = np.where(is_drawn, drawn_value[drawn], byz_value)
+                byz_phase = np.where(is_drawn, drawn_phase[drawn], byz_phase)
+            is_byz = self._byz_flag[sender_at_port]
+            msg_value = np.where(is_byz, byz_value, msg_value)
+            msg_phase = np.where(is_byz, byz_phase, msg_phase)
+        _dbac_sweep(
+            _in_port_order(delivered, sender_at_port), msg_value, msg_phase, receiving,
+            lanes["self_port"], state,
+            quorum=family.quorum, trim=family.trim, end_phase=family.end_phase,
         )
-        lane_t = np.zeros(lanes, dtype=np.int64)
-        lane_active = np.zeros(lanes, dtype=bool)
 
-        def reset_row(b: int, result_slot: int, seed: int) -> None:
-            lane_inputs, lane_sap, lane_self = self._lane_tables(seed)
-            slot[b] = result_slot
-            lane_seed[b] = seed
-            inputs[b] = lane_inputs
-            sender_at_port[b] = lane_sap
-            self_port[b] = lane_self
-            # A refilled row restarts its RNG streams from its new seed
-            # (only the random selector draws from the adversary's).
-            if self.selector == "random":
-                adversary_rngs[b] = child_rng(seed, "adversary")
-            lane_strategies[b] = [self._bound_strategy(u, seed) for u in draw_nodes]
-            value[b] = inputs[b]
-            phase[b] = 0
-            received[b] = False
-            received[b, node_idx, self_port[b]] = True
-            count[b] = 1
-            stored[b, :, 0] = value[b]
-            out_mask[b] = end_phase == 0  # the init-time _check_output
-            out_val[b] = value[b] if end_phase == 0 else 0.0
-            lane_t[b] = 0
-            lane_active[b] = True
+    def _draw(self, strategies, top):
+        """Every lane's drawn ``[sender, receiver]`` value and phase tables.
 
-        def finalize_row(b: int, stopped: bool) -> None:
-            values, phases, counts, decided, outs, lane_inputs, rows = (
-                array[b].tolist()
-                for array in (value, phase, count, out_mask, out_val, inputs, received)
-            )
-            state_keys = {}
-            for node in self._fault_free:
-                # Reconstruct the exact R_low / R_high lists from the
-                # phase's stored-value buffer: the recording lists are
-                # the min(stored, f+1) smallest / largest stored values
-                # in ascending order (the DBACProcess.stored_count
-                # invariant).
-                stores = counts[node]
-                length = min(stores, trim)
-                stored_sorted = np.sort(stored[b, node, :stores]).tolist()
-                state_keys[node] = (
-                    values[node],
-                    phases[node],
-                    tuple(rows[node]),
-                    tuple(stored_sorted[:length]),
-                    tuple(stored_sorted[stores - length :]),
-                    outs[node] if decided[node] else None,
-                )
-            if self.stop_mode == "output":
-                outputs = {node: outs[node] for node in self._fault_free if decided[node]}
-            else:
-                outputs = {node: values[node] for node in self._fault_free}
-            results[slot[b]] = LaneResult(
-                seed=lane_seed[b],
-                rounds=int(lane_t[b]),
-                stopped=stopped,
-                inputs={node: lane_inputs[node] for node in self._fault_free},
-                outputs=outputs,
-                state_keys=state_keys,
-            )
-            lane_active[b] = False
-
-        def stop_condition():
-            if self.stop_mode == "output":
-                return out_mask[:, ff].all(axis=1)
-            ff_values = value[:, ff]
-            return (ff_values.max(axis=1) - ff_values.min(axis=1)) <= self.epsilon
-
-        for b, (result_slot, seed) in enumerate(rows):
-            reset_row(b, result_slot, seed)
-
-        scatter_buffers: dict = {}
-
-        while True:
-            self._drain_and_refill(
-                stop_condition, lane_active, lane_t, finalize_row, reset_row, pending
-            )
-            if not lane_active.any():
-                return
-
-            if draw_nodes:
-                # Drawing strategies draw every round, silent window
-                # rounds included, on every active lane: one row per
-                # node, for every receiver but the node, ascending.
-                # The rows land in one assignment per table.
-                active_rows = np.nonzero(lane_active)[0]
-                tops = phase[:, ff].max(axis=1).tolist()
-                rows = [
-                    strategy.draw_row(tops[b])
-                    for b in active_rows.tolist()
-                    for strategy in lane_strategies[b]
-                ]
-                index = (active_rows[:, None, None], *draw_index)
-                shape = (active_rows.size, len(draw_nodes), n - 1)
-                drawn_value[index] = np.reshape([row[0] for row in rows], shape)
-                drawn_phase[index] = np.reshape([row[1] for row in rows], shape)
-
-            delivering = (
-                lane_active
-                if window == 1
-                else lane_active & ((lane_t + 1) % window == 0)
-            )
-            if delivering.any():
-                deliver_rows = np.nonzero(delivering)[0]
-                # The round-start state -- what the adversary and the
-                # Byzantine strategies see and honest senders transmit --
-                # is read before the sweep updates it.
-                max_ff_phase = phase[:, ff].max(axis=1)
-                sap_d = sender_at_port[deliver_rows]
-
-                delivered_recv = select_delivered(
-                    self.selector, self.degree, value[deliver_rows], all_live, byz,
-                    (lane_t[deliver_rows] // window).tolist(),
-                    [adversary_rngs[b] for b in deliver_rows], self._rotate_cache,
-                )
-                has_msg_d = _in_port_order(delivered_recv, sap_d)
-
-                gather_d = (deliver_rows[:, None, None], sap_d)
-                msg_value_d = value[gather_d]
-                msg_phase_d = phase[gather_d]
-                if byz.size:
-                    is_byz_sender = byz_flag[sap_d]
-                    byz_value_d = byz_value[sap_d, node_idx[None, :, None]]
-                    byz_phase = np.where(
-                        byz_track[None, :],
-                        max_ff_phase[:, None] + byz_lead[None, :],
-                        byz_const[None, :],
-                    )
-                    byz_phase_d = byz_phase[gather_d]
-                    if draw_nodes:
-                        drawn_d = (*gather_d, node_idx[None, :, None])
-                        is_drawn = byz_draws[sap_d]
-                        byz_value_d = np.where(is_drawn, drawn_value[drawn_d], byz_value_d)
-                        byz_phase_d = np.where(is_drawn, drawn_phase[drawn_d], byz_phase_d)
-                    msg_value_d = np.where(is_byz_sender, byz_value_d, msg_value_d)
-                    msg_phase_d = np.where(is_byz_sender, byz_phase_d, msg_phase_d)
-
-                has_msg, msg_value, msg_phase = self._scatter_messages(
-                    scatter_buffers, lanes, deliver_rows,
-                    has_msg_d, msg_value_d, msg_phase_d,
-                )
-
-                _dbac_sweep(
-                    has_msg, msg_value, msg_phase, delivering[:, None] & honest[None, :],
-                    self_port, state, quorum=quorum, trim=trim, end_phase=end_phase,
-                )
-            # Silent window rounds change no state: the only delivery
-            # is each node's own message, whose port is already marked.
-            lane_t = np.where(lane_active, lane_t + 1, lane_t)
-
-    def _kernel_mobile(self, rows, pending, results) -> None:
-        """Advance mobile-omission DAC lanes in lock-step (with refill).
-
-        :class:`BatchEngine`'s update rule, the same :func:`_dac_sweep`,
-        under per-lane delivered-from matrices: the complete graph minus
-        each receiver's targeted in-link, computed per lane from the
-        round-start values with two ``argmin``/``argmax`` passes -- the
-        vectorized form of :func:`repro.adversary.mobile.mobile_victims`.
+        One :meth:`~repro.faults.byzantine.RandomByzantine.draw_row` per
+        drawing node and round, for every receiver but the node, on the
+        round-start maximum fault-free phase ``top``. Serially a node
+        draws on every round, silent window rounds included. Those
+        messages reach no one, and the state they read is this round's,
+        so the window's silent-round draws are made here first and
+        dropped: each stream advances exactly as the serial engine's.
+        The rows land in one assignment per table.
         """
         np = _np
-        n = self.n
-        quorum = self.quorum
-        end_phase = self.end_phase
-        mode = self.mode
-        lanes = len(rows)
-        node_idx = np.arange(n)
+        family = self.family
+        n, silent = family.n, family.window - 1
+        draws = []
+        for lane_strategies, lane_top in zip(strategies, top.tolist()):
+            for strategy in lane_strategies:
+                for _ in range(silent):
+                    strategy.draw_row(lane_top)
+                draws.append(strategy.draw_row(lane_top))
+        rows = len(top)
+        index = (np.arange(rows)[:, None, None], *self._draw_index)
+        shape = (rows, len(self._draw_nodes), n - 1)
+        drawn_value = np.zeros((rows, n, n), dtype=np.float64)
+        drawn_phase = np.zeros((rows, n, n), dtype=np.int64)
+        drawn_value[index] = np.reshape([row[0] for row in draws], shape)
+        drawn_phase[index] = np.reshape([row[1] for row in draws], shape)
+        return drawn_value, drawn_phase
 
-        slot = np.zeros(lanes, dtype=np.intp)
-        lane_seed = [0] * lanes
-        inputs = np.empty((lanes, n), dtype=np.float64)
-        sender_at_port = np.empty((lanes, n, n), dtype=np.intp)
-        self_port = np.empty((lanes, n), dtype=np.intp)
-        state = dict(
-            value=np.empty((lanes, n)), phase=np.zeros((lanes, n), dtype=np.int64),
-            received=np.zeros((lanes, n, n), dtype=bool),
-            count=np.ones((lanes, n), dtype=np.int64),
-            v_min=np.empty((lanes, n)), v_max=np.empty((lanes, n)),
-            out_mask=np.zeros((lanes, n), dtype=bool), out_val=np.zeros((lanes, n)),
+    def _state_keys(self, state: dict, i: int) -> dict[int, tuple]:
+        if self._mobile:
+            return _dac_state_keys(state, i)
+        values, phases, counts, decided, outs, received = (
+            state[key][i].tolist()
+            for key in ("value", "phase", "count", "out_mask", "out_val", "received")
         )
-        value, phase, received, out_mask, out_val = (
-            state[key] for key in ("value", "phase", "received", "out_mask", "out_val")
-        )
-        lane_t = np.zeros(lanes, dtype=np.int64)
-        lane_active = np.zeros(lanes, dtype=bool)
-        complete = ~np.eye(n, dtype=bool)  # receiver-major, no self loop
-
-        def reset_row(b: int, result_slot: int, seed: int) -> None:
-            lane_inputs, lane_sap, lane_self = self._lane_tables(seed)
-            slot[b] = result_slot
-            lane_seed[b] = seed
-            inputs[b] = lane_inputs
-            sender_at_port[b] = lane_sap
-            self_port[b] = lane_self
-            for key in ("value", "v_min", "v_max"):
-                state[key][b] = inputs[b]
-            phase[b] = 0
-            received[b] = False
-            received[b, node_idx, self_port[b]] = True
-            state["count"][b] = 1
-            out_mask[b] = end_phase == 0  # the init-time _check_output
-            out_val[b] = inputs[b] if end_phase == 0 else 0.0
-            lane_t[b] = 0
-            lane_active[b] = True
-
-        def finalize_row(b: int, stopped: bool) -> None:
-            if self.stop_mode == "output":
-                outputs = {
-                    int(node): float(out_val[b, node])
-                    for node in range(n)
-                    if out_mask[b, node]
-                }
-            else:
-                outputs = {int(node): float(value[b, node]) for node in range(n)}
-            results[slot[b]] = LaneResult(
-                seed=lane_seed[b],
-                rounds=int(lane_t[b]),
-                stopped=stopped,
-                inputs={int(node): float(inputs[b, node]) for node in range(n)},
-                outputs=outputs,
-                state_keys=_dac_state_keys(state, b),
+        stored, trim = state["stored"][i], self.family.trim
+        keys = {}
+        for node in self.family.fault_free:
+            # Reconstruct the exact R_low / R_high lists from the
+            # phase's stored-value buffer: the recording lists are the
+            # min(stored, f+1) smallest / largest stored values in
+            # ascending order (the DBACProcess.stored_count invariant).
+            stores = counts[node]
+            length = min(stores, trim)
+            ordered = _np.sort(stored[node, :stores]).tolist()
+            keys[node] = (
+                values[node],
+                phases[node],
+                tuple(received[node]),
+                tuple(ordered[:length]),
+                tuple(ordered[stores - length :]),
+                outs[node] if decided[node] else None,
             )
-            lane_active[b] = False
-
-        def stop_condition():
-            if self.stop_mode == "output":
-                return out_mask.all(axis=1)
-            return (value.max(axis=1) - value.min(axis=1)) <= self.epsilon
-
-        for b, (result_slot, seed) in enumerate(rows):
-            reset_row(b, result_slot, seed)
-
-        scatter_buffers: dict = {}
-
-        while True:
-            self._drain_and_refill(
-                stop_condition, lane_active, lane_t, finalize_row, reset_row, pending
-            )
-            if not lane_active.any():
-                return
-
-            deliver_rows = np.nonzero(lane_active)[0]
-            sap_d = sender_at_port[deliver_rows]
-
-            delivered_recv = np.broadcast_to(
-                complete, (deliver_rows.size, n, n)
-            ).copy()
-            if mode == "rotate":
-                victim = (node_idx[None, :] + lane_t[deliver_rows][:, None]) % n
-                cut = victim != node_idx[None, :]
-                delivered_recv[
-                    np.nonzero(cut)[0], np.nonzero(cut)[1], victim[cut]
-                ] = False
-            elif mode in ("block_min", "block_max"):
-                lane_values = value[deliver_rows]
-                pick = np.argmin if mode == "block_min" else np.argmax
-                first = pick(lane_values, axis=1)
-                masked = lane_values.copy()
-                masked[np.arange(deliver_rows.size), first] = (
-                    np.inf if mode == "block_min" else -np.inf
-                )
-                second = pick(masked, axis=1)
-                victim = np.broadcast_to(first[:, None], (deliver_rows.size, n)).copy()
-                victim[np.arange(deliver_rows.size), first] = second
-                delivered_recv[
-                    np.arange(deliver_rows.size)[:, None],
-                    node_idx[None, :],
-                    victim,
-                ] = False
-            # mode == "none": keep the complete graph.
-            has_msg_d = np.take_along_axis(delivered_recv, sap_d, axis=2)
-            msg_value_d = value[deliver_rows[:, None, None], sap_d]
-            msg_phase_d = phase[deliver_rows[:, None, None], sap_d]
-
-            has_msg, msg_value, msg_phase = self._scatter_messages(
-                scatter_buffers, lanes, deliver_rows,
-                has_msg_d, msg_value_d, msg_phase_d,
-            )
-
-            _dac_sweep(
-                has_msg, msg_value, msg_phase, lane_active[:, None], self_port, state,
-                quorum=quorum, end_phase=end_phase, enable_jump=True,
-            )
-            lane_t = np.where(lane_active, lane_t + 1, lane_t)
+        return keys
 
 
 def run_byz_batch(
@@ -1444,18 +1192,15 @@ def run_byz_batch(
     adversary: str = "quorum",
     stop_mode: str = "oracle",
     max_rounds: int = 50_000,
-    width: int | None = None,
-    compact: bool = True,
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of Byzantine-or-mobile executions, one lane per seed.
 
     :class:`ByzBatchEngine` lanes when :func:`byz_kernel_refusal`
     accepts the parameters, :class:`GenericBatchEngine` lanes over the
-    serial builders otherwise (``width``/``compact`` only schedule the
-    kernel). See :class:`ByzBatchEngine` for parameter semantics;
-    ``on_lane`` is called once per finished lane, in lane (seed) order
-    (see :func:`run_dac_batch`).
+    serial builders otherwise. See :class:`ByzBatchEngine` for
+    parameter semantics; ``on_lane`` is called once per finished lane,
+    in lane (seed) order (see :func:`run_dac_batch`).
 
     >>> lanes = run_byz_batch(6, 1, [0, 1])
     >>> [lane.stopped for lane in lanes]
@@ -1471,9 +1216,7 @@ def run_byz_batch(
         max_rounds=max_rounds,
     )
     if byz_kernel_refusal(adversary, selector, strategy) is None:
-        lanes = ByzBatchEngine(
-            n, f, seeds, width=width, compact=compact, **params
-        ).run()
+        lanes = ByzBatchEngine(n, f, seeds, **params).run()
     else:
         family = _byz_family(n, f, **params)
         lane_execution = _workloads().lane_execution
@@ -1494,8 +1237,6 @@ def run_dbac_batch(
     strategy: str = "extreme",
     stop_mode: str = "oracle",
     max_rounds: int = 50_000,
-    width: int | None = None,
-    compact: bool = True,
     on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
     """Run one batch of boundary DBAC executions, one lane per seed.
@@ -1518,8 +1259,6 @@ def run_dbac_batch(
         adversary="quorum",
         stop_mode=stop_mode,
         max_rounds=max_rounds,
-        width=width,
-        compact=compact,
         on_lane=on_lane,
     )
 
@@ -1529,7 +1268,7 @@ def baseline_kernel_refusal(selector: str = "rotate") -> str | None:
     return _selector_refusal(selector)
 
 
-class BaselineBatchEngine:
+class BaselineBatchEngine(_LaneKernel):
     """The numpy kernel for ``B`` averaging-baseline lanes in lock-step.
 
     The baseline counterpart of :class:`BatchEngine`: one shared
@@ -1546,9 +1285,9 @@ class BaselineBatchEngine:
     ``num_rounds``, and the whole per-node state is one float. Silent
     window rounds are provably value-preserving (the midpoint of
     ``{v}`` is ``v``; a trimmed batch of one is either ``{v}`` or
-    empty), so the kernel only touches the ``(B, n)`` value matrix on
-    delivery rounds. Results are bit-identical to serial runs -- same
-    floats, same round counts, same ``state_key()`` tuples.
+    empty), so the driver's silent-round skip holds for them too.
+    Results are bit-identical to serial runs -- same floats, same round
+    counts, same ``state_key()`` tuples.
 
     Parameters mirror :func:`repro.workloads.run_baseline_trial`;
     ``num_rounds=None`` defaults to DAC's ``p_end`` for the given
@@ -1559,6 +1298,7 @@ class BaselineBatchEngine:
 
     #: Read-only marker: lanes of this class come from a numpy kernel.
     backend = "numpy"
+    _reads_ports = False
 
     def __init__(
         self,
@@ -1572,9 +1312,6 @@ class BaselineBatchEngine:
         selector: str = "rotate",
         num_rounds: int | None = None,
     ) -> None:
-        self.seeds = [int(seed) for seed in seeds]
-        if not self.seeds:
-            raise ValueError("need at least one seed (one lane)")
         # The serial builder's seed-independent half validates exactly
         # what a serial trial would reject (algorithm, negative round
         # budgets, selectors, windows, n < 2) and derives the degree and
@@ -1588,101 +1325,55 @@ class BaselineBatchEngine:
             selector=selector,
             num_rounds=num_rounds,
         )
-        reason = baseline_kernel_refusal(selector)
-        if reason:
-            raise ValueError(f"baseline kernel unavailable: {reason}")
-        self.n = n
-        self.f = int(f)
+        self._bind(family, seeds, baseline_kernel_refusal(selector), "baseline")
         self.algorithm = algorithm
-        self.window = int(window)
-        self.selector = selector
-        self.degree = family.degree
-        self.num_rounds = family.num_rounds
-        # Rotate tables by (live-set key, salt mod n): at most n entries.
-        self._rotate_cache: dict[tuple, object] = {}
-
-    @property
-    def batch_size(self) -> int:
-        """Number of lanes ``B``."""
-        return len(self.seeds)
 
     def run(self) -> list[LaneResult]:
         """Run every lane to its fixed round budget; results in seed order."""
+        return self._run_lanes()
+
+    def _init_state(self, lanes: dict, seeds: list[int]) -> dict:
+        return {"value": lanes["inputs"].copy()}
+
+    def _round(self, lanes, state, delivered, receiving) -> None:
         np = _np
-        n = self.n
-        lanes = len(self.seeds)
-        trim = self.f
+        value = state["value"]
+        n, trim = self.family.n, self.family.f
+        vals = value[:, None, :]
+        if self.algorithm == "midpoint":
+            # min/max over delivered senders and self -- the same two
+            # floats the serial deliver() reduces, so the midpoint is
+            # the identical IEEE result.
+            lo = np.minimum(np.where(delivered, vals, np.inf).min(axis=2), value)
+            hi = np.maximum(np.where(delivered, vals, -np.inf).max(axis=2), value)
+            state["value"] = 0.5 * (lo + hi)
+            return
+        # Sort delivered-plus-self per receiver (inf padding keeps
+        # absentees past every real value), then read the trim-f
+        # extremes at their counted positions.
+        stacked = np.concatenate([np.where(delivered, vals, np.inf), value[:, :, None]], axis=2)
+        ordered = np.sort(stacked, axis=2)
+        counts = delivered.sum(axis=2) + 1
+        low = ordered[:, :, min(trim, n)]
+        high = np.take_along_axis(
+            ordered, np.clip(counts - trim - 1, 0, n)[:, :, None], axis=2
+        )[:, :, 0]
+        # Batches of <= 2f values trim to nothing: v unchanged.
+        state["value"] = np.where(counts > 2 * trim, 0.5 * (low + high), value)
 
-        inputs = np.empty((lanes, n), dtype=np.float64)
-        for b, seed in enumerate(self.seeds):
-            inputs[b] = spawn_inputs(seed, n)
-        value = inputs.copy()
-        # Only the random selector draws from the adversary stream.
-        adversary_rngs = (
-            [child_rng(seed, "adversary") for seed in self.seeds]
-            if self.selector == "random"
-            else None
-        )
-        all_live = np.ones(n, dtype=bool)
-        no_byz = np.empty(0, dtype=np.intp)
+    def _stopped(self, state: dict, t: int):
+        # Every node advances its round counter on every engine round,
+        # so every lane outputs at exactly num_rounds.
+        return _np.full(len(state["value"]), t >= self.family.num_rounds)
 
-        for t in range(self.num_rounds):
-            if self.window > 1 and (t + 1) % self.window != 0:
-                # Silent window round: only the node's own echo is
-                # delivered, which is bit-for-bit value-preserving
-                # (0.5 * (v + v) == v; a trimmed batch of one is {v}
-                # or empty). Round counters advance uniformly -- the
-                # finalize block accounts for every t at once.
-                continue
-            salt = t if self.window == 1 else t // self.window
-            # No diagonal: self delivery is folded in by the update rules.
-            delivered = select_delivered(
-                self.selector, self.degree, value, all_live, no_byz,
-                [salt] * lanes, adversary_rngs, self._rotate_cache,
-            )
-            vals = value[:, None, :]
-            if self.algorithm == "midpoint":
-                # min/max over delivered senders and self -- the same
-                # two floats the serial deliver() reduces, so the
-                # midpoint is the identical IEEE result.
-                lo = np.minimum(np.where(delivered, vals, np.inf).min(axis=2), value)
-                hi = np.maximum(np.where(delivered, vals, -np.inf).max(axis=2), value)
-                value = 0.5 * (lo + hi)
-            else:
-                # Sort delivered-plus-self per receiver (inf padding
-                # keeps absentees past every real value), then read the
-                # trim-f extremes at their counted positions.
-                stacked = np.concatenate(
-                    [np.where(delivered, vals, np.inf), value[:, :, None]], axis=2
-                )
-                ordered = np.sort(stacked, axis=2)
-                counts = delivered.sum(axis=2) + 1
-                low = ordered[:, :, min(trim, n)]
-                high = np.take_along_axis(
-                    ordered, np.clip(counts - trim - 1, 0, n)[:, :, None], axis=2
-                )[:, :, 0]
-                # Batches of <= 2f values trim to nothing: v unchanged.
-                value = np.where(counts > 2 * trim, 0.5 * (low + high), value)
-
-        # Every lane outputs at exactly num_rounds (uniform round
-        # advance), where state_key() is (v, num_rounds, output=v).
-        results: list[LaneResult] = []
-        for b, seed in enumerate(self.seeds):
-            lane_outputs = {node: float(value[b, node]) for node in range(n)}
-            results.append(
-                LaneResult(
-                    seed=seed,
-                    rounds=self.num_rounds,
-                    stopped=True,
-                    inputs={node: float(inputs[b, node]) for node in range(n)},
-                    outputs=lane_outputs,
-                    state_keys={
-                        node: (lane_outputs[node], self.num_rounds, lane_outputs[node])
-                        for node in range(n)
-                    },
-                )
-            )
-        return results
+    def _finish(self, state: dict, i: int) -> dict:
+        # state_key() at the output round is (v, num_rounds, output=v).
+        values = state["value"][i].tolist()
+        rounds = self.family.num_rounds
+        return {
+            "outputs": dict(enumerate(values)),
+            "state_keys": {node: (v, rounds, v) for node, v in enumerate(values)},
+        }
 
 
 def run_baseline_batch(

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from repro.adversary.constrained import (
@@ -90,8 +91,10 @@ class LaneFamily:
 
     What every execution of one parameter assignment shares: the
     validated parameters, the enforcing adversary's degree (0 for the
-    mobile-omission adversary, which has none), the round cap, the
-    crash schedule and Byzantine node set, and the constants of the
+    mobile-omission adversary, which has none), its window and sender
+    selector as :func:`repro.sim.batch.select_delivered` names it
+    (``mobile-<mode>`` for the mobile-omission adversary), the round
+    cap, the crash schedule and Byzantine node set, and the constants of the
     process class (quorum, end phase, trim depth, round budget; ``None``
     where the class has none). Built by the ``*_lane_family``
     functions; :func:`lane_execution` adds one seed's inputs, ports and
@@ -110,6 +113,8 @@ class LaneFamily:
     stop_mode: str
     max_rounds: int
     degree: int
+    window: int
+    selector: str
     make_adversary: Callable[[], Any]
     make_process: Callable[[float, int], Any]
     crashes: Mapping[int, CrashEvent] = field(default_factory=dict)
@@ -120,7 +125,7 @@ class LaneFamily:
     trim: int | None = None
     num_rounds: int | None = None
 
-    @property
+    @cached_property  # read once per finished kernel lane
     def fault_free(self) -> tuple[int, ...]:
         """The nodes that never fail, ascending."""
         faulty = set(self.crashes) | set(self.byzantine)
@@ -130,7 +135,11 @@ class LaneFamily:
 def _lane_family(**fields: Any) -> LaneFamily:
     # One template process (input 0 on port 0) and one adversary: their
     # constructors reject what a serial build would reject, and the
-    # process carries the class's seed-independent constants.
+    # process carries the class's seed-independent constants. The stop
+    # mode is checked here, as run_consensus checks it, so the batch
+    # kernels and the serial fallback reject it alike.
+    if fields["stop_mode"] not in ("output", "oracle"):
+        raise ValueError(f"unknown stop_mode {fields['stop_mode']!r}")
     template = fields["make_process"](0.0, 0)
     fields["make_adversary"]()
     constants = ("quorum", "end_phase", "trim", "num_rounds")
@@ -196,6 +205,8 @@ def dac_lane_family(
         stop_mode=stop_mode,
         max_rounds=max_rounds if max_rounds is not None else max(64, 4 * bound + 8 * window),
         degree=dac_degree(n),
+        window=window,
+        selector=selector,
         make_adversary=lambda: _quorum_adversary(window, dac_degree(n), selector),
         make_process=lambda value, port: DACProcess(
             n, f, value, port, epsilon=epsilon, enable_jump=enable_jump
@@ -260,6 +271,8 @@ def dbac_lane_family(
         stop_mode=stop_mode,
         max_rounds=max_rounds,
         degree=dbac_degree(n, f),
+        window=window,
+        selector=selector,
         make_adversary=lambda: _quorum_adversary(window, dbac_degree(n, f), selector),
         make_process=lambda value, port: DBACProcess(
             n, f, value, port, epsilon=epsilon, end_phase=end_phase
@@ -864,6 +877,8 @@ def mobile_lane_family(
         stop_mode=stop_mode,
         max_rounds=max_rounds,
         degree=0,
+        window=1,
+        selector=f"mobile-{mode}",
         make_adversary=lambda: MobileOmissionAdversary(mode),
         make_process=lambda value, port: DACProcess(n, 0, value, port, epsilon=epsilon),
     )
@@ -1084,6 +1099,8 @@ def baseline_lane_family(
         stop_mode="output",
         max_rounds=num_rounds + 2 * window,
         degree=dac_degree(n),
+        window=window,
+        selector=selector,
         make_adversary=lambda: _quorum_adversary(window, dac_degree(n), selector),
         make_process=lambda value, port: process_type(n, f, value, port, num_rounds=num_rounds),
     )

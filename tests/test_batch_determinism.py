@@ -9,8 +9,7 @@ Three contracts make ``batch=B`` a pure speed knob:
    across the DAC (crash), DBAC (Byzantine) and mobile-omission
    families: kernel lanes equal :class:`repro.sim.batch.GenericBatchEngine`
    lanes over the family's own builder (one serial engine run per
-   seed), and lane compaction / vector-width chunking never change
-   results;
+   seed), also when lanes of one batch stop at different rounds;
 2. each kernel refuses parameters it cannot replicate with a message
    naming them, and every batched form runs those groups serially --
    so every family's ``batch_fn`` equals its per-seed trial, with or
@@ -109,12 +108,6 @@ def generic_dbac_lanes(n, f, seeds, strategy="extreme", **params):
             n=n, f=f, seed=seed, byzantine_factory=lambda node: factory(), **params
         ),
     ).run()
-
-
-@functools.lru_cache(maxsize=None)
-def cached_dbac_reference(seeds):
-    """Serial reference lanes shared by the compaction grid (n=11, f=2)."""
-    return generic_dbac_lanes(11, 2, list(seeds))
 
 
 def generic_baseline_lanes(n, seeds, **params):
@@ -487,8 +480,27 @@ class TestByzBatchMatchesSerial:
             ByzBatchEngine(8, 1, [0], adversary="mobile-rotate")
         with pytest.raises(ValueError, match="mobile mode"):
             ByzBatchEngine(8, None, [0], adversary="mobile-nope")
-        with pytest.raises(ValueError, match="width"):
-            ByzBatchEngine(11, 2, [0], width=0)
+
+    @pytest.mark.parametrize("path", LANE_PATHS)
+    @pytest.mark.parametrize("family", ["dbac", "mobile"])
+    def test_unknown_stop_mode_raises_on_every_path(self, family, path, monkeypatch):
+        # The lane family checks the stop mode with run_consensus's own
+        # message, so the kernel and the serial fallback reject it alike.
+        import repro.sim.batch as batch
+
+        if path == "python":
+            monkeypatch.setattr(batch, "_np", None)
+        message = "unknown stop_mode 'nope'"
+        if family == "dbac":
+            with pytest.raises(ValueError, match=message):
+                run_dbac_trial(n=6, f=1, stop_mode="nope")
+            with pytest.raises(ValueError, match=message):
+                run_dbac_batch(6, 1, [0, 1], stop_mode="nope")
+        else:
+            with pytest.raises(ValueError, match=message):
+                run_byz_trial(n=6, adversary="mobile-rotate", stop_mode="nope")
+            with pytest.raises(ValueError, match=message):
+                run_byz_batch(6, None, [0, 1], adversary="mobile-rotate", stop_mode="nope")
 
 
 class TestMobileBatchMatchesSerial:
@@ -505,17 +517,15 @@ class TestMobileBatchMatchesSerial:
         )
 
     @needs_numpy
-    @pytest.mark.parametrize("compact", [True, False])
     @pytest.mark.parametrize("mode", MOBILE_MODES)
-    def test_kernel_matches_serial_engine_with_and_without_compaction(self, mode, compact):
+    def test_kernel_matches_serial_engine_under_both_stop_modes(self, mode):
         # Every receiver hears n - 2 peers a round, so these are the real
         # executions most likely to put several events in one cell's
-        # round; width 3 < 7 seeds makes compaction refill rows mid-run.
+        # round. Oracle lanes stop at different rounds (3 to 8 here).
         seeds = list(range(7))
         for stop_mode in ("oracle", "output"):
             lanes = ByzBatchEngine(
-                13, None, seeds, adversary=f"mobile-{mode}", stop_mode=stop_mode,
-                width=3, compact=compact,
+                13, None, seeds, adversary=f"mobile-{mode}", stop_mode=stop_mode
             ).run()
             assert lanes == generic_mobile_lanes(13, seeds, mode, stop_mode=stop_mode)
 
@@ -679,7 +689,7 @@ class TestSelectorKernels:
             )
 
     @needs_numpy
-    @pytest.mark.parametrize("window", [1, 2])
+    @pytest.mark.parametrize("window", [1, 2, 4])
     def test_random_selector_on_every_kernel(self, window):
         # Lanes stop at different rounds, so stopped lanes must stop
         # drawing while the others keep replaying their streams.
@@ -702,7 +712,7 @@ class TestSelectorKernels:
         assert baseline_kernel_refusal("random") is None
 
     @needs_numpy
-    @pytest.mark.parametrize("window", [1, 2])
+    @pytest.mark.parametrize("window", [1, 2, 4])
     def test_random_strategy_under_every_selector(self, window):
         # Random Byzantine nodes draw on silent window rounds too.
         seeds = [0, 4, 9, 17]
@@ -711,20 +721,6 @@ class TestSelectorKernels:
             assert ByzBatchEngine(11, 2, seeds, **params).run() == generic_dbac_lanes(
                 11, 2, seeds, **params
             ), selector
-
-    @needs_numpy
-    def test_compaction_restarts_refilled_rows_streams(self):
-        seeds = list(range(10))
-        for params in (
-            {"selector": "random"},
-            {"strategy": "random", "window": 2},
-            {"selector": "random", "strategy": "random"},
-        ):
-            reference = generic_dbac_lanes(11, 2, seeds, **params)
-            for compact in (True, False):
-                assert ByzBatchEngine(
-                    11, 2, seeds, width=3, compact=compact, **params
-                ).run() == reference, (params, compact)
 
 
 class TestGridDispatch:
@@ -743,50 +739,97 @@ class TestGridDispatch:
                 per_seed.append(resolved.entry.name)
         assert per_seed == ["averaging"]
 
+    @needs_numpy
+    def test_traced_kernel_rows_count_every_lane_once(self):
+        # The benchmark's tracer patches each kernel class's own ``run``
+        # and counts the lanes it returns: an inherited ``run`` is never
+        # patched, and lanes that detour through the serial fallback's
+        # ``run`` count as fallback lanes. (A nested call under the same
+        # span name opens no second span, so it is not counted twice.)
+        from perfbench.tracing import Tracer, instrument
 
-class TestLaneCompaction:
-    """Compaction / width chunking: a pure scheduling knob."""
+        tracer = Tracer()
+        patches = instrument(tracer)
+        try:
+            lanes = [
+                *run_dac_batch(9, 4, [0, 1]),
+                *run_dbac_batch(11, 2, [0, 1, 2]),
+                *run_byz_batch(8, None, [0, 1], adversary="mobile-rotate"),
+                *run_baseline_batch(6, [0, 1], num_rounds=3),
+            ]
+        finally:
+            patches.restore()
+        assert tracer.counters["sim.batch.kernel.lanes"] == len(lanes) == 9
+        assert "sim.batch.fallback.lanes" not in tracer.counters
+
+
+# Seeds whose DBAC lanes (n=11, f=2) stop apart: 5 and 13 finish before
+# the rest, and 7 runs twice.
+LONG_TAIL = (5, 0, 13, 2, 7, 7, 1, 9, 4, 3, 11, 6, 8, 10, 12, 14)
+
+# name -> (keyword arguments, serial reference lanes, whether some lanes
+# must hit the cap). Baseline lanes all output at their round budget and
+# DAC lanes of one call stop together on every grid tried, so the lanes
+# that stop apart are DBAC and mobile lanes.
+STOP_APART = {
+    "dbac-long-tail": (
+        {}, lambda: generic_dbac_lanes(11, 2, LONG_TAIL), False,
+    ),
+    "dbac-window-2": (
+        {"window": 2}, lambda: generic_dbac_lanes(11, 2, LONG_TAIL, window=2), False,
+    ),
+    "dbac-window-4": (
+        {"window": 4}, lambda: generic_dbac_lanes(11, 2, LONG_TAIL, window=4), False,
+    ),
+    "dbac-capped": (
+        {"max_rounds": 9}, lambda: generic_dbac_lanes(11, 2, LONG_TAIL, max_rounds=9), True,
+    ),
+    "dbac-random-selector": (
+        {"selector": "random"},
+        lambda: generic_dbac_lanes(11, 2, LONG_TAIL, selector="random"),
+        False,
+    ),
+    "dbac-random-strategy-window-2-capped": (
+        {"strategy": "random", "window": 2, "max_rounds": 24},
+        lambda: generic_dbac_lanes(
+            11, 2, LONG_TAIL, strategy="random", window=2, max_rounds=24
+        ),
+        True,
+    ),
+    "dbac-random-both-window-4": (
+        {"selector": "random", "strategy": "random", "window": 4},
+        lambda: generic_dbac_lanes(
+            11, 2, LONG_TAIL, selector="random", strategy="random", window=4
+        ),
+        False,
+    ),
+    **{
+        f"mobile-{mode}-capped": (
+            {"adversary": f"mobile-{mode}", "max_rounds": 5},
+            functools.partial(generic_mobile_lanes, 13, LONG_TAIL, mode, max_rounds=5),
+            True,
+        )
+        for mode in MOBILE_MODES
+    },
+}
+
+
+class TestLanesStopApart:
+    """Lanes of one batch stop at different rounds: a finished lane's
+    rows leave the driver's tables while the others run on, and a
+    finished lane draws nothing more from its streams."""
 
     @needs_numpy
-    @pytest.mark.parametrize("width,compact", [
-        (3, True), (3, False), (4, True), (1, True), (16, True), (16, False),
-    ])
-    def test_dbac_results_identical_at_any_width(self, width, compact):
-        seeds = (5, 0, 13, 2, 7, 7, 1, 9, 4, 3, 11, 6, 8, 10, 12, 14)
-        assert ByzBatchEngine(
-            11, 2, seeds, width=width, compact=compact
-        ).run() == cached_dbac_reference(seeds)
-
-    @needs_numpy
-    def test_compaction_on_off_equality_across_families(self):
-        seeds = list(range(12))
-        for kwargs, reference in (
-            ({"adversary": "quorum"}, lambda: generic_dbac_lanes(11, 2, seeds)),
-            (
-                {"adversary": "mobile-block_min"},
-                lambda: generic_mobile_lanes(11, seeds, "block_min"),
-            ),
-            (
-                {"adversary": "quorum", "window": 2},
-                lambda: generic_dbac_lanes(11, 2, seeds, window=2),
-            ),
-        ):
-            f = None if "mobile" in kwargs["adversary"] else 2
-            on = ByzBatchEngine(11, f, seeds, width=4, compact=True, **kwargs).run()
-            off = ByzBatchEngine(11, f, seeds, width=4, compact=False, **kwargs).run()
-            assert on == off == reference(), kwargs
-            assert [lane.seed for lane in on] == seeds
-
-    @needs_numpy
-    def test_refilled_rows_restart_from_round_zero(self):
-        # Mixed caps: with width 2 and compaction, later seeds run in
-        # rows freed by earlier lanes; their round counts must match
-        # full-width runs exactly.
-        seeds = list(range(8))
-        full = ByzBatchEngine(11, 2, seeds).run()
-        narrow = ByzBatchEngine(11, 2, seeds, width=2, compact=True).run()
-        assert [lane.rounds for lane in narrow] == [lane.rounds for lane in full]
-        assert narrow == full
+    @pytest.mark.parametrize("case", sorted(STOP_APART))
+    def test_kernel_lanes_equal_serial_lanes(self, case):
+        kwargs, reference, capped = STOP_APART[case]
+        f = None if "adversary" in kwargs else 2
+        n = 13 if "adversary" in kwargs else 11
+        lanes = ByzBatchEngine(n, f, LONG_TAIL, **kwargs).run()
+        assert lanes == reference()
+        assert [lane.seed for lane in lanes] == list(LONG_TAIL)
+        assert len({lane.rounds for lane in lanes}) > 1
+        assert {lane.stopped for lane in lanes} == ({True, False} if capped else {True})
 
 
 class TestByzBatchedTrialFunctions:

@@ -40,7 +40,7 @@ CASES = {
         ),
         1,
     ),
-    "dbac-compacted": (lambda seeds: run_dbac_batch(11, 2, seeds, width=2), 1),
+    "dbac-capped": (lambda seeds: run_dbac_batch(11, 2, seeds, window=2, max_rounds=19), 1),
     "mobile": (
         lambda seeds: run_byz_batch(6, None, seeds, adversary="mobile-block_min"), 1
     ),
