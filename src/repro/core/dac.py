@@ -100,6 +100,7 @@ class DACProcess(ConsensusProcess):
         self._received = [False] * n
         self._received[self_port] = True
         self._received_count = 1
+        self._message: StateMessage | None = None  # built by broadcast()
         self._output: float | None = None
         self._check_output()
 
@@ -123,8 +124,16 @@ class DACProcess(ConsensusProcess):
     # -- Protocol ----------------------------------------------------------
 
     def broadcast(self) -> StateMessage:
-        """Line 2: broadcast the current state and phase."""
-        return StateMessage(self._v, self._p)
+        """Line 2: broadcast the current state and phase.
+
+        The message is frozen and ``(v, p)`` changes only through
+        :meth:`_reset`, which drops it, so the one message is reused
+        until the next jump or quorum.
+        """
+        message = self._message
+        if message is None:
+            message = self._message = StateMessage(self._v, self._p)
+        return message
 
     def deliver(self, deliveries: list[Delivery]) -> None:
         """Lines 4-17: process one round's messages in port order."""
@@ -164,7 +173,12 @@ class DACProcess(ConsensusProcess):
     # -- Algorithm 1 helper functions ---------------------------------------
 
     def _reset(self) -> None:
-        """Lines 18-20: clear the port bits, re-anchor the extremes."""
+        """Lines 18-20: clear the port bits, re-anchor the extremes.
+
+        Every change of ``(v, p)`` passes through here, so this is also
+        where the cached broadcast is dropped.
+        """
+        self._message = None
         for port in range(self.n):
             self._received[port] = False
         self._received[self.self_port] = True

@@ -43,7 +43,7 @@ determinism suite pins the two bit for bit.
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_right
 
 from repro.core.phases import dbac_end_phase
 from repro.sim.messages import StateMessage
@@ -107,6 +107,7 @@ class DBACProcess(ConsensusProcess):
         self._received_count = 1
         self._r_low: list[float] = []  # ascending; at most f+1 lowest stored
         self._r_high: list[float] = []  # ascending; at most f+1 highest stored
+        self._message: StateMessage | None = None  # built by broadcast()
         self._store(self._v)  # fidelity note: self value is stored
         self._output: float | None = None
         self._check_output()
@@ -153,8 +154,16 @@ class DBACProcess(ConsensusProcess):
     # -- Protocol ------------------------------------------------------------
 
     def broadcast(self) -> StateMessage:
-        """Line 2: broadcast the current state and phase."""
-        return StateMessage(self._v, self._p)
+        """Line 2: broadcast the current state and phase.
+
+        The message is frozen and ``(v, p)`` changes only through
+        :meth:`_reset`, which drops it, so the one message is reused
+        until the next jump or quorum.
+        """
+        message = self._message
+        if message is None:
+            message = self._message = StateMessage(self._v, self._p)
+        return message
 
     def deliver(self, deliveries: list[Delivery]) -> None:
         """Lines 4-13: process one round's messages in port order."""
@@ -188,7 +197,12 @@ class DBACProcess(ConsensusProcess):
     # -- Algorithm 2 helper functions -----------------------------------------
 
     def _reset(self) -> None:
-        """Lines 14-16 plus the self-value store (fidelity note 1)."""
+        """Lines 14-16 plus the self-value store (fidelity note 1).
+
+        Every change of ``(v, p)`` passes through here, so this is also
+        where the cached broadcast is dropped.
+        """
+        self._message = None
         for port in range(self.n):
             self._received[port] = False
         self._received[self.self_port] = True
@@ -203,13 +217,28 @@ class DBACProcess(ConsensusProcess):
         ``R_low`` keeps the ``f+1`` smallest stored values, ``R_high``
         the ``f+1`` largest; one incoming value may enter both (e.g.
         the first ``f+1`` values seen in a phase).
+
+        This is ``insort`` then a pop past ``f+1``, minus the pairs
+        that cancel: on a full list, a value that ``insort`` would put
+        exactly where the pop removes it leaves the list unchanged, so
+        neither happens. The index is ``insort``'s own ``bisect_right``
+        (same comparisons), so ties, signed zeros and NaN land alike.
         """
-        bisect.insort(self._r_low, incoming_value)
-        if len(self._r_low) > self.trim:
-            self._r_low.pop()  # drop the largest of the lows
-        bisect.insort(self._r_high, incoming_value)
-        if len(self._r_high) > self.trim:
-            self._r_high.pop(0)  # drop the smallest of the highs
+        trim = self.trim
+        low = self._r_low
+        i = bisect_right(low, incoming_value)
+        if len(low) < trim:
+            low.insert(i, incoming_value)
+        elif i < trim:
+            low.insert(i, incoming_value)
+            low.pop()  # drop the largest of the lows
+        high = self._r_high
+        i = bisect_right(high, incoming_value)
+        if len(high) < trim:
+            high.insert(i, incoming_value)
+        elif i:
+            high.insert(i, incoming_value)
+            high.pop(0)  # drop the smallest of the highs
 
     def _check_output(self) -> None:
         """Line 12: output (and freeze) upon reaching ``p_end``."""

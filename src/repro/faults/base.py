@@ -10,6 +10,7 @@ who sends this round, to whom, and who still processes messages.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 
 from repro.faults.byzantine import ByzantineStrategy
@@ -54,16 +55,18 @@ class FaultPlan:
         # sets and per-round live profiles are memoized: the engine and
         # the enforcing adversaries consult them every round, and the
         # live set only changes when a crash event fires.
-        self._crash_order: tuple[int, ...] = tuple(sorted(self.crashes))
+        self._crash_rounds: tuple[int, ...] = tuple(
+            sorted(event.round for event in self.crashes.values())
+        )
         self._fault_free: frozenset[int] | None = None
         self._non_byzantine: frozenset[int] | None = None
-        self._live_cache: dict[tuple[bool, ...], tuple[frozenset[int], tuple[int, ...]]] = {}
+        self._live_cache: dict[int, tuple[frozenset[int], tuple[int, ...]]] = {}
         self._round_cache: dict[
-            tuple[int, ...],
+            tuple[int, int],
             tuple[dict[int, frozenset[int] | None], frozenset[int]],
         ] = {}
         self._mask_cache: dict[
-            tuple[int, ...],
+            tuple[int, int],
             tuple[frozenset[int], dict[int, frozenset[int]], frozenset[int]],
         ] = {}
 
@@ -143,14 +146,17 @@ class FaultPlan:
             return True
         return event.processes_at(t)
 
-    def _phase_key(self, t: int) -> tuple[int, ...]:
+    def _phase_key(self, t: int) -> tuple[int, int]:
         """The crash-phase memo key: where ``t`` sits relative to every
         crash round (before / at / after). Shared by the per-round
-        memos below so their tables can never key differently."""
-        return tuple(
-            0 if t < self.crashes[node].round else 1 if t == self.crashes[node].round else 2
-            for node in self._crash_order
-        )
+        memos below so their tables can never key differently.
+
+        With the crash rounds sorted, the crashes before ``t`` are the
+        first ``bisect_left`` of them and those at or before ``t`` the
+        first ``bisect_right``, so the two positions name the same
+        partition as one before/at/after flag per crash node."""
+        rounds = self._crash_rounds
+        return bisect_left(rounds, t), bisect_right(rounds, t)
 
     def round_profile(
         self, t: int
@@ -237,10 +243,9 @@ class FaultPlan:
 
     def _live_profile(self, t: int) -> tuple[frozenset[int], tuple[int, ...]]:
         # The live set depends on t only through which crash events
-        # have fired, so it is memoized on that (small) bool vector.
-        key = tuple(
-            self.crashes[node].sends_fully_at(t) for node in self._crash_order
-        )
+        # have fired: with the crash rounds sorted, those are the first
+        # bisect_right of them (a node sends fully while t < its round).
+        key = bisect_right(self._crash_rounds, t)
         cached = self._live_cache.get(key)
         if cached is None:
             alive = set(self.byzantine)

@@ -157,7 +157,7 @@ class LintConfig:
     plan_module: str = "repro.faults.base"
     plan_class: str = "FaultPlan"
     plan_memo_fields: tuple[str, ...] = (
-        "_crash_order",
+        "_crash_rounds",
         "_fault_free",
         "_non_byzantine",
         "_live_cache",

@@ -90,6 +90,10 @@ class Topology:
     )
 
     _intern: dict[tuple[int, tuple[Edge, ...]], "Topology"] = {}
+    # from_receiver_lists' memo, keyed by (n, in_rows): cleared with
+    # the intern table so it never hands back an instance the table
+    # has dropped.
+    _by_rows: dict[tuple[int, tuple[tuple[int, ...], ...]], "Topology"] = {}
     _complete_cache: dict[int, "Topology"] = {}
     _empty_cache: dict[int, "Topology"] = {}
 
@@ -136,6 +140,7 @@ class Topology:
         self._route_cache = None
         if len(table) >= _INTERN_MAX:
             table.clear()
+            Topology._by_rows.clear()
         table[key] = self
         return self
 
@@ -146,7 +151,10 @@ class Topology:
         """Build from per-receiver sender lists (trusted, e.g. quorum picks).
 
         ``senders_per_receiver[v]`` are the distinct senders delivering
-        to ``v`` (no self-links). Edges are canonicalized by bucketing
+        to ``v`` (no self-links). The sorted rows are looked up first:
+        they determine the graph, so adversaries that replay the same
+        picks get the interned instance back without rebuilding its
+        edge tuple. On a miss, edges are canonicalized by bucketing
         senders -- O(m + n), no comparison sort over the edge list --
         and on an intern miss the adjacency rows are seeded directly
         from the buckets, so the common adversary path (picks in, rows
@@ -154,15 +162,17 @@ class Topology:
         """
         if n < 1:
             raise ValueError(f"graph needs at least one node, got n={n}")
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        rows_in: list[tuple[int, ...]] = []
-        for receiver, senders in enumerate(senders_per_receiver):
-            ordered = sorted(senders)
-            rows_in.append(tuple(ordered))
-            for u in ordered:
-                buckets[u].append(receiver)
+        rows_in = tuple(map(tuple, map(sorted, senders_per_receiver)))
         if len(rows_in) != n:
             raise ValueError(f"need {n} receiver lists, got {len(rows_in)}")
+        key = (n, rows_in)
+        self = Topology._by_rows.get(key)
+        if self is not None:
+            return self
+        buckets: list[list[int]] = [[] for _ in range(n)]
+        for receiver, senders in enumerate(rows_in):
+            for u in senders:
+                buckets[u].append(receiver)
         # Receivers were visited in ascending order, so each bucket is
         # already sorted: concatenating buckets yields the canonical
         # (u, v)-lexicographic edge tuple.
@@ -172,7 +182,9 @@ class Topology:
         self = cls._lookup(n, edge_tuple)
         if self._out_rows is None:
             self._out_rows = tuple(tuple(receivers) for receivers in buckets)
-            self._in_rows = tuple(rows_in)
+            self._in_rows = rows_in
+        # Key on the instance's own rows, so the memo holds no copy.
+        Topology._by_rows[(n, self._in_rows)] = self
         return self
 
     @classmethod

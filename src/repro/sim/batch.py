@@ -575,12 +575,14 @@ class _LaneKernel:
         round 0 and share one round clock. On the last-minute
         adversary's silent rounds nothing is computed: the only delivery
         is each node's own message, whose port is already marked
-        received. Before each round, and once more at the cap, lanes
-        stop in ``Engine.run`` order: the condition first, the cap second
-        (a lane at the cap whose condition holds reports
-        ``stopped=True``). A lane that stops is finalized and its rows
-        leave every table, so later rounds compute only running lanes,
-        and a stopped lane draws nothing more.
+        received. Lanes stop in ``Engine.run`` order: the condition
+        first, the cap second (a lane at the cap whose condition holds
+        reports ``stopped=True``). The check runs only where its answer
+        can change -- at round 0, after each delivering round (or, for
+        the baselines, at their output round) and at the cap -- and the
+        clock jumps between checks. A lane that stops is finalized and
+        its rows leave every table, so later rounds compute only running
+        lanes, and a stopped lane draws nothing more.
 
         No finished row is refilled with a further seed: the sweep
         layer already caps a kernel call at its batch size, so a call's
@@ -614,10 +616,11 @@ class _LaneKernel:
         honest[byz] = False
         processes = np.nonzero(honest)[0].tolist()
         results: list[LaneResult | None] = [None] * len(seeds)
+        cap = family.max_rounds
         t = 0
         while True:
             stopped = self._stopped(state, t)
-            done = stopped | (t >= family.max_rounds)
+            done = stopped | (t >= cap)
             if done.any():
                 for i in np.nonzero(done)[0].tolist():
                     b = int(lanes["row"][i])
@@ -632,14 +635,23 @@ class _LaneKernel:
                 if done.all():
                     return results
                 lanes, state = ({key: rows[key][~done] for key in rows} for rows in (lanes, state))
-            if (t + 1) % window == 0:
+            # No lane can stop before the next check: run the delivering
+            # rounds (t + 1 a multiple of the window) up to it.
+            check = min(self._next_check(t), cap)
+            for t in range(t + (window - 1 - t) % window, check, window):
                 live = crash_round > t  # clean crashes: senders == processors
                 delivered = select_delivered(
                     family.selector, family.degree, state["value"], live, byz,
                     t // window, lanes.get("rng"), self._rotate_cache,
                 )
                 self._round(lanes, state, delivered, live & honest)
-            t += 1
+            t = check
+
+    def _next_check(self, t: int) -> int:
+        """The first round after ``t`` whose stop check can differ from
+        the one just made at ``t``: the one after the next delivering
+        round, since silent rounds change no state."""
+        return t + (self.family.window - 1 - t) % self.family.window + 1
 
     def _stopped(self, state: dict, t: int):
         """Each row's stop condition: every fault-free node output
@@ -1365,6 +1377,11 @@ class BaselineBatchEngine(_LaneKernel):
         # Every node advances its round counter on every engine round,
         # so every lane outputs at exactly num_rounds.
         return _np.full(len(state["value"]), t >= self.family.num_rounds)
+
+    def _next_check(self, t: int) -> int:
+        # The condition reads only the clock: the next check is the
+        # output round (every lane stops at the check made there).
+        return self.family.num_rounds
 
     def _finish(self, state: dict, i: int) -> dict:
         # state_key() at the output round is (v, num_rounds, output=v).

@@ -546,17 +546,16 @@ class Engine:
         silent, restricted, stopped = fault_plan.sender_masks(t)
 
         broadcasts: dict[int, Any] = {}
+        # A receiver's own message is msgs[node]: silent and restricted
+        # senders are stopped this round, so never delivered to.
         msgs: list[Any] = [None] * n
-        own_msgs: list[Any] = []  # aligned with _proc_plan (self-delivery)
         active: list[tuple[int, int]] = []  # (sender, message bits)
         restricted_meta: list[tuple[int, Any, frozenset[int], int]] = []
         for node, proc, _self_port in self._proc_plan:
             if node in silent:
-                own_msgs.append(None)  # also stopped: never delivered to
                 continue  # crashed: silent
             message = proc.broadcast()
             broadcasts[node] = message
-            own_msgs.append(message)
             # A None broadcast is a deliberately silent round: the view
             # still shows the node as broadcasting None, but nothing is
             # routed (and self-delivery skips it too).
@@ -633,8 +632,8 @@ class Engine:
             len(active) == n or all(msgs[u] is not None for u in sources)
         )
         if full:
-            for (node, proc, self_port), (ports_row, senders_row), own in zip(
-                self._proc_plan, rows_by_proc, own_msgs
+            for (node, proc, self_port), (ports_row, senders_row) in zip(
+                self._proc_plan, rows_by_proc
             ):
                 if node in stopped:
                     continue
@@ -645,13 +644,13 @@ class Engine:
                         zip(ports_row, map(get_message, senders_row)),
                     )
                 )
-                if own is not None:
+                if (own := msgs[node]) is not None:
                     insort(batch, new_delivery(Delivery, (self_port, own)))
                 proc.deliver(batch)
         else:
             port_rows = self._port_rows
-            for (node, proc, self_port), (ports_row, senders_row), own in zip(
-                self._proc_plan, rows_by_proc, own_msgs
+            for (node, proc, self_port), (ports_row, senders_row) in zip(
+                self._proc_plan, rows_by_proc
             ):
                 if node in stopped:
                     continue
@@ -665,7 +664,7 @@ class Engine:
                     row = port_rows[node]
                     for u, message in ex:
                         insort(batch, new_delivery(Delivery, (row[u], message)))
-                if own is not None:
+                if (own := msgs[node]) is not None:
                     insort(batch, new_delivery(Delivery, (self_port, own)))
                 proc.deliver(batch)
 

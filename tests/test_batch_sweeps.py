@@ -257,7 +257,8 @@ def sweep_rounds(draw, family):
     offsets = rng.choice(np.array(skew), (lanes, n, n))
     msg_phase = np.maximum(state["phase"][:, :, None] + offsets, 0)
     receiving = (rng.random((lanes, 1)) < 0.8) & (rng.random((lanes, n)) < 0.9)
-    # Rows outside `receiving` hold whatever a scatter buffer left there.
+    # Rows outside `receiving` (crashed and Byzantine receivers) are
+    # filled with garbage the sweep must never read.
     stale = ~receiving
     msg_value[stale] = np.nan
     msg_phase[stale] = -7

@@ -5,7 +5,12 @@ f+1-bounded recording lists, the trimmed-midpoint update, the absence
 of jumping, and the self-value store at phase start (fidelity note 1).
 """
 
+import bisect
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dbac import DBACProcess
 from repro.sim.messages import StateMessage
@@ -136,6 +141,38 @@ class TestRecordingLists:
         assert p.phase == 1
         low, high = p.recording_lists
         assert low == (p.value,) and high == (p.value,)
+
+
+def _literal_store(low, high, value, trim):
+    """Algorithm 2's store as first written: insort, then pop past f+1."""
+    bisect.insort(low, value)
+    if len(low) > trim:
+        low.pop()
+    bisect.insort(high, value)
+    if len(high) > trim:
+        high.pop(0)
+
+
+# A small pool so ties are common, plus both zeros, both infinities and NaN.
+_STORE_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.integers(min_value=0, max_value=5), values=st.lists(_STORE_VALUES, max_size=40))
+def test_store_matches_insort_and_pop(f, values):
+    # The store skips the insert/pop pairs that cancel; the lists must
+    # be exactly insort+pop's, signed zeros and NaN placement included.
+    p = dbac(n=6, f=f, x=0.0)
+    p._r_low, p._r_high = [], []
+    low, high = [], []
+    for value in values:
+        p._store(value)
+        _literal_store(low, high, value, f + 1)
+        assert repr(p._r_low) == repr(low)
+        assert repr(p._r_high) == repr(high)
 
 
 class TestOutput:

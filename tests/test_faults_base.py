@@ -1,6 +1,8 @@
 """Unit tests for FaultPlan: membership, bounds, per-round queries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.faults.base import FaultPlan
 from repro.faults.byzantine import FixedValueByzantine
@@ -80,3 +82,52 @@ class TestPerRoundQueries:
         )
         assert 1 in plan.live_senders(1)
         assert 1 not in plan.live_senders(2)
+
+
+@st.composite
+def crash_plans(draw):
+    """A plan with random crash rounds (often several in one round),
+    some partial crashes, and possibly Byzantine nodes."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    crashes, byzantine = {}, {}
+    for node in range(n):
+        kind = draw(st.sampled_from(("healthy", "clean", "partial", "byzantine")))
+        if kind == "byzantine":
+            byzantine[node] = FixedValueByzantine(0.0)
+        elif kind != "healthy":
+            at = draw(st.integers(min_value=0, max_value=4))
+            receivers = None
+            if kind == "partial":
+                others = [v for v in range(n) if v != node]
+                picked = draw(st.lists(st.sampled_from(others), unique=True)) if others else []
+                receivers = frozenset(picked)
+            crashes[node] = CrashEvent(node, at, receivers)
+    return FaultPlan(n, crashes=crashes, byzantine=byzantine)
+
+
+@settings(max_examples=200, deadline=None)
+@given(plan=crash_plans(), order=st.permutations(range(7)))
+def test_memoized_round_queries_match_per_node_recomputation(plan, order):
+    # The memos key on where t sits among the sorted crash rounds; every
+    # answer, asked in any order of t, must equal the one recomputed
+    # node by node at that t.
+    for t in order:
+        targets = {node: plan.send_targets(node, t) for node in plan.crashes}
+        stopped = frozenset(
+            node for node in range(plan.n) if not plan.processes_at(node, t)
+        )
+        assert plan.round_profile(t) == (targets, stopped)
+        assert plan.sender_masks(t) == (
+            frozenset(node for node, tg in targets.items() if tg is not None and not tg),
+            {node: tg for node, tg in targets.items() if tg},
+            stopped,
+        )
+        live = tuple(
+            node
+            for node in range(plan.n)
+            if node in plan.byzantine
+            or node not in plan.crashes
+            or plan.crashes[node].sends_fully_at(t)
+        )
+        assert plan.live_senders_sorted(t) == live
+        assert plan.live_senders(t) == frozenset(live)

@@ -11,6 +11,7 @@ import warnings
 
 import pytest
 
+import repro.net.topology as topology_module
 from repro.net.topology import Topology
 
 
@@ -89,6 +90,63 @@ class TestCanonicalViews:
     def test_iteration_follows_canonical_order(self):
         g = Topology(3, [(2, 0), (0, 1)])
         assert list(g) == [(0, 1), (2, 0)]
+
+
+def _edges_of(picks):
+    return [(u, v) for v, senders in enumerate(picks) for u in senders]
+
+
+class TestReceiverLists:
+    """``from_receiver_lists`` looks the sorted rows up before building:
+    whichever path answers, the caller gets the interned instance."""
+
+    # A graph no other test builds, so the first call is a memo miss.
+    PICKS = [(5, 3), (4, 0, 6), (0,), (6, 1, 2), (3,), (2, 1), (0, 4, 5)]
+
+    def test_miss_then_hit_return_the_interned_instance(self):
+        n = len(self.PICKS)
+        rows = tuple(tuple(sorted(senders)) for senders in self.PICKS)
+        assert (n, rows) not in Topology._by_rows
+        g = Topology.from_receiver_lists(n, self.PICKS)
+        assert g is Topology(n, _edges_of(self.PICKS))
+        assert g.in_rows() == rows
+        before = len(Topology._intern)
+        assert Topology.from_receiver_lists(n, self.PICKS) is g
+        # A memo hit builds nothing: the intern table, which perfbench
+        # reads to count built graphs, does not grow.
+        assert len(Topology._intern) == before
+
+    def test_miss_on_an_already_interned_graph(self):
+        picks = [(1, 2), (3,), (0, 3), (2,)]
+        g = Topology(4, _edges_of(picks))
+        assert Topology.from_receiver_lists(4, picks) is g
+        assert g.in_rows() == ((1, 2), (3,), (0, 3), (2,))
+
+    def test_picks_in_another_order_hit_the_same_instance(self):
+        g = Topology.from_receiver_lists(5, [(4, 1), (2, 0), (3,), (0, 4, 1), ()])
+        again = Topology.from_receiver_lists(5, [[1, 4], (0, 2), [3], (4, 1, 0), []])
+        assert again is g is Topology(5, _edges_of([(4, 1), (2, 0), (3,), (0, 4, 1), ()]))
+
+    def test_no_stale_instance_after_the_intern_table_clears(self, monkeypatch):
+        # Work on copies of both tables, so the clear below does not
+        # drop instances other tests hold (complete/empty caches).
+        monkeypatch.setattr(Topology, "_intern", dict(Topology._intern))
+        monkeypatch.setattr(Topology, "_by_rows", dict(Topology._by_rows))
+        picks = [(2,), (0, 2), (1,)]
+        g = Topology.from_receiver_lists(3, picks)
+        # The next fresh construction finds the table full and clears it.
+        monkeypatch.setattr(topology_module, "_INTERN_MAX", len(Topology._intern))
+        Topology(9, [(8, 7)])
+        assert len(Topology._intern) == 1 and not Topology._by_rows
+        fresh = Topology.from_receiver_lists(3, picks)
+        assert fresh is not g
+        assert fresh == g
+        assert fresh is Topology(3, _edges_of(picks))
+        assert Topology.from_receiver_lists(3, picks) is fresh
+
+    def test_row_count_is_still_checked(self):
+        with pytest.raises(ValueError, match="receiver lists"):
+            Topology.from_receiver_lists(3, [(1,), (0,)])
 
 
 class TestContentHash:
