@@ -133,8 +133,14 @@ def nearest_picks(
     :mod:`repro.sim.batch` computes the same picks with one stable
     argsort over the lane's value matrix, and its equivalence tests pin
     the two against each other (see docs/batching.md).
+
+    A NaN value compares false both ways, so the walk cannot order it
+    (it would never advance past one); rounds holding a NaN run the
+    specified sort itself.
     """
     live_sorted = sorted(set(live))
+    if any(value != value for value in values):
+        return _specified_nearest(n, live_sorted, values, byzantine, degree)
     byz_sorted = [u for u in live_sorted if u in byzantine]
     pairs = sorted((values[u], u) for u in live_sorted if u not in byzantine)
     vals = [value for value, _ in pairs]
@@ -199,6 +205,32 @@ def nearest_picks(
     return picks
 
 
+def _specified_nearest(
+    n: int,
+    live_sorted: list[int],
+    values: "list[float | None]",
+    byzantine: frozenset[int],
+    degree: int,
+) -> list[list[int]]:
+    """:func:`nearest_picks` as specified: one keyed stable sort per receiver."""
+    picks: list[list[int]] = []
+    for receiver in range(n):
+        mine = values[receiver]
+
+        def hostility(u: int) -> tuple[int, float]:
+            if u in byzantine:
+                return (0, 0.0)
+            value = values[u]
+            if mine is None or value is None:
+                return (1, 0.0)
+            return (1, abs(value - mine))
+
+        others = [u for u in live_sorted if u != receiver]
+        others.sort(key=hostility)
+        picks.append(others[:degree])
+    return picks
+
+
 def random_picks(
     n: int, live: tuple[int, ...], degree: int, rng: "random.Random"
 ) -> list[list[int]]:
@@ -243,7 +275,10 @@ class _QuorumSelector:
     ``rotate`` orderings are additionally memoized per
     ``(n, live set, salt mod n)``; only the round-dependent parts
     (values for ``nearest``, the RNG stream for ``random``) are
-    recomputed each round.
+    recomputed each round -- except that ``nearest`` returns its last
+    picks when the live tuple and the value list equal the previous
+    call's, and :meth:`graph_for_round` its last graph when handed the
+    same picks again.
     """
 
     def __init__(self, degree: int, selector: str) -> None:
@@ -254,6 +289,17 @@ class _QuorumSelector:
         self.degree = degree
         self.selector = selector
         self._rotate_cache: dict[tuple, list[list[int]]] = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the last-call memos; adversaries call this on setup.
+
+        Within one execution a node's value is ``None`` exactly when it
+        is Byzantine, so equal value lists imply equal Byzantine sets;
+        across executions the fault plan may change, so the memos go.
+        """
+        self._last_nearest: tuple | None = None  # (live, values, picks)
+        self._last_graph: tuple | None = None  # (picks, graph)
 
     def picks_for_round(
         self,
@@ -266,7 +312,9 @@ class _QuorumSelector:
 
         Returns a list indexed by receiver. Identical, receiver for
         receiver, to what the historical per-receiver ``pick`` chose
-        (asserted by the adversary regression tests)."""
+        (asserted by the adversary regression tests). The lists may be
+        shared with earlier calls (the rotate cache, the ``nearest``
+        memo), so callers must not mutate them."""
         live_tuple = view.live_senders_sorted()
         n = view.n
         if self.selector == "rotate":
@@ -276,10 +324,33 @@ class _QuorumSelector:
         # nearest: Byzantine first, then closest values -- the shared
         # module-level hook (one source of truth for the tie-breaking
         # the vectorized batch kernel must replicate bit for bit).
+        # Equal inputs give equal picks: ``==`` on floats ignores only
+        # the sign of zero, which no distance comparison sees, and a NaN
+        # matches only itself.
+        values = [view.value(u) for u in range(n)]
+        last = self._last_nearest
+        if last is not None and last[0] == live_tuple and last[1] == values:
+            return last[2]
         plan = view.fault_plan
         byzantine = frozenset(u for u in live_tuple if plan.is_byzantine(u))
-        values = [view.value(u) for u in range(n)]
-        return nearest_picks(n, live_tuple, values, byzantine, self.degree)
+        picks = nearest_picks(n, live_tuple, values, byzantine, self.degree)
+        self._last_nearest = (live_tuple, values, picks)
+        return picks
+
+    def graph_for_round(
+        self,
+        salt: int,
+        view: "EngineView",
+        adversary: MessageAdversary,
+    ) -> Topology:
+        """:meth:`picks_for_round` as a :class:`Topology`, reusing the
+        previous graph when the picks are the very same lists (a
+        ``nearest`` memo hit, a ``rotate`` cache hit)."""
+        picks = self.picks_for_round(salt, view, adversary)
+        last = self._last_graph
+        if last is None or last[0] is not picks:
+            last = self._last_graph = (picks, Topology.from_receiver_lists(view.n, picks))
+        return last[1]
 
     def _rotate_for(
         self, n: int, live: tuple[int, ...], salt: int
@@ -302,24 +373,23 @@ class _CachedGraphMixin:
     :class:`Topology` the batched executor derives its matrices from.
     After the crash schedule settles every enforced round is a pure
     memo hit replaying one graph whose adjacency rows are already
-    built. Value- or RNG-dependent selectors are never cached; their
-    per-round edge lists are wrapped into (hash-consed) Topologies
+    built. Value- or RNG-dependent selectors keep only the selector's
+    last-call memo (:meth:`_QuorumSelector.graph_for_round`); other
+    rounds wrap their edge lists into (hash-consed) Topologies
     directly.
     """
 
     _quorum: _QuorumSelector
 
-    def _on_setup(self) -> None:  # kept as a subclass hook point
-        pass
+    def _on_setup(self) -> None:
+        self._quorum.reset()
 
     def _graph_for(self, salt: int, view: "EngineView") -> Topology:
         if self._quorum.selector == "rotate":
             return rotate_topology(
                 self.n, view.live_senders_sorted(), salt, self._quorum.degree
             )
-        return Topology.from_receiver_lists(
-            self.n, self._quorum.picks_for_round(salt, view, self)
-        )
+        return self._quorum.graph_for_round(salt, view, self)
 
 
 class RotatingQuorumAdversary(_CachedGraphMixin, MessageAdversary):

@@ -175,13 +175,13 @@ class LookaheadQuorumAdversary(MessageAdversary):
         # Port numberings are fixed per execution; the receiver-major
         # rows are rebuilt lazily on the first choose() of each run.
         self._port_rows = None
+        for selector in self._selectors:
+            selector.reset()
 
     def _candidate(
         self, selector: _QuorumSelector, t: int, view: "EngineView"
     ) -> Topology:
-        return Topology.from_receiver_lists(
-            self.n, selector.picks_for_round(t, view, self)
-        )
+        return selector.graph_for_round(t, view, self)
 
     def _sender_info(
         self, t: int, view: "EngineView"

@@ -68,6 +68,10 @@ class DACProcess(ConsensusProcess):
         too-weak degree but provably disagrees).
     """
 
+    # The own port is marked at every phase start (init and _reset), so
+    # the own message is always a repeat sender: deliver skips it.
+    ignores_own_echo = True
+
     def __init__(
         self,
         n: int,

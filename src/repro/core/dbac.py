@@ -76,6 +76,10 @@ class DBACProcess(ConsensusProcess):
         -- it terminates under the too-weak degree but disagrees).
     """
 
+    # The own port is marked at every phase start (init and _reset), so
+    # the own message is always a repeat sender: deliver skips it.
+    ignores_own_echo = True
+
     def __init__(
         self,
         n: int,

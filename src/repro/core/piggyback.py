@@ -50,6 +50,10 @@ class PiggybackDACProcess(DACProcess):
     Other parameters are those of :class:`~repro.core.dac.DACProcess`.
     """
 
+    # The own message's relay history is absorbed like anyone else's
+    # and can widen the phase extremes, so the echo must be delivered.
+    ignores_own_echo = False
+
     def __init__(
         self,
         n: int,

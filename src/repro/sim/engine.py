@@ -305,6 +305,8 @@ class Engine:
             (node, proc, all_rows[node][node])
             for node, proc in self.processes.items()
         ]
+        # The receivers an edge-free round still hands their own message.
+        self._echo_plan = [e for e in self._proc_plan if not e[1].ignores_own_echo]
         self._route_token = object()
         self._use_sweep = True
 
@@ -467,9 +469,18 @@ class Engine:
         for node, strategy in fault_plan.byzantine.items():
             strategy.observe(t, sorted(inboxes[node], key=lambda pair: pair[0]))
 
-        # Snapshots exist solely for the trace and observers; skip them
-        # entirely (fast path) when neither is attached.
-        snapshot = None
+        return self._close_round(t, graph, delivered, bits, len(broadcasts) + len(byz_out))
+
+    def _close_round(
+        self, t: int, graph: Topology, delivered: int, bits: int, broadcasts: int
+    ) -> RoundRecord:
+        """Account a finished round, then feed the trace and observers.
+
+        The observation seam: one boolean check on unattached runs. The
+        :class:`RoundSnapshot` is assembled only here, after delivery,
+        from the round's own accounting.
+        """
+        self.metrics.on_round(delivered, bits, broadcasts=broadcasts)
         if self.trace is not None or self.observers:
             snapshot = RoundSnapshot(
                 round=t,
@@ -477,15 +488,12 @@ class Engine:
                 states=self.state_snapshots(),
                 delivered=delivered,
                 bits=bits,
-                live_senders=fault_plan.live_senders(t),
+                live_senders=self.fault_plan.live_senders(t),
             )
             if self.trace is not None:
                 self.trace.record(snapshot)
-        self.metrics.on_round(delivered, bits, broadcasts=len(broadcasts) + len(byz_out))
-        if snapshot is not None:
             for observer in self.observers:
                 observer(self, snapshot)
-
         return RoundRecord(t, graph, delivered, bits)
 
     def _routing_plan(self, graph: Topology) -> tuple[tuple, tuple[int, ...]]:
@@ -536,10 +544,12 @@ class Engine:
         axis (out-degree times message size), which is exactly what the
         legacy loop's per-edge counting sums to.
 
-        Trace/observer runs use this same sweep: the round's
-        :class:`RoundSnapshot` is assembled after delivery from the
-        sweep's own sender-axis accounting, behind one branch that an
-        unattached engine passes in a single boolean check.
+        An edge-free round (every silent round of a window adversary)
+        skips the accounting and the fan-in: nothing is delivered, and
+        only processes whose class does not declare
+        :attr:`~repro.sim.node.ConsensusProcess.ignores_own_echo` get
+        their own message. Traced and observed rounds use this same
+        sweep (see :meth:`_close_round`).
         """
         n = self.n
         fault_plan = self.fault_plan
@@ -549,8 +559,8 @@ class Engine:
         # A receiver's own message is msgs[node]: silent and restricted
         # senders are stopped this round, so never delivered to.
         msgs: list[Any] = [None] * n
-        active: list[tuple[int, int]] = []  # (sender, message bits)
-        restricted_meta: list[tuple[int, Any, frozenset[int], int]] = []
+        active: list[int] = []  # senders with an unrestricted msgs entry
+        restricted_meta: list[tuple[int, Any, frozenset[int]]] = []
         for node, proc, _self_port in self._proc_plan:
             if node in silent:
                 continue  # crashed: silent
@@ -561,26 +571,28 @@ class Engine:
             # routed (and self-delivery skips it too).
             if message is None:
                 continue
-            # Inlined message_bits: the exact-type common case (plain
-            # DAC/DBAC state messages) without two calls per sender.
-            if type(message) is StateMessage:
-                size = _STATE_BITS + _STATE_BITS * len(message.history)
-            else:
-                size = message_bits(message)
             targets = restricted.get(node) if restricted else None
             if targets is None:
                 msgs[node] = message
-                active.append((node, size))
+                active.append(node)
             else:
-                restricted_meta.append((node, message, targets, size))
+                restricted_meta.append((node, message, targets))
 
         view = EngineView(self, t, broadcasts)
         byz_out = self._byzantine_messages(t, view)
+        broadcast_count = len(broadcasts) + len(byz_out)
 
         graph = self.adversary.choose(t, view)
         if graph.n != n:
             raise ValueError(f"adversary chose a graph with n={graph.n}, expected {n}")
         rows_by_proc, sources = self._routing_plan(graph)
+        if not sources:
+            for node, proc, self_port in self._echo_plan:
+                if node not in stopped and (own := msgs[node]) is not None:
+                    proc.deliver([Delivery(self_port, own)])
+            for strategy in fault_plan.byzantine.values():
+                strategy.observe(t, [])
+            return self._close_round(t, graph, 0, 0, broadcast_count)
         out_rows = graph.out_rows()
 
         delivered = 0
@@ -601,8 +613,8 @@ class Engine:
                     bits += message_bits(message)
             elif outgoing is not None:
                 msgs[u] = outgoing
-                active.append((u, message_bits(outgoing)))
-        for u, message, targets, size in restricted_meta:
+                active.append(u)
+        for u, message, targets in restricted_meta:
             if extras is None:
                 extras = {}
             count = 0
@@ -611,11 +623,17 @@ class Engine:
                     extras.setdefault(v, []).append((u, message))
                     count += 1
             delivered += count
-            bits += size * count
-        for u, size in active:
-            count = len(out_rows[u])
-            delivered += count
-            bits += size * count
+            bits += message_bits(message) * count
+        for u in active:
+            if count := len(out_rows[u]):
+                # Inlined message_bits: the exact-type common case
+                # (plain DAC/DBAC state messages) without two calls.
+                message = msgs[u]
+                if type(message) is StateMessage:
+                    bits += (_STATE_BITS + _STATE_BITS * len(message.history)) * count
+                else:
+                    bits += message_bits(message) * count
+                delivered += count
 
         # Fan-in. Delivery instances are built via tuple.__new__,
         # skipping the namedtuple constructor wrapper in this
@@ -683,26 +701,7 @@ class Engine:
                     observed.sort(key=_pair_sender)
                 strategy.observe(t, observed)
 
-        self.metrics.on_round(delivered, bits, broadcasts=len(broadcasts) + len(byz_out))
-
-        # The observation seam: one boolean check on unattached runs.
-        # Snapshots are assembled only here, after the sweep, from the
-        # same sender-axis accounting the round already computed.
-        if self.trace is not None or self.observers:
-            snapshot = RoundSnapshot(
-                round=t,
-                graph=graph,
-                states=self.state_snapshots(),
-                delivered=delivered,
-                bits=bits,
-                live_senders=fault_plan.live_senders(t),
-            )
-            if self.trace is not None:
-                self.trace.record(snapshot)
-            for observer in self.observers:
-                observer(self, snapshot)
-
-        return RoundRecord(t, graph, delivered, bits)
+        return self._close_round(t, graph, delivered, bits, broadcast_count)
 
     def run(
         self,

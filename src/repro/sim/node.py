@@ -7,7 +7,8 @@ engine drives it with exactly the information the paper's model grants:
 - once per round it produces the message it broadcasts;
 - at the end of the round it receives the batch of delivered messages,
   each tagged only with the *local port* it arrived on (its own
-  message is always among them, on :meth:`self_port`).
+  message is among them, on :attr:`self_port` -- see
+  :meth:`ConsensusProcess.deliver` for the one exception).
 
 The engine never exposes global node IDs, round-graph information, or
 the identities behind ports -- anonymity holds by construction.
@@ -16,7 +17,7 @@ the identities behind ports -- anonymity holds by construction.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, NamedTuple
+from typing import Any, ClassVar, NamedTuple
 
 
 class Delivery(NamedTuple):
@@ -54,6 +55,12 @@ class ConsensusProcess(ABC):
     attribute would not round-trip.
     """
 
+    #: Whether ``deliver([Delivery(self_port, broadcast())])`` can never
+    #: change this node's state. When true, the engine skips that call
+    #: on edge-free rounds (a batch holding only the node's own
+    #: message). ``False`` -- always deliver -- is always safe.
+    ignores_own_echo: ClassVar[bool] = False
+
     def __init__(self, n: int, f: int, input_value: float, self_port: int) -> None:
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
@@ -76,7 +83,10 @@ class ConsensusProcess(ABC):
 
         ``deliveries`` is sorted by ascending port number -- the fixed,
         publicly-known processing order (DESIGN.md fidelity note 3).
-        It always contains this node's own message on ``self_port``.
+        It always contains this node's own message on ``self_port``,
+        with one exception: on an edge-free round the batch would hold
+        only that message, and the engine skips the call altogether for
+        classes that declare :attr:`ignores_own_echo`.
         """
 
     @abstractmethod

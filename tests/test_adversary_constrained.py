@@ -330,6 +330,18 @@ class TestNearestSelectorSpec:
         values = {0: 0.5, 1: 0.5 - 1e-17, 2: 0.5 + 1e-17, 3: 0.0, 4: 1.0}
         self._check(self._StubView(5, values), 3)
 
+    def test_nan_values_follow_the_specified_sort(self):
+        # NaN distances compare false both ways; the walk used to spin
+        # on them forever. The selection is the specified sort's.
+        nan = float("nan")
+        for values in (
+            {0: nan, 1: 0.5, 2: 0.25, 3: 1.0, 4: 0.0},
+            {0: 0.5, 1: nan, 2: 0.5, 3: None, 4: nan},
+        ):
+            view = self._StubView(5, values, byzantine={u for u, v in values.items() if v is None})
+            for degree in (1, 2, 4):
+                self._check(view, degree)
+
 
 @settings(max_examples=150, deadline=None)
 @given(
@@ -354,3 +366,109 @@ def test_random_picks_replays_shuffle_exactly(n, live_bits, degree, seed, rounds
             expected.append(candidates[:degree])
         assert random_picks(n, live, degree, rng) == expected
     assert rng.getstate() == reference.getstate()
+
+
+# -- The nearest selector's last-call memo ----------------------------------
+
+_StubView = TestNearestSelectorSpec._StubView
+
+# "nan" stands for a fresh NaN object at every use: NaN != NaN, so a
+# list holding one never matches the memo.
+_MEMO_VALUES = st.sampled_from([0.0, -0.0, 0.25, 0.5, 0.75, 1.0, "nan"])
+
+
+def _materialize(code):
+    return float("nan") if code == "nan" else code
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=2, max_value=9), data=st.data())
+def test_nearest_memo_matches_fresh_selection(n, data):
+    """Rounds that repeat (or nearly repeat) earlier value lists get
+    exactly the picks and graph a fresh computation gives -- signed
+    zeros, NaN, ties and Byzantine ``None`` entries included."""
+    from repro.adversary.constrained import nearest_picks
+    from repro.net.topology import Topology
+
+    degree = data.draw(st.integers(min_value=1, max_value=n - 1), label="degree")
+    byz = data.draw(st.frozensets(st.integers(0, n - 1), max_size=n // 2), label="byz")
+    pool = data.draw(
+        st.lists(st.lists(_MEMO_VALUES, min_size=n, max_size=n), min_size=1, max_size=3),
+        label="value lists",
+    )
+    lives = data.draw(
+        st.lists(st.frozensets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=2),
+        label="live sets",
+    )
+    steps = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.integers(0, len(lives) - 1)),
+            min_size=1,
+            max_size=8,
+        ),
+        label="steps",
+    )
+    adversary = RotatingQuorumAdversary(degree, selector="nearest")
+    adversary.setup(n, FaultPlan.fault_free_plan(n), random.Random(0))
+    for t, (which_values, which_live) in enumerate(steps):
+        values = {
+            u: None if u in byz else _materialize(pool[which_values][u]) for u in range(n)
+        }
+        live = tuple(sorted(lives[which_live]))
+        view = _StubView(n, values, byz, live)
+        expected = nearest_picks(
+            n, live, [values[u] for u in range(n)], byz & frozenset(live), degree
+        )
+        assert adversary._quorum.picks_for_round(t, view, adversary) == expected
+        graph = adversary.choose(t, view)
+        assert graph.edge_list == Topology.from_receiver_lists(n, expected).edge_list
+
+
+class TestNearestMemo:
+    def test_repeat_inputs_reuse_picks_and_graph(self, monkeypatch):
+        from repro.net.topology import Topology
+
+        adversary = LastMinuteQuorumAdversary(1, 2, selector="nearest")
+        adversary.setup(5, FaultPlan.fault_free_plan(5), random.Random(0))
+        values = {0: 0.0, 1: 0.5, 2: 0.25, 3: 1.0, 4: 0.75}
+        first = adversary.choose(0, _StubView(5, dict(values)))
+        picks = adversary._quorum.picks_for_round(1, _StubView(5, dict(values)), adversary)
+
+        def no_rebuild(*args, **kwargs):
+            raise AssertionError("a memo hit must not rebuild the graph")
+
+        monkeypatch.setattr(Topology, "from_receiver_lists", no_rebuild)
+        assert adversary.choose(1, _StubView(5, {**values, 0: -0.0})) is first
+        again = adversary._quorum.picks_for_round(2, _StubView(5, dict(values)), adversary)
+        assert again is picks
+
+    def test_nan_never_hits(self):
+        adversary = RotatingQuorumAdversary(2, selector="nearest")
+        adversary.setup(4, FaultPlan.fault_free_plan(4), random.Random(0))
+        selector = adversary._quorum
+
+        def view():
+            return _StubView(4, {0: float("nan"), 1: 0.5, 2: 0.25, 3: 1.0})
+
+        assert selector.picks_for_round(0, view(), adversary) is not (
+            selector.picks_for_round(1, view(), adversary)
+        )
+
+    def test_setup_forgets_the_previous_execution(self):
+        # Same live set and values, different Byzantine set: the second
+        # execution must get its own picks, not the first one's.
+        from repro.adversary.constrained import nearest_picks
+        from repro.faults.byzantine import FixedValueByzantine
+        from repro.net.topology import Topology
+
+        n, degree = 6, 2
+        values = {u: u / 10 for u in range(n)}
+        adversary = RotatingQuorumAdversary(degree, selector="nearest")
+        for byz in (0, 5):
+            plan = FaultPlan(n, byzantine={byz: FixedValueByzantine(0.0)})
+            adversary.setup(n, plan, random.Random(0))
+            graph = adversary.choose(0, _StubView(n, values, byzantine={byz}))
+            expected = nearest_picks(
+                n, tuple(range(n)), [values[u] for u in range(n)], frozenset({byz}), degree
+            )
+            assert graph.edge_list == Topology.from_receiver_lists(n, expected).edge_list

@@ -47,8 +47,9 @@ def fuzz_configs(master_seed: int, count: int) -> list[dict]:
     Samples across all three scenario families and their full legal
     parameter space: crash counts up to the DAC bound, all three
     enforcing selectors, every trial-menu Byzantine strategy, all
-    mobile-omission modes, windows 1..3, and capped-round runs (so
-    unstopped lanes are compared too, not just terminating ones).
+    mobile-omission modes, windows 1..3 (1..4 for DBAC, so silent
+    rounds meet Byzantine draws), and capped-round runs (so unstopped
+    lanes are compared too, not just terminating ones).
     """
     rng = random.Random(master_seed)
     configs: list[dict] = []
@@ -78,7 +79,7 @@ def fuzz_configs(master_seed: int, count: int) -> list[dict]:
                 "family": "dbac",
                 "n": n,
                 "f": f,
-                "window": rng.randint(1, 2),
+                "window": rng.randint(1, 4),
                 "selector": rng.choice(("nearest", "rotate", "random")),
                 "strategy": rng.choice(_DBAC_STRATEGIES),
                 "seeds": seeds,

@@ -15,15 +15,19 @@ canonical JSON of
 The grid covers every registered algorithm family, the ``rotate``,
 ``nearest`` and ``random`` selectors, windows 1, 2 and 4, staggered
 crashes, the ``extreme``, ``random`` and ``phase-liar`` Byzantine
-strategies, the four mobile-omission modes, and two directly built
-runs: a ``LookaheadQuorumAdversary`` (its candidate overlay snapshots
-and restores process state, cached messages included) and a crash plan
-with simultaneous and partial crashes under random links, so crashed
-and mid-broadcast senders are offered links and the engine masks them.
+strategies, the four mobile-omission modes, and directly built runs:
+a ``LookaheadQuorumAdversary`` (its candidate overlay snapshots and
+restores process state, cached messages included), a crash plan with
+simultaneous and partial crashes under random links, so crashed and
+mid-broadcast senders are offered links and the engine masks them, and
+window adversaries whose silent rounds carry a piggyback or
+iterated-midpoint node's own message, a crash, or Byzantine draws.
 
 The literals were computed before the serial round's broadcast reuse,
 receiver-row graph memo, no-op DBAC stores and bisect crash keys went
-in. Only a change that *means* to alter executions may update them:
+in; the four silent-round configs before the edge-free round path and
+the ``nearest`` memo. Only a change that *means* to alter executions
+may update them:
 ``PYTHONPATH=src python tests/test_golden_fingerprints.py`` prints the
 current table.
 """
@@ -37,9 +41,11 @@ from typing import Any, Callable
 
 import pytest
 
+from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.adversary.greedy import LookaheadQuorumAdversary
 from repro.adversary.random_adv import RandomLinkAdversary
 from repro.core.dac import DACProcess
+from repro.core.piggyback import PiggybackDACProcess
 from repro.faults.base import FaultPlan
 from repro.faults.crash import CrashEvent, partial_crash
 from repro.net.ports import random_ports
@@ -60,15 +66,15 @@ def _family(family: str, **params: Any) -> Callable[[int], dict[str, Any]]:
 
 
 def _dac_direct(adversary: Callable[[], Any], plan: Callable[[int], FaultPlan],
-                n: int, f: int) -> Callable[[int], dict[str, Any]]:
-    """A DAC execution built by hand around ``adversary`` and ``plan``."""
+                n: int, f: int, process: type = DACProcess) -> Callable[[int], dict[str, Any]]:
+    """A DAC-style execution built by hand around ``adversary`` and ``plan``."""
 
     def build(seed: int) -> dict[str, Any]:
         ports = random_ports(n, child_rng(seed, "ports"))
         inputs = spawn_inputs(seed, n)
         fault_plan = plan(n)
         processes = {
-            v: DACProcess(n, f, inputs[v], ports.self_port(v), epsilon=1e-3)
+            v: process(n, f, inputs[v], ports.self_port(v), epsilon=1e-3)
             for v in fault_plan.non_byzantine
         }
         return {
@@ -100,6 +106,14 @@ def _mixed_crashes(n: int) -> FaultPlan:
     )
 
 
+def _silent_round_crash(n: int) -> FaultPlan:
+    # Under a window-4 adversary rounds 5 and 9 deliver nothing: one
+    # node crashes mid-broadcast on round 5, another cleanly on round 9.
+    return FaultPlan(
+        n, crashes={7: partial_crash(7, 5, (0, 2)), 8: CrashEvent(8, 9)}
+    )
+
+
 CONFIGS: dict[str, Callable[[int], dict[str, Any]]] = {
     **{
         f"dac-{selector}-w{window}": _family(
@@ -121,6 +135,7 @@ CONFIGS: dict[str, Callable[[int], dict[str, Any]]] = {
         for mode in ("block_min", "block_max", "rotate", "none")
     },
     "baseline-midpoint": _family("baseline", n=7, selector="random"),
+    "baseline-midpoint-w3": _family("baseline", n=9, window=3),
     "baseline-trimmed-w2": _family("baseline", n=7, f=1, algorithm="trimmed", window=2),
     "averaging-mean": _family("averaging", n=7, selector="nearest"),
     "averaging-midpoint-w2": _family("averaging", n=7, rule="midpoint", window=2),
@@ -128,6 +143,17 @@ CONFIGS: dict[str, Callable[[int], dict[str, Any]]] = {
         lambda: LookaheadQuorumAdversary(4), FaultPlan.fault_free_plan, 9, 0
     ),
     "mixed-crashes": _dac_direct(lambda: RandomLinkAdversary(0.7), _mixed_crashes, 9, 4),
+    # Silent window rounds: an own message that must be delivered (its
+    # relay history), a crash on an edge-free round, and Byzantine
+    # draws on edge-free rounds.
+    "piggyback-lastminute-w3": _dac_direct(
+        lambda: LastMinuteQuorumAdversary(3, 4, "nearest"),
+        FaultPlan.fault_free_plan, 9, 2, PiggybackDACProcess,
+    ),
+    "dac-nearest-w4-silent-crash": _dac_direct(
+        lambda: LastMinuteQuorumAdversary(4, 4, "nearest"), _silent_round_crash, 9, 2
+    ),
+    "dbac-random-w4": _family("dbac", n=7, f=1, strategy="random", window=4),
 }
 
 
@@ -174,6 +200,7 @@ GOLDEN = {
     "averaging-mean": "92453d07911cc43bdc8e4052ef88e9ce8fb698ee02451f1902a9184394d1cd29",
     "averaging-midpoint-w2": "6be1722c62c9c3f652649b1efeaf9af7f5906a7e433257b60d020506b1d0dcbb",
     "baseline-midpoint": "0b1a0f33d9b8150c20b077eabaae481ce54db2995888e58333d2100a7b1228e0",
+    "baseline-midpoint-w3": "e9d37afc9e65aa463482d58c242c1048497b069298da625c66b17e5bccb40f71",
     "baseline-trimmed-w2": "714a942365b0459f9d34df8851a14edfef08065a21c499370c37ee04f4361c6a",
     "byz-mobile-block_max": "8930073535e4ef3e202e93f2193c2cd62ae7fe5c83d3bf442ddd999dbe734018",
     "byz-mobile-block_min": "2f2e00270db3c71108df2a7357c13d21d7914d77a8c84b2bac8e9d49bf2f430b",
@@ -183,6 +210,7 @@ GOLDEN = {
     "dac-nearest-w1": "bbcc4cc5f8bffcb2a5c538974129386bc21b39e535940d14e01863f0516224f5",
     "dac-nearest-w2": "c6c22c598b767699e1adee8168453266f69a6757f27653ad1c8e4bf19abaa6d6",
     "dac-nearest-w4": "7491b9e6464d86450f2fdbc48047b91ccdfbabd729401248d33c1240d085ade6",
+    "dac-nearest-w4-silent-crash": "a184a335785abd1b1294e86f981a2baca05c3bca1b8e9b58243fb4bdf22bd5a9",
     "dac-random-w1": "a72097e6a69c5f274cf03fe995bcb3c5e11fc7ae77410e9e87f881d8d4262d50",
     "dac-random-w2": "f3efc3a9d1ad09366691c1732460ef19ce7f3f5558aa947c8202481b8d46b20d",
     "dac-random-w4": "a5b3e5d69a98ad2b11909eee447318bdfb82eaacf8e694e755014302eeefa0e3",
@@ -193,8 +221,10 @@ GOLDEN = {
     "dbac-phase-liar": "2b3080d2ea3fdc5410ca28bf0dd4923cdb02f1df6b8f07554a0b4f8ce1d64e75",
     "dbac-random": "700c810e11cc55f8ee011489f085a663eaef7e4c334ef1ae9161063e320753d3",
     "dbac-random-nearest-w2": "8656b222e2896e22cd4c382803eaec3e1ed4b426b2a2a719ffb9a992401247ea",
+    "dbac-random-w4": "9edb0f5f659034d62aa5f6a78d16558000ac69075d7655558305aacf0e7f313c",
     "lookahead": "056ab85a5f43b74ab592ec79d6c3d3e357c2bddd22be252e1b0e34cb75fcd8b1",
     "mixed-crashes": "8505186c7f6dff6204c1b99c4ed23d73d8bcf19b2058663cb63b71af6f4d485a",
+    "piggyback-lastminute-w3": "71474c2e8584f8ad744be29e1314d13109ab7973f6eaad4e2185d01c2222dab9",
 }
 
 

@@ -108,6 +108,30 @@ class TestDelivery:
             assert batch[0].port == v
             assert batch[0].message.value == float(v)
 
+    def test_edge_free_round_skips_a_declared_echo(self):
+        # Only classes declaring ignores_own_echo skip the own-message
+        # batch, and only on rounds without edges; the round is still
+        # counted with its broadcasts and nothing delivered.
+        class EchoIgnoringRecorder(RecorderProcess):
+            ignores_own_echo = True
+
+        sched = EdgeSchedule.from_table(3, [[], [(0, 2)]])
+        ports = identity_ports(3)
+        procs = {
+            0: EchoIgnoringRecorder(3, 0, 0.0, 0),
+            1: RecorderProcess(3, 0, 1.0, 1),
+            2: EchoIgnoringRecorder(3, 0, 2.0, 2),
+        }
+        engine = Engine(procs, ScheduleAdversary(sched), ports)
+        record = engine.run_round()
+        assert (record.delivered, record.bits) == (0, 0)
+        assert engine.metrics.broadcasts == 3
+        assert procs[0].inbox_log == [] and procs[2].inbox_log == []
+        assert [[d.port for d in batch] for batch in procs[1].inbox_log] == [[1]]
+        engine.run_round()  # a round with an edge delivers to everyone
+        assert [d.port for d in procs[2].inbox_log[0]] == [0, 2]
+        assert [d.port for d in procs[0].inbox_log[0]] == [0]
+
     def test_deliveries_sorted_by_port(self):
         tables = [
             [2, 1, 0],  # node 0 sees sender 0 on port 2, sender 2 on port 0
@@ -223,6 +247,29 @@ class TestByzantineSemantics:
         engine, _ = make_engine(3, StaticAdversary(), fault_plan=plan, f=1)
         engine.run_round()
         assert spy.seen == [[0, 1]]
+
+    def test_edge_free_round_still_asks_and_tells_byzantine_nodes(self):
+        # A strategy drawing per round must draw on silent rounds too.
+        class Spy(UniformStrategy):
+            def __init__(self):
+                super().__init__()
+                self.asked, self.seen = [], []
+
+            def messages(self, t, view):
+                self.asked.append(t)
+                return super().messages(t, view)
+
+            def observe(self, t, received):
+                self.seen.append((t, list(received)))
+
+        spy = Spy()
+        plan = FaultPlan(3, byzantine={2: spy})
+        sched = EdgeSchedule.from_table(3, [[], [(0, 2)]])
+        engine, _ = make_engine(3, ScheduleAdversary(sched), fault_plan=plan, f=1)
+        engine.run(2)
+        assert spy.asked == [0, 1]
+        assert [(t, [s for s, _ in got]) for t, got in spy.seen] == [(0, []), (1, [0])]
+        assert engine.metrics.broadcasts == 6
 
     def test_byzantine_strategy_bound_to_node(self):
         strategy = UniformStrategy()
