@@ -78,13 +78,9 @@ from repro.net import (
     random_ports,
 )
 from repro.sim import (
-    BatchEngine,
     ConsensusProcess,
-    LaneResult,
     load_trace,
-    numpy_available,
     replay_adversary,
-    run_dac_batch,
     save_trace,
     Delivery,
     Engine,
@@ -111,6 +107,12 @@ def __getattr__(name: str):
         from repro.net import graph
 
         return graph.DirectedGraph
+    # The batch-kernel names load numpy, so they too resolve on first
+    # use, through repro.sim's own lazy names.
+    from repro import sim
+
+    if name in sim._BATCH_NAMES:
+        return getattr(sim, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -4,8 +4,9 @@ The averaging class of Charron-Bost, Fuegger and Nowak (ICALP'15):
 each round a node broadcasts its value and replaces it with an
 average of everything received that round. They generalize the
 reliable-channel baselines in :mod:`repro.core.baselines` -- the
-``"midpoint"`` rule is the same mean-of-extremes update, while the
-``"mean"`` rule is the full arithmetic mean -- and converge on any
+``"midpoint"`` rule is :class:`~repro.core.baselines.IteratedMidpointProcess`
+itself, which :class:`AveragingProcess` extends with the ``"mean"``
+rule, the full arithmetic mean -- and converge on any
 rooted dynamic graph sequence, which makes them the natural first
 *new* family for the scenario registry (they are registered through
 the public :mod:`repro.scenario` API only, in
@@ -20,21 +21,23 @@ produce bit-identical floats.
 
 from __future__ import annotations
 
-from repro.sim.messages import StateMessage
-from repro.sim.node import ConsensusProcess, Delivery
+from repro.core.baselines import IteratedMidpointProcess
+from repro.sim.node import Delivery
 
 #: The per-round update rules this process implements.
 AVERAGING_RULES = ("mean", "midpoint")
 
 
-class AveragingProcess(ConsensusProcess):
+class AveragingProcess(IteratedMidpointProcess):
     """Per-round neighbor averaging with a fixed round budget.
 
     One phase per round: broadcast ``v``; set ``v`` to the average of
     the values received this round (self included, the engine's
     self-delivery) under ``rule`` -- ``"mean"`` (arithmetic mean,
     summed in sorted order for delivery-order determinism) or
-    ``"midpoint"`` (mean of the extremes); output after
+    ``"midpoint"`` (mean of the extremes, which is exactly
+    :class:`~repro.core.baselines.IteratedMidpointProcess`, whose
+    state, messages and output this class shares); output after
     ``num_rounds`` rounds. Both rules are convex, so validity holds
     under any message adversary; convergence needs the graph-sequence
     guarantees the paper's adversaries deliberately withhold.
@@ -49,50 +52,18 @@ class AveragingProcess(ConsensusProcess):
         rule: str = "mean",
         num_rounds: int = 10,
     ) -> None:
-        super().__init__(n, f, input_value, self_port)
         if rule not in AVERAGING_RULES:
             raise ValueError(f"unknown rule {rule!r}; known: {AVERAGING_RULES}")
-        if num_rounds < 0:
-            raise ValueError(f"num_rounds must be non-negative, got {num_rounds}")
+        super().__init__(n, f, input_value, self_port, num_rounds=num_rounds)
         self.rule = rule
-        self.num_rounds = num_rounds
-        self._v = float(input_value)
-        self._round = 0
-        self._output: float | None = self._v if num_rounds == 0 else None
-
-    @property
-    def value(self) -> float:
-        """Current state."""
-        return self._v
-
-    @property
-    def phase(self) -> int:
-        """Rounds completed (one phase per round)."""
-        return self._round
-
-    def broadcast(self) -> StateMessage:
-        return StateMessage(self._v, self._round)
 
     def deliver(self, deliveries: list[Delivery]) -> None:
-        if self._output is not None:
+        if self.rule == "midpoint" or self._output is not None:
+            super().deliver(deliveries)
             return
         values = sorted(float(d.message.value) for d in deliveries)
         if values:
-            if self.rule == "mean":
-                self._v = sum(values) / len(values)
-            else:
-                self._v = 0.5 * (values[0] + values[-1])
+            self._v = sum(values) / len(values)
         self._round += 1
         if self._round >= self.num_rounds:
             self._output = self._v
-
-    def has_output(self) -> bool:
-        return self._output is not None
-
-    def output(self) -> float:
-        if self._output is None:
-            raise RuntimeError(f"not terminated (round {self._round}/{self.num_rounds})")
-        return self._output
-
-    def state_key(self) -> tuple:
-        return (self._v, self._round, self._output)

@@ -77,11 +77,30 @@ class LintConfig:
     )
 
     # -- optional numpy ---------------------------------------------------
-    # numpy is an optional extra: only the batch kernel and its
-    # structure-table memo (repro.sim.arena) may import it, and only
-    # behind the documented try/except ImportError guard so the
-    # pure-Python fallback keeps the package importable without it.
-    numpy_modules: tuple[str, ...] = ("repro.sim.batch", "repro.sim.arena")
+    # numpy is an optional extra: only the batch kernel may import it
+    # at module level, and only behind the documented try/except
+    # ImportError guard so the pure-Python fallback keeps the package
+    # importable without it. Its structure-table memo (repro.sim.arena)
+    # may import it only inside a function, on first use.
+    numpy_modules: tuple[str, ...] = ("repro.sim.batch",)
+    numpy_lazy_modules: tuple[str, ...] = ("repro.sim.arena",)
+
+    # -- lazy kernels -----------------------------------------------------
+    # Serial runs, the CLI and the service never load numpy, so no
+    # module imports the batch kernel at module level: callers import
+    # it inside the function that runs a kernel, and repro / repro.sim
+    # re-export its public names lazily (PEP 562 __getattr__).
+    kernel_module: str = "repro.sim.batch"
+    kernel_reexports: tuple[str, ...] = (
+        "repro.BatchEngine",
+        "repro.LaneResult",
+        "repro.numpy_available",
+        "repro.run_dac_batch",
+        "repro.sim.BatchEngine",
+        "repro.sim.LaneResult",
+        "repro.sim.numpy_available",
+        "repro.sim.run_dac_batch",
+    )
 
     # -- engine hot path --------------------------------------------------
     # The round engine and the batch kernels must stay free of the

@@ -6,7 +6,8 @@ analysis -> mc -> workloads -> scenario -> service -> bench -> top``
 (see ``docs/static-analysis.md``).
 Extensions depend on the core, never the reverse -- the same
 discipline the Sawtooth/SentientOS extension contracts spell out --
-and numpy stays an optional extra confined to the batch kernel.
+and numpy stays an optional extra confined to the batch kernel,
+which no module imports before a kernel runs.
 """
 
 from __future__ import annotations
@@ -85,20 +86,31 @@ def check_layering(ctx) -> Iterator:
     "numpy-guard",
     summary="numpy imported outside the guarded batch-kernel path",
     invariant="numpy stays an optional extra: only the batch kernel imports "
-    "it, behind try/except ImportError, so the package imports without it",
+    "it at module level, behind try/except ImportError, so the package "
+    "imports without it; the structure-table memo imports it on first use",
 )
 def check_numpy_guard(ctx) -> Iterator:
+    config = ctx.config
     for record in collect_imports(ctx.tree, ctx.module):
         head = record.target.split(".", 1)[0]
         if head != "numpy" or record.type_checking:
             continue
-        if not ctx.in_module(ctx.config.numpy_modules):
+        if ctx.in_module(config.numpy_lazy_modules):
+            if not record.in_function:
+                yield ctx.finding(
+                    record.node,
+                    "numpy-guard",
+                    f"{ctx.module} may import numpy only inside the function "
+                    "that needs it, so serial runs never load it",
+                )
+        elif not ctx.in_module(config.numpy_modules):
+            allowed = config.numpy_modules + config.numpy_lazy_modules
             yield ctx.finding(
                 record.node,
                 "numpy-guard",
-                f"numpy may only be imported in "
-                f"{', '.join(ctx.config.numpy_modules)}; route vectorized "
-                "work through a batch kernel behind its support predicate",
+                f"numpy may only be imported in {', '.join(allowed)}; "
+                "route vectorized work through a batch kernel behind its "
+                "support predicate",
             )
         elif not record.guarded and not record.in_function:
             yield ctx.finding(
@@ -106,6 +118,35 @@ def check_numpy_guard(ctx) -> Iterator:
                 "numpy-guard",
                 "module-level numpy import must sit in try/except "
                 "ImportError so the package stays importable without numpy",
+            )
+
+
+@rule(
+    "kernel-lazy",
+    summary="module-level import of the batch kernel outside it",
+    invariant="serial runs, the CLI and the service never load numpy: the "
+    "batch kernel is imported inside the functions that run it",
+)
+def check_kernel_lazy(ctx) -> Iterator:
+    config = ctx.config
+    kernel = config.kernel_module
+    if ctx.module == kernel:
+        return
+    for record in collect_imports(ctx.tree, ctx.module):
+        if record.type_checking or record.in_function:
+            continue
+        target = record.target
+        if (
+            target == kernel
+            or target.startswith(kernel + ".")
+            or target in config.kernel_reexports
+        ):
+            yield ctx.finding(
+                record.node,
+                "kernel-lazy",
+                f"module-level import of {target} loads numpy with "
+                f"{ctx.module}; import {kernel} inside the function that "
+                "runs a kernel",
             )
 
 

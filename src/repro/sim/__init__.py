@@ -16,7 +16,6 @@ Anonymity is structural: algorithm code receives ``(port, message)``
 pairs and has no channel through which a global ID could leak.
 """
 
-from repro.sim.batch import BatchEngine, LaneResult, numpy_available, run_dac_batch
 from repro.sim.engine import Engine, EngineView, RoundRecord, RunResult
 from repro.sim.messages import StateMessage, message_bits
 from repro.sim.metrics import MetricsCollector, PhaseRangeSeries
@@ -33,6 +32,20 @@ from repro.sim.persistence import load_trace, replay_adversary, save_trace
 from repro.sim.rng import child_rng, derive_seed
 from repro.sim.runner import ExecutionReport, run_consensus
 from repro.sim.trace import ExecutionTrace
+
+# The batch kernels load numpy, which no serial run uses: their four
+# public names resolve on first access (PEP 562), so ``import repro``
+# and every serial path stay numpy-free.
+_BATCH_NAMES = ("BatchEngine", "LaneResult", "numpy_available", "run_dac_batch")
+
+
+def __getattr__(name: str):
+    if name in _BATCH_NAMES:
+        from repro.sim import batch
+
+        return getattr(batch, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BatchEngine",

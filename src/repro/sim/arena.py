@@ -22,11 +22,6 @@ from typing import Any
 
 from repro.net.topology import Topology
 
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI leg
-    _np = None
-
 # Bounded like the Topology intern table: cleared wholesale when full.
 # An adversary cycle needs at most n tables per live set, so steady
 # state for realistic sweeps sits far below the cap.
@@ -39,16 +34,16 @@ def delivered_table(topology: Topology) -> Any:
 
     ``table[v, u]`` is True iff edge ``(u, v)`` exists (v hears u); no
     diagonal. Served from the process-wide memo, or built once from
-    :meth:`Topology.delivered_bytes`. Returns ``None`` when numpy is
-    unavailable (the serial fallback never asks). The array is never
-    writable -- kernels that need a diagonal or a transpose copy it
-    first.
+    :meth:`Topology.delivered_bytes`. Only the numpy kernels call
+    this, so numpy loads on the first call and never in a serial run.
+    The array is never writable -- kernels that need a diagonal or a
+    transpose copy it first.
     """
-    if _np is None:
-        return None
     key = topology.content_hash
     cached = _table_memo.get(key)
     if cached is None:
+        import numpy as _np
+
         n = topology.n
         # frombuffer over immutable bytes yields a non-writable array;
         # reshape preserves that, so the view is read-only end to end.

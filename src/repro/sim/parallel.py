@@ -178,6 +178,11 @@ def _exit_with_parent() -> None:
 
 
 def _new_executor(workers: int) -> ProcessPoolExecutor:
+    # Load the batch kernels (and numpy) before the workers fork, so
+    # every worker inherits them instead of importing them inside its
+    # first job; serial runs never get here and never load numpy.
+    import repro.sim.batch  # noqa: F401
+
     return ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
 
 

@@ -69,6 +69,7 @@ def test_known_bad_finding_counts():
         "plan-mutation": 5,
         "layering": 2,
         "numpy-guard": 1,
+        "kernel-lazy": 3,
         "hot-import": 1,
         "observer-readonly": 6,
         "worker-closure": 4,  # incl. the pool= dispatch site
@@ -81,6 +82,15 @@ def test_known_bad_finding_counts():
         for rule_id in CHECKER_RULES
     }
     assert counts == expected
+
+
+def test_numpy_guard_keeps_the_table_memo_lazy():
+    """repro.sim.arena may import numpy only inside a function: a
+    module-level import fails even behind the ImportError guard that
+    the batch kernel itself uses."""
+    bad = lint_with(corpus("numpy-guard", "lazy_bad"), "numpy-guard")
+    assert [(f.rule_id, f.line) for f in bad] == [("numpy-guard", 5)]
+    assert lint_with(corpus("numpy-guard", "lazy_good"), "numpy-guard") == []
 
 
 # -- suppressions ----------------------------------------------------------
