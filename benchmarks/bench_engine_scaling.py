@@ -37,9 +37,8 @@ from repro.core.dac import DACProcess
 from repro.net.ports import identity_ports
 from repro.sim.batch import numpy_available, run_dac_batch, run_generic_batch
 from repro.sim.engine import Engine
-from repro.sim.parallel import run_trials, TrialSpec
 from repro.sim.rng import spawn_inputs
-from repro.workloads import build_dac_execution, run_dac_trial, run_dac_trial_batch
+from repro.workloads import build_dac_execution
 
 
 def make_engine(n: int, record_trace: bool = False) -> Engine:
@@ -91,11 +90,12 @@ def test_fast_path_vs_traced_throughput():
 
 
 def _sweeps_per_second(workers: int) -> tuple[float, list]:
-    sweep = Sweep(grid={"n": [5, 7, 9], "window": [1, 2]}, repeats=4)
+    sweep = Sweep(grid={"window": [1, 2]}, repeats=4)
     start = time.perf_counter()
-    records = sweep.run(run_dac_trial, workers=workers)
+    for n in (5, 7, 9):
+        sweep.run(f"algorithm: dac@1(n={n})", workers=workers)
     elapsed = time.perf_counter() - start
-    return len(records) / elapsed, records
+    return len(sweep.records) / elapsed, sweep.records
 
 
 def test_sweep_scaling_with_workers():
@@ -150,13 +150,12 @@ def test_batch_engine_scaling():
         batch_elapsed = time.perf_counter() - batch_start
         assert batched == serial  # batching is a pure speed knob
 
-        specs = [TrialSpec((("n", n), ("f", 0), ("epsilon", 1e-6)), seed) for seed in seeds]
         fan_start = time.perf_counter()
-        fanned = run_trials(
-            run_dac_trial, specs, workers=4, batch=8, batch_fn=run_dac_trial_batch
+        fanned = Sweep(grid={"n": [n]}, repeats=lanes).run(
+            f"algorithm: dac@1(n={n}, f=0, epsilon=0.000001)", workers=4, batch=8
         )
         fan_elapsed = time.perf_counter() - fan_start
-        assert [r["rounds"] for r in fanned] == [lane.rounds for lane in serial]
+        assert [r.result["rounds"] for r in fanned] == [lane.rounds for lane in serial]
 
         print(f"{n:3d}  serial fast path {total_rounds / serial_elapsed:12.0f}")
         print(

@@ -24,17 +24,21 @@ import time
 
 from repro.bench.sweep import Sweep
 from repro.sim.batch import numpy_available
-from repro.workloads import run_baseline_trial, run_dbac_trial
 
 SIZES = [6, 11]
 REPEATS = 8
-EPSILON = 1e-3
+
+# One scenario spec per family and size: f takes each size's boundary
+# default, so every DBAC cell sits at n = 5f + 1.
+DBAC_SPECS = [f"algorithm: dbac@1(n={n}, epsilon=0.001)" for n in SIZES]
+BASELINE_SPECS = [f"algorithm: baseline@1(n={n}, epsilon=0.001)" for n in SIZES]
 
 
-def run_grid(trial, grid, **run_kwargs):
+def run_grid(specs, grid, **run_kwargs):
     sweep = Sweep(grid=grid, repeats=REPEATS)
     start = time.perf_counter()
-    sweep.run(trial, **run_kwargs)
+    for spec in specs:
+        sweep.run(spec, **run_kwargs)
     return sweep, time.perf_counter() - start
 
 
@@ -43,19 +47,18 @@ def main() -> None:
     print(f"DBAC vs averaging baselines, batched (batch backend: {backend})")
     print("-" * 68)
 
-    dbac_grid = {"n": SIZES, "strategy": ["extreme"], "epsilon": [EPSILON]}
-    baseline_grid = {"n": SIZES, "algorithm": ["midpoint", "trimmed"],
-                     "epsilon": [EPSILON]}
+    dbac_grid = {"strategy": ["extreme"]}
+    baseline_grid = {"algorithm": ["midpoint", "trimmed"]}
 
     # Serial references first, then the batched-over-workers runs; the
     # whole point of the executors is that the records must agree.
-    dbac_serial, dbac_serial_s = run_grid(run_dbac_trial, dbac_grid,
+    dbac_serial, dbac_serial_s = run_grid(DBAC_SPECS, dbac_grid,
                                           workers=1, batch=1)
-    dbac_fast, dbac_fast_s = run_grid(run_dbac_trial, dbac_grid,
+    dbac_fast, dbac_fast_s = run_grid(DBAC_SPECS, dbac_grid,
                                       workers=2, batch=REPEATS // 2)
-    base_serial, base_serial_s = run_grid(run_baseline_trial, baseline_grid,
+    base_serial, base_serial_s = run_grid(BASELINE_SPECS, baseline_grid,
                                           workers=1, batch=1)
-    base_fast, base_fast_s = run_grid(run_baseline_trial, baseline_grid,
+    base_fast, base_fast_s = run_grid(BASELINE_SPECS, baseline_grid,
                                       workers=2, batch=REPEATS // 2)
 
     assert dbac_serial.records == dbac_fast.records, \

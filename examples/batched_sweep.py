@@ -22,16 +22,19 @@ import time
 
 from repro.bench.sweep import Sweep
 from repro.sim.batch import numpy_available
-from repro.workloads import run_dac_trial
 
-GRID = {"n": [9, 13], "window": [1, 2]}
+# One scenario spec per network size (f takes each size's boundary
+# default); the sweep grid varies the adversary window under each.
+SPECS = ["algorithm: dac@1(n=9)", "algorithm: dac@1(n=13)"]
+GRID = {"window": [1, 2]}
 REPEATS = 8
 
 
 def timed_sweep(**run_kwargs):
     sweep = Sweep(grid=GRID, repeats=REPEATS)
     start = time.perf_counter()
-    sweep.run(run_dac_trial, **run_kwargs)
+    for spec in SPECS:
+        sweep.run(spec, **run_kwargs)
     return sweep, time.perf_counter() - start
 
 

@@ -189,8 +189,8 @@ class LookaheadQuorumAdversary(MessageAdversary):
         """Per-round ``sender -> (message, receiver whitelist)`` map.
 
         Graph-independent, so it is resolved once per round and shared
-        by every candidate's delivery construction (the engine's
-        ``_collect_broadcasts`` plays the same trick). Byzantine
+        by every candidate's delivery construction (the engine's round
+        resolves its sender masks once per round the same way). Byzantine
         senders are skipped in the simulation (their round-``t`` lies
         are not exposed through the view); the heuristic therefore
         under-approximates their effect, which only makes the chosen

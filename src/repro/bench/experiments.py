@@ -774,7 +774,7 @@ def experiment_s2(quick: bool = True) -> TableResult:
     """
     from repro.bench.sweep import Sweep
     from repro.sim.parallel import get_default_workers
-    from repro.workloads import run_dac_trial
+    from repro.scenario import family_trial
 
     table = TableResult(
         "S2",
@@ -787,7 +787,7 @@ def experiment_s2(quick: bool = True) -> TableResult:
     }
     sweep = Sweep(grid=grid, repeats=3 if quick else 5)
     start = time.perf_counter()
-    sweep.run(run_dac_trial)  # workers=None -> process-wide default
+    sweep.run(family_trial("dac"))  # workers=None -> process-wide default
     elapsed = max(time.perf_counter() - start, 1e-9)
     stats = sweep.summarize_by(
         "n", "window", value=lambda r: float(r.result["rounds"])
@@ -825,8 +825,8 @@ def experiment_s3(quick: bool = True) -> TableResult:
     """
     from repro.bench.sweep import Sweep
     from repro.sim.batch import numpy_available
+    from repro.scenario import family_trial
     from repro.sim.parallel import get_default_batch
-    from repro.workloads import run_dac_trial
 
     batch = get_default_batch()
     if batch <= 1:
@@ -839,15 +839,16 @@ def experiment_s3(quick: bool = True) -> TableResult:
     )
     sizes = [9, 17] if quick else [9, 17, 33]
     repeats = 2 * batch if quick else 4 * batch
+    trial = family_trial("dac")
     for n in sizes:
         grid = {"n": [n], "window": [1]}
         serial = Sweep(grid=grid, repeats=repeats)
         start = time.perf_counter()
-        serial.run(run_dac_trial, workers=1, batch=1)
+        serial.run(trial, workers=1, batch=1)
         serial_rate = len(serial.records) / max(time.perf_counter() - start, 1e-9)
         batched = Sweep(grid=grid, repeats=repeats)
         start = time.perf_counter()
-        batched.run(run_dac_trial, workers=1, batch=batch)
+        batched.run(trial, workers=1, batch=batch)
         batched_rate = len(batched.records) / max(time.perf_counter() - start, 1e-9)
         identical = serial.records == batched.records
         table.add_row(
@@ -881,8 +882,8 @@ def experiment_s4(quick: bool = True) -> TableResult:
     """
     from repro.bench.sweep import Sweep
     from repro.sim.batch import numpy_available
+    from repro.scenario import family_trial
     from repro.sim.parallel import get_default_batch
-    from repro.workloads import run_dbac_trial
 
     batch = get_default_batch()
     if batch <= 1:
@@ -895,15 +896,16 @@ def experiment_s4(quick: bool = True) -> TableResult:
     )
     sizes = [11, 16] if quick else [11, 16, 33]
     repeats = 2 * batch if quick else 4 * batch
+    trial = family_trial("dbac")
     for n in sizes:
         grid = {"n": [n], "window": [1]}
         serial = Sweep(grid=grid, repeats=repeats)
         start = time.perf_counter()
-        serial.run(run_dbac_trial, workers=1, batch=1)
+        serial.run(trial, workers=1, batch=1)
         serial_rate = len(serial.records) / max(time.perf_counter() - start, 1e-9)
         batched = Sweep(grid=grid, repeats=repeats)
         start = time.perf_counter()
-        batched.run(run_dbac_trial, workers=1, batch=batch)
+        batched.run(trial, workers=1, batch=batch)
         batched_rate = len(batched.records) / max(time.perf_counter() - start, 1e-9)
         identical = serial.records == batched.records
         table.add_row(

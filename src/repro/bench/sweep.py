@@ -102,10 +102,10 @@ class Sweep:
         :class:`repro.scenario.ScenarioSpec` or its text/JSON form
         (see ``docs/scenarios.md``). The spec resolves through the
         registry (:func:`repro.scenario.resolve_trial`) to the
-        family's module-level trial function plus its fully-defaulted
-        parameters; grid cells override spec parameters key-by-key,
-        and the ``batch_fn`` attachment rides along, so
-        every knob below works identically for spec-driven sweeps.
+        family's trial plus its fully-defaulted parameters; grid
+        cells override spec parameters key-by-key, and the trial's
+        ``batch_fn`` rides along, so every knob below works
+        identically for spec-driven sweeps.
         The spec's own ``seed`` is ignored here -- sweep seeding stays
         with ``seed0``/``repeats``.
 
@@ -123,8 +123,9 @@ class Sweep:
         ``batch`` composes the second speed knob: repeats of one grid
         cell are grouped into single calls of a *batched* trial
         function (``batch_fn``, defaulting to ``fn``'s ``batch_fn``
-        attribute -- e.g. :func:`repro.workloads.run_dac_trial` carries
-        its :mod:`repro.sim.batch`-backed form). Batching is equally a
+        attribute -- every family trial from
+        :func:`repro.scenario.family_trial` carries its
+        :mod:`repro.sim.batch`-backed form). Batching is equally a
         pure speed knob: ``workers=N, batch=B`` records are identical
         to ``workers=1, batch=1`` records. ``None`` uses the
         process-wide default (a CLI ``--batch`` flag), which degrades

@@ -183,8 +183,6 @@ def _cmd_theorem10(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import inspect
-
     from repro.bench.sweep import Sweep
     from repro.scenario import SpecError, flat_params, parse_spec, resolve, spec_for
 
@@ -236,9 +234,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # aggregator summary under "metrics" (identical at any
         # workers/batch -- batched forms delegate to observed serial
         # runs per seed).
-        if "observe" not in inspect.signature(resolved.trial_fn).parameters:
-            print(f"error: family {family!r} does not support --observe in sweeps")
-            return 2
         grid["observe"] = [True]
     epsilon = resolved.params.get("epsilon", args.epsilon)
     if family == "dbac":
@@ -257,10 +252,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     sweep.run(
         # Spec mode: the spec's resolved params are the base and grid
-        # cells override key-by-key. Family mode: the registry picks
-        # the trial function, but cells carry only the explicit knobs,
-        # so per-cell defaults (e.g. f from each cell's own n) keep the
-        # historical CLI semantics.
+        # cells override key-by-key. Family mode: the family's trial
+        # fills its own defaults per cell (e.g. f from each cell's own
+        # n), as cells carry only the explicit knobs.
         resolved.spec if args.spec else resolved.trial_fn,
         workers=args.workers,
         batch=args.batch,

@@ -5,13 +5,19 @@ families copy (see ``docs/scenarios.md``): one module that
 
 1. implements (or imports) its process --
    :class:`repro.core.averaging.AveragingProcess`;
-2. defines a module-level picklable trial function with a
-   ``batch_fn`` attachment (here simply the serial trial once per
-   seed -- no dedicated kernel needed);
-3. subclasses :class:`repro.scenario.registry.AlgorithmFamily` and
+2. writes the execution builder, :func:`build_averaging_execution`;
+3. subclasses :class:`repro.scenario.registry.AlgorithmFamily` with
+   ``build`` and ``batch`` (here serial-engine lanes -- no dedicated
+   kernel needed, so ``vectorizable`` keeps its ``False`` default) and
    registers it with :func:`repro.scenario.registry.register_algorithm`
    at import time, reusing the declared component vocabulary
    (``dynadegree`` / ``quorum``).
+
+The trial every executor runs -- serial, batched, pooled, observed --
+comes from :func:`repro.scenario.trial.family_trial`. Averaging has no
+termination detection: a trial's ``correct`` reports whether the
+fixed budget actually reached epsilon-agreement, which under the
+enforcing adversary it typically does not (the paper's point).
 
 Nothing here is special-cased anywhere else: the conformance suite
 (`tests/test_scenario_conformance.py`) discovers the family from the
@@ -33,7 +39,6 @@ from repro.core.phases import dac_end_phase
 from repro.faults.base import FaultPlan
 from repro.net.ports import random_ports
 from repro.scenario.registry import AlgorithmFamily, ParamSpec, register_algorithm
-from repro.sim.arena import empty_arena_plan
 from repro.sim.rng import child_rng, spawn_inputs
 from repro.workloads import dac_degree
 
@@ -87,95 +92,9 @@ def build_averaging_execution(
     }
 
 
-def run_averaging_trial(
-    n: int,
-    rule: str = "mean",
-    f: int = 0,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "rotate",
-    num_rounds: int | None = None,
-    seed: int = 0,
-) -> dict[str, Any]:
-    """One averaging execution reduced to the standard trial summary.
-
-    Module-level and picklable, so it fans out under ``workers=N``
-    and batches under ``batch=B`` through the attached ``batch_fn``
-    exactly like the :mod:`repro.workloads` trials. Averaging has no
-    termination detection -- ``correct`` reports whether the fixed
-    budget actually reached epsilon-agreement, which under the
-    enforcing adversary it typically does not (the paper's point).
-
-    >>> summary = run_averaging_trial(n=5, seed=0)
-    >>> sorted(summary)
-    ['correct', 'rounds', 'spread', 'terminated']
-    >>> run_averaging_trial.batch_fn(n=5, seeds=[0]) == [summary]
-    True
-    """
-    from repro.sim.runner import run_consensus
-
-    # The summary reads no trace, promise check or phase series, so
-    # the run takes the engine's fast path like every run_*_trial.
-    report = run_consensus(
-        **build_averaging_execution(
-            n=n,
-            rule=rule,
-            f=f,
-            epsilon=epsilon,
-            seed=seed,
-            window=window,
-            selector=selector,
-            num_rounds=num_rounds,
-        ),
-        record_trace=False,
-        verify_promise=False,
-        track_phases=False,
-    )
-    return {
-        "rounds": report.rounds,
-        "spread": report.output_spread,
-        "terminated": report.terminated,
-        "correct": report.correct,
-    }
-
-
-def run_averaging_trial_batch(
-    n: int,
-    rule: str = "mean",
-    f: int = 0,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "rotate",
-    num_rounds: int | None = None,
-    seeds: Any = (),
-) -> list[dict[str, Any]]:
-    """Batched :func:`run_averaging_trial`: one summary per seed, in order.
-
-    Averaging has no kernel, so its batched form is the serial trial
-    once per seed -- equal to per-seed calls by construction.
-    """
-    return [
-        run_averaging_trial(
-            n=n,
-            rule=rule,
-            f=f,
-            epsilon=epsilon,
-            window=window,
-            selector=selector,
-            num_rounds=num_rounds,
-            seed=int(seed),
-        )
-        for seed in seeds
-    ]
-
-
 def _averaging_build_for_seed(seed: int, **params: Any) -> dict[str, Any]:
     """Seed-first adapter for :class:`repro.sim.batch.GenericBatchEngine`."""
     return build_averaging_execution(seed=seed, **params)
-
-
-run_averaging_trial.batch_fn = run_averaging_trial_batch  # type: ignore[attr-defined]
-run_averaging_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
 
 
 @register_algorithm("averaging", version=1)
@@ -197,7 +116,6 @@ class AveragingFamily(AlgorithmFamily):
         "quorum": ({"n": 5}, {"n": 6, "rule": "midpoint"}),
     }
     rounds_param = "num_rounds"
-    trial = staticmethod(run_averaging_trial)
 
     def build(self, *, seed, **params):
         return build_averaging_execution(seed=seed, **params)

@@ -7,7 +7,8 @@ and :mod:`repro.scenario.registry` (``(kind, name, version)`` entries
 with declared parameters) -- is stdlib-only and sits at the bottom of
 the layer DAG, so any module may speak it. *Resolution*
 (:mod:`repro.scenario.resolve`) binds names to the live trial
-machinery and sits above :mod:`repro.workloads`.
+machinery and sits above :mod:`repro.workloads`; so does
+:mod:`repro.scenario.trial`, the one picklable trial per family.
 
 See ``docs/scenarios.md`` for the DSL grammar and the
 "add an algorithm in one module" recipe.
@@ -35,14 +36,15 @@ from repro.scenario.resolve import (
     flat_params,
     resolve,
     resolve_trial,
-    run_spec_trial,
     spec_for,
 )
 from repro.scenario.spec import ComponentRef, ScenarioSpec, SpecError, parse_spec
+from repro.scenario.trial import FamilyTrial, family_trial
 
 __all__ = [
     "AlgorithmFamily",
     "ComponentRef",
+    "FamilyTrial",
     "ParamSpec",
     "RegistryEntry",
     "ResolvedScenario",
@@ -54,6 +56,7 @@ __all__ = [
     "declare_network",
     "ensure_builtin_families",
     "entries",
+    "family_trial",
     "flat_params",
     "lookup",
     "parse_spec",
@@ -63,7 +66,6 @@ __all__ = [
     "register_network",
     "resolve",
     "resolve_trial",
-    "run_spec_trial",
     "spec_for",
     "unregister",
 ]

@@ -12,8 +12,9 @@ same spec resolves to the same objects in every process.
 Two flavours of entry coexist:
 
 * *algorithm families* carry an :class:`AlgorithmFamily` object that
-  knows how to build serial executions, run trials, and batch lanes
-  (:func:`register_algorithm`);
+  knows how to build serial executions and batch lanes
+  (:func:`register_algorithm`); :mod:`repro.scenario.trial` derives
+  the one picklable trial every executor dispatches from those;
 * *components* (network / adversary / faults) are declared parameter
   namespaces (:func:`declare_network` and friends): the family's own
   ``build`` interprets them, so declaring one never imports foreign
@@ -316,9 +317,11 @@ class AlgorithmFamily:
 
     A family adapts one algorithm (and its component vocabulary) to
     the repo's execution surfaces. Subclasses override the class
-    attributes and the ``build``/``trial``/``batch`` trio; everything
-    a spec can say about the family is declared as data so the
-    conformance suite and the CLI can introspect it.
+    attributes and ``build``, ``batch``, ``vectorizable`` and
+    ``normalize``; everything a spec can say about the family is
+    declared as data so the conformance suite and the CLI can
+    introspect it. The trial every executor runs is derived from
+    these (:func:`repro.scenario.trial.family_trial`).
 
     Attributes
     ----------
@@ -348,8 +351,6 @@ class AlgorithmFamily:
     harness_defaults: Mapping[str, Scalar] = {}
     conformance: Mapping[str, tuple[Mapping[str, Scalar], ...]] = {}
     rounds_param: str | None = "max_rounds"
-    #: Module-level picklable trial function (positional-free kwargs).
-    trial: Callable[..., Any] | None = None
 
     def normalize(self, params: dict[str, Scalar]) -> dict[str, Scalar]:
         """Fill derived defaults (for example ``f`` from ``n``)."""
@@ -362,10 +363,6 @@ class AlgorithmFamily:
     def batch(self, seeds: Sequence[int], **params: Any):
         """Batch lanes (:class:`repro.sim.batch.LaneResult` list)."""
         raise NotImplementedError
-
-    def trial_kwargs(self, params: Mapping[str, Scalar]) -> dict[str, Scalar]:
-        """Map resolved flat params onto ``self.trial``'s signature."""
-        return dict(params)
 
     def vectorizable(self, params: Mapping[str, Scalar]) -> bool:
         """Whether a numpy kernel runs ``batch`` for these parameters.

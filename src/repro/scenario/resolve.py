@@ -5,12 +5,11 @@ This is the layer where names acquire meaning: a
 :class:`ResolvedScenario` -- the algorithm family object, the chosen
 component entries, and one flat, fully-defaulted parameter dict. From
 there every existing execution surface is one call away: serial
-builds (``build_execution``), the module-level picklable trial
-(``trial_fn`` / ``trial_kwargs``, with the ``batch_fn``
-attachment riding along untouched), batch
-lanes (``batch``), and the parallel sweep machinery
-(:func:`resolve_trial`, consumed by :meth:`repro.bench.sweep.Sweep.run`
-and ``repro.cli sweep --spec``).
+builds (``build_execution``), the family's picklable trial
+(``trial_fn`` / ``trial_kwargs``, see :mod:`repro.scenario.trial`,
+whose ``batch_fn`` is the batched form), batch lanes (``batch``), and
+the parallel sweep machinery (:func:`resolve_trial`, consumed by
+:meth:`repro.bench.sweep.Sweep.run` and ``repro.cli sweep --spec``).
 
 Resolution is deterministic: the registry is populated once at import
 time (:func:`ensure_builtin_families`), parameters are validated
@@ -44,7 +43,6 @@ __all__ = [
     "resolve_trial",
     "flat_params",
     "spec_for",
-    "run_spec_trial",
 ]
 
 _SECTION_KINDS = {"network": "network", "adversary": "adversary", "faults": "faults"}
@@ -77,23 +75,19 @@ class ResolvedScenario:
 
     @property
     def trial_fn(self) -> Any:
-        """The family's module-level picklable trial function."""
-        fn = self.family.trial
-        if fn is None:
-            raise SpecError(
-                "algorithm",
-                f"{self.entry.name!r} declares no trial function",
-            )
-        return fn
+        """The family's picklable trial (:func:`repro.scenario.trial.family_trial`)."""
+        from repro.scenario.trial import family_trial  # trial imports this module
+
+        return family_trial(self.entry.name, self.entry.version)
 
     @property
     def batch_fn(self) -> Any:
-        """The trial's batched form (``None`` when it has none)."""
-        return getattr(self.trial_fn, "batch_fn", None)
+        """The trial's batched form."""
+        return self.trial_fn.batch_fn
 
     def trial_kwargs(self) -> dict[str, Scalar]:
         """Keyword arguments for ``trial_fn`` (seed excluded)."""
-        return self.family.trial_kwargs(dict(self.params))
+        return dict(self.params)
 
     def build_execution(self, seed: int | None = None) -> dict[str, Any]:
         """Keyword arguments for :func:`repro.sim.runner.run_consensus`."""
@@ -103,7 +97,7 @@ class ResolvedScenario:
     def run(self, seed: int | None = None) -> dict[str, Any]:
         """Run one trial; the family's picklable summary dict."""
         use = self.spec.seed if seed is None else seed
-        return self.trial_fn(seed=use, **self.trial_kwargs())
+        return self.trial_fn(seed=use, **self.params)
 
     def batch(self, seeds: Sequence[int]) -> list[Any]:
         """Batch lanes for ``seeds`` (:class:`repro.sim.batch.LaneResult`)."""
@@ -291,20 +285,13 @@ def resolve_trial(spec: ScenarioSpec | str) -> tuple[Any, dict[str, Scalar]]:
 
     :meth:`repro.bench.sweep.Sweep.run` accepts a spec in place of a
     trial function and dispatches through this: the returned function
-    is the family's module-level trial (its ``batch_fn`` attachment
-    intact, so batching works exactly as for a hand-picked
-    ``run_*_trial``) and
+    is the family's trial (its ``batch_fn`` batches the cells) and
     the kwargs are the spec's resolved parameters, which grid cells
     may override. The spec's own ``seed`` is ignored there -- sweep
     seeding stays with ``seed0``/``repeats``.
     """
     resolved = resolve(spec)
     return resolved.trial_fn, resolved.trial_kwargs()
-
-
-def run_spec_trial(spec: ScenarioSpec | str, seed: int | None = None) -> dict[str, Any]:
-    """Resolve and run one trial; module-level, hence picklable."""
-    return resolve(spec).run(seed)
 
 
 def algorithm_entries() -> tuple[RegistryEntry, ...]:

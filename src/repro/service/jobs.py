@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
-import inspect
 from collections.abc import AsyncIterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
@@ -275,8 +274,7 @@ class JobManager:
         accepts (DSL text, JSON text, or a :class:`ScenarioSpec`) or an
         already-resolved scenario. ``seeds`` defaults to the spec's own
         seed. ``events=True`` asks for trial-level observer events in
-        the job log (families without an ``observe`` knob just log
-        lifecycle entries). Raises
+        the job log. Raises
         :class:`~repro.scenario.spec.SpecError` on a bad spec; awaiting
         queue space is the backpressure path.
         """
@@ -370,28 +368,16 @@ class JobManager:
             finally:
                 self._queue.task_done()
 
-    def _observe_supported(self, resolved: ResolvedScenario) -> bool:
-        try:
-            signature = inspect.signature(resolved.trial_fn)
-        except (TypeError, ValueError):
-            return False
-        return "observe" in signature.parameters
-
     async def _execute(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
         kwargs = dict(job.resolved.trial_kwargs())
-        # Event streaming rides on the family's observe knob; the
+        # Event streaming rides on the trial's observe knob; the
         # injected "metrics" key is stripped again below so cached
         # payloads stay identical to bare resolve(spec).run(seed)
         # results (observation is read-only by the repro.obs contract).
-        strip_metrics = False
-        if (
-            job.events_requested
-            and not kwargs.get("observe")
-            and self._observe_supported(job.resolved)
-        ):
+        strip_metrics = job.events_requested
+        if strip_metrics:
             kwargs["observe"] = True
-            strip_metrics = True
         params = tuple(sorted(kwargs.items()))
         specs = [TrialSpec(params, seed=seed) for seed in job.compute_seeds]
         # run_trials replays forwarded events after collection, so the

@@ -47,28 +47,27 @@ finalizing. The kernels:
 
 - :class:`BatchEngine` / :func:`run_dac_batch` -- fault-free and
   crash-fault boundary DAC under the enforcing quorum adversaries,
-  precisely what :func:`repro.workloads.run_dac_trial` runs;
+  precisely what the ``dac`` family builds;
 - :class:`ByzBatchEngine` / :func:`run_dbac_batch` /
   :func:`run_byz_batch` -- boundary DBAC with Byzantine strategies
   (witness counters and ``f+1``-trimmed midpoints; the ``random``
   strategy replayed through
   :meth:`~repro.faults.byzantine.RandomByzantine.draw_row`), and
   mobile-omission DAC (:class:`BatchEngine`'s update under the
-  ``mobile-<mode>`` masks), precisely what
-  :func:`repro.workloads.run_dbac_trial` / ``run_byz_trial`` run;
+  ``mobile-<mode>`` masks), precisely what the ``dbac`` and ``byz``
+  families build;
 - :class:`BaselineBatchEngine` / :func:`run_baseline_batch` -- the
   reliable-channel averaging baselines (iterated midpoint / trimmed
-  mean), precisely what :func:`repro.workloads.run_baseline_trial`
-  runs: one ``(B, n)`` value matrix advanced for exactly
+  mean), precisely what the ``baseline`` family builds: one ``(B, n)`` value matrix advanced for exactly
   ``num_rounds`` rounds.
 
-Composition: :func:`repro.workloads.run_dac_trial_batch` (and the
-DBAC/Byzantine/baseline forms) wrap these kernels in the batched-trial
-calling convention the parallel layer dispatches, so
-``Sweep.run(workers=N, batch=B)`` fans *batches* over processes -- the
-two layers multiply. Parameter groups no kernel supports, observed and
-non-fast trials, and one-seed groups (a one-lane kernel pass is slower
-than one serial trial) run the serial trial once per seed.
+Composition: each family's ``batch`` hook calls these kernels, and
+the family trial's ``batch_fn`` (:mod:`repro.scenario.trial`) wraps
+them in the batched-trial calling convention the parallel layer
+dispatches, so ``Sweep.run(workers=N, batch=B)`` fans *batches* over
+processes -- the two layers multiply. Parameter groups no kernel
+supports, observed trials, and one-seed groups (a one-lane kernel pass
+is slower than one serial trial) run the serial trial once per seed.
 """
 
 from __future__ import annotations
@@ -897,8 +896,8 @@ def _byz_family(
 ):
     """The :class:`~repro.workloads.LaneFamily` of one Byzantine-or-mobile lane.
 
-    Exactly the serial builders :func:`repro.workloads.run_byz_trial`
-    runs: :func:`~repro.workloads.build_dbac_execution` with the named
+    Exactly the serial builders of the ``dbac`` and ``byz`` families:
+    :func:`~repro.workloads.build_dbac_execution` with the named
     strategy for ``"quorum"``, :func:`~repro.workloads.build_mobile_execution`
     for ``"mobile-<mode>"``.
     """
@@ -940,7 +939,7 @@ class ByzBatchEngine(_LaneKernel):
 
     The Byzantine counterpart of :class:`BatchEngine`: one shared
     parameter assignment, one seed per lane, lane families exactly as
-    :func:`repro.workloads.run_byz_trial` builds them --
+    the ``dbac`` and ``byz`` families build them --
 
     - ``adversary="quorum"``: boundary DBAC (``n >= 5f + 1``) under the
       enforcing ``(window, floor((n+3f)/2))`` adversary, the ``f``
@@ -961,8 +960,9 @@ class ByzBatchEngine(_LaneKernel):
         Byzantine RNG streams from its seed exactly as the serial
         builders do, so results are bit-identical to serial runs.
     epsilon, window, selector, strategy, stop_mode, max_rounds:
-        As in :func:`repro.workloads.run_dbac_trial` /
-        ``run_byz_trial`` (``stop_mode="oracle"`` stops a lane when
+        As in :func:`repro.workloads.build_dbac_execution` /
+        :func:`~repro.workloads.build_mobile_execution`
+        (``stop_mode="oracle"`` stops a lane when
         the fault-free spread first dips to ``epsilon``;
         ``"output"`` waits for algorithm-local termination).
         Raises ``ValueError`` when :func:`byz_kernel_refusal` refuses
@@ -1254,7 +1254,7 @@ def run_dbac_batch(
     """Run one batch of boundary DBAC executions, one lane per seed.
 
     :func:`run_byz_batch` pinned to the ``"quorum"`` family -- the
-    batched counterpart of :func:`repro.workloads.run_dbac_trial`.
+    batched counterpart of :func:`repro.workloads.build_dbac_execution`.
 
     >>> lanes = run_dbac_batch(6, 1, [0, 1, 2], strategy="random")
     >>> [lane.seed for lane in lanes]
@@ -1285,7 +1285,7 @@ class BaselineBatchEngine(_LaneKernel):
 
     The baseline counterpart of :class:`BatchEngine`: one shared
     parameter assignment, one seed per lane, lane families exactly as
-    :func:`repro.workloads.run_baseline_trial` builds them -- the
+    :func:`repro.workloads.build_baseline_execution` builds them -- the
     reliable-channel iterated ``"midpoint"`` (Dolev et al.) or
     trim-``f`` ``"trimmed"`` mean running fault-free under the same
     enforcing ``(window, floor(n/2))`` quorum adversary and seed/input
@@ -1301,7 +1301,7 @@ class BaselineBatchEngine(_LaneKernel):
     Results are bit-identical to serial runs -- same floats, same round
     counts, same ``state_key()`` tuples.
 
-    Parameters mirror :func:`repro.workloads.run_baseline_trial`;
+    Parameters mirror :func:`repro.workloads.build_baseline_execution`;
     ``num_rounds=None`` defaults to DAC's ``p_end`` for the given
     ``epsilon``. Raises ``ValueError`` when
     :func:`baseline_kernel_refusal` refuses (numpy is missing);

@@ -31,10 +31,9 @@ cyclic schedules -- the common case, guaranteed by ``EdgeSchedule``
 and the interned enforcing-adversary graphs -- pay the plan build once
 per distinct graph, not per round. Traced and observer runs take the
 same sweep (the :class:`~repro.sim.trace.RoundSnapshot` is assembled
-*after* the sweep, from the sender message table's accounting); the
-original sender-major loop survives as ``_run_round_legacy``, the
-reference implementation both paths are pinned bit-identical against
-by the differential harness in ``tests/helpers.py``.
+*after* the sweep, from the sender message table's accounting). The
+sweep is the engine's only round path; ``tests/test_golden_fingerprints.py``
+pins what it produces bit for bit.
 
 Observation never reaches into the round: traces and observers consume
 snapshots behind a single ``self.trace is not None or self.observers``
@@ -282,9 +281,6 @@ class Engine:
             self.trace = ExecutionTrace(self.n) if record_trace else None
         self.observers: list[Callable[["Engine", RoundSnapshot], None]] = []
         self._t = 0
-        # Inbox lists are allocated once and cleared per round; rebuilding
-        # the node -> list mapping every round dominated small-n rounds.
-        self._inboxes: list[list[tuple[int, Any]]] = [[] for _ in range(self.n)]
         # Per-receiver port rows (P_node(sender) for every sender),
         # precomputed so the delivery loop indexes a row instead of
         # making an O(n^2)-per-round stream of port_of calls. Taken
@@ -298,9 +294,7 @@ class Engine:
         # (node, process, self-delivery port), the token under which
         # this engine's routing plans are cached on Topology instances
         # (identity-compared; a bare object so a cached plan never pins
-        # the engine or its processes alive), and the sweep/legacy
-        # switch -- differential tests and benches flip it to compare
-        # both delivery implementations on the untraced path.
+        # the engine or its processes alive).
         self._proc_plan: list[tuple[int, ConsensusProcess, int]] = [
             (node, proc, all_rows[node][node])
             for node, proc in self.processes.items()
@@ -308,7 +302,6 @@ class Engine:
         # The receivers an edge-free round still hands their own message.
         self._echo_plan = [e for e in self._proc_plan if not e[1].ignores_own_echo]
         self._route_token = object()
-        self._use_sweep = True
 
     @property
     def current_round(self) -> int:
@@ -321,33 +314,6 @@ class Engine:
 
     # ------------------------------------------------------------------
 
-    def _collect_broadcasts(
-        self, t: int
-    ) -> tuple[dict[int, Any], dict[int, tuple[Any, frozenset[int] | None, int]]]:
-        """Messages from non-Byzantine nodes still transmitting at ``t``.
-
-        Returns the plain ``node -> message`` mapping (what the
-        adversary's view shows) plus per-sender routing metadata --
-        ``node -> (message, receiver whitelist or None, message bits)``
-        -- computed once per round so the O(n^2) edge loop does no
-        per-edge fault-plan or size accounting calls.
-        """
-        broadcasts: dict[int, Any] = {}
-        meta: dict[int, tuple[Any, frozenset[int] | None, int]] = {}
-        targets_map, _stopped = self.fault_plan.round_profile(t)
-        for node, proc in self.processes.items():
-            targets = targets_map.get(node)
-            if targets is not None and not targets:
-                continue  # crashed: silent
-            message = proc.broadcast()
-            broadcasts[node] = message
-            # A None broadcast is a deliberately silent round: the view
-            # still shows the node as broadcasting None, but nothing is
-            # routed (and self-delivery skips it too).
-            if message is not None:
-                meta[node] = (message, targets, message_bits(message))
-        return broadcasts, meta
-
     def _byzantine_messages(
         self, t: int, view: EngineView
     ) -> dict[int, Mapping[int, Any] | Any]:
@@ -356,125 +322,10 @@ class Engine:
             for node, strategy in self.fault_plan.byzantine.items()
         }
 
-    @staticmethod
-    def _byzantine_message_for(outgoing: Mapping[int, Any] | Any, receiver: int) -> Any | None:
-        if isinstance(outgoing, Mapping):
-            return outgoing.get(receiver)
-        return outgoing
-
-    def run_round(self) -> RoundRecord:
-        """Execute one synchronous round and return its record.
-
-        Every round runs as a port-major delivery sweep
-        (:meth:`_run_round_swept`) -- no per-receiver inbox
-        construction, no per-batch sort. Traced and observer runs take
-        the same sweep: the :class:`RoundSnapshot` those consumers need
-        is assembled *after* delivery, behind a single branch, so an
-        unattached engine skips snapshotting entirely. The original
-        sender-major loop (:meth:`_run_round_legacy`) survives as the
-        reference implementation; node transitions, metrics and traces
-        are bit-identical on both paths, which the differential harness
-        (``tests/helpers.py``) pins.
-        """
-        t = self._t
-        if self._use_sweep:
-            record = self._run_round_swept(t)
-        else:
-            record = self._run_round_legacy(t)
-        self._t += 1
-        return record
-
-    def _run_round_legacy(self, t: int) -> RoundRecord:
-        """The sender-major inbox loop: the sweep's reference implementation.
-
-        Runs only when ``_use_sweep`` is off, as the differential
-        harness sets it to pin the sweep against this loop; traced and
-        observer runs take :meth:`_run_round_swept` like every other
-        round. It assembles its own :class:`RoundSnapshot` so traced
-        runs compare on both paths too.
-        """
-        fault_plan = self.fault_plan
-        broadcasts, send_meta = self._collect_broadcasts(t)
-        view = EngineView(self, t, broadcasts)
-        byz_out = self._byzantine_messages(t, view)
-
-        graph = self.adversary.choose(t, view)
-        if graph.n != self.n:
-            raise ValueError(f"adversary chose a graph with n={graph.n}, expected {self.n}")
-
-        # Route messages along the chosen links, sender-major so each
-        # sender's metadata is resolved once, not once per edge. The
-        # receiver lists come from the Topology's lazily cached
-        # adjacency rows -- built once per unique graph, shared across
-        # every round that replays it. Inbox lists are preallocated in
-        # __init__ and reused across rounds; the (sender, message) pair
-        # is immutable and safely shared by every receiver's inbox.
-        # Inbox *order* is free to differ from edge-set order: delivery
-        # batches are sorted by port and Byzantine observations by
-        # sender, both total orders.
-        inboxes = self._inboxes
-        for box in inboxes:
-            box.clear()
-        out_rows = graph.out_rows()
-        delivered = 0
-        bits = 0
-        for u, (message, targets, message_size) in send_meta.items():
-            receivers = out_rows[u]
-            pair = (u, message)
-            if targets is None:  # healthy sender: no per-edge filtering
-                for v in receivers:
-                    inboxes[v].append(pair)
-                count = len(receivers)
-            else:  # partial crash: some receivers missed out
-                count = 0
-                for v in receivers:
-                    if v in targets:
-                        inboxes[v].append(pair)
-                        count += 1
-            delivered += count
-            bits += message_size * count
-        for u, outgoing in byz_out.items():
-            for v in out_rows[u]:
-                message = self._byzantine_message_for(outgoing, v)
-                if message is None:
-                    continue
-                inboxes[v].append((u, message))
-                delivered += 1
-                bits += message_bits(message)
-
-        # Deliver to non-Byzantine nodes that still process, adding the
-        # reliable self-delivery. Ports are a bijection per receiver,
-        # so sorting the (port, message) tuples never compares messages
-        # and needs no key function. Delivery instances are built via
-        # tuple.__new__, skipping the namedtuple constructor wrapper in
-        # this O(n^2)-per-round loop.
-        new_delivery = tuple.__new__
-        port_rows = self._port_rows
-        stopped = fault_plan.round_profile(t)[1]
-        for node, proc in self.processes.items():
-            if node in stopped:
-                continue
-            row = port_rows[node]
-            batch = [
-                new_delivery(Delivery, (row[sender], message))
-                for sender, message in inboxes[node]
-            ]
-            own = broadcasts.get(node)
-            if own is not None:
-                batch.append(Delivery(row[node], own))
-            batch.sort()
-            proc.deliver(batch)
-
-        # Byzantine strategies observe their inbox with true sender IDs.
-        for node, strategy in fault_plan.byzantine.items():
-            strategy.observe(t, sorted(inboxes[node], key=lambda pair: pair[0]))
-
-        return self._close_round(t, graph, delivered, bits, len(broadcasts) + len(byz_out))
-
     def _close_round(
         self, t: int, graph: Topology, delivered: int, bits: int, broadcasts: int
     ) -> RoundRecord:
-        """Account a finished round, then feed the trace and observers.
+        """Account a finished round, feed the trace and observers, advance the clock.
 
         The observation seam: one boolean check on unattached runs. The
         :class:`RoundSnapshot` is assembled only here, after delivery,
@@ -494,6 +345,7 @@ class Engine:
                 self.trace.record(snapshot)
             for observer in self.observers:
                 observer(self, snapshot)
+        self._t = t + 1
         return RoundRecord(t, graph, delivered, bits)
 
     def _routing_plan(self, graph: Topology) -> tuple[tuple, tuple[int, ...]]:
@@ -530,8 +382,8 @@ class Engine:
             graph.set_routing_plan(self._route_token, plan)
         return plan
 
-    def _run_round_swept(self, t: int) -> RoundRecord:
-        """One round as a port-major sweep over ``in_rows()``.
+    def run_round(self) -> RoundRecord:
+        """Execute one synchronous round, as a port-major sweep over ``in_rows()``.
 
         Crash/omission masks are applied on the sender axis *before*
         fan-in: silent senders never enter the per-round message table,
@@ -541,16 +393,18 @@ class Engine:
         pass from its cached ``(port, sender)`` plan -- already in port
         order, so there is no per-batch sort; self-delivery and extras
         are insorted. Delivered/bit accounting happens on the sender
-        axis (out-degree times message size), which is exactly what the
-        legacy loop's per-edge counting sums to.
+        axis: out-degree times message size, the sum of the per-edge
+        counts.
 
         An edge-free round (every silent round of a window adversary)
         skips the accounting and the fan-in: nothing is delivered, and
         only processes whose class does not declare
         :attr:`~repro.sim.node.ConsensusProcess.ignores_own_echo` get
-        their own message. Traced and observed rounds use this same
-        sweep (see :meth:`_close_round`).
+        their own message. Traced and observed rounds run the same
+        sweep; the :class:`RoundSnapshot` they consume is assembled
+        after delivery, behind one branch (see :meth:`_close_round`).
         """
+        t = self._t
         n = self.n
         fault_plan = self.fault_plan
         silent, restricted, stopped = fault_plan.sender_masks(t)

@@ -499,9 +499,9 @@ def run_trials(
     [10, 20, 30]
 
     The batch_fn contract -- one result per seed, in seed order, equal
-    to the per-trial calls (how ``repro.workloads.run_dac_trial_batch``
-    and the DBAC/Byzantine forms are written, each backed by a
-    :mod:`repro.sim.batch` lock-step kernel):
+    to the per-trial calls (what every family trial's ``batch_fn`` in
+    :mod:`repro.scenario.trial` keeps, kernel-backed where the family
+    vectorizes):
 
     >>> def scaled(scale, seed):
     ...     return scale * seed

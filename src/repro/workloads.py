@@ -22,6 +22,10 @@ seed-independent :class:`LaneFamily`, and :func:`lane_execution` adds
 one seed's inputs, ports and processes. The batch kernels in
 :mod:`repro.sim.batch` read the family alone and draw their own
 per-seed material.
+
+The end of the module registers the ``dac``, ``dbac``, ``byz`` and
+``baseline`` algorithm families over these builders; their trials
+(serial and batched) come from :func:`repro.scenario.family_trial`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from repro.adversary.constrained import (
     LastMinuteQuorumAdversary,
     RotatingQuorumAdversary,
 )
+from repro.adversary.mobile import MOBILE_MODES, MobileOmissionAdversary
 from repro.adversary.split import (
     IsolateThenConnectAdversary,
     ReceiveSetsAdversary,
@@ -65,7 +70,6 @@ from repro.scenario.registry import (
     declare_network,
     register_algorithm,
 )
-from repro.sim.arena import empty_arena_plan
 from repro.sim.rng import child_rng, spawn_inputs
 
 
@@ -504,216 +508,9 @@ def theorem9_part2_execution(
     }
 
 
-def _observer_hooks(observe: bool) -> tuple[dict[str, Any], Any]:
-    """(run_consensus kwargs, summary-finisher) for an observed trial.
-
-    ``observe=True`` attaches a fresh :class:`repro.obs` bus with a
-    :class:`~repro.obs.observers.MetricsAggregator` to the run; the
-    finisher stamps the aggregator's summary into the trial's result
-    dict (key ``"metrics"``), so it ships back inside the
-    ``SweepRecord`` from any worker process. The bus's ``RunFinished``
-    event is additionally handed to
-    :func:`repro.sim.parallel.record_event`, so sweeps requesting
-    ``on_event`` forwarding see one completion event per trial, in
-    spec order. The summary is a deterministic function of the seed --
-    workers=N returns the identical dict.
-    """
-    if not observe:
-        return {}, lambda summary: summary
-    from repro.obs import MetricsAggregator, ObserverBus, consensus_hooks
-    from repro.obs.events import RunFinished
-    from repro.sim.parallel import record_event
-
-    bus = ObserverBus()
-    aggregator = bus.attach(MetricsAggregator())
-    bus.subscribe(RunFinished, record_event)
-    hooks = consensus_hooks(bus)
-
-    def finish(summary: dict[str, Any]) -> dict[str, Any]:
-        summary["metrics"] = aggregator.summary()
-        return summary
-
-    return hooks, finish
-
-
-def run_dac_trial(
-    n: int,
-    f: int | None = None,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "rotate",
-    crash_nodes: int | None = None,
-    crash_start: int = 1,
-    max_rounds: int | None = None,
-    seed: int = 0,
-    fast: bool = True,
-    observe: bool = False,
-) -> dict[str, Any]:
-    """One boundary DAC execution reduced to a small, picklable summary.
-
-    The module-level trial function for parallel sweeps
-    (:mod:`repro.sim.parallel` requires picklable callables): builds
-    the standard ``n >= 2f + 1`` execution, runs it -- untraced and
-    without phase bookkeeping by default, so the engine takes its fast
-    path -- and returns plain scalars that ship cheaply between
-    processes. ``f`` defaults to the boundary ``(n - 1) // 2``;
-    ``crash_nodes``/``crash_start``/``max_rounds`` pass through to
-    :func:`build_dac_execution` (defaults: crash ``f`` nodes from
-    round 1, bound-derived cap). ``observe=True`` adds a
-    ``"metrics"`` key: the per-round delivery/liveness aggregate from
-    an attached observer bus (see :func:`_observer_hooks`).
-
-    Deterministic in ``seed``: the same call always returns the same
-    summary, on any worker schedule and at any batch size (the
-    ``batch_fn`` attribute carries the batched form the parallel layer
-    dispatches under ``batch=B``).
-
-    >>> summary = run_dac_trial(n=5, seed=0)
-    >>> sorted(summary)
-    ['correct', 'rounds', 'spread', 'terminated']
-    >>> summary["correct"] and summary["terminated"]
-    True
-    >>> run_dac_trial.batch_fn(n=5, seeds=[0]) == [summary]
-    True
-    """
-    from repro.sim.runner import run_consensus  # local import: runner is heavy
-
-    if f is None:
-        f = (n - 1) // 2
-    hooks, finish = _observer_hooks(observe)
-    report = run_consensus(
-        **build_dac_execution(
-            n=n,
-            f=f,
-            epsilon=epsilon,
-            seed=seed,
-            window=window,
-            selector=selector,
-            crash_nodes=crash_nodes,
-            crash_start=crash_start,
-            max_rounds=max_rounds,
-        ),
-        record_trace=not fast,
-        verify_promise=not fast,
-        track_phases=not fast,
-        **hooks,
-    )
-    return finish(
-        {
-            "rounds": report.rounds,
-            "spread": report.output_spread,
-            "terminated": report.terminated,
-            "correct": report.correct,
-        }
-    )
-
-
-def _lane_summary(lane, epsilon: float) -> dict[str, Any]:
-    """The ``run_*_trial`` summary dict for one batch lane.
-
-    Re-derives the runner's verdicts (spread, epsilon-agreement,
-    validity) from the lane's outputs and inputs with the runner's own
-    arithmetic and float slack, so batched and serial summaries are
-    equal value for value. Works for every lane family because
-    :class:`repro.sim.batch.LaneResult.outputs` already carries the
-    stop-mode-appropriate outputs (decided values for ``"output"``
-    stopping, fault-free states for ``"oracle"``), exactly as
-    :func:`repro.sim.runner.run_consensus` reports them.
-    """
-    from repro.sim.runner import _FLOAT_SLACK
-
-    outputs = lane.outputs
-    spread = 0.0
-    if outputs:
-        spread = max(outputs.values()) - min(outputs.values())
-    eps_agreement = not outputs or spread <= epsilon + _FLOAT_SLACK
-    hull_lo = min(lane.inputs.values())
-    hull_hi = max(lane.inputs.values())
-    validity = all(
-        hull_lo - _FLOAT_SLACK <= value <= hull_hi + _FLOAT_SLACK
-        for value in outputs.values()
-    )
-    return {
-        "rounds": lane.rounds,
-        "spread": spread,
-        "terminated": lane.stopped,
-        "correct": lane.stopped and validity and eps_agreement,
-    }
-
-
-def run_dac_trial_batch(
-    n: int,
-    f: int | None = None,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "rotate",
-    crash_nodes: int | None = None,
-    crash_start: int = 1,
-    max_rounds: int | None = None,
-    fast: bool = True,
-    observe: bool = False,
-    seeds: Any = (),
-) -> list[dict[str, Any]]:
-    """Batched :func:`run_dac_trial`: one summary per seed, in order.
-
-    The batched-trial form the parallel layer dispatches (attached
-    below as ``run_dac_trial.batch_fn``): returns exactly
-    ``[run_dac_trial(..., seed=s) for s in seeds]``, computed by one
-    vectorized :class:`repro.sim.batch.BatchEngine` pass when
-    :func:`~repro.sim.batch.dac_kernel_refusal` accepts the selector.
-    Everything else -- no numpy, a selector the kernel does not model,
-    the non-fast and observed paths that record per-trial engine
-    snapshots, and a single seed, where one serial trial beats a
-    one-lane kernel pass -- runs the serial trial once per seed.
-    """
-    from repro.sim.batch import BatchEngine, dac_kernel_refusal
-
-    seeds = [int(seed) for seed in seeds]
-    if f is None:
-        f = (n - 1) // 2
-    if not fast or observe or len(seeds) == 1 or dac_kernel_refusal(selector):
-        return [
-            run_dac_trial(
-                n=n,
-                f=f,
-                epsilon=epsilon,
-                window=window,
-                selector=selector,
-                crash_nodes=crash_nodes,
-                crash_start=crash_start,
-                max_rounds=max_rounds,
-                seed=seed,
-                fast=fast,
-                observe=observe,
-            )
-            for seed in seeds
-        ]
-    lanes = BatchEngine(
-        n,
-        f,
-        seeds,
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        crash_nodes=crash_nodes,
-        crash_start=crash_start,
-        max_rounds=max_rounds,
-    ).run()
-    return [_lane_summary(lane, epsilon) for lane in lanes]
-
-
-run_dac_trial.batch_fn = run_dac_trial_batch  # type: ignore[attr-defined]
-
-
-# Mobile-omission targeting modes accepted by run_byz_trial's
-# ``adversary`` parameter as "mobile-<mode>" -- the adversary module's
-# canonical tuple, so a new mode needs exactly one edit.
-from repro.adversary.mobile import MOBILE_MODES as _MOBILE_MODES  # noqa: E402
-
-
-# Byzantine strategy menu shared by the DBAC trial and the CLIs. Plain
-# factories keyed by name keep the trial function picklable (the name,
-# not the strategy object, travels to worker processes).
+# Byzantine strategy menu of the dbac family and the CLIs. Plain
+# factories keyed by name keep trials picklable (the name, not the
+# strategy object, travels to worker processes).
 TRIAL_BYZANTINE_STRATEGIES: dict[str, Any] = {
     "extreme": ExtremeByzantine,
     "random": RandomByzantine,
@@ -721,141 +518,6 @@ TRIAL_BYZANTINE_STRATEGIES: dict[str, Any] = {
     "pin-high": lambda: FixedValueByzantine(1.0),
     "pin-low": lambda: FixedValueByzantine(0.0),
 }
-
-
-def run_dbac_trial(
-    n: int,
-    f: int | None = None,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "nearest",
-    strategy: str = "extreme",
-    stop_mode: str = "oracle",
-    max_rounds: int = 50_000,
-    seed: int = 0,
-    fast: bool = True,
-    observe: bool = False,
-) -> dict[str, Any]:
-    """One boundary DBAC execution reduced to a picklable summary.
-
-    The DBAC counterpart of :func:`run_dac_trial` for parallel
-    comparative grids: ``f`` defaults to the boundary ``(n - 1) // 5``,
-    the ``f`` highest nodes run the named Byzantine ``strategy`` (see
-    ``TRIAL_BYZANTINE_STRATEGIES``), and stopping defaults to oracle
-    mode like :func:`build_dbac_execution` (Equation 6's ``p_end`` is
-    astronomically conservative) -- ``rounds`` then measures how long
-    the adversary can hold the honest spread above ``epsilon``.
-
-    Deterministic in ``seed`` with the same batch_fn contract as
-    :func:`run_dac_trial`; under ``batch=B`` vectorizable lanes advance
-    through the :class:`repro.sim.batch.ByzBatchEngine` kernel.
-
-    >>> summary = run_dbac_trial(n=6, seed=1)
-    >>> summary["terminated"]
-    True
-    >>> run_dbac_trial.batch_fn(n=6, seeds=[1]) == [summary]
-    True
-    """
-    from repro.sim.runner import run_consensus  # local import: runner is heavy
-
-    if f is None:
-        f = (n - 1) // 5
-    if strategy not in TRIAL_BYZANTINE_STRATEGIES:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; "
-            f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
-        )
-    factory = TRIAL_BYZANTINE_STRATEGIES[strategy]
-    hooks, finish = _observer_hooks(observe)
-    report = run_consensus(
-        **build_dbac_execution(
-            n=n,
-            f=f,
-            epsilon=epsilon,
-            seed=seed,
-            window=window,
-            selector=selector,
-            byzantine_factory=lambda node: factory(),
-            stop_mode=stop_mode,
-            max_rounds=max_rounds,
-        ),
-        record_trace=not fast,
-        verify_promise=not fast,
-        track_phases=not fast,
-        **hooks,
-    )
-    return finish(
-        {
-            "rounds": report.rounds,
-            "spread": report.output_spread,
-            "terminated": report.terminated,
-            "correct": report.correct,
-        }
-    )
-
-
-def run_dbac_trial_batch(
-    n: int,
-    f: int | None = None,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "nearest",
-    strategy: str = "extreme",
-    stop_mode: str = "oracle",
-    max_rounds: int = 50_000,
-    fast: bool = True,
-    observe: bool = False,
-    seeds: Any = (),
-) -> list[dict[str, Any]]:
-    """Batched :func:`run_dbac_trial`: one summary per seed, in order.
-
-    The batched-trial form the parallel layer dispatches (attached
-    below as ``run_dbac_trial.batch_fn``): returns exactly
-    ``[run_dbac_trial(..., seed=s) for s in seeds]``, computed by one
-    vectorized :class:`repro.sim.batch.ByzBatchEngine` pass (witness
-    counters, trimmed updates, stable-argsort ``nearest`` selection)
-    when :func:`~repro.sim.batch.byz_kernel_refusal` accepts the
-    selector/strategy pair, and by the serial trial once per seed
-    otherwise -- as for the non-fast and observed paths, whose
-    per-trial traces batching cannot amortize, and for a single seed.
-    """
-    from repro.sim.batch import ByzBatchEngine, byz_kernel_refusal
-
-    seeds = [int(seed) for seed in seeds]
-    if not fast or observe or len(seeds) == 1 or byz_kernel_refusal(
-        "quorum", selector, strategy
-    ):
-        return [
-            run_dbac_trial(
-                n=n,
-                f=f,
-                epsilon=epsilon,
-                window=window,
-                selector=selector,
-                strategy=strategy,
-                stop_mode=stop_mode,
-                max_rounds=max_rounds,
-                seed=seed,
-                fast=fast,
-                observe=observe,
-            )
-            for seed in seeds
-        ]
-    lanes = ByzBatchEngine(
-        n,
-        f,
-        seeds,
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        strategy=strategy,
-        stop_mode=stop_mode,
-        max_rounds=max_rounds,
-    ).run()
-    return [_lane_summary(lane, epsilon) for lane in lanes]
-
-
-run_dbac_trial.batch_fn = run_dbac_trial_batch  # type: ignore[attr-defined]
 
 
 def mobile_lane_family(
@@ -866,10 +528,8 @@ def mobile_lane_family(
     max_rounds: int = 50_000,
 ) -> LaneFamily:
     """The :class:`LaneFamily` of :func:`build_mobile_execution`."""
-    from repro.adversary.mobile import MobileOmissionAdversary
-
-    if mode not in _MOBILE_MODES:
-        raise ValueError(f"unknown mobile mode {mode!r}; known: {_MOBILE_MODES}")
+    if mode not in MOBILE_MODES:
+        raise ValueError(f"unknown mobile mode {mode!r}; known: {MOBILE_MODES}")
     return _lane_family(
         n=n,
         f=0,
@@ -906,167 +566,6 @@ def build_mobile_execution(
         n, mode=mode, epsilon=epsilon, stop_mode=stop_mode, max_rounds=max_rounds
     )
     return lane_execution(family, seed)
-
-
-def run_byz_trial(
-    n: int,
-    f: int | None = None,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "nearest",
-    strategy: str = "extreme",
-    adversary: str = "quorum",
-    stop_mode: str = "oracle",
-    max_rounds: int = 50_000,
-    seed: int = 0,
-    fast: bool = True,
-    observe: bool = False,
-) -> dict[str, Any]:
-    """One Byzantine-or-mobile fault-model execution, as a picklable summary.
-
-    The comparative fault-model trial for parallel grids: sweeping
-    ``adversary`` (and ``strategy``) through
-    :class:`~repro.bench.sweep.Sweep` compares the paper's fault models
-    on equal seed/input/port footing, with every cell a module-level
-    picklable call that fans out under ``workers=N`` and groups under
-    ``--batch``.
-
-    - ``adversary="quorum"`` -- boundary DBAC under the enforcing
-      ``(window, floor((n+3f)/2))`` adversary with the ``f``
-      highest-numbered nodes running the named Byzantine ``strategy``
-      (see ``TRIAL_BYZANTINE_STRATEGIES``); exactly
-      :func:`run_dbac_trial`.
-    - ``adversary="mobile-<mode>"`` -- the Gafni-Losa mobile-omission
-      power (Corollary 1): fault-free DAC on the complete graph where
-      each node loses at most one incoming link per round, targeted by
-      ``<mode>`` (one of ``block_min``, ``block_max``, ``rotate``,
-      ``none``). ``strategy``/``window``/``selector`` are ignored;
-      ``f`` must be 0 (default).
-
-    Deterministic in ``seed``; both families batch through the
-    attached ``batch_fn`` (one summary per seed, in seed order, equal
-    to the per-trial calls), vectorized by
-    :class:`repro.sim.batch.ByzBatchEngine` where it applies.
-
-    >>> summary = run_byz_trial(n=6, adversary="mobile-none", seed=0)
-    >>> summary["correct"]
-    True
-    >>> run_byz_trial.batch_fn(n=6, adversary="mobile-none", seeds=[0]) == [summary]
-    True
-    """
-    from repro.sim.runner import run_consensus  # local import: runner is heavy
-
-    if adversary == "quorum":
-        return run_dbac_trial(
-            n=n,
-            f=f,
-            epsilon=epsilon,
-            window=window,
-            selector=selector,
-            strategy=strategy,
-            stop_mode=stop_mode,
-            max_rounds=max_rounds,
-            seed=seed,
-            fast=fast,
-            observe=observe,
-        )
-    if not adversary.startswith("mobile-"):
-        raise ValueError(
-            f"unknown adversary {adversary!r}; use 'quorum' or "
-            f"'mobile-<mode>' with mode in {_MOBILE_MODES}"
-        )
-    mode = adversary[len("mobile-") :]
-    if f not in (None, 0):
-        raise ValueError(f"mobile-omission trials are fault-free, got f={f}")
-    hooks, finish = _observer_hooks(observe)
-    report = run_consensus(
-        **build_mobile_execution(
-            n=n,
-            mode=mode,
-            epsilon=epsilon,
-            seed=seed,
-            stop_mode=stop_mode,
-            max_rounds=max_rounds,
-        ),
-        record_trace=not fast,
-        verify_promise=not fast,
-        track_phases=not fast,
-        **hooks,
-    )
-    return finish(
-        {
-            "rounds": report.rounds,
-            "spread": report.output_spread,
-            "terminated": report.terminated,
-            "correct": report.correct,
-        }
-    )
-
-
-def run_byz_trial_batch(
-    n: int,
-    f: int | None = None,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "nearest",
-    strategy: str = "extreme",
-    adversary: str = "quorum",
-    stop_mode: str = "oracle",
-    max_rounds: int = 50_000,
-    fast: bool = True,
-    observe: bool = False,
-    seeds: Any = (),
-) -> list[dict[str, Any]]:
-    """Batched :func:`run_byz_trial`: one summary per seed, in order.
-
-    Attached as ``run_byz_trial.batch_fn`` and dispatched by the
-    parallel layer, so fault-model comparison grids batch too: both the
-    ``"quorum"`` (DBAC) and ``"mobile-<mode>"`` lane families run
-    through one vectorized :class:`repro.sim.batch.ByzBatchEngine`
-    pass when :func:`~repro.sim.batch.byz_kernel_refusal` accepts the
-    parameters; a missing numpy, the non-fast and observed paths and a
-    single seed run the serial trial per seed like
-    :func:`run_dbac_trial_batch` does.
-    """
-    from repro.sim.batch import ByzBatchEngine, byz_kernel_refusal
-
-    seeds = [int(seed) for seed in seeds]
-    if not fast or observe or len(seeds) == 1 or byz_kernel_refusal(
-        adversary, selector, strategy
-    ):
-        return [
-            run_byz_trial(
-                n=n,
-                f=f,
-                epsilon=epsilon,
-                window=window,
-                selector=selector,
-                strategy=strategy,
-                adversary=adversary,
-                stop_mode=stop_mode,
-                max_rounds=max_rounds,
-                seed=seed,
-                fast=fast,
-                observe=observe,
-            )
-            for seed in seeds
-        ]
-    lanes = ByzBatchEngine(
-        n,
-        f,
-        seeds,
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        strategy=strategy,
-        adversary=adversary,
-        stop_mode=stop_mode,
-        max_rounds=max_rounds,
-    ).run()
-    return [_lane_summary(lane, epsilon) for lane in lanes]
-
-
-run_byz_trial.batch_fn = run_byz_trial_batch  # type: ignore[attr-defined]
 
 
 _BASELINE_PROCESSES = {
@@ -1138,140 +637,10 @@ def build_baseline_execution(
     return lane_execution(family, seed)
 
 
-def run_baseline_trial(
-    n: int,
-    algorithm: str = "midpoint",
-    f: int = 0,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "rotate",
-    num_rounds: int | None = None,
-    seed: int = 0,
-    fast: bool = True,
-    observe: bool = False,
-) -> dict[str, Any]:
-    """One averaging-baseline execution under DAC's boundary adversary.
-
-    Runs a Charron-Bost-style reliable-channel iterated-averaging
-    baseline (``"midpoint"`` -- Dolev et al. iterated midpoint -- or
-    ``"trimmed"`` -- trim-``f`` mean) against the same enforcing
-    ``(window, floor(n/2))`` adversary and input/port streams as
-    :func:`run_dac_trial`, so comparative DAC-vs-baseline grids sweep
-    both through :class:`repro.bench.sweep.Sweep` on equal footing.
-    ``num_rounds`` defaults to DAC's ``p_end`` (the baselines complete
-    one phase per round on reliable graphs, making the round budgets
-    comparable).
-
-    Deterministic in ``seed`` with the same batch_fn contract as
-    :func:`run_dac_trial`; under ``batch=B`` vectorizable lanes advance
-    through the :class:`repro.sim.batch.BaselineBatchEngine` kernel
-    (two floats of per-node state, fixed round budget).
-
-    >>> summary = run_baseline_trial(n=6, algorithm="midpoint", seed=0)
-    >>> summary["terminated"]
-    True
-    >>> run_baseline_trial.batch_fn(n=6, algorithm="midpoint", seeds=[0]) == [summary]
-    True
-    """
-    from repro.sim.runner import run_consensus  # local import: runner is heavy
-
-    hooks, finish = _observer_hooks(observe)
-    report = run_consensus(
-        **build_baseline_execution(
-            n=n,
-            algorithm=algorithm,
-            f=f,
-            epsilon=epsilon,
-            seed=seed,
-            window=window,
-            selector=selector,
-            num_rounds=num_rounds,
-        ),
-        record_trace=not fast,
-        verify_promise=not fast,
-        track_phases=not fast,
-        **hooks,
-    )
-    return finish(
-        {
-            "rounds": report.rounds,
-            "spread": report.output_spread,
-            "terminated": report.terminated,
-            "correct": report.correct,
-        }
-    )
-
-
-def run_baseline_trial_batch(
-    n: int,
-    algorithm: str = "midpoint",
-    f: int = 0,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "rotate",
-    num_rounds: int | None = None,
-    fast: bool = True,
-    observe: bool = False,
-    seeds: Any = (),
-) -> list[dict[str, Any]]:
-    """Batched :func:`run_baseline_trial`: one summary per seed, in order.
-
-    The batched-trial form the parallel layer dispatches (attached
-    below as ``run_baseline_trial.batch_fn``): returns exactly
-    ``[run_baseline_trial(..., seed=s) for s in seeds]``, computed by
-    one :class:`repro.sim.batch.BaselineBatchEngine` pass -- a
-    fixed-budget vectorized value iteration -- when
-    :func:`~repro.sim.batch.baseline_kernel_refusal` accepts the
-    selector, and by the serial trial once per seed otherwise, as for
-    the non-fast and observed paths and a single seed.
-    """
-    from repro.sim.batch import BaselineBatchEngine, baseline_kernel_refusal
-
-    seeds = [int(seed) for seed in seeds]
-    if not fast or observe or len(seeds) == 1 or baseline_kernel_refusal(selector):
-        return [
-            run_baseline_trial(
-                n=n,
-                algorithm=algorithm,
-                f=f,
-                epsilon=epsilon,
-                window=window,
-                selector=selector,
-                num_rounds=num_rounds,
-                seed=seed,
-                fast=fast,
-                observe=observe,
-            )
-            for seed in seeds
-        ]
-    lanes = BaselineBatchEngine(
-        n,
-        seeds,
-        algorithm=algorithm,
-        f=f,
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        num_rounds=num_rounds,
-    ).run()
-    return [_lane_summary(lane, epsilon) for lane in lanes]
-
-
-run_baseline_trial.batch_fn = run_baseline_trial_batch  # type: ignore[attr-defined]
-
-
-# Compatibility stubs read by perfbench's traced pooled path; see
-# repro.sim.arena.empty_arena_plan.
-run_dac_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
-run_dbac_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
-run_byz_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
-run_baseline_trial_batch.arena_plan = empty_arena_plan  # type: ignore[attr-defined]
-
-
 # -- Scenario registry: the built-in component vocabulary ------------------
 #
 # Declared once, at import time, in this module (the owner of the
-# trial vocabulary) -- the registry-registration lint rule pins that
+# execution builders) -- the registry-registration lint rule pins that
 # discipline. Components are parameter namespaces the families'
 # ``build`` methods interpret; nothing foreign is constructed here.
 
@@ -1294,7 +663,7 @@ declare_adversary(
 declare_adversary(
     "mobile",
     params=(
-        ParamSpec("mode", "str", default="block_min", choices=tuple(_MOBILE_MODES)),
+        ParamSpec("mode", "str", default="block_min", choices=tuple(MOBILE_MODES)),
     ),
     description="Gafni-Losa mobile omission: one lost in-link per "
     "receiver per round",
@@ -1339,7 +708,6 @@ class DacFamily(AlgorithmFamily):
         "quorum": ({"n": 5}, {"n": 7, "window": 2}),
     }
     rounds_param = "max_rounds"
-    trial = staticmethod(run_dac_trial)
 
     def normalize(self, params):
         if params.get("f") is None:
@@ -1391,7 +759,6 @@ class DbacFamily(AlgorithmFamily):
         "quorum": ({"n": 6}, {"n": 6, "strategy": "pin-high"}),
     }
     rounds_param = "max_rounds"
-    trial = staticmethod(run_dbac_trial)
 
     def normalize(self, params):
         if params.get("f") is None:
@@ -1399,7 +766,12 @@ class DbacFamily(AlgorithmFamily):
         return params
 
     def build(self, *, seed, **params):
-        factory = TRIAL_BYZANTINE_STRATEGIES[params["strategy"]]
+        factory = TRIAL_BYZANTINE_STRATEGIES.get(params["strategy"])
+        if factory is None:
+            raise ValueError(
+                f"unknown strategy {params['strategy']!r}; "
+                f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
+            )
         return build_dbac_execution(
             n=params["n"],
             f=params["f"],
@@ -1450,7 +822,6 @@ class ByzFamily(AlgorithmFamily):
         "mobile": ({"n": 5}, {"n": 4, "mode": "rotate"}),
     }
     rounds_param = "max_rounds"
-    trial = staticmethod(run_byz_trial)
 
     def build(self, *, seed, **params):
         return build_mobile_execution(
@@ -1472,11 +843,6 @@ class ByzFamily(AlgorithmFamily):
             adversary=f"mobile-{params['mode']}",
             max_rounds=params["max_rounds"],
         )
-
-    def trial_kwargs(self, params):
-        mode = params.pop("mode")
-        params["adversary"] = f"mobile-{mode}"
-        return params
 
     def vectorizable(self, params):
         from repro.sim.batch import byz_kernel_refusal
@@ -1506,7 +872,6 @@ class BaselineFamily(AlgorithmFamily):
         "quorum": ({"n": 6}, {"n": 5, "algorithm": "trimmed"}),
     }
     rounds_param = "num_rounds"
-    trial = staticmethod(run_baseline_trial)
 
     def build(self, *, seed, **params):
         return build_baseline_execution(seed=seed, **params)

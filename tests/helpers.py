@@ -23,8 +23,7 @@ builds and batch dispatch all come from the
 :mod:`repro.scenario` registry entries, so a newly registered family
 is covered by every executor -- including the pooled/batched legs
 added in PR 8 -- with zero edits here. Executors cover the serial
-engine's port-major sweep, the legacy sender-major loop, fully traced
-execution, the family's :mod:`repro.sim.batch` dispatch (numpy kernel
+engine's port-major sweep, fully traced execution, the family's :mod:`repro.sim.batch` dispatch (numpy kernel
 lanes where the family vectorizes the parameters, serial-engine lanes
 otherwise), a ``workers=4`` process-pool leg,
 and an optional pooled *batched* leg (persistent pool + guided
@@ -176,16 +175,12 @@ def run_config_serial(
     config: dict[str, Any],
     *,
     traced: bool = False,
-    sweep: bool = True,
     wrap_adversary: Callable | None = None,
 ) -> list[dict[str, Any]]:
     """Run every seed of ``config`` on the serial engine.
 
     ``traced`` records a full trace (snapshots assembled after the
-    sweep); ``sweep=False`` forces the legacy sender-major loop (the
-    port-major sweep's reference implementation -- combined with
-    ``traced=True`` it exercises the legacy loop's inline snapshot
-    path); ``wrap_adversary`` lets callers interpose on the chosen
+    sweep); ``wrap_adversary`` lets callers interpose on the chosen
     graphs (e.g. the edge-list round-trip in
     test_topology_equivalence).
     """
@@ -205,7 +200,6 @@ def run_config_serial(
             seed=kwargs["seed"],
             record_trace=traced,
         )
-        engine._use_sweep = sweep
         result = engine.run(max_rounds, stop_when=stop)
         results.append(_canonical(engine, result, stop_mode))
     return results
@@ -330,7 +324,6 @@ def pooled_executor(workers: int = 4, batch: int = 4) -> Callable:
 def differential_executors(
     *,
     workers: int | None = 4,
-    legacy: bool = True,
     traced: bool = True,
     pooled: int | None = None,
 ) -> dict[str, Callable]:
@@ -341,12 +334,8 @@ def differential_executors(
     because it spins real worker processes; the fuzz grids turn it on.
     """
     executors: dict[str, Callable] = {"serial-fast": serial_executor()}
-    if legacy:
-        executors["serial-legacy"] = serial_executor(sweep=False)
     if traced:
         executors["traced"] = serial_executor(traced=True)
-        if legacy:
-            executors["traced-legacy"] = serial_executor(traced=True, sweep=False)
     executors["batch"] = run_config_batch
     if workers:
         executors[f"workers-{workers}"] = workers_executor(workers)

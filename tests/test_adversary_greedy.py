@@ -171,6 +171,14 @@ def _deepcopy_simulate(
     return spread, advances
 
 
+def _round_broadcasts(engine, t):
+    """The round-``t`` view's broadcast map: every transmitting process's message."""
+    silent = engine.fault_plan.sender_masks(t)[0]
+    return {
+        v: proc.broadcast() for v, proc in engine.processes.items() if v not in silent
+    }
+
+
 class TestOverlayMatchesDeepcopyReference:
     @pytest.mark.parametrize("crashes", [False, True])
     def test_every_candidate_every_round(self, crashes):
@@ -201,7 +209,7 @@ class TestOverlayMatchesDeepcopyReference:
         engine = Engine(procs, adv, ports, fault_plan=plan, f=f, record_trace=False)
         differing_rounds = 0
         for t in range(10):
-            broadcasts, _meta = engine._collect_broadcasts(t)
+            broadcasts = _round_broadcasts(engine, t)
             view = EngineView(engine, t, broadcasts)
             adv.choose(t, view)  # builds the port rows; state-neutral
             graphs = [adv._candidate(sel, t, view) for sel in adv._selectors]

@@ -25,7 +25,9 @@ import functools
 import pytest
 
 from repro.bench.sweep import Sweep
+from repro.scenario import family_trial, resolve
 from repro.scenario.registry import entries
+from repro.scenario.trial import _lane_summary
 from repro.sim.batch import (
     BaselineBatchEngine,
     BatchEngine,
@@ -47,19 +49,13 @@ from repro.sim.parallel import (
     run_trials,
     set_default_batch,
 )
+from repro.sim.runner import run_consensus
 from repro.workloads import (
     TRIAL_BYZANTINE_STRATEGIES,
-    _lane_summary,
     build_baseline_execution,
     build_dac_execution,
     build_dbac_execution,
     build_mobile_execution,
-    run_byz_trial,
-    run_byz_trial_batch,
-    run_dac_trial,
-    run_dac_trial_batch,
-    run_dbac_trial,
-    run_dbac_trial_batch,
 )
 from tests.helpers import (
     assert_equivalent_runs,
@@ -69,6 +65,23 @@ from tests.helpers import (
 )
 
 needs_numpy = pytest.mark.skipif(not numpy_available(), reason="numpy not installed")
+
+dac_trial = family_trial("dac")
+dbac_trial = family_trial("dbac")
+byz_trial = family_trial("byz")
+
+
+def serial_summary(execution):
+    """The trial summary of one untraced run of a built execution."""
+    report = run_consensus(
+        **execution, record_trace=False, verify_promise=False, track_phases=False
+    )
+    return {
+        "rounds": report.rounds,
+        "spread": report.output_spread,
+        "terminated": report.terminated,
+        "correct": report.correct,
+    }
 
 # The two lane implementations behind every run_*_batch: the "numpy"
 # kernel, and the "python" GenericBatchEngine over the family builder.
@@ -233,17 +246,13 @@ class TestBatchMatchesSerial:
 class TestBatchedTrialFunction:
     def test_batched_summaries_equal_serial_summaries(self):
         seeds = list(range(6))
-        batched = run_dac_trial_batch(n=9, window=2, seeds=seeds)
-        assert batched == [run_dac_trial(n=9, window=2, seed=s) for s in seeds]
+        batched = dac_trial.batch_fn(n=9, window=2, seeds=seeds)
+        assert batched == [dac_trial(n=9, window=2, seed=s) for s in seeds]
 
-    def test_non_fast_batch_delegates_to_serial_trials(self):
-        seeds = [0, 1]
-        assert run_dac_trial_batch(n=5, fast=False, seeds=seeds) == [
-            run_dac_trial(n=5, fast=False, seed=s) for s in seeds
-        ]
-
-    def test_trial_carries_its_batched_form(self):
-        assert run_dac_trial.batch_fn is run_dac_trial_batch
+    def test_resolution_dispatches_the_family_trial(self):
+        resolved = resolve("algorithm: dac@1(n=5)")
+        assert resolved.trial_fn is dac_trial
+        assert resolved.batch_fn == dac_trial.batch_fn
 
 
 def echo_trial(seed, **params):
@@ -320,8 +329,8 @@ class TestSweepBatchIdentity:
         grid = {"n": [5, 7], "window": [1, 2]}
         serial = Sweep(grid=grid, repeats=4)
         composed = Sweep(grid=grid, repeats=4)
-        serial.run(run_dac_trial, workers=1, batch=1)
-        composed.run(run_dac_trial, workers=4, batch=4)
+        serial.run(dac_trial, workers=1, batch=1)
+        composed.run(dac_trial, workers=4, batch=4)
         assert serial.records == composed.records
         assert all(record.result["correct"] for record in composed.records)
 
@@ -329,8 +338,8 @@ class TestSweepBatchIdentity:
         grid = {"n": [9]}
         explicit = Sweep(grid=grid, repeats=4)
         implicit = Sweep(grid=grid, repeats=4)
-        explicit.run(run_dac_trial, batch=4, batch_fn=run_dac_trial_batch)
-        implicit.run(run_dac_trial, batch=4)  # run_dac_trial.batch_fn
+        explicit.run(dac_trial, batch=4, batch_fn=dac_trial.batch_fn)
+        implicit.run(dac_trial, batch=4)  # dac_trial.batch_fn
         assert explicit.records == implicit.records
 
 
@@ -432,9 +441,11 @@ class TestByzBatchMatchesSerial:
             lanes = ByzBatchEngine(11, None, seeds, **params).run()
         else:
             lanes = generic_dbac_lanes(11, 2, seeds, **params)
-        serial = [run_dbac_trial(n=11, seed=s, **params) for s in seeds]
+        serial = [
+            serial_summary(build_dbac_execution(n=11, f=2, seed=s, **params))
+            for s in seeds
+        ]
         assert [_lane_summary(lane, 1e-3) for lane in lanes] == serial
-        assert run_dbac_trial_batch(n=11, seeds=seeds, **params) == serial
 
     def test_random_strategy_and_selector_on_kernel(self):
         # RNG-stream consumers vectorize by replaying each lane's own
@@ -448,9 +459,9 @@ class TestByzBatchMatchesSerial:
                 assert kernel == generic_dbac_lanes(11, 2, seeds, **kwargs)
             lanes = run_dbac_batch(11, 2, seeds, **kwargs)
             assert lanes == generic_dbac_lanes(11, 2, seeds, **kwargs)
-            serial = [run_dbac_trial(n=11, f=2, seed=s, **kwargs) for s in seeds]
+            serial = [dbac_trial(n=11, f=2, seed=s, **kwargs) for s in seeds]
             assert [lane.rounds for lane in lanes] == [r["rounds"] for r in serial]
-            assert run_dbac_trial_batch(n=11, f=2, seeds=seeds, **kwargs) == serial
+            assert dbac_trial.batch_fn(n=11, f=2, seeds=seeds, **kwargs) == serial
 
     def test_backend_resolution_and_validation(self):
         assert (byz_kernel_refusal() is None) == numpy_available()
@@ -493,18 +504,18 @@ class TestByzBatchMatchesSerial:
         message = "unknown stop_mode 'nope'"
         if family == "dbac":
             with pytest.raises(ValueError, match=message):
-                run_dbac_trial(n=6, f=1, stop_mode="nope")
+                build_dbac_execution(n=6, f=1, stop_mode="nope")
             with pytest.raises(ValueError, match=message):
                 run_dbac_batch(6, 1, [0, 1], stop_mode="nope")
         else:
             with pytest.raises(ValueError, match=message):
-                run_byz_trial(n=6, adversary="mobile-rotate", stop_mode="nope")
+                build_mobile_execution(n=6, mode="rotate", stop_mode="nope")
             with pytest.raises(ValueError, match=message):
                 run_byz_batch(6, None, [0, 1], adversary="mobile-rotate", stop_mode="nope")
 
 
 class TestMobileBatchMatchesSerial:
-    """Mobile-omission lanes: the other run_byz_trial family."""
+    """Mobile-omission lanes: the ``byz`` family."""
 
     @pytest.mark.parametrize("mode", MOBILE_MODES)
     def test_lanes_match_serial_engines_full_state(self, mode):
@@ -532,9 +543,7 @@ class TestMobileBatchMatchesSerial:
     def test_batched_summaries_equal_serial_trial_summaries(self):
         seeds = list(range(3))
         lanes = run_byz_batch(8, None, seeds, adversary="mobile-block_min")
-        serial = [
-            run_byz_trial(n=8, adversary="mobile-block_min", seed=s) for s in seeds
-        ]
+        serial = [byz_trial(n=8, mode="block_min", seed=s) for s in seeds]
         assert [_lane_summary(lane, 1e-3) for lane in lanes] == serial
 
     @needs_numpy
@@ -835,58 +844,42 @@ class TestLanesStopApart:
 class TestByzBatchedTrialFunctions:
     def test_dbac_batched_summaries_equal_serial_summaries(self):
         seeds = list(range(5))
-        batched = run_dbac_trial_batch(n=11, window=2, seeds=seeds)
+        batched = dbac_trial.batch_fn(n=11, window=2, seeds=seeds)
         assert batched == [
-            run_dbac_trial(n=11, window=2, seed=s) for s in seeds
+            dbac_trial(n=11, window=2, seed=s) for s in seeds
         ]
 
     def test_byz_batched_summaries_equal_serial_summaries(self):
         seeds = list(range(4))
-        for adversary in ("quorum", "mobile-block_max"):
-            batched = run_byz_trial_batch(n=7, adversary=adversary, seeds=seeds)
-            assert batched == [
-                run_byz_trial(n=7, adversary=adversary, seed=s) for s in seeds
-            ]
-
-    def test_non_fast_batch_delegates_to_serial_trials(self):
-        seeds = [0, 1]
-        assert run_dbac_trial_batch(
-            n=6, fast=False, stop_mode="output", max_rounds=5, seeds=seeds
-        ) == [
-            run_dbac_trial(n=6, fast=False, stop_mode="output", max_rounds=5, seed=s)
-            for s in seeds
-        ]
-
-    def test_trials_carry_their_batched_forms(self):
-        assert run_dbac_trial.batch_fn is run_dbac_trial_batch
-        assert run_byz_trial.batch_fn is run_byz_trial_batch
+        for mode in ("block_min", "block_max"):
+            batched = byz_trial.batch_fn(n=7, mode=mode, seeds=seeds)
+            assert batched == [byz_trial(n=7, mode=mode, seed=s) for s in seeds]
 
     def test_sweep_workers_and_batch_identical_for_dbac(self):
         grid = {"n": [6, 11], "window": [1, 2]}
         serial = Sweep(grid=grid, repeats=4)
         composed = Sweep(grid=grid, repeats=4)
-        serial.run(run_dbac_trial, workers=1, batch=1)
-        composed.run(run_dbac_trial, workers=4, batch=4)
+        serial.run(dbac_trial, workers=1, batch=1)
+        composed.run(dbac_trial, workers=4, batch=4)
         assert serial.records == composed.records
         assert all(record.result["correct"] for record in composed.records)
 
     def test_sweep_workers_and_batch_identical_for_byz_families(self):
-        grid = {"n": [8], "adversary": ["quorum", "mobile-block_min", "mobile-rotate"]}
+        grid = {"n": [8], "mode": ["block_min", "rotate"]}
         serial = Sweep(grid=grid, repeats=3)
         composed = Sweep(grid=grid, repeats=3)
-        serial.run(run_byz_trial, workers=1, batch=1)
-        composed.run(run_byz_trial, workers=2, batch=3)
+        serial.run(byz_trial, workers=1, batch=1)
+        composed.run(byz_trial, workers=2, batch=3)
         assert serial.records == composed.records
 
 
 # One parameter set per registered family that still takes the serial
-# path: observed and non-fast trials record per-trial engine data a
-# kernel cannot produce, and averaging has no kernel.
+# path: observed trials record per-trial engine data a kernel cannot
+# produce, and averaging has no kernel.
 SERIAL_FALLBACK_PARAMS = {
     "dac": {"n": 9, "window": 2, "selector": "random", "observe": True},
     "dbac": {"n": 11, "strategy": "random", "max_rounds": 2_000, "observe": True},
-    "byz": {"n": 11, "adversary": "quorum", "selector": "random", "max_rounds": 2_000,
-            "fast": False},
+    "byz": {"n": 11, "mode": "rotate", "max_rounds": 2_000, "observe": True},
     "baseline": {"n": 7, "algorithm": "trimmed", "selector": "random", "window": 2,
                  "observe": True},
     "averaging": {"n": 6, "num_rounds": 30},
@@ -912,14 +905,13 @@ class TestSerialFallbackPerFamily:
         builtin = {
             entry.name
             for entry in entries("algorithm")
-            if entry.obj.trial is not None
-            and entry.obj.trial.__module__.startswith("repro.")
+            if type(entry.obj).__module__.startswith("repro.")
         }
         assert builtin <= set(SERIAL_FALLBACK_PARAMS)
 
     @pytest.mark.parametrize("family", sorted(SERIAL_FALLBACK_PARAMS))
     def test_batch_fn_equals_per_seed_trials(self, family, kernels_refused):
-        trial = family_entry(family).obj.trial
+        trial = family_trial(family)
         params = SERIAL_FALLBACK_PARAMS[family]
         seeds = [0, 3, 5]
         assert trial.batch_fn(seeds=seeds, **params) == [
@@ -930,7 +922,7 @@ class TestSerialFallbackPerFamily:
     def test_one_seed_batch_runs_the_serial_trial(self, family, kernels_refused):
         # A single lane gains nothing from a kernel pass; it runs the
         # serial trial even when its parameters are vectorizable.
-        trial = family_entry(family).obj.trial
+        trial = family_trial(family)
         params = {"dac": {"n": 9}, "dbac": {"n": 11}, "byz": {"n": 8},
                   "baseline": {"n": 7}}[family]
         assert trial.batch_fn(seeds=[3], **params) == [trial(seed=3, **params)]

@@ -1,7 +1,7 @@
 """Docs hygiene inside tier-1: dead links and doctest-checked examples.
 
 CI runs the same two checks as standalone steps
-(``tools/check_docs.py`` and ``python -m doctest``); running them here
+(``tools/check_docs.py`` and ``tools/run_doctests.py``); running them here
 too means an ordinary ``pytest`` catches a dead link or a drifted
 docstring example without any CI round-trip.
 """
@@ -14,26 +14,21 @@ import pytest
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-# The public-API modules whose docstrings carry executable examples:
-# batching, the parallel layer, the picklable trial functions, and the
-# two shuffle replays (the port draw and the random selector; their
-# examples pin the drawn rows for one seed).
-DOCTEST_MODULES = [
-    "repro.sim.batch",
-    "repro.sim.parallel",
-    "repro.workloads",
-    "repro.net.ports",
-    "repro.adversary.constrained",
-]
 
-
-def _load_checker():
-    spec = importlib.util.spec_from_file_location(
-        "check_docs", REPO_ROOT / "tools" / "check_docs.py"
-    )
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# The one list of doctest-checked modules, shared with CI's
+# ``tools/run_doctests.py`` (its no-argument default).
+DOCTEST_MODULES = _load_tool("run_doctests").DOCTEST_MODULES
+
+
+def _load_checker():
+    return _load_tool("check_docs")
 
 
 def test_docs_have_no_dead_links():

@@ -15,7 +15,7 @@ canonical JSON of
 The grid covers every registered algorithm family, the ``rotate``,
 ``nearest`` and ``random`` selectors, windows 1, 2 and 4, staggered
 crashes, the ``extreme``, ``random`` and ``phase-liar`` Byzantine
-strategies, the four mobile-omission modes, and directly built runs:
+strategies, DAC at ``n=9, f=4`` and DBAC at ``n=9, f=1``, the four mobile-omission modes, and directly built runs:
 a ``LookaheadQuorumAdversary`` (its candidate overlay snapshots and
 restores process state, cached messages included), a crash plan with
 simultaneous and partial crashes under random links, so crashed and
@@ -26,7 +26,9 @@ iterated-midpoint node's own message, a crash, or Byzantine draws.
 The literals were computed before the serial round's broadcast reuse,
 receiver-row graph memo, no-op DBAC stores and bisect crash keys went
 in; the four silent-round configs before the edge-free round path and
-the ``nearest`` memo. Only a change that *means* to alter executions
+the ``nearest`` memo; the four ``n9`` boundary builds while the
+engine still carried a second, sender-major round loop that was
+asserted equal to the sweep on them. Only a change that *means* to alter executions
 may update them:
 ``PYTHONPATH=src python tests/test_golden_fingerprints.py`` prints the
 current table.
@@ -52,6 +54,7 @@ from repro.net.ports import random_ports
 from repro.sim.engine import Engine, RunResult
 from repro.sim.persistence import trace_to_dict
 from repro.sim.rng import child_rng, spawn_inputs
+from repro.workloads import build_dac_execution, build_dbac_execution
 from tests.helpers import family_entry, normalize_config
 
 SEEDS = (0, 1, 2)
@@ -154,6 +157,14 @@ CONFIGS: dict[str, Callable[[int], dict[str, Any]]] = {
         lambda: LastMinuteQuorumAdversary(4, 4, "nearest"), _silent_round_crash, 9, 2
     ),
     "dbac-random-w4": _family("dbac", n=7, f=1, strategy="random", window=4),
+    # Boundary builds at n=9: fault-free, staggered crashes, a window-2
+    # schedule and Byzantine DBAC under the nearest selector.
+    "dac-n9f4-fault-free": lambda seed: build_dac_execution(
+        n=9, f=4, seed=seed, crash_nodes=0
+    ),
+    "dac-n9f4-crash": lambda seed: build_dac_execution(n=9, f=4, seed=seed),
+    "dac-n9f4-w2": lambda seed: build_dac_execution(n=9, f=4, seed=seed, window=2),
+    "dbac-n9f1": lambda seed: build_dbac_execution(n=9, f=1, seed=seed),
 }
 
 
@@ -207,6 +218,9 @@ GOLDEN = {
     "byz-mobile-none": "fb80f6d197294d4a19c00647f3fe947af72e49ae78631b4a859b2c96e8de5a1c",
     "byz-mobile-rotate": "b90e4c6b1b6bdd4c8051fdae96c2b96638c949201bdec047a42f953f7aa8dc5b",
     "dac-capped": "23796d205df4dd7501c12946703f1f7f0527684ec26e337a53f004601200e13f",
+    "dac-n9f4-crash": "268eebe8c2d5c046d699f3374a744bbfa7d6e0a137fa1d6a402dad39ffd87a2b",
+    "dac-n9f4-fault-free": "09d239e891d9ebed0bd27024ef77d98655477c7bc94d372c21970cedf4a3f76f",
+    "dac-n9f4-w2": "5f15560313690dbc2f7d9e46a6801b53247412ff7b1f54ca93092bb41c5f2c86",
     "dac-nearest-w1": "bbcc4cc5f8bffcb2a5c538974129386bc21b39e535940d14e01863f0516224f5",
     "dac-nearest-w2": "c6c22c598b767699e1adee8168453266f69a6757f27653ad1c8e4bf19abaa6d6",
     "dac-nearest-w4": "7491b9e6464d86450f2fdbc48047b91ccdfbabd729401248d33c1240d085ade6",
@@ -218,6 +232,7 @@ GOLDEN = {
     "dac-rotate-w2": "afd348508cdae3a1c6c2152e54255881660f87417a9c6f6f5ddfcf591de46729",
     "dac-rotate-w4": "e5521ce65f7cb1546e761c8291c981e899c81d69f7549791743c6b03ede9f1f7",
     "dbac-extreme": "874cebe8c97ea45f62726d87460c1d334d958c1dee6bd67f248ce7c8e4304e4c",
+    "dbac-n9f1": "148e21bf9c989fb467d7a36020b0e04865fd0c5d964bf917603014c4ef8ba37d",
     "dbac-phase-liar": "2b3080d2ea3fdc5410ca28bf0dd4923cdb02f1df6b8f07554a0b4f8ce1d64e75",
     "dbac-random": "700c810e11cc55f8ee011489f085a663eaef7e4c334ef1ae9161063e320753d3",
     "dbac-random-nearest-w2": "8656b222e2896e22cd4c382803eaec3e1ed4b426b2a2a719ffb9a992401247ea",

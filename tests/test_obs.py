@@ -31,11 +31,12 @@ from repro.obs import (
     consensus_hooks,
     lane_finished,
 )
+from repro.scenario import family_trial
 from repro.sim.batch import run_dac_batch
 from repro.sim.engine import Engine
 from repro.sim.parallel import TrialSpec, run_trials
 from repro.sim.runner import run_consensus
-from repro.workloads import build_dac_execution, run_dac_trial
+from repro.workloads import build_dac_execution
 
 from tests.helpers import (
     _build_serial,
@@ -311,10 +312,10 @@ class TestWorkerForwarding:
         ]
         serial_events, pool_events = [], []
         serial = run_trials(
-            run_dac_trial, specs, workers=1, on_event=serial_events.append
+            family_trial("dac"), specs, workers=1, on_event=serial_events.append
         )
         pooled = run_trials(
-            run_dac_trial, specs, workers=4, on_event=pool_events.append
+            family_trial("dac"), specs, workers=4, on_event=pool_events.append
         )
         assert pooled == serial
         assert all("metrics" in summary for summary in pooled)
@@ -329,7 +330,7 @@ class TestWorkerForwarding:
     def test_observe_false_forwards_nothing(self):
         specs = [TrialSpec((("n", 5),), seed=0)]
         events = []
-        run_trials(run_dac_trial, specs, workers=1, on_event=events.append)
+        run_trials(family_trial("dac"), specs, workers=1, on_event=events.append)
         assert events == []
 
 

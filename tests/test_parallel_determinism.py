@@ -17,6 +17,7 @@ from repro.adversary.base import StaticAdversary
 from repro.bench.sweep import Sweep
 from repro.core.dac import DACProcess
 from repro.net.ports import identity_ports
+from repro.scenario import family_trial
 from repro.sim.engine import Engine
 from repro.sim.parallel import (
     TrialSpec,
@@ -26,7 +27,7 @@ from repro.sim.parallel import (
 )
 from repro.sim.rng import spawn_inputs
 from repro.sim.runner import run_consensus
-from repro.workloads import build_dac_execution, run_dac_trial
+from repro.workloads import build_dac_execution
 from tests.helpers import (
     assert_equivalent_runs,
     serial_executor,
@@ -121,8 +122,8 @@ class TestSweepParallelIdentity:
         grid = {"n": [5, 7], "window": [1, 2]}
         serial = Sweep(grid=grid, repeats=2)
         parallel = Sweep(grid=grid, repeats=2)
-        serial.run(run_dac_trial, workers=1)
-        parallel.run(run_dac_trial, workers=4)
+        serial.run(family_trial("dac"), workers=1)
+        parallel.run(family_trial("dac"), workers=4)
         # Identical records: same params, same seeds, same results,
         # same order -- element-for-element equality of the dataclasses.
         assert serial.records == parallel.records
@@ -133,8 +134,8 @@ class TestSweepParallelIdentity:
         grid = {"n": [5, 9]}
         serial = Sweep(grid=grid, repeats=3)
         parallel = Sweep(grid=grid, repeats=3)
-        serial.run(run_dac_trial, workers=1)
-        parallel.run(run_dac_trial, workers=2)
+        serial.run(family_trial("dac"), workers=1)
+        parallel.run(family_trial("dac"), workers=2)
         value = lambda r: float(r.result["rounds"])  # noqa: E731
         assert serial.summarize_by("n", value=value) == parallel.summarize_by(
             "n", value=value
@@ -161,11 +162,11 @@ class TestFastPathIdentity:
         assert fast.metrics.delivered == traced.metrics.delivered
         assert fast.metrics.bits == traced.metrics.bits
 
-    def test_sweep_legacy_traced_and_workers_full_state_identity(self):
+    def test_sweep_traced_and_workers_full_state_identity(self):
         # The shared harness replaces this file's old per-scenario
-        # loops: port-major sweep (reference) == legacy untraced loop
-        # == fully traced execution == a workers=4 pool, by full
-        # state_key equality across crash/window/selector grids.
+        # loops: untraced sweep (reference) == fully traced execution
+        # == a workers=4 pool, by full state_key equality across
+        # crash/window/selector grids.
         assert_equivalent_runs(
             [
                 {"family": "dac", "n": 9, "f": 4, "seeds": (5, 6)},
@@ -174,7 +175,6 @@ class TestFastPathIdentity:
             ],
             {
                 "serial-fast": serial_executor(),
-                "serial-legacy": serial_executor(sweep=False),
                 "traced": serial_executor(traced=True),
                 "workers-4": workers_executor(4),
             },
@@ -202,13 +202,6 @@ class TestFastPathIdentity:
         assert fast.correct == traced.correct
         # The fast report simply carries no phase bookkeeping.
         assert fast.phase_ranges == [] and traced.phase_ranges
-
-    def test_trial_fast_flag_changes_nothing_observable(self):
-        # The whole summary must match key for key -- the fast flag may
-        # only change how the result was computed, never what it says.
-        fast = run_dac_trial(n=7, seed=3, fast=True)
-        slow = run_dac_trial(n=7, seed=3, fast=False)
-        assert fast == slow
 
     def test_run_result_survives_pickle(self):
         # Trial results containing a RunResult must ship between the

@@ -33,13 +33,14 @@ from pathlib import Path
 import pytest
 
 from repro.bench.sweep import Sweep
+from repro.scenario import family_trial
 from repro.sim import parallel
 from repro.sim.parallel import TrialSpec, close_pool, run_trials
-from repro.workloads import run_dac_trial
 from tests.helpers import family_entry, process_running
 
 REPO = Path(__file__).resolve().parent.parent
 BUILTIN_FAMILIES = ["averaging", "baseline", "byz", "dac", "dbac"]
+dac_trial = family_trial("dac")
 
 
 def _dac_specs(seeds, n: int = 9) -> list[TrialSpec]:
@@ -55,11 +56,11 @@ def test_warm_pool_reused_across_sweeps_matches_serial():
     close_pool()
     grid = {"n": [7, 9], "window": [1, 2]}
 
-    serial = Sweep(grid=grid, repeats=3).run(run_dac_trial, workers=1, batch=1)
-    first = Sweep(grid=grid, repeats=3).run(run_dac_trial, workers=4, batch=3)
+    serial = Sweep(grid=grid, repeats=3).run(dac_trial, workers=1, batch=1)
+    first = Sweep(grid=grid, repeats=3).run(dac_trial, workers=4, batch=3)
     pool_obj = parallel._pool_executor
     assert pool_obj is not None, "persistent pool was not created"
-    second = Sweep(grid=grid, repeats=3).run(run_dac_trial, workers=4, batch=3)
+    second = Sweep(grid=grid, repeats=3).run(dac_trial, workers=4, batch=3)
     assert parallel._pool_executor is pool_obj, "pool was not reused warm"
 
     assert first == serial
@@ -80,16 +81,16 @@ def test_dispatch_mode_is_a_pure_speed_knob(mode):
     close_pool()
     options = DISPATCH_MODES[mode]
     specs = _dac_specs(range(6))
-    serial = run_trials(run_dac_trial, specs, workers=1)
-    cold = run_trials(run_dac_trial, specs, workers=2, **options)
+    serial = run_trials(dac_trial, specs, workers=1)
+    cold = run_trials(dac_trial, specs, workers=2, **options)
     fresh = options.get("pool") == "fresh"
     assert (parallel._pool_executor is None) == fresh, (
         "only fresh mode leaves no persistent pool behind"
     )
-    run_trials(run_dac_trial, specs, workers=2, batch=3)
+    run_trials(dac_trial, specs, workers=2, batch=3)
     pool_obj = parallel._pool_executor
     assert pool_obj is not None, "persistent pool was not created"
-    warm = run_trials(run_dac_trial, specs, workers=2, **options)
+    warm = run_trials(dac_trial, specs, workers=2, **options)
     assert parallel._pool_executor is pool_obj, "persistent pool was replaced"
     assert cold == serial
     assert warm == serial
@@ -106,10 +107,10 @@ def test_pooled_observer_forwarding_matches_serial():
     serial_events: list = []
     pooled_events: list = []
     serial = run_trials(
-        run_dac_trial, specs, workers=1, on_event=serial_events.append
+        dac_trial, specs, workers=1, on_event=serial_events.append
     )
     pooled = run_trials(
-        run_dac_trial, specs, workers=4, on_event=pooled_events.append
+        dac_trial, specs, workers=4, on_event=pooled_events.append
     )
     assert pooled == serial
     assert serial_events, "observed trials emitted no events"
@@ -130,9 +131,9 @@ def test_pooled_batched_jobs_ship_no_tables(monkeypatch):
 
     monkeypatch.setattr(parallel, "_check_shippable", spy)
     specs = _dac_specs(range(8), n=33)
-    serial = run_trials(run_dac_trial, specs, workers=1)
-    cold = run_trials(run_dac_trial, specs, workers=2, batch=4)
-    warm = run_trials(run_dac_trial, specs, workers=2, batch=4)
+    serial = run_trials(dac_trial, specs, workers=1)
+    cold = run_trials(dac_trial, specs, workers=2, batch=4)
+    warm = run_trials(dac_trial, specs, workers=2, batch=4)
     assert len(shipped) == 2, "both calls must dispatch to the pool"
     assert max(shipped) < 1024, f"pooled jobs pickled to {shipped} bytes"
     assert cold == serial
@@ -154,18 +155,19 @@ def test_pool_crash_tears_down_the_pool():
     assert parallel._pool_executor is None, "crashed pool must be torn down"
     # The next pooled call starts clean on a rebuilt pool.
     specs = _dac_specs(range(2), n=5)
-    assert run_trials(run_dac_trial, specs, workers=2) == run_trials(
-        run_dac_trial, specs, workers=1
+    assert run_trials(dac_trial, specs, workers=2) == run_trials(
+        dac_trial, specs, workers=1
     )
 
 
 _INTERRUPT_SCRIPT = """\
 from repro.sim import parallel
+from repro.scenario import family_trial
 from repro.sim.parallel import TrialSpec, run_trials
-from repro.workloads import run_dac_trial
 
+dac_trial = family_trial("dac")
 specs = [TrialSpec((("n", 9),), seed=s) for s in range(8)]
-run_trials(run_dac_trial, specs, workers=2, batch=4)
+run_trials(dac_trial, specs, workers=2, batch=4)
 pool = parallel._pool_executor
 real_shutdown = pool.shutdown
 
@@ -241,9 +243,9 @@ def test_pool_workers_die_with_their_parent(signum):
 def test_run_trials_ignores_the_arenas_keyword():
     close_pool()
     specs = _dac_specs(range(6))
-    serial = run_trials(run_dac_trial, specs, workers=1)
+    serial = run_trials(dac_trial, specs, workers=1)
     for arenas in (True, False):
-        assert run_trials(run_dac_trial, specs, workers=2, batch=3, arenas=arenas) == serial
+        assert run_trials(dac_trial, specs, workers=2, batch=3, arenas=arenas) == serial
     assert parallel.arena_registry().segment_names() == []
 
 
@@ -254,12 +256,12 @@ def test_builtin_family_list_is_complete():
     builtin = {
         entry.name
         for entry in entries("algorithm")
-        if entry.obj.trial is not None and entry.obj.trial.__module__.startswith("repro.")
+        if type(entry.obj).__module__.startswith("repro.")
     }
     assert builtin == set(BUILTIN_FAMILIES)
 
 
 @pytest.mark.parametrize("family", BUILTIN_FAMILIES)
 def test_batch_fn_keeps_an_empty_arena_plan(family):
-    batch_fn = family_entry(family).obj.trial.batch_fn
+    batch_fn = family_trial(family).batch_fn
     assert batch_fn.arena_plan({"n": 9}) == []

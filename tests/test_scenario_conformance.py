@@ -7,30 +7,38 @@ Nothing in this file names a family. The parametrization iterates
 here with zero new test code:
 
 * every declared algorithm x adversary pairing runs through the full
-  differential executor suite (serial sweep, legacy loop, traced,
-  the family's batch lanes, ``workers=4``, and the pooled batched leg)
-  pinned to full ``state_key`` equality;
+  differential executor suite (serial sweep, traced, the family's
+  batch lanes, ``workers=4``, and the pooled batched leg) pinned to
+  full ``state_key`` equality;
 * the same pairings re-run on deterministically fuzzed seeds, so the
   pinning is not an artifact of seed 0;
-* spec resolution is checked against the direct trial function --
-  same module-level callable, same summary;
-* a completeness check fails if a ``run_*_trial`` family exists in
-  :mod:`repro.workloads` or :mod:`repro.families` that no registry
-  entry claims, so the registry cannot silently drift from the
-  workloads.
+* spec resolution is checked against the family trial -- same
+  callable, same summary -- and so is an observed trial;
+* a guard fails if a module under :mod:`repro.workloads` or
+  :mod:`repro.families` grows its own ``run_*_trial`` or ``batch_fn``,
+  a second dispatch convention next to the families' hooks.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
+import inspect
 import pkgutil
 import random
+import re
 
 import pytest
 
 import repro.families
 import repro.workloads
-from repro.scenario import algorithm_entries, resolve, spec_for
+from repro.scenario import (
+    AlgorithmFamily,
+    algorithm_entries,
+    family_trial,
+    resolve,
+    spec_for,
+)
 from tests.helpers import assert_equivalent_runs, differential_executors
 
 
@@ -74,36 +82,63 @@ def test_pairing_pins_fuzzed_seeds(family, params, case_index):
     assert_equivalent_runs([config], differential_executors())
 
 
-@pytest.mark.parametrize(
+_ENTRIES = pytest.mark.parametrize(
     "entry", algorithm_entries(), ids=lambda e: f"{e.name}@{e.version}"
 )
+
+
+def _first_config(entry):
+    _adversary, configs = next(iter(sorted(entry.obj.conformance.items())))
+    return dict(configs[0])
+
+
+@_ENTRIES
 def test_spec_resolution_matches_direct_trial(entry):
-    """``spec_for`` round-trips a conformance config onto the exact trial."""
-    adversary, configs = next(iter(sorted(entry.obj.conformance.items())))
-    resolved = resolve(spec_for(entry.name, dict(configs[0]), version=entry.version))
-    assert resolved.trial_fn is entry.obj.trial
-    direct = entry.obj.trial(seed=3, **resolved.trial_kwargs())
+    """``spec_for`` round-trips a conformance config onto the family trial.
+
+    The trial fills missing parameters itself, so calling it on the bare
+    config gives what the fully resolved spec gives.
+    """
+    params = _first_config(entry)
+    resolved = resolve(spec_for(entry.name, params, version=entry.version))
+    trial = family_trial(entry.name, entry.version)
+    assert resolved.trial_fn is trial
+    direct = trial(seed=3, **resolved.trial_kwargs())
     assert resolved.run(3) == direct
+    assert trial(seed=3, **params) == direct
 
 
-@pytest.mark.parametrize(
-    "entry", algorithm_entries(), ids=lambda e: f"{e.name}@{e.version}"
-)
+@_ENTRIES
+def test_observed_trial_matches_bare_trial(entry):
+    """Every family takes ``observe``; observing changes no verdict.
+
+    The observed summary is the bare one plus a ``"metrics"`` key, and
+    the observed batched form equals the observed serial calls.
+    """
+    params = _first_config(entry)
+    trial = family_trial(entry.name, entry.version)
+    seeds = [0, 1]
+    observed = [trial(seed=seed, observe=True, **params) for seed in seeds]
+    for seed, summary in zip(seeds, observed):
+        assert "metrics" in summary
+        bare = {k: v for k, v in summary.items() if k != "metrics"}
+        assert bare == trial(seed=seed, **params)
+    assert trial.batch_fn(seeds=seeds, observe=True, **params) == observed
+
+
+@_ENTRIES
 def test_family_declares_a_complete_surface(entry):
-    """Every family ships conformance configs and a batched trial form."""
+    """Every family ships conformance configs, a builder and batch lanes."""
     family = entry.obj
     assert family.conformance, (
         f"family {entry.name!r} declares no conformance configurations; "
         "the suite cannot pin it"
     )
-    assert callable(family.trial), f"family {entry.name!r} has no trial"
-    # Module-level (hence picklable under workers=N) with the batched
-    # attachment Sweep's batch knob dispatches to.
-    module = importlib.import_module(family.trial.__module__)
-    assert getattr(module, family.trial.__name__) is family.trial
-    assert callable(getattr(family.trial, "batch_fn", None)), (
-        f"trial of family {entry.name!r} carries no batch_fn attachment"
-    )
+    for hook in ("build", "batch"):
+        assert getattr(type(family), hook) is not getattr(AlgorithmFamily, hook), (
+            f"family {entry.name!r} does not implement {hook}"
+        )
+    assert family.vectorizable(_first_config(entry)) in (True, False)
 
 
 def _trial_modules():
@@ -112,21 +147,28 @@ def _trial_modules():
         yield importlib.import_module(f"repro.families.{info.name}")
 
 
-def test_every_trial_family_is_registered():
-    """Completeness: no ``run_*_trial`` exists outside the registry."""
-    claimed = {entry.obj.trial for entry in algorithm_entries()}
-    missing = []
+def test_no_family_module_defines_its_own_trial():
+    """One trial contract: families supply ``build``/``batch`` only.
+
+    No module under :mod:`repro.workloads` or :mod:`repro.families`
+    defines a ``run_*_trial`` function or attaches a ``batch_fn``; the
+    trial every executor dispatches is
+    :func:`repro.scenario.family_trial`.
+    """
+    found = []
     for module in _trial_modules():
-        for name, obj in sorted(vars(module).items()):
-            if (
-                name.startswith("run_")
-                and name.endswith("_trial")
-                and callable(obj)
-                and getattr(obj, "__module__", None) == module.__name__
-                and obj not in claimed
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.fullmatch(
+                r"run_\w+_trial(_batch)?", node.name
             ):
-                missing.append(f"{module.__name__}.{name}")
-    assert not missing, (
-        "trial families with no registry entry (register them so the "
-        f"conformance suite can pin them): {', '.join(missing)}"
+                found.append(f"{module.__name__}:{node.lineno} defines {node.name}")
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Attribute) and target.attr == "batch_fn"
+                for target in node.targets
+            ):
+                found.append(f"{module.__name__}:{node.lineno} assigns .batch_fn")
+    assert not found, (
+        "a second trial convention (move it onto the family's build/batch "
+        f"hooks): {'; '.join(found)}"
     )

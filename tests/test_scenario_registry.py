@@ -13,7 +13,6 @@ runs and pickled dispatch.
 from __future__ import annotations
 
 import pickle
-import random
 
 import pytest
 
@@ -25,24 +24,36 @@ from repro.scenario import (
     declare_adversary,
     lookup,
     register_algorithm,
+    family_trial,
     resolve,
     resolve_trial,
-    run_spec_trial,
     spec_for,
     unregister,
 )
 from repro.scenario.registry import MISSING, validate_params
-from repro.workloads import run_dac_trial
+from repro.sim.runner import run_consensus
+from repro.workloads import build_dac_execution
 
 
 # -- a toy family, registered only through the public API ------------------
 
 
-def run_toysum_trial(seed=0, n=4, scale=1.0, max_rounds=16):
-    """Deterministic stand-in trial: no engine, just seeded arithmetic."""
-    rng = random.Random(seed)
-    total = sum(rng.random() for _ in range(n)) * scale
-    return {"terminated": True, "rounds": min(n, max_rounds), "value": total}
+def toy_execution(seed, n, scale, max_rounds):
+    """Fault-free DAC on ``n`` nodes, epsilon scaled from 1e-2."""
+    return build_dac_execution(
+        n=n, f=0, epsilon=1e-2 * scale, seed=seed, max_rounds=max_rounds
+    )
+
+
+def toy_summary(seed, **params):
+    """What the toy family's trial must return: one untraced run, reduced."""
+    report = run_consensus(**toy_execution(seed, **params), record_trace=False)
+    return {
+        "rounds": report.rounds,
+        "spread": report.output_spread,
+        "terminated": report.terminated,
+        "correct": report.correct,
+    }
 
 
 @pytest.fixture
@@ -55,7 +66,9 @@ def toy_entry():
             ParamSpec("max_rounds", "int", default=16),
         )
         components = {}
-        trial = staticmethod(run_toysum_trial)
+
+        def build(self, *, seed, **params):
+            return toy_execution(seed, **params)
 
     try:
         yield lookup("algorithm", "toysum")
@@ -71,7 +84,7 @@ def test_duplicate_registration_raises(toy_entry):
 
         @register_algorithm("toysum", version=1)
         class Clone(AlgorithmFamily):
-            trial = staticmethod(run_toysum_trial)
+            params = (ParamSpec("n", "int"),)
 
 
 def test_versions_coexist_and_latest_wins():
@@ -173,9 +186,9 @@ def test_missing_sentinel_is_not_a_value():
 
 def test_dynamic_family_resolves_and_runs(toy_entry):
     resolved = resolve("algorithm: toysum@1(n=6, scale=2.0); seed: 3; rounds: 4")
-    assert resolved.trial_fn is run_toysum_trial
+    assert resolved.trial_fn is family_trial("toysum")
     assert resolved.params == {"n": 6, "scale": 2.0, "max_rounds": 4}
-    assert resolved.run() == run_toysum_trial(seed=3, n=6, scale=2.0, max_rounds=4)
+    assert resolved.run() == toy_summary(3, n=6, scale=2.0, max_rounds=4)
     canonical = resolved.canonical_spec()
     assert resolve(canonical.encode()).canonical_spec() == canonical
 
@@ -190,7 +203,7 @@ def test_spec_for_routes_flat_params(toy_entry):
     spec = spec_for("toysum", {"n": 5, "scale": 0.5}, seed=9)
     assert spec.algorithm.kwargs() == {"n": 5, "scale": 0.5}
     assert spec.seed == 9
-    assert resolve(spec).run()["rounds"] == 5
+    assert resolve(spec).run() == toy_summary(9, n=5, scale=0.5, max_rounds=16)
 
 
 def test_sweep_accepts_spec_for_dynamic_family(toy_entry):
@@ -202,7 +215,7 @@ def test_sweep_accepts_spec_for_dynamic_family(toy_entry):
         # Cells override the spec key-by-key; untouched spec params ride
         # along into every cell, exactly as documented.
         assert rec.param("scale") == 2.0
-        assert rec.result == run_toysum_trial(seed=rec.seed, **dict(rec.params))
+        assert rec.result == toy_summary(rec.seed, **dict(rec.params))
 
 
 # -- spec-driven sweeps match direct-function sweeps -----------------------
@@ -211,35 +224,34 @@ def test_sweep_accepts_spec_for_dynamic_family(toy_entry):
 def test_sweep_spec_records_match_direct_fn():
     text = "algorithm: dac@1(n=5); rounds: 300"
     fn, base = resolve_trial(text)
-    assert fn is run_dac_trial
+    assert fn is family_trial("dac")
     spec_sweep = Sweep(grid={"n": [5, 7]}, repeats=2, seed0=11)
     direct_sweep = Sweep(grid={"n": [5, 7]}, repeats=2, seed0=11)
     spec_records = spec_sweep.run(text)
-    direct_records = direct_sweep.run(
-        run_dac_trial, batch_fn=run_dac_trial.batch_fn
-    )
+    direct_records = direct_sweep.run(fn, batch_fn=fn.batch_fn)
     assert len(spec_records) == len(direct_records) == 4
     for spec_rec in spec_records:
         params = dict(spec_rec.params)
         # Spec-driven cells carry the full resolved parameter set; the
         # result must equal calling the trial with those kwargs directly.
         assert params["max_rounds"] == 300
-        assert spec_rec.result == run_dac_trial(seed=spec_rec.seed, **params)
+        assert spec_rec.result == fn(seed=spec_rec.seed, **params)
 
 
-def test_resolve_trial_keeps_batch_attachments():
+def test_resolve_trial_keeps_the_batched_form():
     fn, base = resolve_trial("algorithm: dac@1(n=5)")
-    assert fn.batch_fn is run_dac_trial.batch_fn
+    assert fn.batch_fn == family_trial("dac").batch_fn
     assert base["n"] == 5 and base["f"] == 2
 
 
 # -- picklability ----------------------------------------------------------
 
 
-def test_run_spec_trial_is_picklable():
-    clone = pickle.loads(pickle.dumps(run_spec_trial))
-    text = "algorithm: dac@1(n=5); rounds: 200"
-    assert clone(text, 7) == run_spec_trial(text, 7)
+def test_family_trials_pickle_by_reference(toy_entry):
+    for name in ("dac", "toysum"):
+        trial = family_trial(name)
+        assert pickle.loads(pickle.dumps(trial)) is trial
+        assert pickle.loads(pickle.dumps(trial.batch_fn)) == trial.batch_fn
 
 
 def test_resolved_trial_fns_are_picklable():
@@ -255,12 +267,12 @@ def test_resolved_trial_fns_are_picklable():
 def test_averaging_fast_trial_matches_fully_checked_run(params):
     # The trial runs untraced, without the promise check or phase
     # series; the fully checked run must reach the same verdicts.
-    from repro.families.averaging import build_averaging_execution, run_averaging_trial
-    from repro.sim.runner import run_consensus
+    from repro.families.averaging import build_averaging_execution
 
+    trial = family_trial("averaging")
     for seed in range(6):
         report = run_consensus(**build_averaging_execution(seed=seed, **params))
-        assert run_averaging_trial(seed=seed, **params) == {
+        assert trial(seed=seed, **params) == {
             "rounds": report.rounds,
             "spread": report.output_spread,
             "terminated": report.terminated,

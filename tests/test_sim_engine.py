@@ -19,7 +19,6 @@ from repro.net.topology import Topology
 from repro.sim.engine import Engine
 from repro.sim.messages import StateMessage
 from repro.sim.node import ConsensusProcess
-from repro.sim.persistence import trace_to_dict
 from repro.workloads import build_dac_execution, build_dbac_execution
 
 
@@ -382,9 +381,9 @@ class TestRunLoop:
         assert engine.fault_free_range() == 2.0
 
 
-# The enforced-family builds the port-major sweep is pinned against the
-# retained sender-major loop on: fault-free, staggered crashes, a
-# window-2 schedule and Byzantine DBAC.
+# Boundary builds at n=9: fault-free, staggered crashes, a window-2
+# schedule and Byzantine DBAC. Their full output (traces included) is
+# pinned by tests/test_golden_fingerprints.py.
 SWEEP_BUILDS = {
     "enforced": lambda seed: build_dac_execution(n=9, f=4, seed=seed, crash_nodes=0),
     "crash": lambda seed: build_dac_execution(n=9, f=4, seed=seed),
@@ -393,8 +392,8 @@ SWEEP_BUILDS = {
 }
 
 
-def _built_engine(kwargs, *, use_sweep, record_trace):
-    engine = Engine(
+def _built_engine(kwargs, *, record_trace):
+    return Engine(
         kwargs["processes"],
         kwargs["adversary"],
         kwargs["ports"],
@@ -403,38 +402,26 @@ def _built_engine(kwargs, *, use_sweep, record_trace):
         seed=kwargs["seed"],
         record_trace=record_trace,
     )
-    engine._use_sweep = use_sweep
-    return engine
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("build", sorted(SWEEP_BUILDS))
-def test_sweep_matches_legacy_metrics_and_trace(build, seed):
-    """Sweep and legacy loop agree on states, traffic metrics and traces.
+def test_traced_sweep_matches_untraced_metrics(build, seed):
+    """Recording a trace changes nothing a round produces.
 
-    The differential harness compares state keys only; this pins the
-    rest of what a round produces: the delivered-message and bit
-    counters (untraced and traced) and the full serialized trace.
+    Traced rounds assemble their snapshot after the same sweep, so
+    states, round counts and the delivered-message and bit counters
+    must equal the untraced run's.
     """
     runs = {}
-    for use_sweep in (True, False):
-        for traced in (False, True):
-            engine = _built_engine(
-                SWEEP_BUILDS[build](seed), use_sweep=use_sweep, record_trace=traced
-            )
-            runs[use_sweep, traced] = (engine, int(engine.run(40)))
     for traced in (False, True):
-        (swept, swept_rounds), (legacy, legacy_rounds) = (
-            runs[True, traced],
-            runs[False, traced],
-        )
-        assert swept_rounds == legacy_rounds
-        assert {v: p.state_key() for v, p in swept.processes.items()} == {
-            v: p.state_key() for v, p in legacy.processes.items()
-        }
-        assert swept.metrics == legacy.metrics
-        assert swept.metrics.delivered > 0
-    assert runs[True, False][0].metrics == runs[True, True][0].metrics
-    assert trace_to_dict(runs[True, True][0].trace) == trace_to_dict(
-        runs[False, True][0].trace
-    )
+        engine = _built_engine(SWEEP_BUILDS[build](seed), record_trace=traced)
+        runs[traced] = (engine, int(engine.run(40)))
+    (bare, bare_rounds), (traced, traced_rounds) = runs[False], runs[True]
+    assert bare_rounds == traced_rounds
+    assert {v: p.state_key() for v, p in bare.processes.items()} == {
+        v: p.state_key() for v, p in traced.processes.items()
+    }
+    assert bare.metrics == traced.metrics
+    assert bare.metrics.delivered > 0
+    assert len(traced.trace) == traced_rounds

@@ -13,7 +13,7 @@ rounds / outputs equality between
   path legacy ``DirectedGraph`` callers take -- the deprecated alias
   is the same class, pinned by test_graph_deprecation.py), and the
   same execution on the native adversary (Topology path);
-- the serial engine (port-major sweep *and* the legacy loop) and the
+- the serial engine (untraced and traced) and the
   ``repro.sim.batch`` lanes (the numpy kernel where it applies);
 
 across crash, enforced-rotate and window (last-minute) grids.
@@ -80,8 +80,8 @@ class _ShimRewrapAdversary(MessageAdversary):
 
 def test_shim_native_and_batch_backends_bit_identical():
     """One harness pass covers the whole old-vs-new matrix: native
-    sweep (reference) == shim-rewrapped == legacy loop == traced ==
-    batch lanes, full state keys throughout."""
+    sweep (reference) == shim-rewrapped == traced == batch lanes, full
+    state keys throughout."""
     executors = differential_executors(workers=None)
     executors["shim-rewrap"] = serial_executor(wrap_adversary=_ShimRewrapAdversary)
     assert_equivalent_runs(GRIDS, executors)

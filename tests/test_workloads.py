@@ -132,48 +132,43 @@ class TestTheoremScenarios:
             theorem10_split_execution(f=0)
 
 
-class TestPicklableTrials:
-    """The module-level trial functions for parallel comparative grids."""
+class TestFamilyTrials:
+    """The registered families' trials for parallel comparative grids."""
 
     def test_dbac_trial_summary_and_boundary_default(self):
-        from repro.workloads import run_dbac_trial
+        from repro.scenario import family_trial
 
-        summary = run_dbac_trial(n=6, seed=3)  # f defaults to (6-1)//5 = 1
+        summary = family_trial("dbac")(n=6, seed=3)  # f defaults to (6-1)//5 = 1
         assert set(summary) == {"rounds", "spread", "terminated", "correct"}
         assert summary["terminated"]
         assert summary["correct"]
 
-    def test_dbac_trial_rejects_unknown_strategy(self):
-        from repro.workloads import run_dbac_trial
-
-        with pytest.raises(ValueError, match="strategy"):
-            run_dbac_trial(n=6, strategy="benevolent")
-
     def test_baseline_trial_midpoint_and_trimmed(self):
-        from repro.workloads import run_baseline_trial
+        from repro.scenario import family_trial
 
-        midpoint = run_baseline_trial(n=9, seed=1)
+        baseline = family_trial("baseline")
+        midpoint = baseline(n=9, seed=1)
         assert midpoint["terminated"]
-        trimmed = run_baseline_trial(n=9, algorithm="trimmed", f=1, seed=1)
+        trimmed = baseline(n=9, algorithm="trimmed", f=1, seed=1)
         assert trimmed["terminated"]
         with pytest.raises(ValueError, match="algorithm"):
-            run_baseline_trial(n=9, algorithm="gossip")
+            baseline(n=9, algorithm="gossip")
 
     def test_trials_fan_out_over_worker_processes(self):
         # The ROADMAP contract: DBAC and baseline grids must run through
-        # Sweep.run(workers=N) -- i.e. the functions pickle and the
+        # Sweep.run(workers=N) -- i.e. the trials pickle and the
         # parallel records equal the serial records.
         from repro.bench.sweep import Sweep
-        from repro.workloads import run_baseline_trial, run_dbac_trial
+        from repro.scenario import family_trial
 
-        for fn, grid in (
-            (run_dbac_trial, {"n": [6, 11]}),
-            (run_baseline_trial, {"n": [9], "algorithm": ["midpoint", "trimmed"]}),
+        for name, grid in (
+            ("dbac", {"n": [6, 11]}),
+            ("baseline", {"n": [9], "algorithm": ["midpoint", "trimmed"]}),
         ):
             serial = Sweep(grid=grid, repeats=2)
             parallel = Sweep(grid=grid, repeats=2)
-            serial.run(fn, workers=1)
-            parallel.run(fn, workers=2)
+            serial.run(family_trial(name), workers=1)
+            parallel.run(family_trial(name), workers=2)
             assert serial.records == parallel.records
 
     def test_baseline_breaks_where_dac_survives(self):
@@ -182,10 +177,10 @@ class TestPicklableTrials:
         # channel baseline loses epsilon-agreement -- it burns its
         # round budget on silent rounds -- while DAC stays correct
         # under the identical adversary and input stream.
-        from repro.workloads import run_baseline_trial, run_dac_trial
+        from repro.scenario import family_trial
 
-        dac = run_dac_trial(n=9, f=0, epsilon=1e-3, window=3, seed=0)
-        baseline = run_baseline_trial(n=9, epsilon=1e-3, window=3, seed=0)
+        dac = family_trial("dac")(n=9, f=0, epsilon=1e-3, window=3, seed=0)
+        baseline = family_trial("baseline")(n=9, epsilon=1e-3, window=3, seed=0)
         assert dac["correct"]
         assert baseline["terminated"] and not baseline["correct"]
 

@@ -1,9 +1,10 @@
-"""Tests for the picklable Byzantine/mobile fault-model trial family.
+"""Tests for the picklable Byzantine and mobile-omission family trials.
 
-``run_byz_trial`` is the comparative-grid counterpart of
-``run_dac_trial``: module-level, picklable, batched via an attached
-``batch_fn``, so Byzantine and mobile-omission sweeps parallelize
-under ``workers=N`` / ``--batch`` exactly like the DAC grids.
+The ``dbac`` and ``byz`` (mobile-omission) families' trials come from
+:func:`repro.scenario.family_trial` like every other family's:
+picklable by reference, batched through their ``batch_fn``, so
+Byzantine and mobile-omission sweeps parallelize under ``workers=N`` /
+``--batch`` exactly like the DAC grids.
 """
 
 import pickle
@@ -11,75 +12,71 @@ import pickle
 import pytest
 
 from repro.bench.sweep import Sweep
-from repro.workloads import (
-    run_byz_trial,
-    run_byz_trial_batch,
-    run_dbac_trial,
-    run_dbac_trial_batch,
-)
+from repro.scenario import family_trial
+
+byz_trial = family_trial("byz")
+dbac_trial = family_trial("dbac")
 
 
-class TestRunByzTrial:
-    def test_quorum_adversary_matches_dbac_trial(self):
-        kwargs = dict(n=6, f=1, window=1, strategy="extreme", max_rounds=3000, seed=4)
-        assert run_byz_trial(adversary="quorum", **kwargs) == run_dbac_trial(**kwargs)
-
+class TestByzTrial:
     def test_mobile_modes_run_fault_free_dac(self):
         for mode in ("none", "rotate", "block_min"):
-            summary = run_byz_trial(
-                6, adversary=f"mobile-{mode}", max_rounds=500, seed=1
-            )
+            summary = byz_trial(n=6, mode=mode, max_rounds=500, seed=1)
             assert set(summary) == {"rounds", "spread", "terminated", "correct"}
             assert summary["terminated"]
             # (1, n-2) still satisfies DAC's floor(n/2) needs at n=6.
             assert summary["correct"]
 
-    def test_unknown_adversary_rejected(self):
-        with pytest.raises(ValueError, match="unknown adversary"):
-            run_byz_trial(6, adversary="chaotic")
+    def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown mobile mode"):
-            run_byz_trial(6, adversary="mobile-sideways")
+            byz_trial(n=6, mode="sideways")
 
-    def test_mobile_is_fault_free_only(self):
-        with pytest.raises(ValueError, match="fault-free"):
-            run_byz_trial(6, f=1, adversary="mobile-none")
+    def test_unknown_and_missing_parameters_rejected(self):
+        # The mobile family is fault-free by construction: it takes no f.
+        with pytest.raises(TypeError, match=r"unknown parameter\(s\) \['f'\]"):
+            byz_trial(n=6, f=1)
+        with pytest.raises(TypeError, match=r"unknown parameter\(s\) \['adversary'\]"):
+            byz_trial(n=6, adversary="mobile-none")
+        with pytest.raises(TypeError, match=r"missing required parameter\(s\) \['n'\]"):
+            byz_trial(mode="none")
 
-    def test_trial_and_batch_fn_are_picklable(self):
-        pickle.dumps(run_byz_trial)
-        pickle.dumps(run_byz_trial.batch_fn)
-        pickle.dumps(run_dbac_trial.batch_fn)
+    def test_unknown_strategy_rejected(self):
+        with pytest.raises(ValueError, match="unknown strategy 'benevolent'"):
+            dbac_trial(n=6, strategy="benevolent")
+
+    def test_trials_pickle_by_reference(self):
+        for trial in (byz_trial, dbac_trial):
+            assert pickle.loads(pickle.dumps(trial)) is trial
+            assert pickle.loads(pickle.dumps(trial.batch_fn)) == trial.batch_fn
+            assert len(pickle.dumps(trial.batch_fn)) < 200
 
 
 class TestBatchedEquivalence:
     def test_batch_fn_returns_per_seed_results_in_order(self):
         seeds = [3, 1, 8]
-        batched = run_byz_trial_batch(
-            seeds=seeds, n=6, adversary="mobile-rotate", max_rounds=300
-        )
-        serial = [
-            run_byz_trial(6, adversary="mobile-rotate", max_rounds=300, seed=s)
-            for s in seeds
-        ]
+        batched = byz_trial.batch_fn(seeds=seeds, n=6, mode="rotate", max_rounds=300)
+        serial = [byz_trial(n=6, mode="rotate", max_rounds=300, seed=s) for s in seeds]
         assert batched == serial
 
     def test_dbac_batch_fn_matches_serial(self):
         seeds = [0, 5]
-        batched = run_dbac_trial_batch(seeds=seeds, n=6, f=1, max_rounds=3000)
-        serial = [run_dbac_trial(n=6, f=1, max_rounds=3000, seed=s) for s in seeds]
+        batched = dbac_trial.batch_fn(seeds=seeds, n=6, f=1, max_rounds=3000)
+        serial = [dbac_trial(n=6, f=1, max_rounds=3000, seed=s) for s in seeds]
         assert batched == serial
 
-    def test_sweep_batch_is_a_pure_speed_knob(self):
-        grid = {"n": [6], "adversary": ["quorum", "mobile-block_min"]}
+    @pytest.mark.parametrize("trial", [byz_trial, dbac_trial], ids=["byz", "dbac"])
+    def test_sweep_batch_is_a_pure_speed_knob(self, trial):
+        grid = {"n": [6]}
         plain = Sweep(grid=grid, repeats=3)
-        plain.run(run_byz_trial, workers=1, batch=1)
+        plain.run(trial, workers=1, batch=1)
         grouped = Sweep(grid=grid, repeats=3)
-        grouped.run(run_byz_trial, workers=1, batch=3)
+        grouped.run(trial, workers=1, batch=3)
         assert grouped.records == plain.records
 
     def test_sweep_workers_fan_out(self):
-        grid = {"n": [6], "adversary": ["mobile-rotate"]}
+        grid = {"n": [6], "mode": ["rotate"]}
         serial = Sweep(grid=grid, repeats=4)
-        serial.run(run_byz_trial, workers=1)
+        serial.run(byz_trial, workers=1)
         fanned = Sweep(grid=grid, repeats=4)
-        fanned.run(run_byz_trial, workers=2, batch=2)
+        fanned.run(byz_trial, workers=2, batch=2)
         assert fanned.records == serial.records

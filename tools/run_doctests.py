@@ -10,7 +10,11 @@ registrations -- that second execution trips the
 duplicate-registration guard by design. Importing by module name runs
 each module exactly once, the way production code sees it.
 
-Usage: PYTHONPATH=src python tools/run_doctests.py repro.workloads ...
+Usage: PYTHONPATH=src python tools/run_doctests.py [MODULE ...]
+
+With no arguments it runs :data:`DOCTEST_MODULES`, the one list of
+modules whose docstring examples are checked (``tests/test_docs.py``
+runs the same list inside tier-1).
 """
 
 from __future__ import annotations
@@ -19,13 +23,22 @@ import doctest
 import importlib
 import sys
 
+# The public-API modules whose docstrings carry executable examples:
+# batching, the parallel layer, the family trial, and the two shuffle
+# replays (the port draw and the random selector; their examples pin
+# the drawn rows for one seed).
+DOCTEST_MODULES = [
+    "repro.sim.batch",
+    "repro.sim.parallel",
+    "repro.scenario.trial",
+    "repro.net.ports",
+    "repro.adversary.constrained",
+]
+
 
 def main(names: list[str]) -> int:
-    if not names:
-        print("usage: run_doctests.py MODULE [MODULE ...]", file=sys.stderr)
-        return 2
     failed = 0
-    for name in names:
+    for name in names or DOCTEST_MODULES:
         module = importlib.import_module(name)
         result = doctest.testmod(module)
         print(f"{name}: {result.attempted} examples, {result.failed} failed")
