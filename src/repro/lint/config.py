@@ -199,7 +199,6 @@ class LintConfig:
     # serial ``workers`` literal on the same call rules it out.
     worker_keywords: tuple[str, ...] = ("workers",)
     pool_keywords: tuple[str, ...] = ("pool",)
-    batch_fn_attr: str = "batch_fn"
 
     # -- structure-table memo ----------------------------------------------
     # Tables served by the arena module are read-only by contract:

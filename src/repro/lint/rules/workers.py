@@ -1,11 +1,10 @@
 """Worker-contract rules: what may cross a process boundary.
 
 ``Sweep.run(workers=N)`` / ``run_trials(..., workers=N)`` pickle the
-trial function into worker processes, and ``batch_fn`` attributes are
-dispatched the same way. Lambdas and closures fail at runtime deep in
-the pool machinery (or worse, only when a CLI raises the process-wide
-worker default); the ``worker-closure`` rule moves the failure to the
-call site. ``pool=`` keywords on the persistent-pool entry points mark
+trial function into worker processes. Lambdas and closures fail at
+runtime deep in the pool machinery (or worse, only when a CLI raises
+the process-wide worker default); the ``worker-closure`` rule moves
+the failure to the call site. ``pool=`` keywords on the persistent-pool entry points mark
 the same fan-out surface and get the same treatment.
 
 The ``arena-readonly`` rule guards the kernels' shared state: tables
@@ -48,9 +47,8 @@ def _serial_literal(expr: ast.expr) -> bool:
 
 @rule(
     "worker-closure",
-    summary="lambda/closure handed to a process-pool call or batch_fn slot",
-    invariant="functions fanned out over workers are module-level and "
-    "picklable; batch_fn attributes equally so",
+    summary="lambda/closure handed to a process-pool call",
+    invariant="functions fanned out over workers are module-level and picklable",
 )
 def check_worker_closure(ctx) -> Iterator:
     config = ctx.config
@@ -98,31 +96,6 @@ def check_worker_closure(ctx) -> Iterator:
                             "workers=/pool= dispatch call cannot be pickled; "
                             "hoist it to module level",
                         )
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr == config.batch_fn_attr
-                    ):
-                        if isinstance(node.value, ast.Lambda):
-                            yield ctx.finding(
-                                node.value,
-                                "worker-closure",
-                                "batch_fn must be a module-level function "
-                                "(it is dispatched over process pools); a "
-                                "lambda cannot be pickled",
-                            )
-                        elif (
-                            isinstance(node.value, ast.Name)
-                            and node.value.id in local_fns
-                        ):
-                            yield ctx.finding(
-                                node.value,
-                                "worker-closure",
-                                f"batch_fn bound to local function "
-                                f"{node.value.id!r}; batch functions must be "
-                                "module-level and picklable",
-                            )
 
 
 def _base_name(node: ast.expr) -> str | None:

@@ -89,7 +89,7 @@ class ComponentRef:
     params: tuple[tuple[str, Scalar], ...] = ()
 
     def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
+        if not isinstance(self.name, str) or not _NAME_RE.match(self.name):
             raise SpecError(
                 "name",
                 f"component name {self.name!r} must match {_NAME_RE.pattern}",

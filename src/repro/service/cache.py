@@ -30,7 +30,7 @@ from typing import Any
 
 from repro.scenario.resolve import ResolvedScenario
 
-__all__ = ["ResultCache", "cache_key", "scenario_key"]
+__all__ = ["ResultCache", "cache_key", "scenario_identity", "scenario_key"]
 
 _CACHE_VERSION = 1
 
@@ -48,7 +48,17 @@ def scenario_key(resolved: ResolvedScenario) -> str:
     parameter sorted) with the seed field pinned, so it is stable
     across spellings, processes, and requested seeds.
     """
-    return resolved.canonical_spec().with_seed(_IDENTITY_SEED).content_hash
+    return scenario_identity(resolved)[0]
+
+
+def scenario_identity(resolved: ResolvedScenario) -> tuple[str, dict[str, Any]]:
+    """``(scenario_key, canonical spec dict)`` from one canonical build.
+
+    The dict is the seed-pinned canonical spec whose content hash is
+    the key: what job payloads and the persisted cache record.
+    """
+    canonical = resolved.canonical_spec().with_seed(_IDENTITY_SEED)
+    return canonical.content_hash, canonical.to_dict()
 
 
 def cache_key(resolved: ResolvedScenario, seed: int) -> tuple[str, int]:

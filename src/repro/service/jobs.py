@@ -3,7 +3,10 @@
 The :class:`JobManager` is the daemon's scheduling heart. A submitted
 spec resolves (:func:`repro.scenario.resolve.resolve`), each requested
 seed becomes one potential trial, and three outcomes are possible per
-seed, decided synchronously at submission time:
+seed, decided synchronously at submission time. Resolution is
+memoized per manager on the exact text submitted (at most
+``SPEC_MEMO_SIZE`` spellings, oldest evicted first), so a repeated
+spelling skips parsing, resolution and the content hash.
 
 - **hit** -- the :class:`~repro.service.cache.ResultCache` already
   holds ``(scenario_key, seed)``: the result is returned without any
@@ -40,16 +43,46 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 from collections.abc import AsyncIterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 from typing import Any
 
 from repro.scenario.resolve import ResolvedScenario, resolve
-from repro.service.cache import ResultCache, scenario_key
+from repro.scenario.spec import ScenarioSpec
+from repro.service.cache import ResultCache, scenario_identity
 from repro.sim.parallel import TrialSpec, close_pool, run_trials
 
 __all__ = ["Job", "JobEventLog", "JobManager"]
+
+#: How many submitted spellings one manager's spec memo keeps; the
+#: oldest is evicted first.
+SPEC_MEMO_SIZE = 256
+#: Longer spellings (padding, comments) are resolved every time, so the
+#: memo holds at most ``SPEC_MEMO_SIZE * SPEC_MEMO_KEY_CHARS`` characters.
+SPEC_MEMO_KEY_CHARS = 4096
+
+
+def _memo_key(spec: Any) -> Any:
+    """The spec memo's key for a submission, or ``None`` (not memoized).
+
+    DSL or JSON text is its own key. A spec JSON object is keyed by its
+    sorted-key JSON text, which tells ``5``, ``5.0`` and ``true`` apart;
+    a :class:`ScenarioSpec` would not, since its parameters compare
+    ``5 == 5.0 == True`` equal.
+    """
+    if isinstance(spec, str):
+        text, key = spec, spec
+    elif isinstance(spec, dict):
+        try:
+            text = json.dumps(spec, sort_keys=True)
+        except (TypeError, ValueError, RecursionError):
+            return None  # not JSON data; from_dict reports it
+        key = ("json", text)  # the tag keeps it apart from submitted text
+    else:
+        return None
+    return key if len(text) <= SPEC_MEMO_KEY_CHARS else None
 
 
 def _envelope(event: Any) -> dict[str, Any]:
@@ -190,6 +223,8 @@ class JobManager:
         self.pool = pool
         self._queue: asyncio.Queue[Job] = asyncio.Queue(maxsize=queue_size)
         self._inflight: dict[tuple[str, int], asyncio.Future] = {}
+        #: submitted spelling -> (resolved, scenario key, canonical dict)
+        self._spec_memo: dict[Any, tuple[ResolvedScenario, str, dict[str, Any]]] = {}
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-service-dispatch"
         )
@@ -271,17 +306,15 @@ class JobManager:
         """Resolve a spec, decide per-seed outcomes, enqueue what's new.
 
         ``spec`` is anything :func:`repro.scenario.resolve.resolve`
-        accepts (DSL text, JSON text, or a :class:`ScenarioSpec`) or an
-        already-resolved scenario. ``seeds`` defaults to the spec's own
-        seed. ``events=True`` asks for trial-level observer events in
-        the job log. Raises
+        accepts (DSL text, JSON text, or a :class:`ScenarioSpec`), a
+        spec JSON object, or an already-resolved scenario. ``seeds``
+        defaults to the spec's own seed. ``events=True`` asks for
+        trial-level observer events in the job log. Raises
         :class:`~repro.scenario.spec.SpecError` on a bad spec; awaiting
         queue space is the backpressure path.
         """
         self.start()
-        resolved = spec if isinstance(spec, ResolvedScenario) else resolve(spec)
-        scenario = scenario_key(resolved)
-        canonical = resolved.canonical_spec().with_seed(0).to_dict()
+        resolved, scenario, canonical = self._identify(spec)
         chosen = (
             (resolved.spec.seed,)
             if seeds is None
@@ -357,6 +390,32 @@ class JobManager:
             job.log.append({"kind": "job", "job": job.id, "status": "finished"})
             job.log.close()
         return job
+
+    def _identify(self, spec: Any) -> tuple[ResolvedScenario, str, dict[str, Any]]:
+        """``(resolved, scenario key, canonical dict)`` for one submission.
+
+        Text and spec JSON objects go through a per-manager memo keyed
+        by what was submitted (:func:`_memo_key`): a repeat skips
+        parsing, resolution and hashing. Only successful resolutions are
+        stored, so a bad spec raises the same :class:`SpecError` every
+        time. The canonical dict is shared by every job of the
+        spelling and must not be mutated.
+        """
+        if isinstance(spec, ResolvedScenario):
+            return (spec, *scenario_identity(spec))
+        key = _memo_key(spec)
+        memo = self._spec_memo.get(key)
+        if memo is not None:
+            return memo
+        if isinstance(spec, dict):
+            spec = ScenarioSpec.from_dict(spec)
+        resolved = resolve(spec)
+        memo = (resolved, *scenario_identity(resolved))
+        if key is not None:
+            self._spec_memo[key] = memo
+            if len(self._spec_memo) > SPEC_MEMO_SIZE:
+                del self._spec_memo[next(iter(self._spec_memo))]
+        return memo
 
     # -- execution --------------------------------------------------------
 

@@ -33,7 +33,7 @@ import threading
 from typing import Any
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from repro.scenario.spec import ScenarioSpec, SpecError
+from repro.scenario.spec import SpecError
 from repro.service.cache import ResultCache
 from repro.service.jobs import Job, JobManager
 
@@ -53,7 +53,11 @@ class _RequestError(Exception):
 def _parse_submission(
     body: str, query: dict[str, list[str]]
 ) -> tuple[Any, list[int] | None, bool, bool]:
-    """``(spec, seeds, stream, events)`` from a POST /jobs request."""
+    """``(spec, seeds, stream, events)`` from a POST /jobs request.
+
+    ``spec`` is DSL text or a spec JSON object; the manager converts
+    and resolves it (and memoizes the result by its text).
+    """
     spec: Any = body
     seeds: list[int] | None = None
     stream = query.get("stream", ["0"])[-1] not in ("0", "", "false")
@@ -62,6 +66,8 @@ def _parse_submission(
         data = json.loads(body)
     except json.JSONDecodeError:
         data = None  # DSL text; resolve() parses it
+    except RecursionError:
+        raise _RequestError(400, "request JSON nests too deeply") from None
     if isinstance(data, dict) and "spec" in data:
         unknown = set(data) - {"spec", "seeds", "stream", "events"}
         if unknown:
@@ -76,14 +82,14 @@ def _parse_submission(
                 for seed in raw_seeds
             ):
                 raise _RequestError(400, "seeds must be a list of integers")
+            if not raw_seeds:
+                raise _RequestError(400, "seeds must name at least one seed")
             seeds = raw_seeds
         stream = bool(data.get("stream", stream))
         events = bool(data.get("events", events))
     elif isinstance(data, dict):
         spec = data  # a bare ScenarioSpec JSON object
-    if isinstance(spec, dict):
-        spec = ScenarioSpec.from_dict(spec)
-    elif not isinstance(spec, (str, ScenarioSpec)):
+    if not isinstance(spec, (str, dict)):
         raise _RequestError(400, "spec must be DSL text or a JSON object")
     if isinstance(spec, str) and not spec.strip():
         raise _RequestError(400, "empty request body; POST a scenario spec")
@@ -159,7 +165,7 @@ class ServiceServer:
     async def _read_head(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, list[str]], dict[str, str]]:
-        request = (await reader.readline()).decode("latin-1").strip()
+        request = (await self._read_line(reader)).decode("latin-1").strip()
         parts = request.split()
         if len(parts) != 3:
             raise _RequestError(400, f"malformed request line {request!r}")
@@ -169,22 +175,38 @@ class ServiceServer:
         # concurrent connections, so nothing per-request lives on self.
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         return method.upper(), unquote(split.path), parse_qs(split.query), headers
 
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # the reader's line limit (64 KiB) was overrun
+            raise _RequestError(400, "request line or header too long") from None
+
     async def _read_body(
         self, reader: asyncio.StreamReader, headers: dict[str, str]
     ) -> str:
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            raise _RequestError(
+                400, f"Content-Length must be an integer, got {raw_length!r}"
+            ) from None
         if length > _MAX_BODY:
             raise _RequestError(413, f"request body over {_MAX_BODY} bytes")
         if length <= 0:
             return ""
-        return (await reader.readexactly(length)).decode("utf-8")
+        try:
+            return (await reader.readexactly(length)).decode("utf-8")
+        except UnicodeDecodeError:
+            raise _RequestError(400, "request body is not UTF-8 text") from None
 
     async def _route(
         self,

@@ -1,6 +1,5 @@
 # lint-corpus-module: repro.bench.widget
 """Known-bad: unpicklable functions handed to process-pool calls."""
-from repro.workloads import run_dac_trial
 
 
 def comparative(sweep):
@@ -10,7 +9,3 @@ def comparative(sweep):
     sweep.run(local_trial, workers=4)
     sweep.run(lambda **kwargs: 0, workers=2)
     sweep.run(lambda **kwargs: 0, pool="persist")  # pool dispatch: same pickle wall
-
-
-def attach():
-    run_dac_trial.batch_fn = lambda seeds, **kw: [0 for _ in seeds]

@@ -1,6 +1,5 @@
 # lint-corpus-module: repro.bench.widget
 """Known-good twin: module-level trials; lambdas stay serial."""
-from repro.workloads import run_dac_trial, run_dac_trial_batch
 
 
 def module_trial(**kwargs):
@@ -12,7 +11,3 @@ def comparative(sweep):
     sweep.run(lambda **kwargs: 0, workers=1)  # serial path: no pickling
     sweep.run(module_trial, pool="persist")  # pool dispatch, picklable trial
     sweep.run(lambda **kwargs: 0, workers=1, pool="fresh")  # serial wins over pool
-
-
-def attach():
-    run_dac_trial.batch_fn = run_dac_trial_batch  # module-level batch form

@@ -72,7 +72,7 @@ def test_known_bad_finding_counts():
         "kernel-lazy": 3,
         "hot-import": 1,
         "observer-readonly": 6,
-        "worker-closure": 4,  # incl. the pool= dispatch site
+        "worker-closure": 3,  # incl. the pool= dispatch site
         "arena-readonly": 4,
         "registry-registration": 4,  # 2 computed literals + 2 buried calls
         "service-readonly": 4,  # 3 module-level + 1 function-local import

@@ -15,6 +15,7 @@ import json
 import pytest
 
 from repro.scenario import resolve
+from repro.scenario.spec import ScenarioSpec, SpecError
 from repro.service.cache import ResultCache
 from repro.service.jobs import JobEventLog, JobManager
 
@@ -300,3 +301,269 @@ def test_persistent_cache_feeds_a_new_manager(tmp_path):
     assert [row["result"] for row in after["results"]] == [
         row["result"] for row in before["results"]
     ]
+
+
+# -- the spec memo ---------------------------------------------------------
+#
+# A manager memoizes resolution on the exact text submitted: DSL text
+# as sent, a spec JSON object by its sorted-key JSON text. These tests
+# pin what a memo keyed any looser (by ScenarioSpec equality, or by
+# scenario identity) would get wrong.
+
+
+def _dac_object(**params):
+    return {
+        "algorithm": {"name": "dac", "version": 1, "params": params},
+        "rounds": 40,
+    }
+
+
+# Three spellings per scenario: terse DSL, DSL with defaults spelled
+# out in another order, and a spec JSON object.
+SPELLINGS = (
+    (
+        "algorithm: dac@1(n=5, epsilon=1e-3); network: dynadegree@1(window=1, selector=rotate)",
+        "algorithm: dac@1(epsilon=0.001, n=5, f=2)\nnetwork: dynadegree@1(selector=rotate)",
+        {"algorithm": {"name": "dac", "version": 1, "params": {"n": 5}}},
+    ),
+    (
+        "algorithm: dbac@1(n=6, epsilon=1e-3); faults: byzantine@1(strategy=extreme)",
+        "algorithm: dbac@1(f=1, n=6); faults: byzantine@1",
+        {"algorithm": {"name": "dbac", "version": 1, "params": {"n": 6, "epsilon": 0.001}}},
+    ),
+    (
+        "algorithm: byz@1(n=5, epsilon=1e-3); adversary: mobile@1(mode=block_min)",
+        "algorithm: byz@1(epsilon=0.001, n=5); adversary: mobile@1",
+        {"algorithm": {"name": "byz", "version": 1, "params": {"n": 5}},
+         "adversary": {"name": "mobile", "version": 1, "params": {"mode": "block_min"}}},
+    ),
+    (
+        "algorithm: baseline@1(n=5, epsilon=1e-3, num_rounds=30)",
+        "algorithm: baseline@1(num_rounds=30, n=5, algorithm=midpoint, f=0)",
+        {"algorithm": {"name": "baseline", "version": 1, "params": {"n": 5, "num_rounds": 30}}},
+    ),
+    (
+        "algorithm: averaging@1(n=5, epsilon=1e-3, num_rounds=30)",
+        "algorithm: averaging@1(num_rounds=30, rule=mean, n=5)",
+        {"algorithm": {"name": "averaging", "version": 1,
+                       "params": {"n": 5, "num_rounds": 30}}},
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "good, bad",
+    [
+        (_dac_object(n=5), _dac_object(n=5.0)),
+        (_dac_object(n=5, f=1), _dac_object(n=5, f=True)),
+    ],
+    ids=["5.0-after-5", "true-after-1"],
+)
+def test_memo_does_not_answer_a_wrongly_typed_twin(good, bad):
+    # ScenarioSpec params compare 5 == 5.0 == True equal; a memo keyed
+    # on them would serve the twin with 200 once the good one was seen.
+    with pytest.raises(SpecError) as cold:
+        resolve(ScenarioSpec.from_dict(bad))
+
+    async def scenario():
+        manager = JobManager()
+        try:
+            job = await manager.submit(good, seeds=[0])
+            await job.result()
+            for _ in range(2):
+                with pytest.raises(SpecError) as warm:
+                    await manager.submit(bad, seeds=[0])
+                assert str(warm.value) == str(cold.value)
+                assert warm.value.field == cold.value.field
+            assert manager.jobs_accepted == 1
+        finally:
+            await manager.close(shutdown_pool=False)
+
+    run(scenario())
+
+
+def _replay(requests, cache_path):
+    """Every payload, the final stats and the manager's memo size."""
+
+    async def scenario():
+        manager = JobManager(cache=ResultCache(cache_path))
+        try:
+            payloads = []
+            for spec, seeds, events in requests:
+                job = await manager.submit(spec, seeds=seeds, events=events)
+                payloads.append(await job.result())
+            return payloads, manager.stats(), len(manager._spec_memo)
+        finally:
+            await manager.close(shutdown_pool=False)
+
+    return run(scenario())
+
+
+def test_warm_memo_changes_no_payload_counter_or_cache_byte(tmp_path, monkeypatch):
+    import repro.service.jobs as jobs_module
+
+    requests = [
+        (SPEC, [0, 1], False),
+        (SPEC, [1, 2, 1], False),
+        (RESPELLED, None, False),  # the spec's own seed: 9
+        (RESPELLED.replace("seed: 9", "seed: 4"), None, True),
+        (RESPELLED, None, False),
+        (_dac_object(n=6), [2, 3], False),
+        (_dac_object(n=6), None, False),
+        ({**_dac_object(n=6), "seed": 5}, None, True),
+        (SPEC, [3, 4], False),
+        (_dac_object(epsilon=1e-3, n=6), [4], False),
+        (SPEC, None, False),
+    ]
+    warm_payloads, warm_stats, warm_memo = _replay(requests, tmp_path / "warm.jsonl")
+    monkeypatch.setattr(jobs_module, "SPEC_MEMO_SIZE", 0)  # every request cold
+    cold_payloads, cold_stats, cold_memo = _replay(requests, tmp_path / "cold.jsonl")
+    assert (warm_memo, cold_memo) == (6, 0)
+    assert json.dumps(warm_payloads, sort_keys=True) == json.dumps(
+        cold_payloads, sort_keys=True
+    )
+    assert warm_stats == cold_stats
+    warm_file = (tmp_path / "warm.jsonl").read_bytes()
+    assert warm_file == (tmp_path / "cold.jsonl").read_bytes()
+    assert [p["results"][0]["seed"] for p in warm_payloads if len(p["results"]) == 1] == [
+        9, 4, 9, 0, 5, 4, 0
+    ]
+
+
+def test_every_spelling_of_a_scenario_still_hits():
+    async def scenario():
+        manager = JobManager()
+        try:
+            for spellings in SPELLINGS:
+                first = await (await manager.submit(spellings[0], seeds=[0, 1])).result()
+                assert first["computed"] == 2
+                for _ in range(2):  # the second pass is all memo hits
+                    for spelling in spellings:
+                        payload = await (
+                            await manager.submit(spelling, seeds=[0, 1])
+                        ).result()
+                        assert payload["hit"] == 2
+                        assert payload["scenario"] == first["scenario"]
+                        assert payload["spec"] == first["spec"]
+                        assert [row["result"] for row in payload["results"]] == [
+                            row["result"] for row in first["results"]
+                        ]
+            assert len(manager._spec_memo) == 3 * len(SPELLINGS)
+        finally:
+            await manager.close(shutdown_pool=False)
+
+    run(scenario())
+
+
+def test_memo_stays_within_its_bound_and_evicts_oldest_first():
+    from repro.service.jobs import SPEC_MEMO_KEY_CHARS, SPEC_MEMO_SIZE
+
+    spellings = [
+        f"algorithm: dac@1(n=5); rounds: 20; seed: {index}"
+        for index in range(2 * SPEC_MEMO_SIZE)
+    ]
+
+    async def scenario():
+        manager = JobManager()
+        try:
+            for spelling in spellings:
+                job = await manager.submit(spelling, seeds=[0])
+                await job.result()
+                assert len(manager._spec_memo) <= SPEC_MEMO_SIZE
+            assert list(manager._spec_memo) == spellings[SPEC_MEMO_SIZE:]
+            # An evicted spelling resolves afresh and still hits.
+            payload = await (await manager.submit(spellings[0], seeds=[0])).result()
+            assert payload["hit"] == 1
+            assert len(manager._spec_memo) == SPEC_MEMO_SIZE
+            assert manager.trials_computed == 1
+            # A padded spelling longer than the key cap is never stored.
+            padded = spellings[1] + " " * SPEC_MEMO_KEY_CHARS
+            before = list(manager._spec_memo)
+            payload = await (await manager.submit(padded, seeds=[0])).result()
+            assert payload["hit"] == 1
+            assert list(manager._spec_memo) == before
+        finally:
+            await manager.close(shutdown_pool=False)
+
+    run(scenario())
+
+
+def test_memo_hit_without_seeds_runs_the_spec_seed():
+    spec = "algorithm: dac@1(n=5); rounds: 20; seed: 3"
+
+    async def scenario():
+        manager = JobManager()
+        try:
+            seeds = []
+            for submitted in (
+                spec,
+                spec,
+                spec.replace("seed: 3", "seed: 4"),
+                spec,
+                {**_dac_object(n=5), "seed": 7},
+                _dac_object(n=5),
+                {**_dac_object(n=5), "seed": 7},
+            ):
+                job = await manager.submit(submitted)
+                payload = await job.result()
+                seeds.append([row["seed"] for row in payload["results"]])
+            return seeds
+        finally:
+            await manager.close(shutdown_pool=False)
+
+    assert run(scenario()) == [[3], [3], [4], [3], [7], [0], [7]]
+
+
+def test_replayed_submissions_resolve_once_per_spelling(monkeypatch):
+    # A count, not a clock: 200 hit and respelled submissions resolve
+    # (and hash) once per distinct spelling, wherever a repro module
+    # bound the resolver.
+    import importlib
+    import sys
+
+    # The package re-exports resolve(), which shadows the submodule name.
+    original = importlib.import_module("repro.scenario.resolve").resolve
+    calls = {"resolve": 0, "hash": 0}
+
+    def counted(spec):
+        calls["resolve"] += 1
+        return original(spec)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "resolve", None) is original:
+            monkeypatch.setattr(module, "resolve", counted)
+    content_hash = ScenarioSpec.content_hash.fget
+
+    def counted_hash(spec):
+        calls["hash"] += 1
+        return content_hash(spec)
+
+    monkeypatch.setattr(ScenarioSpec, "content_hash", property(counted_hash))
+
+    requests = []
+    for turn in range(200):
+        spellings = SPELLINGS[turn % len(SPELLINGS)]
+        spelling = spellings[turn // len(SPELLINGS) % len(spellings)]
+        requests.append((spelling, [turn % 3, (turn + 1) % 3]))
+    distinct = {json.dumps(spec, sort_keys=True) for spec, _ in requests}
+    assert len(distinct) == 3 * len(SPELLINGS)
+
+    async def scenario():
+        cache = ResultCache()
+        primer = JobManager(cache=cache)  # fills the cache, not the memo
+        for spellings in SPELLINGS:
+            await (await primer.submit(spellings[0], seeds=[0, 1, 2])).result()
+        await primer.close(shutdown_pool=False)
+        calls.update(resolve=0, hash=0)
+        manager = JobManager(cache=cache)
+        try:
+            statuses = set()
+            for spec, seeds in requests:
+                payload = await (await manager.submit(spec, seeds=seeds)).result()
+                statuses.update(row["status"] for row in payload["results"])
+            return statuses
+        finally:
+            await manager.close(shutdown_pool=False)
+
+    assert run(scenario()) == {"hit"}
+    assert calls == {"resolve": len(distinct), "hash": len(distinct)}

@@ -121,6 +121,45 @@ def test_malformed_envelope_fields_are_rejected(service):
     assert excinfo.value.status == 400
 
 
+def _post(body: bytes, length: bytes | None = None) -> bytes:
+    size = str(len(body)).encode("ascii") if length is None else length
+    return b"POST /jobs HTTP/1.1\r\nContent-Length: " + size + b"\r\n\r\n" + body
+
+
+@pytest.mark.parametrize(
+    "request_bytes, message",
+    [
+        (_post(b"", length=b"abc"), b"Content-Length must be an integer"),
+        (_post(b"\xff\xfe algorithm: dac@1(n=6)"), b"not UTF-8"),
+        (
+            _post(json.dumps({"spec": SPEC, "seeds": []}).encode("utf-8")),
+            b"seeds must name at least one seed",
+        ),
+        (_post(b"[" * 100_000), b"nests too deeply"),
+        (b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", b"too long"),
+        (
+            _post(json.dumps({"algorithm": {"name": 5}}).encode("utf-8")),
+            b"algorithm.name",
+        ),
+    ],
+    ids=[
+        "content-length-abc",
+        "body-not-utf8",
+        "empty-seed-list",
+        "deeply-nested-json",
+        "header-over-line-limit",
+        "component-name-not-text",
+    ],
+)
+def test_malformed_requests_get_a_400_not_a_500(service, request_bytes, message):
+    with socket.create_connection((service.host, service.port), timeout=30) as sock:
+        sock.sendall(request_bytes)
+        raw = _recv_until_close(sock)
+    assert raw.startswith(b"HTTP/1.1 400 "), raw[:200]
+    assert message in raw
+    assert service.health() == {"ok": True}  # the daemon keeps serving
+
+
 def _recv_until_close(sock: socket.socket) -> bytes:
     chunks = []
     while True:
