@@ -55,9 +55,9 @@ def rotate_picks(
     node order starting at ``(v + 1 + salt) % n`` -- exactly the order
     ``sorted(live, key=lambda u: (u - v - 1 - salt) % n)`` the selector
     is specified by, computed as a cyclic walk instead of a
-    per-receiver keyed sort. Shared with :mod:`repro.sim.batch`, whose
-    vectorized engine must replicate serial adversary choices bit for
-    bit.
+    per-receiver keyed sort. Shared with the batch kernels' tables
+    (:func:`repro.sim.arena.rotate_table`), which must replicate serial
+    adversary choices bit for bit.
     """
     live_sorted = sorted(set(live))
     doubled = live_sorted + live_sorted
@@ -76,11 +76,11 @@ def rotate_picks(
     return picks
 
 
-# The rotate *round structure* -- the Topology one rotate round plays
-# -- is shared by every layer that replicates rotate choices: the
-# serial enforcing adversaries replay it from here, and the batched
-# executor derives its delivered-from matrices from its adjacency
-# rows. Keyed on the hash-consed arguments; bounded like the pick memo.
+# The rotate *round structure* -- the Topology one rotate round plays.
+# The serial enforcing adversaries replay it from here; the batch
+# kernels scatter the same rotate_picks into numpy tables
+# (repro.sim.arena.rotate_table). Keyed on the hash-consed arguments;
+# bounded like the pick memo.
 _rotate_topologies: dict[tuple[int, tuple[int, ...], int, int], Topology] = {}
 
 
@@ -369,12 +369,12 @@ class _CachedGraphMixin:
 
     ``rotate`` choices depend only on ``(live set, salt mod n)``, so
     those rounds resolve through the module-level
-    :func:`rotate_topology` memo -- the same interned
-    :class:`Topology` the batched executor derives its matrices from.
-    After the crash schedule settles every enforced round is a pure
-    memo hit replaying one graph whose adjacency rows are already
-    built. Value- or RNG-dependent selectors keep only the selector's
-    last-call memo (:meth:`_QuorumSelector.graph_for_round`); other
+    :func:`rotate_topology` memo, built from the same
+    :func:`rotate_picks` as the batch kernels' tables. After the crash
+    schedule settles every enforced round is a pure memo hit replaying
+    one graph whose adjacency rows are already built. Value- or
+    RNG-dependent selectors keep only the selector's last-call memo
+    (:meth:`_QuorumSelector.graph_for_round`); other
     rounds wrap their edge lists into (hash-consed) Topologies
     directly.
     """

@@ -80,8 +80,9 @@ class LintConfig:
     # numpy is an optional extra: only the batch kernel may import it
     # at module level, and only behind the documented try/except
     # ImportError guard so the pure-Python fallback keeps the package
-    # importable without it. Its structure-table memo (repro.sim.arena)
-    # may import it only inside a function, on first use.
+    # importable without it. Its round-structure table memo
+    # (repro.sim.arena) may import it only inside a function, on the
+    # first table a kernel asks for.
     numpy_modules: tuple[str, ...] = ("repro.sim.batch",)
     numpy_lazy_modules: tuple[str, ...] = ("repro.sim.arena",)
 
@@ -202,12 +203,13 @@ class LintConfig:
 
     # -- structure-table memo ----------------------------------------------
     # Tables served by the arena module are read-only by contract:
-    # one memoized array per topology is shared by every kernel in
-    # the process, so a write through one would corrupt every other
-    # kernel's view of the graph. Names bound to these factories must
-    # never be written through -- kernels copy first.
+    # one memoized array per round graph (a rotate round or a mobile
+    # cut) is shared by every kernel in the process, so a write
+    # through one would corrupt every other kernel's view of the
+    # graph. Names bound to these factories must never be written
+    # through -- kernels copy first.
     arena_module: str = "repro.sim.arena"
-    arena_factories: tuple[str, ...] = ("delivered_table",)
+    arena_factories: tuple[str, ...] = ("rotate_table", "mobile_table")
     arena_mutating_methods: tuple[str, ...] = (
         "fill",
         "sort",

@@ -8,8 +8,8 @@ the failure to the call site. ``pool=`` keywords on the persistent-pool entry po
 the same fan-out surface and get the same treatment.
 
 The ``arena-readonly`` rule guards the kernels' shared state: tables
-served by :mod:`repro.sim.arena` are one memoized array per content
-hash, handed to every kernel in the process. A write through one
+served by :mod:`repro.sim.arena` are one memoized array per round
+graph, handed to every kernel in the process. A write through one
 would corrupt every other kernel's view of the graph, so names bound
 to the arena factories must never be written through -- kernels copy
 first (``table.T.copy()``) and write to the copy.
@@ -110,7 +110,7 @@ def _base_name(node: ast.expr) -> str | None:
 def _arena_bound_names(scope: ast.AST, factories: tuple[str, ...]) -> set[str]:
     """Names assigned directly from an arena-factory call in ``scope``.
 
-    Tracks ``table = delivered_table(...)`` (plain or dotted callee);
+    Tracks ``table = rotate_table(...)`` (plain or dotted callee);
     derived copies (``table.T.copy()`` etc.) bind through a different
     call and are deliberately *not* tracked -- copying first is the
     sanctioned way to obtain a writable array.

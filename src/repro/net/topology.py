@@ -304,26 +304,6 @@ class Topology:
         """
         self._route_cache = (token, plan)
 
-    def delivered_bytes(self) -> bytes:
-        """The receiver-major delivered-from table as packed bytes.
-
-        ``n*n`` bytes where byte ``v * n + u`` is 1 iff the edge
-        ``(u, v)`` exists -- i.e. row ``v`` lists the senders receiver
-        ``v`` hears from, matching :meth:`in_rows`. No diagonal: the
-        model excludes self-loops, and reliable self-delivery is the
-        engine's concern, applied per live set downstream.
-
-        This feeds the kernels' table memo
-        (:func:`repro.sim.arena.delivered_table`), which views the
-        bytes read-only. The result is rebuilt per call -- callers are
-        expected to memo it by content hash, not per instance.
-        """
-        n = self._n
-        packed = bytearray(n * n)
-        for u, v in self._edges:
-            packed[v * n + u] = 1
-        return bytes(packed)
-
     def out_row(self, u: int) -> tuple[int, ...]:
         """Receivers of ``u`` as a sorted tuple."""
         return self.out_rows()[u]

@@ -193,15 +193,21 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, headers: dict[str, str]
     ) -> str:
         raw_length = headers.get("content-length", "0") or "0"
+        # RFC 9110 section 8.6: 1*DIGIT. int() would also take a sign,
+        # underscores and non-ASCII digits.
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise _RequestError(
+                400,
+                "Content-Length must be an integer of ASCII digits only, "
+                f"got {raw_length!r}",
+            )
         try:
             length = int(raw_length)
-        except ValueError:
-            raise _RequestError(
-                400, f"Content-Length must be an integer, got {raw_length!r}"
-            ) from None
+        except ValueError:  # past int()'s digit limit, so far over the cap
+            length = _MAX_BODY + 1
         if length > _MAX_BODY:
             raise _RequestError(413, f"request body over {_MAX_BODY} bytes")
-        if length <= 0:
+        if length == 0:
             return ""
         try:
             return (await reader.readexactly(length)).decode("utf-8")

@@ -1,15 +1,17 @@
-"""Structure tables keyed by content hash: the kernels' per-process memo.
+"""Round-structure tables: the kernels' per-process memo.
 
-The batch kernels (:mod:`repro.sim.batch`) derive one boolean
-delivered-from matrix per topology in an adversary's replay cycle.
-:func:`delivered_table` serves them from one process-wide memo of
-**read-only** receiver-major ``(n, n)`` bool arrays, keyed by
-``Topology.content_hash`` (stable across processes, unlike
-``hash()``). The table is the pure graph: row ``v`` flags the senders
-``v`` hears from, no diagonal -- live-set diagonals are a
-per-execution concern applied on copies downstream. Every kernel in a
-process shares the same array, so none may write through it (the
-``arena-readonly`` lint rule).
+The batch kernels (:mod:`repro.sim.batch`) read one boolean
+delivered-from matrix per round graph their adversary replays.
+:func:`rotate_table` and :func:`mobile_table` serve them from one
+process-wide memo of **read-only** receiver-major ``(n, n)`` bool
+arrays. A rotate table is scattered straight from
+:func:`~repro.adversary.constrained.rotate_picks`, the function the
+serial adversary's ``rotate_topology`` is built from, so a kernel call
+builds no ``Topology`` and hashes nothing. A table is the pure graph:
+row ``v`` flags the senders ``v`` hears from, no diagonal -- live-set
+diagonals are a per-execution concern applied on copies downstream.
+Every kernel in a process shares the same array, so none may write
+through it (the ``arena-readonly`` lint rule).
 
 Pool workers build the few tables they actually reach through this
 memo and keep them warm across calls; the dispatching process ships
@@ -18,40 +20,75 @@ nothing but the trial function, its parameters and the seeds.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any
 
-from repro.net.topology import Topology
+from repro.adversary.constrained import rotate_picks
 
 # Bounded like the Topology intern table: cleared wholesale when full.
 # An adversary cycle needs at most n tables per live set, so steady
 # state for realistic sweeps sits far below the cap.
 _TABLE_MEMO_MAX = 1024
-_table_memo: dict[int, Any] = {}
+_table_memo: dict[tuple, Any] = {}
 
 
-def delivered_table(topology: Topology) -> Any:
-    """The read-only receiver-major ``(n, n)`` bool table for ``topology``.
+def scatter_picks(picks: list[list[int]], n: int) -> Any:
+    """A fresh ``(len(picks), n)`` bool array, row ``r`` True exactly at
+    the senders ``picks[r]``: one numpy assignment for all rows.
 
-    ``table[v, u]`` is True iff edge ``(u, v)`` exists (v hears u); no
-    diagonal. Served from the process-wide memo, or built once from
-    :meth:`Topology.delivered_bytes`. Only the numpy kernels call
-    this, so numpy loads on the first call and never in a serial run.
-    The array is never writable -- kernels that need a diagonal or a
-    transpose copy it first.
+    numpy loads on the first call, so a serial run never imports it.
     """
-    key = topology.content_hash
-    cached = _table_memo.get(key)
-    if cached is None:
+    import numpy as _np
+
+    lengths = [len(row) for row in picks]
+    senders = _np.fromiter(chain.from_iterable(picks), dtype=_np.intp, count=sum(lengths))
+    table = _np.zeros((len(picks), n), dtype=bool)
+    table[_np.repeat(_np.arange(len(picks)), lengths), senders] = True
+    return table
+
+
+def _store(key: tuple, table: Any) -> Any:
+    """Freeze a freshly built ``table`` and memoize it under ``key``."""
+    table.flags.writeable = False
+    if len(_table_memo) >= _TABLE_MEMO_MAX:
+        _table_memo.clear()
+    _table_memo[key] = table
+    return table
+
+
+def rotate_table(n: int, live: tuple[int, ...], salt: int, degree: int) -> Any:
+    """The read-only ``(n, n)`` bool table of one ``rotate`` round.
+
+    ``table[v, u]`` is True iff ``u`` is among receiver ``v``'s
+    :func:`~repro.adversary.constrained.rotate_picks` senders: the
+    ``in_rows`` of ``rotate_topology(n, live, salt, degree)``, no
+    diagonal. Keyed by ``(n, live, salt mod n, degree)``, like the
+    serial memo. Kernels that need a diagonal or a transpose copy it
+    first.
+    """
+    key = ("rotate", n, live, salt % n, degree)
+    table = _table_memo.get(key)
+    if table is None:
+        table = _store(key, scatter_picks(rotate_picks(n, live, salt, degree), n))
+    return table
+
+
+def mobile_table(n: int, shift: int) -> Any:
+    """The read-only ``(n, n)`` bool table of one mobile-omission cut.
+
+    The complete graph minus receiver ``v``'s in-link from
+    ``(v + shift) mod n``; shift 0 cuts only the absent self-loop.
+    """
+    key = ("mobile", n, shift)
+    table = _table_memo.get(key)
+    if table is None:
         import numpy as _np
 
-        n = topology.n
-        # frombuffer over immutable bytes yields a non-writable array;
-        # reshape preserves that, so the view is read-only end to end.
-        cached = _np.frombuffer(topology.delivered_bytes(), dtype=bool).reshape(n, n)
-        if len(_table_memo) >= _TABLE_MEMO_MAX:
-            _table_memo.clear()
-        _table_memo[key] = cached
-    return cached
+        node_idx = _np.arange(n)
+        table = ~_np.eye(n, dtype=bool)
+        table[node_idx, (node_idx + shift) % n] = False
+        table = _store(key, table)
+    return table
 
 
 class ArenaRegistry:

@@ -34,7 +34,9 @@ construction and every ``run_*_batch`` works without numpy.
 One lane driver runs every kernel (see docs/batching.md). A round
 splits into the round's communication graph and the update rule that
 consumes it. :func:`select_delivered` gives the delivered-from masks of
-every lane: ``rotate`` from the shared interned round tables,
+every lane: ``rotate`` from the process-wide tables of
+:mod:`repro.sim.arena` (scattered from
+:func:`~repro.adversary.constrained.rotate_picks`),
 ``nearest`` by one stable argsort, ``random`` by replaying each lane's
 own adversary stream through
 :func:`~repro.adversary.constrained.random_picks` (the function the
@@ -74,11 +76,10 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain
 
-from repro.adversary.constrained import random_picks, rotate_topology
+from repro.adversary.constrained import random_picks
 from repro.net.ports import port_tables
-from repro.sim.arena import delivered_table
+from repro.sim.arena import mobile_table, rotate_table, scatter_picks
 from repro.sim.engine import Engine
 from repro.sim.rng import child_rng, spawn_inputs
 
@@ -89,13 +90,6 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
 
 # Sentinel crash round for nodes that never crash (far beyond any cap).
 _NEVER = 1 << 62
-
-# Cap on each engine's delivered-table cache (rotate tables keyed by
-# (live set, salt mod n), mobile tables by shift). Cleared wholesale at
-# the cap, like the Topology intern table: a realistic crash schedule
-# settles into a cycle of at most a few live sets x n salts, far below
-# the cap, but an unbounded stream of live sets must not grow it.
-_STRUCTURE_CACHE_MAX = 4096
 
 
 def numpy_available() -> bool:
@@ -121,7 +115,7 @@ _NO_NUMPY = "numpy is not installed"
 
 # The enforcing quorum adversaries' selectors, all replicated by
 # select_delivered for every kernel: rotate from the shared
-# content-hash tables, nearest by one stable argsort, random by
+# rotate_picks tables, nearest by one stable argsort, random by
 # replaying each lane's own adversary stream.
 _VECTOR_SELECTORS = ("rotate", "nearest", "random")
 
@@ -166,16 +160,6 @@ class LaneResult:
     state_keys: dict[int, tuple]
 
 
-def _memo(cache: dict, key: tuple, build: Callable[[], object]):
-    """``cache[key]``, built on a miss; the cache clears at its cap."""
-    table = cache.get(key)
-    if table is None:
-        if len(cache) >= _STRUCTURE_CACHE_MAX:
-            cache.clear()
-        table = cache[key] = build()
-    return table
-
-
 def select_delivered(
     selector: str,
     degree: int,
@@ -184,7 +168,6 @@ def select_delivered(
     byz,
     salt,
     rngs,
-    rotate_cache: dict,
 ):
     """Receiver-major delivered-from masks of one round, every lane.
 
@@ -204,10 +187,9 @@ def select_delivered(
 
     The enforcing quorum adversaries:
 
-    - ``rotate``: the interned :func:`rotate_topology` table from the
-      shared content-hash memo (:func:`repro.sim.arena.delivered_table`,
-      warm across calls in pool workers), memoized in ``rotate_cache`` by
-      ``(live set, salt mod n)``.
+    - ``rotate``: :func:`~repro.adversary.constrained.rotate_picks`
+      scattered into one table by :func:`repro.sim.arena.rotate_table`,
+      memoized process-wide (warm across calls in pool workers).
     - ``nearest``: :func:`~repro.adversary.constrained.nearest_picks`
       as one stable argsort per lane. Non-live and Byzantine columns
       sort last at ``+inf`` (the Byzantine senders are picked first,
@@ -223,7 +205,8 @@ def select_delivered(
 
     - ``mobile-rotate``: receiver ``v`` loses sender ``(v + salt) mod n``;
       ``mobile-none`` is the shift 0, which cuts only the absent
-      self-loop. One table per shift, memoized in ``rotate_cache``.
+      self-loop. One table per shift, from
+      :func:`repro.sim.arena.mobile_table`.
     - ``mobile-block_min`` / ``mobile-block_max``: every receiver loses
       the holder of the first extremum, and that holder the second
       one, by two ``argmin``/``argmax`` passes per lane.
@@ -232,14 +215,8 @@ def select_delivered(
     lanes, n = values.shape
     node_idx = np.arange(n)
     if selector in ("mobile-rotate", "mobile-none"):
-        shift = salt % n if selector == "mobile-rotate" else 0
-
-        def cut():
-            table = ~np.eye(n, dtype=bool)
-            table[node_idx, (node_idx + shift) % n] = False
-            return table
-
-        return np.broadcast_to(_memo(rotate_cache, ("mobile", shift), cut), (lanes, n, n))
+        table = mobile_table(n, salt % n if selector == "mobile-rotate" else 0)
+        return np.broadcast_to(table, (lanes, n, n))
     if selector in ("mobile-block_min", "mobile-block_max"):
         pick, hide = (np.argmin, np.inf) if selector == "mobile-block_min" else (np.argmax, -np.inf)
         rows = np.arange(lanes)
@@ -253,22 +230,11 @@ def select_delivered(
         return delivered
     live_key = tuple(np.nonzero(live)[0].tolist())
     if selector == "rotate":
-        salt %= n
-        table = _memo(
-            rotate_cache,
-            (live_key, salt),
-            lambda: delivered_table(rotate_topology(n, live_key, salt, degree)),
-        )
+        table = rotate_table(n, live_key, salt, degree)
         return np.broadcast_to(table, (lanes, n, n))
     if selector == "random":
         picks = [row for rng in rngs for row in random_picks(n, live_key, degree, rng)]
-        lengths = [len(row) for row in picks]
-        senders = np.fromiter(
-            chain.from_iterable(picks), dtype=np.intp, count=sum(lengths)
-        )
-        delivered = np.zeros((lanes * n, n), dtype=bool)
-        delivered[np.repeat(np.arange(lanes * n), lengths), senders] = True
-        return delivered.reshape(lanes, n, n)
+        return scatter_picks(picks, n).reshape(lanes, n, n)
     honest_live = live.copy()
     honest_live[byz] = False
     byz_live = byz[live[byz]]
@@ -558,8 +524,6 @@ class _LaneKernel:
             raise ValueError(f"{kernel} kernel unavailable: {refusal}")
         self.family = family
         self._fault_free = _np.array(family.fault_free, dtype=_np.intp)
-        # Delivered tables by structure key: tiny and cyclic.
-        self._rotate_cache: dict[tuple, object] = {}
 
     @property
     def batch_size(self) -> int:
@@ -641,7 +605,7 @@ class _LaneKernel:
                 live = crash_round > t  # clean crashes: senders == processors
                 delivered = select_delivered(
                     family.selector, family.degree, state["value"], live, byz,
-                    t // window, lanes.get("rng"), self._rotate_cache,
+                    t // window, lanes.get("rng"),
                 )
                 self._round(lanes, state, delivered, live & honest)
             t = check

@@ -33,8 +33,8 @@ process pool is a lazily-created module-level singleton reused across
 ``run_trials`` / ``Sweep.run`` calls, so pool startup is paid once per
 process instead of once per sweep and warm workers keep their
 per-process caches (interned Topologies, routing plans, and the
-content-hash keyed structure-table memo of :mod:`repro.sim.arena`)
-across sweeps. A batched job ships only ``(batch_fn, params, seeds,
+kernels' round-structure tables of :mod:`repro.sim.arena`) across
+sweeps. A batched job ships only ``(batch_fn, params, seeds,
 forward)``: each worker builds the tables its kernels reach, once.
 :func:`close_pool` tears the pool down explicitly (also wired to
 ``atexit``); ``pool="fresh"`` restores the old pool-per-call

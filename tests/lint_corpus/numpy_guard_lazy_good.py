@@ -2,7 +2,9 @@
 """Known-good twin: numpy loads on the first table a kernel asks for."""
 
 
-def table(raw, n):
+def table(n, rows, senders):
     import numpy as _np
 
-    return _np.frombuffer(raw, dtype=bool).reshape(n, n)
+    table = _np.zeros((n, n), dtype=bool)
+    table[rows, senders] = True
+    return table

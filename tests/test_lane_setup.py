@@ -1,4 +1,5 @@
-"""Kernel lane set-up: no throwaway executions, one port draw per lane.
+"""Kernel lane set-up: no throwaway executions, one port draw per lane,
+no Topology behind a rotate table.
 
 The numpy kernels read their lane family (``repro.workloads.*_lane_family``)
 and draw each lane's ports once through :func:`repro.net.ports.port_tables`.
@@ -7,13 +8,20 @@ builder -- that would cost ``n`` processes and one port draw per kernel
 call for constants that do not depend on the seed. The spies count both:
 builder calls, and port draws wherever they happen (the kernels' own
 import and the one :func:`~repro.net.ports.random_ports` uses).
+
+Under the ``rotate`` selector a cold kernel call interns no
+``Topology`` and reads no content hash, and a repeated call builds no
+table: both are pinned as counts.
 """
 
 import pytest
 
 import repro.net.ports as ports_module
+import repro.sim.arena as arena
 import repro.sim.batch as batch
 import repro.workloads as workloads
+from repro.adversary.constrained import rotate_picks
+from repro.net.topology import Topology
 from repro.sim.batch import run_baseline_batch, run_byz_batch, run_dac_batch, run_dbac_batch
 
 pytest.importorskip("numpy", exc_type=ImportError)
@@ -77,3 +85,44 @@ def test_kernel_calls_build_nothing_and_draw_once_per_lane(case, calls):
     assert lanes[0].state_keys  # the kernel really ran the lanes
     assert calls["build"] == 0
     assert calls["draw"] == draws_per_lane * len(SEEDS)
+
+
+# The rotate selector's kernel tables come straight from rotate_picks
+# (repro.sim.arena.rotate_table): no interned Topology, no content hash.
+ROTATE_CASES = {
+    "dac-rotate-crashes": lambda: run_dac_batch(9, 4, SEEDS),
+    "dac-rotate-window": lambda: run_dac_batch(7, 3, SEEDS, window=2),
+    "dbac-rotate": lambda: run_dbac_batch(11, 2, SEEDS, selector="rotate"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROTATE_CASES))
+def test_rotate_tables_build_no_topology_and_are_built_once(case, monkeypatch):
+    counts = {"lookup": 0, "hash": 0, "picks": 0}
+    lookup = Topology._lookup.__func__
+    content_hash = Topology.content_hash.fget
+
+    def counted_lookup(cls, n, edge_tuple):
+        counts["lookup"] += 1
+        return lookup(cls, n, edge_tuple)
+
+    def counted_hash(self):
+        counts["hash"] += 1
+        return content_hash(self)
+
+    def counted_picks(*args):
+        counts["picks"] += 1
+        return rotate_picks(*args)
+
+    monkeypatch.setattr(Topology, "_lookup", classmethod(counted_lookup))
+    monkeypatch.setattr(Topology, "content_hash", property(counted_hash))
+    monkeypatch.setattr(arena, "rotate_picks", counted_picks)
+    monkeypatch.setattr(arena, "_table_memo", {})  # a cold process
+
+    run = ROTATE_CASES[case]
+    cold = run()
+    assert counts["lookup"] == counts["hash"] == 0
+    built = counts["picks"]
+    assert built == len(arena._table_memo) > 0
+    assert run() == cold
+    assert counts == {"lookup": 0, "hash": 0, "picks": built}

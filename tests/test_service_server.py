@@ -141,6 +141,12 @@ def _post(body: bytes, length: bytes | None = None) -> bytes:
             _post(json.dumps({"algorithm": {"name": 5}}).encode("utf-8")),
             b"algorithm.name",
         ),
+        # Content-Length is 1*DIGIT (RFC 9110 section 8.6), though int()
+        # takes every one of these spellings.
+        (_post(b"hello", length=b"-5"), b"ASCII digits only"),
+        (_post(b"hello", length=b"+5"), b"ASCII digits only"),
+        (_post(b"helloworld", length=b"1_0"), b"ASCII digits only"),
+        (_post(b"hello", length="\u0665".encode("utf-8")), b"ASCII digits only"),
     ],
     ids=[
         "content-length-abc",
@@ -149,6 +155,10 @@ def _post(body: bytes, length: bytes | None = None) -> bytes:
         "deeply-nested-json",
         "header-over-line-limit",
         "component-name-not-text",
+        "content-length-negative",
+        "content-length-plus-sign",
+        "content-length-underscore",
+        "content-length-arabic-indic-digit",
     ],
 )
 def test_malformed_requests_get_a_400_not_a_500(service, request_bytes, message):
@@ -158,6 +168,15 @@ def test_malformed_requests_get_a_400_not_a_500(service, request_bytes, message)
     assert raw.startswith(b"HTTP/1.1 400 "), raw[:200]
     assert message in raw
     assert service.health() == {"ok": True}  # the daemon keeps serving
+
+
+def test_content_length_past_the_int_digit_limit_gets_a_413(service):
+    length = b"9" * 5000  # int() refuses strings over 4300 digits
+    with socket.create_connection((service.host, service.port), timeout=30) as sock:
+        sock.sendall(_post(b"", length=length))
+        raw = _recv_until_close(sock)
+    assert raw.startswith(b"HTTP/1.1 413 "), raw[:200]
+    assert service.health() == {"ok": True}
 
 
 def _recv_until_close(sock: socket.socket) -> bytes:
