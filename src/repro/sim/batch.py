@@ -11,7 +11,9 @@ round's deliveries are consumed by an event-segmented sweep
 (:func:`_dac_sweep`, :func:`_dbac_sweep`): a node's state changes only
 at a jump or a quorum firing, so one vectorized pass settles every
 ``(lane, node)`` cell up to its next event, in the serial engine's
-sorted-by-port order, and a round costs ``events + 1`` passes.
+sorted-by-port order. A cell re-scans after its event only while a
+later port can still change it, so a round costs at most
+``events + 1`` passes, and one when every tail is stale.
 
 Every kernel produces **bit-identical final states and round counts**
 to ``B`` serial ``Engine`` runs: every lane derives its inputs, ports
@@ -181,9 +183,10 @@ def select_delivered(
     ``child_rng(seed, "adversary")`` streams (``random`` only). Returns
     ``(B, n, n)`` bools where ``[b, v, u]`` says ``u``'s round broadcast
     reaches ``v``, without a diagonal: each kernel handles self-delivery
-    itself. A mask every lane shares is one ``(n, n)`` table broadcast
-    over the lanes. Rows of Byzantine and crashed receivers are
-    unspecified; nothing reads them.
+    itself. A mask every lane shares (``rotate``, ``mobile-rotate``,
+    ``mobile-none``) comes back as its one read-only ``(n, n)`` table,
+    which consumers broadcast over the lanes themselves. Rows of
+    Byzantine and crashed receivers are unspecified; nothing reads them.
 
     The enforcing quorum adversaries:
 
@@ -215,8 +218,7 @@ def select_delivered(
     lanes, n = values.shape
     node_idx = np.arange(n)
     if selector in ("mobile-rotate", "mobile-none"):
-        table = mobile_table(n, salt % n if selector == "mobile-rotate" else 0)
-        return np.broadcast_to(table, (lanes, n, n))
+        return mobile_table(n, salt % n if selector == "mobile-rotate" else 0)
     if selector in ("mobile-block_min", "mobile-block_max"):
         pick, hide = (np.argmin, np.inf) if selector == "mobile-block_min" else (np.argmax, -np.inf)
         rows = np.arange(lanes)
@@ -230,8 +232,7 @@ def select_delivered(
         return delivered
     live_key = tuple(np.nonzero(live)[0].tolist())
     if selector == "rotate":
-        table = rotate_table(n, live_key, salt, degree)
-        return np.broadcast_to(table, (lanes, n, n))
+        return rotate_table(n, live_key, salt, degree)
     if selector == "random":
         picks = [row for rng in rngs for row in random_picks(n, live_key, degree, rng)]
         return scatter_picks(picks, n).reshape(lanes, n, n)
@@ -256,14 +257,14 @@ def _in_port_order(delivered, sender_at_port):
     """``[b, v, k]``: does the message on ``v``'s port ``k`` arrive?
 
     Gathers :func:`select_delivered` masks through each lane's
-    ``sender_at_port`` table; a mask shared by every lane (one rotate
-    salt) is gathered from its single ``(n, n)`` table.
+    ``sender_at_port`` table; a mask shared by every lane (a 2-D
+    table) is gathered from that table alone.
     """
     np = _np
     lanes, n = sender_at_port.shape[:2]
     col = np.arange(n)[None, :, None]
-    if delivered.strides[0] == 0:
-        return delivered[0][col, sender_at_port]
+    if delivered.ndim == 2:
+        return delivered[col, sender_at_port]
     return delivered[np.arange(lanes)[:, None, None], col, sender_at_port]
 
 
@@ -273,13 +274,16 @@ def _in_port_order(delivered, sender_at_port):
 # 5-8) and a quorum firing (DAC lines 9-15, DBAC lines 8-11). Between two
 # events each port's accept is independent of the others, so one pass
 # over the remaining ports settles a whole segment of every (lane, node)
-# cell at once; only cells with an event re-scan the ports after it. A
-# round costs (events per cell + 1) passes. Each sweep takes the round's
-# port-ordered (B, n, n) tables ([b, v, k]: the message on v's port k),
-# the (B, n) receiving cells and the process state arrays, which it
-# updates in place through flat (B * n)-cell views (the kernels' arrays
-# are C-contiguous). Table rows of cells that do not receive (crashed and
-# Byzantine nodes) are never read.
+# cell at once; only cells with an event re-scan the ports after it, and
+# only while one of them holds a message at the cell's new phase or later
+# (_carried). A round costs at most (events per cell + 1) passes; in
+# lock-step rounds a quorum leaves every later message a phase behind,
+# so usually one. Each sweep takes the round's port-ordered (B, n, n)
+# tables ([b, v, k]: the message on v's port k), the (B, n) receiving
+# cells and the process state arrays, which it updates in place through
+# flat (B * n)-cell views (the kernels' arrays are C-contiguous). Table
+# rows of cells that do not receive (crashed and Byzantine nodes) are
+# never read.
 
 
 def _sweep_start(receiving, state):
@@ -326,6 +330,17 @@ def _new_phase(flat, cells, self_port, end_phase):
     flat["out_mask"][done] = True
     flat["out_val"][done] = flat["value"][done]
     return decided
+
+
+def _carried(cells, start, has_all, phase_all, phase):
+    """The ``cells`` (and their ``start``) that a further pass can change:
+    both rules ignore messages from a phase below the receiver's, so
+    a cell with none at its phase or later from ``start`` on would
+    accept nothing, jump nowhere and keep its extremes."""
+    np = _np
+    pending = has_all[cells] & (np.arange(has_all.shape[1]) >= start[:, None])
+    live = (pending & (phase_all[cells] >= phase[cells][:, None])).any(axis=1)
+    return cells[live], start[live]
 
 
 def _dac_sweep(
@@ -385,8 +400,10 @@ def _dac_sweep(
         start = np.where(fires, quorum_port, jump_port)[event] + 1
         cells = here[event]
         v_min[cells] = v_max[cells] = value[cells]
-        more = ~_new_phase(flat, cells, self_port, end_phase) & (start < n)
-        cells, start = cells[more], start[more]
+        more = ~_new_phase(flat, cells, self_port, end_phase)
+        cells, start = _carried(cells[more], start[more], has_all, phase_all, phase)
+        if not cells.size:
+            return
 
 
 def _dbac_sweep(
@@ -431,8 +448,10 @@ def _dbac_sweep(
         value[cells] = 0.5 * (part[:, trim - 1] + part[:, quorum - trim])
         phase[cells] += 1
         stored[cells, 0] = value[cells]
-        more = ~_new_phase(flat, cells, self_port, end_phase) & (start < n)
-        cells, start = cells[more], start[more]
+        more = ~_new_phase(flat, cells, self_port, end_phase)
+        cells, start = _carried(cells[more], start[more], has_all, phase_all, phase)
+        if not cells.size:
+            return
 
 
 def _dac_state_keys(state, b: int) -> dict[int, tuple]:
@@ -1326,7 +1345,9 @@ class BaselineBatchEngine(_LaneKernel):
             return
         # Sort delivered-plus-self per receiver (inf padding keeps
         # absentees past every real value), then read the trim-f
-        # extremes at their counted positions.
+        # extremes at their counted positions (per lane: a shared table
+        # is broadcast).
+        delivered = np.broadcast_to(delivered, (len(value), n, n))
         stacked = np.concatenate([np.where(delivered, vals, np.inf), value[:, :, None]], axis=2)
         ordered = np.sort(stacked, axis=2)
         counts = delivered.sum(axis=2) + 1

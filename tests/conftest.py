@@ -6,9 +6,15 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro.net.ports import identity_ports, random_ports
 from repro.sim.rng import child_rng
+
+# ``--hypothesis-profile sweeps-10x`` runs the sweep-vs-per-port-loop
+# property tests (tests/test_batch_sweeps.py) at ten times their tier-1
+# budget of 150 examples; CI's numpy legs have a step for it.
+settings.register_profile("sweeps-10x", max_examples=1500)
 
 
 def _running_children() -> list[int]:

@@ -1,11 +1,13 @@
 """The event-segmented delivery sweeps against the per-port loops they replace.
 
 :func:`repro.sim.batch._dac_sweep` and :func:`repro.sim.batch._dbac_sweep`
-consume one round's port-ordered deliveries in ``events + 1`` vectorized
-passes. The reference functions below are the per-port loops the numpy
-kernels ran before -- one Python iteration per port, each port processed
-across every ``(lane, node)`` cell -- kept verbatim as the oracle, the way
-:mod:`tests.helpers` keeps the serial engine as the executors' reference.
+consume one round's port-ordered deliveries in at most ``events + 1``
+vectorized passes: after its event a cell re-scans only while a later
+port can still change it. The reference functions below are the
+per-port loops the numpy kernels ran before -- one Python iteration per
+port, each port processed across every ``(lane, node)`` cell -- kept
+verbatim as the oracle, the way :mod:`tests.helpers` keeps the serial
+engine as the executors' reference.
 
 The property test feeds both the same random port-ordered tables and
 start states (skewed phases, decided cells, non-receiving rows with
@@ -13,13 +15,16 @@ stale table rows, ``enable_jump=False``, one lane, ``n`` up to 49) and
 requires every state array to come back byte-identical. Kernel rounds
 rarely carry more than one event per cell, so each draw also scripts
 one cell through several: jump then jump, jump then quorum, quorum then
-a later jump, two quorums, and a decision mid-batch.
+a later jump, two quorums, a decision mid-batch, and a jump or quorum
+followed by a stale tail (the scripted cases also require that tail to
+take no second pass).
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.sim.batch as batch
 from repro.sim.batch import _dac_sweep, _dbac_sweep
 
 np = pytest.importorskip("numpy", exc_type=ImportError)
@@ -158,7 +163,9 @@ def reference_dbac_round(
 # One cell's scripted port sequence, as phase offsets from its start
 # phase ``p``; ``q`` is the quorum. The cell starts with only its self
 # port received, so ``q - 1`` fresh same-phase accepts fire a quorum
-# ("jump-then-stale": ``p``-phase messages after a jump must not count).
+# ("jump-then-stale": ``p``-phase messages after a jump must not count;
+# "quorum-then-stale": nor after a quorum, which moves the cell to
+# ``p + 1``).
 DAC_SCRIPTS = {
     "jump-jump": lambda q: [1, 2],
     "jump-quorum": lambda q: [1] * q,
@@ -166,11 +173,13 @@ DAC_SCRIPTS = {
     "quorum-jump": lambda q: [0] * (q - 1) + [3],
     "quorum-quorum": lambda q: [0] * (q - 1) + [1] * (q - 1),
     "decide-mid": lambda q: [0] * (q - 1) + [0, 1, 2],
+    "quorum-then-stale": lambda q: [0] * (q - 1) + [0, 0, 0],
 }
 DBAC_SCRIPTS = {
     "quorum-quorum": lambda q: [0] * (q - 1) + [1] * (q - 1),
     "quorum-future-quorum": lambda q: [2] * (q - 1) + [0] + [1] * (q - 1),
     "decide-mid": lambda q: [0] * (q - 1) + [0, 1, 2],
+    "quorum-then-stale": lambda q: [0] * (q - 1) + [0, 0, 0],
 }
 
 
@@ -306,8 +315,10 @@ def run_both(family, args, params):
     return ours, oracle
 
 
+# 150 examples in tier-1; a loaded profile with a larger budget (CI's
+# ``sweeps-10x``, registered in tests/conftest.py) raises it.
 SWEEP_SETTINGS = settings(
-    max_examples=150,
+    max_examples=max(150, settings().max_examples),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -335,39 +346,69 @@ class TestSweepsMatchPerPortLoops:
             ("dac", "quorum-jump", 3),
             ("dac", "quorum-quorum", 2),
             ("dac", "decide-mid", None),
+            ("dac", "quorum-then-stale", 1),
             ("dbac", "quorum-quorum", 2),
             ("dbac", "quorum-future-quorum", 2),
             ("dbac", "decide-mid", None),
+            ("dbac", "quorum-then-stale", 1),
         ],
     )
     def test_scripted_cell_takes_every_event(self, family, script, phase):
         # A lone receiving cell on a fresh phase 0; the script alone
         # drives it, and the phase it ends in shows both events ran
         # (None: decided mid-batch, frozen at end_phase).
-        rng = np.random.default_rng(7)
-        n, quorum, end_phase = 9, 4, 10 if phase else 1
-        pool = rng.uniform(-1.0, 1.0, 16)
-        state, self_port = start_state(
-            rng, 1, n, quorum, end_phase, pool, decided_share=0.0, stored=family == "dbac"
-        )
-        state["phase"][:] = 0
-        tables = (
-            np.zeros((1, n, n), dtype=bool),
-            np.zeros((1, n, n)),
-            np.zeros((1, n, n), dtype=np.int64),
-        )
-        scripts = DBAC_SCRIPTS if family == "dbac" else DAC_SCRIPTS
-        script_cell(rng, tables, state, self_port, 0, 0, scripts[script](quorum), pool)
-        receiving = np.zeros((1, n), dtype=bool)
-        receiving[0, 0] = True
-        params = dict(quorum=quorum, end_phase=end_phase)
-        if family == "dbac":
-            params["trim"] = 2
-        else:
-            params["enable_jump"] = True
-        ours, oracle = run_both(family, (*tables, receiving, self_port, state), params)
+        end_phase = 10 if phase else 1
+        ours, oracle = run_both(family, *scripted_round(family, script, end_phase))
         assert_byte_identical(ours, oracle)
         if phase is None:
             assert ours["out_mask"][0, 0] and ours["phase"][0, 0] == end_phase
         else:
             assert ours["phase"][0, 0] == phase and not ours["out_mask"][0, 0]
+
+    @pytest.mark.parametrize(
+        "family,script",
+        [("dac", "jump-then-stale"), ("dac", "quorum-then-stale"), ("dbac", "quorum-then-stale")],
+    )
+    def test_stale_tail_after_an_event_takes_no_second_pass(self, family, script, monkeypatch):
+        # Every port after the event carries the cell's old phase, which
+        # neither rule can accept: the first pass is the only one.
+        passes = []
+        record = batch._record
+
+        def counted(*args):
+            passes.append(args[1])  # the pass's cells
+            return record(*args)
+
+        monkeypatch.setattr(batch, "_record", counted)
+        ours, oracle = run_both(family, *scripted_round(family, script, 10))
+        assert_byte_identical(ours, oracle)
+        assert ours["phase"][0, 0] == 1
+        assert passes == [slice(None)]
+
+
+def scripted_round(family, script, end_phase):
+    """A lone receiving cell ``(0, 0)`` of a 9-node lane at phase 0,
+    driven by ``script`` alone (quorum 4); the sweep arguments and
+    parameters."""
+    rng = np.random.default_rng(7)
+    n, quorum = 9, 4
+    pool = rng.uniform(-1.0, 1.0, 16)
+    state, self_port = start_state(
+        rng, 1, n, quorum, end_phase, pool, decided_share=0.0, stored=family == "dbac"
+    )
+    state["phase"][:] = 0
+    tables = (
+        np.zeros((1, n, n), dtype=bool),
+        np.zeros((1, n, n)),
+        np.zeros((1, n, n), dtype=np.int64),
+    )
+    scripts = DBAC_SCRIPTS if family == "dbac" else DAC_SCRIPTS
+    script_cell(rng, tables, state, self_port, 0, 0, scripts[script](quorum), pool)
+    receiving = np.zeros((1, n), dtype=bool)
+    receiving[0, 0] = True
+    params = dict(quorum=quorum, end_phase=end_phase)
+    if family == "dbac":
+        params["trim"] = 2
+    else:
+        params["enable_jump"] = True
+    return (*tables, receiving, self_port, state), params

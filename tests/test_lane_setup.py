@@ -12,6 +12,11 @@ import and the one :func:`~repro.net.ports.random_ports` uses).
 Under the ``rotate`` selector a cold kernel call interns no
 ``Topology`` and reads no content hash, and a repeated call builds no
 table: both are pinned as counts.
+
+The delivery sweeps re-scan a cell after a jump or quorum only while a
+later port can still change it. On the pooled grid's boundary cells no
+later port can, so a delivering round is one pass; random Byzantine
+nodes keep live tails, and their rounds take more.
 """
 
 import pytest
@@ -59,21 +64,23 @@ CASES = {
 }
 
 
+def counting(counts, fn, key):
+    """``fn``, adding one to ``counts[key]`` per call."""
+
+    def spy(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return spy
+
+
 @pytest.fixture
 def calls(monkeypatch):
     counts = {"build": 0, "draw": 0}
-
-    def counting(fn, key):
-        def spy(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-
-        return spy
-
     for name in BUILDERS:
-        monkeypatch.setattr(workloads, name, counting(getattr(workloads, name), "build"))
+        monkeypatch.setattr(workloads, name, counting(counts, getattr(workloads, name), "build"))
     for module in (batch, ports_module):
-        monkeypatch.setattr(module, "port_tables", counting(module.port_tables, "draw"))
+        monkeypatch.setattr(module, "port_tables", counting(counts, module.port_tables, "draw"))
     return counts
 
 
@@ -126,3 +133,31 @@ def test_rotate_tables_build_no_topology_and_are_built_once(case, monkeypatch):
     assert built == len(arena._table_memo) > 0
     assert run() == cold
     assert counts == {"lookup": 0, "hash": 0, "picks": built}
+
+
+# name -> (kernel call, whether every delivering round is one pass)
+PASS_CASES = {
+    "dac-rotate-n49": (lambda: run_dac_batch(49, 24, SEEDS, epsilon=1e-2), True),
+    "dbac-extreme-n46": (
+        lambda: run_dbac_batch(46, 9, SEEDS, epsilon=1e-2, selector="rotate"), True
+    ),
+    "dbac-random-n11": (
+        lambda: run_dbac_batch(11, 2, SEEDS, epsilon=1e-6, selector="rotate", strategy="random"),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PASS_CASES))
+def test_sweeps_skip_stale_tails(case, monkeypatch):
+    counts = {"pass": 0, "round": 0}
+    monkeypatch.setattr(batch, "_record", counting(counts, batch._record, "pass"))
+    for sweep in ("_dac_sweep", "_dbac_sweep"):  # one call per delivering round
+        monkeypatch.setattr(batch, sweep, counting(counts, getattr(batch, sweep), "round"))
+    run, one_pass = PASS_CASES[case]
+    assert run()[0].stopped
+    assert counts["round"] > 0
+    if one_pass:
+        assert counts["pass"] == counts["round"]
+    else:
+        assert counts["pass"] > counts["round"]
