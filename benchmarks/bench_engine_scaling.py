@@ -35,10 +35,10 @@ from repro.bench.experiments import experiment_s1, experiment_s3
 from repro.bench.sweep import Sweep
 from repro.core.dac import DACProcess
 from repro.net.ports import identity_ports
-from repro.sim.batch import numpy_available, run_dac_batch, run_generic_batch
+from repro.sim.batch import GenericBatchEngine, numpy_available, run_lanes
 from repro.sim.engine import Engine
 from repro.sim.rng import spawn_inputs
-from repro.workloads import build_dac_execution
+from repro.workloads import build_dac_execution, dac_lane_family
 
 
 def make_engine(n: int, record_trace: bool = False) -> Engine:
@@ -123,8 +123,9 @@ def test_batch_engine_scaling():
 
     Fault-free boundary-degree DAC (the ISSUE's acceptance scenario) at
     several sizes, B = 32 lanes. The serial leg is the fast path, one
-    untraced engine run per seed (``run_generic_batch`` over the DAC
-    builder); the batch leg is the vectorized numpy kernel; the last
+    untraced engine run per seed (``GenericBatchEngine`` over the DAC
+    builder); the batch leg is the vectorized numpy kernel
+    (``run_lanes`` over the DAC lane family); the last
     leg fans batches of 8 over 4 worker processes. Wall-clock ratios
     are reported, not asserted (load-sensitive); the correctness claim
     -- identical lane results -- is asserted here and, in full-state
@@ -138,15 +139,15 @@ def test_batch_engine_scaling():
     seeds = list(range(lanes))
     for n in (16, 32, 64):
         serial_start = time.perf_counter()
-        serial = run_generic_batch(
+        serial = GenericBatchEngine(
             seeds,
             lambda seed: build_dac_execution(n=n, f=0, epsilon=1e-6, seed=seed),
-        )
+        ).run()
         serial_elapsed = time.perf_counter() - serial_start
         total_rounds = sum(lane.rounds for lane in serial)
 
         batch_start = time.perf_counter()
-        batched = run_dac_batch(n, 0, seeds, epsilon=1e-6)
+        batched = run_lanes(dac_lane_family(n, 0, epsilon=1e-6), seeds)
         batch_elapsed = time.perf_counter() - batch_start
         assert batched == serial  # batching is a pure speed knob
 

@@ -10,11 +10,13 @@ under the same enforcing adversary family -- as one sweep per family,
 fanned out over worker processes in lock-step batches
 (``Sweep.run(workers=N, batch=B)``).
 
-Since PR 4 the DBAC lanes run through the vectorized
-``repro.sim.batch.ByzBatchEngine`` kernel (witness counters, trimmed
-updates and the value-dependent ``nearest`` selection, all in numpy
-when available); the baselines batch as grouped dispatch. Both are
-*pure speed knobs*: the script re-runs every grid serially and asserts
+Each family hands the batch layer its lane family (the ``lanes`` hook),
+and ``repro.sim.batch.run_lanes`` runs it on the kernel of its process
+class: ``repro.sim.batch.ByzBatchEngine`` for the DBAC lanes (witness
+counters, trimmed updates and the value-dependent ``nearest``
+selection, all in numpy when available) and
+``repro.sim.batch.BaselineBatchEngine`` for the baselines. Batching and
+workers are *pure speed knobs*: the script re-runs every grid serially and asserts
 the records agree element for element before reporting anything.
 
 Run:  python examples/batched_dbac_grid.py

@@ -100,15 +100,8 @@ __version__ = "1.0.0"
 
 
 def __getattr__(name: str):
-    # ``DirectedGraph`` resolves lazily through repro.net.graph so its
-    # one-time DeprecationWarning fires on first use, not on
-    # ``import repro`` (see repro.net.graph's module docstring).
-    if name == "DirectedGraph":
-        from repro.net import graph
-
-        return graph.DirectedGraph
-    # The batch-kernel names load numpy, so they too resolve on first
-    # use, through repro.sim's own lazy names.
+    # The batch-kernel names load numpy, so they resolve on first use,
+    # through repro.sim's own lazy names.
     from repro import sim
 
     if name in sim._BATCH_NAMES:
@@ -134,7 +127,6 @@ __all__ = [
     "rounds_upper_bound",
     # Network
     "Topology",
-    "DirectedGraph",
     "DynamicGraph",
     "EdgeSchedule",
     "PortNumbering",
@@ -175,7 +167,7 @@ __all__ = [
     "Engine",
     "BatchEngine",
     "LaneResult",
-    "run_dac_batch",
+    "run_lanes",
     "numpy_available",
     "ConsensusProcess",
     "Delivery",

@@ -7,9 +7,9 @@ families copy (see ``docs/scenarios.md``): one module that
    :class:`repro.core.averaging.AveragingProcess`;
 2. writes the execution builder, :func:`build_averaging_execution`;
 3. subclasses :class:`repro.scenario.registry.AlgorithmFamily` with
-   ``build`` and ``batch`` (here serial-engine lanes -- no dedicated
-   kernel needed, so ``vectorizable`` keeps its ``False`` default) and
-   registers it with :func:`repro.scenario.registry.register_algorithm`
+   ``build`` (no dedicated kernel needed, so ``lanes`` keeps its
+   ``None`` default and batched trials run the serial trial per seed)
+   and registers it with :func:`repro.scenario.registry.register_algorithm`
    at import time, reusing the declared component vocabulary
    (``dynadegree`` / ``quorum``).
 
@@ -27,7 +27,6 @@ traced, batch and pooled legs -- with zero new test code.
 
 from __future__ import annotations
 
-import functools
 from typing import Any
 
 from repro.adversary.constrained import (
@@ -92,11 +91,6 @@ def build_averaging_execution(
     }
 
 
-def _averaging_build_for_seed(seed: int, **params: Any) -> dict[str, Any]:
-    """Seed-first adapter for :class:`repro.sim.batch.GenericBatchEngine`."""
-    return build_averaging_execution(seed=seed, **params)
-
-
 @register_algorithm("averaging", version=1)
 class AveragingFamily(AlgorithmFamily):
     """Charron-Bost per-round neighbor averaging under the quorum adversary."""
@@ -119,9 +113,3 @@ class AveragingFamily(AlgorithmFamily):
 
     def build(self, *, seed, **params):
         return build_averaging_execution(seed=seed, **params)
-
-    def batch(self, seeds, **params):
-        from repro.sim.batch import run_generic_batch
-
-        build = functools.partial(_averaging_build_for_seed, **params)
-        return run_generic_batch(seeds, build)

@@ -96,11 +96,11 @@ class LintConfig:
         "repro.BatchEngine",
         "repro.LaneResult",
         "repro.numpy_available",
-        "repro.run_dac_batch",
+        "repro.run_lanes",
         "repro.sim.BatchEngine",
         "repro.sim.LaneResult",
         "repro.sim.numpy_available",
-        "repro.sim.run_dac_batch",
+        "repro.sim.run_lanes",
     )
 
     # -- engine hot path --------------------------------------------------

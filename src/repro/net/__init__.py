@@ -4,8 +4,7 @@ This package models the communication layer of the paper's anonymous
 dynamic network:
 
 - :mod:`repro.net.topology` -- the immutable, hash-consed graph value
-  type every layer shares (:mod:`repro.net.graph` keeps the deprecated
-  ``DirectedGraph`` alias).
+  type every layer shares.
 - :mod:`repro.net.dynamic` -- round-indexed edge schedules ``E(t)`` and
   recorded communication traces.
 - :mod:`repro.net.dynadegree` -- the ``(T, D)``-dynaDegree stability
@@ -42,20 +41,8 @@ from repro.net.temporal import check_dynareach, max_reach_for_window, window_rea
 from repro.net.topology import Topology
 
 
-def __getattr__(name: str):
-    # ``DirectedGraph`` resolves lazily through repro.net.graph so its
-    # one-time DeprecationWarning fires on first use, not on package
-    # import (see repro.net.graph's module docstring).
-    if name == "DirectedGraph":
-        from repro.net import graph
-
-        return graph.DirectedGraph
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Topology",
-    "DirectedGraph",
     "DynamicGraph",
     "EdgeSchedule",
     "window_union",

@@ -34,10 +34,6 @@ Topologies are strictly immutable (``__slots__``, no mutators); all
 "mutation" APIs (:meth:`union`, :meth:`without_sources`, ...) return
 new interned instances. Self-loops are excluded by the model (Section
 II-A): self-delivery is the engine's job, never an edge.
-
-:class:`repro.net.graph.DirectedGraph` is kept as a deprecated alias
-of this class so existing call sites and external examples keep
-running unchanged.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ same spec resolves to the same objects in every process.
 Two flavours of entry coexist:
 
 * *algorithm families* carry an :class:`AlgorithmFamily` object that
-  knows how to build serial executions and batch lanes
+  knows how to build serial executions (and, optionally, the lane
+  family the batch kernels run)
   (:func:`register_algorithm`); :mod:`repro.scenario.trial` derives
   the one picklable trial every executor dispatches from those;
 * *components* (network / adversary / faults) are declared parameter
@@ -317,8 +318,8 @@ class AlgorithmFamily:
 
     A family adapts one algorithm (and its component vocabulary) to
     the repo's execution surfaces. Subclasses override the class
-    attributes and ``build``, ``batch``, ``vectorizable`` and
-    ``normalize``; everything a spec can say about the family is
+    attributes, ``build`` and ``normalize``, and optionally ``lanes``;
+    everything a spec can say about the family is
     declared as data so the conformance suite and the CLI can
     introspect it. The trial every executor runs is derived from
     these (:func:`repro.scenario.trial.family_trial`).
@@ -360,14 +361,14 @@ class AlgorithmFamily:
         """Keyword arguments for :func:`repro.sim.runner.run_consensus`."""
         raise NotImplementedError
 
-    def batch(self, seeds: Sequence[int], **params: Any):
-        """Batch lanes (:class:`repro.sim.batch.LaneResult` list)."""
-        raise NotImplementedError
+    def lanes(self, **params: Any) -> Any:
+        """The :class:`repro.workloads.LaneFamily` of these parameters, or ``None``.
 
-    def vectorizable(self, params: Mapping[str, Scalar]) -> bool:
-        """Whether a numpy kernel runs ``batch`` for these parameters.
-
-        ``False`` also when numpy is missing; ``batch`` then returns
-        serial-engine lanes (:class:`repro.sim.batch.GenericBatchEngine`).
+        The seed-independent half of ``build``, which the batch layer
+        (:func:`repro.sim.batch.run_lanes`) runs on a numpy kernel where
+        :func:`repro.sim.batch.kernel_refusal` accepts it. ``None`` (the
+        default) means the family has no lane form: batched trials run
+        the serial trial per seed, and batch lanes are serial-engine
+        lanes over ``build`` (:class:`repro.sim.batch.GenericBatchEngine`).
         """
-        return False
+        return None

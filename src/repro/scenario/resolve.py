@@ -100,8 +100,20 @@ class ResolvedScenario:
         return self.trial_fn(seed=use, **self.params)
 
     def batch(self, seeds: Sequence[int]) -> list[Any]:
-        """Batch lanes for ``seeds`` (:class:`repro.sim.batch.LaneResult`)."""
-        return self.family.batch(seeds, **dict(self.params))
+        """Batch lanes for ``seeds`` (:class:`repro.sim.batch.LaneResult`).
+
+        :func:`repro.sim.batch.run_lanes` over the family's lanes, or
+        serial-engine lanes over ``build`` for a family without them.
+        """
+        from repro.sim.batch import GenericBatchEngine, run_lanes  # loads numpy
+
+        params = dict(self.params)
+        lanes = self.family.lanes(**params)
+        if lanes is None:
+            return GenericBatchEngine(
+                seeds, lambda seed: self.family.build(seed=seed, **params)
+            ).run()
+        return run_lanes(lanes, seeds)
 
     def canonical_spec(self) -> ScenarioSpec:
         """The spec with every component and parameter made explicit.

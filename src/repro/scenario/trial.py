@@ -1,19 +1,21 @@
 """One picklable trial per registered algorithm family.
 
-A family supplies ``build`` (one seed's serial execution), ``batch``
-(lanes for many seeds), ``vectorizable`` and ``normalize``;
-:func:`family_trial` turns those into the trial every executor
-dispatches -- sweeps, the process pool, the daemon and the CLI:
+A family supplies ``build`` (one seed's serial execution),
+``normalize`` and optionally ``lanes`` (the seed-independent lane
+family the batch kernels run); :func:`family_trial` turns those into
+the trial every executor dispatches -- sweeps, the process pool, the
+daemon and the CLI:
 
 - ``trial(seed=s, **params)`` fills the family's defaults for any
   missing flat parameter, normalizes, runs
   ``run_consensus(**family.build(seed=s, **params))`` untraced and
   reduces the report to ``{rounds, spread, terminated, correct}``;
 - ``trial.batch_fn(seeds=[...], **params)`` returns exactly
-  ``[trial(seed=s, **params) for s in seeds]``, from one
-  ``family.batch`` pass when the family vectorizes the parameters,
-  and from the serial trial once per seed otherwise (as for an
-  observed call or a single seed).
+  ``[trial(seed=s, **params) for s in seeds]``, from one kernel pass
+  over ``family.lanes(**params)`` when
+  :func:`repro.sim.batch.kernel_refusal` accepts that lane family,
+  and from the serial trial once per seed otherwise (as for a family
+  without lanes, an observed call or a single seed).
 
 ``observe=True`` attaches a fresh observer bus to each serial run and
 adds its aggregate under ``"metrics"``. A trial pickles as its
@@ -176,10 +178,15 @@ class FamilyTrial:
         """One summary per seed, in order, equal to the per-seed calls."""
         params = self._params(params)
         seeds = [int(seed) for seed in seeds]
-        if not self.family.vectorizable(params) or observe or len(seeds) == 1:
-            return [self._run(seed, observe, params) for seed in seeds]
-        epsilon = params["epsilon"]
-        return [_lane_summary(lane, epsilon) for lane in self.family.batch(seeds, **params)]
+        family = None if observe or len(seeds) < 2 else self.family.lanes(**params)
+        if family is not None:
+            # Deferred: the kernels load numpy, which serial paths never need.
+            from repro.sim.batch import kernel_refusal, run_lanes
+
+            if kernel_refusal(family) is None:
+                epsilon = params["epsilon"]
+                return [_lane_summary(lane, epsilon) for lane in run_lanes(family, seeds)]
+        return [self._run(seed, observe, params) for seed in seeds]
 
     # Compatibility stub read by perfbench's traced pooled path; see
     # repro.sim.arena.empty_arena_plan.

@@ -36,7 +36,7 @@ from repro.sim.trace import ExecutionTrace
 # The batch kernels load numpy, which no serial run uses: their four
 # public names resolve on first access (PEP 562), so ``import repro``
 # and every serial path stay numpy-free.
-_BATCH_NAMES = ("BatchEngine", "LaneResult", "numpy_available", "run_dac_batch")
+_BATCH_NAMES = ("BatchEngine", "LaneResult", "numpy_available", "run_lanes")
 
 
 def __getattr__(name: str):
@@ -51,7 +51,7 @@ __all__ = [
     "BatchEngine",
     "LaneResult",
     "numpy_available",
-    "run_dac_batch",
+    "run_lanes",
     "Engine",
     "EngineView",
     "RoundRecord",

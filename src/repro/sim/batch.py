@@ -21,17 +21,18 @@ and crash plan from its own seed through the exact same
 :mod:`repro.sim.rng` child streams the serial builders use, so batching
 (and batch *order*) cannot perturb results.
 
-Each kernel has one support predicate next to it --
-:func:`dac_kernel_refusal`, :func:`byz_kernel_refusal`,
-:func:`baseline_kernel_refusal` -- naming why it cannot replicate a
-parameter assignment (numpy is missing, an unknown selector, a
-Byzantine strategy outside the trial menu), or ``None`` when it can.
-A kernel constructor raises ``ValueError`` with that reason. The
-``run_*_batch`` functions consult the same predicate and, outside the
-kernel, return :class:`GenericBatchEngine` lanes: one
-serial :class:`~repro.sim.engine.Engine` run per seed over the family's
-own builder -- the semantic reference itself, so those lanes match by
-construction and every ``run_*_batch`` works without numpy.
+Which kernel runs a lane is one predicate, :func:`kernel_refusal`: a
+:class:`~repro.workloads.LaneFamily` goes to the kernel of its process
+class (matched by exact type), or the predicate names why no kernel
+can replicate it (numpy is missing, a process class or Byzantine
+strategy no kernel reproduces, an unknown selector). A kernel
+constructor raises ``ValueError`` with that reason. :func:`run_lanes`
+is the one batch entry: kernel lanes where the predicate accepts,
+:class:`GenericBatchEngine` lanes otherwise -- one serial
+:class:`~repro.sim.engine.Engine` run per seed over
+:func:`repro.workloads.lane_execution`, the semantic reference itself,
+so those lanes match by construction and :func:`run_lanes` works
+without numpy.
 
 One lane driver runs every kernel (see docs/batching.md). A round
 splits into the round's communication graph and the update rule that
@@ -45,41 +46,53 @@ own adversary stream through
 serial adversary calls, in the same call order), and the
 ``mobile-<mode>`` cuts of the mobile-omission adversary. The kernel
 supplies only its state rows, its update and its state keys; the
-driver owns lane set-up from the :class:`~repro.workloads.LaneFamily`,
-the round clock all lanes share, stopping in ``Engine.run`` order and
-finalizing. The kernels:
+driver owns lane set-up from the family, the round clock all lanes
+share, stopping in ``Engine.run`` order and finalizing. Every kernel
+is built as ``Kernel(family, seeds)``:
 
-- :class:`BatchEngine` / :func:`run_dac_batch` -- fault-free and
-  crash-fault boundary DAC under the enforcing quorum adversaries,
-  precisely what the ``dac`` family builds;
-- :class:`ByzBatchEngine` / :func:`run_dbac_batch` /
-  :func:`run_byz_batch` -- boundary DBAC with Byzantine strategies
-  (witness counters and ``f+1``-trimmed midpoints; the ``random``
-  strategy replayed through
-  :meth:`~repro.faults.byzantine.RandomByzantine.draw_row`), and
-  mobile-omission DAC (:class:`BatchEngine`'s update under the
-  ``mobile-<mode>`` masks), precisely what the ``dbac`` and ``byz``
-  families build;
-- :class:`BaselineBatchEngine` / :func:`run_baseline_batch` -- the
-  reliable-channel averaging baselines (iterated midpoint / trimmed
-  mean), precisely what the ``baseline`` family builds: one ``(B, n)`` value matrix advanced for exactly
+- :class:`BatchEngine` -- :class:`~repro.core.dac.DACProcess` lanes:
+  fault-free and crash-fault boundary DAC under the enforcing quorum
+  adversaries (the ``dac`` family), and fault-free DAC under the
+  ``mobile-<mode>`` masks of the mobile-omission adversary (the
+  ``byz`` family);
+- :class:`ByzBatchEngine` -- :class:`~repro.core.dbac.DBACProcess`
+  lanes: boundary DBAC with Byzantine strategies (witness counters and
+  ``f+1``-trimmed midpoints; the ``random`` strategy replayed through
+  :meth:`~repro.faults.byzantine.RandomByzantine.draw_row`), the
+  ``dbac`` family;
+- :class:`BaselineBatchEngine` -- the reliable-channel averaging
+  baselines (:class:`~repro.core.baselines.IteratedMidpointProcess`,
+  :class:`~repro.core.baselines.TrimmedMeanProcess`), the ``baseline``
+  family: one ``(B, n)`` value matrix advanced for exactly
   ``num_rounds`` rounds.
 
-Composition: each family's ``batch`` hook calls these kernels, and
-the family trial's ``batch_fn`` (:mod:`repro.scenario.trial`) wraps
+Composition: each family's ``lanes`` hook builds its lane family, and
+the family trial's ``batch_fn`` (:mod:`repro.scenario.trial`) runs
 them in the batched-trial calling convention the parallel layer
 dispatches, so ``Sweep.run(workers=N, batch=B)`` fans *batches* over
-processes -- the two layers multiply. Parameter groups no kernel
-supports, observed trials, and one-seed groups (a one-lane kernel pass
-is slower than one serial trial) run the serial trial once per seed.
+processes -- the two layers multiply. Families without lanes (or
+lanes no kernel runs), observed trials, and one-seed groups (a
+one-lane kernel pass is slower than one serial trial) run the serial
+trial once per seed.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from repro.adversary.constrained import random_picks
+from repro.adversary.mobile import MOBILE_MODES
+from repro.core.baselines import IteratedMidpointProcess, TrimmedMeanProcess
+from repro.core.dac import DACProcess
+from repro.core.dbac import DBACProcess
+from repro.faults.byzantine import (
+    ExtremeByzantine,
+    FixedValueByzantine,
+    PhaseLiarByzantine,
+    RandomByzantine,
+)
 from repro.net.ports import port_tables
 from repro.sim.arena import mobile_table, rotate_table, scatter_picks
 from repro.sim.engine import Engine
@@ -102,12 +115,11 @@ def numpy_available() -> bool:
 def _workloads():
     """The serial builders' module, :mod:`repro.workloads`.
 
-    The one source of truth for what a lane *is*: kernels read their
-    :class:`~repro.workloads.LaneFamily` from it, and the serial
-    fallback builds its executions through it. Deferred because
+    The serial fallback builds its executions through
+    :func:`~repro.workloads.lane_execution`. Deferred because
     ``repro.workloads`` imports this module's package.
     """
-    # lint: ignore[layering, hot-import] — setup-time access to the serial builders (one source of truth for lane families), deferred to break the cycle; never touched in the round loop
+    # lint: ignore[layering, hot-import] — the serial fallback's lane_execution, deferred to break the cycle; never touched in the round loop
     import repro.workloads as workloads
 
     return workloads
@@ -115,25 +127,78 @@ def _workloads():
 
 _NO_NUMPY = "numpy is not installed"
 
-# The enforcing quorum adversaries' selectors, all replicated by
-# select_delivered for every kernel: rotate from the shared
-# rotate_picks tables, nearest by one stable argsort, random by
-# replaying each lane's own adversary stream.
-_VECTOR_SELECTORS = ("rotate", "nearest", "random")
+# The selectors select_delivered replicates: the enforcing quorum
+# adversaries' (rotate from the shared rotate_picks tables, nearest by
+# one stable argsort, random by replaying each lane's own adversary
+# stream) and the mobile-omission adversary's cuts.
+_SELECTORS = ("rotate", "nearest", "random", *(f"mobile-{mode}" for mode in MOBILE_MODES))
 
 
-def _selector_refusal(selector: str) -> str | None:
+def _kernel(family) -> tuple[type | None, str | None]:
+    """``(kernel class, None)`` when a kernel runs ``family``'s lanes,
+    else ``(None, reason)``: see :func:`kernel_refusal`."""
     if _np is None:
-        return _NO_NUMPY
-    if selector not in _VECTOR_SELECTORS:
-        return f"selector {selector!r} is not vectorizable (supported: {_VECTOR_SELECTORS})"
-    return None
+        return None, _NO_NUMPY
+    kernel = _KERNELS.get(family.process_type)  # exact type: a subclass misses
+    if kernel is None:
+        return None, f"no kernel runs {family.process_type.__name__} lanes"
+    if family.selector not in _SELECTORS:
+        return None, f"selector {family.selector!r} has no vectorized form (supported: {_SELECTORS})"
+    for node in family.byzantine:
+        strategy = family.make_strategy(node)
+        if _strategy_vector_plan(strategy) is None:
+            return None, (
+                f"Byzantine strategy {type(strategy).__name__} has no vectorized plan "
+                "(state-dependent messages)"
+            )
+    return kernel, None
 
 
-def _streamed(
-    lanes: list[LaneResult], on_lane: Callable[[LaneResult], None] | None
+def kernel_refusal(family) -> str | None:
+    """Why no numpy kernel can run ``family``'s lanes, or ``None``.
+
+    ``family`` is a :class:`~repro.workloads.LaneFamily`. Its process
+    class picks the kernel by exact type, and each Byzantine strategy
+    must be one :func:`_strategy_vector_plan` reproduces, also by
+    exact type: a subclass with overridden behaviour is never
+    mis-vectorized.
+
+    >>> from repro.workloads import dac_lane_family
+    >>> (kernel_refusal(dac_lane_family(5, 2)) is None) == numpy_available()
+    True
+    """
+    return _kernel(family)[1]
+
+
+def run_lanes(
+    family,
+    seeds: Sequence[int],
+    *,
+    on_lane: Callable[[LaneResult], None] | None = None,
 ) -> list[LaneResult]:
-    """Hand every finished lane to ``on_lane``, in lane (seed) order."""
+    """Run one lane per seed of ``family``; results in seed order.
+
+    The one batch entry: the family's kernel when :func:`kernel_refusal`
+    accepts it, :class:`GenericBatchEngine` lanes over
+    :func:`repro.workloads.lane_execution` otherwise -- the same
+    results either way. ``on_lane`` is called once per finished lane,
+    in lane (seed) order -- the seam
+    :func:`repro.obs.attach.lane_finished` plugs into for per-lane
+    ``RunFinished`` events.
+
+    >>> from repro.workloads import dac_lane_family, dbac_lane_family
+    >>> lanes = run_lanes(dac_lane_family(5, 2), [0, 1])
+    >>> [(lane.seed, lane.stopped) for lane in lanes]
+    [(0, True), (1, True)]
+    >>> [lane.stopped for lane in run_lanes(dbac_lane_family(6, 1), [0, 1])]
+    [True, True]
+    """
+    kernel, reason = _kernel(family)
+    if reason is None:
+        lanes = kernel(family, seeds).run()
+    else:
+        build = functools.partial(_workloads().lane_execution, family)
+        lanes = GenericBatchEngine(seeds, build).run()
     if on_lane is not None:
         for lane in lanes:
             on_lane(lane)
@@ -151,7 +216,7 @@ class LaneResult:
     holds exactly what :func:`repro.sim.runner.run_consensus` reports
     for the lane's stop mode -- the fault-free nodes that decided
     (``"output"`` stopping), or every fault-free node's current value
-    (``"oracle"`` stopping, :class:`ByzBatchEngine` only).
+    (``"oracle"`` stopping).
     """
 
     seed: int
@@ -494,29 +559,14 @@ def _process_state(lanes: dict, end_phase: int, **extra) -> dict:
     )
 
 
-def _dac_state(lanes: dict, family) -> dict:
-    """Fresh :class:`~repro.core.dac.DACProcess` rows: the extremes start at the input."""
-    inputs = lanes["inputs"]
-    return _process_state(lanes, family.end_phase, v_min=inputs.copy(), v_max=inputs.copy())
-
-
-def _dac_round(lanes, state, delivered, receiving, family, enable_jump: bool) -> None:
-    """One delivering round of DAC lanes: the round-start broadcast,
-    gathered through each lane's ports, through :func:`_dac_sweep`."""
-    sender_at_port = lanes["sender_at_port"]
-    gather = (_np.arange(len(sender_at_port))[:, None, None], sender_at_port)
-    _dac_sweep(
-        _in_port_order(delivered, sender_at_port),
-        state["value"][gather], state["phase"][gather], receiving, lanes["self_port"], state,
-        quorum=family.quorum, end_phase=family.end_phase, enable_jump=enable_jump,
-    )
-
-
 class _LaneKernel:
     """The lane driver under every numpy kernel.
 
-    A kernel binds one :class:`~repro.workloads.LaneFamily` and its
-    seeds with :meth:`_bind`, and supplies three hooks:
+    A kernel is built as ``Kernel(family, seeds)``: one
+    :class:`~repro.workloads.LaneFamily`, one lane per seed. The
+    constructor raises ``ValueError`` when :func:`kernel_refusal`
+    refuses the family or the family's process class belongs to
+    another kernel. A kernel supplies three hooks:
 
     - ``_init_state(lanes, seeds)`` returns the process-state rows of
       the fresh lanes (and may add per-lane tables of its own to
@@ -535,12 +585,15 @@ class _LaneKernel:
 
     _reads_ports = True  # the baselines' update reads no port
 
-    def _bind(self, family, seeds: Sequence[int], refusal: str | None, kernel: str) -> None:
+    def __init__(self, family, seeds: Sequence[int]) -> None:
         self.seeds = [int(seed) for seed in seeds]
         if not self.seeds:
             raise ValueError("need at least one seed (one lane)")
-        if refusal:
-            raise ValueError(f"{kernel} kernel unavailable: {refusal}")
+        kernel, reason = _kernel(family)
+        if kernel is not None and kernel is not type(self):
+            reason = f"{family.process_type.__name__} lanes run on {kernel.__name__}"
+        if reason:
+            raise ValueError(f"{type(self).__name__} unavailable: {reason}")
         self.family = family
         self._fault_free = _np.array(family.fault_free, dtype=_np.intp)
 
@@ -656,144 +709,56 @@ class _LaneKernel:
         return {"outputs": outputs, "state_keys": self._state_keys(state, i)}
 
 
-def dac_kernel_refusal(selector: str = "rotate") -> str | None:
-    """Why :class:`BatchEngine` cannot run these lanes, or ``None``.
-
-    >>> dac_kernel_refusal("bogus") is None
-    False
-    >>> (dac_kernel_refusal("nearest") is None) == numpy_available()
-    True
-    """
-    return _selector_refusal(selector)
-
-
 class BatchEngine(_LaneKernel):
-    """The numpy kernel for ``B`` boundary-DAC executions in lock-step.
+    """The numpy kernel for ``B`` DAC executions in lock-step.
 
-    Parameters mirror :func:`repro.workloads.build_dac_execution` --
-    one shared parameter assignment, one seed per lane:
-
-    Parameters
-    ----------
-    n, f:
-        Network size and fault bound (``n >= 2f + 1``).
-    seeds:
-        One root seed per lane; ``B = len(seeds)``. Each lane's inputs,
-        ports and RNG streams derive from its seed exactly as the
-        serial builder's do.
-    epsilon, window, selector, crash_nodes, crash_start, enable_jump:
-        As in ``build_dac_execution``. Raises ``ValueError`` when
-        :func:`dac_kernel_refusal` refuses (numpy is missing); the
-        builder itself rejects unknown selectors.
-    max_rounds:
-        Hard cap per lane; defaults to the serial builder's formula.
+    Runs the lane families whose process class is exactly
+    :class:`~repro.core.dac.DACProcess`:
+    :func:`repro.workloads.dac_lane_family` (boundary DAC, crash
+    faults, the enforcing quorum selectors, ``enable_jump`` from the
+    family) and :func:`repro.workloads.mobile_lane_family` (fault-free
+    DAC under the ``mobile-<mode>`` masks of :func:`select_delivered`).
+    Each lane's inputs, ports and RNG streams derive from its seed
+    exactly as the serial builder's do.
     """
 
     #: Read-only marker: lanes of this class come from a numpy kernel.
     backend = "numpy"
 
-    def __init__(
-        self,
-        n: int,
-        f: int,
-        seeds: Sequence[int],
-        *,
-        epsilon: float = 1e-3,
-        window: int = 1,
-        selector: str = "rotate",
-        crash_nodes: int | None = None,
-        crash_start: int = 1,
-        enable_jump: bool = True,
-        max_rounds: int | None = None,
-    ) -> None:
-        # The serial builder's seed-independent half -- validation, crash
-        # schedule, quorum, end phase, default round cap -- so there is
-        # exactly one source of truth for what a lane *is* and the
-        # bit-identity contract cannot drift out from under a builder
-        # change.
-        family = _workloads().dac_lane_family(
-            n,
-            f,
-            epsilon=epsilon,
-            window=window,
-            selector=selector,
-            crash_nodes=crash_nodes,
-            crash_start=crash_start,
-            enable_jump=enable_jump,
-            max_rounds=max_rounds,
-        )
-        self._bind(family, seeds, dac_kernel_refusal(selector), "DAC")
-        self.enable_jump = enable_jump
-
+    # Own run, not inherited: perfbench's tracer patches cls.__dict__["run"] only.
     def run(self) -> list[LaneResult]:
         """Run every lane to its stop condition and return lane results.
 
         Results come back in ``seeds`` order. Each lane stops exactly
-        like ``Engine.run(max_rounds, stop_when=all_fault_free_output)``
-        does: the stop condition is evaluated before each round and once
+        like ``Engine.run(max_rounds, stop_when=...)`` does for its stop
+        mode: the stop condition is evaluated before each round and once
         more at the cap, and the lane's state freezes at that point.
         """
         return self._run_lanes()
 
     def _init_state(self, lanes: dict, seeds: list[int]) -> dict:
-        return _dac_state(lanes, self.family)
+        # Fresh DACProcess rows: the extremes start at the input.
+        inputs = lanes["inputs"]
+        return _process_state(
+            lanes, self.family.end_phase, v_min=inputs.copy(), v_max=inputs.copy()
+        )
 
     def _round(self, lanes, state, delivered, receiving) -> None:
-        _dac_round(lanes, state, delivered, receiving, self.family, self.enable_jump)
+        """One delivering round: the round-start broadcast, gathered
+        through each lane's ports, through :func:`_dac_sweep`."""
+        family = self.family
+        sender_at_port = lanes["sender_at_port"]
+        gather = (_np.arange(len(sender_at_port))[:, None, None], sender_at_port)
+        _dac_sweep(
+            _in_port_order(delivered, sender_at_port),
+            state["value"][gather], state["phase"][gather], receiving, lanes["self_port"], state,
+            quorum=family.quorum, end_phase=family.end_phase, enable_jump=family.enable_jump,
+        )
 
     _state_keys = staticmethod(_dac_state_keys)
 
 
-def run_dac_batch(
-    n: int,
-    f: int,
-    seeds: Sequence[int],
-    *,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "rotate",
-    crash_nodes: int | None = None,
-    crash_start: int = 1,
-    enable_jump: bool = True,
-    max_rounds: int | None = None,
-    on_lane: Callable[[LaneResult], None] | None = None,
-) -> list[LaneResult]:
-    """Run one batch of boundary DAC executions, one lane per seed.
-
-    :class:`BatchEngine` lanes when :func:`dac_kernel_refusal` accepts
-    the selector, :class:`GenericBatchEngine` lanes over
-    :func:`repro.workloads.build_dac_execution` otherwise -- the same
-    results either way (see :class:`BatchEngine` for parameter
-    semantics). ``on_lane`` is called once per finished lane, in lane
-    (seed) order -- the seam :func:`repro.obs.attach.lane_finished`
-    plugs into for per-lane ``RunFinished`` events.
-
-    >>> lanes = run_dac_batch(5, 2, [0, 1])
-    >>> [(lane.seed, lane.stopped) for lane in lanes]
-    [(0, True), (1, True)]
-    >>> run_dac_batch(5, 2, [0, 1], selector="nearest")[1].stopped
-    True
-    """
-    params = dict(
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        crash_nodes=crash_nodes,
-        crash_start=crash_start,
-        enable_jump=enable_jump,
-        max_rounds=max_rounds,
-    )
-    if dac_kernel_refusal(selector) is None:
-        lanes = BatchEngine(n, f, seeds, **params).run()
-    else:
-        build = _workloads().build_dac_execution
-        lanes = GenericBatchEngine(
-            seeds, lambda seed: build(n=n, f=f, seed=seed, **params)
-        ).run()
-    return _streamed(lanes, on_lane)
-
-
-# -- Batched DBAC / Byzantine / mobile-omission lanes ----------------------
+# -- Batched DBAC lanes ------------------------------------------------------
 
 
 def _strategy_vector_plan(strategy: object):
@@ -811,13 +776,6 @@ def _strategy_vector_plan(strategy: object):
     when the strategy cannot be vectorized. Exact types are matched so
     subclasses with overridden behavior are never mis-vectorized.
     """
-    from repro.faults.byzantine import (
-        ExtremeByzantine,
-        FixedValueByzantine,
-        PhaseLiarByzantine,
-        RandomByzantine,
-    )
-
     kind = type(strategy)
     if kind is RandomByzantine:
         return None, "draw", 0
@@ -834,162 +792,26 @@ def _strategy_vector_plan(strategy: object):
     return None
 
 
-def byz_kernel_refusal(
-    adversary: str = "quorum", selector: str = "nearest", strategy: str = "extreme"
-) -> str | None:
-    """Why :class:`ByzBatchEngine` cannot run these lanes, or ``None``.
-
-    Mobile-omission lanes vectorize in every mode; quorum lanes need a
-    vectorizable selector and a Byzantine strategy (named as in
-    :data:`repro.workloads.TRIAL_BYZANTINE_STRATEGIES`) whose messages
-    :func:`_strategy_vector_plan` reproduces.
-
-    >>> byz_kernel_refusal(selector="bogus") is None
-    False
-    >>> (byz_kernel_refusal(strategy="random") is None) == numpy_available()
-    True
-    """
-    if _np is None:
-        return _NO_NUMPY
-    if adversary != "quorum":
-        return None
-    reason = _selector_refusal(selector)
-    if reason:
-        return reason
-    factory = _workloads().TRIAL_BYZANTINE_STRATEGIES.get(strategy)
-    if factory is not None and _strategy_vector_plan(factory()) is None:
-        return (
-            f"Byzantine strategy {strategy!r} is not vectorizable "
-            "(state-dependent messages)"
-        )
-    return None
-
-
-def _byz_family(
-    n: int,
-    f: int | None,
-    *,
-    epsilon: float,
-    window: int,
-    selector: str,
-    strategy: str,
-    adversary: str,
-    stop_mode: str,
-    max_rounds: int,
-):
-    """The :class:`~repro.workloads.LaneFamily` of one Byzantine-or-mobile lane.
-
-    Exactly the serial builders of the ``dbac`` and ``byz`` families:
-    :func:`~repro.workloads.build_dbac_execution` with the named
-    strategy for ``"quorum"``, :func:`~repro.workloads.build_mobile_execution`
-    for ``"mobile-<mode>"``.
-    """
-    workloads = _workloads()
-    if adversary == "quorum":
-        strategies = workloads.TRIAL_BYZANTINE_STRATEGIES
-        if strategy not in strategies:
-            raise ValueError(
-                f"unknown strategy {strategy!r}; known: {sorted(strategies)}"
-            )
-        factory = strategies[strategy]
-        return workloads.dbac_lane_family(
-            n,
-            (n - 1) // 5 if f is None else f,
-            epsilon=epsilon,
-            window=window,
-            selector=selector,
-            byzantine_factory=lambda node: factory(),
-            stop_mode=stop_mode,
-            max_rounds=max_rounds,
-        )
-    if not adversary.startswith("mobile-"):
-        raise ValueError(
-            f"unknown adversary {adversary!r}; use 'quorum' or 'mobile-<mode>'"
-        )
-    if f not in (None, 0):
-        raise ValueError(f"mobile-omission lanes are fault-free, got f={f}")
-    return workloads.mobile_lane_family(
-        n,
-        mode=adversary[len("mobile-") :],
-        epsilon=epsilon,
-        stop_mode=stop_mode,
-        max_rounds=max_rounds,
-    )
-
-
 class ByzBatchEngine(_LaneKernel):
-    """The numpy kernel for ``B`` DBAC / Byzantine / mobile lanes in lock-step.
+    """The numpy kernel for ``B`` DBAC executions in lock-step.
 
-    The Byzantine counterpart of :class:`BatchEngine`: one shared
-    parameter assignment, one seed per lane, lane families exactly as
-    the ``dbac`` and ``byz`` families build them --
-
-    - ``adversary="quorum"``: boundary DBAC (``n >= 5f + 1``) under the
-      enforcing ``(window, floor((n+3f)/2))`` adversary, the ``f``
-      highest-numbered nodes running the named Byzantine ``strategy``;
-    - ``adversary="mobile-<mode>"``: fault-free DAC under the
-      Gafni-Losa mobile-omission adversary (one targeted in-link cut
-      per node per round), :class:`BatchEngine`'s update under the
-      ``mobile-<mode>`` masks of :func:`select_delivered`.
-
-    Parameters
-    ----------
-    n, f:
-        Network size and fault bound. ``f=None`` resolves to the trial
-        default: the DBAC boundary ``(n - 1) // 5`` for ``"quorum"``,
-        ``0`` for mobile lanes (which must be fault-free).
-    seeds:
-        One root seed per lane. Each lane derives inputs, ports and
-        Byzantine RNG streams from its seed exactly as the serial
-        builders do, so results are bit-identical to serial runs.
-    epsilon, window, selector, strategy, stop_mode, max_rounds:
-        As in :func:`repro.workloads.build_dbac_execution` /
-        :func:`~repro.workloads.build_mobile_execution`
-        (``stop_mode="oracle"`` stops a lane when
-        the fault-free spread first dips to ``epsilon``;
-        ``"output"`` waits for algorithm-local termination).
-        Raises ``ValueError`` when :func:`byz_kernel_refusal` refuses
-        (numpy is missing, or a strategy outside the trial menu);
-        :func:`run_byz_batch` runs those lanes serially.
+    Runs the lane families whose process class is exactly
+    :class:`~repro.core.dbac.DBACProcess`:
+    :func:`repro.workloads.dbac_lane_family`, boundary DBAC
+    (``n >= 5f + 1``) under the enforcing ``(window, floor((n+3f)/2))``
+    adversary, the ``f`` highest-numbered nodes running the family's
+    Byzantine strategies (each one :func:`_strategy_vector_plan`
+    reproduces). Each lane derives inputs, ports and Byzantine RNG
+    streams from its seed exactly as the serial builder does, so
+    results are bit-identical to serial runs. ``stop_mode="oracle"``
+    stops a lane when the fault-free spread first dips to ``epsilon``;
+    ``"output"`` waits for algorithm-local termination.
     """
 
     #: Read-only marker: lanes of this class come from a numpy kernel.
     backend = "numpy"
 
-    def __init__(
-        self,
-        n: int,
-        f: int | None,
-        seeds: Sequence[int],
-        *,
-        epsilon: float = 1e-3,
-        window: int = 1,
-        selector: str = "nearest",
-        strategy: str = "extreme",
-        adversary: str = "quorum",
-        stop_mode: str = "oracle",
-        max_rounds: int = 50_000,
-    ) -> None:
-        # The serial builder's seed-independent half (one source of
-        # truth, like BatchEngine does for DAC): validates n >= 5f+1,
-        # the adversary, mode, strategy and stop mode names as a side
-        # effect.
-        family = _byz_family(
-            n,
-            f,
-            epsilon=float(epsilon),
-            window=int(window),
-            selector=selector,
-            strategy=strategy,
-            adversary=adversary,
-            stop_mode=stop_mode,
-            max_rounds=int(max_rounds),
-        )
-        self._bind(family, seeds, byz_kernel_refusal(adversary, selector, strategy), "Byzantine")
-        self._mobile = adversary != "quorum"
-        if not self._mobile:
-            self._plan_byzantine()
-
+    # Own run, not inherited: perfbench's tracer patches cls.__dict__["run"] only.
     def run(self) -> list[LaneResult]:
         """Run every lane to its stop condition; results in seed order.
 
@@ -1022,7 +844,7 @@ class ByzBatchEngine(_LaneKernel):
         self._byz_draws = np.zeros(n, dtype=bool)
         for node in family.byzantine:
             plan = _strategy_vector_plan(family.make_strategy(node))
-            assert plan is not None  # guaranteed by byz_kernel_refusal
+            assert plan is not None  # guaranteed by kernel_refusal
             values, phase_kind, phase_arg = plan
             if phase_kind == "draw":
                 self._byz_draws[node] = True
@@ -1045,8 +867,7 @@ class ByzBatchEngine(_LaneKernel):
 
     def _init_state(self, lanes: dict, seeds: list[int]) -> dict:
         family = self.family
-        if self._mobile:
-            return _dac_state(lanes, family)
+        self._plan_byzantine()
         if self._draw_nodes:
             # Each drawing node's strategy, bound exactly as the serial
             # engine binds it for the lane's root seed.
@@ -1068,9 +889,8 @@ class ByzBatchEngine(_LaneKernel):
         return _process_state(lanes, family.end_phase, stored=stored)
 
     def _round(self, lanes, state, delivered, receiving) -> None:
-        """One delivering round: :func:`_dac_sweep` for mobile lanes,
-        :func:`_dbac_sweep` with the Byzantine senders' messages for
-        DBAC lanes.
+        """One delivering round: :func:`_dbac_sweep` with the Byzantine
+        senders' messages.
 
         Quorums that fire mid-round re-filter the remaining ports
         against the new phase, as in each ``DBACProcess.deliver`` call.
@@ -1082,11 +902,8 @@ class ByzBatchEngine(_LaneKernel):
         and midpoints are bit-identical
         (see :attr:`repro.core.dbac.DBACProcess.stored_count`).
         """
-        family = self.family
-        if self._mobile:
-            _dac_round(lanes, state, delivered, receiving, family, True)
-            return
         np = _np
+        family = self.family
         value, phase = state["value"], state["phase"]
         sender_at_port = lanes["sender_at_port"]
         rows, n = value.shape
@@ -1148,8 +965,6 @@ class ByzBatchEngine(_LaneKernel):
         return drawn_value, drawn_phase
 
     def _state_keys(self, state: dict, i: int) -> dict[int, tuple]:
-        if self._mobile:
-            return _dac_state_keys(state, i)
         values, phases, counts, decided, outs, received = (
             state[key][i].tolist()
             for key in ("value", "phase", "count", "out_mask", "out_val", "received")
@@ -1175,104 +990,17 @@ class ByzBatchEngine(_LaneKernel):
         return keys
 
 
-def run_byz_batch(
-    n: int,
-    f: int | None,
-    seeds: Sequence[int],
-    *,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "nearest",
-    strategy: str = "extreme",
-    adversary: str = "quorum",
-    stop_mode: str = "oracle",
-    max_rounds: int = 50_000,
-    on_lane: Callable[[LaneResult], None] | None = None,
-) -> list[LaneResult]:
-    """Run one batch of Byzantine-or-mobile executions, one lane per seed.
-
-    :class:`ByzBatchEngine` lanes when :func:`byz_kernel_refusal`
-    accepts the parameters, :class:`GenericBatchEngine` lanes over the
-    serial builders otherwise. See :class:`ByzBatchEngine` for
-    parameter semantics; ``on_lane`` is called once per finished lane,
-    in lane (seed) order (see :func:`run_dac_batch`).
-
-    >>> lanes = run_byz_batch(6, 1, [0, 1])
-    >>> [lane.stopped for lane in lanes]
-    [True, True]
-    """
-    params = dict(
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        strategy=strategy,
-        adversary=adversary,
-        stop_mode=stop_mode,
-        max_rounds=max_rounds,
-    )
-    if byz_kernel_refusal(adversary, selector, strategy) is None:
-        lanes = ByzBatchEngine(n, f, seeds, **params).run()
-    else:
-        family = _byz_family(n, f, **params)
-        lane_execution = _workloads().lane_execution
-        lanes = GenericBatchEngine(
-            seeds, lambda seed: lane_execution(family, seed)
-        ).run()
-    return _streamed(lanes, on_lane)
-
-
-def run_dbac_batch(
-    n: int,
-    f: int | None,
-    seeds: Sequence[int],
-    *,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "nearest",
-    strategy: str = "extreme",
-    stop_mode: str = "oracle",
-    max_rounds: int = 50_000,
-    on_lane: Callable[[LaneResult], None] | None = None,
-) -> list[LaneResult]:
-    """Run one batch of boundary DBAC executions, one lane per seed.
-
-    :func:`run_byz_batch` pinned to the ``"quorum"`` family -- the
-    batched counterpart of :func:`repro.workloads.build_dbac_execution`.
-
-    >>> lanes = run_dbac_batch(6, 1, [0, 1, 2], strategy="random")
-    >>> [lane.seed for lane in lanes]
-    [0, 1, 2]
-    """
-    return run_byz_batch(
-        n,
-        f,
-        seeds,
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        strategy=strategy,
-        adversary="quorum",
-        stop_mode=stop_mode,
-        max_rounds=max_rounds,
-        on_lane=on_lane,
-    )
-
-
-def baseline_kernel_refusal(selector: str = "rotate") -> str | None:
-    """Why :class:`BaselineBatchEngine` cannot run these lanes, or ``None``."""
-    return _selector_refusal(selector)
-
-
 class BaselineBatchEngine(_LaneKernel):
     """The numpy kernel for ``B`` averaging-baseline lanes in lock-step.
 
-    The baseline counterpart of :class:`BatchEngine`: one shared
-    parameter assignment, one seed per lane, lane families exactly as
-    :func:`repro.workloads.build_baseline_execution` builds them -- the
-    reliable-channel iterated ``"midpoint"`` (Dolev et al.) or
-    trim-``f`` ``"trimmed"`` mean running fault-free under the same
-    enforcing ``(window, floor(n/2))`` quorum adversary and seed/input
-    streams as the DAC trials.
+    Runs the lane families whose process class is exactly
+    :class:`~repro.core.baselines.IteratedMidpointProcess` (the
+    reliable-channel iterated midpoint of Dolev et al.) or
+    :class:`~repro.core.baselines.TrimmedMeanProcess` (the trim-``f``
+    mean): :func:`repro.workloads.baseline_lane_family`, fault-free
+    under the same enforcing ``(window, floor(n/2))`` quorum adversary
+    and seed/input streams as the DAC trials. The process class picks
+    the update.
 
     The kernel exploits what makes these lanes special: every
     node advances its round counter on every engine round (self
@@ -1283,46 +1011,13 @@ class BaselineBatchEngine(_LaneKernel):
     empty), so the driver's silent-round skip holds for them too.
     Results are bit-identical to serial runs -- same floats, same round
     counts, same ``state_key()`` tuples.
-
-    Parameters mirror :func:`repro.workloads.build_baseline_execution`;
-    ``num_rounds=None`` defaults to DAC's ``p_end`` for the given
-    ``epsilon``. Raises ``ValueError`` when
-    :func:`baseline_kernel_refusal` refuses (numpy is missing);
-    :func:`run_baseline_batch` runs those lanes serially.
     """
 
     #: Read-only marker: lanes of this class come from a numpy kernel.
     backend = "numpy"
     _reads_ports = False
 
-    def __init__(
-        self,
-        n: int,
-        seeds: Sequence[int],
-        *,
-        algorithm: str = "midpoint",
-        f: int = 0,
-        epsilon: float = 1e-3,
-        window: int = 1,
-        selector: str = "rotate",
-        num_rounds: int | None = None,
-    ) -> None:
-        # The serial builder's seed-independent half validates exactly
-        # what a serial trial would reject (algorithm, negative round
-        # budgets, selectors, windows, n < 2) and derives the degree and
-        # round budget.
-        family = _workloads().baseline_lane_family(
-            n,
-            algorithm=algorithm,
-            f=f,
-            epsilon=epsilon,
-            window=window,
-            selector=selector,
-            num_rounds=num_rounds,
-        )
-        self._bind(family, seeds, baseline_kernel_refusal(selector), "baseline")
-        self.algorithm = algorithm
-
+    # Own run, not inherited: perfbench's tracer patches cls.__dict__["run"] only.
     def run(self) -> list[LaneResult]:
         """Run every lane to its fixed round budget; results in seed order."""
         return self._run_lanes()
@@ -1335,7 +1030,7 @@ class BaselineBatchEngine(_LaneKernel):
         value = state["value"]
         n, trim = self.family.n, self.family.f
         vals = value[:, None, :]
-        if self.algorithm == "midpoint":
+        if self.family.process_type is IteratedMidpointProcess:
             # min/max over delivered senders and self -- the same two
             # floats the serial deliver() reduces, so the midpoint is
             # the identical IEEE result.
@@ -1378,66 +1073,21 @@ class BaselineBatchEngine(_LaneKernel):
         }
 
 
-def run_baseline_batch(
-    n: int,
-    seeds: Sequence[int],
-    *,
-    algorithm: str = "midpoint",
-    f: int = 0,
-    epsilon: float = 1e-3,
-    window: int = 1,
-    selector: str = "rotate",
-    num_rounds: int | None = None,
-    on_lane: Callable[[LaneResult], None] | None = None,
-) -> list[LaneResult]:
-    """Run one batch of averaging-baseline executions, one lane per seed.
-
-    :class:`BaselineBatchEngine` lanes when
-    :func:`baseline_kernel_refusal` accepts the selector,
-    :class:`GenericBatchEngine` lanes over
-    :func:`repro.workloads.build_baseline_execution` otherwise. See
-    :class:`BaselineBatchEngine` for parameter semantics; ``on_lane``
-    is called once per finished lane, in lane (seed) order (see
-    :func:`run_dac_batch`).
-
-    >>> lanes = run_baseline_batch(5, [0, 1], num_rounds=3)
-    >>> [(lane.seed, lane.rounds, lane.stopped) for lane in lanes]
-    [(0, 3, True), (1, 3, True)]
-    """
-    params = dict(
-        algorithm=algorithm,
-        f=f,
-        epsilon=epsilon,
-        window=window,
-        selector=selector,
-        num_rounds=num_rounds,
-    )
-    if baseline_kernel_refusal(selector) is None:
-        lanes = BaselineBatchEngine(n, seeds, **params).run()
-    else:
-        build = _workloads().build_baseline_execution
-        lanes = GenericBatchEngine(
-            seeds, lambda seed: build(n, seed=seed, **params)
-        ).run()
-    return _streamed(lanes, on_lane)
-
-
 class GenericBatchEngine:
     """Builder-defined lanes: one serial engine run per seed.
 
-    The serial fallback under every ``run_*_batch`` function and the
-    registry's open end: a family registered through
-    :mod:`repro.scenario` gets a batched form without writing a
-    kernel. ``build(seed)`` returns the family's
+    The serial fallback under :func:`run_lanes` and the registry's
+    open end: a family registered through :mod:`repro.scenario` gets
+    a batched form without writing a kernel. ``build(seed)`` returns the family's
     :func:`repro.sim.runner.run_consensus` keyword dict (processes,
     adversary, ports, fault plan, ``stop_mode``, ``max_rounds``,
     ``epsilon``); each lane is one untraced serial
     :class:`~repro.sim.engine.Engine` driven by
     ``Engine.run(max_rounds, stop_when=...)`` for its stop mode, so
     lanes are bit-identical to per-seed serial runs by construction. A
-    family that wants vectorized lanes writes a dedicated kernel (like
-    :class:`BatchEngine` / :class:`ByzBatchEngine`) with a support
-    predicate its ``vectorizable`` hook reports.
+    family that wants vectorized lanes returns its
+    :class:`~repro.workloads.LaneFamily` from its ``lanes`` hook, and
+    a kernel for its process class joins :data:`_KERNELS`.
     """
 
     def __init__(self, seeds: Sequence[int], build: Callable[[int], dict]) -> None:
@@ -1486,15 +1136,10 @@ class GenericBatchEngine:
         )
 
 
-def run_generic_batch(
-    seeds: Sequence[int],
-    build: Callable[[int], dict],
-    *,
-    on_lane: Callable[[LaneResult], None] | None = None,
-) -> list[LaneResult]:
-    """Run one batch of builder-defined executions, one lane per seed.
-
-    Convenience wrapper over :class:`GenericBatchEngine`, with the
-    same ``on_lane`` streaming hook as :func:`run_dac_batch`.
-    """
-    return _streamed(GenericBatchEngine(seeds, build).run(), on_lane)
+# Kernel by exact process class; kernel_refusal names what is missing.
+_KERNELS: dict[type, type[_LaneKernel]] = {
+    DACProcess: BatchEngine,
+    DBACProcess: ByzBatchEngine,
+    IteratedMidpointProcess: BaselineBatchEngine,
+    TrimmedMeanProcess: BaselineBatchEngine,
+}

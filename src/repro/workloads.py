@@ -19,13 +19,14 @@ benchmarks share one vocabulary of scenarios:
 The kernel-backed builders (DAC, DBAC, mobile omission, baselines) are
 each split in two: a ``*_lane_family`` function derives the
 seed-independent :class:`LaneFamily`, and :func:`lane_execution` adds
-one seed's inputs, ports and processes. The batch kernels in
-:mod:`repro.sim.batch` read the family alone and draw their own
-per-seed material.
+one seed's inputs, ports and processes. The batch layer in
+:mod:`repro.sim.batch` (:func:`~repro.sim.batch.run_lanes`) takes the
+family alone; its kernels draw their own per-seed material.
 
 The end of the module registers the ``dac``, ``dbac``, ``byz`` and
-``baseline`` algorithm families over these builders; their trials
-(serial and batched) come from :func:`repro.scenario.family_trial`.
+``baseline`` algorithm families over these builders (``build`` for one
+seed, ``lanes`` for the family); their trials (serial and batched)
+come from :func:`repro.scenario.family_trial`.
 """
 
 from __future__ import annotations
@@ -98,9 +99,10 @@ class LaneFamily:
     mobile-omission adversary, which has none), its window and sender
     selector as :func:`repro.sim.batch.select_delivered` names it
     (``mobile-<mode>`` for the mobile-omission adversary), the round
-    cap, the crash schedule and Byzantine node set, and the constants of the
-    process class (quorum, end phase, trim depth, round budget; ``None``
-    where the class has none). Built by the ``*_lane_family``
+    cap, the crash schedule and Byzantine node set, the process class
+    (``process_type``, which picks the batch kernel by exact type) and
+    its constants (quorum, end phase, trim depth, round budget, jumping;
+    ``None`` where the class has none). Built by the ``*_lane_family``
     functions; :func:`lane_execution` adds one seed's inputs, ports and
     processes, and each ``build_*_execution`` builder is exactly that
     pair. The batch kernels read a family and nothing else, so no kernel
@@ -121,6 +123,7 @@ class LaneFamily:
     selector: str
     make_adversary: Callable[[], Any]
     make_process: Callable[[float, int], Any]
+    process_type: type
     crashes: Mapping[int, CrashEvent] = field(default_factory=dict)
     byzantine: tuple[int, ...] = ()
     make_strategy: Callable[[int], ByzantineStrategy] | None = None
@@ -128,6 +131,7 @@ class LaneFamily:
     end_phase: int | None = None
     trim: int | None = None
     num_rounds: int | None = None
+    enable_jump: bool | None = None
 
     @cached_property  # read once per finished kernel lane
     def fault_free(self) -> tuple[int, ...]:
@@ -139,15 +143,19 @@ class LaneFamily:
 def _lane_family(**fields: Any) -> LaneFamily:
     # One template process (input 0 on port 0) and one adversary: their
     # constructors reject what a serial build would reject, and the
-    # process carries the class's seed-independent constants. The stop
-    # mode is checked here, as run_consensus checks it, so the batch
+    # process carries its class and the seed-independent constants. The
+    # stop mode is checked here, as run_consensus checks it, so the batch
     # kernels and the serial fallback reject it alike.
     if fields["stop_mode"] not in ("output", "oracle"):
         raise ValueError(f"unknown stop_mode {fields['stop_mode']!r}")
     template = fields["make_process"](0.0, 0)
     fields["make_adversary"]()
-    constants = ("quorum", "end_phase", "trim", "num_rounds")
-    return LaneFamily(**fields, **{name: getattr(template, name, None) for name in constants})
+    constants = ("quorum", "end_phase", "trim", "num_rounds", "enable_jump")
+    return LaneFamily(
+        **fields,
+        process_type=type(template),
+        **{name: getattr(template, name, None) for name in constants},
+    )
 
 
 def lane_execution(family: LaneFamily, seed: int) -> dict[str, Any]:
@@ -717,25 +725,27 @@ class DacFamily(AlgorithmFamily):
     def build(self, *, seed, **params):
         return build_dac_execution(seed=seed, **params)
 
-    def batch(self, seeds, **params):
-        from repro.sim.batch import run_dac_batch
+    def lanes(self, **params):
+        return dac_lane_family(**params)
 
-        return run_dac_batch(
-            params["n"],
-            params["f"],
-            seeds,
-            epsilon=params["epsilon"],
-            window=params["window"],
-            selector=params["selector"],
-            crash_nodes=params["crash_nodes"],
-            crash_start=params["crash_start"],
-            max_rounds=params["max_rounds"],
+
+def _dbac_params(params):
+    """The DBAC builder's keywords: the strategy name becomes a factory."""
+    factory = TRIAL_BYZANTINE_STRATEGIES.get(params["strategy"])
+    if factory is None:
+        raise ValueError(
+            f"unknown strategy {params['strategy']!r}; "
+            f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
         )
-
-    def vectorizable(self, params):
-        from repro.sim.batch import dac_kernel_refusal
-
-        return dac_kernel_refusal(params.get("selector", "rotate")) is None
+    return dict(
+        n=params["n"],
+        f=params["f"],
+        epsilon=params["epsilon"],
+        window=params["window"],
+        selector=params["selector"],
+        byzantine_factory=lambda node: factory(),
+        max_rounds=params["max_rounds"],
+    )
 
 
 @register_algorithm("dbac", version=1)
@@ -766,45 +776,10 @@ class DbacFamily(AlgorithmFamily):
         return params
 
     def build(self, *, seed, **params):
-        factory = TRIAL_BYZANTINE_STRATEGIES.get(params["strategy"])
-        if factory is None:
-            raise ValueError(
-                f"unknown strategy {params['strategy']!r}; "
-                f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
-            )
-        return build_dbac_execution(
-            n=params["n"],
-            f=params["f"],
-            epsilon=params["epsilon"],
-            seed=seed,
-            window=params["window"],
-            selector=params["selector"],
-            byzantine_factory=lambda node: factory(),
-            max_rounds=params["max_rounds"],
-        )
+        return build_dbac_execution(seed=seed, **_dbac_params(params))
 
-    def batch(self, seeds, **params):
-        from repro.sim.batch import run_dbac_batch
-
-        return run_dbac_batch(
-            params["n"],
-            params["f"],
-            seeds,
-            epsilon=params["epsilon"],
-            window=params["window"],
-            selector=params["selector"],
-            strategy=params["strategy"],
-            max_rounds=params["max_rounds"],
-        )
-
-    def vectorizable(self, params):
-        from repro.sim.batch import byz_kernel_refusal
-
-        return byz_kernel_refusal(
-            "quorum",
-            params.get("selector", "nearest"),
-            params.get("strategy", "extreme"),
-        ) is None
+    def lanes(self, **params):
+        return dbac_lane_family(**_dbac_params(params))
 
 
 @register_algorithm("byz", version=1)
@@ -824,30 +799,10 @@ class ByzFamily(AlgorithmFamily):
     rounds_param = "max_rounds"
 
     def build(self, *, seed, **params):
-        return build_mobile_execution(
-            n=params["n"],
-            mode=params["mode"],
-            epsilon=params["epsilon"],
-            seed=seed,
-            max_rounds=params["max_rounds"],
-        )
+        return build_mobile_execution(seed=seed, **params)
 
-    def batch(self, seeds, **params):
-        from repro.sim.batch import run_byz_batch
-
-        return run_byz_batch(
-            params["n"],
-            None,
-            seeds,
-            epsilon=params["epsilon"],
-            adversary=f"mobile-{params['mode']}",
-            max_rounds=params["max_rounds"],
-        )
-
-    def vectorizable(self, params):
-        from repro.sim.batch import byz_kernel_refusal
-
-        return byz_kernel_refusal(f"mobile-{params.get('mode', 'block_min')}") is None
+    def lanes(self, **params):
+        return mobile_lane_family(**params)
 
 
 @register_algorithm("baseline", version=1)
@@ -876,21 +831,5 @@ class BaselineFamily(AlgorithmFamily):
     def build(self, *, seed, **params):
         return build_baseline_execution(seed=seed, **params)
 
-    def batch(self, seeds, **params):
-        from repro.sim.batch import run_baseline_batch
-
-        return run_baseline_batch(
-            params["n"],
-            seeds,
-            algorithm=params["algorithm"],
-            f=params["f"],
-            epsilon=params["epsilon"],
-            window=params["window"],
-            selector=params["selector"],
-            num_rounds=params["num_rounds"],
-        )
-
-    def vectorizable(self, params):
-        from repro.sim.batch import baseline_kernel_refusal
-
-        return baseline_kernel_refusal(params.get("selector", "rotate")) is None
+    def lanes(self, **params):
+        return baseline_lane_family(**params)

@@ -23,9 +23,10 @@ builds and batch dispatch all come from the
 :mod:`repro.scenario` registry entries, so a newly registered family
 is covered by every executor -- including the pooled/batched legs
 added in PR 8 -- with zero edits here. Executors cover the serial
-engine's port-major sweep, fully traced execution, the family's :mod:`repro.sim.batch` dispatch (numpy kernel
-lanes where the family vectorizes the parameters, serial-engine lanes
-otherwise), a ``workers=4`` process-pool leg,
+engine's port-major sweep, fully traced execution, the batch layer
+(:func:`repro.sim.batch.run_lanes` over the family's ``lanes``: numpy
+kernel lanes where :func:`repro.sim.batch.kernel_refusal` accepts
+them, serial-engine lanes otherwise), a ``workers=4`` process-pool leg,
 and an optional pooled *batched* leg (persistent pool + guided
 chunking -- the full pooled dispatch stack).
 """
@@ -226,19 +227,26 @@ def differential_trial_batch(seeds: Any = (), **params: Any) -> list[dict[str, A
 
 
 def run_config_batch(config: dict[str, Any]) -> list[dict[str, Any]]:
-    """Run ``config``'s seeds as one batch through the family's dispatch.
+    """Run ``config``'s seeds as one batch through the batch layer.
 
-    All seeds go through a single call of the family's registered
-    ``batch`` hook, so multi-seed configs exercise genuine lane
-    interplay (mixed termination rounds, shared kernel state), not
-    just per-lane agreement. Vectorizable parameters
-    (the family's ``vectorizable`` hook) run a numpy kernel; the rest
-    run serial-engine lanes.
+    All seeds go through a single :func:`repro.sim.batch.run_lanes`
+    call over the family's ``lanes``, so multi-seed configs exercise
+    genuine lane interplay (mixed termination rounds, shared kernel
+    state), not just per-lane agreement. Lane families a kernel accepts
+    (:func:`repro.sim.batch.kernel_refusal`) run on it; the rest, and
+    families without ``lanes``, run serial-engine lanes.
     """
+    from repro.sim.batch import GenericBatchEngine, run_lanes
+
     config = normalize_config(config)
-    entry = family_entry(config["family"])
+    family = family_entry(config["family"]).obj
     params = _config_params(config)
-    lanes = entry.obj.batch(list(config["seeds"]), **params)
+    seeds = list(config["seeds"])
+    lane_family = family.lanes(**params)
+    if lane_family is None:
+        lanes = GenericBatchEngine(seeds, lambda seed: family.build(seed=seed, **params)).run()
+    else:
+        lanes = run_lanes(lane_family, seeds)
     return [
         {
             "rounds": lane.rounds,

@@ -3,9 +3,9 @@
 numpy) with a module that serial runs import."""
 
 import repro.sim.batch
-from repro.sim import BatchEngine  # a lazy re-export, resolved eagerly
-from repro.sim.batch import run_dac_batch
+from repro.sim import run_lanes  # a lazy re-export, resolved eagerly
+from repro.sim.batch import kernel_refusal
 
 
-def lanes(seeds):
-    return run_dac_batch(5, 2, seeds), BatchEngine, repro.sim.batch
+def lanes(family, seeds):
+    return run_lanes(family, seeds), kernel_refusal(family), repro.sim.batch

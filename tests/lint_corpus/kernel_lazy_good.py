@@ -10,10 +10,10 @@ if TYPE_CHECKING:
     from repro.sim.batch import LaneResult
 
 
-def lanes(seeds) -> "list[LaneResult]":
-    from repro.sim.batch import run_dac_batch
+def lanes(family, seeds) -> "list[LaneResult]":
+    from repro.sim.batch import run_lanes
 
-    return run_dac_batch(5, 2, seeds)
+    return run_lanes(family, seeds)
 
 
 def backend() -> str:

@@ -2,16 +2,20 @@
 
 Three contracts make ``batch=B`` a pure speed knob:
 
-1. the numpy kernels :class:`repro.sim.batch.BatchEngine` and
-   :class:`repro.sim.batch.ByzBatchEngine` produce **bit-identical
+1. the numpy kernels :class:`repro.sim.batch.BatchEngine`,
+   :class:`repro.sim.batch.ByzBatchEngine` and
+   :class:`repro.sim.batch.BaselineBatchEngine` produce **bit-identical
    final states and round counts** to ``B`` serial ``Engine`` runs of
    the same lanes -- full ``state_key`` equality, not just outputs --
-   across the DAC (crash), DBAC (Byzantine) and mobile-omission
-   families: kernel lanes equal :class:`repro.sim.batch.GenericBatchEngine`
-   lanes over the family's own builder (one serial engine run per
-   seed), also when lanes of one batch stop at different rounds;
-2. each kernel refuses parameters it cannot replicate with a message
-   naming them, and every batched form runs those groups serially --
+   across the DAC (crash), DBAC (Byzantine), mobile-omission and
+   baseline families: kernel lanes equal
+   :class:`repro.sim.batch.GenericBatchEngine` lanes over the family's
+   own builder (one serial engine run per seed), also when lanes of
+   one batch stop at different rounds;
+2. :func:`repro.sim.batch.kernel_refusal` refuses lane families no
+   kernel can replicate (subclassed processes and strategies included)
+   with a message naming them, and every batched form runs those
+   groups serially --
    so every family's ``batch_fn`` equals its per-seed trial, with or
    without numpy. Every enforcing selector (``rotate``, ``nearest``,
    ``random``) and every trial-menu Byzantine strategy runs on a
@@ -20,12 +24,14 @@ Three contracts make ``batch=B`` a pure speed knob:
    for element, to ``Sweep.run(workers=1, batch=1)`` records.
 """
 
+import dataclasses
 import functools
 
 import pytest
 
 from repro.bench.sweep import Sweep
-from repro.scenario import family_trial, resolve
+from repro.faults.byzantine import ExtremeByzantine
+from repro.scenario import family_trial, resolve, spec_for
 from repro.scenario.registry import entries
 from repro.scenario.trial import _lane_summary
 from repro.sim.batch import (
@@ -33,16 +39,12 @@ from repro.sim.batch import (
     BatchEngine,
     ByzBatchEngine,
     GenericBatchEngine,
-    baseline_kernel_refusal,
-    byz_kernel_refusal,
-    dac_kernel_refusal,
+    kernel_refusal,
     numpy_available,
-    run_baseline_batch,
-    run_byz_batch,
-    run_dac_batch,
-    run_dbac_batch,
+    run_lanes,
 )
 from repro.sim.engine import Engine
+from repro.sim.messages import StateMessage
 from repro.sim.parallel import (
     TrialSpec,
     resolve_batch,
@@ -52,14 +54,18 @@ from repro.sim.parallel import (
 from repro.sim.runner import run_consensus
 from repro.workloads import (
     TRIAL_BYZANTINE_STRATEGIES,
+    baseline_lane_family,
     build_baseline_execution,
     build_dac_execution,
     build_dbac_execution,
     build_mobile_execution,
+    dac_lane_family,
+    dbac_lane_family,
+    lane_execution,
+    mobile_lane_family,
 )
 from tests.helpers import (
     assert_equivalent_runs,
-    family_entry,
     run_config_batch,
     serial_executor,
 )
@@ -83,8 +89,8 @@ def serial_summary(execution):
         "correct": report.correct,
     }
 
-# The two lane implementations behind every run_*_batch: the "numpy"
-# kernel, and the "python" GenericBatchEngine over the family builder.
+# The two lane implementations behind run_lanes: the "numpy" kernel,
+# and the "python" GenericBatchEngine over the family builder.
 LANE_PATHS = ["python"] + (["numpy"] if numpy_available() else [])
 
 # (n, f, window): fault-free, crash-fault, multi-round windows.
@@ -103,6 +109,18 @@ BYZ_GRIDS = [
 ]
 
 MOBILE_MODES = ["block_min", "block_max", "rotate", "none"]
+
+
+def dbac_family(n, f, strategy="extreme", **params):
+    """The DBAC lane family with a named trial-menu Byzantine strategy."""
+    factory = TRIAL_BYZANTINE_STRATEGIES[strategy]
+    return dbac_lane_family(n, f, byzantine_factory=lambda node: factory(), **params)
+
+
+def resolved_lanes(name, **params):
+    """The registered family's ``lanes`` for flat spec parameters."""
+    resolved = resolve(spec_for(name, params))
+    return resolved.family.lanes(**resolved.params)
 
 
 def generic_dac_lanes(n, f, seeds, **params):
@@ -187,7 +205,8 @@ class TestBatchMatchesSerial:
         # The kernel against the serial fallback it replaces: one
         # Engine run per seed over the DAC builder, full state keys.
         seeds = [3, 11, 20, 21, 22, 23, 100, 101]
-        assert BatchEngine(n, f, seeds, window=window).run() == generic_dac_lanes(
+        family = dac_lane_family(n, f, window=window)
+        assert BatchEngine(family, seeds).run() == generic_dac_lanes(
             n, f, seeds, window=window
         )
 
@@ -195,49 +214,55 @@ class TestBatchMatchesSerial:
         # Lanes terminate at different rounds; results must still come
         # back in seeds order.
         seeds = [7, 0, 13, 5]
-        lanes = run_dac_batch(9, 4, seeds, window=2)
+        lanes = run_lanes(dac_lane_family(9, 4, window=2), seeds)
         assert [lane.seed for lane in lanes] == seeds
         assert len({lane.rounds for lane in lanes}) >= 1  # all finalized
         assert all(lane.stopped for lane in lanes)
 
     def test_backend_resolution_and_validation(self):
-        # One predicate decides the kernel: run_dac_batch takes it
-        # exactly when dac_kernel_refusal accepts -- every enforcing
-        # selector, given numpy -- and the kernel constructor refuses
-        # everything else, naming the reason.
-        dac = family_entry("dac").obj
+        # One predicate decides the kernel: run_lanes takes it exactly
+        # when kernel_refusal accepts -- every enforcing selector, given
+        # numpy -- and the kernel constructor refuses everything else,
+        # naming the reason.
         for selector in ("rotate", "nearest", "random"):
-            assert (dac_kernel_refusal(selector) is None) == numpy_available()
-            assert dac.vectorizable({"selector": selector}) == numpy_available()
-        assert dac_kernel_refusal("bogus") is not None
+            family = dac_lane_family(9, 4, selector=selector)
+            assert (kernel_refusal(family) is None) == numpy_available()
+            lanes = resolved_lanes("dac", n=9, selector=selector)
+            assert (kernel_refusal(lanes) is None) == numpy_available()
+        bogus = dataclasses.replace(dac_lane_family(9, 4), selector="bogus")
+        assert kernel_refusal(bogus) is not None
         if numpy_available():
-            engine = BatchEngine(9, 4, [0])
+            engine = BatchEngine(dac_lane_family(9, 4), [0])
             assert engine.backend == "numpy"
             assert engine.batch_size == 1
             for selector in ("nearest", "random"):
-                lanes = BatchEngine(9, 4, [0, 1], selector=selector).run()
+                lanes = BatchEngine(dac_lane_family(9, 4, selector=selector), [0, 1]).run()
                 assert lanes == generic_dac_lanes(9, 4, [0, 1], selector=selector)
+            with pytest.raises(ValueError, match="DBACProcess lanes run on ByzBatchEngine"):
+                BatchEngine(dbac_family(11, 2), [0])
         else:
             with pytest.raises(ValueError, match="numpy is not installed"):
-                BatchEngine(9, 4, [0])
+                BatchEngine(dac_lane_family(9, 4), [0])
         # Kernel or not, the lanes equal serial-engine lanes.
-        assert run_dac_batch(9, 4, [0, 1], selector="nearest") == generic_dac_lanes(
+        nearest = dac_lane_family(9, 4, selector="nearest")
+        assert run_lanes(nearest, [0, 1]) == generic_dac_lanes(
             9, 4, [0, 1], selector="nearest"
         )
         with pytest.raises(ValueError, match="seed"):
-            BatchEngine(9, 4, [])
+            BatchEngine(dac_lane_family(9, 4), [])
         with pytest.raises(ValueError, match="2f"):
-            BatchEngine(8, 4, [0])
+            dac_lane_family(8, 4)
 
     @pytest.mark.parametrize("path", LANE_PATHS)
     def test_max_rounds_cap_reports_unstopped_lanes(self, path):
         # A cap far below termination: every lane must report exactly
         # the cap and stopped=False, like Engine.run does.
+        family = dac_lane_family(9, 4, max_rounds=3)
         if path == "numpy":
-            lanes = BatchEngine(9, 4, [0, 1], max_rounds=3).run()
+            lanes = BatchEngine(family, [0, 1]).run()
         else:
             lanes = generic_dac_lanes(9, 4, [0, 1], max_rounds=3)
-        assert lanes == run_dac_batch(9, 4, [0, 1], max_rounds=3)
+        assert lanes == run_lanes(family, [0, 1])
         assert [lane.rounds for lane in lanes] == [3, 3]
         assert not any(lane.stopped for lane in lanes)
         assert all(lane.outputs == {} for lane in lanes)
@@ -253,6 +278,18 @@ class TestBatchedTrialFunction:
         resolved = resolve("algorithm: dac@1(n=5)")
         assert resolved.trial_fn is dac_trial
         assert resolved.batch_fn == dac_trial.batch_fn
+
+    def test_resolved_batch_runs_lanes_or_build(self):
+        # run_lanes over a family's lanes; serial-engine lanes over
+        # build for a family without them (averaging).
+        seeds = [0, 1, 2]
+        dac = resolve("algorithm: dac@1(n=9); network: dynadegree@1(window=2)")
+        assert dac.batch(seeds) == generic_dac_lanes(9, 4, seeds, window=2)
+        averaging = resolve("algorithm: averaging@1(n=6); rounds: 12")
+        assert averaging.family.lanes(**averaging.params) is None
+        assert averaging.batch(seeds) == GenericBatchEngine(
+            seeds, averaging.build_execution
+        ).run()
 
 
 def echo_trial(seed, **params):
@@ -374,7 +411,7 @@ class TestByzBatchMatchesSerial:
         # Engine run per seed over the DBAC builder, full state keys.
         seeds = [3, 11, 20, 21, 100]
         params = {"window": window, "selector": selector, "strategy": strategy}
-        assert ByzBatchEngine(n, f, seeds, **params).run() == generic_dbac_lanes(
+        assert ByzBatchEngine(dbac_family(n, f, **params), seeds).run() == generic_dbac_lanes(
             n, f, seeds, **params
         )
 
@@ -415,11 +452,12 @@ class TestByzBatchMatchesSerial:
     @pytest.mark.parametrize("path", LANE_PATHS)
     def test_max_rounds_cap_reports_unstopped_lanes(self, path):
         params = {"epsilon": 1e-15, "max_rounds": 4}
+        family = dbac_family(11, 2, **params)
         if path == "numpy":
-            lanes = ByzBatchEngine(11, 2, [0, 1], **params).run()
+            lanes = ByzBatchEngine(family, [0, 1]).run()
         else:
             lanes = generic_dbac_lanes(11, 2, [0, 1], **params)
-        assert lanes == run_dbac_batch(11, 2, [0, 1], **params)
+        assert lanes == run_lanes(family, [0, 1])
         assert [lane.rounds for lane in lanes] == [4, 4]
         assert not any(lane.stopped for lane in lanes)
         for seed, lane in zip([0, 1], lanes):
@@ -438,7 +476,7 @@ class TestByzBatchMatchesSerial:
         seeds = [0, 1, 2]
         params = {"stop_mode": "output", "max_rounds": 6}
         if path == "numpy":
-            lanes = ByzBatchEngine(11, None, seeds, **params).run()
+            lanes = ByzBatchEngine(dbac_family(11, 2, **params), seeds).run()
         else:
             lanes = generic_dbac_lanes(11, 2, seeds, **params)
         serial = [
@@ -453,44 +491,43 @@ class TestByzBatchMatchesSerial:
         # serial-engine lanes and per-seed trials.
         seeds = [0, 1]
         for kwargs in ({"strategy": "random"}, {"selector": "random"}):
-            assert (byz_kernel_refusal(**kwargs) is None) == numpy_available()
+            family = dbac_family(11, 2, **kwargs)
+            assert (kernel_refusal(family) is None) == numpy_available()
             if numpy_available():
-                kernel = ByzBatchEngine(11, 2, seeds, **kwargs).run()
+                kernel = ByzBatchEngine(family, seeds).run()
                 assert kernel == generic_dbac_lanes(11, 2, seeds, **kwargs)
-            lanes = run_dbac_batch(11, 2, seeds, **kwargs)
+            lanes = run_lanes(family, seeds)
             assert lanes == generic_dbac_lanes(11, 2, seeds, **kwargs)
             serial = [dbac_trial(n=11, f=2, seed=s, **kwargs) for s in seeds]
             assert [lane.rounds for lane in lanes] == [r["rounds"] for r in serial]
             assert dbac_trial.batch_fn(n=11, f=2, seeds=seeds, **kwargs) == serial
 
     def test_backend_resolution_and_validation(self):
-        assert (byz_kernel_refusal() is None) == numpy_available()
-        assert byz_kernel_refusal(selector="bogus") is not None
-        dbac = family_entry("dbac").obj
-        assert dbac.vectorizable({"selector": "rotate"}) == numpy_available()
-        for kwargs in ({"strategy": "random"}, {"selector": "random"}):
-            assert dbac.vectorizable(kwargs) == numpy_available()
-        mobile = family_entry("byz").obj
-        assert mobile.vectorizable({"mode": "rotate"}) == numpy_available()
+        assert (kernel_refusal(dbac_family(11, 2)) is None) == numpy_available()
+        bogus = dataclasses.replace(dbac_family(11, 2), selector="bogus")
+        assert kernel_refusal(bogus) is not None
+        for kwargs in ({"selector": "rotate"}, {"strategy": "random"}, {"selector": "random"}):
+            lanes = resolved_lanes("dbac", n=11, **kwargs)
+            assert (kernel_refusal(lanes) is None) == numpy_available()
+        lanes = resolved_lanes("byz", n=8, mode="rotate")
+        assert (kernel_refusal(lanes) is None) == numpy_available()
         if numpy_available():
-            assert ByzBatchEngine(11, 2, [0]).backend == "numpy"
+            assert ByzBatchEngine(dbac_family(11, 2), [0]).backend == "numpy"
+            with pytest.raises(ValueError, match="DACProcess lanes run on BatchEngine"):
+                ByzBatchEngine(lanes, [0])
         else:
             with pytest.raises(ValueError, match="numpy is not installed"):
-                ByzBatchEngine(11, 2, [0])
+                ByzBatchEngine(dbac_family(11, 2), [0])
         with pytest.raises(ValueError, match="seed"):
-            ByzBatchEngine(11, 2, [])
+            ByzBatchEngine(dbac_family(11, 2), [])
         with pytest.raises(ValueError, match="5f"):
-            ByzBatchEngine(10, 2, [0])
+            dbac_lane_family(10, 2)
         with pytest.raises(ValueError, match="strategy"):
-            ByzBatchEngine(11, 2, [0], strategy="nope")
+            dbac_trial.batch_fn(n=11, strategy="nope", seeds=[0, 1])
         with pytest.raises(ValueError, match="stop_mode"):
-            ByzBatchEngine(11, 2, [0], stop_mode="nope")
-        with pytest.raises(ValueError, match="adversary"):
-            ByzBatchEngine(11, 2, [0], adversary="nope")
-        with pytest.raises(ValueError, match="fault-free"):
-            ByzBatchEngine(8, 1, [0], adversary="mobile-rotate")
+            dbac_family(11, 2, stop_mode="nope")
         with pytest.raises(ValueError, match="mobile mode"):
-            ByzBatchEngine(8, None, [0], adversary="mobile-nope")
+            mobile_lane_family(8, mode="nope")
 
     @pytest.mark.parametrize("path", LANE_PATHS)
     @pytest.mark.parametrize("family", ["dbac", "mobile"])
@@ -506,12 +543,88 @@ class TestByzBatchMatchesSerial:
             with pytest.raises(ValueError, match=message):
                 build_dbac_execution(n=6, f=1, stop_mode="nope")
             with pytest.raises(ValueError, match=message):
-                run_dbac_batch(6, 1, [0, 1], stop_mode="nope")
+                run_lanes(dbac_lane_family(6, 1, stop_mode="nope"), [0, 1])
         else:
             with pytest.raises(ValueError, match=message):
                 build_mobile_execution(n=6, mode="rotate", stop_mode="nope")
             with pytest.raises(ValueError, match=message):
-                run_byz_batch(6, None, [0, 1], adversary="mobile-rotate", stop_mode="nope")
+                run_lanes(mobile_lane_family(6, mode="rotate", stop_mode="nope"), [0, 1])
+
+
+class SwappedExtreme(ExtremeByzantine):
+    """:class:`ExtremeByzantine` with its faces swapped: ``high`` to even
+    receivers, ``low`` to odd ones."""
+
+    def messages(self, t, view):
+        phase = max(0, view.max_fault_free_phase())
+        faces = (StateMessage(self.high, phase), StateMessage(self.low, phase))
+        return {
+            receiver: faces[receiver % 2]
+            for receiver in range(self.n)
+            if receiver != self.node
+        }
+
+
+class TestExactTypeRefusal:
+    """The kernel and the Byzantine plans are picked by exact type: a
+    subclass that overrides behaviour is refused and runs serially."""
+
+    def test_overriding_strategy_subclass_is_refused(self):
+        # dbac_lane_family(byzantine_factory=...) reaches run_lanes with
+        # any strategy; an isinstance match would vectorize this one as
+        # the plain ExtremeByzantine and send every receiver the wrong
+        # face.
+        def factory(node):
+            return SwappedExtreme()
+
+        family = dbac_lane_family(11, 2, byzantine_factory=factory)
+        reason = kernel_refusal(family)
+        assert reason is not None
+        if numpy_available():
+            assert "SwappedExtreme" in reason
+        seeds = [0, 1, 2, 5]
+        lanes = run_lanes(family, seeds)
+        assert [lane.seed for lane in lanes] == seeds
+        for seed, lane in zip(seeds, lanes):
+            kwargs = build_dbac_execution(n=11, f=2, seed=seed, byzantine_factory=factory)
+            engine = Engine(
+                kwargs["processes"],
+                kwargs["adversary"],
+                kwargs["ports"],
+                fault_plan=kwargs["fault_plan"],
+                f=kwargs["f"],
+                seed=kwargs["seed"],
+                record_trace=False,
+            )
+            result = engine.run(
+                kwargs["max_rounds"],
+                stop_when=lambda eng: eng.fault_free_range() <= kwargs["epsilon"],
+            )
+            assert (lane.rounds, lane.stopped) == (int(result), result.stopped)
+            assert lane.state_keys == {
+                node: process.state_key() for node, process in engine.processes.items()
+            }
+
+    @needs_numpy
+    def test_process_subclasses_are_refused(self):
+        from repro.core.averaging import AveragingProcess
+        from repro.core.piggyback import PiggybackDACProcess
+
+        piggyback = dataclasses.replace(
+            dac_lane_family(5, 2),
+            make_process=lambda value, port: PiggybackDACProcess(5, 2, value, port),
+            process_type=PiggybackDACProcess,
+        )
+        averaging = dataclasses.replace(
+            baseline_lane_family(5, num_rounds=4),
+            make_process=lambda value, port: AveragingProcess(5, 0, value, port, num_rounds=4),
+            process_type=AveragingProcess,
+        )
+        for family, name in ((piggyback, "PiggybackDACProcess"), (averaging, "AveragingProcess")):
+            assert kernel_refusal(family) == f"no kernel runs {name} lanes"
+            assert run_lanes(family, [0, 1]) == GenericBatchEngine(
+                [0, 1], functools.partial(lane_execution, family)
+            ).run()
 
 
 class TestMobileBatchMatchesSerial:
@@ -535,14 +648,13 @@ class TestMobileBatchMatchesSerial:
         # round. Oracle lanes stop at different rounds (3 to 8 here).
         seeds = list(range(7))
         for stop_mode in ("oracle", "output"):
-            lanes = ByzBatchEngine(
-                13, None, seeds, adversary=f"mobile-{mode}", stop_mode=stop_mode
-            ).run()
+            family = mobile_lane_family(13, mode=mode, stop_mode=stop_mode)
+            lanes = BatchEngine(family, seeds).run()
             assert lanes == generic_mobile_lanes(13, seeds, mode, stop_mode=stop_mode)
 
     def test_batched_summaries_equal_serial_trial_summaries(self):
         seeds = list(range(3))
-        lanes = run_byz_batch(8, None, seeds, adversary="mobile-block_min")
+        lanes = run_lanes(mobile_lane_family(8, mode="block_min"), seeds)
         serial = [byz_trial(n=8, mode="block_min", seed=s) for s in seeds]
         assert [_lane_summary(lane, 1e-3) for lane in lanes] == serial
 
@@ -552,8 +664,8 @@ class TestMobileBatchMatchesSerial:
         # The kernel against the serial fallback it replaces: one
         # Engine run per seed over the mobile-omission builder.
         seeds = [2, 7, 9]
-        assert ByzBatchEngine(
-            8, None, seeds, adversary=f"mobile-{mode}"
+        assert BatchEngine(
+            mobile_lane_family(8, mode=mode), seeds
         ).run() == generic_mobile_lanes(8, seeds, mode)
 
     def test_victim_hook_matches_per_receiver_specification(self):
@@ -632,7 +744,7 @@ class TestNearestVectorization:
         # every later round breaks distance ties by node ID. A tiny
         # epsilon keeps the lanes in that regime for many rounds.
         seeds = list(range(4))
-        lanes = ByzBatchEngine(11, 2, seeds, epsilon=1e-12).run()
+        lanes = ByzBatchEngine(dbac_family(11, 2, epsilon=1e-12), seeds).run()
         for seed, lane in zip(seeds, lanes):
             engine, result = run_serial_dbac_lane(
                 11, 2, seed, 1, "nearest", "extreme", epsilon=1e-12
@@ -693,7 +805,7 @@ class TestSelectorKernels:
         seeds = [3, 11, 20, 21, 100]
         for n, f, crash_start in ((9, 4, 1), (12, 5, 2)):
             params = {"window": window, "selector": "nearest", "crash_start": crash_start}
-            assert BatchEngine(n, f, seeds, **params).run() == generic_dac_lanes(
+            assert BatchEngine(dac_lane_family(n, f, **params), seeds).run() == generic_dac_lanes(
                 n, f, seeds, **params
             )
 
@@ -704,21 +816,22 @@ class TestSelectorKernels:
         # drawing while the others keep replaying their streams.
         seeds = [0, 4, 9, 17]
         params = {"window": window, "selector": "random"}
-        assert BatchEngine(9, 4, seeds, **params).run() == generic_dac_lanes(
+        assert BatchEngine(dac_lane_family(9, 4, **params), seeds).run() == generic_dac_lanes(
             9, 4, seeds, **params
         )
-        assert ByzBatchEngine(11, 2, seeds, **params).run() == generic_dbac_lanes(
+        assert ByzBatchEngine(dbac_family(11, 2, **params), seeds).run() == generic_dbac_lanes(
             11, 2, seeds, **params
         )
         for algorithm in ("midpoint", "trimmed"):
             baseline = dict(params, algorithm=algorithm, f=1)
-            assert BaselineBatchEngine(7, seeds, **baseline).run() == (
+            family = baseline_lane_family(7, **baseline)
+            assert BaselineBatchEngine(family, seeds).run() == (
                 generic_baseline_lanes(7, seeds, **baseline)
             )
-            assert run_baseline_batch(7, seeds, **baseline) == (
+            assert run_lanes(family, seeds) == (
                 generic_baseline_lanes(7, seeds, **baseline)
             )
-        assert baseline_kernel_refusal("random") is None
+            assert kernel_refusal(family) is None
 
     @needs_numpy
     @pytest.mark.parametrize("window", [1, 2, 4])
@@ -727,7 +840,7 @@ class TestSelectorKernels:
         seeds = [0, 4, 9, 17]
         for selector in ("nearest", "rotate", "random"):
             params = {"window": window, "selector": selector, "strategy": "random"}
-            assert ByzBatchEngine(11, 2, seeds, **params).run() == generic_dbac_lanes(
+            assert ByzBatchEngine(dbac_family(11, 2, **params), seeds).run() == generic_dbac_lanes(
                 11, 2, seeds, **params
             ), selector
 
@@ -744,7 +857,8 @@ class TestGridDispatch:
         per_seed = []
         for text, _count in SWEEP_CELLS:
             resolved = resolve(text)
-            if not resolved.family.vectorizable(resolved.params):
+            lanes = resolved.family.lanes(**resolved.params)
+            if lanes is None or kernel_refusal(lanes) is not None:
                 per_seed.append(resolved.entry.name)
         assert per_seed == ["averaging"]
 
@@ -761,10 +875,10 @@ class TestGridDispatch:
         patches = instrument(tracer)
         try:
             lanes = [
-                *run_dac_batch(9, 4, [0, 1]),
-                *run_dbac_batch(11, 2, [0, 1, 2]),
-                *run_byz_batch(8, None, [0, 1], adversary="mobile-rotate"),
-                *run_baseline_batch(6, [0, 1], num_rounds=3),
+                *run_lanes(dac_lane_family(9, 4), [0, 1]),
+                *run_lanes(dbac_lane_family(11, 2), [0, 1, 2]),
+                *run_lanes(mobile_lane_family(8, mode="rotate"), [0, 1]),
+                *run_lanes(baseline_lane_family(6, num_rounds=3), [0, 1]),
             ]
         finally:
             patches.restore()
@@ -814,7 +928,7 @@ STOP_APART = {
     ),
     **{
         f"mobile-{mode}-capped": (
-            {"adversary": f"mobile-{mode}", "max_rounds": 5},
+            {"mode": mode, "max_rounds": 5},
             functools.partial(generic_mobile_lanes, 13, LONG_TAIL, mode, max_rounds=5),
             True,
         )
@@ -832,9 +946,10 @@ class TestLanesStopApart:
     @pytest.mark.parametrize("case", sorted(STOP_APART))
     def test_kernel_lanes_equal_serial_lanes(self, case):
         kwargs, reference, capped = STOP_APART[case]
-        f = None if "adversary" in kwargs else 2
-        n = 13 if "adversary" in kwargs else 11
-        lanes = ByzBatchEngine(n, f, LONG_TAIL, **kwargs).run()
+        if "mode" in kwargs:  # mobile-omission lanes are DAC lanes
+            lanes = BatchEngine(mobile_lane_family(13, **kwargs), LONG_TAIL).run()
+        else:
+            lanes = ByzBatchEngine(dbac_family(11, 2, **kwargs), LONG_TAIL).run()
         assert lanes == reference()
         assert [lane.seed for lane in lanes] == list(LONG_TAIL)
         assert len({lane.rounds for lane in lanes}) > 1
@@ -894,8 +1009,7 @@ def kernels_refused(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a kernel ran where the serial path was expected")
 
-    for name in ("BatchEngine", "ByzBatchEngine", "BaselineBatchEngine"):
-        monkeypatch.setattr(f"repro.sim.batch.{name}", refuse)
+    monkeypatch.setattr("repro.sim.batch._LaneKernel.__init__", refuse)
 
 
 class TestSerialFallbackPerFamily:

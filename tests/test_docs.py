@@ -108,6 +108,35 @@ def test_docs_checker_flags_undefined_cli_flags(tmp_path, capsys):
     assert "unknown cli flag: docs/a.md:3: sweep --gone-inline" in capsys.readouterr().out
 
 
+def test_docs_checker_flags_unresolved_names(tmp_path, capsys):
+    checker = _load_checker()
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.md").write_text(
+        "`repro.sim.batch.run_lanes` and ``repro.workloads.LaneFamily`` resolve,\n"
+        "as does `python -m repro.cli`; `repro.sim.batch.run_bogus_batch` does\n"
+        "not, nor a wrapped `x =\nrepro.no_such_module`.\n"
+        "```python\nfrom repro.gone import nothing  # fenced: not an inline span\n```\n"
+        "`repro.__main__` is found without being imported; `repro_arena_*` is no name.\n"
+    )
+    skill = tmp_path / ".claude" / "skills" / "verify"
+    skill.mkdir(parents=True)
+    (skill / "SKILL.md").write_text("`repro.sim.nowhere.thing`")
+    assert checker.unresolved_names(tmp_path) == [
+        "docs/a.md:2: repro.sim.batch.run_bogus_batch",
+        "docs/a.md:4: repro.no_such_module",
+        ".claude/skills/verify/SKILL.md:1: repro.sim.nowhere.thing",
+    ]
+    assert checker.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "unresolved name: docs/a.md:2: repro.sim.batch.run_bogus_batch" in out
+
+
+def test_docs_name_only_resolvable_repro_names():
+    checker = _load_checker()
+    assert checker.unresolved_names(REPO_ROOT) == []
+
+
 def test_docs_use_only_defined_cli_flags():
     checker = _load_checker()
     assert checker.unknown_cli_flags(REPO_ROOT) == []

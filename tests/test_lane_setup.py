@@ -27,7 +27,14 @@ import repro.sim.batch as batch
 import repro.workloads as workloads
 from repro.adversary.constrained import rotate_picks
 from repro.net.topology import Topology
-from repro.sim.batch import run_baseline_batch, run_byz_batch, run_dac_batch, run_dbac_batch
+from repro.sim.batch import run_lanes
+from repro.workloads import (
+    TRIAL_BYZANTINE_STRATEGIES,
+    baseline_lane_family,
+    dac_lane_family,
+    dbac_lane_family,
+    mobile_lane_family,
+)
 
 pytest.importorskip("numpy", exc_type=ImportError)
 
@@ -39,26 +46,40 @@ BUILDERS = (
 )
 SEEDS = [0, 1, 2, 3, 4]
 
+
+def dac_lanes(n, f, seeds, **params):
+    return run_lanes(dac_lane_family(n, f, **params), seeds)
+
+
+def dbac_lanes(n, f, seeds, strategy="extreme", **params):
+    factory = TRIAL_BYZANTINE_STRATEGIES[strategy]
+    return run_lanes(
+        dbac_lane_family(n, f, byzantine_factory=lambda node: factory(), **params), seeds
+    )
+
+
 # name -> (batch call over a seed list, port draws per lane)
 CASES = {
-    "dac-rotate": (lambda seeds: run_dac_batch(9, 4, seeds), 1),
+    "dac-rotate": (lambda seeds: dac_lanes(9, 4, seeds), 1),
     "dac-nearest-window": (
-        lambda seeds: run_dac_batch(9, 4, seeds, selector="nearest", window=2), 1
+        lambda seeds: dac_lanes(9, 4, seeds, selector="nearest", window=2), 1
     ),
-    "dac-random": (lambda seeds: run_dac_batch(9, 4, seeds, selector="random"), 1),
-    "dbac-extreme": (lambda seeds: run_dbac_batch(11, 2, seeds), 1),
+    "dac-random": (lambda seeds: dac_lanes(9, 4, seeds, selector="random"), 1),
+    "dbac-extreme": (lambda seeds: dbac_lanes(11, 2, seeds), 1),
     "dbac-random-strategy": (
-        lambda seeds: run_dbac_batch(
+        lambda seeds: dbac_lanes(
             11, 2, seeds, selector="random", strategy="random", max_rounds=300
         ),
         1,
     ),
-    "dbac-capped": (lambda seeds: run_dbac_batch(11, 2, seeds, window=2, max_rounds=19), 1),
+    "dbac-capped": (lambda seeds: dbac_lanes(11, 2, seeds, window=2, max_rounds=19), 1),
     "mobile": (
-        lambda seeds: run_byz_batch(6, None, seeds, adversary="mobile-block_min"), 1
+        lambda seeds: run_lanes(mobile_lane_family(6, mode="block_min"), seeds), 1
     ),
     "baseline": (
-        lambda seeds: run_baseline_batch(6, seeds, algorithm="trimmed", f=1, num_rounds=5),
+        lambda seeds: run_lanes(
+            baseline_lane_family(6, algorithm="trimmed", f=1, num_rounds=5), seeds
+        ),
         0,
     ),
 }
@@ -97,9 +118,9 @@ def test_kernel_calls_build_nothing_and_draw_once_per_lane(case, calls):
 # The rotate selector's kernel tables come straight from rotate_picks
 # (repro.sim.arena.rotate_table): no interned Topology, no content hash.
 ROTATE_CASES = {
-    "dac-rotate-crashes": lambda: run_dac_batch(9, 4, SEEDS),
-    "dac-rotate-window": lambda: run_dac_batch(7, 3, SEEDS, window=2),
-    "dbac-rotate": lambda: run_dbac_batch(11, 2, SEEDS, selector="rotate"),
+    "dac-rotate-crashes": lambda: dac_lanes(9, 4, SEEDS),
+    "dac-rotate-window": lambda: dac_lanes(7, 3, SEEDS, window=2),
+    "dbac-rotate": lambda: dbac_lanes(11, 2, SEEDS, selector="rotate"),
 }
 
 
@@ -137,12 +158,12 @@ def test_rotate_tables_build_no_topology_and_are_built_once(case, monkeypatch):
 
 # name -> (kernel call, whether every delivering round is one pass)
 PASS_CASES = {
-    "dac-rotate-n49": (lambda: run_dac_batch(49, 24, SEEDS, epsilon=1e-2), True),
+    "dac-rotate-n49": (lambda: dac_lanes(49, 24, SEEDS, epsilon=1e-2), True),
     "dbac-extreme-n46": (
-        lambda: run_dbac_batch(46, 9, SEEDS, epsilon=1e-2, selector="rotate"), True
+        lambda: dbac_lanes(46, 9, SEEDS, epsilon=1e-2, selector="rotate"), True
     ),
     "dbac-random-n11": (
-        lambda: run_dbac_batch(11, 2, SEEDS, epsilon=1e-6, selector="rotate", strategy="random"),
+        lambda: dbac_lanes(11, 2, SEEDS, epsilon=1e-6, selector="rotate", strategy="random"),
         False,
     ),
 }

@@ -1,5 +1,5 @@
-"""Unit tests for the graph surface of repro.net.topology.Topology
-(the API the deprecated ``DirectedGraph`` alias exposes)."""
+"""Unit tests for the graph surface of repro.net.topology.Topology:
+construction, edge queries, neighbourhoods and graph operations."""
 
 import pytest
 

@@ -1,13 +1,12 @@
 """Unit tests for repro.net.topology.Topology (the hash-consed layer).
 
-The DirectedGraph-compatible surface is covered by test_net_graph.py;
-this file pins the *new* contract: interning identity, the canonical
+The plain graph surface is covered by test_net_graph.py; this file
+pins the hash-consing contract: interning identity, the canonical
 sorted edge tuple, lazily cached adjacency rows, degree views, the
 stable content hash, and pickling.
 """
 
 import pickle
-import warnings
 
 import pytest
 
@@ -21,12 +20,9 @@ class TestHashConsing:
         b = Topology(4, [(2, 3), (0, 1), (0, 1)])  # order/dups irrelevant
         assert a is b
 
-    def test_shim_and_native_constructors_share_instances(self):
-        with warnings.catch_warnings():
-            # The alias's warning is pinned by test_graph_deprecation.py.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from repro.net.graph import DirectedGraph
-        assert DirectedGraph(3, [(0, 1)]) is Topology(3, [(0, 1)])
+    def test_trusted_and_validating_constructors_share_instances(self):
+        # The validating constructor and the trusted one intern alike.
+        assert Topology.from_sorted_edges(3, ((0, 1),)) is Topology(3, [(0, 1)])
 
     def test_same_edges_different_n_are_distinct(self):
         assert Topology(3, [(0, 1)]) is not Topology(4, [(0, 1)])

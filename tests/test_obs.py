@@ -32,11 +32,11 @@ from repro.obs import (
     lane_finished,
 )
 from repro.scenario import family_trial
-from repro.sim.batch import run_dac_batch
+from repro.sim.batch import run_lanes
 from repro.sim.engine import Engine
 from repro.sim.parallel import TrialSpec, run_trials
 from repro.sim.runner import run_consensus
-from repro.workloads import build_dac_execution
+from repro.workloads import build_dac_execution, dac_lane_family
 
 from tests.helpers import (
     _build_serial,
@@ -342,9 +342,8 @@ class TestBatchLaneEvents:
         bus = ObserverBus()
         finishes = []
         bus.subscribe(RunFinished, finishes.append)
-        lanes = run_dac_batch(
-            5,
-            2,
+        lanes = run_lanes(
+            dac_lane_family(5, 2),
             [0, 1, 2],
             on_lane=lambda lane: lane_finished(bus, lane),
         )
@@ -358,8 +357,8 @@ class TestBatchLaneEvents:
         bus = ObserverBus()
         batch_events = []
         bus.subscribe(RunFinished, batch_events.append)
-        run_dac_batch(
-            5, 2, [9],
+        run_lanes(
+            dac_lane_family(5, 2), [9],
             on_lane=lambda lane: lane_finished(bus, lane),
         )
         serial = serial_executor()({"family": "dac", "n": 5, "seed": 9})

@@ -128,17 +128,25 @@ def test_observed_trial_matches_bare_trial(entry):
 
 @_ENTRIES
 def test_family_declares_a_complete_surface(entry):
-    """Every family ships conformance configs, a builder and batch lanes."""
+    """Every family ships conformance configs and a builder; its
+    optional ``lanes`` hook returns a lane family or ``None``."""
+    from repro.sim.batch import kernel_refusal
+    from repro.workloads import LaneFamily
+
     family = entry.obj
     assert family.conformance, (
         f"family {entry.name!r} declares no conformance configurations; "
         "the suite cannot pin it"
     )
-    for hook in ("build", "batch"):
-        assert getattr(type(family), hook) is not getattr(AlgorithmFamily, hook), (
-            f"family {entry.name!r} does not implement {hook}"
-        )
-    assert family.vectorizable(_first_config(entry)) in (True, False)
+    assert type(family).build is not AlgorithmFamily.build, (
+        f"family {entry.name!r} does not implement build"
+    )
+    resolved = resolve(spec_for(entry.name, _first_config(entry), version=entry.version))
+    lanes = family.lanes(**resolved.params)
+    if lanes is not None:
+        assert isinstance(lanes, LaneFamily)
+        reason = kernel_refusal(lanes)
+        assert reason is None or isinstance(reason, str)
 
 
 def _trial_modules():
@@ -148,7 +156,7 @@ def _trial_modules():
 
 
 def test_no_family_module_defines_its_own_trial():
-    """One trial contract: families supply ``build``/``batch`` only.
+    """One trial contract: families supply ``build``/``lanes`` only.
 
     No module under :mod:`repro.workloads` or :mod:`repro.families`
     defines a ``run_*_trial`` function or attaches a ``batch_fn``; the
@@ -169,6 +177,6 @@ def test_no_family_module_defines_its_own_trial():
             ):
                 found.append(f"{module.__name__}:{node.lineno} assigns .batch_fn")
     assert not found, (
-        "a second trial convention (move it onto the family's build/batch "
+        "a second trial convention (move it onto the family's build/lanes "
         f"hooks): {'; '.join(found)}"
     )

@@ -10,9 +10,8 @@ rounds / outputs equality between
 
 - an engine driven by an adversary whose graphs are rebuilt from raw
   edge lists through the validating ``Topology`` constructor (the
-  path legacy ``DirectedGraph`` callers take -- the deprecated alias
-  is the same class, pinned by test_graph_deprecation.py), and the
-  same execution on the native adversary (Topology path);
+  path external callers take), and the same execution on the native
+  adversary (Topology path);
 - the serial engine (untraced and traced) and the
   ``repro.sim.batch`` lanes (the numpy kernel where it applies);
 

@@ -28,6 +28,11 @@ the command on its line, sits in the ``#`` comment lines directly
 above the command in a fenced block, or shares a line with an inline
 ``<subcommand> --...`` code span.
 
+Last, every fully-qualified ``repro.…`` name inside an inline code
+span of those same files must resolve: the longest importable module
+prefix is imported and the rest is looked up with ``getattr`` -- so a
+deleted function, class or module cannot linger in prose either.
+
 Used two ways: CI runs it as a standalone step, and
 ``tests/test_docs.py`` runs it inside tier-1 so a dead link fails the
 ordinary test suite too.
@@ -40,6 +45,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import importlib
 import importlib.util
 import re
 import sys
@@ -220,6 +226,55 @@ def unknown_cli_flags(root: Path) -> list[str]:
     return problems
 
 
+# A code span opens and closes with backtick runs of one length, inside
+# one paragraph.
+_CODE_SPAN = re.compile(r"(?<!`)(`+)(?!`)((?:(?!\n\s*\n).)+?)(?<!`)\1(?!`)", re.DOTALL)
+_QUALIFIED = re.compile(r"(?<![\w.])repro(?:\.[A-Za-z_]\w*)+")
+
+
+def _resolves(name: str) -> bool:
+    """Whether ``name`` is an importable module, or an attribute chain
+    under the longest importable module prefix of it."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        module = ".".join(parts[:cut])
+        if module.endswith("__main__"):  # importing it would run the program
+            return cut == len(parts) and _module_exists(module)
+        if not _module_exists(module):
+            continue
+        target = importlib.import_module(module)
+        for attr in parts[cut:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def unresolved_names(root: Path) -> list[str]:
+    """Backticked ``repro.…`` names that do not resolve, as
+    ``file:line: name`` strings. Inline spans may wrap across lines;
+    fenced blocks are not inline spans."""
+    problems: list[str] = []
+    sys.path.insert(0, str(root / "src"))
+    try:
+        for path in command_files(root):
+            lines, fenced = [], False
+            for line in path.read_text().splitlines():
+                if _FENCE.match(line):
+                    fenced = not fenced
+                lines.append("" if fenced or _FENCE.match(line) else line)
+            prose = "\n".join(lines)
+            for span in _CODE_SPAN.finditer(prose):
+                for name in _QUALIFIED.finditer(span.group(2)):
+                    if not _resolves(name.group()):
+                        number = prose.count("\n", 0, span.start(2) + name.start()) + 1
+                        problems.append(f"{path.relative_to(root)}:{number}: {name.group()}")
+    finally:
+        sys.path.pop(0)
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parent.parent
@@ -239,6 +294,10 @@ def main(argv: list[str] | None = None) -> int:
     for problem in cli:
         print(f"unknown cli flag: {problem}")
     problems += cli
+    names = unresolved_names(root)
+    for problem in names:
+        print(f"unresolved name: {problem}")
+    problems += names
     print(f"checked {len(files)} markdown files: "
           f"{'FAIL' if problems else 'OK'} ({len(problems)} problems)")
     return 1 if problems else 0
