@@ -1,7 +1,8 @@
-"""Post-hoc analysis: verdicts, convergence extraction, trial statistics."""
+"""Post-hoc analysis: verdicts, guarantee checks, convergence extraction, trial statistics."""
 
 from repro.analysis.agreement import OutputVerdict, judge_outputs
 from repro.analysis.convergence import fit_geometric_rate, summarize_rates
+from repro.analysis.guarantees import Guarantees, check_guarantees
 from repro.analysis.probabilistic import (
     binomial_tail,
     expected_rounds_per_phase,
@@ -12,6 +13,8 @@ from repro.analysis.statistics import Summary, mean_confidence_interval, summari
 __all__ = [
     "OutputVerdict",
     "judge_outputs",
+    "Guarantees",
+    "check_guarantees",
     "fit_geometric_rate",
     "summarize_rates",
     "binomial_tail",

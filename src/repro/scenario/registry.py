@@ -318,10 +318,10 @@ class AlgorithmFamily:
 
     A family adapts one algorithm (and its component vocabulary) to
     the repo's execution surfaces. Subclasses override the class
-    attributes, ``build`` and ``normalize``, and optionally ``lanes``;
-    everything a spec can say about the family is
-    declared as data so the conformance suite and the CLI can
-    introspect it. The trial every executor runs is derived from
+    attributes, ``build`` and ``normalize``, and optionally ``lanes``
+    and ``guarantees``; everything a spec can say about the family, and
+    what the paper proves of it, is declared as data so the conformance
+    suite, the CLI and the guarantee checker can introspect it. The trial every executor runs is derived from
     these (:func:`repro.scenario.trial.family_trial`).
 
     Attributes
@@ -370,5 +370,14 @@ class AlgorithmFamily:
         default) means the family has no lane form: batched trials run
         the serial trial per seed, and batch lanes are serial-engine
         lanes over ``build`` (:class:`repro.sim.batch.GenericBatchEngine`).
+        """
+        return None
+
+    def guarantees(self, **params: Any) -> Any:
+        """The paper's :class:`repro.analysis.guarantees.Guarantees` for these parameters.
+
+        ``None`` (the default) means the paper promises nothing for the
+        family's executions, so :func:`repro.analysis.guarantees.check_guarantees`
+        has nothing to hold them to.
         """
         return None

@@ -48,10 +48,17 @@ from repro.adversary.split import (
     halves_partition,
     theorem10_groups,
 )
+from repro.analysis.guarantees import Guarantees
 from repro.core.baselines import IteratedMidpointProcess, TrimmedMeanProcess
 from repro.core.dac import DACProcess
 from repro.core.dbac import DBACProcess
-from repro.core.phases import dac_end_phase, rounds_upper_bound
+from repro.core.phases import (
+    dac_convergence_rate,
+    dac_end_phase,
+    dbac_convergence_rate,
+    dbac_end_phase,
+    rounds_upper_bound,
+)
 from repro.faults.base import FaultPlan
 from repro.faults.byzantine import (
     ByzantineStrategy,
@@ -728,6 +735,11 @@ class DacFamily(AlgorithmFamily):
     def lanes(self, **params):
         return dac_lane_family(**params)
 
+    def guarantees(self, **params):
+        return Guarantees(
+            dac_convergence_rate(), params["window"], dac_end_phase(params["epsilon"])
+        )
+
 
 def _dbac_params(params):
     """The DBAC builder's keywords: the strategy name becomes a factory."""
@@ -781,6 +793,12 @@ class DbacFamily(AlgorithmFamily):
     def lanes(self, **params):
         return dbac_lane_family(**_dbac_params(params))
 
+    def guarantees(self, **params):
+        n = params["n"]
+        return Guarantees(
+            dbac_convergence_rate(n), params["window"], dbac_end_phase(params["epsilon"], n)
+        )
+
 
 @register_algorithm("byz", version=1)
 class ByzFamily(AlgorithmFamily):
@@ -803,6 +821,11 @@ class ByzFamily(AlgorithmFamily):
 
     def lanes(self, **params):
         return mobile_lane_family(**params)
+
+    def guarantees(self, **params):
+        # Dropping one in-link per node per round leaves (1, n-2)-dynaDegree,
+        # at least DAC's (1, floor(n/2)) (Corollary 1).
+        return Guarantees(dac_convergence_rate(), 1, dac_end_phase(params["epsilon"]))
 
 
 @register_algorithm("baseline", version=1)

@@ -16,7 +16,11 @@ copy-pasted grid loops:
   (the strongest equality available);
 - :func:`assert_equivalent_runs` runs a grid of configs through a
   suite of executors and asserts every executor agrees with the first,
-  printing the offending config (seed included) for reproduction.
+  printing the offending config (seed included) for reproduction. It
+  then holds every lane of the serial reference to the paper's
+  guarantees (:func:`assert_guarantees_hold`), so every executor's
+  final state is checked against the paper, not only against the
+  others.
 
 Since PR 9 the family table is **registry-driven**: defaults, serial
 builds and batch dispatch all come from the
@@ -36,10 +40,12 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Callable
 
+from repro.analysis.guarantees import check_guarantees
 from repro.scenario.registry import RegistryEntry, lookup
 from repro.scenario.resolve import ensure_builtin_families, flat_params
 from repro.sim.engine import Engine
 from repro.sim.parallel import TrialSpec, run_trials
+from repro.sim.runner import run_consensus
 
 #: Historical config-family spellings accepted by :func:`normalize_config`.
 #: ``"mobile"`` predates the registry, where the mobile-omission runs
@@ -388,7 +394,34 @@ def assert_equivalent_runs(
                 f"  config (reproduce with this): {config!r}\n"
                 f"  reference: {_divergence(reference, outcome)}"
             )
+        assert_guarantees_hold(config, results[reference_name][index])
     return results
+
+
+def assert_guarantees_hold(config: dict[str, Any], reference: list[dict[str, Any]]) -> None:
+    """Hold every lane of a normalized config to its family's guarantees.
+
+    Each seed re-runs through ``run_consensus`` over the family's
+    ``build`` -- traced, so the dynaDegree promise is re-checked -- and
+    the report must match the reference lane (rounds, stop and outputs)
+    before :func:`repro.analysis.guarantees.check_guarantees` judges it.
+    Families that declare no guarantees (the baselines, averaging) pass.
+    """
+    family = family_entry(config["family"]).obj
+    params = _config_params(config)
+    guarantees = family.guarantees(**params)
+    if guarantees is None:
+        return
+    for seed, lane in zip(config["seeds"], reference):
+        report = run_consensus(**family.build(seed=seed, **params))
+        assert (report.rounds, report.terminated, report.outputs) == (
+            lane["rounds"], lane["stopped"], lane["outputs"]
+        ), f"checked run diverged from the reference\n  config: {config!r}, seed {seed}"
+        violations = check_guarantees(report, guarantees)
+        assert not violations, (
+            f"the paper's guarantees fail on seed {seed}\n"
+            f"  config (reproduce with this): {config!r}\n  " + "\n  ".join(violations)
+        )
 
 
 def _divergence(reference, outcome) -> str:

@@ -1,0 +1,100 @@
+"""The guarantee checker: the paper's promises read off one report.
+
+Pins each check of :func:`repro.analysis.guarantees.check_guarantees`
+on hand-altered copies of a real report, the float slack on the
+contraction bound, which families declare guarantees, and that the
+differential harness fails a config whose reference breaks them.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import pytest
+
+import repro.workloads
+from repro.analysis.guarantees import RATE_SLACK_ULPS, Guarantees, check_guarantees
+from repro.core.phases import dac_convergence_rate, dbac_convergence_rate
+from repro.scenario import algorithm_entries
+from repro.sim.runner import run_consensus
+from tests.helpers import (
+    _config_params,
+    assert_equivalent_runs,
+    family_entry,
+    normalize_config,
+    serial_executor,
+)
+
+DAC = {"family": "dac", "n": 7, "window": 1, "selector": "rotate", "seeds": (1,)}
+
+
+def _report_and_guarantees(config=DAC, seed=1):
+    config = normalize_config(config)
+    family = family_entry(config["family"]).obj
+    params = _config_params(config)
+    return run_consensus(**family.build(seed=seed, **params)), family.guarantees(**params)
+
+
+def test_a_boundary_dac_run_keeps_every_guarantee():
+    report, guarantees = _report_and_guarantees()
+    assert guarantees == Guarantees(rate=0.5, window=1, end_phase=10)
+    assert report.terminated and report.dynadegree_verified is True
+    assert check_guarantees(report, guarantees) == []
+
+
+@pytest.mark.parametrize(
+    "change,expected",
+    [
+        ({"validity": False}, "validity:"),
+        ({"epsilon_agreement": False}, "agreement:"),
+        ({"rounds": 11}, "rounds: terminated after 11 rounds, bound 10"),
+        ({"terminated": False}, "rounds: still running after 10 rounds, bound 10"),
+        ({"phase_ranges": [1.0, 0.75]}, "rate: phase 0 -> 1 contracted by 0.75, bound 0.5"),
+        ({"phase_ranges": [0.0, 1e-9]}, "rate: phase 0 -> 1 contracted by inf, bound 0.5"),
+        ({"dynadegree_verified": False}, "dynadegree: the trace breaks the promised (1, 3)"),
+    ],
+)
+def test_each_broken_guarantee_is_named(change, expected):
+    report, guarantees = _report_and_guarantees()
+    violations = check_guarantees(dataclasses.replace(report, **change), guarantees)
+    assert len(violations) == 1 and violations[0].startswith(expected)
+
+
+def test_runs_capped_below_the_bound_are_no_evidence():
+    report, guarantees = _report_and_guarantees()
+    capped = dataclasses.replace(report, rounds=9, terminated=False, outputs={})
+    assert check_guarantees(capped, guarantees) == []
+    # An oracle run's values are not outputs until it stops.
+    unfinished = dataclasses.replace(capped, stop_mode="oracle", epsilon_agreement=False)
+    assert check_guarantees(unfinished, guarantees) == []
+
+
+def test_rate_slack_is_a_few_ulps_of_the_inputs():
+    report, guarantees = _report_and_guarantees()
+    slack = RATE_SLACK_ULPS * math.ulp(max(map(abs, report.inputs.values())))
+    inside = dataclasses.replace(report, phase_ranges=[1e-3, 0.5e-3 + slack])
+    outside = dataclasses.replace(report, phase_ranges=[1e-3, 0.5e-3 + 2 * slack])
+    assert check_guarantees(inside, guarantees) == []
+    assert check_guarantees(outside, guarantees)[0].startswith("rate: phase 0 -> 1")
+    # The measured rate itself may exceed 1/2 by far more than an ulp.
+    assert (0.5e-3 + slack) / 1e-3 - 0.5 > 100 * math.ulp(0.5)
+
+
+def test_families_declare_the_papers_rates():
+    declared = {}
+    for entry in algorithm_entries():
+        for params in next(iter(entry.obj.conformance.values())):
+            config = normalize_config({"family": entry.name, **params})
+            declared[entry.name] = entry.obj.guarantees(**_config_params(config))
+    assert declared["dac"].rate == dac_convergence_rate()
+    assert declared["byz"].rate == dac_convergence_rate()
+    assert declared["dbac"].rate == dbac_convergence_rate(6)
+    assert declared["baseline"] is None and declared["averaging"] is None
+
+
+def test_the_harness_fails_a_reference_that_breaks_a_guarantee(monkeypatch):
+    tight = Guarantees(rate=0.1, window=1, end_phase=10)
+    monkeypatch.setattr(repro.workloads.DacFamily, "guarantees", lambda self, **p: tight)
+    with pytest.raises(AssertionError, match="guarantees fail on seed 1"):
+        assert_equivalent_runs([DAC], {"serial": serial_executor()})

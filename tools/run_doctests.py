@@ -24,15 +24,16 @@ import importlib
 import sys
 
 # The public-API modules whose docstrings carry executable examples:
-# batching, the parallel layer, the family trial, and the two shuffle
+# batching, the parallel layer, the family trial, the two shuffle
 # replays (the port draw and the random selector; their examples pin
-# the drawn rows for one seed).
+# the drawn rows for one seed), and the guarantee checker.
 DOCTEST_MODULES = [
     "repro.sim.batch",
     "repro.sim.parallel",
     "repro.scenario.trial",
     "repro.net.ports",
     "repro.adversary.constrained",
+    "repro.analysis.guarantees",
 ]
 
 
