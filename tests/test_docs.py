@@ -132,6 +132,34 @@ def test_docs_checker_flags_unresolved_names(tmp_path, capsys):
     assert "unresolved name: docs/a.md:2: repro.sim.batch.run_bogus_batch" in out
 
 
+def test_docs_checker_flags_stale_imports_in_fences_and_spans(tmp_path, capsys):
+    checker = _load_checker()
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.md").write_text(
+        "```python\n"
+        "from repro.sim.batch import run_lanes, run_dac_batch as old  # one stale\n"
+        "from repro.workloads import (\n    LaneFamily,\n    build_gone,\n)\n"
+        "from repro.sim.batch import *\n"
+        "```\n"
+        "`python -c \"from repro.gone import x; from repro.scenario import family_trial\"`\n"
+        "putting back `from repro.sim.batch import ...` is a placeholder\n"
+    )
+    assert checker.unresolved_imports(tmp_path) == [
+        "docs/a.md:2: repro.sim.batch.run_dac_batch",
+        "docs/a.md:3: repro.workloads.build_gone",
+        "docs/a.md:9: repro.gone.x",
+    ]
+    assert checker.main([str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "unresolved import: docs/a.md:2: repro.sim.batch.run_dac_batch" in out
+
+
+def test_docs_import_only_resolvable_repro_names():
+    checker = _load_checker()
+    assert checker.unresolved_imports(REPO_ROOT) == []
+
+
 def test_docs_name_only_resolvable_repro_names():
     checker = _load_checker()
     assert checker.unresolved_names(REPO_ROOT) == []

@@ -28,10 +28,15 @@ the command on its line, sits in the ``#`` comment lines directly
 above the command in a fenced block, or shares a line with an inline
 ``<subcommand> --...`` code span.
 
-Last, every fully-qualified ``repro.…`` name inside an inline code
-span of those same files must resolve: the longest importable module
-prefix is imported and the rest is looked up with ``getattr`` -- so a
-deleted function, class or module cannot linger in prose either.
+Every fully-qualified ``repro.…`` name inside an inline code span of
+those same files must resolve: the longest importable module prefix is
+imported and the rest is looked up with ``getattr`` -- so a deleted
+function, class or module cannot linger in prose either.
+
+Last, every name a ``from repro.… import …`` statement in those files
+imports must resolve the same way, wherever the statement sits: an
+inline span, a ``python -c`` string or a fenced block -- so a recipe
+cannot import a deleted name.
 
 Used two ways: CI runs it as a standalone step, and
 ``tests/test_docs.py`` runs it inside tier-1 so a dead link fails the
@@ -275,6 +280,37 @@ def unresolved_names(root: Path) -> list[str]:
     return problems
 
 
+# `from repro.x import a, b as c` or a parenthesized list, up to the end
+# of the statement (a newline, `;`, a quote or a backtick).
+_FROM_IMPORT = re.compile(
+    r"\bfrom\s+(repro(?:\.[A-Za-z_]\w*)*)\s+import\s+(\([^)]*\)|[^;\n\"'`]*)"
+)
+
+
+def unresolved_imports(root: Path) -> list[str]:
+    """Names imported ``from repro.…`` that do not resolve, as
+    ``file:line: module.name`` strings, in spans and fenced blocks alike."""
+    problems: list[str] = []
+    sys.path.insert(0, str(root / "src"))
+    try:
+        for path in command_files(root):
+            text = path.read_text()
+            for match in _FROM_IMPORT.finditer(text):
+                number = text.count("\n", 0, match.start()) + 1
+                for item in match.group(2).strip("()").split(","):
+                    name = item.split("#")[0].split()[:1]
+                    # `*` and placeholders such as `...` name nothing to resolve.
+                    if name and name[0].isidentifier() and not _resolves(
+                        f"{match.group(1)}.{name[0]}"
+                    ):
+                        problems.append(
+                            f"{path.relative_to(root)}:{number}: {match.group(1)}.{name[0]}"
+                        )
+    finally:
+        sys.path.pop(0)
+    return problems
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     root = Path(argv[0]).resolve() if argv else Path(__file__).resolve().parent.parent
@@ -298,6 +334,10 @@ def main(argv: list[str] | None = None) -> int:
     for problem in names:
         print(f"unresolved name: {problem}")
     problems += names
+    imports = unresolved_imports(root)
+    for problem in imports:
+        print(f"unresolved import: {problem}")
+    problems += imports
     print(f"checked {len(files)} markdown files: "
           f"{'FAIL' if problems else 'OK'} ({len(problems)} problems)")
     return 1 if problems else 0
