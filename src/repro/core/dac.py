@@ -183,9 +183,8 @@ class DACProcess(ConsensusProcess):
         where the cached broadcast is dropped.
         """
         self._message = None
-        for port in range(self.n):
-            self._received[port] = False
-        self._received[self.self_port] = True
+        received = self._received = [False] * self.n
+        received[self.self_port] = True
         self._received_count = 1
         self._v_min = self._v
         self._v_max = self._v

@@ -32,18 +32,20 @@ The node outputs at ``p_end`` from Equation 6 -- the *proven* bound
 experiments run it in oracle mode to measure the real phase count, or
 override ``end_phase``.
 
-This class is also the executable specification of the vectorized
-DBAC lanes in :mod:`repro.sim.batch`: the kernel's event-segmented
-sweep replicates :meth:`DBACProcess.deliver` across ``(B, n)`` state
-arrays, with ``R_low``/``R_high`` rebuilt from a per-phase stored-value
-buffer (see :attr:`DBACProcess.stored_count` and docs/batching.md). Changes to the
-delivery or trimming rules here must be mirrored there; the
-determinism suite pins the two bit for bit.
+The node keeps ``R_low``/``R_high`` as the phase's stored values in
+arrival order, read only when the quorum fires: a stable sort of the
+buffer gives exactly the lists that the pseudo-code's insert-and-trim
+store builds (see :func:`recording_lists`). The vectorized DBAC lanes
+in :mod:`repro.sim.batch` keep the same per-phase buffer across
+``(B, n)`` state arrays, and their event-segmented sweep replicates
+:meth:`DBACProcess.deliver` (docs/batching.md). Changes to the delivery
+or trimming rules here must be mirrored there; the determinism suite
+pins the two bit for bit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import insort
 
 from repro.core.phases import dbac_end_phase
 from repro.sim.messages import StateMessage
@@ -108,11 +110,10 @@ class DBACProcess(ConsensusProcess):
         self._p = 0
         self._received = [False] * n
         self._received[self_port] = True
-        self._received_count = 1
-        self._r_low: list[float] = []  # ascending; at most f+1 lowest stored
-        self._r_high: list[float] = []  # ascending; at most f+1 highest stored
+        # The phase's stored values in arrival order, the self value
+        # first (fidelity note 1); R_low/R_high derive from it.
+        self._stored = [self._v]
         self._message: StateMessage | None = None  # built by broadcast()
-        self._store(self._v)  # fidelity note: self value is stored
         self._output: float | None = None
         self._check_output()
 
@@ -131,29 +132,27 @@ class DBACProcess(ConsensusProcess):
     @property
     def received_count(self) -> int:
         """``|R_i|``: ports heard this phase (self included)."""
-        return self._received_count
+        return len(self._stored)
 
     @property
     def recording_lists(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         """Snapshots of ``(R_low, R_high)`` (ascending order each)."""
-        return tuple(self._r_low), tuple(self._r_high)
+        low, high = recording_lists(self._stored, self.trim)
+        return tuple(low), tuple(high)
 
     @property
     def stored_count(self) -> int:
         """Values stored into ``R_low``/``R_high`` this phase.
 
-        Invariant: every accepted port (plus the phase-start self
-        value) stores exactly one value, so this equals
-        :attr:`received_count` and both recording lists hold exactly
-        ``min(stored_count, f + 1)`` entries -- the ``f+1`` smallest /
-        largest stored values of the phase, ascending. The vectorized
-        batch kernel (:mod:`repro.sim.batch`) relies on this to keep
-        only a flat per-phase stored-value buffer and reconstruct the
-        exact ``R_low``/``R_high`` lists (and the trimmed extremes at
-        quorum time) from it; the invariant is asserted against real
-        executions in the determinism suite.
+        Each accepted port (plus the phase-start self value) appends
+        one value to the phase's buffer, and the count is the buffer's
+        length, so it equals :attr:`received_count` by construction.
+        Both recording lists hold ``min(stored_count, f + 1)`` entries,
+        derived from the buffer. The batch kernel
+        (:mod:`repro.sim.batch`) keeps the same buffer, one
+        ``(B, n, quorum)`` array indexed by this count.
         """
-        return self._received_count
+        return len(self._stored)
 
     # -- Protocol ------------------------------------------------------------
 
@@ -174,16 +173,16 @@ class DBACProcess(ConsensusProcess):
         for port, message in deliveries:
             if self._output is not None:
                 return  # frozen at p_end
-            incoming_phase = int(message.phase)
-            if incoming_phase < self._p or self._received[port]:
+            if int(message.phase) < self._p or self._received[port]:
                 continue
             # Lines 5-7: fresh port with a current-or-future state.
             self._received[port] = True
-            self._received_count += 1
-            self._store(float(message.value))
-            if self._received_count >= self.quorum:
+            stored = self._stored
+            stored.append(float(message.value))
+            if len(stored) >= self.quorum:
                 # Lines 8-11: trimmed-midpoint update, next phase.
-                self._v = 0.5 * (self._r_low[-1] + self._r_high[0])
+                low, high = recording_lists(stored, self.trim)
+                self._v = 0.5 * (low[-1] + high[0])
                 self._p += 1
                 self._reset()
                 self._check_output()
@@ -207,42 +206,9 @@ class DBACProcess(ConsensusProcess):
         where the cached broadcast is dropped.
         """
         self._message = None
-        for port in range(self.n):
-            self._received[port] = False
-        self._received[self.self_port] = True
-        self._received_count = 1
-        self._r_low = []
-        self._r_high = []
-        self._store(self._v)
-
-    def _store(self, incoming_value: float) -> None:
-        """Lines 17-25 with exact ``f+1`` bounds (fidelity note 2).
-
-        ``R_low`` keeps the ``f+1`` smallest stored values, ``R_high``
-        the ``f+1`` largest; one incoming value may enter both (e.g.
-        the first ``f+1`` values seen in a phase).
-
-        This is ``insort`` then a pop past ``f+1``, minus the pairs
-        that cancel: on a full list, a value that ``insort`` would put
-        exactly where the pop removes it leaves the list unchanged, so
-        neither happens. The index is ``insort``'s own ``bisect_right``
-        (same comparisons), so ties, signed zeros and NaN land alike.
-        """
-        trim = self.trim
-        low = self._r_low
-        i = bisect_right(low, incoming_value)
-        if len(low) < trim:
-            low.insert(i, incoming_value)
-        elif i < trim:
-            low.insert(i, incoming_value)
-            low.pop()  # drop the largest of the lows
-        high = self._r_high
-        i = bisect_right(high, incoming_value)
-        if len(high) < trim:
-            high.insert(i, incoming_value)
-        elif i:
-            high.insert(i, incoming_value)
-            high.pop(0)  # drop the smallest of the highs
+        received = self._received = [False] * self.n
+        received[self.self_port] = True
+        self._stored = [self._v]
 
     def _check_output(self) -> None:
         """Line 12: output (and freeze) upon reaching ``p_end``."""
@@ -256,7 +222,34 @@ class DBACProcess(ConsensusProcess):
             self._v,
             self._p,
             tuple(self._received),
-            tuple(self._r_low),
-            tuple(self._r_high),
+            *self.recording_lists,
             self._output,
         )
+
+
+def recording_lists(stored: list[float], trim: int) -> tuple[list[float], list[float]]:
+    """``(R_low, R_high)`` of one phase's stored values (lines 17-25).
+
+    The pseudo-code stores each value as it arrives: an insert at its
+    ``bisect_right`` position, then a pop past ``trim`` entries (fidelity
+    note 2). That leaves the ``trim`` smallest and the ``trim`` largest
+    values of a stable sort, so one sort of the arrival-ordered buffer
+    gives the same lists, ties and signed zeros in the same order. NaN
+    breaks the sort's ordering; a buffer holding one (the sum is NaN
+    then) replays the store value by value instead.
+    """
+    total = sum(stored)
+    if total == total:
+        ordered = sorted(stored)
+        keep = min(trim, len(ordered))
+        return ordered[:keep], ordered[-keep:]
+    low: list[float] = []
+    high: list[float] = []
+    for value in stored:
+        insort(low, value)
+        if len(low) > trim:
+            low.pop()  # drop the largest of the lows
+        insort(high, value)
+        if len(high) > trim:
+            high.pop(0)  # drop the smallest of the highs
+    return low, high

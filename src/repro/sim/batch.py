@@ -86,7 +86,7 @@ from repro.adversary.constrained import random_picks
 from repro.adversary.mobile import MOBILE_MODES
 from repro.core.baselines import IteratedMidpointProcess, TrimmedMeanProcess
 from repro.core.dac import DACProcess
-from repro.core.dbac import DBACProcess
+from repro.core.dbac import DBACProcess, recording_lists
 from repro.faults.byzantine import (
     ExtremeByzantine,
     FixedValueByzantine,
@@ -227,22 +227,16 @@ class LaneResult:
     state_keys: dict[int, tuple]
 
 
-def select_delivered(
-    selector: str,
-    degree: int,
-    values,
-    live,
-    byz,
-    salt,
-    rngs,
-):
+def select_delivered(selector: str, degree: int, values, live, byz, salt, rngs, live_key=None):
     """Receiver-major delivered-from masks of one round, every lane.
 
     The vectorized form of the adversaries' sender selection: the
     round's communication graph, which every kernel's update consumes.
     ``values`` is the ``(B, n)`` round-start state (Byzantine entries
     ignored), ``live`` the ``(n,)`` transmitting-sender mask (crashed
-    senders out, Byzantine senders in), ``byz`` the sorted Byzantine
+    senders out, Byzantine senders in), ``live_key`` the same senders
+    as an ascending tuple (built from ``live`` when omitted; the lane
+    driver keeps one until the next crash round), ``byz`` the sorted Byzantine
     index array, ``salt`` the round's rotate salt (all lanes share one
     round clock) and ``rngs`` the lanes' own
     ``child_rng(seed, "adversary")`` streams (``random`` only). Returns
@@ -295,7 +289,8 @@ def select_delivered(
         delivered = np.broadcast_to(~np.eye(n, dtype=bool), (lanes, n, n)).copy()
         delivered[rows[:, None], node_idx, victim] = False
         return delivered
-    live_key = tuple(np.nonzero(live)[0].tolist())
+    if live_key is None:
+        live_key = tuple(np.nonzero(live)[0].tolist())
     if selector == "rotate":
         return rotate_table(n, live_key, salt, degree)
     if selector == "random":
@@ -652,7 +647,7 @@ class _LaneKernel:
         processes = np.nonzero(honest)[0].tolist()
         results: list[LaneResult | None] = [None] * len(seeds)
         cap = family.max_rounds
-        t = 0
+        t = changes = 0  # the live set holds until round `changes`
         while True:
             stopped = self._stopped(state, t)
             done = stopped | (t >= cap)
@@ -674,12 +669,15 @@ class _LaneKernel:
             # rounds (t + 1 a multiple of the window) up to it.
             check = min(self._next_check(t), cap)
             for t in range(t + (window - 1 - t) % window, check, window):
-                live = crash_round > t  # clean crashes: senders == processors
+                if t >= changes:  # clean crashes: senders == processors
+                    live = crash_round > t
+                    live_key, receiving = tuple(np.nonzero(live)[0].tolist()), live & honest
+                    changes = crash_round[live].min(initial=_NEVER)
                 delivered = select_delivered(
                     family.selector, family.degree, state["value"], live, byz,
-                    t // window, lanes.get("rng"),
+                    t // window, lanes.get("rng"), live_key,
                 )
-                self._round(lanes, state, delivered, live & honest)
+                self._round(lanes, state, delivered, receiving)
             t = check
 
     def _next_check(self, t: int) -> int:
@@ -879,10 +877,11 @@ class ByzBatchEngine(_LaneKernel):
             lanes["strategies"] = _objects(
                 [tuple(bound(node, seed) for node in self._draw_nodes) for seed in seeds]
             )
-        # Per-phase stored values in witness-counter order; slot i holds
-        # the (i+1)-th stored value of the current phase (slot 0 is the
-        # phase-start self value). count <= quorum always: the quorum
-        # fires, and resets the counter, on the accept that reaches it.
+        # Per-phase stored values in witness-counter order, each row the
+        # serial DBACProcess's own buffer: slot i holds the (i+1)-th
+        # stored value of the current phase (slot 0 is the phase-start
+        # self value). count <= quorum always: the quorum fires, and
+        # resets the counter, on the accept that reaches it.
         inputs = lanes["inputs"]
         stored = _np.zeros((*inputs.shape, family.quorum), dtype=_np.float64)
         stored[:, :, 0] = inputs
@@ -894,12 +893,11 @@ class ByzBatchEngine(_LaneKernel):
 
         Quorums that fire mid-round re-filter the remaining ports
         against the new phase, as in each ``DBACProcess.deliver`` call.
-        ``R_low``/``R_high`` are not kept as sorted lists: each phase's
-        stored values fill a ``(B, n, quorum)`` buffer in witness-count
-        order, the sweep takes the trimmed extremes from it by one
-        ``np.partition``, and :meth:`_state_keys` rebuilds the exact
-        serial lists from it -- the same value multisets, so state keys
-        and midpoints are bit-identical
+        ``R_low``/``R_high`` are kept as the serial process keeps them:
+        each phase's stored values fill a ``(B, n, quorum)`` buffer in
+        witness-count order, the sweep takes the trimmed extremes from
+        it by one ``np.partition``, and :meth:`_state_keys` derives the
+        lists from it with :func:`repro.core.dbac.recording_lists`
         (see :attr:`repro.core.dbac.DBACProcess.stored_count`).
         """
         np = _np
@@ -972,19 +970,15 @@ class ByzBatchEngine(_LaneKernel):
         stored, trim = state["stored"][i], self.family.trim
         keys = {}
         for node in self.family.fault_free:
-            # Reconstruct the exact R_low / R_high lists from the
-            # phase's stored-value buffer: the recording lists are the
-            # min(stored, f+1) smallest / largest stored values in
-            # ascending order (the DBACProcess.stored_count invariant).
-            stores = counts[node]
-            length = min(stores, trim)
-            ordered = _np.sort(stored[node, :stores]).tolist()
+            # R_low / R_high from the phase's buffer, by the function the
+            # serial process derives them with from its own buffer.
+            low, high = recording_lists(stored[node, : counts[node]].tolist(), trim)
             keys[node] = (
                 values[node],
                 phases[node],
                 tuple(received[node]),
-                tuple(ordered[:length]),
-                tuple(ordered[stores - length :]),
+                tuple(low),
+                tuple(high),
                 outs[node] if decided[node] else None,
             )
         return keys

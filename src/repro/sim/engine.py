@@ -291,16 +291,16 @@ class Engine:
             node: all_rows[node] for node in self.processes
         }
         # Port-major sweep state: the fixed receiver iteration order
-        # (node, process, self-delivery port), the token under which
-        # this engine's routing plans are cached on Topology instances
-        # (identity-compared; a bare object so a cached plan never pins
-        # the engine or its processes alive).
-        self._proc_plan: list[tuple[int, ConsensusProcess, int]] = [
-            (node, proc, all_rows[node][node])
+        # (node, process, own-message port or None for a class that
+        # ignores its echo), the token caching this engine's routing
+        # plans on Topology instances (identity-compared; a bare object
+        # so a cached plan never pins the engine or its processes alive).
+        self._proc_plan: list[tuple[int, ConsensusProcess, int | None]] = [
+            (node, proc, None if proc.ignores_own_echo else all_rows[node][node])
             for node, proc in self.processes.items()
         ]
         # The receivers an edge-free round still hands their own message.
-        self._echo_plan = [e for e in self._proc_plan if not e[1].ignores_own_echo]
+        self._echo_plan = [e for e in self._proc_plan if e[2] is not None]
         self._route_token = object()
 
     @property
@@ -391,17 +391,17 @@ class Engine:
         senders route through a per-receiver extras map instead of
         per-edge checks. Each receiver's batch is then built in one
         pass from its cached ``(port, sender)`` plan -- already in port
-        order, so there is no per-batch sort; self-delivery and extras
-        are insorted. Delivered/bit accounting happens on the sender
-        axis: out-degree times message size, the sum of the per-edge
-        counts.
+        order, so there is no per-batch sort; extras, and the own message
+        of a class that takes its echo, are insorted. Delivered/bit
+        accounting happens on the sender axis: out-degree times message
+        size, the sum of the per-edge counts.
 
         An edge-free round (every silent round of a window adversary)
         skips the accounting and the fan-in: nothing is delivered, and
         only processes whose class does not declare
         :attr:`~repro.sim.node.ConsensusProcess.ignores_own_echo` get
-        their own message. Traced and observed rounds run the same
-        sweep; the :class:`RoundSnapshot` they consume is assembled
+        their own message, alone. Traced and observed rounds run the
+        same sweep; the :class:`RoundSnapshot` they consume is assembled
         after delivery, behind one branch (see :meth:`_close_round`).
         """
         t = self._t
@@ -441,9 +441,9 @@ class Engine:
             raise ValueError(f"adversary chose a graph with n={graph.n}, expected {n}")
         rows_by_proc, sources = self._routing_plan(graph)
         if not sources:
-            for node, proc, self_port in self._echo_plan:
+            for node, proc, echo_port in self._echo_plan:
                 if node not in stopped and (own := msgs[node]) is not None:
-                    proc.deliver([Delivery(self_port, own)])
+                    proc.deliver([Delivery(echo_port, own)])
             for strategy in fault_plan.byzantine.values():
                 strategy.observe(t, [])
             return self._close_round(t, graph, 0, 0, broadcast_count)
@@ -504,7 +504,7 @@ class Engine:
             len(active) == n or all(msgs[u] is not None for u in sources)
         )
         if full:
-            for (node, proc, self_port), (ports_row, senders_row) in zip(
+            for (node, proc, echo_port), (ports_row, senders_row) in zip(
                 self._proc_plan, rows_by_proc
             ):
                 if node in stopped:
@@ -516,12 +516,12 @@ class Engine:
                         zip(ports_row, map(get_message, senders_row)),
                     )
                 )
-                if (own := msgs[node]) is not None:
-                    insort(batch, new_delivery(Delivery, (self_port, own)))
+                if echo_port is not None and (own := msgs[node]) is not None:
+                    insort(batch, new_delivery(Delivery, (echo_port, own)))
                 proc.deliver(batch)
         else:
             port_rows = self._port_rows
-            for (node, proc, self_port), (ports_row, senders_row) in zip(
+            for (node, proc, echo_port), (ports_row, senders_row) in zip(
                 self._proc_plan, rows_by_proc
             ):
                 if node in stopped:
@@ -536,8 +536,8 @@ class Engine:
                     row = port_rows[node]
                     for u, message in ex:
                         insort(batch, new_delivery(Delivery, (row[u], message)))
-                if (own := msgs[node]) is not None:
-                    insort(batch, new_delivery(Delivery, (self_port, own)))
+                if echo_port is not None and (own := msgs[node]) is not None:
+                    insort(batch, new_delivery(Delivery, (echo_port, own)))
                 proc.deliver(batch)
 
         # Byzantine strategies observe their inbox with true sender

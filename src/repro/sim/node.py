@@ -7,8 +7,8 @@ engine drives it with exactly the information the paper's model grants:
 - once per round it produces the message it broadcasts;
 - at the end of the round it receives the batch of delivered messages,
   each tagged only with the *local port* it arrived on (its own
-  message is among them, on :attr:`self_port` -- see
-  :meth:`ConsensusProcess.deliver` for the one exception).
+  message is among them, on :attr:`self_port`, unless its class
+  declares :attr:`ConsensusProcess.ignores_own_echo`).
 
 The engine never exposes global node IDs, round-graph information, or
 the identities behind ports -- anonymity holds by construction.
@@ -55,10 +55,12 @@ class ConsensusProcess(ABC):
     attribute would not round-trip.
     """
 
-    #: Whether ``deliver([Delivery(self_port, broadcast())])`` can never
-    #: change this node's state. When true, the engine skips that call
-    #: on edge-free rounds (a batch holding only the node's own
-    #: message). ``False`` -- always deliver -- is always safe.
+    #: Whether the node's own round-start message can never change its
+    #: state, wherever it falls in that round's batch. ``deliver`` folds
+    #: one message at a time, so this holds when the echo is a no-op
+    #: from every state a batch prefix can reach. When true, the engine
+    #: never delivers the own message, and skips the call altogether on
+    #: edge-free rounds. ``False`` -- always deliver -- is always safe.
     ignores_own_echo: ClassVar[bool] = False
 
     def __init__(self, n: int, f: int, input_value: float, self_port: int) -> None:
@@ -83,10 +85,10 @@ class ConsensusProcess(ABC):
 
         ``deliveries`` is sorted by ascending port number -- the fixed,
         publicly-known processing order (DESIGN.md fidelity note 3).
-        It always contains this node's own message on ``self_port``,
-        with one exception: on an edge-free round the batch would hold
-        only that message, and the engine skips the call altogether for
-        classes that declare :attr:`ignores_own_echo`.
+        It contains this node's own message on ``self_port`` unless the
+        class declares :attr:`ignores_own_echo`; then the message is
+        left out, and an edge-free round, whose batch would hold only
+        it, makes no call at all.
         """
 
     @abstractmethod

@@ -15,6 +15,10 @@ from repro.sim.rng import child_rng
 # property tests (tests/test_batch_sweeps.py) at ten times their tier-1
 # budget of 150 examples; CI's numpy legs have a step for it.
 settings.register_profile("sweeps-10x", max_examples=1500)
+# ``--hypothesis-profile store-10x`` runs DBAC's buffer-vs-insort
+# property test (tests/test_core_dbac.py) at ten times its 300 examples;
+# CI runs it on both numpy legs.
+settings.register_profile("store-10x", max_examples=3000)
 
 
 def _running_children() -> list[int]:

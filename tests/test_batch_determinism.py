@@ -415,39 +415,56 @@ class TestByzBatchMatchesSerial:
             n, f, seeds, **params
         )
 
-    def test_stored_count_invariant_backs_the_kernel_layout(self, monkeypatch):
-        # The kernel reconstructs R_low/R_high from a flat stored-value
-        # buffer indexed by DBACProcess.stored_count. Count the actual
-        # _store calls of the current phase on a real mid-flight
-        # execution and assert the documented invariant: one store per
-        # accepted port (plus the phase-start self value), recording
-        # lists exactly min(stores, f+1) long.
-        from repro.core.dbac import DBACProcess
+    # (selector, strategy, max_rounds): a run that ends on fresh phases,
+    # and one whose random Byzantine phases leave nodes mid-phase.
+    BUFFER_RUNS = [("nearest", "extreme", 7), ("rotate", "random", 5)]
 
-        stores_this_phase: dict[int, int] = {}
-        real_store = DBACProcess._store
-        real_reset = DBACProcess._reset
+    def test_stored_count_invariant_backs_the_kernel_layout(self):
+        # The serial process keeps each phase's stored values as a flat
+        # buffer, the layout the kernel indexes by stored_count. On real
+        # executions the buffer holds the phase-start self value first
+        # and one value per other marked port of R_i, and the recording
+        # lists are exactly min(stores, f+1) long: the two ends of the
+        # sorted buffer.
+        counts = []
+        for selector, strategy, max_rounds in self.BUFFER_RUNS:
+            engine, _result = run_serial_dbac_lane(
+                11, 2, 5, 1, selector, strategy, epsilon=1e-9, max_rounds=max_rounds
+            )
+            for process in engine.processes.values():
+                stored = process._stored
+                assert repr(stored[0]) == repr(process.value)
+                assert process.stored_count == len(stored) == sum(process._received)
+                assert process.stored_count == process.received_count
+                low, high = process.recording_lists
+                expected = min(process.stored_count, process.trim)
+                ordered = sorted(stored)
+                assert low == tuple(ordered[:expected]) and high == tuple(ordered[-expected:])
+                counts.append(process.stored_count)
+        assert max(counts) > 3  # some lists were trimmed mid-phase
 
-        def counting_store(self, incoming_value):
-            stores_this_phase[id(self)] = stores_this_phase.get(id(self), 0) + 1
-            real_store(self, incoming_value)
+    @needs_numpy
+    @pytest.mark.parametrize("selector,strategy,max_rounds", BUFFER_RUNS)
+    def test_kernel_buffer_is_the_serial_buffer(
+        self, monkeypatch, selector, strategy, max_rounds
+    ):
+        # One representation: each kernel row's first stored_count slots
+        # are the serial process's buffer, value for value, in order.
+        captured = []
+        real_keys = ByzBatchEngine._state_keys
 
-        def counting_reset(self):
-            stores_this_phase[id(self)] = 0  # real_reset re-stores the self value
-            real_reset(self)
+        def capture(self, state, i):
+            captured.append((state["stored"][i].tolist(), state["count"][i].tolist()))
+            return real_keys(self, state, i)
 
-        monkeypatch.setattr(DBACProcess, "_store", counting_store)
-        monkeypatch.setattr(DBACProcess, "_reset", counting_reset)
-        engine, _result = run_serial_dbac_lane(
-            11, 2, seed=5, window=1, selector="nearest", strategy="extreme",
-            epsilon=1e-9, max_rounds=7,
-        )
-        for process in engine.processes.values():
-            low, high = process.recording_lists
-            assert process.stored_count == stores_this_phase[id(process)]
-            assert process.stored_count == process.received_count
-            expected = min(process.stored_count, process.trim)
-            assert len(low) == expected and len(high) == expected
+        monkeypatch.setattr(ByzBatchEngine, "_state_keys", capture)
+        params = {"selector": selector, "epsilon": 1e-9, "max_rounds": max_rounds}
+        for seed in (5, 6):
+            ByzBatchEngine(dbac_family(11, 2, strategy=strategy, **params), [seed]).run()
+            stored, counts = captured.pop()
+            engine, _result = run_serial_dbac_lane(11, 2, seed, 1, strategy=strategy, **params)
+            for node, process in engine.processes.items():
+                assert repr(stored[node][: counts[node]]) == repr(process._stored)
 
     @pytest.mark.parametrize("path", LANE_PATHS)
     def test_max_rounds_cap_reports_unstopped_lanes(self, path):

@@ -160,19 +160,35 @@ _STORE_VALUES = st.one_of(
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(f=st.integers(min_value=0, max_value=5), values=st.lists(_STORE_VALUES, max_size=40))
-def test_store_matches_insort_and_pop(f, values):
-    # The store skips the insert/pop pairs that cancel; the lists must
-    # be exactly insort+pop's, signed zeros and NaN placement included.
-    p = dbac(n=6, f=f, x=0.0)
-    p._r_low, p._r_high = [], []
+# Ten times this budget runs in CI under ``--hypothesis-profile=store-10x``.
+STORE_SETTINGS = settings(max_examples=max(300, settings().max_examples), deadline=None)
+
+
+@STORE_SETTINGS
+@given(
+    f=st.integers(min_value=0, max_value=5),
+    values=st.lists(_STORE_VALUES, min_size=2, max_size=40),
+)
+def test_buffer_matches_insort_and_pop(f, values):
+    # The node keeps a phase's stored values as a buffer and derives
+    # R_low/R_high from it. After every accept the derived lists must be
+    # exactly insort+pop's, signed zeros and NaN placement included,
+    # and so must the midpoint the quorum takes from them.
+    n = len(values) + 6
+    p = dbac(n=n, f=f, x=values[0], quorum_override=n + 1, end_phase=5)
     low, high = [], []
-    for value in values:
-        p._store(value)
+    _literal_store(low, high, values[0], f + 1)
+    for port, value in enumerate(values[1:], start=1):
+        assert repr(p.recording_lists) == repr((tuple(low), tuple(high)))
+        p.deliver([Delivery(port, msg(value, 0))])
         _literal_store(low, high, value, f + 1)
-        assert repr(p._r_low) == repr(low)
-        assert repr(p._r_high) == repr(high)
+    assert repr(p.recording_lists) == repr((tuple(low), tuple(high)))
+    assert p.stored_count == p.received_count == len(values)
+
+    fires = dbac(n=n, f=f, x=values[0], quorum_override=len(values), end_phase=5)
+    fires.deliver([Delivery(port, msg(v, 0)) for port, v in enumerate(values[1:], start=1)])
+    assert fires.phase == 1
+    assert repr(fires.value) == repr(0.5 * (low[-1] + high[0]))
 
 
 class TestOutput:

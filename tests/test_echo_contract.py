@@ -1,16 +1,19 @@
 """The own-echo contract behind the engine's edge-free rounds.
 
-On a round whose graph has no edges, a process's delivery batch would
-hold only its own message. The engine skips that call for every class
-that declares ``ignores_own_echo``; this file checks the declaration on
-every :class:`~repro.sim.node.ConsensusProcess` subclass in the
-package: after random delivery prefixes, delivering the own message
-alone must leave ``state_key()`` exactly as it was (compared by
-``repr``, so a flipped sign of zero counts as a change).
+The engine never delivers a process its own message when the class
+declares ``ignores_own_echo``: delivering rounds leave it out of the
+batch, and edge-free rounds, whose batch would hold only it, make no
+call. This file checks the declaration on every
+:class:`~repro.sim.node.ConsensusProcess` subclass in the package: after
+random delivery prefixes, delivering the own message alone must leave
+``state_key()`` exactly as it was, and every random round's batch must
+leave the same state with the round-start echo in it as without
+(compared by ``repr``, so a flipped sign of zero counts as a change).
 """
 
 from __future__ import annotations
 
+import copy
 import importlib
 import inspect
 import pkgutil
@@ -100,7 +103,12 @@ def test_declared_echo_leaves_state_unchanged(cls, data):
         messages = [proc.broadcast() for proc in procs]
         for v, proc in enumerate(procs):
             heard = data.draw(st.frozensets(st.integers(min_value=0, max_value=n - 1)))
+            # The echo sits wherever port v falls in the batch; the state
+            # after it must equal the state of the batch without it.
+            without = copy.deepcopy(proc)
+            without.deliver([Delivery(u, messages[u]) for u in sorted(heard - {v})])
             proc.deliver([Delivery(u, messages[u]) for u in sorted(heard | {v})])
+            assert repr(proc.state_key()) == repr(without.state_key()), cls.__qualname__
         _assert_echo_is_a_no_op(procs)
 
 

@@ -13,6 +13,9 @@ Under the ``rotate`` selector a cold kernel call interns no
 ``Topology`` and reads no content hash, and a repeated call builds no
 table: both are pinned as counts.
 
+The lane driver builds the live-sender key it hands the selector only
+when a crash round changes the live set; that count is pinned too.
+
 The delivery sweeps re-scan a cell after a jump or quorum only while a
 later port can still change it. On the pooled grid's boundary cells no
 later port can, so a delivering round is one pass; random Byzantine
@@ -182,3 +185,24 @@ def test_sweeps_skip_stale_tails(case, monkeypatch):
         assert counts["pass"] == counts["round"]
     else:
         assert counts["pass"] > counts["round"]
+
+
+# (selector, window, distinct live sets): f=4 staggered crashes, one per
+# window from round 1, reach every delivering round's live set.
+KEY_CASES = [("rotate", 1, 5), ("random", 1, 5), ("nearest", 2, 4)]
+
+
+@pytest.mark.parametrize("selector,window,live_sets", KEY_CASES)
+def test_live_key_is_built_once_per_live_set(selector, window, live_sets, monkeypatch):
+    keys = []
+    select = batch.select_delivered
+
+    def spy(*args):
+        keys.append(args[7])  # live_key, kept alive so no id is reused
+        return select(*args)
+
+    monkeypatch.setattr(batch, "select_delivered", spy)
+    lanes = dac_lanes(9, 4, SEEDS, selector=selector, window=window)
+    assert all(lane.stopped for lane in lanes)
+    assert len({id(key) for key in keys}) == len(set(keys)) == live_sets
+    assert len(keys) > live_sets  # delivering rounds share a key

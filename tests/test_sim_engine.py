@@ -127,9 +127,33 @@ class TestDelivery:
         assert engine.metrics.broadcasts == 3
         assert procs[0].inbox_log == [] and procs[2].inbox_log == []
         assert [[d.port for d in batch] for batch in procs[1].inbox_log] == [[1]]
-        engine.run_round()  # a round with an edge delivers to everyone
-        assert [d.port for d in procs[2].inbox_log[0]] == [0, 2]
-        assert [d.port for d in procs[0].inbox_log[0]] == [0]
+        engine.run_round()  # a round with an edge calls deliver on everyone
+        assert [d.port for d in procs[2].inbox_log[0]] == [0]  # no echo on port 2
+        assert procs[0].inbox_log[0] == []
+        assert [[d.port for d in batch] for batch in procs[1].inbox_log] == [[1], [1]]
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_delivering_round_leaves_out_a_declared_echo(self, crash):
+        # On a delivering round an echo-ignoring class gets every
+        # other delivered message in port order and never its own, on
+        # the all-senders path and (with a crashed sender) the masked
+        # one; a class taking its echo still gets it, insorted.
+        class EchoIgnoringRecorder(RecorderProcess):
+            ignores_own_echo = True
+
+        tables = [[2, 0, 1], [1, 2, 0], [0, 1, 2]]  # self ports 2, 2, 2
+        crashes = {0: CrashEvent(0, 0)} if crash else {}
+        plan = FaultPlan(3, crashes=crashes)
+        procs = {
+            0: RecorderProcess(3, 0, 0.0, 2),
+            1: EchoIgnoringRecorder(3, 0, 1.0, 2),
+            2: RecorderProcess(3, 0, 2.0, 2),
+        }
+        engine = Engine(procs, StaticAdversary(), PortNumbering(tables), fault_plan=plan)
+        engine.run_round()
+        heard = [(d.port, d.message.value) for d in procs[1].inbox_log[0]]
+        assert heard == ([(0, 2.0)] if crash else [(0, 2.0), (1, 0.0)])
+        assert [d.port for d in procs[2].inbox_log[0]] == ([1, 2] if crash else [0, 1, 2])
 
     def test_deliveries_sorted_by_port(self):
         tables = [
