@@ -227,7 +227,7 @@ class LaneResult:
     state_keys: dict[int, tuple]
 
 
-def select_delivered(selector: str, degree: int, values, live, byz, salt, rngs, live_key=None):
+def select_delivered(selector: str, degree: int, values, live, byz, salt, rngs, live_key):
     """Receiver-major delivered-from masks of one round, every lane.
 
     The vectorized form of the adversaries' sender selection: the
@@ -235,8 +235,8 @@ def select_delivered(selector: str, degree: int, values, live, byz, salt, rngs, 
     ``values`` is the ``(B, n)`` round-start state (Byzantine entries
     ignored), ``live`` the ``(n,)`` transmitting-sender mask (crashed
     senders out, Byzantine senders in), ``live_key`` the same senders
-    as an ascending tuple (built from ``live`` when omitted; the lane
-    driver keeps one until the next crash round), ``byz`` the sorted Byzantine
+    as an ascending tuple (the lane driver keeps both until the next
+    crash round), ``byz`` the sorted Byzantine
     index array, ``salt`` the round's rotate salt (all lanes share one
     round clock) and ``rngs`` the lanes' own
     ``child_rng(seed, "adversary")`` streams (``random`` only). Returns
@@ -289,8 +289,6 @@ def select_delivered(selector: str, degree: int, values, live, byz, salt, rngs, 
         delivered = np.broadcast_to(~np.eye(n, dtype=bool), (lanes, n, n)).copy()
         delivered[rows[:, None], node_idx, victim] = False
         return delivered
-    if live_key is None:
-        live_key = tuple(np.nonzero(live)[0].tolist())
     if selector == "rotate":
         return rotate_table(n, live_key, salt, degree)
     if selector == "random":

@@ -741,7 +741,7 @@ class TestNearestVectorization:
         values = np.array(value_rows)
         byz = np.array(sorted(byzantine), dtype=np.intp)
         delivered = select_delivered(
-            "nearest", degree, values, np.ones(n, dtype=bool), byz, None, None
+            "nearest", degree, values, np.ones(n, dtype=bool), byz, None, None, tuple(range(n))
         )
         for lane, row in enumerate(value_rows):
             spec_values = [
@@ -798,11 +798,11 @@ class TestSelectorKernels:
             [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
         ]
         nearest = select_delivered(
-            "nearest", degree, np.array(value_rows), live_mask, no_byz, None, None
+            "nearest", degree, np.array(value_rows), live_mask, no_byz, None, None, live
         )
         drawn = select_delivered(
             "random", degree, np.array(value_rows), live_mask, no_byz, None,
-            [random.Random(lane) for lane in range(len(value_rows))],
+            [random.Random(lane) for lane in range(len(value_rows))], live,
         )
         for lane, row in enumerate(value_rows):
             spec = nearest_picks(n, live, row, frozenset(), degree)
