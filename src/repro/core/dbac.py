@@ -33,11 +33,12 @@ experiments run it in oracle mode to measure the real phase count, or
 override ``end_phase``.
 
 The node keeps ``R_low``/``R_high`` as the phase's stored values in
-arrival order, read only when the quorum fires: a stable sort of the
-buffer gives exactly the lists that the pseudo-code's insert-and-trim
-store builds (see :func:`recording_lists`). The vectorized DBAC lanes
-in :mod:`repro.sim.batch` keep the same per-phase buffer across
-``(B, n)`` state arrays, and their event-segmented sweep replicates
+arrival order and derives the lists only when they are read (at the
+quorum, and for state keys): a stable sort of the buffer gives exactly
+the lists that the pseudo-code's insert-and-trim store builds (see
+:func:`recording_lists`). The vectorized DBAC lanes in
+:mod:`repro.sim.batch` keep the same per-phase buffer across ``(B, n)``
+state arrays, and their event-segmented sweep replicates
 :meth:`DBACProcess.deliver` (docs/batching.md). Changes to the delivery
 or trimming rules here must be mirrored there; the determinism suite
 pins the two bit for bit.

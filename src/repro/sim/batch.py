@@ -236,10 +236,10 @@ def select_delivered(selector: str, degree: int, values, live, byz, salt, rngs, 
     ignored), ``live`` the ``(n,)`` transmitting-sender mask (crashed
     senders out, Byzantine senders in), ``live_key`` the same senders
     as an ascending tuple (the lane driver keeps both until the next
-    crash round), ``byz`` the sorted Byzantine
-    index array, ``salt`` the round's rotate salt (all lanes share one
-    round clock) and ``rngs`` the lanes' own
-    ``child_rng(seed, "adversary")`` streams (``random`` only). Returns
+    crash round), ``byz`` the sorted Byzantine index array, ``salt``
+    the round's rotate salt (all lanes share one round clock) and
+    ``rngs`` the lanes' own ``child_rng(seed, "adversary")`` streams
+    (``random`` only). Returns
     ``(B, n, n)`` bools where ``[b, v, u]`` says ``u``'s round broadcast
     reaches ``v``, without a diagonal: each kernel handles self-delivery
     itself. A mask every lane shares (``rotate``, ``mobile-rotate``,

@@ -1,4 +1,4 @@
-"""The own-echo contract behind the engine's edge-free rounds.
+"""The own-echo contract: which processes never receive their own message.
 
 The engine never delivers a process its own message when the class
 declares ``ignores_own_echo``: delivering rounds leave it out of the
