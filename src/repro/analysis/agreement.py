@@ -1,32 +1,20 @@
 """Standalone verdicts on output vectors (Definitions 2 and 3).
 
-The runner embeds these checks in its report; this module exposes them
-for analysis of arbitrary output collections (e.g. group-wise verdicts
-in the impossibility experiments, where we must show that *each group*
-internally agrees while the *groups* disagree).
+:func:`judge_outputs` applies the runner's one verdict rule
+(:func:`repro.sim.runner.output_verdict`, the float slack included) to
+arbitrary output collections -- e.g. group-wise verdicts in the
+impossibility experiments, where we must show that *each group*
+internally agrees while the *groups* disagree. Unlike the runner, it
+refuses an empty output set instead of judging it vacuously.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
-_FLOAT_SLACK = 1e-9
+from repro.sim.runner import OutputVerdict, output_verdict
 
-
-@dataclass(frozen=True)
-class OutputVerdict:
-    """Judgment of one set of outputs against one set of inputs."""
-
-    spread: float
-    epsilon_agreement: bool
-    validity: bool
-    hull: tuple[float, float]
-
-    @property
-    def correct(self) -> bool:
-        """Both safety properties hold."""
-        return self.epsilon_agreement and self.validity
+__all__ = ["OutputVerdict", "cross_group_gap", "groupwise_spread", "judge_outputs"]
 
 
 def judge_outputs(
@@ -43,12 +31,7 @@ def judge_outputs(
         raise ValueError("cannot judge an empty output set")
     if not inputs:
         raise ValueError("cannot judge against an empty input set")
-    values = list(outputs.values())
-    spread = max(values) - min(values)
-    hull_lo, hull_hi = min(inputs.values()), max(inputs.values())
-    agrees = spread <= epsilon + _FLOAT_SLACK
-    valid = all(hull_lo - _FLOAT_SLACK <= v <= hull_hi + _FLOAT_SLACK for v in values)
-    return OutputVerdict(spread, agrees, valid, (hull_lo, hull_hi))
+    return output_verdict(outputs, inputs, epsilon)
 
 
 def groupwise_spread(

@@ -40,7 +40,7 @@ from typing import Any
 from repro.scenario.registry import RegistryEntry, lookup
 from repro.scenario.resolve import ensure_builtin_families, flat_params
 from repro.sim.arena import empty_arena_plan
-from repro.sim.runner import _FLOAT_SLACK, run_consensus
+from repro.sim.runner import output_verdict, run_consensus
 
 __all__ = ["FamilyTrial", "family_trial"]
 
@@ -80,31 +80,20 @@ def _observer_hooks(observe: bool) -> tuple[dict[str, Any], Any]:
 def _lane_summary(lane, epsilon: float) -> dict[str, Any]:
     """The trial summary dict for one batch lane.
 
-    Re-derives the runner's verdicts (spread, epsilon-agreement,
-    validity) from the lane's outputs and inputs with the runner's own
-    arithmetic and float slack, so batched and serial summaries are
+    The runner's verdict (:func:`repro.sim.runner.output_verdict`) over
+    the lane's outputs and inputs, so batched and serial summaries are
     equal value for value. Works for every lane family because
     :class:`repro.sim.batch.LaneResult.outputs` already carries the
     stop-mode-appropriate outputs (decided values for ``"output"``
     stopping, fault-free states for ``"oracle"``), exactly as
     :func:`repro.sim.runner.run_consensus` reports them.
     """
-    outputs = lane.outputs
-    spread = 0.0
-    if outputs:
-        spread = max(outputs.values()) - min(outputs.values())
-    eps_agreement = not outputs or spread <= epsilon + _FLOAT_SLACK
-    hull_lo = min(lane.inputs.values())
-    hull_hi = max(lane.inputs.values())
-    validity = all(
-        hull_lo - _FLOAT_SLACK <= value <= hull_hi + _FLOAT_SLACK
-        for value in outputs.values()
-    )
+    verdict = output_verdict(lane.outputs, lane.inputs, epsilon)
     return {
         "rounds": lane.rounds,
-        "spread": spread,
+        "spread": verdict.spread,
         "terminated": lane.stopped,
-        "correct": lane.stopped and validity and eps_agreement,
+        "correct": lane.stopped and verdict.correct,
     }
 
 

@@ -37,6 +37,49 @@ from repro.sim.trace import ExecutionTrace
 _FLOAT_SLACK = 1e-9
 
 
+@dataclass(frozen=True)
+class OutputVerdict:
+    """Judgment of one set of outputs against one set of inputs."""
+
+    spread: float
+    epsilon_agreement: bool
+    validity: bool
+    hull: tuple[float, float]
+
+    @property
+    def correct(self) -> bool:
+        """Both safety properties hold."""
+        return self.epsilon_agreement and self.validity
+
+
+def output_verdict(
+    outputs: Mapping[int, float],
+    inputs: Mapping[int, float],
+    epsilon: float,
+) -> OutputVerdict:
+    """Epsilon-agreement and validity of ``outputs`` (Definitions 2 and 3).
+
+    ``inputs`` must be the *non-Byzantine* inputs: validity requires
+    every output inside their convex hull (Definition 3(ii)). With no
+    outputs at all both properties hold vacuously (spread 0.0): the
+    failure is termination, which the caller judges. The one verdict
+    rule for serial runs, batch lanes and
+    :func:`repro.analysis.agreement.judge_outputs`.
+    """
+    hull_lo = min(inputs.values())
+    hull_hi = max(inputs.values())
+    values = outputs.values()
+    if not values:
+        return OutputVerdict(0.0, True, True, (hull_lo, hull_hi))
+    spread = max(values) - min(values)
+    return OutputVerdict(
+        spread,
+        spread <= epsilon + _FLOAT_SLACK,
+        all(hull_lo - _FLOAT_SLACK <= value <= hull_hi + _FLOAT_SLACK for value in values),
+        (hull_lo, hull_hi),
+    )
+
+
 @dataclass
 class ExecutionReport:
     """Everything measured about one execution."""
@@ -204,19 +247,7 @@ def run_consensus(
     else:
         outputs = engine.fault_free_values()
 
-    # With no outputs at all the safety properties are vacuous -- the
-    # failure is termination, and correct=False follows from that.
-    spread = 0.0
-    if outputs:
-        spread = max(outputs.values()) - min(outputs.values())
-    eps_agreement = not outputs or spread <= epsilon + _FLOAT_SLACK
-
-    hull_lo = min(inputs.values())
-    hull_hi = max(inputs.values())
-    validity = all(
-        hull_lo - _FLOAT_SLACK <= value <= hull_hi + _FLOAT_SLACK
-        for value in outputs.values()
-    )
+    verdict = output_verdict(outputs, inputs, epsilon)
 
     # A streaming sink is not an ExecutionTrace: no in-RAM rounds to
     # re-check the promise against, and the report cannot carry it.
@@ -234,9 +265,9 @@ def run_consensus(
         terminated=terminated,
         inputs=inputs,
         outputs=outputs,
-        output_spread=spread,
-        epsilon_agreement=eps_agreement,
-        validity=validity,
+        output_spread=verdict.spread,
+        epsilon_agreement=verdict.epsilon_agreement,
+        validity=verdict.validity,
         phase_ranges=series.range_series(),
         convergence_rates=series.convergence_rates(),
         max_phase=series.max_phase(),
