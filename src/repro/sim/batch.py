@@ -28,8 +28,8 @@ can replicate it (numpy is missing, a process class or Byzantine
 strategy no kernel reproduces, an unknown selector). A kernel
 constructor raises ``ValueError`` with that reason. :func:`run_lanes`
 is the one batch entry: kernel lanes where the predicate accepts,
-:class:`GenericBatchEngine` lanes otherwise -- one serial
-:class:`~repro.sim.engine.Engine` run per seed over
+:class:`GenericBatchEngine` lanes otherwise -- one untraced
+:func:`repro.sim.runner.run_consensus` per seed over
 :func:`repro.workloads.lane_execution`, the semantic reference itself,
 so those lanes match by construction and :func:`run_lanes` works
 without numpy.
@@ -95,8 +95,8 @@ from repro.faults.byzantine import (
 )
 from repro.net.ports import port_tables
 from repro.sim.arena import mobile_table, rotate_table, scatter_picks
-from repro.sim.engine import Engine
 from repro.sim.rng import child_rng, spawn_inputs
+from repro.sim.runner import run_consensus
 
 try:  # numpy is an optional extra (``pip install repro[numpy]``)
     import numpy as _np
@@ -1066,20 +1066,17 @@ class BaselineBatchEngine(_LaneKernel):
 
 
 class GenericBatchEngine:
-    """Builder-defined lanes: one serial engine run per seed.
+    """Builder-defined lanes: one serial run per seed.
 
     The serial fallback under :func:`run_lanes` and the registry's
     open end: a family registered through :mod:`repro.scenario` gets
-    a batched form without writing a kernel. ``build(seed)`` returns the family's
-    :func:`repro.sim.runner.run_consensus` keyword dict (processes,
-    adversary, ports, fault plan, ``stop_mode``, ``max_rounds``,
-    ``epsilon``); each lane is one untraced serial
-    :class:`~repro.sim.engine.Engine` driven by
-    ``Engine.run(max_rounds, stop_when=...)`` for its stop mode, so
-    lanes are bit-identical to per-seed serial runs by construction. A
-    family that wants vectorized lanes returns its
-    :class:`~repro.workloads.LaneFamily` from its ``lanes`` hook, and
-    a kernel for its process class joins :data:`_KERNELS`.
+    a batched form without writing a kernel. ``build(seed)`` returns the
+    family's :func:`repro.sim.runner.run_consensus` keyword dict; each
+    lane is that ``run_consensus`` call, untraced, so lanes are the
+    per-seed serial runs themselves. A family that wants vectorized
+    lanes returns its :class:`~repro.workloads.LaneFamily` from its
+    ``lanes`` hook, and a kernel for its process class joins
+    :data:`_KERNELS`.
     """
 
     def __init__(self, seeds: Sequence[int], build: Callable[[int], dict]) -> None:
@@ -1092,39 +1089,18 @@ class GenericBatchEngine:
 
     def _run_lane(self, seed: int) -> LaneResult:
         kwargs = self.build(seed)
-        engine = Engine(
-            kwargs["processes"],
-            kwargs["adversary"],
-            kwargs["ports"],
-            fault_plan=kwargs["fault_plan"],
-            f=kwargs["f"],
-            seed=kwargs["seed"],
-            record_trace=False,
+        report = run_consensus(
+            **kwargs, record_trace=False, verify_promise=False, track_phases=False
         )
-        fault_free = engine.fault_plan.fault_free
-        if kwargs.get("stop_mode", "output") == "output":
-            result = engine.run(kwargs["max_rounds"], stop_when=Engine.all_fault_free_output)
-            outputs = {
-                v: engine.processes[v].output()
-                for v in sorted(fault_free)
-                if engine.processes[v].has_output()
-            }
-        else:
-            epsilon = kwargs.get("epsilon", 1e-3)
-            result = engine.run(
-                kwargs["max_rounds"],
-                stop_when=lambda eng: eng.fault_free_range() <= epsilon,
-            )
-            outputs = engine.fault_free_values()
+        # The engine advanced these very process objects.
+        processes = kwargs["processes"]
         return LaneResult(
             seed=seed,
-            rounds=int(result),
-            stopped=result.stopped,
-            inputs={node: proc.input_value for node, proc in engine.processes.items()},
-            outputs=outputs,
-            state_keys={
-                node: proc.state_key() for node, proc in engine.processes.items()
-            },
+            rounds=report.rounds,
+            stopped=report.terminated,
+            inputs=report.inputs,
+            outputs=report.outputs,
+            state_keys={node: proc.state_key() for node, proc in processes.items()},
         )
 
 
