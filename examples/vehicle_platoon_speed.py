@@ -20,8 +20,8 @@ from repro import (
     ExtremeByzantine,
     FaultPlan,
     FixedValueByzantine,
+    LastMinuteQuorumAdversary,
     PhaseLiarByzantine,
-    RotatingQuorumAdversary,
     run_consensus,
 )
 from repro.net.ports import random_ports
@@ -62,8 +62,8 @@ def drive(attack_name: str, seed: int = 7):
         )
         for v in plan.non_byzantine
     }
-    adversary = RotatingQuorumAdversary(
-        dbac_degree(N_CARS, MAX_COMPROMISED), selector="nearest"
+    adversary = LastMinuteQuorumAdversary(
+        1, dbac_degree(N_CARS, MAX_COMPROMISED), selector="nearest"
     )
     return run_consensus(
         processes,

@@ -32,7 +32,6 @@ from repro.adversary import (
     PhaseSkewAdversary,
     RandomLinkAdversary,
     ReceiveSetsAdversary,
-    RotatingQuorumAdversary,
     ScheduleAdversary,
     SplitGroupsAdversary,
     StaticAdversary,
@@ -143,7 +142,6 @@ __all__ = [
     "figure1_adversary",
     "RandomLinkAdversary",
     "EventuallyStableAdversary",
-    "RotatingQuorumAdversary",
     "LastMinuteQuorumAdversary",
     "PhaseSkewAdversary",
     "LookaheadQuorumAdversary",

@@ -21,7 +21,6 @@ from repro.adversary.comparative import (
 from repro.adversary.constrained import (
     LastMinuteQuorumAdversary,
     PhaseSkewAdversary,
-    RotatingQuorumAdversary,
 )
 from repro.adversary.greedy import LookaheadQuorumAdversary
 from repro.adversary.mobile import MobileOmissionAdversary
@@ -40,7 +39,6 @@ __all__ = [
     "LastMinuteQuorumAdversary",
     "PhaseSkewAdversary",
     "LookaheadQuorumAdversary",
-    "RotatingQuorumAdversary",
     "MobileOmissionAdversary",
     "RootedStarAdversary",
     "StableSpanningTreeAdversary",

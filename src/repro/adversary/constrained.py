@@ -3,25 +3,27 @@
 These adversaries are the sharp edge of the sufficiency experiments:
 they give the algorithm the *least* the stability property allows.
 
-- :class:`RotatingQuorumAdversary` -- ``T = 1``: every round, every
-  node hears from exactly ``D`` senders, but the set rotates each
-  round, so no stable neighborhood ever forms (the paper's point that
-  ``(1, 1)``-dynaDegree still allows arbitrary churn).
-- :class:`LastMinuteQuorumAdversary` -- general ``T``: silence for the
+- :class:`LastMinuteQuorumAdversary` -- ``(T, D)``: silence for the
   first ``T - 1`` rounds of every aligned window, then exactly ``D``
   in-links on the window's last round. Every sliding ``T``-window
   contains exactly one delivery round, so ``(T, D)`` holds -- barely.
   This maximizes rounds-to-termination (the ``T * p_end`` bound of
   experiment E3 is approached) and starves any algorithm that hopes
-  for steady progress.
+  for steady progress. At ``T = 1`` every round delivers: every node
+  hears from exactly ``D`` senders, but under ``rotate`` the set
+  changes each round, so no stable neighborhood ever forms (the
+  paper's point that ``(1, 1)``-dynaDegree still allows arbitrary
+  churn).
+- :class:`PhaseSkewAdversary` -- a fast clique fed every round, slow
+  nodes fed once per window (the jump-rule scenario of experiment X3).
 
 Sender selection is pluggable; ``"nearest"`` is adversarially tuned
 for averaging algorithms (it feeds every node the values closest to
 its own, minimizing contraction, with Byzantine senders prioritized to
 burn quota on garbage).
 
-Both adversaries deliver links *to* every node (faulty included --
-harmless) but count their ``D`` guarantee from senders that actually
+The quorum adversary delivers links *to* every node (faulty included
+-- harmless) but counts its ``D`` guarantee from senders that actually
 transmit: live (non-crashed) nodes and Byzantine nodes.
 """
 
@@ -364,53 +366,6 @@ class _QuorumSelector:
             self._rotate_cache[key] = cached
         return cached
 
-class _CachedGraphMixin:
-    """Round-graph resolution for the enforcing quorum adversaries.
-
-    ``rotate`` choices depend only on ``(live set, salt mod n)``, so
-    those rounds resolve through the module-level
-    :func:`rotate_topology` memo, built from the same
-    :func:`rotate_picks` as the batch kernels' tables. After the crash
-    schedule settles every enforced round is a pure memo hit replaying
-    one graph whose adjacency rows are already built. Value- or
-    RNG-dependent selectors keep only the selector's last-call memo
-    (:meth:`_QuorumSelector.graph_for_round`); other
-    rounds wrap their edge lists into (hash-consed) Topologies
-    directly.
-    """
-
-    _quorum: _QuorumSelector
-
-    def _on_setup(self) -> None:
-        self._quorum.reset()
-
-    def _graph_for(self, salt: int, view: "EngineView") -> Topology:
-        if self._quorum.selector == "rotate":
-            return rotate_topology(
-                self.n, view.live_senders_sorted(), salt, self._quorum.degree
-            )
-        return self._quorum.graph_for_round(salt, view, self)
-
-
-class RotatingQuorumAdversary(_CachedGraphMixin, MessageAdversary):
-    """``(1, D)``-dynaDegree, minimal and churning every round."""
-
-    def __init__(self, degree: int, selector: str = "rotate") -> None:
-        super().__init__()
-        self._quorum = _QuorumSelector(degree, selector)
-
-    @property
-    def degree(self) -> int:
-        """The enforced per-round in-degree ``D``."""
-        return self._quorum.degree
-
-    def choose(self, t: int, view: "EngineView") -> Topology:
-        return self._graph_for(t, view)
-
-    def promised_dynadegree(self) -> tuple[int, int]:
-        return (1, self._quorum.degree)
-
-
 class PhaseSkewAdversary(MessageAdversary):
     """Creates maximal phase skew: a fast clique races ahead while slow
     nodes hear from it only once per ``window`` rounds.
@@ -465,8 +420,18 @@ class PhaseSkewAdversary(MessageAdversary):
         return (self.window, self.degree)
 
 
-class LastMinuteQuorumAdversary(_CachedGraphMixin, MessageAdversary):
-    """``(T, D)``-dynaDegree delivered entirely on each window's last round."""
+class LastMinuteQuorumAdversary(MessageAdversary):
+    """``(T, D)``-dynaDegree delivered entirely on each window's last round.
+
+    Window ``k`` (rounds ``kT .. kT + T - 1``) delivers its round graph
+    on round ``kT + T - 1`` with selector salt ``k``; ``T = 1`` delivers
+    every round, salted by the round. ``rotate`` rounds resolve through
+    the module-level :func:`rotate_topology` memo, built from the same
+    :func:`rotate_picks` as the batch kernels' tables, so after the
+    crash schedule settles every delivering round replays an
+    already-built graph. Value- or RNG-dependent selectors keep only the
+    selector's last-call memo (:meth:`_QuorumSelector.graph_for_round`).
+    """
 
     def __init__(self, window: int, degree: int, selector: str = "rotate") -> None:
         super().__init__()
@@ -481,13 +446,18 @@ class LastMinuteQuorumAdversary(_CachedGraphMixin, MessageAdversary):
         return self._quorum.degree
 
     def _on_setup(self) -> None:
-        super()._on_setup()
+        self._quorum.reset()
         self._empty = Topology.empty(self.n)
 
     def choose(self, t: int, view: "EngineView") -> Topology:
         if (t + 1) % self.window != 0:
             return self._empty
-        return self._graph_for(t // self.window, view)
+        salt = t // self.window
+        if self._quorum.selector == "rotate":
+            return rotate_topology(
+                self.n, view.live_senders_sorted(), salt, self._quorum.degree
+            )
+        return self._quorum.graph_for_round(salt, view, self)
 
     def promised_dynadegree(self) -> tuple[int, int]:
         return (self.window, self._quorum.degree)

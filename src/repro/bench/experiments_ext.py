@@ -17,7 +17,7 @@
 from __future__ import annotations
 
 from repro.adversary.comparative import RootedStarAdversary, StableSpanningTreeAdversary
-from repro.adversary.constrained import RotatingQuorumAdversary
+from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.adversary.random_adv import RandomLinkAdversary
 from repro.analysis.probabilistic import (
     expected_rounds_per_phase,
@@ -66,7 +66,7 @@ def experiment_x5(quick: bool = True) -> TableResult:
         "rooted star (fixed root)": lambda: RootedStarAdversary("fixed"),
         "rooted star (rotating)": lambda: RootedStarAdversary("rotate"),
         "stable spanning path": lambda: StableSpanningTreeAdversary(),
-        "(1, n/2) rotating quorum": lambda: RotatingQuorumAdversary(dac_degree(n)),
+        "(1, n/2) rotating quorum": lambda: LastMinuteQuorumAdversary(1, dac_degree(n)),
     }
     # The fixed star and stable path are rooted/connected forever yet
     # pin dynaDegree at 1 -> DAC starves. The *rotating* star is the

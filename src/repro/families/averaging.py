@@ -29,10 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.adversary.constrained import (
-    LastMinuteQuorumAdversary,
-    RotatingQuorumAdversary,
-)
+from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.core.averaging import AVERAGING_RULES, AveragingProcess
 from repro.core.phases import dac_end_phase
 from repro.faults.base import FaultPlan
@@ -71,14 +68,9 @@ def build_averaging_execution(
         )
         for node in range(n)
     }
-    degree = dac_degree(n)
-    if window == 1:
-        adversary = RotatingQuorumAdversary(degree, selector=selector)
-    else:
-        adversary = LastMinuteQuorumAdversary(window, degree, selector=selector)
     return {
         "processes": processes,
-        "adversary": adversary,
+        "adversary": LastMinuteQuorumAdversary(window, dac_degree(n), selector=selector),
         "ports": ports,
         "epsilon": epsilon,
         "f": f,

@@ -36,10 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
 
-from repro.adversary.constrained import (
-    LastMinuteQuorumAdversary,
-    RotatingQuorumAdversary,
-)
+from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.adversary.mobile import MOBILE_MODES, MobileOmissionAdversary
 from repro.adversary.split import (
     IsolateThenConnectAdversary,
@@ -89,12 +86,6 @@ def dac_degree(n: int) -> int:
 def dbac_degree(n: int, f: int) -> int:
     """The DBAC sufficiency threshold ``D = floor((n+3f)/2)``."""
     return (n + 3 * f) // 2
-
-
-def _quorum_adversary(window: int, degree: int, selector: str):
-    if window == 1:
-        return RotatingQuorumAdversary(degree, selector=selector)
-    return LastMinuteQuorumAdversary(window, degree, selector=selector)
 
 
 @dataclass(frozen=True)
@@ -226,7 +217,9 @@ def dac_lane_family(
         degree=dac_degree(n),
         window=window,
         selector=selector,
-        make_adversary=lambda: _quorum_adversary(window, dac_degree(n), selector),
+        make_adversary=lambda: LastMinuteQuorumAdversary(
+            window, dac_degree(n), selector=selector
+        ),
         make_process=lambda value, port: DACProcess(
             n, f, value, port, epsilon=epsilon, enable_jump=enable_jump
         ),
@@ -292,7 +285,9 @@ def dbac_lane_family(
         degree=dbac_degree(n, f),
         window=window,
         selector=selector,
-        make_adversary=lambda: _quorum_adversary(window, dbac_degree(n, f), selector),
+        make_adversary=lambda: LastMinuteQuorumAdversary(
+            window, dbac_degree(n, f), selector=selector
+        ),
         make_process=lambda value, port: DBACProcess(
             n, f, value, port, epsilon=epsilon, end_phase=end_phase
         ),
@@ -615,7 +610,9 @@ def baseline_lane_family(
         degree=dac_degree(n),
         window=window,
         selector=selector,
-        make_adversary=lambda: _quorum_adversary(window, dac_degree(n), selector),
+        make_adversary=lambda: LastMinuteQuorumAdversary(
+            window, dac_degree(n), selector=selector
+        ),
         make_process=lambda value, port: process_type(n, f, value, port, num_rounds=num_rounds),
     )
 

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from repro.adversary.constrained import (
     LastMinuteQuorumAdversary,
     PhaseSkewAdversary,
-    RotatingQuorumAdversary,
     random_picks,
 )
 from repro.core.dac import DACProcess
@@ -44,11 +43,11 @@ def run_with(adversary, n, f=0, fault_plan=None, rounds=30):
 class TestValidation:
     def test_bad_degree_rejected(self):
         with pytest.raises(ValueError, match="D must be >= 1"):
-            RotatingQuorumAdversary(0)
+            LastMinuteQuorumAdversary(1, 0)
 
     def test_bad_selector_rejected(self):
         with pytest.raises(ValueError, match="selector"):
-            RotatingQuorumAdversary(2, selector="weird")
+            LastMinuteQuorumAdversary(1, 2, selector="weird")
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="T must be >= 1"):
@@ -58,20 +57,20 @@ class TestValidation:
 class TestRotatingQuorum:
     def test_promise_holds_fault_free(self):
         n = 7
-        engine = run_with(RotatingQuorumAdversary(3), n)
+        engine = run_with(LastMinuteQuorumAdversary(1, 3), n)
         verdict = check_dynadegree(engine.trace.dynamic_graph(), 1, 3)
         assert verdict.holds
 
     def test_exactly_degree_links_per_node(self):
         n = 7
-        engine = run_with(RotatingQuorumAdversary(3), n)
+        engine = run_with(LastMinuteQuorumAdversary(1, 3), n)
         for snap in engine.trace.rounds:
             for v in range(n):
                 assert snap.graph.in_degree(v) == 3
 
     def test_neighborhood_rotates(self):
         n = 7
-        engine = run_with(RotatingQuorumAdversary(3), n, rounds=4)
+        engine = run_with(LastMinuteQuorumAdversary(1, 3), n, rounds=4)
         hoods = [engine.trace.at(t).in_neighbors(0) for t in range(4)]
         assert len(set(hoods)) > 1
 
@@ -79,7 +78,7 @@ class TestRotatingQuorum:
         n = 9
         f = 4
         plan = FaultPlan(n, crashes=staggered_crashes(range(5, 9), first_round=2))
-        engine = run_with(RotatingQuorumAdversary(4), n, f=f, fault_plan=plan, rounds=25)
+        engine = run_with(LastMinuteQuorumAdversary(1, 4), n, f=f, fault_plan=plan, rounds=25)
         trace = engine.trace
         verdict = check_dynadegree(
             trace.dynamic_graph(),
@@ -93,7 +92,7 @@ class TestRotatingQuorum:
     def test_all_selectors_keep_promise(self):
         n = 8
         for selector in ("rotate", "nearest", "random"):
-            engine = run_with(RotatingQuorumAdversary(4, selector=selector), n)
+            engine = run_with(LastMinuteQuorumAdversary(1, 4, selector=selector), n)
             verdict = check_dynadegree(engine.trace.dynamic_graph(), 1, 4)
             assert verdict.holds, selector
 
@@ -114,7 +113,7 @@ class TestLastMinuteQuorum:
 
     def test_promise_tuple(self):
         assert LastMinuteQuorumAdversary(4, 2).promised_dynadegree() == (4, 2)
-        assert RotatingQuorumAdversary(2).promised_dynadegree() == (1, 2)
+        assert LastMinuteQuorumAdversary(1, 2).promised_dynadegree() == (1, 2)
 
     def test_window_one_equals_every_round(self):
         n = 5
@@ -216,7 +215,7 @@ class TestSelectorCaching:
         # Fault-free rotate choices cycle with period n: the cached
         # graphs must be reused (identity), not merely equal.
         n = 6
-        engine = run_with(RotatingQuorumAdversary(3), n, rounds=2 * n)
+        engine = run_with(LastMinuteQuorumAdversary(1, 3), n, rounds=2 * n)
         rounds = engine.trace.rounds
         for t in range(n):
             assert rounds[t].graph is rounds[t + n].graph
@@ -226,7 +225,7 @@ class TestSelectorCaching:
         # The RNG stream makes random choices round-dependent; caching
         # them would freeze the schedule.
         n = 7
-        engine = run_with(RotatingQuorumAdversary(3, selector="random"), n, rounds=10)
+        engine = run_with(LastMinuteQuorumAdversary(1, 3, selector="random"), n, rounds=10)
         graphs = {snap.graph.edges for snap in engine.trace.rounds}
         assert len(graphs) > 1
 
@@ -408,7 +407,7 @@ def test_nearest_memo_matches_fresh_selection(n, data):
         ),
         label="steps",
     )
-    adversary = RotatingQuorumAdversary(degree, selector="nearest")
+    adversary = LastMinuteQuorumAdversary(1, degree, selector="nearest")
     adversary.setup(n, FaultPlan.fault_free_plan(n), random.Random(0))
     for t, (which_values, which_live) in enumerate(steps):
         values = {
@@ -443,7 +442,7 @@ class TestNearestMemo:
         assert again is picks
 
     def test_nan_never_hits(self):
-        adversary = RotatingQuorumAdversary(2, selector="nearest")
+        adversary = LastMinuteQuorumAdversary(1, 2, selector="nearest")
         adversary.setup(4, FaultPlan.fault_free_plan(4), random.Random(0))
         selector = adversary._quorum
 
@@ -463,7 +462,7 @@ class TestNearestMemo:
 
         n, degree = 6, 2
         values = {u: u / 10 for u in range(n)}
-        adversary = RotatingQuorumAdversary(degree, selector="nearest")
+        adversary = LastMinuteQuorumAdversary(1, degree, selector="nearest")
         for byz in (0, 5):
             plan = FaultPlan(n, byzantine={byz: FixedValueByzantine(0.0)})
             adversary.setup(n, plan, random.Random(0))

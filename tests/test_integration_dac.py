@@ -12,7 +12,6 @@ import pytest
 from repro.adversary.constrained import (
     LastMinuteQuorumAdversary,
     PhaseSkewAdversary,
-    RotatingQuorumAdversary,
 )
 from repro.adversary.periodic import figure1_adversary
 from repro.core.dac import DACProcess
@@ -118,7 +117,7 @@ class TestCrashRobustness:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(n // 2),
+            LastMinuteQuorumAdversary(1, n // 2),
             ports,
             epsilon=1e-3,
             f=f,
@@ -138,7 +137,7 @@ class TestCrashRobustness:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(n // 2),
+            LastMinuteQuorumAdversary(1, n // 2),
             ports,
             epsilon=1e-3,
             f=f,

@@ -8,7 +8,7 @@ convergence-rate bound.
 
 import pytest
 
-from repro.adversary.constrained import RotatingQuorumAdversary
+from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.core.dbac import DBACProcess
 from repro.core.phases import dbac_convergence_rate
 from repro.faults.base import FaultPlan
@@ -89,7 +89,7 @@ class TestValidityUnderAttack:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(dbac_degree(n, f), selector="nearest"),
+            LastMinuteQuorumAdversary(1, dbac_degree(n, f), selector="nearest"),
             ports,
             epsilon=1e-2,
             f=f,
@@ -131,7 +131,7 @@ class TestOutputModeTermination:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(dbac_degree(n, f)),
+            LastMinuteQuorumAdversary(1, dbac_degree(n, f)),
             ports,
             epsilon=1.0,  # judged loosely; we only check termination here
             f=f,

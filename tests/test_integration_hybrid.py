@@ -9,7 +9,7 @@ arriving in every pattern the CrashEvent machinery can express.
 
 import pytest
 
-from repro.adversary.constrained import RotatingQuorumAdversary
+from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.core.dac import DACProcess
 from repro.core.dbac import DBACProcess
 from repro.faults.base import FaultPlan
@@ -42,7 +42,7 @@ class TestHybridDBAC:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(dbac_degree(n, f), selector="nearest"),
+            LastMinuteQuorumAdversary(1, dbac_degree(n, f), selector="nearest"),
             ports,
             epsilon=1e-1,
             f=f,
@@ -75,7 +75,7 @@ class TestHybridDBAC:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(dbac_degree(n, f)),
+            LastMinuteQuorumAdversary(1, dbac_degree(n, f)),
             ports,
             epsilon=1e-1,
             f=f,
@@ -114,7 +114,7 @@ class TestCrashPatternsDAC:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(n // 2),
+            LastMinuteQuorumAdversary(1, n // 2),
             ports,
             epsilon=1e-3,
             f=f,

@@ -11,7 +11,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.adversary.constrained import RotatingQuorumAdversary
+from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.adversary.random_adv import RandomLinkAdversary
 from repro.core.dac import DACProcess
 from repro.core.dbac import DBACProcess
@@ -131,7 +131,7 @@ class TestDACSafetyProperties:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(n // 2, selector="random"),
+            LastMinuteQuorumAdversary(1, n // 2, selector="random"),
             ports,
             epsilon=1e-2,
             f=f,
@@ -159,7 +159,7 @@ class TestDBACSafetyProperties:
         }
         report = run_consensus(
             procs,
-            RotatingQuorumAdversary(dbac_degree(n, f), selector="random"),
+            LastMinuteQuorumAdversary(1, dbac_degree(n, f), selector="random"),
             ports,
             epsilon=1e-2,
             f=f,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.adversary.base import StaticAdversary
-from repro.adversary.constrained import RotatingQuorumAdversary
+from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.core.dac import DACProcess
 from repro.faults.base import FaultPlan
 from repro.faults.byzantine import FixedValueByzantine
@@ -125,7 +125,7 @@ class TestPromiseVerification:
         n = 6
         report = run_consensus(
             dac_processes(n, 0),
-            RotatingQuorumAdversary(n // 2),
+            LastMinuteQuorumAdversary(1, n // 2),
             identity_ports(n),
             epsilon=1e-2,
             max_rounds=100,
@@ -137,7 +137,7 @@ class TestPromiseVerification:
         n = 5
         report = run_consensus(
             dac_processes(n, 0),
-            RotatingQuorumAdversary(n // 2),
+            LastMinuteQuorumAdversary(1, n // 2),
             identity_ports(n),
             epsilon=1e-2,
             max_rounds=100,
