@@ -67,7 +67,6 @@ from repro.faults import (
 from repro.mc import BoundedExplorer, mobile_omission_choices
 from repro.net import (
     Topology,
-    DynaDegreeChecker,
     DynamicGraph,
     EdgeSchedule,
     PortNumbering,
@@ -133,7 +132,6 @@ __all__ = [
     "random_ports",
     "check_dynadegree",
     "max_degree_for_window",
-    "DynaDegreeChecker",
     # Adversaries
     "MessageAdversary",
     "StaticAdversary",

@@ -16,7 +16,6 @@ dynamic network:
 """
 
 from repro.net.dynadegree import (
-    DynaDegreeChecker,
     DynaDegreeProfile,
     check_dynadegree,
     max_degree_for_window,
@@ -46,7 +45,6 @@ __all__ = [
     "DynamicGraph",
     "EdgeSchedule",
     "window_union",
-    "DynaDegreeChecker",
     "DynaDegreeProfile",
     "check_dynadegree",
     "max_degree_for_window",

@@ -18,6 +18,12 @@ Two subtleties the paper leaves implicit are made explicit here:
   finite recorded trace of ``L`` rounds we check every *complete*
   window, i.e. ``t = 0 .. L - T``. Traces shorter than ``T`` have no
   complete window and are vacuously accepted (flagged in the verdict).
+
+:func:`check_dynadegree` is the one window check: the runner applies
+it to every traced run's recorded graphs to re-verify the adversary's
+promise (:attr:`repro.sim.runner.ExecutionReport.dynadegree_verified`),
+and the profile helpers below build on the same per-window neighbor
+sets.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass, field
 
 from repro.net.dynamic import DynamicGraph
-from repro.net.topology import Topology
 
 SendersAt = Callable[[int], Collection[int]]
 
@@ -206,75 +211,3 @@ class DynaDegreeProfile:
         if window not in self.max_degree_by_window:
             raise KeyError(f"window T={window} was not profiled")
         return self.max_degree_by_window[window] >= degree
-
-
-class DynaDegreeChecker:
-    """Incremental per-round checker used by enforcing adversaries.
-
-    Enforcing adversaries promise a ``(T, D)``-dynaDegree trace; this
-    class lets them (and the engine) verify the promise as rounds are
-    produced, without re-scanning the whole trace. Feed each round's
-    graph via :meth:`observe`; :attr:`violations` collects any window
-    that closed short of ``D``.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        window: int,
-        degree: int,
-        fault_free: Collection[int] | None = None,
-    ) -> None:
-        if window < 1:
-            raise ValueError(f"window T must be >= 1, got {window}")
-        if not (1 <= degree <= n - 1):
-            raise ValueError(f"degree D must be in [1, n-1]=[1, {n - 1}], got {degree}")
-        self._n = n
-        self._window = window
-        self._degree = degree
-        self._targets = set(range(n)) if fault_free is None else set(fault_free)
-        self._history: list[dict[int, set[int]]] = []
-        self._round = 0
-        self.violations: list[DynaDegreeViolation] = []
-
-    @property
-    def rounds_observed(self) -> int:
-        """How many rounds have been fed in so far."""
-        return self._round
-
-    def retire(self, node: int) -> None:
-        """Stop constraining ``node`` (it crashed / became Byzantine)."""
-        self._targets.discard(node)
-
-    def observe(self, graph: Topology, senders: Collection[int] | None = None) -> None:
-        """Record one round's chosen edges (optionally filtered to live senders)."""
-        if graph.n != self._n:
-            raise ValueError(f"graph has n={graph.n}, checker expects {self._n}")
-        allowed = None if senders is None else set(senders)
-        per_node: dict[int, set[int]] = {v: set() for v in range(self._n)}
-        for u, v in graph.edge_list:
-            if allowed is None or u in allowed:
-                per_node[v].add(u)
-        self._history.append(per_node)
-        self._round += 1
-        if len(self._history) >= self._window:
-            start = self._round - self._window
-            self._check_window(start)
-            if len(self._history) > self._window:
-                self._history.pop(0)
-
-    def _check_window(self, start: int) -> None:
-        tail = self._history[-self._window :]
-        for node in self._targets:
-            distinct: set[int] = set()
-            for per_node in tail:
-                distinct |= per_node[node]
-            if len(distinct) < self._degree:
-                self.violations.append(
-                    DynaDegreeViolation(start, node, len(distinct), self._degree)
-                )
-
-    @property
-    def clean(self) -> bool:
-        """True while no completed window has violated the property."""
-        return not self.violations

@@ -7,7 +7,6 @@ Includes the paper's Figure 1 example as the canonical fixture: the
 import pytest
 
 from repro.net.dynadegree import (
-    DynaDegreeChecker,
     DynaDegreeProfile,
     check_dynadegree,
     max_degree_for_window,
@@ -143,51 +142,3 @@ class TestWindowAggregation:
         trace = figure1_trace(10)
         degrees = [max_degree_for_window(trace, w) for w in range(1, 5)]
         assert degrees == sorted(degrees)
-
-
-class TestIncrementalChecker:
-    def test_matches_batch_checker_on_figure1(self):
-        checker = DynaDegreeChecker(3, window=2, degree=1)
-        trace = figure1_trace(9)
-        for t in range(len(trace)):
-            checker.observe(trace.at(t))
-        assert checker.clean
-        batch = check_dynadegree(trace, 2, 1)
-        assert batch.holds
-
-    def test_detects_violation_at_window_close(self):
-        checker = DynaDegreeChecker(3, window=2, degree=1)
-        checker.observe(Topology(3))
-        assert checker.clean  # no window complete yet
-        checker.observe(Topology(3))
-        assert not checker.clean
-        assert checker.violations[0].window_start == 0
-
-    def test_retire_releases_constraint(self):
-        checker = DynaDegreeChecker(2, window=1, degree=1)
-        checker.retire(1)
-        checker.observe(Topology(2, [(1, 0)]))  # node 1 hears nobody
-        assert checker.clean
-
-    def test_senders_filter(self):
-        checker = DynaDegreeChecker(2, window=1, degree=1)
-        checker.observe(Topology(2, [(0, 1), (1, 0)]), senders={1})
-        # Node 1's only in-link came from the non-sender 0.
-        assert not checker.clean
-
-    def test_size_mismatch_rejected(self):
-        checker = DynaDegreeChecker(3, window=1, degree=1)
-        with pytest.raises(ValueError, match="expects 3"):
-            checker.observe(Topology(4))
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="T must be >= 1"):
-            DynaDegreeChecker(3, 0, 1)
-        with pytest.raises(ValueError, match="D must be in"):
-            DynaDegreeChecker(3, 1, 3)
-
-    def test_rounds_observed(self):
-        checker = DynaDegreeChecker(3, window=2, degree=1)
-        assert checker.rounds_observed == 0
-        checker.observe(Topology.complete(3))
-        assert checker.rounds_observed == 1
