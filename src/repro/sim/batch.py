@@ -1092,15 +1092,14 @@ class GenericBatchEngine:
         report = run_consensus(
             **kwargs, record_trace=False, verify_promise=False, track_phases=False
         )
-        # The engine advanced these very process objects.
-        processes = kwargs["processes"]
         return LaneResult(
             seed=seed,
             rounds=report.rounds,
             stopped=report.terminated,
             inputs=report.inputs,
             outputs=report.outputs,
-            state_keys={node: proc.state_key() for node, proc in processes.items()},
+            # The engine advanced these very process objects.
+            state_keys={node: proc.state_key() for node, proc in kwargs["processes"].items()},
         )
 
 

@@ -53,9 +53,7 @@ class OutputVerdict:
 
 
 def output_verdict(
-    outputs: Mapping[int, float],
-    inputs: Mapping[int, float],
-    epsilon: float,
+    outputs: Mapping[int, float], inputs: Mapping[int, float], epsilon: float
 ) -> OutputVerdict:
     """Epsilon-agreement and validity of ``outputs`` (Definitions 2 and 3).
 
@@ -66,17 +64,14 @@ def output_verdict(
     rule for serial runs, batch lanes and
     :func:`repro.analysis.agreement.judge_outputs`.
     """
-    hull_lo = min(inputs.values())
-    hull_hi = max(inputs.values())
+    lo, hi = min(inputs.values()), max(inputs.values())
     values = outputs.values()
-    if not values:
-        return OutputVerdict(0.0, True, True, (hull_lo, hull_hi))
-    spread = max(values) - min(values)
+    spread = max(values) - min(values) if values else 0.0
     return OutputVerdict(
         spread,
-        spread <= epsilon + _FLOAT_SLACK,
-        all(hull_lo - _FLOAT_SLACK <= value <= hull_hi + _FLOAT_SLACK for value in values),
-        (hull_lo, hull_hi),
+        not values or spread <= epsilon + _FLOAT_SLACK,
+        all(lo - _FLOAT_SLACK <= value <= hi + _FLOAT_SLACK for value in values),
+        (lo, hi),
     )
 
 
