@@ -36,7 +36,7 @@ from repro.faults.base import FaultPlan
 from repro.net.ports import random_ports
 from repro.scenario.registry import AlgorithmFamily, ParamSpec, register_algorithm
 from repro.sim.rng import child_rng, spawn_inputs
-from repro.workloads import dac_degree
+from repro.workloads import MAX_N, MAX_ROUNDS, dac_degree
 
 
 def build_averaging_execution(
@@ -88,11 +88,13 @@ class AveragingFamily(AlgorithmFamily):
     """Charron-Bost per-round neighbor averaging under the quorum adversary."""
 
     params = (
-        ParamSpec("n", "int"),
+        ParamSpec("n", "int", low=1, high=MAX_N),
         ParamSpec("rule", "str", default="mean", choices=AVERAGING_RULES),
-        ParamSpec("f", "int", default=0),
+        ParamSpec("f", "int", default=0, low=0, high=MAX_N),
         ParamSpec("epsilon", "float", default=1e-3),
-        ParamSpec("num_rounds", "int", default=None, nullable=True),
+        ParamSpec(
+            "num_rounds", "int", default=None, nullable=True, low=0, high=MAX_ROUNDS
+        ),
     )
     components = {
         "network": ("dynadegree",),

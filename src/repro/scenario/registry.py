@@ -66,11 +66,15 @@ _TYPES: dict[str, tuple[type, ...]] = {
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One declared parameter: name, scalar type, default, choices.
+    """One declared parameter: name, scalar type, default, choices, bounds.
 
     ``type`` is one of ``int | float | str | bool``; ``float`` accepts
     integer literals, ``int`` rejects booleans. ``default=MISSING``
     makes the parameter required; ``nullable`` admits ``none``.
+    ``low`` and ``high`` are inclusive bounds on a numeric value
+    (``None``: unbounded on that side); a size-bearing parameter
+    declares a ceiling so that no spec can ask for an execution of
+    unbounded size.
     """
 
     name: str
@@ -78,6 +82,8 @@ class ParamSpec:
     default: Any = MISSING
     choices: tuple[Scalar, ...] | None = None
     nullable: bool = False
+    low: int | None = None
+    high: int | None = None
 
     def __post_init__(self) -> None:
         if self.type not in _TYPES:
@@ -107,6 +113,12 @@ class ParamSpec:
                 field,
                 f"{value!r} is not one of {', '.join(repr(c) for c in self.choices)}",
             )
+        if (self.low is not None and value < self.low) or (
+            self.high is not None and value > self.high
+        ):
+            low = "-inf" if self.low is None else self.low
+            high = "inf" if self.high is None else self.high
+            raise SpecError(field, f"{value!r} is outside [{low}, {high}]")
         return value
 
 

@@ -223,7 +223,9 @@ def resolve(spec: ScenarioSpec | str) -> ResolvedScenario:
                 "rounds",
                 f"algorithm {entry.name!r} does not take a rounds budget",
             )
-        params[family.rounds_param] = spec.rounds
+        params[family.rounds_param] = entry.param(family.rounds_param).check(
+            "rounds", spec.rounds
+        )
     params = family.normalize(params)
     return ResolvedScenario(
         spec=spec, entry=entry, components=components, params=params

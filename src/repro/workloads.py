@@ -656,10 +656,21 @@ def build_baseline_execution(
 # discipline. Components are parameter namespaces the families'
 # ``build`` methods interpret; nothing foreign is constructed here.
 
+# Declared ceilings of the size-bearing parameters, checked on every
+# resolved spec (the CLI's ``spec`` and ``sweep``, the daemon's
+# ``POST /jobs``). One default DAC trial peaks near 60 MB of RSS at
+# n = 256 and near 600 MB (about 10 s) at n = 1024, on CPython 3.11 and
+# one core of a 2-CPU x86-64 box. Every experiment, example, perfbench
+# cell and CI spec fits inside them; the builders, called directly,
+# take any size.
+MAX_N = 256
+MAX_ROUNDS = 100_000
+MAX_WINDOW = 64
+
 declare_network(
     "dynadegree",
     params=(
-        ParamSpec("window", "int", default=1),
+        ParamSpec("window", "int", default=1, low=1, high=MAX_WINDOW),
         ParamSpec(
             "selector", "str", default="rotate",
             choices=("rotate", "nearest", "random"),
@@ -683,8 +694,8 @@ declare_adversary(
 declare_faults(
     "crash",
     params=(
-        ParamSpec("crash_nodes", "int", default=None, nullable=True),
-        ParamSpec("crash_start", "int", default=1),
+        ParamSpec("crash_nodes", "int", default=None, nullable=True, low=0, high=MAX_N),
+        ParamSpec("crash_start", "int", default=1, low=0, high=MAX_ROUNDS),
     ),
     description="staggered clean crashes of the highest-numbered nodes",
 )
@@ -706,10 +717,12 @@ class DacFamily(AlgorithmFamily):
     """Boundary DAC: crash faults under the enforcing quorum adversary."""
 
     params = (
-        ParamSpec("n", "int"),
-        ParamSpec("f", "int", default=None, nullable=True),
+        ParamSpec("n", "int", low=1, high=MAX_N),
+        ParamSpec("f", "int", default=None, nullable=True, low=0, high=MAX_N),
         ParamSpec("epsilon", "float", default=1e-3),
-        ParamSpec("max_rounds", "int", default=None, nullable=True),
+        ParamSpec(
+            "max_rounds", "int", default=None, nullable=True, low=0, high=MAX_ROUNDS
+        ),
     )
     components = {
         "network": ("dynadegree",),
@@ -762,10 +775,10 @@ class DbacFamily(AlgorithmFamily):
     """Boundary DBAC: Byzantine equivocators under the quorum adversary."""
 
     params = (
-        ParamSpec("n", "int"),
-        ParamSpec("f", "int", default=None, nullable=True),
+        ParamSpec("n", "int", low=1, high=MAX_N),
+        ParamSpec("f", "int", default=None, nullable=True, low=0, high=MAX_N),
         ParamSpec("epsilon", "float", default=1e-3),
-        ParamSpec("max_rounds", "int", default=50_000),
+        ParamSpec("max_rounds", "int", default=50_000, low=0, high=MAX_ROUNDS),
     )
     components = {
         "network": ("dynadegree",),
@@ -802,9 +815,9 @@ class ByzFamily(AlgorithmFamily):
     """Fault-free DAC under the mobile-omission power (Corollary 1)."""
 
     params = (
-        ParamSpec("n", "int"),
+        ParamSpec("n", "int", low=1, high=MAX_N),
         ParamSpec("epsilon", "float", default=1e-3),
-        ParamSpec("max_rounds", "int", default=50_000),
+        ParamSpec("max_rounds", "int", default=50_000, low=0, high=MAX_ROUNDS),
     )
     components = {"adversary": ("mobile",)}
     harness_defaults = {"max_rounds": 2_000}
@@ -830,14 +843,16 @@ class BaselineFamily(AlgorithmFamily):
     """Reliable-channel averaging baselines under the quorum adversary."""
 
     params = (
-        ParamSpec("n", "int"),
+        ParamSpec("n", "int", low=1, high=MAX_N),
         ParamSpec(
             "algorithm", "str", default="midpoint",
             choices=("midpoint", "trimmed"),
         ),
-        ParamSpec("f", "int", default=0),
+        ParamSpec("f", "int", default=0, low=0, high=MAX_N),
         ParamSpec("epsilon", "float", default=1e-3),
-        ParamSpec("num_rounds", "int", default=None, nullable=True),
+        ParamSpec(
+            "num_rounds", "int", default=None, nullable=True, low=0, high=MAX_ROUNDS
+        ),
     )
     components = {
         "network": ("dynadegree",),

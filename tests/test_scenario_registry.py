@@ -31,8 +31,9 @@ from repro.scenario import (
     unregister,
 )
 from repro.scenario.registry import MISSING, validate_params
+from repro.scenario.resolve import algorithm_entries, flat_params
 from repro.sim.runner import run_consensus
-from repro.workloads import build_dac_execution
+from repro.workloads import MAX_N, MAX_ROUNDS, MAX_WINDOW, build_dac_execution
 
 
 # -- a toy family, registered only through the public API ------------------
@@ -173,6 +174,64 @@ def test_validate_params_defaults_override(toy_entry):
         defaults_override={"scale": 2.5},
     )
     assert filled["scale"] == 3.0
+
+
+def test_bounds_are_inclusive_and_name_the_field():
+    spec = ParamSpec("x", "int", low=1, high=4)
+    assert spec.check("a.x", 1) == 1 and spec.check("a.x", 4) == 4
+    for value in (0, 5):
+        with pytest.raises(SpecError, match=r"outside \[1, 4\]") as err:
+            spec.check("a.x", value)
+        assert err.value.field == "a.x"
+    with pytest.raises(SpecError, match=r"outside \[-inf, 2\]"):
+        ParamSpec("x", "int", high=2).check("a.x", 3)
+    assert ParamSpec("x", "int", nullable=True, low=0, high=2).check("a.x", None) is None
+
+
+# -- declared ceilings: resolve builds nothing, so these fail safely ----------
+
+_SIZE_PARAMS = ("n", "f", "max_rounds", "num_rounds", "window", "crash_nodes", "crash_start")
+_HUGE = 10**30
+
+
+def test_every_size_bearing_parameter_declares_its_bounds():
+    for entry in algorithm_entries():
+        for name, (_section, spec) in flat_params(entry).items():
+            if name in _SIZE_PARAMS:
+                assert spec.low is not None and spec.high is not None, (entry.name, name)
+
+
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        (f"algorithm: dac@1(n={_HUGE})", "algorithm.n"),
+        (f"algorithm: dbac@1(n=11, f={_HUGE})", "algorithm.f"),
+        (f"algorithm: byz@1(n={MAX_N + 1})", "algorithm.n"),
+        (f"algorithm: dac@1(n=5, max_rounds={MAX_ROUNDS + 1})", "algorithm.max_rounds"),
+        (f"algorithm: dac@1(n=5); rounds: {MAX_ROUNDS + 1}", "rounds"),
+        (f"algorithm: averaging@1(n=5); rounds: {_HUGE}", "rounds"),
+        (f"algorithm: baseline@1(n=5, num_rounds={MAX_ROUNDS + 1})", "algorithm.num_rounds"),
+        (f"algorithm: dac@1(n=5); network: dynadegree@1(window={MAX_WINDOW + 1})",
+         "network.window"),
+        ("algorithm: dac@1(n=5); network: dynadegree@1(window=0)", "network.window"),
+        (f"algorithm: dac@1(n=5); faults: crash@1(crash_nodes={_HUGE})", "faults.crash_nodes"),
+        ("algorithm: dac@1(n=5); faults: crash@1(crash_start=-1)", "faults.crash_start"),
+        ("algorithm: averaging@1(n=0)", "algorithm.n"),
+    ],
+)
+def test_resolve_rejects_values_past_their_bounds(text, field):
+    with pytest.raises(SpecError) as err:
+        resolve(text)
+    assert err.value.field == field
+
+
+def test_values_at_the_ceilings_resolve():
+    resolved = resolve(
+        f"algorithm: dac@1(n={MAX_N}, f=0); network: dynadegree@1(window={MAX_WINDOW}); "
+        f"faults: crash@1(crash_nodes=0, crash_start={MAX_ROUNDS}); rounds: {MAX_ROUNDS}"
+    )
+    assert resolved.params["n"] == MAX_N
+    assert resolved.params["max_rounds"] == MAX_ROUNDS
 
 
 def test_missing_sentinel_is_not_a_value():

@@ -147,6 +147,12 @@ def _post(body: bytes, length: bytes | None = None) -> bytes:
         (_post(b"hello", length=b"+5"), b"ASCII digits only"),
         (_post(b"helloworld", length=b"1_0"), b"ASCII digits only"),
         (_post(b"hello", length="\u0665".encode("utf-8")), b"ASCII digits only"),
+        # A size past its declared ceiling is refused before anything is
+        # built (without the ceiling the daemon built it and was killed).
+        (
+            _post(json.dumps({"spec": f"algorithm: dac@1(n={10**30})"}).encode("utf-8")),
+            b"algorithm.n",
+        ),
     ],
     ids=[
         "content-length-abc",
@@ -159,6 +165,7 @@ def _post(body: bytes, length: bytes | None = None) -> bytes:
         "content-length-plus-sign",
         "content-length-underscore",
         "content-length-arabic-indic-digit",
+        "n-past-its-ceiling",
     ],
 )
 def test_malformed_requests_get_a_400_not_a_500(service, request_bytes, message):
