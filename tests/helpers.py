@@ -372,6 +372,7 @@ def assert_equivalent_runs(
     seeds included -- so one paste reproduces it. Returns the
     per-executor results for callers wanting extra assertions.
     """
+    grid = list(grid)
     configs = [normalize_config(config) for config in grid]
     if executors is None:
         executors = differential_executors()
@@ -394,11 +395,18 @@ def assert_equivalent_runs(
                 f"  config (reproduce with this): {config!r}\n"
                 f"  reference: {_divergence(reference, outcome)}"
             )
-        assert_guarantees_hold(config, results[reference_name][index])
+        harness_caps = family_entry(config["family"]).obj.harness_defaults
+        assert_guarantees_hold(
+            config,
+            results[reference_name][index],
+            harness_capped=any(key not in grid[index] for key in harness_caps),
+        )
     return results
 
 
-def assert_guarantees_hold(config: dict[str, Any], reference: list[dict[str, Any]]) -> None:
+def assert_guarantees_hold(
+    config: dict[str, Any], reference: list[dict[str, Any]], harness_capped: bool = False
+) -> None:
     """Hold every lane of a normalized config to its family's guarantees.
 
     Each seed re-runs through ``run_consensus`` over the family's
@@ -406,6 +414,12 @@ def assert_guarantees_hold(config: dict[str, Any], reference: list[dict[str, Any
     the report must match the reference lane (rounds, stop and outputs)
     before :func:`repro.analysis.guarantees.check_guarantees` judges it.
     Families that declare no guarantees (the baselines, averaging) pass.
+
+    ``harness_capped`` says the round cap is the family's
+    ``harness_defaults`` one, which the config left unset. That cap is
+    chosen far above every terminating run, so a lane must also stop
+    within it: for DBAC it lies below ``T * p_end``, where
+    ``check_guarantees`` alone would call a capped run no evidence.
     """
     family = family_entry(config["family"]).obj
     params = _config_params(config)
@@ -418,6 +432,10 @@ def assert_guarantees_hold(config: dict[str, Any], reference: list[dict[str, Any
             lane["rounds"], lane["stopped"], lane["outputs"]
         ), f"checked run diverged from the reference\n  config: {config!r}, seed {seed}"
         violations = check_guarantees(report, guarantees)
+        if harness_capped and not report.terminated:
+            violations.append(
+                f"rounds: still running at the harness cap of {report.rounds} rounds"
+            )
         assert not violations, (
             f"the paper's guarantees fail on seed {seed}\n"
             f"  config (reproduce with this): {config!r}\n  " + "\n  ".join(violations)

@@ -98,3 +98,16 @@ def test_the_harness_fails_a_reference_that_breaks_a_guarantee(monkeypatch):
     monkeypatch.setattr(repro.workloads.DacFamily, "guarantees", lambda self, **p: tight)
     with pytest.raises(AssertionError, match="guarantees fail on seed 1"):
         assert_equivalent_runs([DAC], {"serial": serial_executor()})
+
+
+DBAC = {"family": "dbac", "n": 11, "window": 2, "selector": "rotate", "seeds": (3,)}
+
+
+def test_the_harness_cap_is_a_termination_bound(monkeypatch):
+    # A cap of 3 rounds stops this lane early. Set by the config, it is
+    # no evidence; as the family's harness default it is a violation,
+    # although T * p_end lies far beyond it.
+    assert_equivalent_runs([{**DBAC, "max_rounds": 3}], {"serial": serial_executor()})
+    monkeypatch.setattr(repro.workloads.DbacFamily, "harness_defaults", {"max_rounds": 3})
+    with pytest.raises(AssertionError, match="still running at the harness cap of 3 rounds"):
+        assert_equivalent_runs([DBAC], {"serial": serial_executor()})
