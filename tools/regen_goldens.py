@@ -31,11 +31,13 @@ MASK = "<masked>"
 
 # The sweep's trailing throughput line: "6 trials in 0.17s (36.3 trials/s, ...".
 _SWEEP_TIMING = r"in \d+\.\d+s \(\d+(?:\.\d+)? trials/s"
+# A bench experiment's wall-time line: "  (0.15s)".
+_BENCH_ELAPSED = r"^  \(\d+\.\d+s\)$"
 # S3/S4: the leg-dependent backend, each row's three timing columns up to
 # the "identical" cell (their padding varies with the figures), and the
 # per-experiment wall time.
 _BENCH_TIMING = (
-    r"backend=[^,)]+|(?<=\s)\S+\s+\S+\s+\S+\s+(?=(?:yes|no)$)|^  \(\d+\.\d+s\)$"
+    r"backend=[^,)]+|(?<=\s)\S+\s+\S+\s+\S+\s+(?=(?:yes|no)$)|" + _BENCH_ELAPSED
 )
 
 _SPECS = (
@@ -77,6 +79,29 @@ GOLDENS: tuple[Golden, ...] = (
          "--strategy", "random", "--batch", "8"),
         _SWEEP_TIMING,
     ),
+    Golden(
+        "cli-sweep-spec-dbac",
+        ("repro.cli", "sweep", "--spec", "algorithm: dbac@1(n=11)", "--n", "11", "16",
+         "--batch", "8"),
+        _SWEEP_TIMING,
+    ),
+    Golden(
+        "cli-sweep-spec-averaging",
+        ("repro.cli", "sweep", "--spec", "algorithm: averaging@1(n=6); rounds: 40"),
+        _SWEEP_TIMING,
+    ),
+    Golden(
+        "cli-sweep-byz",
+        ("repro.cli", "sweep", "--family", "byz", "--n", "5", "9", "--batch", "8"),
+        _SWEEP_TIMING,
+    ),
+    Golden(
+        "cli-sweep-dac-workers",
+        ("repro.cli", "sweep", "--family", "dac", "--n", "9", "17",
+         "--workers", "2", "--batch", "4"),
+        _SWEEP_TIMING,
+    ),
+    Golden("bench-S2", ("repro.bench.cli", "-e", "S2"), f"{_SWEEP_TIMING}|{_BENCH_ELAPSED}"),
     Golden("bench-S3-S4", ("repro.bench.cli", "-e", "S3", "-e", "S4", "--batch", "4"),
            _BENCH_TIMING),
 )
