@@ -100,14 +100,15 @@ class Sweep:
 
         ``fn`` may also be a **scenario spec** -- a
         :class:`repro.scenario.ScenarioSpec` or its text/JSON form
-        (see ``docs/scenarios.md``). The spec resolves through the
-        registry (:func:`repro.scenario.resolve_trial`) to the
-        family's trial plus its fully-defaulted parameters; grid
-        cells override spec parameters key-by-key, and the trial's
-        ``batch_fn`` rides along, so every knob below works
-        identically for spec-driven sweeps.
-        The spec's own ``seed`` is ignored here -- sweep seeding stays
-        with ``seed0``/``repeats``.
+        (see ``docs/scenarios.md``). Each cell resolves the spec with
+        the cell overriding the spec's *given* parameters
+        (:func:`repro.scenario.resolve`), so parameters the spec leaves
+        out are derived per cell (``f`` from each cell's ``n``), and an
+        out-of-domain cell raises :class:`repro.scenario.SpecError`
+        before anything is dispatched. The family trial's ``batch_fn``
+        rides along, so every knob below works identically for
+        spec-driven sweeps. The spec's own ``seed`` is ignored here --
+        sweep seeding stays with ``seed0``/``repeats``.
 
         ``workers`` fans independent trials out over a process pool
         (see :mod:`repro.sim.parallel`): ``1`` runs serially
@@ -140,14 +141,20 @@ class Sweep:
         Results are collected into :attr:`records` (appending across
         multiple ``run`` calls) and returned.
         """
-        base: dict[str, Any] = {}
+        cells = self.cells()
         if not callable(fn):
-            from repro.scenario.resolve import resolve_trial
+            from repro.scenario.resolve import resolve
 
-            fn, base = resolve_trial(fn)
+            # ``observe`` is a keyword of the family's trial, not a parameter.
+            resolved = [
+                resolve(fn, {k: v for k, v in cell.items() if k != "observe"})
+                for cell in cells
+            ]
+            fn = resolved[0].trial_fn
+            cells = [{**cell, **r.params} for r, cell in zip(resolved, cells)]
         specs = [
-            TrialSpec(tuple(sorted({**base, **cell}.items())), self.seed0 + trial)
-            for cell in self.cells()
+            TrialSpec(tuple(sorted(cell.items())), self.seed0 + trial)
+            for cell in cells
             for trial in range(self.repeats)
         ]
         results = run_trials(

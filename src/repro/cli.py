@@ -37,8 +37,6 @@ from repro.sim.rng import child_rng
 from repro.sim.runner import ExecutionReport, run_consensus
 from repro.workloads import (
     TRIAL_BYZANTINE_STRATEGIES as _STRATEGIES,
-    build_dac_execution,
-    build_dbac_execution,
     theorem9_split_execution,
     theorem10_split_execution,
 )
@@ -121,39 +119,27 @@ def _observation(args: argparse.Namespace, n: int):
     return extras, finish
 
 
-def _cmd_dac(args: argparse.Namespace) -> int:
-    kwargs = build_dac_execution(
-        n=args.n,
-        f=args.f,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        window=args.window,
-        selector=args.selector,
-    )
+def _cmd_boundary(args: argparse.Namespace) -> int:
+    """``dac`` / ``dbac``: one traced run of the family at the flags."""
+    from repro.scenario import family_trial, validate_params
+
+    entry = family_trial(args.command).entry
+    flags = {
+        "n": args.n,
+        "f": args.f,
+        "epsilon": args.epsilon,
+        "window": args.window,
+        "selector": getattr(args, "selector", None),
+        "strategy": getattr(args, "strategy", None),
+    }
+    params = validate_params(entry, {k: v for k, v in flags.items() if v is not None})
+    kwargs = entry.obj.build(seed=args.seed, **params)
     extras, finish = _observation(args, kwargs["ports"].n)
     report = run_consensus(**kwargs, **extras)
     _print_report(report, args.verbose)
     finish()
     _maybe_save(report, args.save_trace)
     return 0 if report.correct else 1
-
-
-def _cmd_dbac(args: argparse.Namespace) -> int:
-    kwargs = build_dbac_execution(
-        n=args.n,
-        f=args.f,
-        epsilon=args.epsilon,
-        seed=args.seed,
-        window=args.window,
-        byzantine_factory=lambda node: _STRATEGIES[args.strategy](),
-    )
-    extras, finish = _observation(args, kwargs["ports"].n)
-    report = run_consensus(**kwargs, **extras)
-    _print_report(report, args.verbose)
-    finish()
-    _maybe_save(report, args.save_trace)
-    ok = report.terminated and report.validity and report.epsilon_agreement
-    return 0 if ok else 1
 
 
 def _cmd_theorem9(args: argparse.Namespace) -> int:
@@ -184,51 +170,44 @@ def _cmd_theorem10(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.sweep import Sweep
-    from repro.scenario import SpecError, flat_params, parse_spec, resolve, spec_for
+    from repro.scenario import SpecError, parse_spec, resolve, spec_for
 
     if args.save_trace or args.trace_out:
         print("error: sweep runs untraced; --save-trace/--trace-out are not supported here")
         return 2
+    ns = args.n
     try:
         if args.spec:
             if args.strategy is not None or args.sweep_selector is not None:
                 print("error: with --spec, set strategy/selector inside the spec")
                 return 2
-            resolved = resolve(parse_spec(args.spec))
-            ns = args.n if args.n is not None else [resolved.params["n"]]
+            spec = parse_spec(args.spec)
         else:
-            ns = args.n if args.n is not None else [5, 9]
-            overrides: dict = {"n": ns[0], "epsilon": args.epsilon}
-            if args.strategy is not None:
-                overrides["strategy"] = args.strategy
-            if args.sweep_selector is not None:
-                overrides["selector"] = args.sweep_selector
-            resolved = resolve(spec_for(args.family, overrides))
+            # Family mode is a spec of the flags, swept like any other.
+            ns = ns or [5, 9]
+            flags = {
+                "n": ns[0],
+                "epsilon": args.epsilon,
+                "strategy": args.strategy,
+                "selector": args.sweep_selector,
+            }
+            spec = spec_for(args.family, {k: v for k, v in flags.items() if v is not None})
+        resolved = resolve(spec)
     except SpecError as exc:
         print(f"error: {exc}")
         return 2
     family = resolved.entry.name
-    space = flat_params(resolved.entry)
-    # Swept dimensions: explicit flags always; family-mode fills the
-    # historical defaults, spec-mode leaves unswept knobs to the spec
-    # (a single-value n dimension keeps the table grouping intact).
-    grid: dict = {"n": ns}
+    # Swept dimensions: n, explicit --window values, and --observe; the
+    # spec's given parameters ride into every cell, and family mode
+    # keeps a single-value window dimension so the table groups by it.
+    grid: dict = {"n": ns or [resolved.params["n"]]}
     if args.window is not None:
-        if "window" not in space:
+        if "window" not in resolved.params:
             print(f"error: family {family!r} does not take --window")
             return 2
         grid["window"] = args.window
-    elif not args.spec and "window" in space:
+    elif not args.spec and "window" in resolved.params:
         grid["window"] = [1]
-    if not args.spec and "epsilon" in space:
-        # epsilon rides along as a single-value grid dimension so every
-        # trial honors the common --epsilon flag (and records carry it).
-        grid["epsilon"] = [args.epsilon]
-    if not args.spec and family == "dbac":
-        # DBAC grids historically carry the Byzantine strategy and
-        # selector as single-value dimensions (records show them).
-        grid["strategy"] = [resolved.params["strategy"]]
-        grid["selector"] = [resolved.params["selector"]]
     if args.observe:
         # Per-trial observer bus: each record's result carries the
         # aggregator summary under "metrics" (identical at any
@@ -250,16 +229,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     sweep = Sweep(grid=grid, repeats=args.repeats, seed0=args.seed)
     started = time.perf_counter()
-    sweep.run(
-        # Spec mode: the spec's resolved params are the base and grid
-        # cells override key-by-key. Family mode: the family's trial
-        # fills its own defaults per cell (e.g. f from each cell's own
-        # n), as cells carry only the explicit knobs.
-        resolved.spec if args.spec else resolved.trial_fn,
-        workers=args.workers,
-        batch=args.batch,
-        pool=args.pool,
-    )
+    try:
+        sweep.run(spec, workers=args.workers, batch=args.batch, pool=args.pool)
+    except SpecError as exc:
+        print(f"error: {exc}")
+        return 2
     elapsed = time.perf_counter() - started
     table = sweep.to_table(
         *(("n", "window") if "window" in grid else ("n",)),
@@ -450,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_dac.add_argument("--f", type=int, default=None)
     p_dac.add_argument("--window", type=int, default=1)
     p_dac.add_argument("--selector", choices=["rotate", "nearest", "random"], default="rotate")
-    p_dac.set_defaults(fn=_cmd_dac)
+    p_dac.set_defaults(fn=_cmd_boundary)
 
     p_dbac = sub.add_parser("dbac", parents=[common], help="DBAC at the Byzantine boundary")
     p_dbac.add_argument("--n", type=int, default=11)
     p_dbac.add_argument("--f", type=int, default=None)
     p_dbac.add_argument("--window", type=int, default=1)
     p_dbac.add_argument("--strategy", choices=sorted(_STRATEGIES), default="extreme")
-    p_dbac.set_defaults(fn=_cmd_dbac)
+    p_dbac.set_defaults(fn=_cmd_boundary)
 
     p_t9 = sub.add_parser(
         "theorem9", parents=[common], help="the crash-model necessity construction"
@@ -644,8 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "f", None) is None and args.command in ("dac", "dbac"):
-        args.f = (args.n - 1) // 2 if args.command == "dac" else (args.n - 1) // 5
     return args.fn(args)
 
 

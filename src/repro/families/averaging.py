@@ -36,7 +36,7 @@ from repro.faults.base import FaultPlan
 from repro.net.ports import random_ports
 from repro.scenario.registry import AlgorithmFamily, ParamSpec, register_algorithm
 from repro.sim.rng import child_rng, spawn_inputs
-from repro.workloads import MAX_N, MAX_ROUNDS, dac_degree
+from repro.workloads import EPSILON_POSITIVE, F_BELOW_N, MAX_N, MAX_ROUNDS, QUORUM_N, dac_degree
 
 
 def build_averaging_execution(
@@ -100,6 +100,7 @@ class AveragingFamily(AlgorithmFamily):
         "network": ("dynadegree",),
         "adversary": ("quorum",),
     }
+    constraints = (EPSILON_POSITIVE, F_BELOW_N, QUORUM_N)
     conformance = {
         "quorum": ({"n": 5}, {"n": 6, "rule": "midpoint"}),
     }

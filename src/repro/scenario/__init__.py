@@ -16,6 +16,7 @@ See ``docs/scenarios.md`` for the DSL grammar and the
 
 from repro.scenario.registry import (
     AlgorithmFamily,
+    Constraint,
     ParamSpec,
     RegistryEntry,
     declare_adversary,
@@ -28,6 +29,7 @@ from repro.scenario.registry import (
     register_faults,
     register_network,
     unregister,
+    validate_params,
 )
 from repro.scenario.resolve import (
     ResolvedScenario,
@@ -35,7 +37,6 @@ from repro.scenario.resolve import (
     ensure_builtin_families,
     flat_params,
     resolve,
-    resolve_trial,
     spec_for,
 )
 from repro.scenario.spec import ComponentRef, ScenarioSpec, SpecError, parse_spec
@@ -44,6 +45,7 @@ from repro.scenario.trial import FamilyTrial, family_trial
 __all__ = [
     "AlgorithmFamily",
     "ComponentRef",
+    "Constraint",
     "FamilyTrial",
     "ParamSpec",
     "RegistryEntry",
@@ -65,7 +67,7 @@ __all__ = [
     "register_faults",
     "register_network",
     "resolve",
-    "resolve_trial",
     "spec_for",
     "unregister",
+    "validate_params",
 ]

@@ -21,6 +21,11 @@ Two flavours of entry coexist:
   ``build`` interprets them, so declaring one never imports foreign
   machinery into this module.
 
+:func:`validate_params` is the one place where given flat parameters
+become a run's parameters, and where a family's :class:`Constraint`
+declarations (the paper's preconditions, such as DAC's ``n > 2f``)
+are held.
+
 This module depends only on the standard library and the spec
 vocabulary; resolution against the live trial machinery lives in
 :mod:`repro.scenario.resolve`.
@@ -28,6 +33,7 @@ vocabulary; resolution against the live trial machinery lives in
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -36,6 +42,7 @@ from repro.scenario.spec import Scalar, SpecError
 
 __all__ = [
     "MISSING",
+    "Constraint",
     "ParamSpec",
     "RegistryEntry",
     "AlgorithmFamily",
@@ -48,10 +55,13 @@ __all__ = [
     "declare_faults",
     "lookup",
     "entries",
+    "flat_params",
     "unregister",
+    "validate_params",
 ]
 
 KINDS = ("algorithm", "network", "adversary", "faults")
+SECTIONS = KINDS[1:]  # a spec's component sections, in parameter order
 
 #: Sentinel for "no default: the spec must supply this parameter".
 MISSING = object()
@@ -69,8 +79,9 @@ class ParamSpec:
     """One declared parameter: name, scalar type, default, choices, bounds.
 
     ``type`` is one of ``int | float | str | bool``; ``float`` accepts
-    integer literals, ``int`` rejects booleans. ``default=MISSING``
-    makes the parameter required; ``nullable`` admits ``none``.
+    finite values only, integer literals included; ``int`` rejects
+    booleans. ``default=MISSING`` makes the parameter required;
+    ``nullable`` admits ``none``.
     ``low`` and ``high`` are inclusive bounds on a numeric value
     (``None``: unbounded on that side); a size-bearing parameter
     declares a ceiling so that no spec can ask for an execution of
@@ -107,6 +118,8 @@ class ParamSpec:
                 field, f"expected {self.type}, got {type(value).__name__} {value!r}"
             )
         if self.type == "float":
+            if not abs(value) <= sys.float_info.max:  # false for nan too
+                raise SpecError(field, f"expected a finite float, got {value!r}")
             value = float(value)
         if self.choices is not None and value not in self.choices:
             raise SpecError(
@@ -120,6 +133,17 @@ class ParamSpec:
             high = "inf" if self.high is None else self.high
             raise SpecError(field, f"{value!r} is outside [{low}, {high}]")
         return value
+
+
+@dataclass(frozen=True)
+class Constraint:
+    """A family's cross-parameter precondition: where ``holds(params)``
+    is false, :class:`SpecError` names ``field`` with ``message``
+    formatted from the params (``"DAC needs n >= 2f+1, got n={n}"``)."""
+
+    field: str
+    holds: Callable[[Mapping[str, Any]], bool]
+    message: str
 
 
 @dataclass(frozen=True)
@@ -285,44 +309,75 @@ def unregister(kind: str, name: str, version: int) -> None:
     _REGISTRY.pop((kind, name, version), None)
 
 
+def flat_params(
+    entry: RegistryEntry, components: Mapping[str, RegistryEntry] | None = None
+) -> dict[str, tuple[str, ParamSpec]]:
+    """``name -> (section, ParamSpec)`` over the family's flat space.
+
+    The algorithm's own parameters plus those of the chosen component
+    in each section the family accepts (``components``, ``section ->
+    entry``; the default component where a section is not given).
+    Collisions between sections are a registration bug and raise
+    ``ValueError``.
+    """
+    family: AlgorithmFamily = entry.obj
+    out: dict[str, tuple[str, ParamSpec]] = {}
+    for spec in entry.params:
+        out[spec.name] = ("algorithm", spec)
+    for section in SECTIONS:
+        names = family.components.get(section)
+        if not names:
+            continue
+        component = (components or {}).get(section) or lookup(
+            section, names[0], field=section
+        )
+        for spec in component.params:
+            if spec.name in out:
+                raise ValueError(
+                    f"parameter {spec.name!r} of {section} {component.name!r} "
+                    f"collides with {out[spec.name][0]} in family {entry.name!r}"
+                )
+            out[spec.name] = (section, spec)
+    return out
+
+
 def validate_params(
     entry: RegistryEntry,
     given: Mapping[str, Scalar],
-    *,
-    prefix: str,
-    defaults_override: Mapping[str, Scalar] | None = None,
+    components: Mapping[str, RegistryEntry] | None = None,
 ) -> dict[str, Scalar]:
-    """Check ``given`` against ``entry.params`` and fill defaults.
+    """The run parameters of family ``entry`` from ``given`` flat ones.
 
-    ``prefix`` scopes error fields (``algorithm.n``); ``defaults_override``
-    lets a family shift a shared component's defaults (for example dbac
-    defaulting the dynadegree selector to ``nearest``) without forking
-    the component declaration.
+    Rejects names outside :func:`flat_params`, checks each given value
+    against its :class:`ParamSpec`, fills the family's
+    ``component_param_defaults`` or the declared defaults, runs the
+    family's ``normalize`` and holds its :class:`Constraint` list. Each
+    error is a :class:`SpecError` naming the field (``section.name``).
     """
-    overrides = dict(defaults_override or {})
-    declared = {spec.name: spec for spec in entry.params}
-    for key in given:
-        if key not in declared:
-            known = ", ".join(sorted(declared)) or "<none>"
-            raise SpecError(
-                f"{prefix}.{key}",
-                f"unknown parameter for {entry.kind} {entry.name!r} "
-                f"(declared: {known})",
-            )
-    filled: dict[str, Scalar] = {}
-    for name, spec in declared.items():
+    family: AlgorithmFamily = entry.obj
+    space = flat_params(entry, components)
+    if not given.keys() <= space.keys():
+        name = min(given.keys() - space.keys())
+        raise SpecError(
+            f"algorithm.{name}",
+            f"no section of {entry.name!r} declares this parameter "
+            f"(declared: {', '.join(sorted(space))})",
+        )
+    params: dict[str, Scalar] = {}
+    for name, (section, spec) in space.items():
+        field = f"{section}.{name}"
         if name in given:
-            filled[name] = spec.check(f"{prefix}.{name}", given[name])
-        elif name in overrides:
-            filled[name] = spec.check(f"{prefix}.{name}", overrides[name])
-        elif spec.required:
-            raise SpecError(
-                f"{prefix}.{name}",
-                f"required parameter of {entry.kind} {entry.name!r} is missing",
-            )
-        else:
-            filled[name] = spec.default
-    return filled
+            params[name] = spec.check(field, given[name])
+            continue
+        default = family.component_param_defaults.get(section, {}).get(name, spec.default)
+        if default is MISSING:
+            raise SpecError(field, f"required parameter of {entry.name!r} is missing")
+        params[name] = default
+    params = family.normalize(params)
+    for constraint in family.constraints:
+        if not constraint.holds(params):
+            raise SpecError(constraint.field, constraint.message.format(**params))
+    return params
 
 
 class AlgorithmFamily:
@@ -349,6 +404,9 @@ class AlgorithmFamily:
     harness_defaults:
         Parameter overrides the differential-test harness applies
         (for example a tighter ``max_rounds`` so fuzz grids stay fast).
+    constraints:
+        :class:`Constraint` declarations over the normalized flat
+        parameters: where ``build`` would refuse them.
     conformance:
         ``{adversary_name: (param_dict, ...)}`` -- the tiny
         configurations the auto-enrolling conformance suite runs for
@@ -362,6 +420,7 @@ class AlgorithmFamily:
     components: Mapping[str, tuple[str, ...]] = {}
     component_param_defaults: Mapping[str, Mapping[str, Scalar]] = {}
     harness_defaults: Mapping[str, Scalar] = {}
+    constraints: tuple[Constraint, ...] = ()
     conformance: Mapping[str, tuple[Mapping[str, Scalar], ...]] = {}
     rounds_param: str | None = "max_rounds"
 

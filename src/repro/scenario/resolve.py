@@ -8,14 +8,15 @@ there every existing execution surface is one call away: serial
 builds (``build_execution``), the family's picklable trial
 (``trial_fn`` / ``trial_kwargs``, see :mod:`repro.scenario.trial`,
 whose ``batch_fn`` is the batched form), batch lanes (``batch``), and
-the parallel sweep machinery (:func:`resolve_trial`, consumed by
-:meth:`repro.bench.sweep.Sweep.run` and ``repro.cli sweep --spec``).
+the parallel sweep machinery (:meth:`repro.bench.sweep.Sweep.run`
+resolves one spec per grid cell, the cell given as ``overrides``).
 
 Resolution is deterministic: the registry is populated once at import
-time (:func:`ensure_builtin_families`), parameters are validated
-against the declared :class:`~repro.scenario.registry.ParamSpec` set
-(errors name the offending field, ``algorithm.n`` style), and
-:meth:`ResolvedScenario.canonical_spec` re-encodes the result with
+time (:func:`ensure_builtin_families`), the spec's sections are
+checked, and the flattened parameters are completed by
+:func:`repro.scenario.registry.validate_params`, the one completion
+every surface shares (errors name the offending field, ``algorithm.n``
+style). :meth:`ResolvedScenario.canonical_spec` re-encodes the result with
 every default made explicit -- a fixpoint of
 ``parse -> resolve -> encode``.
 """
@@ -27,10 +28,11 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.scenario.registry import (
+    SECTIONS,
     AlgorithmFamily,
-    ParamSpec,
     RegistryEntry,
     entries,
+    flat_params,
     lookup,
     validate_params,
 )
@@ -40,12 +42,9 @@ __all__ = [
     "ResolvedScenario",
     "ensure_builtin_families",
     "resolve",
-    "resolve_trial",
     "flat_params",
     "spec_for",
 ]
-
-_SECTION_KINDS = {"network": "network", "adversary": "adversary", "faults": "faults"}
 
 
 def ensure_builtin_families() -> None:
@@ -122,68 +121,53 @@ class ResolvedScenario:
         ``rounds_param``, so the canonical form is a fixpoint:
         resolving it yields these exact params again.
         """
-        declared = {p.name for p in self.entry.params}
-        algo = ComponentRef(
-            self.entry.name,
-            self.entry.version,
-            tuple((k, v) for k, v in self.params.items() if k in declared),
-        )
-        refs: dict[str, ComponentRef | None] = {}
-        for section, entry in self.components.items():
-            names = {p.name for p in entry.params}
-            refs[section] = ComponentRef(
-                entry.name,
-                entry.version,
-                tuple((k, v) for k, v in self.params.items() if k in names),
+        return _spec_of(self.entry, self.components, self.params, seed=self.spec.seed)
+
+
+def _spec_of(
+    entry: RegistryEntry,
+    components: Mapping[str, RegistryEntry],
+    params: Mapping[str, Scalar],
+    **scalars: Any,
+) -> ScenarioSpec:
+    """The spec of ``entry`` and ``components``, each flat parameter in
+    the section that declares it."""
+    space = flat_params(entry, components)
+    routed: dict[str, list] = {"algorithm": [], **{s: [] for s in components}}
+    for key, value in params.items():
+        if key not in space:
+            raise SpecError(
+                f"algorithm.{key}",
+                f"no section of {entry.name!r} declares this parameter",
             )
-        return ScenarioSpec(
-            algorithm=algo,
-            network=refs.get("network"),
-            adversary=refs.get("adversary"),
-            faults=refs.get("faults"),
-            seed=self.spec.seed,
-        )
+        routed[space[key][0]].append((key, value))
+    refs = {
+        section: ComponentRef(ref.name, ref.version, tuple(routed[section]))
+        for section, ref in {"algorithm": entry, **components}.items()
+    }
+    return ScenarioSpec(**refs, **scalars)
 
 
-def flat_params(entry: RegistryEntry) -> dict[str, tuple[str, ParamSpec]]:
-    """``name -> (section, ParamSpec)`` over the family's flat space.
-
-    The flat space is the algorithm's own parameters plus those of the
-    *default* component in each section the family accepts -- the
-    vocabulary trial functions and test configs speak. Collisions
-    between sections are a registration bug and raise ``ValueError``.
-    """
-    family: AlgorithmFamily = entry.obj
-    out: dict[str, tuple[str, ParamSpec]] = {}
-    for spec in entry.params:
-        out[spec.name] = ("algorithm", spec)
-    for section, names in family.components.items():
-        component = lookup(_SECTION_KINDS[section], names[0], field=section)
-        for spec in component.params:
-            if spec.name in out:
-                raise ValueError(
-                    f"parameter {spec.name!r} of {section} {component.name!r} "
-                    f"collides with {out[spec.name][0]} in family {entry.name!r}"
-                )
-            out[spec.name] = (section, spec)
-    return out
-
-
-def resolve(spec: ScenarioSpec | str) -> ResolvedScenario:
+def resolve(
+    spec: ScenarioSpec | str, overrides: Mapping[str, Scalar] | None = None
+) -> ResolvedScenario:
     """Bind a spec (or its text/JSON form) to registry entries.
 
     Omitted component sections take the family's default component
-    with default parameters; unknown names, versions, parameters and
-    wrong-typed values raise :class:`SpecError` naming the field.
+    with default parameters; unknown names, versions, parameters,
+    wrong-typed or out-of-domain values raise :class:`SpecError` naming
+    the field. ``overrides`` replaces given flat parameters before
+    completion (a sweep cell): parameters the spec leaves out are still
+    derived from the overridden ones, as ``f`` from each cell's ``n``.
     """
     ensure_builtin_families()
     if isinstance(spec, str):
         spec = parse_spec(spec)
     entry = lookup("algorithm", spec.algorithm.name, spec.algorithm.version)
     family: AlgorithmFamily = entry.obj
-    params = validate_params(entry, spec.algorithm.kwargs(), prefix="algorithm")
+    given = _section_params("algorithm", entry, spec.algorithm)
     components: dict[str, RegistryEntry] = {}
-    for section, kind in _SECTION_KINDS.items():
+    for section in SECTIONS:
         ref = getattr(spec, section)
         allowed = tuple(family.components.get(section, ()))
         if ref is None:
@@ -201,35 +185,43 @@ def resolve(spec: ScenarioSpec | str) -> ResolvedScenario:
                 f"algorithm {entry.name!r} supports {section} components "
                 f"{', '.join(allowed)}; got {ref.name!r}",
             )
-        component = lookup(kind, ref.name, ref.version, field=section)
-        filled = validate_params(
-            component,
-            ref.kwargs(),
-            prefix=section,
-            defaults_override=family.component_param_defaults.get(section),
-        )
-        for key, value in filled.items():
-            if key in params:
-                raise SpecError(
-                    f"{section}.{key}",
-                    f"parameter collides with one already set by "
-                    f"another section of {entry.name!r}",
-                )
-            params[key] = value
-        components[section] = component
+        components[section] = lookup(section, ref.name, ref.version, field=section)
+        given.update(_section_params(section, components[section], ref))
     if spec.rounds is not None:
         if family.rounds_param is None:
             raise SpecError(
                 "rounds",
                 f"algorithm {entry.name!r} does not take a rounds budget",
             )
-        params[family.rounds_param] = entry.param(family.rounds_param).check(
-            "rounds", spec.rounds
-        )
-    params = family.normalize(params)
+        given[family.rounds_param] = spec.rounds
+    given.update(overrides or {})
+    try:
+        params = validate_params(entry, given, components)
+    except SpecError as exc:
+        # A bad spec-level ``rounds`` keeps its own field name.
+        field = f"algorithm.{family.rounds_param}"
+        if spec.rounds is None or exc.field != field or given[family.rounds_param] != spec.rounds:
+            raise
+        raise SpecError("rounds", str(exc).partition(": ")[2]) from None
     return ResolvedScenario(
         spec=spec, entry=entry, components=components, params=params
     )
+
+
+def _section_params(
+    section: str, entry: RegistryEntry, ref: ComponentRef
+) -> dict[str, Scalar]:
+    """``ref``'s parameters, each of which ``entry`` must declare."""
+    given = ref.kwargs()
+    for key in given:
+        if entry.param(key) is None:
+            known = ", ".join(sorted(spec.name for spec in entry.params)) or "<none>"
+            raise SpecError(
+                f"{section}.{key}",
+                f"unknown parameter for {entry.kind} {entry.name!r} "
+                f"(declared: {known})",
+            )
+    return given
 
 
 def spec_for(
@@ -251,9 +243,8 @@ def spec_for(
     """
     ensure_builtin_families()
     entry = lookup("algorithm", name, version)
-    family: AlgorithmFamily = entry.obj
     chosen: dict[str, RegistryEntry] = {}
-    for section, names in family.components.items():
+    for section, names in entry.obj.components.items():
         pick = (components or {}).get(section, names[0])
         if pick not in names:
             raise SpecError(
@@ -261,51 +252,8 @@ def spec_for(
                 f"algorithm {name!r} supports {section} components "
                 f"{', '.join(names)}; got {pick!r}",
             )
-        chosen[section] = lookup(_SECTION_KINDS[section], pick, field=section)
-    algo_names = {p.name for p in entry.params}
-    section_params: dict[str, dict[str, Scalar]] = {s: {} for s in chosen}
-    algo_params: dict[str, Scalar] = {}
-    for key, value in (params or {}).items():
-        if key in algo_names:
-            algo_params[key] = value
-            continue
-        owner = next(
-            (s for s, comp in chosen.items() if comp.param(key) is not None), None
-        )
-        if owner is None:
-            raise SpecError(
-                f"algorithm.{key}",
-                f"no section of {name!r} declares this parameter",
-            )
-        section_params[owner][key] = value
-    refs = {
-        section: ComponentRef(
-            comp.name, comp.version, tuple(section_params[section].items())
-        )
-        for section, comp in chosen.items()
-    }
-    return ScenarioSpec(
-        algorithm=ComponentRef(entry.name, entry.version, tuple(algo_params.items())),
-        network=refs.get("network"),
-        adversary=refs.get("adversary"),
-        faults=refs.get("faults"),
-        seed=seed,
-        rounds=rounds,
-    )
-
-
-def resolve_trial(spec: ScenarioSpec | str) -> tuple[Any, dict[str, Scalar]]:
-    """``(picklable trial fn, base kwargs)`` for the sweep machinery.
-
-    :meth:`repro.bench.sweep.Sweep.run` accepts a spec in place of a
-    trial function and dispatches through this: the returned function
-    is the family's trial (its ``batch_fn`` batches the cells) and
-    the kwargs are the spec's resolved parameters, which grid cells
-    may override. The spec's own ``seed`` is ignored there -- sweep
-    seeding stays with ``seed0``/``repeats``.
-    """
-    resolved = resolve(spec)
-    return resolved.trial_fn, resolved.trial_kwargs()
+        chosen[section] = lookup(section, pick, field=section)
+    return _spec_of(entry, chosen, params or {}, seed=seed, rounds=rounds)
 
 
 def algorithm_entries() -> tuple[RegistryEntry, ...]:

@@ -6,8 +6,9 @@ family the batch kernels run); :func:`family_trial` turns those into
 the trial every executor dispatches -- sweeps, the process pool, the
 daemon and the CLI:
 
-- ``trial(seed=s, **params)`` fills the family's defaults for any
-  missing flat parameter, normalizes, runs
+- ``trial(seed=s, **params)`` completes the flat parameters through
+  :func:`repro.scenario.registry.validate_params` (defaults, checks,
+  ``normalize``, the family's constraints), runs
   ``run_consensus(**family.build(seed=s, **params))`` untraced and
   reduces the report to ``{rounds, spread, terminated, correct}``;
 - ``trial.batch_fn(seeds=[...], **params)`` returns exactly
@@ -37,8 +38,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from typing import Any
 
-from repro.scenario.registry import RegistryEntry, lookup
-from repro.scenario.resolve import ensure_builtin_families, flat_params
+from repro.scenario.registry import RegistryEntry, lookup, validate_params
+from repro.scenario.resolve import ensure_builtin_families
 from repro.sim.arena import empty_arena_plan
 from repro.sim.runner import output_verdict, run_consensus
 
@@ -100,44 +101,27 @@ def _lane_summary(lane, epsilon: float) -> dict[str, Any]:
 class FamilyTrial:
     """The serial and batched trial of one registered family.
 
-    Built once per family by :func:`family_trial`. ``defaults`` holds
-    every optional flat parameter's default (component overrides such
-    as dbac's ``nearest`` selector applied), so filling a call's
-    missing parameters is one dict merge; derived defaults such as
-    ``f`` from ``n`` come from the family's ``normalize``, per call.
+    Built once per family by :func:`family_trial`. Each call or batch
+    completes its flat parameters once, through
+    :func:`repro.scenario.registry.validate_params`, so a trial refuses
+    exactly what :func:`repro.scenario.resolve` refuses, with the same
+    :class:`repro.scenario.SpecError`. ``observe`` is a keyword of the
+    trial, not a parameter of the family.
     """
 
-    __slots__ = ("name", "version", "family", "defaults", "_known")
+    __slots__ = ("name", "version", "entry", "family")
 
     def __init__(self, entry: RegistryEntry) -> None:
         self.name = entry.name
         self.version = entry.version
+        self.entry = entry
         self.family = entry.obj
-        overrides = self.family.component_param_defaults
-        space = flat_params(entry)
-        self._known = frozenset(space)
-        self.defaults: dict[str, Any] = {}
-        for name, (section, spec) in space.items():
-            if name in overrides.get(section, {}):
-                self.defaults[name] = overrides[section][name]
-            elif not spec.required:
-                self.defaults[name] = spec.default
 
     def __reduce__(self) -> tuple[Any, tuple[str, int]]:
         return (family_trial, (self.name, self.version))
 
     def __repr__(self) -> str:
         return f"family_trial({self.name!r}, {self.version})"
-
-    def _params(self, params: dict[str, Any]) -> dict[str, Any]:
-        if not params.keys() <= self._known:
-            unknown = sorted(params.keys() - self._known)
-            raise TypeError(f"{self!r} got unknown parameter(s) {unknown}")
-        filled = {**self.defaults, **params}
-        if len(filled) < len(self._known):
-            missing = sorted(self._known - filled.keys())
-            raise TypeError(f"{self!r} is missing required parameter(s) {missing}")
-        return self.family.normalize(filled)
 
     def _run(self, seed: int, observe: bool, params: dict[str, Any]) -> dict[str, Any]:
         hooks, finish = _observer_hooks(observe)
@@ -159,13 +143,13 @@ class FamilyTrial:
 
     def __call__(self, *, seed: int = 0, observe: bool = False, **params: Any) -> dict[str, Any]:
         """One execution's summary; deterministic in ``seed``."""
-        return self._run(seed, observe, self._params(params))
+        return self._run(seed, observe, validate_params(self.entry, params))
 
     def batch_fn(
         self, *, seeds: Iterable[int] = (), observe: bool = False, **params: Any
     ) -> list[dict[str, Any]]:
         """One summary per seed, in order, equal to the per-seed calls."""
-        params = self._params(params)
+        params = validate_params(self.entry, params)
         seeds = [int(seed) for seed in seeds]
         family = None if observe or len(seeds) < 2 else self.family.lanes(**params)
         if family is not None:

@@ -69,6 +69,7 @@ from repro.faults.crash import CrashEvent, staggered_crashes
 from repro.net.ports import random_ports
 from repro.scenario.registry import (
     AlgorithmFamily,
+    Constraint,
     ParamSpec,
     declare_adversary,
     declare_faults,
@@ -667,6 +668,16 @@ MAX_N = 256
 MAX_ROUNDS = 100_000
 MAX_WINDOW = 64
 
+# Preconditions the families share (repro.scenario.registry.Constraint):
+# the builders refuse outside them, so resolution refuses first.
+EPSILON_POSITIVE = Constraint(
+    "algorithm.epsilon", lambda p: p["epsilon"] > 0, "epsilon must be > 0, got {epsilon!r}"
+)
+F_BELOW_N = Constraint("algorithm.f", lambda p: p["f"] < p["n"], "need f < n, got f={f}, n={n}")
+QUORUM_N = Constraint(
+    "algorithm.n", lambda p: p["n"] >= 2, "a quorum of degree >= 1 needs n >= 2, got n={n}"
+)
+
 declare_network(
     "dynadegree",
     params=(
@@ -703,8 +714,7 @@ declare_faults(
     "byzantine",
     params=(
         ParamSpec(
-            "strategy", "str", default="extreme",
-            choices=("extreme", "phase-liar", "pin-high", "pin-low", "random"),
+            "strategy", "str", default="extreme", choices=tuple(sorted(TRIAL_BYZANTINE_STRATEGIES))
         ),
     ),
     description="the f highest-numbered nodes run a named Byzantine "
@@ -729,6 +739,18 @@ class DacFamily(AlgorithmFamily):
         "adversary": ("quorum",),
         "faults": ("crash",),
     }
+    constraints = (
+        EPSILON_POSITIVE,
+        Constraint(
+            "algorithm.f", lambda p: p["n"] > 2 * p["f"], "DAC needs n >= 2f+1, got n={n}, f={f}"
+        ),
+        Constraint(
+            "faults.crash_nodes",
+            lambda p: (p["crash_nodes"] or 0) <= p["f"],
+            "cannot crash {crash_nodes} nodes with fault bound f={f}",
+        ),
+        QUORUM_N,
+    )
     conformance = {
         "quorum": ({"n": 5}, {"n": 7, "window": 2}),
     }
@@ -752,13 +774,8 @@ class DacFamily(AlgorithmFamily):
 
 
 def _dbac_params(params):
-    """The DBAC builder's keywords: the strategy name becomes a factory."""
-    factory = TRIAL_BYZANTINE_STRATEGIES.get(params["strategy"])
-    if factory is None:
-        raise ValueError(
-            f"unknown strategy {params['strategy']!r}; "
-            f"known: {sorted(TRIAL_BYZANTINE_STRATEGIES)}"
-        )
+    """The DBAC builder's keywords: the (validated) strategy name becomes a factory."""
+    factory = TRIAL_BYZANTINE_STRATEGIES[params["strategy"]]
     return dict(
         n=params["n"],
         f=params["f"],
@@ -787,6 +804,13 @@ class DbacFamily(AlgorithmFamily):
     }
     component_param_defaults = {"network": {"selector": "nearest"}}
     harness_defaults = {"max_rounds": 2_000}
+    constraints = (
+        EPSILON_POSITIVE,
+        Constraint(
+            "algorithm.f", lambda p: p["n"] > 5 * p["f"], "DBAC needs n >= 5f+1, got n={n}, f={f}"
+        ),
+        QUORUM_N,
+    )
     conformance = {
         "quorum": ({"n": 6}, {"n": 6, "strategy": "pin-high"}),
     }
@@ -821,6 +845,7 @@ class ByzFamily(AlgorithmFamily):
     )
     components = {"adversary": ("mobile",)}
     harness_defaults = {"max_rounds": 2_000}
+    constraints = (EPSILON_POSITIVE,)
     conformance = {
         "mobile": ({"n": 5}, {"n": 4, "mode": "rotate"}),
     }
@@ -858,6 +883,7 @@ class BaselineFamily(AlgorithmFamily):
         "network": ("dynadegree",),
         "adversary": ("quorum",),
     }
+    constraints = (EPSILON_POSITIVE, F_BELOW_N, QUORUM_N)
     conformance = {
         "quorum": ({"n": 6}, {"n": 5, "algorithm": "trimmed"}),
     }

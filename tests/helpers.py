@@ -41,8 +41,8 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.analysis.guarantees import check_guarantees
-from repro.scenario.registry import RegistryEntry, lookup
-from repro.scenario.resolve import ensure_builtin_families, flat_params
+from repro.scenario.registry import RegistryEntry, lookup, validate_params
+from repro.scenario.resolve import ensure_builtin_families
 from repro.sim.engine import Engine
 from repro.sim.parallel import TrialSpec, run_trials
 from repro.sim.runner import run_consensus
@@ -86,44 +86,23 @@ def _config_params(config: dict[str, Any]) -> dict[str, Any]:
 
 
 def normalize_config(config: dict[str, Any]) -> dict[str, Any]:
-    """Fill registry defaults and canonicalize the seed list.
+    """Complete a config's parameters and canonicalize the seed list.
 
-    Accepts ``seed=7`` as shorthand for ``seeds=(7,)``. Defaults come
-    from the family's registry entry -- declared parameters of the
-    algorithm and its default components, the family's
-    ``component_param_defaults``, and its ``harness_defaults`` (e.g.
-    a fuzz-friendly ``max_rounds``) -- so the result is a complete,
-    deterministic parameter assignment that doubles as the
-    reproduction recipe printed on divergence. Raises ``ValueError``
-    (a :class:`repro.scenario.SpecError` naming the field) for
-    unknown families, parameters, or ill-typed values.
+    The parameters are the family's ``harness_defaults`` (e.g. a
+    fuzz-friendly ``max_rounds``) overridden by the given ones,
+    completed by :func:`repro.scenario.registry.validate_params` --
+    the one completion of every surface -- so the result is a
+    complete, deterministic parameter assignment that doubles as the
+    reproduction recipe printed on divergence. Accepts ``seed=7`` as
+    shorthand for ``seeds=(7,)``. Raises ``ValueError`` (a
+    :class:`repro.scenario.SpecError` naming the field) for unknown
+    families, parameters, ill-typed or out-of-domain values.
     """
     family = config.get("family", "dac")
     family = FAMILY_ALIASES.get(family, family)
     entry = family_entry(family)
-    space = flat_params(entry)
     given = {k: v for k, v in config.items() if k not in ("family", "seed", "seeds")}
-    unknown = sorted(set(given) - set(space))
-    if unknown:
-        raise ValueError(
-            f"unknown parameter(s) {unknown!r} for family {family!r} "
-            f"(declared: {sorted(space)})"
-        )
-    overrides: dict[str, Any] = {}
-    for defaults in entry.obj.component_param_defaults.values():
-        overrides.update(defaults)
-    overrides.update(entry.obj.harness_defaults)
-    full: dict[str, Any] = {}
-    for name, (section, pspec) in space.items():
-        if name in given:
-            full[name] = pspec.check(f"{section}.{name}", given[name])
-        elif name in overrides:
-            full[name] = overrides[name]
-        elif pspec.required:
-            raise ValueError(f"config needs {name}: {config!r}")
-        else:
-            full[name] = pspec.default
-    full = entry.obj.normalize(full)
+    full = validate_params(entry, {**entry.obj.harness_defaults, **given})
     full["family"] = family
     if "seed" in config:
         if "seeds" in config:

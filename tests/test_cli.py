@@ -97,6 +97,48 @@ class TestScenarioCli:
         assert rc == 0
         assert "seed=0" in out and "'rounds'" in out
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["--family", "dac", "--n", "5", "300"], "algorithm.n"),
+            (["--family", "dac", "--n", "5", "--window", "1", "0"], "network.window"),
+            (["--spec", "algorithm: dbac@1(n=11, f=2)", "--n", "11", "6"], "algorithm.f"),
+        ],
+    )
+    def test_sweep_out_of_domain_cell_exits_2_before_any_trial(
+        self, argv, field, capsys, monkeypatch
+    ):
+        import repro.bench.sweep as sweep_module
+
+        def no_dispatch(*args, **kwargs):
+            raise AssertionError("a trial was dispatched")
+
+        monkeypatch.setattr(sweep_module, "run_trials", no_dispatch)
+        rc = scenario_main(["sweep", *argv, "--repeats", "1"])
+        assert rc == 2
+        assert f"error: {field}: " in capsys.readouterr().out
+
+    def test_sweep_spec_derives_f_per_cell(self, capsys):
+        # dbac@1(n=11) leaves f out: the n=6 cell derives f=1 (n >= 5f+1
+        # holds) instead of keeping n=11's f=2.
+        rc = scenario_main(
+            ["sweep", "--spec", "algorithm: dbac@1(n=11)", "--n", "6", "--repeats", "1", "-v"]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "f=1, " in out and "n=6, " in out
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("algorithm: dac@1(n=4, f=2)", "algorithm.f"),
+            ("algorithm: dac@1(n=5, epsilon=nan)", "algorithm.epsilon"),
+        ],
+    )
+    def test_spec_infeasible_or_non_finite_exits_2(self, text, field, capsys):
+        assert scenario_main(["spec", text]) == 2
+        assert capsys.readouterr().out.startswith(f"error: {field}: ")
+
 
 class TestBenchCli:
     def test_list(self, capsys):

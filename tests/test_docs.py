@@ -116,7 +116,7 @@ def test_docs_checker_flags_unresolved_names(tmp_path, capsys):
         "`repro.sim.batch.run_lanes` and ``repro.workloads.LaneFamily`` resolve,\n"
         "as does `python -m repro.cli`; `repro.sim.batch.run_bogus_batch` does\n"
         "not, nor a wrapped `x =\nrepro.no_such_module`.\n"
-        "```python\nfrom repro.gone import nothing  # fenced: not an inline span\n```\n"
+        "```python\nrepro.sim.batch.run_lanes(family, seeds)  # fenced, resolves\n```\n"
         "`repro.__main__` is found without being imported; `repro_arena_*` is no name.\n"
     )
     skill = tmp_path / ".claude" / "skills" / "verify"
@@ -130,6 +130,27 @@ def test_docs_checker_flags_unresolved_names(tmp_path, capsys):
     assert checker.main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "unresolved name: docs/a.md:2: repro.sim.batch.run_bogus_batch" in out
+
+
+def test_docs_checker_flags_stale_names_in_fenced_blocks(tmp_path):
+    checker = _load_checker()
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    (docs / "a.md").write_text(
+        "Prose: repro.gone.name outside a span or fence is not checked.\n"
+        "```python\n"
+        "trial = repro.scenario.family_trial(\"dac\")\n"
+        "fn, base = repro.scenario.resolve_trial(spec)  # deleted\n"
+        "```\n"
+        "```\n"
+        "PYTHONPATH=src python -m repro.cli sweep  # modules resolve too\n"
+        "python -c \"import repro; repro.sim.batch.kernel_gone\"\n"
+        "```\n"
+    )
+    assert checker.unresolved_names(tmp_path) == [
+        "docs/a.md:4: repro.scenario.resolve_trial",
+        "docs/a.md:8: repro.sim.batch.kernel_gone",
+    ]
 
 
 def test_docs_checker_flags_stale_imports_in_fences_and_spans(tmp_path, capsys):

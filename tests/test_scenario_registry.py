@@ -26,11 +26,10 @@ from repro.scenario import (
     register_algorithm,
     family_trial,
     resolve,
-    resolve_trial,
     spec_for,
     unregister,
 )
-from repro.scenario.registry import MISSING, validate_params
+from repro.scenario.registry import MISSING, Constraint, validate_params
 from repro.scenario.resolve import algorithm_entries, flat_params
 from repro.sim.runner import run_consensus
 from repro.workloads import MAX_N, MAX_ROUNDS, MAX_WINDOW, build_dac_execution
@@ -151,29 +150,44 @@ def test_unknown_type_is_a_registration_error():
 
 
 def test_validate_params_fills_defaults_and_names_fields(toy_entry):
-    filled = validate_params(toy_entry, {"n": 5}, prefix="algorithm")
+    filled = validate_params(toy_entry, {"n": 5})
     assert filled == {"n": 5, "scale": 1.0, "max_rounds": 16}
     with pytest.raises(SpecError) as err:
-        validate_params(toy_entry, {"n": 5, "zap": 1}, prefix="algorithm")
+        validate_params(toy_entry, {"n": 5, "zap": 1})
     assert err.value.field == "algorithm.zap"
     with pytest.raises(SpecError) as err:
-        validate_params(toy_entry, {}, prefix="algorithm")
+        validate_params(toy_entry, {})
     assert err.value.field == "algorithm.n"
+    with pytest.raises(SpecError) as err:
+        validate_params(toy_entry, {"n": 5, "scale": "big"})
+    assert err.value.field == "algorithm.scale"
 
 
-def test_validate_params_defaults_override(toy_entry):
-    filled = validate_params(
-        toy_entry, {"n": 4}, prefix="algorithm", defaults_override={"scale": 2.5}
-    )
-    assert filled["scale"] == 2.5
+def test_validate_params_defaults_override():
+    dbac = lookup("algorithm", "dbac")
+    # dbac's component_param_defaults shift the network selector.
+    assert validate_params(dbac, {"n": 6})["selector"] == "nearest"
     # An explicit value still beats the override.
-    filled = validate_params(
-        toy_entry,
-        {"n": 4, "scale": 3.0},
-        prefix="algorithm",
-        defaults_override={"scale": 2.5},
-    )
-    assert filled["scale"] == 3.0
+    assert validate_params(dbac, {"n": 6, "selector": "rotate"})["selector"] == "rotate"
+
+
+def test_validate_params_names_the_section_of_a_flat_parameter():
+    dac = lookup("algorithm", "dac")
+    with pytest.raises(SpecError) as err:
+        validate_params(dac, {"n": 5, "window": 0})
+    assert err.value.field == "network.window"
+    with pytest.raises(SpecError) as err:
+        validate_params(dac, {"n": 5, "crash_start": -1})
+    assert err.value.field == "faults.crash_start"
+
+
+def test_constraints_name_their_field(toy_entry, monkeypatch):
+    need = Constraint("algorithm.scale", lambda p: p["scale"] < p["n"], "need scale < n={n}")
+    monkeypatch.setattr(toy_entry.obj, "constraints", (need,), raising=False)
+    assert validate_params(toy_entry, {"n": 5, "scale": 4.5})["scale"] == 4.5
+    with pytest.raises(SpecError, match=r"algorithm\.scale: need scale < n=5") as err:
+        validate_params(toy_entry, {"n": 5, "scale": 5})
+    assert err.value.field == "algorithm.scale"
 
 
 def test_bounds_are_inclusive_and_name_the_field():
@@ -186,6 +200,13 @@ def test_bounds_are_inclusive_and_name_the_field():
     with pytest.raises(SpecError, match=r"outside \[-inf, 2\]"):
         ParamSpec("x", "int", high=2).check("a.x", 3)
     assert ParamSpec("x", "int", nullable=True, low=0, high=2).check("a.x", None) is None
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400])
+def test_float_params_must_be_finite(value):
+    with pytest.raises(SpecError, match="expected a finite float") as err:
+        ParamSpec("x", "float").check("a.x", value)
+    assert err.value.field == "a.x"
 
 
 # -- declared ceilings: resolve builds nothing, so these fail safely ----------
@@ -282,7 +303,7 @@ def test_sweep_accepts_spec_for_dynamic_family(toy_entry):
 
 def test_sweep_spec_records_match_direct_fn():
     text = "algorithm: dac@1(n=5); rounds: 300"
-    fn, base = resolve_trial(text)
+    fn = resolve(text).trial_fn
     assert fn is family_trial("dac")
     spec_sweep = Sweep(grid={"n": [5, 7]}, repeats=2, seed0=11)
     direct_sweep = Sweep(grid={"n": [5, 7]}, repeats=2, seed0=11)
@@ -297,10 +318,38 @@ def test_sweep_spec_records_match_direct_fn():
         assert spec_rec.result == fn(seed=spec_rec.seed, **params)
 
 
-def test_resolve_trial_keeps_the_batched_form():
-    fn, base = resolve_trial("algorithm: dac@1(n=5)")
-    assert fn.batch_fn == family_trial("dac").batch_fn
+def test_resolved_scenario_keeps_the_batched_form():
+    resolved = resolve("algorithm: dac@1(n=5)")
+    assert resolved.batch_fn == family_trial("dac").batch_fn
+    base = resolved.trial_kwargs()
     assert base["n"] == 5 and base["f"] == 2
+
+
+def test_sweep_cells_derive_omitted_parameters_per_cell():
+    # f is left to the family, so each cell derives it from its own n;
+    # an explicit f rides into every cell as given.
+    derived = Sweep(grid={"n": [11, 16]}).run("algorithm: dbac@1(n=11)")
+    assert [(r.param("n"), r.param("f")) for r in derived] == [(11, 2), (16, 3)]
+    explicit = Sweep(grid={"n": [11, 16]}).run("algorithm: dbac@1(n=11, f=2)")
+    assert [(r.param("n"), r.param("f")) for r in explicit] == [(11, 2), (16, 2)]
+
+
+def test_out_of_domain_sweep_cell_raises_before_dispatch(monkeypatch):
+    import repro.bench.sweep as sweep_module
+
+    def no_dispatch(*args, **kwargs):
+        raise AssertionError("a trial was dispatched")
+
+    monkeypatch.setattr(sweep_module, "run_trials", no_dispatch)
+    for text, grid, field in [
+        ("algorithm: dac@1(n=5)", {"n": [5, 300]}, "algorithm.n"),
+        ("algorithm: dbac@1(n=11, f=2)", {"n": [11, 6]}, "algorithm.f"),
+        ("algorithm: dac@1(n=5)", {"n": [5], "window": [1, 0]}, "network.window"),
+        ("algorithm: dac@1(n=5)", {"n": [5], "zap": [1]}, "algorithm.zap"),
+    ]:
+        with pytest.raises(SpecError) as err:
+            Sweep(grid=grid).run(text)
+        assert err.value.field == field, text
 
 
 # -- picklability ----------------------------------------------------------
@@ -314,7 +363,8 @@ def test_family_trials_pickle_by_reference(toy_entry):
 
 
 def test_resolved_trial_fns_are_picklable():
-    fn, base = resolve_trial("algorithm: averaging@1(n=5); rounds: 6")
+    resolved = resolve("algorithm: averaging@1(n=5); rounds: 6")
+    fn, base = resolved.trial_fn, resolved.trial_kwargs()
     clone = pickle.loads(pickle.dumps(fn))
     assert clone(seed=3, **base) == fn(seed=3, **base)
 

@@ -153,6 +153,13 @@ def _post(body: bytes, length: bytes | None = None) -> bytes:
             _post(json.dumps({"spec": f"algorithm: dac@1(n={10**30})"}).encode("utf-8")),
             b"algorithm.n",
         ),
+        # Outside the declared domain, not only past a ceiling: the
+        # builder used to raise a plain ValueError (a 500).
+        (
+            _post(b'{"algorithm": {"name": "dac", "params": {"n": 5, "epsilon": NaN}}}'),
+            b"algorithm.epsilon",
+        ),
+        (_post(b"algorithm: dac@1(n=4, f=2)"), b"algorithm.f"),
     ],
     ids=[
         "content-length-abc",
@@ -166,6 +173,8 @@ def _post(body: bytes, length: bytes | None = None) -> bytes:
         "content-length-underscore",
         "content-length-arabic-indic-digit",
         "n-past-its-ceiling",
+        "epsilon-nan",
+        "dac-n-at-most-2f",
     ],
 )
 def test_malformed_requests_get_a_400_not_a_500(service, request_bytes, message):

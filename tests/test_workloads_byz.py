@@ -12,7 +12,7 @@ import pickle
 import pytest
 
 from repro.bench.sweep import Sweep
-from repro.scenario import family_trial
+from repro.scenario import SpecError, family_trial
 
 byz_trial = family_trial("byz")
 dbac_trial = family_trial("dbac")
@@ -28,20 +28,23 @@ class TestByzTrial:
             assert summary["correct"]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown mobile mode"):
+        with pytest.raises(SpecError, match=r"adversary\.mode: 'sideways' is not one of"):
             byz_trial(n=6, mode="sideways")
 
     def test_unknown_and_missing_parameters_rejected(self):
         # The mobile family is fault-free by construction: it takes no f.
-        with pytest.raises(TypeError, match=r"unknown parameter\(s\) \['f'\]"):
+        with pytest.raises(SpecError, match="no section of 'byz' declares") as err:
             byz_trial(n=6, f=1)
-        with pytest.raises(TypeError, match=r"unknown parameter\(s\) \['adversary'\]"):
+        assert err.value.field == "algorithm.f"
+        with pytest.raises(SpecError) as err:
             byz_trial(n=6, adversary="mobile-none")
-        with pytest.raises(TypeError, match=r"missing required parameter\(s\) \['n'\]"):
+        assert err.value.field == "algorithm.adversary"
+        with pytest.raises(SpecError, match="required parameter") as err:
             byz_trial(mode="none")
+        assert err.value.field == "algorithm.n"
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError, match="unknown strategy 'benevolent'"):
+        with pytest.raises(SpecError, match=r"faults\.strategy: 'benevolent' is not one of"):
             dbac_trial(n=6, strategy="benevolent")
 
     def test_trials_pickle_by_reference(self):

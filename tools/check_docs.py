@@ -28,10 +28,11 @@ the command on its line, sits in the ``#`` comment lines directly
 above the command in a fenced block, or shares a line with an inline
 ``<subcommand> --...`` code span.
 
-Every fully-qualified ``repro.…`` name inside an inline code span of
-those same files must resolve: the longest importable module prefix is
-imported and the rest is looked up with ``getattr`` -- so a deleted
-function, class or module cannot linger in prose either.
+Every fully-qualified ``repro.…`` name inside an inline code span or a
+fenced block of those same files must resolve: the longest importable
+module prefix is imported and the rest is looked up with ``getattr``
+-- so a deleted function, class or module cannot linger in prose or
+in a recipe either.
 
 Last, every name a ``from repro.… import …`` statement in those files
 imports must resolve the same way, wherever the statement sits: an
@@ -257,24 +258,34 @@ def _resolves(name: str) -> bool:
 
 
 def unresolved_names(root: Path) -> list[str]:
-    """Backticked ``repro.…`` names that do not resolve, as
-    ``file:line: name`` strings. Inline spans may wrap across lines;
-    fenced blocks are not inline spans."""
+    """``repro.…`` names in inline spans or fenced blocks that do not
+    resolve, as ``file:line: name`` strings. Inline spans may wrap
+    across lines; fenced blocks are not inline spans."""
     problems: list[str] = []
     sys.path.insert(0, str(root / "src"))
     try:
         for path in command_files(root):
-            lines, fenced = [], False
+            lines, code, fenced = [], [], False
             for line in path.read_text().splitlines():
-                if _FENCE.match(line):
-                    fenced = not fenced
-                lines.append("" if fenced or _FENCE.match(line) else line)
-            prose = "\n".join(lines)
-            for span in _CODE_SPAN.finditer(prose):
-                for name in _QUALIFIED.finditer(span.group(2)):
-                    if not _resolves(name.group()):
-                        number = prose.count("\n", 0, span.start(2) + name.start()) + 1
-                        problems.append(f"{path.relative_to(root)}:{number}: {name.group()}")
+                marker = bool(_FENCE.match(line))
+                fenced ^= marker
+                lines.append("" if fenced or marker else line)
+                code.append(line if fenced and not marker else "")
+            prose, block = "\n".join(lines), "\n".join(code)
+            found = [
+                (prose.count("\n", 0, span.start(2) + name.start()) + 1, name.group())
+                for span in _CODE_SPAN.finditer(prose)
+                for name in _QUALIFIED.finditer(span.group(2))
+            ]
+            found += [
+                (block.count("\n", 0, name.start()) + 1, name.group())
+                for name in _QUALIFIED.finditer(block)
+            ]
+            problems += [
+                f"{path.relative_to(root)}:{number}: {name}"
+                for number, name in sorted(found)
+                if not _resolves(name)
+            ]
     finally:
         sys.path.pop(0)
     return problems
