@@ -101,6 +101,28 @@ GOLDENS: tuple[Golden, ...] = (
          "--workers", "2", "--batch", "4"),
         _SWEEP_TIMING,
     ),
+    Golden(
+        "cli-sweep-spec-averaging-batch",
+        ("repro.cli", "sweep", "--spec", "algorithm: averaging@1(n=6); rounds: 40",
+         "--batch", "4"),
+        _SWEEP_TIMING,
+    ),
+    Golden(
+        "cli-sweep-dac-workers-unbatched",
+        ("repro.cli", "sweep", "--family", "dac", "--n", "9", "17", "--workers", "2"),
+        _SWEEP_TIMING,
+    ),
+    Golden(
+        "cli-sweep-baseline",
+        ("repro.cli", "sweep", "--family", "baseline", "--n", "6", "9", "--batch", "4"),
+        _SWEEP_TIMING,
+    ),
+    Golden(
+        "cli-sweep-spec-byz-mobile",
+        ("repro.cli", "sweep", "--spec",
+         "algorithm: byz@1(n=5); adversary: mobile@1(mode=rotate)", "--batch", "4"),
+        _SWEEP_TIMING,
+    ),
     Golden("bench-S2", ("repro.bench.cli", "-e", "S2"), f"{_SWEEP_TIMING}|{_BENCH_ELAPSED}"),
     Golden("bench-S3-S4", ("repro.bench.cli", "-e", "S3", "-e", "S4", "--batch", "4"),
            _BENCH_TIMING),
