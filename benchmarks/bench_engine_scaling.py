@@ -38,7 +38,7 @@ from repro.net.ports import identity_ports
 from repro.sim.batch import GenericBatchEngine, numpy_available, run_lanes
 from repro.sim.engine import Engine
 from repro.sim.rng import spawn_inputs
-from repro.workloads import build_dac_execution, dac_lane_family
+from repro.workloads import dac_lane_family
 
 
 def make_engine(n: int, record_trace: bool = False) -> Engine:
@@ -124,7 +124,7 @@ def test_batch_engine_scaling():
     Fault-free boundary-degree DAC (the ISSUE's acceptance scenario) at
     several sizes, B = 32 lanes. The serial leg is the fast path, one
     untraced engine run per seed (``GenericBatchEngine`` over the DAC
-    builder); the batch leg is the vectorized numpy kernel
+    lane family); the batch leg is the vectorized numpy kernel
     (``run_lanes`` over the DAC lane family); the last
     leg fans batches of 8 over 4 worker processes. Wall-clock ratios
     are reported, not asserted (load-sensitive); the correctness claim
@@ -139,10 +139,7 @@ def test_batch_engine_scaling():
     seeds = list(range(lanes))
     for n in (16, 32, 64):
         serial_start = time.perf_counter()
-        serial = GenericBatchEngine(
-            seeds,
-            lambda seed: build_dac_execution(n=n, f=0, epsilon=1e-6, seed=seed),
-        ).run()
+        serial = GenericBatchEngine(dac_lane_family(n, 0, epsilon=1e-6), seeds).run()
         serial_elapsed = time.perf_counter() - serial_start
         total_rounds = sum(lane.rounds for lane in serial)
 

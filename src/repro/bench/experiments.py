@@ -820,8 +820,8 @@ def experiment_s3(quick: bool = True) -> TableResult:
     asserts the subsystem's core claim: the records are *identical*,
     batch size is purely a speed knob. Throughput for both legs is
     reported; the speedup needs the numpy kernel (without numpy the
-    batched form runs the serial trial per seed: portability, not
-    speed).
+    batched form runs serial-engine lanes, one per seed: portability,
+    not speed).
     """
     from repro.bench.sweep import Sweep
     from repro.sim.batch import numpy_available

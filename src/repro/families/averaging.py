@@ -4,17 +4,21 @@ This module is the registry's pluggability proof and the recipe new
 families copy (see ``docs/scenarios.md``): one module that
 
 1. implements (or imports) its process --
-   :class:`repro.core.averaging.AveragingProcess`;
-2. writes the execution builder, :func:`build_averaging_execution`;
+   :class:`repro.core.averaging.AveragingProcess` -- and derives the
+   seed-independent lane family, :func:`averaging_lane_family`, with
+   :func:`repro.workloads.lane_family`;
+2. writes the execution builder, :func:`build_averaging_execution`, as
+   :func:`repro.workloads.lane_execution` of that family and a seed;
 3. subclasses :class:`repro.scenario.registry.AlgorithmFamily` with
-   ``build`` (no dedicated kernel needed, so ``lanes`` keeps its
-   ``None`` default and batched trials run the serial trial per seed)
-   and registers it with :func:`repro.scenario.registry.register_algorithm`
-   at import time, reusing the declared component vocabulary
-   (``dynadegree`` / ``quorum``).
+   ``build`` and ``lanes`` and registers it with
+   :func:`repro.scenario.registry.register_algorithm` at import time,
+   reusing the declared component vocabulary (``dynadegree`` /
+   ``quorum``).
 
-The trial every executor runs -- serial, batched, pooled, observed --
-comes from :func:`repro.scenario.trial.family_trial`. Averaging has no
+No kernel runs its lanes, so :func:`repro.sim.batch.run_lanes` runs
+them on :class:`repro.sim.batch.GenericBatchEngine`. The trial every
+executor runs -- serial, batched, pooled, observed -- comes from
+:func:`repro.scenario.trial.family_trial`. Averaging has no
 termination detection: a trial's ``correct`` reports whether the
 fixed budget actually reached epsilon-agreement, which under the
 enforcing adversary it typically does not (the paper's point).
@@ -32,11 +36,50 @@ from typing import Any
 from repro.adversary.constrained import LastMinuteQuorumAdversary
 from repro.core.averaging import AVERAGING_RULES, AveragingProcess
 from repro.core.phases import dac_end_phase
-from repro.faults.base import FaultPlan
-from repro.net.ports import random_ports
 from repro.scenario.registry import AlgorithmFamily, ParamSpec, register_algorithm
-from repro.sim.rng import child_rng, spawn_inputs
-from repro.workloads import EPSILON_POSITIVE, F_BELOW_N, MAX_N, MAX_ROUNDS, QUORUM_N, dac_degree
+from repro.workloads import (
+    EPSILON_POSITIVE,
+    F_BELOW_N,
+    MAX_N,
+    MAX_ROUNDS,
+    QUORUM_N,
+    LaneFamily,
+    dac_degree,
+    lane_execution,
+    lane_family,
+)
+
+
+def averaging_lane_family(
+    n: int,
+    rule: str = "mean",
+    f: int = 0,
+    epsilon: float = 1e-3,
+    window: int = 1,
+    selector: str = "rotate",
+    num_rounds: int | None = None,
+) -> LaneFamily:
+    """The :class:`~repro.workloads.LaneFamily` of :func:`build_averaging_execution`."""
+    if num_rounds is None:
+        num_rounds = dac_end_phase(epsilon)
+    return lane_family(
+        n=n,
+        f=f,
+        epsilon=epsilon,
+        stop_mode="output",
+        # One averaging round per delivery batch; a window of slack
+        # covers the last batch, as for the reliable baselines.
+        max_rounds=num_rounds + 2 * window,
+        degree=dac_degree(n),
+        window=window,
+        selector=selector,
+        make_adversary=lambda: LastMinuteQuorumAdversary(
+            window, dac_degree(n), selector=selector
+        ),
+        make_process=lambda value, port: AveragingProcess(
+            n, f, value, port, rule=rule, num_rounds=num_rounds
+        ),
+    )
 
 
 def build_averaging_execution(
@@ -58,29 +101,10 @@ def build_averaging_execution(
     ``num_rounds`` budget (default: DAC's ``p_end``). Returns kwargs
     for :func:`repro.sim.runner.run_consensus`.
     """
-    if num_rounds is None:
-        num_rounds = dac_end_phase(epsilon)
-    inputs = spawn_inputs(seed, n)
-    ports = random_ports(n, child_rng(seed, "ports"))
-    processes = {
-        node: AveragingProcess(
-            n, f, inputs[node], ports.self_port(node), rule=rule, num_rounds=num_rounds
-        )
-        for node in range(n)
-    }
-    return {
-        "processes": processes,
-        "adversary": LastMinuteQuorumAdversary(window, dac_degree(n), selector=selector),
-        "ports": ports,
-        "epsilon": epsilon,
-        "f": f,
-        "fault_plan": FaultPlan.fault_free_plan(n),
-        "stop_mode": "output",
-        # One averaging round per delivery batch; a window of slack
-        # covers the last batch, as for the reliable baselines.
-        "max_rounds": num_rounds + 2 * window,
-        "seed": seed,
-    }
+    family = averaging_lane_family(
+        n, rule=rule, f=f, epsilon=epsilon, window=window, selector=selector, num_rounds=num_rounds
+    )
+    return lane_execution(family, seed)
 
 
 @register_algorithm("averaging", version=1)
@@ -108,3 +132,6 @@ class AveragingFamily(AlgorithmFamily):
 
     def build(self, *, seed, **params):
         return build_averaging_execution(seed=seed, **params)
+
+    def lanes(self, **params):
+        return averaging_lane_family(**params)

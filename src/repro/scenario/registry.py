@@ -385,8 +385,8 @@ class AlgorithmFamily:
 
     A family adapts one algorithm (and its component vocabulary) to
     the repo's execution surfaces. Subclasses override the class
-    attributes, ``build`` and ``normalize``, and optionally ``lanes``
-    and ``guarantees``; everything a spec can say about the family, and
+    attributes, ``build``, ``lanes`` and ``normalize``, and optionally
+    ``guarantees``; everything a spec can say about the family, and
     what the paper proves of it, is declared as data so the conformance
     suite, the CLI and the guarantee checker can introspect it. The trial every executor runs is derived from
     these (:func:`repro.scenario.trial.family_trial`).
@@ -433,16 +433,16 @@ class AlgorithmFamily:
         raise NotImplementedError
 
     def lanes(self, **params: Any) -> Any:
-        """The :class:`repro.workloads.LaneFamily` of these parameters, or ``None``.
+        """The :class:`repro.workloads.LaneFamily` of these parameters.
 
-        The seed-independent half of ``build``, which the batch layer
-        (:func:`repro.sim.batch.run_lanes`) runs on a numpy kernel where
-        :func:`repro.sim.batch.kernel_refusal` accepts it. ``None`` (the
-        default) means the family has no lane form: batched trials run
-        the serial trial per seed, and batch lanes are serial-engine
-        lanes over ``build`` (:class:`repro.sim.batch.GenericBatchEngine`).
+        The seed-independent half of ``build`` (a ``*_lane_family``
+        function built on :func:`repro.workloads.lane_family`), which
+        the batch layer (:func:`repro.sim.batch.run_lanes`) runs on a
+        numpy kernel where :func:`repro.sim.batch.kernel_refusal`
+        accepts it, and on serial-engine lanes
+        (:class:`repro.sim.batch.GenericBatchEngine`) otherwise.
         """
-        return None
+        raise NotImplementedError
 
     def guarantees(self, **params: Any) -> Any:
         """The paper's :class:`repro.analysis.guarantees.Guarantees` for these parameters.

@@ -99,20 +99,11 @@ class ResolvedScenario:
         return self.trial_fn(seed=use, **self.params)
 
     def batch(self, seeds: Sequence[int]) -> list[Any]:
-        """Batch lanes for ``seeds`` (:class:`repro.sim.batch.LaneResult`).
+        """Batch lanes for ``seeds`` (:class:`repro.sim.batch.LaneResult`):
+        :func:`repro.sim.batch.run_lanes` over the family's lanes."""
+        from repro.sim.batch import run_lanes  # loads numpy
 
-        :func:`repro.sim.batch.run_lanes` over the family's lanes, or
-        serial-engine lanes over ``build`` for a family without them.
-        """
-        from repro.sim.batch import GenericBatchEngine, run_lanes  # loads numpy
-
-        params = dict(self.params)
-        lanes = self.family.lanes(**params)
-        if lanes is None:
-            return GenericBatchEngine(
-                seeds, lambda seed: self.family.build(seed=seed, **params)
-            ).run()
-        return run_lanes(lanes, seeds)
+        return run_lanes(self.family.lanes(**dict(self.params)), seeds)
 
     def canonical_spec(self) -> ScenarioSpec:
         """The spec with every component and parameter made explicit.

@@ -1,10 +1,10 @@
 """One picklable trial per registered algorithm family.
 
 A family supplies ``build`` (one seed's serial execution),
-``normalize`` and optionally ``lanes`` (the seed-independent lane
-family the batch kernels run); :func:`family_trial` turns those into
-the trial every executor dispatches -- sweeps, the process pool, the
-daemon and the CLI:
+``normalize`` and ``lanes`` (the seed-independent lane family the
+batch layer runs); :func:`family_trial` turns those into the trial
+every executor dispatches -- sweeps, the process pool, the daemon and
+the CLI:
 
 - ``trial(seed=s, **params)`` completes the flat parameters through
   :func:`repro.scenario.registry.validate_params` (defaults, checks,
@@ -12,11 +12,11 @@ daemon and the CLI:
   ``run_consensus(**family.build(seed=s, **params))`` untraced and
   reduces the report to ``{rounds, spread, terminated, correct}``;
 - ``trial.batch_fn(seeds=[...], **params)`` returns exactly
-  ``[trial(seed=s, **params) for s in seeds]``, from one kernel pass
-  over ``family.lanes(**params)`` when
-  :func:`repro.sim.batch.kernel_refusal` accepts that lane family,
-  and from the serial trial once per seed otherwise (as for a family
-  without lanes, an observed call or a single seed).
+  ``[trial(seed=s, **params) for s in seeds]``: two or more seeds run
+  as one :func:`repro.sim.batch.run_lanes` call over
+  ``family.lanes(**params)`` (a numpy kernel, or serial-engine lanes
+  where no kernel runs the family); an observed call or a single seed
+  runs the serial trial once per seed.
 
 ``observe=True`` attaches a fresh observer bus to each serial run and
 adds its aggregate under ``"metrics"``. A trial pickles as its
@@ -151,15 +151,13 @@ class FamilyTrial:
         """One summary per seed, in order, equal to the per-seed calls."""
         params = validate_params(self.entry, params)
         seeds = [int(seed) for seed in seeds]
-        family = None if observe or len(seeds) < 2 else self.family.lanes(**params)
-        if family is not None:
-            # Deferred: the kernels load numpy, which serial paths never need.
-            from repro.sim.batch import kernel_refusal, run_lanes
+        if observe or len(seeds) < 2:
+            return [self._run(seed, observe, params) for seed in seeds]
+        # Deferred: the kernels load numpy, which serial paths never need.
+        from repro.sim.batch import run_lanes
 
-            if kernel_refusal(family) is None:
-                epsilon = params["epsilon"]
-                return [_lane_summary(lane, epsilon) for lane in run_lanes(family, seeds)]
-        return [self._run(seed, observe, params) for seed in seeds]
+        lanes = run_lanes(self.family.lanes(**params), seeds)
+        return [_lane_summary(lane, params["epsilon"]) for lane in lanes]
 
     # Compatibility stub read by perfbench's traced pooled path; see
     # repro.sim.arena.empty_arena_plan.

@@ -32,7 +32,8 @@ is the one batch entry: kernel lanes where the predicate accepts,
 :func:`repro.sim.runner.run_consensus` per seed over
 :func:`repro.workloads.lane_execution`, the semantic reference itself,
 so those lanes match by construction and :func:`run_lanes` works
-without numpy.
+without numpy. Every engine, the fallback included, is built as
+``Engine(family, seeds)``.
 
 One lane driver runs every kernel (see docs/batching.md). A round
 splits into the round's communication graph and the update rule that
@@ -66,19 +67,17 @@ is built as ``Kernel(family, seeds)``:
   family: one ``(B, n)`` value matrix advanced for exactly
   ``num_rounds`` rounds.
 
-Composition: each family's ``lanes`` hook builds its lane family, and
-the family trial's ``batch_fn`` (:mod:`repro.scenario.trial`) runs
-them in the batched-trial calling convention the parallel layer
-dispatches, so ``Sweep.run(workers=N, batch=B)`` fans *batches* over
-processes -- the two layers multiply. Families without lanes (or
-lanes no kernel runs), observed trials, and one-seed groups (a
-one-lane kernel pass is slower than one serial trial) run the serial
-trial once per seed.
+Composition: every registered family's ``lanes`` hook builds its lane
+family, and the family trial's ``batch_fn`` (:mod:`repro.scenario.trial`)
+runs them through :func:`run_lanes` in the batched-trial calling
+convention the parallel layer dispatches, so ``Sweep.run(workers=N,
+batch=B)`` fans *batches* over processes -- the two layers multiply.
+Only observed trials and one-seed groups (a one-lane kernel pass is
+slower than one serial trial) run the serial trial once per seed.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -193,12 +192,8 @@ def run_lanes(
     >>> [lane.stopped for lane in run_lanes(dbac_lane_family(6, 1), [0, 1])]
     [True, True]
     """
-    kernel, reason = _kernel(family)
-    if reason is None:
-        lanes = kernel(family, seeds).run()
-    else:
-        build = functools.partial(_workloads().lane_execution, family)
-        lanes = GenericBatchEngine(seeds, build).run()
+    kernel, _ = _kernel(family)
+    lanes = (kernel or GenericBatchEngine)(family, seeds).run()
     if on_lane is not None:
         for lane in lanes:
             on_lane(lane)
@@ -1066,29 +1061,29 @@ class BaselineBatchEngine(_LaneKernel):
 
 
 class GenericBatchEngine:
-    """Builder-defined lanes: one serial run per seed.
+    """Serial-engine lanes: one untraced run per seed.
 
-    The serial fallback under :func:`run_lanes` and the registry's
-    open end: a family registered through :mod:`repro.scenario` gets
-    a batched form without writing a kernel. ``build(seed)`` returns the
-    family's :func:`repro.sim.runner.run_consensus` keyword dict; each
-    lane is that ``run_consensus`` call, untraced, so lanes are the
-    per-seed serial runs themselves. A family that wants vectorized
-    lanes returns its :class:`~repro.workloads.LaneFamily` from its
-    ``lanes`` hook, and a kernel for its process class joins
-    :data:`_KERNELS`.
+    The serial fallback under :func:`run_lanes`, built like the kernels
+    as ``GenericBatchEngine(family, seeds)``. Each lane is
+    :func:`repro.sim.runner.run_consensus` over
+    :func:`repro.workloads.lane_execution` of the family and the seed,
+    untraced, so lanes are the per-seed serial runs themselves. It runs
+    any :class:`~repro.workloads.LaneFamily`, numpy or not: a registered
+    family gets batch lanes without writing a kernel, and a kernel for
+    its process class joins :data:`_KERNELS` when it wants vectorized
+    ones.
     """
 
-    def __init__(self, seeds: Sequence[int], build: Callable[[int], dict]) -> None:
+    def __init__(self, family, seeds: Sequence[int]) -> None:
         self.seeds = [int(seed) for seed in seeds]
-        self.build = build
+        self.family = family
 
     def run(self) -> list[LaneResult]:
         """Run every lane to its stop condition; results in seed order."""
         return [self._run_lane(seed) for seed in self.seeds]
 
     def _run_lane(self, seed: int) -> LaneResult:
-        kwargs = self.build(seed)
+        kwargs = _workloads().lane_execution(self.family, seed)
         report = run_consensus(
             **kwargs, record_trace=False, verify_promise=False, track_phases=False
         )

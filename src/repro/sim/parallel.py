@@ -16,13 +16,21 @@ two guarantees that make ``workers=N`` a pure speed knob:
 
 A second, orthogonal speed knob is **batching**: when the caller
 supplies a *batched* trial function (``batch_fn(seeds=[...], **params)
--> [result, ...]``, e.g. one built on :mod:`repro.sim.batch`),
-consecutive specs sharing a parameter assignment are grouped into
-chunks of up to ``batch`` seeds and dispatched as one call. The
-contract -- asserted by the determinism suite -- is that the batched
-function returns exactly ``[fn(**params, seed=s) for s in seeds]``, so
-``batch=B`` composes with ``workers=N`` (batches fan out over the
-pool) while leaving results identical, element for element.
+-> [result, ...]``, e.g. a family trial's, which runs
+:func:`repro.sim.batch.run_lanes`), consecutive specs sharing a
+parameter assignment are grouped into chunks of up to ``batch`` seeds
+and dispatched as one call. The contract -- asserted by the
+determinism suite -- is that the batched function returns exactly
+``[fn(**params, seed=s) for s in seeds]``, so ``batch=B`` composes
+with ``workers=N`` (batches fan out over the pool) while leaving
+results identical, element for element.
+
+**One job shape.** Every dispatched unit is a group of seeds,
+``(call, params, seeds, forward)``: ``call(seeds=[...], **params)`` is
+the batched function, or ``functools.partial(_per_seed, fn)`` over
+groups of one seed for per-trial runs. With ``forward`` a group's
+value is ``(results, events)``. :func:`_invoke` runs one group,
+serially or, chunked by :func:`_invoke_chunk`, in a pool worker.
 
 Trial functions must be picklable (module-level functions, not lambdas
 or closures) when ``workers > 1``; the serial path has no such
@@ -34,8 +42,8 @@ process pool is a lazily-created module-level singleton reused across
 process instead of once per sweep and warm workers keep their
 per-process caches (interned Topologies, routing plans, and the
 kernels' round-structure tables of :mod:`repro.sim.arena`) across
-sweeps. A batched job ships only ``(batch_fn, params, seeds,
-forward)``: each worker builds the tables its kernels reach, once.
+sweeps. A job ships only ``(call, params, seeds, forward)``: each
+worker builds the tables its kernels reach, once.
 :func:`close_pool` tears the pool down explicitly (also wired to
 ``atexit``); ``pool="fresh"`` restores the old pool-per-call
 behaviour. A crashed pool is closed and rebuilt on the next call; the
@@ -64,6 +72,7 @@ ordinary sweeps pay nothing.
 from __future__ import annotations
 
 import atexit
+import functools
 import multiprocessing
 import os
 import pickle
@@ -278,7 +287,7 @@ class TrialSpec:
 
 # Process-local buffer for observability events raised inside trials.
 # ``None`` means no collector is active (the default everywhere except
-# inside a forwarding _invoke/_invoke_batch call).
+# inside a forwarding _invoke call).
 _event_buffer: list[Any] | None = None
 
 
@@ -310,49 +319,31 @@ def _call_collecting(fn: Callable[..., Any], kwargs: dict[str, Any]) -> tuple[An
         _event_buffer = previous
 
 
-def _invoke(payload: tuple[Callable[..., Any], TrialSpec, bool]) -> Any:
-    """Worker-side entry point: run one trial (must be module-level)."""
-    fn, spec, forward = payload
-    kwargs = dict(spec.kwargs(), seed=spec.seed)
-    if forward:
-        return _call_collecting(fn, kwargs)
-    return fn(**kwargs)
+def _per_seed(fn: Callable[..., Any], /, *, seeds: Sequence[int], **params: Any) -> list[Any]:
+    """A per-trial ``fn`` as a batched one: ``[fn(**params, seed=s) for s in seeds]``."""
+    return [fn(**dict(params, seed=seed)) for seed in seeds]
 
 
-def _invoke_batch(
-    payload: tuple[
-        Callable[..., Any], tuple[tuple[str, Any], ...], tuple[int, ...], bool
-    ]
+def _invoke(
+    payload: tuple[Callable[..., Any], tuple[tuple[str, Any], ...], tuple[int, ...], bool]
 ) -> Any:
-    """Worker-side entry point: run one batched group of trials."""
-    batch_fn, params, seeds, forward = payload
+    """Worker-side entry point: run one group of seeds (must be module-level)."""
+    call, params, seeds, forward = payload
     kwargs = dict(params, seeds=list(seeds))
     if forward:
-        results, events = _call_collecting(batch_fn, kwargs)
+        results, events = _call_collecting(call, kwargs)
         return list(results), events
-    return list(batch_fn(**kwargs))
+    return list(call(**kwargs))
 
 
 def _invoke_chunk(payloads: list[Any]) -> list[Any]:
-    """Worker-side entry point: run one guided chunk of trials."""
+    """Worker-side entry point: run one guided chunk of groups."""
     results = []
     for payload in payloads:
-        fn, spec, forward = payload
+        call, params, seeds, forward = payload
         value = _invoke(payload)
         if forward:
-            _check_returnable(value, fn, spec.params, (spec.seed,))
-        results.append(value)
-    return results
-
-
-def _invoke_batch_chunk(payloads: list[Any]) -> list[Any]:
-    """Worker-side entry point: run one guided chunk of batched groups."""
-    results = []
-    for payload in payloads:
-        batch_fn, params, seeds, forward = payload
-        value = _invoke_batch(payload)
-        if forward:
-            _check_returnable(value, batch_fn, params, seeds)
+            _check_returnable(value, call, params, seeds)
         results.append(value)
     return results
 
@@ -532,51 +523,28 @@ def run_trials(
                 "batch=1 for plain per-trial execution"
             )
         size = 1
-    if size <= 1:
-        payloads = [(fn, spec, forward) for spec in specs]
-        if count <= 1 or len(specs) <= 1:
-            raw = [_invoke(payload) for payload in payloads]
-        else:
-            max_workers = min(count, len(specs))
-            jobs = [
-                payloads[start:stop]
-                for start, stop in _chunk_bounds(len(payloads), max_workers)
-            ]
-            _check_shippable(fn, jobs, count)
-            raw = _fan_out(_invoke_chunk, jobs, max_workers, pool_mode)
-        if not forward:
-            return raw
-        results = []
-        for result, events in raw:
-            for event in events:
-                on_event(event)
-            results.append(result)
-        return results
-
+    call = batch_fn if size > 1 else functools.partial(_per_seed, fn)
     groups = _batch_groups(specs, size)
-    payloads = [(batch_fn, params, tuple(seeds), forward) for params, seeds in groups]
+    payloads = [(call, params, tuple(seeds), forward) for params, seeds in groups]
     if count <= 1 or len(payloads) <= 1:
-        nested = [_invoke_batch(payload) for payload in payloads]
+        nested = [_invoke(payload) for payload in payloads]
     else:
         max_workers = min(count, len(payloads))
         jobs = [
             payloads[start:stop]
             for start, stop in _chunk_bounds(len(payloads), max_workers)
         ]
-        _check_shippable(batch_fn, jobs, count)
-        nested = _fan_out(_invoke_batch_chunk, jobs, max_workers, pool_mode)
-    if forward:
-        unwrapped = []
-        for group_results, events in nested:
-            for event in events:
-                on_event(event)
-            unwrapped.append(group_results)
-        nested = unwrapped
+        _check_shippable(call, jobs, count)
+        nested = _fan_out(_invoke_chunk, jobs, max_workers, pool_mode)
     results = []
     for (params, seeds), group_results in zip(groups, nested):
+        if forward:
+            group_results, events = group_results
+            for event in events:
+                on_event(event)
         if len(group_results) != len(seeds):
             raise ValueError(
-                f"batched trial function {batch_fn!r} returned "
+                f"batched trial function {call!r} returned "
                 f"{len(group_results)} results for {len(seeds)} seeds "
                 f"(params {params!r}); it must return one result per seed, "
                 "in seed order"

@@ -139,7 +139,11 @@ class LaneFamily:
         return tuple(v for v in range(self.n) if v not in faulty)
 
 
-def _lane_family(**fields: Any) -> LaneFamily:
+def lane_family(**fields: Any) -> LaneFamily:
+    """The :class:`LaneFamily` of ``fields``, the one every ``*_lane_family`` returns.
+
+    ``process_type`` and the class constants are read off one template process.
+    """
     # One template process (input 0 on port 0) and one adversary: their
     # constructors reject what a serial build would reject, and the
     # process carries its class and the seed-independent constants. The
@@ -209,7 +213,7 @@ def dac_lane_family(
         range(n - num_crashes, n), first_round=crash_start, spacing=window
     )
     bound = rounds_upper_bound(window, dac_end_phase(epsilon))
-    return _lane_family(
+    return lane_family(
         n=n,
         f=f,
         epsilon=epsilon,
@@ -277,7 +281,7 @@ def dbac_lane_family(
     """The :class:`LaneFamily` of :func:`build_dbac_execution`."""
     if n < 5 * f + 1:
         raise ValueError(f"DBAC needs n >= 5f+1, got n={n}, f={f}")
-    return _lane_family(
+    return lane_family(
         n=n,
         f=f,
         epsilon=epsilon,
@@ -541,7 +545,7 @@ def mobile_lane_family(
     """The :class:`LaneFamily` of :func:`build_mobile_execution`."""
     if mode not in MOBILE_MODES:
         raise ValueError(f"unknown mobile mode {mode!r}; known: {MOBILE_MODES}")
-    return _lane_family(
+    return lane_family(
         n=n,
         f=0,
         epsilon=epsilon,
@@ -602,7 +606,7 @@ def baseline_lane_family(
     if num_rounds is None:
         num_rounds = dac_end_phase(epsilon)
     process_type = _BASELINE_PROCESSES[algorithm]
-    return _lane_family(
+    return lane_family(
         n=n,
         f=f,
         epsilon=epsilon,

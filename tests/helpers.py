@@ -218,20 +218,14 @@ def run_config_batch(config: dict[str, Any]) -> list[dict[str, Any]]:
     call over the family's ``lanes``, so multi-seed configs exercise
     genuine lane interplay (mixed termination rounds, shared kernel
     state), not just per-lane agreement. Lane families a kernel accepts
-    (:func:`repro.sim.batch.kernel_refusal`) run on it; the rest, and
-    families without ``lanes``, run serial-engine lanes.
+    (:func:`repro.sim.batch.kernel_refusal`) run on it; the rest run
+    serial-engine lanes.
     """
-    from repro.sim.batch import GenericBatchEngine, run_lanes
+    from repro.sim.batch import run_lanes
 
     config = normalize_config(config)
     family = family_entry(config["family"]).obj
-    params = _config_params(config)
-    seeds = list(config["seeds"])
-    lane_family = family.lanes(**params)
-    if lane_family is None:
-        lanes = GenericBatchEngine(seeds, lambda seed: family.build(seed=seed, **params)).run()
-    else:
-        lanes = run_lanes(lane_family, seeds)
+    lanes = run_lanes(family.lanes(**_config_params(config)), list(config["seeds"]))
     return [
         {
             "rounds": lane.rounds,

@@ -9,9 +9,10 @@ Three contracts make ``batch=B`` a pure speed knob:
    the same lanes -- full ``state_key`` equality, not just outputs --
    across the DAC (crash), DBAC (Byzantine), mobile-omission and
    baseline families: kernel lanes equal
-   :class:`repro.sim.batch.GenericBatchEngine` lanes over the family's
-   own builder (one serial engine run per seed), also when lanes of
-   one batch stop at different rounds;
+   :class:`repro.sim.batch.GenericBatchEngine` lanes of the same lane
+   family (one serial engine run per seed over
+   :func:`repro.workloads.lane_execution`, which is each builder), also
+   when lanes of one batch stop at different rounds;
 2. :func:`repro.sim.batch.kernel_refusal` refuses lane families no
    kernel can replicate (subclassed processes and strategies included)
    with a message naming them, and every batched form runs those
@@ -55,13 +56,10 @@ from repro.sim.runner import run_consensus
 from repro.workloads import (
     TRIAL_BYZANTINE_STRATEGIES,
     baseline_lane_family,
-    build_baseline_execution,
-    build_dac_execution,
     build_dbac_execution,
     build_mobile_execution,
     dac_lane_family,
     dbac_lane_family,
-    lane_execution,
     mobile_lane_family,
 )
 from tests.helpers import (
@@ -90,7 +88,7 @@ def serial_summary(execution):
     }
 
 # The two lane implementations behind run_lanes: the "numpy" kernel,
-# and the "python" GenericBatchEngine over the family builder.
+# and the "python" GenericBatchEngine over lane_execution.
 LANE_PATHS = ["python"] + (["numpy"] if numpy_available() else [])
 
 # (n, f, window): fault-free, crash-fault, multi-round windows.
@@ -124,36 +122,23 @@ def resolved_lanes(name, **params):
 
 
 def generic_dac_lanes(n, f, seeds, **params):
-    """Serial reference lanes: one Engine run per seed over the DAC builder."""
-    return GenericBatchEngine(
-        seeds, lambda seed: build_dac_execution(n=n, f=f, seed=seed, **params)
-    ).run()
+    """Serial reference lanes: one Engine run per seed of the DAC family."""
+    return GenericBatchEngine(dac_lane_family(n, f, **params), seeds).run()
 
 
 def generic_dbac_lanes(n, f, seeds, strategy="extreme", **params):
-    """Serial reference lanes over the DBAC builder and a named strategy."""
-    factory = TRIAL_BYZANTINE_STRATEGIES[strategy]
-    return GenericBatchEngine(
-        seeds,
-        lambda seed: build_dbac_execution(
-            n=n, f=f, seed=seed, byzantine_factory=lambda node: factory(), **params
-        ),
-    ).run()
+    """Serial reference lanes of the DBAC family with a named strategy."""
+    return GenericBatchEngine(dbac_family(n, f, strategy, **params), seeds).run()
 
 
 def generic_baseline_lanes(n, seeds, **params):
-    """Serial reference lanes over the averaging-baseline builder."""
-    return GenericBatchEngine(
-        seeds, lambda seed: build_baseline_execution(n, seed=seed, **params)
-    ).run()
+    """Serial reference lanes of the averaging-baseline family."""
+    return GenericBatchEngine(baseline_lane_family(n, **params), seeds).run()
 
 
 def generic_mobile_lanes(n, seeds, mode, **params):
-    """Serial reference lanes over the mobile-omission builder."""
-    return GenericBatchEngine(
-        seeds,
-        lambda seed: build_mobile_execution(n=n, mode=mode, seed=seed, **params),
-    ).run()
+    """Serial reference lanes of the mobile-omission family."""
+    return GenericBatchEngine(mobile_lane_family(n, mode=mode, **params), seeds).run()
 
 
 def run_serial_dbac_lane(
@@ -279,17 +264,54 @@ class TestBatchedTrialFunction:
         assert resolved.trial_fn is dac_trial
         assert resolved.batch_fn == dac_trial.batch_fn
 
+    def test_batched_calls_take_one_lane_engine_run(self, monkeypatch):
+        # Averaging has no kernel: two or more unobserved seeds are one
+        # GenericBatchEngine run under run_lanes, not a serial trial per
+        # seed. Observed calls and one-seed calls run the serial trial.
+        from repro.scenario.trial import FamilyTrial
+
+        calls = {"engine": 0, "trial": 0}
+        engine_run, trial_run = GenericBatchEngine.run, FamilyTrial._run
+
+        def counted_engine(engine):
+            calls["engine"] += 1
+            return engine_run(engine)
+
+        def counted_trial(trial, *args):
+            calls["trial"] += 1
+            return trial_run(trial, *args)
+
+        monkeypatch.setattr(GenericBatchEngine, "run", counted_engine)
+        monkeypatch.setattr(FamilyTrial, "_run", counted_trial)
+        trial = family_trial("averaging")
+        params = {"n": 6, "num_rounds": 12}
+        batched = trial.batch_fn(seeds=[0, 1, 2, 3], **params)
+        assert calls == {"engine": 1, "trial": 0}
+        observed = trial.batch_fn(seeds=[0, 1], observe=True, **params)
+        assert calls == {"engine": 1, "trial": 2}
+        assert trial.batch_fn(seeds=[3], **params) == batched[3:]
+        assert calls == {"engine": 1, "trial": 3}
+        assert batched == [trial(seed=seed, **params) for seed in range(4)]
+        assert [dict(summary, metrics=None) for summary in observed] == [
+            dict(summary, metrics=None) for summary in batched[:2]
+        ]
+
     def test_resolved_batch_runs_lanes_or_build(self):
-        # run_lanes over a family's lanes; serial-engine lanes over
-        # build for a family without them (averaging).
+        # run_lanes over every family's lanes; averaging's, which no
+        # kernel runs, are serial-engine lanes equal to its build.
         seeds = [0, 1, 2]
         dac = resolve("algorithm: dac@1(n=9); network: dynadegree@1(window=2)")
         assert dac.batch(seeds) == generic_dac_lanes(9, 4, seeds, window=2)
         averaging = resolve("algorithm: averaging@1(n=6); rounds: 12")
-        assert averaging.family.lanes(**averaging.params) is None
-        assert averaging.batch(seeds) == GenericBatchEngine(
-            seeds, averaging.build_execution
-        ).run()
+        for seed, lane in zip(seeds, averaging.batch(seeds)):
+            kwargs = averaging.build_execution(seed)
+            report = run_consensus(**kwargs)
+            assert (lane.seed, lane.rounds, lane.stopped, lane.outputs) == (
+                seed, report.rounds, report.terminated, report.outputs
+            )
+            assert lane.state_keys == {
+                node: process.state_key() for node, process in kwargs["processes"].items()
+            }
 
 
 def echo_trial(seed, **params):
@@ -639,9 +661,7 @@ class TestExactTypeRefusal:
         )
         for family, name in ((piggyback, "PiggybackDACProcess"), (averaging, "AveragingProcess")):
             assert kernel_refusal(family) == f"no kernel runs {name} lanes"
-            assert run_lanes(family, [0, 1]) == GenericBatchEngine(
-                [0, 1], functools.partial(lane_execution, family)
-            ).run()
+            assert run_lanes(family, [0, 1]) == GenericBatchEngine(family, [0, 1]).run()
 
 
 class TestMobileBatchMatchesSerial:
@@ -875,7 +895,7 @@ class TestGridDispatch:
         for text, _count in SWEEP_CELLS:
             resolved = resolve(text)
             lanes = resolved.family.lanes(**resolved.params)
-            if lanes is None or kernel_refusal(lanes) is not None:
+            if kernel_refusal(lanes) is not None:
                 per_seed.append(resolved.entry.name)
         assert per_seed == ["averaging"]
 

@@ -88,12 +88,10 @@ available = repro.numpy_available()
 lanes_equal = backend = None
 if available:
     from repro.sim.batch import GenericBatchEngine
-    from repro.workloads import build_dac_execution, dac_lane_family
+    from repro.workloads import dac_lane_family
 
     backend = BatchEngine(dac_lane_family(5, 2), [0, 1]).backend
-    serial_lanes = GenericBatchEngine(
-        [0, 1], lambda seed: build_dac_execution(n=5, f=2, seed=seed)
-    ).run()
+    serial_lanes = GenericBatchEngine(dac_lane_family(5, 2), [0, 1]).run()
     lanes_equal = repro.run_lanes(dac_lane_family(5, 2), [0, 1]) == serial_lanes
 print(json.dumps({
     "serial_loaded": serial_loaded,

@@ -18,6 +18,7 @@ stresses:
 
 from __future__ import annotations
 
+import functools
 import threading
 from concurrent.futures import ProcessPoolExecutor
 
@@ -28,8 +29,8 @@ from repro.sim.parallel import (
     TrialSpec,
     _check_returnable,
     _check_shippable,
-    _invoke_batch_chunk,
     _invoke_chunk,
+    _per_seed,
     close_pool,
     get_pool,
     record_event,
@@ -155,18 +156,23 @@ def _trial(n, seed=0):
     return n * seed
 
 
+def _group(fn, params, seeds, forward):
+    """One job of the one shape: a per-trial ``fn`` as a seed group."""
+    return (functools.partial(_per_seed, fn), params, seeds, forward)
+
+
 def test_check_shippable_covers_every_job():
     # The unpicklable value hides in the *last* chunk's parameters.
     jobs = [
-        [(_trial, (("n", 3),), (0,), False)],
-        [(_trial, (("n", lambda: None),), (1,), False)],
+        [_group(_trial, (("n", 3),), (0,), False)],
+        [_group(_trial, (("n", lambda: None),), (1,), False)],
     ]
     with pytest.raises(ValueError, match="job envelope"):
         _check_shippable(_trial, jobs, count=2)
 
 
 def test_check_shippable_passes_plain_jobs():
-    jobs = [[(_trial, (("n", 3),), (0,), False)]]
+    jobs = [[_group(_trial, (("n", 3),), (0,), False)]]
     _check_shippable(_trial, jobs, count=2)
 
 
@@ -190,7 +196,7 @@ def _records_scalar_event(n, seed=0):
 
 
 def test_return_path_names_the_offending_trial():
-    payloads = [(_records_unpicklable_event, TrialSpec((("n", 3),), seed=7), True)]
+    payloads = [_group(_records_unpicklable_event, (("n", 3),), (7,), True)]
     with pytest.raises(ValueError) as excinfo:
         _invoke_chunk(payloads)
     message = str(excinfo.value)
@@ -201,8 +207,8 @@ def test_return_path_names_the_offending_trial():
 def test_return_path_check_skipped_without_forwarding():
     # No on_event, no forwarding: the event is dropped at the source
     # and nothing needs to cross a process boundary.
-    payloads = [(_records_unpicklable_event, TrialSpec((("n", 3),), seed=7), False)]
-    assert _invoke_chunk(payloads) == [21]
+    payloads = [_group(_records_unpicklable_event, (("n", 3),), (7,), False)]
+    assert _invoke_chunk(payloads) == [[21]]
 
 
 def test_batched_return_path_names_params_and_seeds():
@@ -212,15 +218,23 @@ def test_batched_return_path_names_params_and_seeds():
 
     payloads = [(batch, (("n", 3),), (1, 2), True)]
     with pytest.raises(ValueError) as excinfo:
-        _invoke_batch_chunk(payloads)
+        _invoke_chunk(payloads)
     assert "[1, 2]" in str(excinfo.value)
 
 
 def test_picklable_events_pass_the_return_check():
-    payloads = [(_records_scalar_event, TrialSpec((("n", 3),), seed=2), True)]
-    ((result, events),) = _invoke_chunk(payloads)
-    assert result == 6
+    payloads = [_group(_records_scalar_event, (("n", 3),), (2,), True)]
+    ((results, events),) = _invoke_chunk(payloads)
+    assert results == [6]
     assert events == [("finished", 2)]
+
+
+def test_per_seed_groups_equal_per_trial_calls():
+    # A parameter may share a name with _per_seed's own positional one.
+    def trial(fn, seed=0):
+        return (fn, seed)
+
+    assert _per_seed(trial, seeds=[4, 5], fn="x") == [("x", 4), ("x", 5)]
 
 
 def test_check_returnable_accepts_plain_values():

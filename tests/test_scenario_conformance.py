@@ -128,8 +128,8 @@ def test_observed_trial_matches_bare_trial(entry):
 
 @_ENTRIES
 def test_family_declares_a_complete_surface(entry):
-    """Every family ships conformance configs and a builder; its
-    optional ``lanes`` hook returns a lane family or ``None``."""
+    """Every family ships conformance configs, a builder and its own
+    ``lanes`` hook, which returns a lane family."""
     from repro.sim.batch import kernel_refusal
     from repro.workloads import LaneFamily
 
@@ -141,12 +141,14 @@ def test_family_declares_a_complete_surface(entry):
     assert type(family).build is not AlgorithmFamily.build, (
         f"family {entry.name!r} does not implement build"
     )
+    assert type(family).lanes is not AlgorithmFamily.lanes, (
+        f"family {entry.name!r} does not implement lanes"
+    )
     resolved = resolve(spec_for(entry.name, _first_config(entry), version=entry.version))
     lanes = family.lanes(**resolved.params)
-    if lanes is not None:
-        assert isinstance(lanes, LaneFamily)
-        reason = kernel_refusal(lanes)
-        assert reason is None or isinstance(reason, str)
+    assert isinstance(lanes, LaneFamily)
+    reason = kernel_refusal(lanes)
+    assert reason is None or isinstance(reason, str)
 
 
 def _trial_modules():
