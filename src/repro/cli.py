@@ -26,8 +26,10 @@ for the positive scenarios, violating for the impossibility ones).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
+from collections.abc import Callable
 
 from repro.adversary.periodic import figure1_adversary
 from repro.core.dac import DACProcess
@@ -142,23 +144,9 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     return 0 if report.correct else 1
 
 
-def _cmd_theorem9(args: argparse.Namespace) -> int:
-    kwargs = theorem9_split_execution(
-        n=args.n, seed=args.seed, eager_quorum=not args.plain
-    )
-    extras, finish = _observation(args, kwargs["ports"].n)
-    report = run_consensus(**kwargs, **extras)
-    _print_report(report, args.verbose)
-    finish()
-    _maybe_save(report, args.save_trace)
-    expected = (not report.epsilon_agreement) if not args.plain else (not report.terminated)
-    return 0 if expected else 1
-
-
-def _cmd_theorem10(args: argparse.Namespace) -> int:
-    kwargs = theorem10_split_execution(
-        f=args.f, seed=args.seed, eager_quorum=not args.plain
-    )
+def _cmd_necessity(build: Callable[..., dict], size: str, args: argparse.Namespace) -> int:
+    """``theorem9`` / ``theorem10``: ``build``'s construction at the ``--<size>`` flag."""
+    kwargs = build(**{size: getattr(args, size)}, seed=args.seed, eager_quorum=not args.plain)
     extras, finish = _observation(args, kwargs["ports"].n)
     report = run_consensus(**kwargs, **extras)
     _print_report(report, args.verbose)
@@ -278,7 +266,7 @@ def _cmd_spec(args: argparse.Namespace) -> int:
     )
     for line in canonical.encode().splitlines():
         print(f"  {line}")
-    summary = resolved.run(args.seed or None)
+    summary = resolved.run(args.seed)
     print(f"result : {summary}")
     if args.out:
         payload = {
@@ -394,24 +382,26 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--epsilon", type=float, default=1e-3)
-    common.add_argument("-v", "--verbose", action="store_true")
-    common.add_argument("--save-trace", metavar="PATH", default=None)
-    common.add_argument(
+    # ``spec`` takes the common flags but its own --seed (default: the spec's).
+    unseeded = argparse.ArgumentParser(add_help=False)
+    unseeded.add_argument("--epsilon", type=float, default=1e-3)
+    unseeded.add_argument("-v", "--verbose", action="store_true")
+    unseeded.add_argument("--save-trace", metavar="PATH", default=None)
+    unseeded.add_argument(
         "--trace-out",
         metavar="PATH",
         default=None,
         help="stream the trace to PATH as chunked JSONL (format v3) "
         "while running -- O(chunk) memory however long the run",
     )
-    common.add_argument(
+    unseeded.add_argument(
         "--observe",
         action="store_true",
         help="attach the observer bus: live progress on stderr plus a "
         "metrics summary (sweep: per-trial metrics in the records)",
     )
+    common = argparse.ArgumentParser(add_help=False, parents=[unseeded])
+    common.add_argument("--seed", type=int, default=0)
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -438,14 +428,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_t9.add_argument("--n", type=int, default=8)
     p_t9.add_argument("--plain", action="store_true", help="run real DAC (stalls)")
-    p_t9.set_defaults(fn=_cmd_theorem9)
+    p_t9.set_defaults(fn=functools.partial(_cmd_necessity, theorem9_split_execution, "n"))
 
     p_t10 = sub.add_parser(
         "theorem10", parents=[common], help="the Byzantine necessity construction"
     )
     p_t10.add_argument("--f", type=int, default=1)
     p_t10.add_argument("--plain", action="store_true", help="run real DBAC (stalls)")
-    p_t10.set_defaults(fn=_cmd_theorem10)
+    p_t10.set_defaults(fn=functools.partial(_cmd_necessity, theorem10_split_execution, "f"))
 
     p_fig = sub.add_parser(
         "figure1", parents=[common], help="DAC on the paper's Figure 1 adversary"
@@ -520,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser(
         "spec",
-        parents=[common],
+        parents=[unseeded],
         help="resolve one scenario spec, print its canonical form and "
         "content hash, and run it",
     )
@@ -536,6 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="write the resolved spec (canonical JSON + content hash + "
         "flat params + trial result) to PATH",
+    )
+    p_spec.add_argument(
+        "--seed", type=int, default=None, help="run this seed (default: the spec's seed)"
     )
     p_spec.set_defaults(fn=_cmd_spec)
 

@@ -139,6 +139,17 @@ class TestScenarioCli:
         assert scenario_main(["spec", text]) == 2
         assert capsys.readouterr().out.startswith(f"error: {field}: ")
 
+    def test_spec_seed_flag_overrides_the_spec_seed_even_when_zero(self, capsys):
+        spec = "algorithm: byz@1(n=9, epsilon=1e-6); seed: {}"
+
+        def result(*argv):
+            assert scenario_main(["spec", *argv]) == 0
+            return capsys.readouterr().out.split("result : ")[1]
+
+        assert result(spec.format(3), "--seed", "0") == result(spec.format(0))
+        assert result(spec.format(3), "--seed", "0") != result(spec.format(3))
+        assert result(spec.format(0), "--seed", "3") == result(spec.format(3))
+
 
 class TestBenchCli:
     def test_list(self, capsys):
