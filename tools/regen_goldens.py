@@ -123,9 +123,24 @@ GOLDENS: tuple[Golden, ...] = (
          "algorithm: byz@1(n=5); adversary: mobile@1(mode=rotate)", "--batch", "4"),
         _SWEEP_TIMING,
     ),
+    *(
+        Golden(
+            f"cli-sweep-spec-byz-{mode.replace('_', '-')}",
+            ("repro.cli", "sweep", "--spec",
+             f'algorithm: byz@1(n=5); adversary: mobile@1(mode="{mode}")', "--batch", "4"),
+            _SWEEP_TIMING,
+        )
+        for mode in ("block_min", "block_max", "none")
+    ),
     Golden("bench-S2", ("repro.bench.cli", "-e", "S2"), f"{_SWEEP_TIMING}|{_BENCH_ELAPSED}"),
     Golden("bench-S3-S4", ("repro.bench.cli", "-e", "S3", "-e", "S4", "--batch", "4"),
            _BENCH_TIMING),
+    Golden(
+        "bench-E1-E5-X3-X4-X7",
+        ("repro.bench.cli",
+         *(arg for exp in ("E1", "E2", "E3", "E4", "E5", "X3", "X4", "X7") for arg in ("-e", exp))),
+        _BENCH_ELAPSED,
+    ),
 )
 
 
