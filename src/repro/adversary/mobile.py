@@ -32,7 +32,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import EngineView
 
 MOBILE_MODES = ("block_min", "block_max", "rotate", "none")
-_MODES = MOBILE_MODES  # backward-compatible alias
 
 # Victim-vector -> Topology memo, bounded like the Topology intern
 # table. The value-targeted modes produce very few distinct victim

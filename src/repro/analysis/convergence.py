@@ -1,11 +1,12 @@
 """Convergence-rate extraction from per-phase range series.
 
-Experiments E2 and E5 compare the *measured* contraction of
-``range(V(p))`` against the proven bounds (``1/2`` for DAC,
-``1 - 2^-n`` for DBAC). Measured rates come from
-:class:`repro.sim.metrics.PhaseRangeSeries`; this module reduces them
-to the two numbers the tables print: the worst (max) observed rate and
-a geometric fit over the whole series.
+Experiments E2, E5 and X4 print the *measured* contraction of
+``range(V(p))`` next to the proven bounds (``1/2`` for DAC,
+``1 - 2^-n`` for DBAC), which :mod:`repro.analysis.guarantees` judges.
+Measured rates come from :class:`repro.sim.metrics.PhaseRangeSeries`;
+this module reduces them to summary numbers: a rate series' worst,
+best and mean (the observers' metrics), a geometric fit over the whole
+series, and the first phase within epsilon.
 """
 
 from __future__ import annotations

@@ -1,11 +1,16 @@
-"""The experiment functions: one per row of DESIGN.md's index.
+"""The experiment functions, indexed by id in :mod:`repro.bench.registry`.
 
 Every function reproduces one claim of the paper and returns a
 :class:`~repro.bench.tables.TableResult` whose ``passed`` flag records
 whether the claim held in simulation. Functions accept ``quick=True``
 (the default used by the pytest-benchmark wrappers) to run a reduced
 but still meaningful parameter grid; ``quick=False`` runs the fuller
-sweep recorded in EXPERIMENTS.md.
+sweep (``repro.bench.cli --full``).
+
+E1-E5, X3's jump runs, X4 and X7 fail their table once per
+:func:`repro.analysis.guarantees.check_guarantees` violation against
+the registered family's declared guarantees (:func:`judge`), and print
+the bounds of that same declaration (:func:`declared_guarantees`).
 """
 
 from __future__ import annotations
@@ -19,16 +24,11 @@ from repro.adversary.periodic import figure1_adversary
 from repro.adversary.random_adv import RandomLinkAdversary
 from repro.analysis.agreement import cross_group_gap, groupwise_spread
 from repro.analysis.convergence import fit_geometric_rate, phases_until
+from repro.analysis.guarantees import Guarantees, check_guarantees
 from repro.analysis.statistics import summarize
 from repro.bench.tables import TableResult
 from repro.core.baselines import FloodMinProcess, IteratedMidpointProcess, MajorityVoteProcess
 from repro.core.dac import DACProcess
-from repro.core.phases import (
-    dac_end_phase,
-    dbac_convergence_rate,
-    dbac_end_phase,
-    rounds_upper_bound,
-)
 from repro.core.piggyback import PiggybackDACProcess
 from repro.faults.base import FaultPlan
 from repro.faults.byzantine import (
@@ -41,18 +41,30 @@ from repro.mc.explorer import BoundedExplorer, mobile_omission_choices
 from repro.net.dynadegree import DynaDegreeProfile
 from repro.net.dynamic import DynamicGraph
 from repro.net.ports import identity_ports, random_ports
+from repro.scenario.registry import lookup
 from repro.sim.engine import Engine
 from repro.sim.rng import child_rng, spawn_inputs
-from repro.sim.runner import run_consensus
+from repro.sim.runner import ExecutionReport, run_consensus
 from repro.workloads import (
     build_dac_execution,
     build_dbac_execution,
-    dac_degree,
-    dbac_degree,
     theorem9_part2_execution,
     theorem9_split_execution,
     theorem10_split_execution,
 )
+
+
+def declared_guarantees(family: str, **params) -> Guarantees:
+    """What the paper proves for the registered ``family`` at ``params``."""
+    return lookup("algorithm", family).obj.guarantees(**params)
+
+
+def judge(table: TableResult, label: str, report: ExecutionReport, guarantees: Guarantees) -> bool:
+    """Fail ``table`` once per guarantee ``report`` violates; whether it kept them all."""
+    violations = check_guarantees(report, guarantees)
+    for line in violations:
+        table.fail(f"{label}: {line}")
+    return not violations
 
 
 # ---------------------------------------------------------------------------
@@ -101,6 +113,7 @@ def experiment_e1(quick: bool = True) -> TableResult:
     for n in grid_n:
         f = (n - 1) // 2
         for window in grid_t:
+            guarantees = declared_guarantees("dac", n=n, f=f, epsilon=1e-3, window=window)
             for selector in selectors:
                 report = run_consensus(
                     **build_dac_execution(
@@ -122,8 +135,7 @@ def experiment_e1(quick: bool = True) -> TableResult:
                     report.correct,
                     bool(report.dynadegree_verified),
                 )
-                if not report.correct or not report.dynadegree_verified:
-                    table.fail(f"n={n} T={window} {selector}: {report.summary()}")
+                judge(table, f"n={n} T={window} {selector}", report, guarantees)
     table.add_note("Paper: termination + validity + eps-agreement (Theorem 3).")
     return table
 
@@ -172,7 +184,8 @@ def experiment_e2(quick: bool = True) -> TableResult:
         report = one_report(n, selector)
         rates = report.convergence_rates
         fit = fit_geometric_rate(report.phase_ranges)
-        ok = bool(rates) and max(rates) <= 0.5 + 1e-9
+        guarantees = declared_guarantees("dac", n=n, f=0, epsilon=1e-4, window=1)
+        ok = judge(table, f"n={n} {selector}", report, guarantees)
         table.add_row(
             n,
             selector,
@@ -182,8 +195,6 @@ def experiment_e2(quick: bool = True) -> TableResult:
             fit if fit is not None else "-",
             ok,
         )
-        if not ok:
-            table.fail(f"n={n} {selector}: rate above 1/2: {rates}")
     table.add_note("Every measured per-phase rate must be <= 1/2; nearest-value")
     table.add_note("selection drives it close to 1/2 (the worst case is tight).")
     return table
@@ -204,16 +215,14 @@ def experiment_e3(quick: bool = True) -> TableResult:
     grid_eps = [1e-1, 1e-3] if quick else [1e-1, 1e-2, 1e-3]
     for window in grid_t:
         for eps in grid_eps:
-            p_end = dac_end_phase(eps)
-            bound = rounds_upper_bound(window, p_end)
+            guarantees = declared_guarantees("dac", n=9, f=0, epsilon=eps, window=window)
             report = run_consensus(
                 **build_dac_execution(n=9, f=0, epsilon=eps, seed=window, window=window)
             )
-            # Start-up slack: nodes may need one extra window to align.
-            ok = report.terminated and report.rounds <= bound + 2 * window
-            table.add_row(window, eps, p_end, bound, report.rounds, ok)
-            if not ok:
-                table.fail(f"T={window} eps={eps}: {report.rounds} > {bound}")
+            ok = judge(table, f"T={window} eps={eps}", report, guarantees)
+            table.add_row(
+                window, eps, guarantees.end_phase, guarantees.round_bound, report.rounds, ok
+            )
     table.add_note("Paper: both algorithms complete in T * p_end rounds worst case.")
     return table
 
@@ -243,6 +252,7 @@ def experiment_e4(quick: bool = True) -> TableResult:
     for n, f in grid_nf:
         for name in strategies:
             for window in windows:
+                guarantees = declared_guarantees("dbac", n=n, f=f, epsilon=1e-2, window=window)
                 report = run_consensus(
                     **build_dbac_execution(
                         n=n,
@@ -253,7 +263,7 @@ def experiment_e4(quick: bool = True) -> TableResult:
                         byzantine_factory=lambda node: _BYZ_STRATEGIES[name](),
                     )
                 )
-                ok = report.terminated and report.epsilon_agreement and report.validity
+                ok = judge(table, f"n={n} {name} T={window}", report, guarantees)
                 table.add_row(
                     n,
                     f,
@@ -264,8 +274,6 @@ def experiment_e4(quick: bool = True) -> TableResult:
                     ok,
                     bool(report.dynadegree_verified),
                 )
-                if not ok or not report.dynadegree_verified:
-                    table.fail(f"n={n} {name} T={window}: {report.summary()}")
     table.add_note("Validity is judged against fault-free inputs (Definition 3).")
     return table
 
@@ -292,28 +300,21 @@ def experiment_e5(quick: bool = True) -> TableResult:
     grid = [(6, 1)] if quick else [(6, 1), (11, 2)]
     epsilon = 1e-2
     for n, f in grid:
+        guarantees = declared_guarantees("dbac", n=n, f=f, epsilon=epsilon, window=1)
         report = run_consensus(
             **build_dbac_execution(n=n, f=f, epsilon=epsilon, seed=5)
         )
-        bound = dbac_convergence_rate(n)
         rates = report.convergence_rates
-        measured_max = max(rates) if rates else 0.0
-        p_end_bound = dbac_end_phase(epsilon, n)
         measured_phases = phases_until(report.phase_ranges, epsilon)
-        ok = measured_max <= bound + 1e-9 and (
-            measured_phases is None or measured_phases <= p_end_bound
-        )
         table.add_row(
             n,
             f,
-            bound,
-            measured_max,
-            p_end_bound,
+            guarantees.rate,
+            max(rates) if rates else 0.0,
+            guarantees.end_phase,
             measured_phases if measured_phases is not None else "-",
-            ok,
+            judge(table, f"n={n}", report, guarantees),
         )
-        if not ok:
-            table.fail(f"n={n}: measured rate {measured_max} vs bound {bound}")
     table.add_note("Eq. 6 is a worst-case bound (~2^n ln(1/eps) phases); measured")
     table.add_note("executions converge near rate 1/2 -- orders of magnitude faster.")
     return table
@@ -644,6 +645,7 @@ def experiment_x3(quick: bool = True) -> TableResult:
     slow = frozenset({6, 7, 8})
     windows = [3] if quick else [2, 3, 5]
     for window in windows:
+        guarantees = declared_guarantees("dac", n=n, f=0, epsilon=1e-2, window=window)
         for jump in (True, False):
             ports = random_ports(n, child_rng(23, "ports"))
             inputs = spawn_inputs(23, n)
@@ -663,9 +665,9 @@ def experiment_x3(quick: bool = True) -> TableResult:
             table.add_row(
                 n, len(slow), window, jump, report.terminated, report.rounds
             )
-            if jump and not report.correct:
-                table.fail(f"T={window}: DAC with jump failed")
-            if not jump and report.terminated:
+            if jump:
+                judge(table, f"T={window} with jump", report, guarantees)
+            elif report.terminated:
                 table.fail(f"T={window}: no-jump run unexpectedly terminated")
     table.add_note("Without jumping, slow nodes wait forever for same-phase states")
     table.add_note("that nobody will resend under O(log n) bandwidth (Section IV).")
@@ -700,7 +702,7 @@ def experiment_x4(quick: bool = True) -> TableResult:
         "reliable complete",
         len(base_report.phase_ranges) - 1,
         base_fit if base_fit is not None else "collapses in 1 phase",
-        "n/a" if base_fit is None else base_fit <= 0.5 + 1e-6,
+        "n/a",  # the paper proves no rate for the baseline
     )
     table.add_note("On a fully reliable complete graph every node sees every value,")
     table.add_note("so the baseline agrees after a single phase (fit undefined).")
@@ -709,16 +711,14 @@ def experiment_x4(quick: bool = True) -> TableResult:
         **build_dac_execution(n=n, f=0, epsilon=1e-3, seed=31, selector="nearest")
     )
     dac_fit = fit_geometric_rate(dac_report.phase_ranges)
-    ok = bool(dac_report.convergence_rates) and max(dac_report.convergence_rates) <= 0.5 + 1e-9
+    guarantees = declared_guarantees("dac", n=n, f=0, epsilon=1e-3, window=1)
     table.add_row(
         "DAC (Algorithm 1)",
         "worst-case (1, n/2) dynamic",
         len(dac_report.phase_ranges) - 1,
         dac_fit if dac_fit else "-",
-        ok,
+        judge(table, "DAC", dac_report, guarantees),
     )
-    if not ok:
-        table.fail("DAC exceeded rate 1/2")
     table.add_note("Paper: DAC achieves the optimal rate 1/2 even in the dynamic")
     table.add_note("model -- matching the reliable-channel classic per phase.")
     return table
@@ -811,42 +811,41 @@ def experiment_s2(quick: bool = True) -> TableResult:
 # S3 -- Batched executor throughput and identity (engineering sanity).
 # ---------------------------------------------------------------------------
 
-def experiment_s3(quick: bool = True) -> TableResult:
-    """Batched lock-step executor vs per-trial execution, honoring ``--batch``.
+def _batched_identity(
+    experiment_id: str, family: str, title: str, sizes: list[int], notes: tuple[str, ...],
+    quick: bool,
+) -> TableResult:
+    """S3/S4: ``family``'s grid cells per trial and batched, timed and compared.
 
-    Runs one grid cell's repeats twice through
-    :class:`repro.bench.sweep.Sweep` -- once trial by trial, once
-    grouped into :mod:`repro.sim.batch` lock-step batches -- and
-    asserts the subsystem's core claim: the records are *identical*,
-    batch size is purely a speed knob. Throughput for both legs is
-    reported; the speedup needs the numpy kernel (without numpy the
-    batched form runs serial-engine lanes, one per seed: portability,
-    not speed).
+    Each cell of ``sizes`` (window 1) runs its repeats twice through
+    :class:`repro.bench.sweep.Sweep` -- trial by trial, then grouped
+    into :mod:`repro.sim.batch` lock-step batches -- and the records
+    must be identical. ``--batch`` sets the lanes per batch (8 when
+    unset, since batching is the subject); ``title`` is formatted with
+    the batch size and the backend.
     """
     from repro.bench.sweep import Sweep
-    from repro.sim.batch import numpy_available
     from repro.scenario import family_trial
+    from repro.sim.batch import numpy_available
     from repro.sim.parallel import get_default_batch
 
     batch = get_default_batch()
     if batch <= 1:
-        batch = 8  # the experiment's subject is batching; default to 8 lanes
+        batch = 8
     backend = "numpy" if numpy_available() else "python fallback"
     table = TableResult(
-        "S3",
-        f"Batched executor (boundary DAC, batch={batch}, backend={backend})",
+        experiment_id,
+        title.format(batch=batch, backend=backend),
         ["n", "trials", "serial trials/s", "batched trials/s", "speedup", "identical"],
     )
-    sizes = [9, 17] if quick else [9, 17, 33]
-    repeats = 2 * batch if quick else 4 * batch
-    trial = family_trial("dac")
+    trial = family_trial(family)
     for n in sizes:
         grid = {"n": [n], "window": [1]}
-        serial = Sweep(grid=grid, repeats=repeats)
+        serial = Sweep(grid=grid, repeats=(2 if quick else 4) * batch)
         start = time.perf_counter()
         serial.run(trial, workers=1, batch=1)
         serial_rate = len(serial.records) / max(time.perf_counter() - start, 1e-9)
-        batched = Sweep(grid=grid, repeats=repeats)
+        batched = Sweep(grid=grid, repeats=serial.repeats)
         start = time.perf_counter()
         batched.run(trial, workers=1, batch=batch)
         batched_rate = len(batched.records) / max(time.perf_counter() - start, 1e-9)
@@ -862,64 +861,54 @@ def experiment_s3(quick: bool = True) -> TableResult:
         if not identical:
             table.fail(f"n={n}: batched records differ from per-trial records")
         if not all(record.result["correct"] for record in batched.records):
-            table.fail(f"n={n}: batched trials violated the DAC verdicts")
-    table.add_note("Batching composes with --workers: batches fan out over the")
-    table.add_note("process pool, so the speedups multiply (see docs/scaling.md).")
+            table.fail(f"n={n}: batched trials violated the {family.upper()} verdicts")
+    for note in notes:
+        table.add_note(note)
     return table
+
+
+def experiment_s3(quick: bool = True) -> TableResult:
+    """Batched lock-step executor vs per-trial execution, honoring ``--batch``.
+
+    Runs boundary-DAC grid cells per trial and in lock-step batches
+    and asserts the subsystem's core claim: the records are
+    *identical*, batch size is purely a speed knob. Throughput for both
+    legs is reported; the speedup needs the numpy kernel (without numpy
+    the batched form runs serial-engine lanes, one per seed:
+    portability, not speed).
+    """
+    return _batched_identity(
+        "S3",
+        "dac",
+        "Batched executor (boundary DAC, batch={batch}, backend={backend})",
+        [9, 17] if quick else [9, 17, 33],
+        (
+            "Batching composes with --workers: batches fan out over the",
+            "process pool, so the speedups multiply (see docs/scaling.md).",
+        ),
+        quick,
+    )
 
 
 def experiment_s4(quick: bool = True) -> TableResult:
     """Batched DBAC/Byzantine lanes vs per-trial execution, honoring ``--batch``.
 
-    The Byzantine counterpart of S3: runs boundary-DBAC grid cells
+    The Byzantine counterpart of S3: boundary-DBAC grid cells
     (``nearest`` enforcing adversary, equivocating Byzantine nodes --
     the value-dependent selector and witness-counter state the
-    vectorized kernel had to learn) twice through
-    :class:`repro.bench.sweep.Sweep` -- per trial and grouped into
-    :class:`repro.sim.batch.ByzBatchEngine` lock-step batches -- and
-    asserts the records are identical: batch size is purely a speed
-    knob for the Byzantine lane families too (see docs/batching.md).
+    vectorized kernel had to learn) run per trial and in
+    :class:`repro.sim.batch.ByzBatchEngine` lock-step batches, and the
+    records must be identical: batch size is purely a speed knob for
+    the Byzantine lane families too (see docs/batching.md).
     """
-    from repro.bench.sweep import Sweep
-    from repro.sim.batch import numpy_available
-    from repro.scenario import family_trial
-    from repro.sim.parallel import get_default_batch
-
-    batch = get_default_batch()
-    if batch <= 1:
-        batch = 8  # the experiment's subject is batching; default to 8 lanes
-    backend = "numpy" if numpy_available() else "python fallback"
-    table = TableResult(
+    return _batched_identity(
         "S4",
-        f"Batched DBAC lanes (boundary adversary, batch={batch}, backend={backend})",
-        ["n", "trials", "serial trials/s", "batched trials/s", "speedup", "identical"],
+        "dbac",
+        "Batched DBAC lanes (boundary adversary, batch={batch}, backend={backend})",
+        [11, 16] if quick else [11, 16, 33],
+        (
+            "Oracle stopping: each trial measures rounds until the honest",
+            "spread dips to epsilon under the nearest-value adversary.",
+        ),
+        quick,
     )
-    sizes = [11, 16] if quick else [11, 16, 33]
-    repeats = 2 * batch if quick else 4 * batch
-    trial = family_trial("dbac")
-    for n in sizes:
-        grid = {"n": [n], "window": [1]}
-        serial = Sweep(grid=grid, repeats=repeats)
-        start = time.perf_counter()
-        serial.run(trial, workers=1, batch=1)
-        serial_rate = len(serial.records) / max(time.perf_counter() - start, 1e-9)
-        batched = Sweep(grid=grid, repeats=repeats)
-        start = time.perf_counter()
-        batched.run(trial, workers=1, batch=batch)
-        batched_rate = len(batched.records) / max(time.perf_counter() - start, 1e-9)
-        identical = serial.records == batched.records
-        table.add_row(
-            n,
-            len(serial.records),
-            serial_rate,
-            batched_rate,
-            batched_rate / serial_rate,
-            identical,
-        )
-        if not identical:
-            table.fail(f"n={n}: batched records differ from per-trial records")
-        if not all(record.result["correct"] for record in batched.records):
-            table.fail(f"n={n}: batched trials violated the DBAC verdicts")
-    table.add_note("Oracle stopping: each trial measures rounds until the honest")
-    table.add_note("spread dips to epsilon under the nearest-value adversary.")
-    return table

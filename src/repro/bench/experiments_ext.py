@@ -24,10 +24,11 @@ from repro.analysis.probabilistic import (
     prob_round_degree,
 )
 from repro.analysis.statistics import summarize
+from repro.bench.experiments import declared_guarantees, judge
 from repro.bench.tables import TableResult
 from repro.core.asymptotic import AsymptoticAveragingProcess
 from repro.core.dac import DACProcess
-from repro.core.phases import dac_end_phase, dbac_convergence_rate
+from repro.core.phases import dac_end_phase
 from repro.net.ports import random_ports
 from repro.net.properties import property_profile
 from repro.sim.rng import child_rng, spawn_inputs
@@ -229,6 +230,7 @@ def experiment_x7(quick: bool = True) -> TableResult:
     }
     seeds = range(3) if quick else range(8)
     for n, f in grid_nf:
+        guarantees = declared_guarantees("dbac", n=n, f=f, epsilon=1e-3, window=1)
         worst = 0.0
         tried = 0
         for selector in selectors:
@@ -245,13 +247,11 @@ def experiment_x7(quick: bool = True) -> TableResult:
                         )
                     )
                     tried += 1
-                    if report.convergence_rates:
-                        worst = max(worst, max(report.convergence_rates))
-        bound = dbac_convergence_rate(n)
+                    worst = max([worst, *report.convergence_rates])
+                    judge(table, f"n={n} {selector} {name} seed={seed}", report, guarantees)
+        bound = guarantees.rate
         gap = (1 - worst) / (1 - bound) if bound < 1 else float("inf")
         table.add_row(n, f, tried, worst, bound, gap)
-        if worst > bound + 1e-9:
-            table.fail(f"n={n}: observed rate {worst} above the proven bound")
     table.add_note("No strategy pushed DBAC anywhere near 1 - 2^-n; the worst observed")
     table.add_note("contraction stays ~1/2, evidence the true optimal Byzantine rate is")
     table.add_note("far below the proven bound (the paper's Section VII open question).")

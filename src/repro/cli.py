@@ -19,8 +19,10 @@ Usage::
     python -m repro.cli submit "algorithm: dac@1(n=9); rounds: 500" --seeds 0 1 2
     python -m repro.cli submit - --stream < scenario.json
 
-Exit status is 0 when the run's verdict matches the theory (correct
-for the positive scenarios, violating for the impossibility ones).
+Exit status is 0 when the run's verdict matches the theory: a ``dac``,
+``dbac``, ``spec`` or ``sweep`` run keeps what its family declares
+(``_keeps_guarantees``), ``figure1`` is correct, and the impossibility
+constructions violate.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ import argparse
 import functools
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 
 from repro.adversary.periodic import figure1_adversary
+from repro.analysis.guarantees import check_guarantees
 from repro.core.dac import DACProcess
 from repro.net.ports import random_ports
+from repro.scenario.registry import AlgorithmFamily
 from repro.sim.persistence import save_trace
 from repro.sim.rng import child_rng
 from repro.sim.runner import ExecutionReport, run_consensus
@@ -42,6 +46,23 @@ from repro.workloads import (
     theorem9_split_execution,
     theorem10_split_execution,
 )
+
+
+def _keeps_guarantees(
+    family: AlgorithmFamily, params: Mapping, run: ExecutionReport | dict
+) -> bool:
+    """Whether ``run`` keeps what ``family`` declares for its completed ``params``
+    (:meth:`~repro.scenario.registry.AlgorithmFamily.guarantees`).
+
+    A traced report (``dac``/``dbac``, whose families always declare)
+    is judged by :func:`check_guarantees`; a trial summary keeps no
+    phase ranges, so it must read ``correct`` where the family declares
+    guarantees and ``terminated`` where it declares none.
+    """
+    guarantees = family.guarantees(**params)
+    if isinstance(run, ExecutionReport):
+        return not check_guarantees(run, guarantees)
+    return run["correct" if guarantees is not None else "terminated"]
 
 
 def _print_report(report: ExecutionReport, verbose: bool) -> None:
@@ -141,7 +162,7 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     _print_report(report, args.verbose)
     finish()
     _maybe_save(report, args.save_trace)
-    return 0 if report.correct else 1
+    return 0 if _keeps_guarantees(entry.obj, params, report) else 1
 
 
 def _cmd_necessity(build: Callable[..., dict], size: str, args: argparse.Namespace) -> int:
@@ -239,12 +260,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"({trials / elapsed:.1f} trials/s, workers={args.workers}, "
         f"batch={args.batch})"
     )
-    # dac/dbac sweeps assert the paper's positive results (correct);
-    # other families (baselines, averaging, mobile omission) are run
-    # *because* they may legitimately fail under the adversary, so
-    # only a non-terminating trial is an error for them.
-    verdict_key = "correct" if family in ("dac", "dbac") else "terminated"
-    ok = all(record.result[verdict_key] for record in sweep.records)
+    # A record's params are its cell's completed parameters.
+    ok = all(_keeps_guarantees(resolved.family, dict(r.params), r.result) for r in sweep.records)
     return 0 if ok else 1
 
 
@@ -279,7 +296,7 @@ def _cmd_spec(args: argparse.Namespace) -> int:
             json.dumps(payload, indent=2, sort_keys=True) + "\n"
         )
         print(f"  resolved spec written to {args.out}")
-    return 0 if summary["terminated"] else 1
+    return 0 if _keeps_guarantees(resolved.family, resolved.params, summary) else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

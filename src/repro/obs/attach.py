@@ -135,9 +135,9 @@ def consensus_hooks(bus: ObserverBus) -> dict[str, Any]:
 def lane_finished(bus: ObserverBus, lane: Any) -> None:
     """Publish a :class:`RunFinished` for one batch lane result.
 
-    Batch kernels report a :class:`repro.sim.batch.LaneResult` per
-    lane; pass ``on_lane=lambda lane: lane_finished(bus, lane)`` to a
-    batch runner to get one event per lane, in lane order.
+    :func:`repro.sim.batch.run_lanes` returns a
+    :class:`repro.sim.batch.LaneResult` per lane, in seed order; call
+    this over them for one event per lane, in lane order.
     """
     outputs = [lane.outputs[node] for node in sorted(lane.outputs)]
     spread = (max(outputs) - min(outputs)) if outputs else 0.0

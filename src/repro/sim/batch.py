@@ -78,7 +78,7 @@ slower than one serial trial) run the serial trial once per seed.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.adversary.constrained import random_picks
@@ -169,21 +169,14 @@ def kernel_refusal(family) -> str | None:
     return _kernel(family)[1]
 
 
-def run_lanes(
-    family,
-    seeds: Sequence[int],
-    *,
-    on_lane: Callable[[LaneResult], None] | None = None,
-) -> list[LaneResult]:
+def run_lanes(family, seeds: Sequence[int]) -> list[LaneResult]:
     """Run one lane per seed of ``family``; results in seed order.
 
     The one batch entry: the family's kernel when :func:`kernel_refusal`
     accepts it, :class:`GenericBatchEngine` lanes over
     :func:`repro.workloads.lane_execution` otherwise -- the same
-    results either way. ``on_lane`` is called once per finished lane,
-    in lane (seed) order -- the seam
-    :func:`repro.obs.attach.lane_finished` plugs into for per-lane
-    ``RunFinished`` events.
+    results either way. :func:`repro.obs.attach.lane_finished` turns
+    each returned lane into a ``RunFinished`` event.
 
     >>> from repro.workloads import dac_lane_family, dbac_lane_family
     >>> lanes = run_lanes(dac_lane_family(5, 2), [0, 1])
@@ -193,11 +186,7 @@ def run_lanes(
     [True, True]
     """
     kernel, _ = _kernel(family)
-    lanes = (kernel or GenericBatchEngine)(family, seeds).run()
-    if on_lane is not None:
-        for lane in lanes:
-            on_lane(lane)
-    return lanes
+    return (kernel or GenericBatchEngine)(family, seeds).run()
 
 
 @dataclass(frozen=True)

@@ -863,7 +863,10 @@ class ByzFamily(AlgorithmFamily):
 
     def guarantees(self, **params):
         # Dropping one in-link per node per round leaves (1, n-2)-dynaDegree,
-        # at least DAC's (1, floor(n/2)) (Corollary 1).
+        # at least DAC's (1, floor(n/2)) (Corollary 1) at every n but 2,
+        # where it leaves (1, 0) and block_min starves DAC forever.
+        if params["n"] == 2:
+            return None
         return Guarantees(dac_convergence_rate(), 1, dac_end_phase(params["epsilon"]))
 
 

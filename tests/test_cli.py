@@ -6,6 +6,7 @@ import pytest
 
 from repro.bench.cli import main as bench_main
 from repro.cli import main as scenario_main
+from repro.scenario.resolve import ResolvedScenario
 
 
 class TestScenarioCli:
@@ -149,6 +150,14 @@ class TestScenarioCli:
         assert result(spec.format(3), "--seed", "0") == result(spec.format(0))
         assert result(spec.format(3), "--seed", "0") != result(spec.format(3))
         assert result(spec.format(0), "--seed", "3") == result(spec.format(3))
+
+    def test_spec_exit_keeps_what_the_family_declares(self, monkeypatch, capsys):
+        # dac declares guarantees, so a terminated run must be correct;
+        # averaging declares none, so terminating is all it must do.
+        summary = {"rounds": 1, "spread": 1.0, "terminated": True, "correct": False}
+        monkeypatch.setattr(ResolvedScenario, "run", lambda self, seed=None: dict(summary))
+        assert scenario_main(["spec", "algorithm: dac@1(n=5)"]) == 1
+        assert scenario_main(["spec", "algorithm: averaging@1(n=5)"]) == 0
 
 
 class TestBenchCli:

@@ -3,7 +3,7 @@
 Pins each check of :func:`repro.analysis.guarantees.check_guarantees`
 on hand-altered copies of a real report, the float slack on the
 contraction bound, which families declare guarantees, and that the
-differential harness fails a config whose reference breaks them.
+differential harness and the experiments fail runs that break them.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ import pytest
 
 import repro.workloads
 from repro.analysis.guarantees import RATE_SLACK_ULPS, Guarantees, check_guarantees
+from repro.bench.registry import run_experiment
 from repro.core.phases import dac_convergence_rate, dbac_convergence_rate
-from repro.scenario import algorithm_entries
+from repro.scenario import algorithm_entries, resolve
 from repro.sim.runner import run_consensus
 from tests.helpers import (
     _config_params,
@@ -91,6 +92,50 @@ def test_families_declare_the_papers_rates():
     assert declared["byz"].rate == dac_convergence_rate()
     assert declared["dbac"].rate == dbac_convergence_rate(6)
     assert declared["baseline"] is None and declared["averaging"] is None
+
+
+def test_byz_declares_nothing_where_mobile_omission_starves_dac():
+    # At n = 2 one lost in-link per round leaves (1, 0)-dynaDegree, and
+    # block_min keeps DAC running however many rounds it is given.
+    starved = resolve(
+        'algorithm: byz@1(n=2, max_rounds=300); adversary: mobile@1(mode="block_min")'
+    )
+    assert not run_consensus(**starved.build_execution()).terminated
+    assert starved.family.guarantees(**starved.params) is None
+    for n in (1, 3):
+        resolved = resolve(f"algorithm: byz@1(n={n})")
+        assert resolved.family.guarantees(**resolved.params) is not None
+
+
+def _tighten_dac(monkeypatch, tighten):
+    declared = repro.workloads.DacFamily.guarantees
+    monkeypatch.setattr(
+        repro.workloads.DacFamily, "guarantees", lambda self, **p: tighten(declared(self, **p))
+    )
+
+
+def _failures(table):
+    return [note for note in table.notes if note.startswith("FAILED: ")]
+
+
+@pytest.mark.parametrize("experiment_id", ["E2", "X4"])
+def test_experiments_judge_the_declared_rate(monkeypatch, experiment_id):
+    _tighten_dac(monkeypatch, lambda declared: dataclasses.replace(declared, rate=0.45))
+    table = run_experiment(experiment_id)
+    assert not table.passed
+    assert all(": rate: phase " in note for note in _failures(table))
+
+
+def test_e3_judges_the_declared_round_bound(monkeypatch):
+    _tighten_dac(
+        monkeypatch,
+        lambda declared: dataclasses.replace(declared, end_phase=declared.end_phase - 1),
+    )
+    table = run_experiment("E3")
+    # One violation per cell, each failing the table once.
+    failures = _failures(table)
+    assert not table.passed and len(failures) == len(table.rows)
+    assert all(": rounds: terminated after " in note for note in failures)
 
 
 def test_the_harness_fails_a_reference_that_breaks_a_guarantee(monkeypatch):

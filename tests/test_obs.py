@@ -7,7 +7,7 @@ The load-bearing guarantees here:
 - worker processes forward their observer events/summaries back
   bit-identically to a serial run (the ``repro.sim.parallel``
   forwarding contract);
-- the batch engines surface per-lane completion through ``on_lane``.
+- batch lanes surface per-lane completion through ``lane_finished``.
 """
 
 from __future__ import annotations
@@ -338,29 +338,25 @@ class TestWorkerForwarding:
 
 
 class TestBatchLaneEvents:
-    def test_on_lane_publishes_per_lane_run_finished(self):
+    def test_lane_finished_publishes_per_lane_run_finished(self):
         bus = ObserverBus()
         finishes = []
         bus.subscribe(RunFinished, finishes.append)
-        lanes = run_lanes(
-            dac_lane_family(5, 2),
-            [0, 1, 2],
-            on_lane=lambda lane: lane_finished(bus, lane),
-        )
+        lanes = run_lanes(dac_lane_family(5, 2), [0, 1, 2])
+        for lane in lanes:
+            lane_finished(bus, lane)
         assert [e.seed for e in finishes] == [0, 1, 2]
         assert [e.rounds for e in finishes] == [lane.rounds for lane in lanes]
         assert [e.stopped for e in finishes] == [lane.stopped for lane in lanes]
 
-    def test_on_lane_matches_serial_run_finished(self):
+    def test_lane_finished_matches_serial_run_finished(self):
         # The batch lane event must agree with the serial engine's own
         # RunFinished for the same seed.
         bus = ObserverBus()
         batch_events = []
         bus.subscribe(RunFinished, batch_events.append)
-        run_lanes(
-            dac_lane_family(5, 2), [9],
-            on_lane=lambda lane: lane_finished(bus, lane),
-        )
+        for lane in run_lanes(dac_lane_family(5, 2), [9]):
+            lane_finished(bus, lane)
         serial = serial_executor()({"family": "dac", "n": 5, "seed": 9})
         [event] = batch_events
         assert event.rounds == serial[0]["rounds"]
