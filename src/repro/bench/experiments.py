@@ -9,8 +9,9 @@ sweep (``repro.bench.cli --full``).
 
 E1-E5, X3's jump runs, X4 and X7 fail their table once per
 :func:`repro.analysis.guarantees.check_guarantees` violation against
-the registered family's declared guarantees (:func:`judge`), and print
-the bounds of that same declaration (:func:`declared_guarantees`).
+the registered family's declared guarantees, and once more for any
+evidence a run lacks (:func:`judge`); the bounds they print are read
+off that same declaration.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from repro.sim.engine import Engine
 from repro.sim.rng import child_rng, spawn_inputs
 from repro.sim.runner import ExecutionReport, run_consensus
 from repro.workloads import (
-    build_dac_execution,
     build_dbac_execution,
     theorem9_part2_execution,
     theorem9_split_execution,
@@ -54,14 +54,20 @@ from repro.workloads import (
 )
 
 
-def declared_guarantees(family: str, **params) -> Guarantees:
-    """What the paper proves for the registered ``family`` at ``params``."""
-    return lookup("algorithm", family).obj.guarantees(**params)
-
-
 def judge(table: TableResult, label: str, report: ExecutionReport, guarantees: Guarantees) -> bool:
-    """Fail ``table`` once per guarantee ``report`` violates; whether it kept them all."""
+    """Fail ``table`` once per guarantee ``report`` violates; whether it kept them all.
+
+    Where :func:`check_guarantees` sees no evidence either way, a judged
+    run must still show it: termination, a phase contraction and a
+    re-checked trace of the adversary's promise.
+    """
     violations = check_guarantees(report, guarantees)
+    if not report.terminated:
+        violations.append(f"termination: still running after {report.rounds} rounds")
+    if not report.convergence_rates:
+        violations.append("rate: no phase contraction was recorded")
+    if report.dynadegree_verified is None:
+        violations.append("dynadegree: the trace was not re-checked")
     for line in violations:
         table.fail(f"{label}: {line}")
     return not violations
@@ -110,20 +116,14 @@ def experiment_e1(quick: bool = True) -> TableResult:
     grid_n = [5, 9] if quick else [5, 9, 15, 25]
     grid_t = [1, 3] if quick else [1, 3, 5]
     selectors = ["rotate", "nearest"] if quick else ["rotate", "nearest", "random"]
+    dac = lookup("algorithm", "dac").obj
     for n in grid_n:
         f = (n - 1) // 2
         for window in grid_t:
-            guarantees = declared_guarantees("dac", n=n, f=f, epsilon=1e-3, window=window)
+            params = dict(n=n, f=f, epsilon=1e-3, window=window)
             for selector in selectors:
                 report = run_consensus(
-                    **build_dac_execution(
-                        n=n,
-                        f=f,
-                        epsilon=1e-3,
-                        seed=n * 100 + window,
-                        window=window,
-                        selector=selector,
-                    )
+                    **dac.build(seed=n * 100 + window, selector=selector, **params)
                 )
                 table.add_row(
                     n,
@@ -135,7 +135,7 @@ def experiment_e1(quick: bool = True) -> TableResult:
                     report.correct,
                     bool(report.dynadegree_verified),
                 )
-                judge(table, f"n={n} T={window} {selector}", report, guarantees)
+                judge(table, f"n={n} T={window} {selector}", report, dac.guarantees(**params))
     table.add_note("Paper: termination + validity + eps-agreement (Theorem 3).")
     return table
 
@@ -158,34 +158,34 @@ def experiment_e2(quick: bool = True) -> TableResult:
         (25, "nearest"),
     ]
 
-    def one_report(n: int, selector: str):
+    dac = lookup("algorithm", "dac").obj
+
+    def one_report(n: int, selector: str, params: dict):
         if selector == "lookahead":
             from repro.adversary.greedy import LookaheadQuorumAdversary
 
             ports = random_ports(n, child_rng(n, "ports"))
             inputs = spawn_inputs(n, n)
             procs = {
-                v: DACProcess(n, 0, inputs[v], ports.self_port(v), epsilon=1e-4)
+                v: DACProcess(n, 0, inputs[v], ports.self_port(v), epsilon=params["epsilon"])
                 for v in range(n)
             }
             return run_consensus(
                 procs,
                 LookaheadQuorumAdversary(n // 2, objective="max_range"),
                 ports,
-                epsilon=1e-4,
+                epsilon=params["epsilon"],
                 max_rounds=400,
             )
-        return run_consensus(
-            **build_dac_execution(n=n, f=0, epsilon=1e-4, seed=n, selector=selector)
-        )
+        return run_consensus(**dac.build(seed=n, selector=selector, **params))
 
     grid = grid + [(9, "lookahead")]
     for n, selector in grid:
-        report = one_report(n, selector)
+        params = dict(n=n, f=0, epsilon=1e-4, window=1)
+        report = one_report(n, selector, params)
         rates = report.convergence_rates
         fit = fit_geometric_rate(report.phase_ranges)
-        guarantees = declared_guarantees("dac", n=n, f=0, epsilon=1e-4, window=1)
-        ok = judge(table, f"n={n} {selector}", report, guarantees)
+        ok = judge(table, f"n={n} {selector}", report, dac.guarantees(**params))
         table.add_row(
             n,
             selector,
@@ -213,12 +213,12 @@ def experiment_e3(quick: bool = True) -> TableResult:
     )
     grid_t = [1, 2, 4] if quick else [1, 2, 4, 8]
     grid_eps = [1e-1, 1e-3] if quick else [1e-1, 1e-2, 1e-3]
+    dac = lookup("algorithm", "dac").obj
     for window in grid_t:
         for eps in grid_eps:
-            guarantees = declared_guarantees("dac", n=9, f=0, epsilon=eps, window=window)
-            report = run_consensus(
-                **build_dac_execution(n=9, f=0, epsilon=eps, seed=window, window=window)
-            )
+            params = dict(n=9, f=0, epsilon=eps, window=window)
+            guarantees = dac.guarantees(**params)
+            report = run_consensus(**dac.build(seed=window, **params))
             ok = judge(table, f"T={window} eps={eps}", report, guarantees)
             table.add_row(
                 window, eps, guarantees.end_phase, guarantees.round_bound, report.rounds, ok
@@ -249,21 +249,20 @@ def experiment_e4(quick: bool = True) -> TableResult:
     grid_nf = [(6, 1)] if quick else [(6, 1), (11, 2), (16, 3)]
     strategies = ["extreme", "phase-liar"] if quick else sorted(_BYZ_STRATEGIES)
     windows = [1] if quick else [1, 3]
+    dbac = lookup("algorithm", "dbac").obj
     for n, f in grid_nf:
         for name in strategies:
             for window in windows:
-                guarantees = declared_guarantees("dbac", n=n, f=f, epsilon=1e-2, window=window)
+                # The family's own strategies are not E4's, so it builds by hand.
+                params = dict(n=n, f=f, epsilon=1e-2, window=window)
                 report = run_consensus(
                     **build_dbac_execution(
-                        n=n,
-                        f=f,
-                        epsilon=1e-2,
                         seed=n + window,
-                        window=window,
                         byzantine_factory=lambda node: _BYZ_STRATEGIES[name](),
+                        **params,
                     )
                 )
-                ok = judge(table, f"n={n} {name} T={window}", report, guarantees)
+                ok = judge(table, f"n={n} {name} T={window}", report, dbac.guarantees(**params))
                 table.add_row(
                     n,
                     f,
@@ -299,11 +298,11 @@ def experiment_e5(quick: bool = True) -> TableResult:
     )
     grid = [(6, 1)] if quick else [(6, 1), (11, 2)]
     epsilon = 1e-2
+    dbac = lookup("algorithm", "dbac").obj
     for n, f in grid:
-        guarantees = declared_guarantees("dbac", n=n, f=f, epsilon=epsilon, window=1)
-        report = run_consensus(
-            **build_dbac_execution(n=n, f=f, epsilon=epsilon, seed=5)
-        )
+        params = dict(n=n, f=f, epsilon=epsilon, window=1)
+        guarantees = dbac.guarantees(**params)
+        report = run_consensus(**build_dbac_execution(seed=5, **params))
         rates = report.convergence_rates
         measured_phases = phases_until(report.phase_ranges, epsilon)
         table.add_row(
@@ -644,8 +643,9 @@ def experiment_x3(quick: bool = True) -> TableResult:
     n = 9
     slow = frozenset({6, 7, 8})
     windows = [3] if quick else [2, 3, 5]
+    dac = lookup("algorithm", "dac").obj
     for window in windows:
-        guarantees = declared_guarantees("dac", n=n, f=0, epsilon=1e-2, window=window)
+        guarantees = dac.guarantees(n=n, f=0, epsilon=1e-2, window=window)
         for jump in (True, False):
             ports = random_ports(n, child_rng(23, "ports"))
             inputs = spawn_inputs(23, n)
@@ -707,17 +707,16 @@ def experiment_x4(quick: bool = True) -> TableResult:
     table.add_note("On a fully reliable complete graph every node sees every value,")
     table.add_note("so the baseline agrees after a single phase (fit undefined).")
 
-    dac_report = run_consensus(
-        **build_dac_execution(n=n, f=0, epsilon=1e-3, seed=31, selector="nearest")
-    )
+    dac = lookup("algorithm", "dac").obj
+    params = dict(n=n, f=0, epsilon=1e-3, window=1)
+    dac_report = run_consensus(**dac.build(seed=31, selector="nearest", **params))
     dac_fit = fit_geometric_rate(dac_report.phase_ranges)
-    guarantees = declared_guarantees("dac", n=n, f=0, epsilon=1e-3, window=1)
     table.add_row(
         "DAC (Algorithm 1)",
         "worst-case (1, n/2) dynamic",
         len(dac_report.phase_ranges) - 1,
         dac_fit if dac_fit else "-",
-        judge(table, "DAC", dac_report, guarantees),
+        judge(table, "DAC", dac_report, dac.guarantees(**params)),
     )
     table.add_note("Paper: DAC achieves the optimal rate 1/2 even in the dynamic")
     table.add_note("model -- matching the reliable-channel classic per phase.")

@@ -24,13 +24,14 @@ from repro.analysis.probabilistic import (
     prob_round_degree,
 )
 from repro.analysis.statistics import summarize
-from repro.bench.experiments import declared_guarantees, judge
+from repro.bench.experiments import judge
 from repro.bench.tables import TableResult
 from repro.core.asymptotic import AsymptoticAveragingProcess
 from repro.core.dac import DACProcess
 from repro.core.phases import dac_end_phase
 from repro.net.ports import random_ports
 from repro.net.properties import property_profile
+from repro.scenario.registry import lookup
 from repro.sim.rng import child_rng, spawn_inputs
 from repro.sim.runner import run_consensus
 from repro.workloads import build_dbac_execution, dac_degree
@@ -229,8 +230,10 @@ def experiment_x7(quick: bool = True) -> TableResult:
         "pin": lambda: FixedValueByzantine(0.5),
     }
     seeds = range(3) if quick else range(8)
+    dbac = lookup("algorithm", "dbac").obj
     for n, f in grid_nf:
-        guarantees = declared_guarantees("dbac", n=n, f=f, epsilon=1e-3, window=1)
+        params = dict(n=n, f=f, epsilon=1e-3, window=1)
+        guarantees = dbac.guarantees(**params)
         worst = 0.0
         tried = 0
         for selector in selectors:
@@ -238,12 +241,10 @@ def experiment_x7(quick: bool = True) -> TableResult:
                 for seed in seeds:
                     report = run_consensus(
                         **build_dbac_execution(
-                            n=n,
-                            f=f,
-                            epsilon=1e-3,
                             seed=seed,
                             selector=selector,
                             byzantine_factory=lambda node: factory(),
+                            **params,
                         )
                     )
                     tried += 1

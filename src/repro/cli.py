@@ -19,8 +19,10 @@ Usage::
     python -m repro.cli submit "algorithm: dac@1(n=9); rounds: 500" --seeds 0 1 2
     python -m repro.cli submit - --stream < scenario.json
 
-Exit status is 0 when the run's verdict matches the theory: a ``dac``,
-``dbac``, ``spec`` or ``sweep`` run keeps what its family declares
+Exit status is 0 when the run's verdict matches the theory: a ``dac``
+or ``dbac`` run terminates with no
+:func:`~repro.analysis.guarantees.check_guarantees` violation, a
+``spec`` or ``sweep`` run keeps what its family declares
 (``_keeps_guarantees``), ``figure1`` is correct, and the impossibility
 constructions violate.
 """
@@ -48,21 +50,15 @@ from repro.workloads import (
 )
 
 
-def _keeps_guarantees(
-    family: AlgorithmFamily, params: Mapping, run: ExecutionReport | dict
-) -> bool:
-    """Whether ``run`` keeps what ``family`` declares for its completed ``params``
-    (:meth:`~repro.scenario.registry.AlgorithmFamily.guarantees`).
+def _keeps_guarantees(family: AlgorithmFamily, params: Mapping, summary: Mapping) -> bool:
+    """Whether a trial ``summary`` keeps what ``family`` declares for its
+    completed ``params`` (:meth:`~repro.scenario.registry.AlgorithmFamily.guarantees`).
 
-    A traced report (``dac``/``dbac``, whose families always declare)
-    is judged by :func:`check_guarantees`; a trial summary keeps no
-    phase ranges, so it must read ``correct`` where the family declares
-    guarantees and ``terminated`` where it declares none.
+    A summary keeps no phase ranges, so it must read ``correct`` where
+    the family declares guarantees and ``terminated`` where it declares
+    none.
     """
-    guarantees = family.guarantees(**params)
-    if isinstance(run, ExecutionReport):
-        return not check_guarantees(run, guarantees)
-    return run["correct" if guarantees is not None else "terminated"]
+    return summary["correct" if family.guarantees(**params) is not None else "terminated"]
 
 
 def _print_report(report: ExecutionReport, verbose: bool) -> None:
@@ -162,7 +158,9 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     _print_report(report, args.verbose)
     finish()
     _maybe_save(report, args.save_trace)
-    return 0 if _keeps_guarantees(entry.obj, params, report) else 1
+    # A capped run is no evidence for the checker; here it must terminate.
+    violations = check_guarantees(report, entry.obj.guarantees(**params))
+    return 0 if report.terminated and not violations else 1
 
 
 def _cmd_necessity(build: Callable[..., dict], size: str, args: argparse.Namespace) -> int:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import repro.cli
 from repro.bench.cli import main as bench_main
 from repro.cli import main as scenario_main
 from repro.scenario.resolve import ResolvedScenario
@@ -26,6 +27,16 @@ class TestScenarioCli:
         rc = scenario_main(["dbac", "--n", "6", "--f", "1", "--strategy", "extreme"])
         assert rc == 0
         assert "[OK]" in capsys.readouterr().out
+
+    def test_boundary_exit_requires_termination(self, monkeypatch, capsys):
+        # Five rounds are far below DBAC's T * p_end, where the checker
+        # sees no evidence either way; the command still exits 1.
+        real = repro.cli.run_consensus
+        monkeypatch.setattr(
+            repro.cli, "run_consensus", lambda **kwargs: real(**{**kwargs, "max_rounds": 5})
+        )
+        assert scenario_main(["dbac", "--n", "6"]) == 1
+        assert "terminated=False" in capsys.readouterr().out
 
     def test_theorem9_reports_expected_violation(self, capsys):
         rc = scenario_main(["theorem9", "--n", "6"])

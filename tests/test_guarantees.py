@@ -13,6 +13,7 @@ import math
 
 import pytest
 
+import repro.bench.experiments
 import repro.workloads
 from repro.analysis.guarantees import RATE_SLACK_ULPS, Guarantees, check_guarantees
 from repro.bench.registry import run_experiment
@@ -136,6 +137,40 @@ def test_e3_judges_the_declared_round_bound(monkeypatch):
     failures = _failures(table)
     assert not table.passed and len(failures) == len(table.rows)
     assert all(": rounds: terminated after " in note for note in failures)
+
+
+def _run_experiment_with(monkeypatch, experiment_id, **override):
+    """Run ``experiment_id`` with every ``run_consensus`` call given ``override``."""
+    module = repro.bench.experiments
+    real = module.run_consensus
+    monkeypatch.setattr(
+        module, "run_consensus", lambda *args, **kwargs: real(*args, **{**kwargs, **override})
+    )
+    return run_experiment(experiment_id)
+
+
+def test_e4_fails_runs_that_never_terminate(monkeypatch):
+    # Capped far below T * p_end, the checker sees no evidence either
+    # way; the experiment still demands termination.
+    table = _run_experiment_with(monkeypatch, "E4", max_rounds=5)
+    assert not table.passed
+    assert "FAILED: n=6 extreme T=1: termination: still running after 5 rounds" in table.notes
+
+
+@pytest.mark.parametrize("experiment_id", ["E2", "X4"])
+def test_experiments_fail_runs_with_no_phase_series(monkeypatch, experiment_id):
+    # With no phase series the rate check holds vacuously.
+    table = _run_experiment_with(monkeypatch, experiment_id, track_phases=False)
+    assert not table.passed
+    assert all(": rate: no phase contraction was recorded" in note for note in _failures(table))
+
+
+@pytest.mark.parametrize("experiment_id", ["E1", "E4"])
+def test_experiments_fail_runs_whose_trace_went_unchecked(monkeypatch, experiment_id):
+    table = _run_experiment_with(monkeypatch, experiment_id, verify_promise=False)
+    failures = _failures(table)
+    assert not table.passed and len(failures) == len(table.rows)
+    assert all(": dynadegree: the trace was not re-checked" in note for note in failures)
 
 
 def test_the_harness_fails_a_reference_that_breaks_a_guarantee(monkeypatch):
