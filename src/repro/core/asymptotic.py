@@ -21,6 +21,7 @@ incomparability.
 
 from __future__ import annotations
 
+from repro.core.averaging import mean
 from repro.sim.messages import StateMessage
 from repro.sim.node import ConsensusProcess, Delivery
 
@@ -71,7 +72,7 @@ class AsymptoticAveragingProcess(ConsensusProcess):
             if self.combine == "midpoint":
                 self._v = 0.5 * (min(values) + max(values))
             else:
-                self._v = sum(values) / len(values)
+                self._v = mean(values)
         self._round += 1
 
     def has_output(self) -> bool:

@@ -16,16 +16,38 @@ proof).
 Like every process in the repo, the update is a deterministic
 function of the delivered multiset: the ``mean`` rule sums the values
 in sorted order, so port-major and sender-major delivery orders
-produce bit-identical floats.
+produce bit-identical floats. The sum is :func:`mean`'s strict
+left-to-right one, so it is the same on every Python (the builtin
+``sum`` compensates float rounding since CPython 3.12) and equals the
+batch kernel's prefix sums.
 """
 
 from __future__ import annotations
+
+import operator
+from functools import reduce
 
 from repro.core.baselines import IteratedMidpointProcess
 from repro.sim.node import Delivery
 
 #: The per-round update rules this process implements.
 AVERAGING_RULES = ("mean", "midpoint")
+
+
+def mean(values: list[float]) -> float:
+    """The arithmetic mean of ``values``, summed strictly left to right.
+
+    ``0.0 + v0 + v1 + ...`` in that order: CPython 3.11's ``sum()``
+    bit for bit (its integer start ``0`` turns a lone ``-0.0`` into
+    ``0.0`` alike), where 3.12's compensated ``sum()`` may round
+    differently.
+
+    >>> mean([0.1, 0.2, 0.3])
+    0.20000000000000004
+    >>> mean([-0.0])
+    0.0
+    """
+    return reduce(operator.add, values, 0.0) / len(values)
 
 
 class AveragingProcess(IteratedMidpointProcess):
@@ -63,7 +85,7 @@ class AveragingProcess(IteratedMidpointProcess):
             return
         values = sorted(float(d.message.value) for d in deliveries)
         if values:
-            self._v = sum(values) / len(values)
+            self._v = mean(values)
         self._round += 1
         if self._round >= self.num_rounds:
             self._output = self._v

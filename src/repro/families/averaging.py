@@ -15,18 +15,22 @@ families copy (see ``docs/scenarios.md``): one module that
    reusing the declared component vocabulary (``dynadegree`` /
    ``quorum``).
 
-No kernel runs its lanes, so :func:`repro.sim.batch.run_lanes` runs
-them on :class:`repro.sim.batch.GenericBatchEngine`. The trial every
+A family needs no kernel: :func:`repro.sim.batch.run_lanes` runs
+lanes no kernel accepts on :class:`repro.sim.batch.GenericBatchEngine`.
+Averaging's are fast anyway, because its process class has an entry in
+the kernel table: :class:`repro.sim.batch.BaselineBatchEngine` runs
+them (the ``rule`` read off the template process picks the update),
+and ``GenericBatchEngine`` only without numpy. The trial every
 executor runs -- serial, batched, pooled, observed -- comes from
 :func:`repro.scenario.trial.family_trial`. Averaging has no
 termination detection: a trial's ``correct`` reports whether the
 fixed budget actually reached epsilon-agreement, which under the
 enforcing adversary it typically does not (the paper's point).
 
-Nothing here is special-cased anywhere else: the conformance suite
-(`tests/test_scenario_conformance.py`) discovers the family from the
-registry and enrolls it in the differential harness -- serial,
-traced, batch and pooled legs -- with zero new test code.
+Beyond that kernel entry nothing here is special-cased: the
+conformance suite (`tests/test_scenario_conformance.py`) discovers the
+family from the registry and enrolls it in the differential harness
+-- serial, traced, batch and pooled legs -- with zero new test code.
 """
 
 from __future__ import annotations

@@ -61,11 +61,10 @@ is built as ``Kernel(family, seeds)``:
   ``f+1``-trimmed midpoints; the ``random`` strategy replayed through
   :meth:`~repro.faults.byzantine.RandomByzantine.draw_row`), the
   ``dbac`` family;
-- :class:`BaselineBatchEngine` -- the reliable-channel averaging
-  baselines (:class:`~repro.core.baselines.IteratedMidpointProcess`,
-  :class:`~repro.core.baselines.TrimmedMeanProcess`), the ``baseline``
-  family: one ``(B, n)`` value matrix advanced for exactly
-  ``num_rounds`` rounds.
+- :class:`BaselineBatchEngine` -- fixed-budget averaging: the
+  ``baseline`` family's reliable-channel baselines and the ``averaging``
+  family's :class:`~repro.core.averaging.AveragingProcess` (both
+  rules), one ``(B, n)`` value matrix advanced for ``num_rounds`` rounds.
 
 Composition: every registered family's ``lanes`` hook builds its lane
 family, and the family trial's ``batch_fn`` (:mod:`repro.scenario.trial`)
@@ -83,6 +82,7 @@ from dataclasses import dataclass
 
 from repro.adversary.constrained import random_picks
 from repro.adversary.mobile import MOBILE_MODES
+from repro.core.averaging import AveragingProcess
 from repro.core.baselines import IteratedMidpointProcess, TrimmedMeanProcess
 from repro.core.dac import DACProcess
 from repro.core.dbac import DBACProcess, recording_lists
@@ -554,10 +554,9 @@ class _LaneKernel:
     - ``_state_keys(state, i)`` returns row ``i``'s ``state_key()``
       tuples.
 
-    :meth:`_run_lanes` does the rest. ``_stopped`` and ``_finish``
-    implement the two stop modes over ``out_mask`` / ``value`` rows;
-    the baselines, whose lanes all output at their round budget,
-    override both.
+    :meth:`_run_lanes` does the rest. ``_stopped`` and ``_finish`` (of
+    a lane stopping at round ``t``) implement the two stop modes over
+    ``out_mask`` / ``value`` rows; the baselines override both.
     """
 
     _reads_ports = True  # the baselines' update reads no port
@@ -642,7 +641,7 @@ class _LaneKernel:
                         rounds=t,
                         stopped=bool(stopped[i]),
                         inputs={node: inputs[node] for node in processes},
-                        **self._finish(state, i),
+                        **self._finish(state, i, t),
                     )
                 if done.all():
                     return results
@@ -676,7 +675,7 @@ class _LaneKernel:
         values = state["value"][:, self._fault_free]
         return (values.max(axis=1) - values.min(axis=1)) <= self.family.epsilon
 
-    def _finish(self, state: dict, i: int) -> dict:
+    def _finish(self, state: dict, i: int, t: int) -> dict:
         """Row ``i``'s outputs, as :func:`repro.sim.runner.run_consensus`
         reports them for the stop mode, and its state keys."""
         fault_free = self.family.fault_free
@@ -967,24 +966,24 @@ class ByzBatchEngine(_LaneKernel):
 
 
 class BaselineBatchEngine(_LaneKernel):
-    """The numpy kernel for ``B`` averaging-baseline lanes in lock-step.
+    """The numpy kernel for ``B`` fixed-budget averaging lanes in lock-step.
 
     Runs the lane families whose process class is exactly
     :class:`~repro.core.baselines.IteratedMidpointProcess` (the
-    reliable-channel iterated midpoint of Dolev et al.) or
+    reliable-channel iterated midpoint of Dolev et al.),
     :class:`~repro.core.baselines.TrimmedMeanProcess` (the trim-``f``
-    mean): :func:`repro.workloads.baseline_lane_family`, fault-free
-    under the same enforcing ``(window, floor(n/2))`` quorum adversary
-    and seed/input streams as the DAC trials. The process class picks
-    the update.
+    mean) or :class:`~repro.core.averaging.AveragingProcess` (the
+    ``averaging`` family), fault-free under the same enforcing
+    ``(window, floor(n/2))`` quorum adversary and seed/input streams
+    as the DAC trials. The process class and its ``rule`` pick the
+    update; the mean rule sums the trimmed update's sorted rows.
 
-    The kernel exploits what makes these lanes special: every
-    node advances its round counter on every engine round (self
+    Every node advances its round counter on every engine round (self
     delivery keeps the batch non-empty), every lane outputs at exactly
-    ``num_rounds``, and the whole per-node state is one float. Silent
-    window rounds are provably value-preserving (the midpoint of
-    ``{v}`` is ``v``; a trimmed batch of one is either ``{v}`` or
-    empty), so the driver's silent-round skip holds for them too.
+    ``num_rounds`` unless capped first, and the per-node state is one
+    float. Silent window rounds are value-preserving (the midpoint or
+    mean of ``{v}`` is ``v`` for every reachable ``v``; a trimmed batch
+    of one is ``{v}`` or empty), so the driver skips them here too.
     Results are bit-identical to serial runs -- same floats, same round
     counts, same ``state_key()`` tuples.
     """
@@ -1004,9 +1003,9 @@ class BaselineBatchEngine(_LaneKernel):
     def _round(self, lanes, state, delivered, receiving) -> None:
         np = _np
         value = state["value"]
-        n, trim = self.family.n, self.family.f
+        n, rule = self.family.n, self.family.rule
         vals = value[:, None, :]
-        if self.family.process_type is IteratedMidpointProcess:
+        if self.family.process_type is IteratedMidpointProcess or rule == "midpoint":
             # min/max over delivered senders and self -- the same two
             # floats the serial deliver() reduces, so the midpoint is
             # the identical IEEE result.
@@ -1016,18 +1015,25 @@ class BaselineBatchEngine(_LaneKernel):
             return
         # Sort delivered-plus-self per receiver (inf padding keeps
         # absentees past every real value), then read the trim-f
-        # extremes at their counted positions (per lane: a shared table
-        # is broadcast).
+        # extremes, or the mean's sum, at their counted positions (per
+        # lane: a shared table is broadcast).
+        trim = 0 if rule == "mean" else self.family.f
         delivered = np.broadcast_to(delivered, (len(value), n, n))
         stacked = np.concatenate([np.where(delivered, vals, np.inf), value[:, :, None]], axis=2)
         ordered = np.sort(stacked, axis=2)
         counts = delivered.sum(axis=2) + 1
-        low = ordered[:, :, min(trim, n)]
-        high = np.take_along_axis(
-            ordered, np.clip(counts - trim - 1, 0, n)[:, :, None], axis=2
+        # cumsum adds strictly left to right, as deliver() sums the sorted
+        # values (np.sum's pairwise reduction does not).
+        rows = np.cumsum(ordered, axis=2) if rule == "mean" else ordered
+        last = np.take_along_axis(
+            rows, np.clip(counts - trim - 1, 0, n)[:, :, None], axis=2
         )[:, :, 0]
+        if rule == "mean":  # + 0.0 is the serial sum's start: -0.0 alone sums to 0.0
+            state["value"] = (last + 0.0) / counts
+            return
+        low = ordered[:, :, min(trim, n)]
         # Batches of <= 2f values trim to nothing: v unchanged.
-        state["value"] = np.where(counts > 2 * trim, 0.5 * (low + high), value)
+        state["value"] = np.where(counts > 2 * trim, 0.5 * (low + last), value)
 
     def _stopped(self, state: dict, t: int):
         # Every node advances its round counter on every engine round,
@@ -1039,13 +1045,14 @@ class BaselineBatchEngine(_LaneKernel):
         # output round (every lane stops at the check made there).
         return self.family.num_rounds
 
-    def _finish(self, state: dict, i: int) -> dict:
-        # state_key() at the output round is (v, num_rounds, output=v).
+    def _finish(self, state: dict, i: int, t: int) -> dict:
+        # state_key() is (v, t, output): v at the output round, None in
+        # a lane capped before it.
         values = state["value"][i].tolist()
-        rounds = self.family.num_rounds
+        out = t >= self.family.num_rounds
         return {
-            "outputs": dict(enumerate(values)),
-            "state_keys": {node: (v, rounds, v) for node, v in enumerate(values)},
+            "outputs": dict(enumerate(values)) if out else {},
+            "state_keys": {node: (v, t, v if out else None) for node, v in enumerate(values)},
         }
 
 
@@ -1093,4 +1100,5 @@ _KERNELS: dict[type, type[_LaneKernel]] = {
     DBACProcess: ByzBatchEngine,
     IteratedMidpointProcess: BaselineBatchEngine,
     TrimmedMeanProcess: BaselineBatchEngine,
+    AveragingProcess: BaselineBatchEngine,
 }

@@ -100,11 +100,11 @@ class LaneFamily:
     (``mobile-<mode>`` for the mobile-omission adversary), the round
     cap, the crash schedule and Byzantine node set, the process class
     (``process_type``, which picks the batch kernel by exact type) and
-    its constants (quorum, end phase, trim depth, round budget, jumping;
-    ``None`` where the class has none). Built by the ``*_lane_family``
-    functions; :func:`lane_execution` adds one seed's inputs, ports and
-    processes, and each ``build_*_execution`` builder is exactly that
-    pair. The batch kernels read a family and nothing else, so no kernel
+    its constants (quorum, end phase, trim depth, round budget, jumping,
+    averaging rule; ``None`` where the class has none). Built by the
+    ``*_lane_family`` functions; :func:`lane_execution` adds one seed's
+    inputs, ports and processes, and each ``build_*_execution`` builder
+    is exactly that pair. The batch kernels read a family and nothing else, so no kernel
     builds an execution it would throw away.
 
     The ``make_*`` factories build the per-execution objects: the
@@ -131,6 +131,7 @@ class LaneFamily:
     trim: int | None = None
     num_rounds: int | None = None
     enable_jump: bool | None = None
+    rule: str | None = None
 
     @cached_property  # read once per finished kernel lane
     def fault_free(self) -> tuple[int, ...]:
@@ -153,7 +154,7 @@ def lane_family(**fields: Any) -> LaneFamily:
         raise ValueError(f"unknown stop_mode {fields['stop_mode']!r}")
     template = fields["make_process"](0.0, 0)
     fields["make_adversary"]()
-    constants = ("quorum", "end_phase", "trim", "num_rounds", "enable_jump")
+    constants = ("quorum", "end_phase", "trim", "num_rounds", "enable_jump", "rule")
     return LaneFamily(
         **fields,
         process_type=type(template),

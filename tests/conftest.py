@@ -12,8 +12,9 @@ from repro.net.ports import identity_ports, random_ports
 from repro.sim.rng import child_rng
 
 # ``--hypothesis-profile sweeps-10x`` runs the sweep-vs-per-port-loop
-# property tests (tests/test_batch_sweeps.py) at ten times their tier-1
-# budget of 150 examples; CI's numpy legs have a step for it.
+# property tests (tests/test_batch_sweeps.py) and the kernel mean's
+# (tests/test_core_averaging.py) at ten times their tier-1 budget of
+# 150 examples; CI's numpy legs have a step for it.
 settings.register_profile("sweeps-10x", max_examples=1500)
 # ``--hypothesis-profile store-10x`` runs DBAC's buffer-vs-insort
 # property test (tests/test_core_dbac.py) at ten times its 300 examples;

@@ -7,8 +7,8 @@ Three contracts make ``batch=B`` a pure speed knob:
    :class:`repro.sim.batch.BaselineBatchEngine` produce **bit-identical
    final states and round counts** to ``B`` serial ``Engine`` runs of
    the same lanes -- full ``state_key`` equality, not just outputs --
-   across the DAC (crash), DBAC (Byzantine), mobile-omission and
-   baseline families: kernel lanes equal
+   across the DAC (crash), DBAC (Byzantine), mobile-omission, baseline
+   and averaging families: kernel lanes equal
    :class:`repro.sim.batch.GenericBatchEngine` lanes of the same lane
    family (one serial engine run per seed over
    :func:`repro.workloads.lane_execution`, which is each builder), also
@@ -31,6 +31,8 @@ import functools
 import pytest
 
 from repro.bench.sweep import Sweep
+from repro.core.averaging import AVERAGING_RULES, AveragingProcess
+from repro.families.averaging import averaging_lane_family
 from repro.faults.byzantine import ExtremeByzantine
 from repro.scenario import family_trial, resolve, spec_for
 from repro.scenario.registry import entries
@@ -265,13 +267,15 @@ class TestBatchedTrialFunction:
         assert resolved.batch_fn == dac_trial.batch_fn
 
     def test_batched_calls_take_one_lane_engine_run(self, monkeypatch):
-        # Averaging has no kernel: two or more unobserved seeds are one
-        # GenericBatchEngine run under run_lanes, not a serial trial per
-        # seed. Observed calls and one-seed calls run the serial trial.
+        # Two or more unobserved averaging seeds are one lane-engine run
+        # under run_lanes -- the baseline kernel, or GenericBatchEngine
+        # without numpy -- not a serial trial per seed. Observed calls
+        # and one-seed calls run the serial trial.
         from repro.scenario.trial import FamilyTrial
 
+        lane_engine = BaselineBatchEngine if numpy_available() else GenericBatchEngine
         calls = {"engine": 0, "trial": 0}
-        engine_run, trial_run = GenericBatchEngine.run, FamilyTrial._run
+        engine_run, trial_run = lane_engine.run, FamilyTrial._run
 
         def counted_engine(engine):
             calls["engine"] += 1
@@ -281,7 +285,7 @@ class TestBatchedTrialFunction:
             calls["trial"] += 1
             return trial_run(trial, *args)
 
-        monkeypatch.setattr(GenericBatchEngine, "run", counted_engine)
+        monkeypatch.setattr(lane_engine, "run", counted_engine)
         monkeypatch.setattr(FamilyTrial, "_run", counted_trial)
         trial = family_trial("averaging")
         params = {"n": 6, "num_rounds": 12}
@@ -297,8 +301,8 @@ class TestBatchedTrialFunction:
         ]
 
     def test_resolved_batch_runs_lanes_or_build(self):
-        # run_lanes over every family's lanes; averaging's, which no
-        # kernel runs, are serial-engine lanes equal to its build.
+        # run_lanes over every family's lanes; averaging's (kernel lanes
+        # given numpy) equal serial runs of its build.
         seeds = [0, 1, 2]
         dac = resolve("algorithm: dac@1(n=9); network: dynadegree@1(window=2)")
         assert dac.batch(seeds) == generic_dac_lanes(9, 4, seeds, window=2)
@@ -604,6 +608,20 @@ class SwappedExtreme(ExtremeByzantine):
         }
 
 
+class MedianAveraging(AveragingProcess):
+    """:class:`AveragingProcess` that moves to the median it hears
+    instead of the mean."""
+
+    def deliver(self, deliveries):
+        if self._output is not None:
+            return
+        values = sorted(float(d.message.value) for d in deliveries)
+        self._v = values[len(values) // 2]
+        self._round += 1
+        if self._round >= self.num_rounds:
+            self._output = self._v
+
+
 class TestExactTypeRefusal:
     """The kernel and the Byzantine plans are picked by exact type: a
     subclass that overrides behaviour is refused and runs serially."""
@@ -646,7 +664,6 @@ class TestExactTypeRefusal:
 
     @needs_numpy
     def test_process_subclasses_are_refused(self):
-        from repro.core.averaging import AveragingProcess
         from repro.core.piggyback import PiggybackDACProcess
 
         piggyback = dataclasses.replace(
@@ -654,14 +671,20 @@ class TestExactTypeRefusal:
             make_process=lambda value, port: PiggybackDACProcess(5, 2, value, port),
             process_type=PiggybackDACProcess,
         )
+        # AveragingProcess runs on the baseline kernel; a subclass that
+        # overrides its update must not.
         averaging = dataclasses.replace(
-            baseline_lane_family(5, num_rounds=4),
-            make_process=lambda value, port: AveragingProcess(5, 0, value, port, num_rounds=4),
-            process_type=AveragingProcess,
+            averaging_lane_family(5, num_rounds=4),
+            make_process=lambda value, port: MedianAveraging(5, 0, value, port, num_rounds=4),
+            process_type=MedianAveraging,
         )
-        for family, name in ((piggyback, "PiggybackDACProcess"), (averaging, "AveragingProcess")):
+        for family, name in ((piggyback, "PiggybackDACProcess"), (averaging, "MedianAveraging")):
             assert kernel_refusal(family) == f"no kernel runs {name} lanes"
             assert run_lanes(family, [0, 1]) == GenericBatchEngine(family, [0, 1]).run()
+        # The override matters: a kernel run as plain averaging would differ.
+        assert run_lanes(averaging, [0, 1]) != run_lanes(
+            averaging_lane_family(5, num_rounds=4), [0, 1]
+        )
 
 
 class TestMobileBatchMatchesSerial:
@@ -735,6 +758,67 @@ class TestMobileBatchMatchesSerial:
                     mode,
                     values,
                 )
+
+
+class TestAveragingBatchMatchesSerial:
+    """``averaging`` lanes, both rules, on the baseline kernel."""
+
+    @pytest.mark.parametrize("rule", AVERAGING_RULES)
+    @pytest.mark.parametrize("window", [1, 2, 4])
+    def test_lanes_match_serial_engines_full_state(self, rule, window):
+        # The shared harness: serial sweep == the family's batch
+        # dispatch (kernel lanes given numpy) by full state key, every
+        # enforcing selector, batches of 8 or more values at n = 16, and
+        # short budgets (0: output at init).
+        assert_equivalent_runs(
+            [
+                {"family": "averaging", "rule": rule, "n": n, "window": window,
+                 "selector": selector, "seeds": tuple(range(6)), **budget}
+                for selector in ("rotate", "nearest", "random")
+                for n, budget in ((5, {"num_rounds": 0}), (9, {"num_rounds": 3}), (16, {}))
+            ],
+            {"serial-fast": serial_executor(), "batch": run_config_batch},
+        )
+
+    @needs_numpy
+    @pytest.mark.parametrize(
+        "family",
+        [
+            functools.partial(averaging_lane_family, 9, rule="mean"),
+            functools.partial(averaging_lane_family, 9, rule="midpoint"),
+            functools.partial(baseline_lane_family, 9, algorithm="midpoint"),
+            functools.partial(baseline_lane_family, 9, algorithm="trimmed", f=2),
+        ],
+        ids=["averaging-mean", "averaging-midpoint", "baseline-midpoint", "baseline-trimmed"],
+    )
+    def test_capped_kernel_lanes_equal_serial_lanes(self, family):
+        # A cap below the round budget (a replaced family; the lane
+        # functions never set one): like Engine.run, every lane reports
+        # the cap, stopped=False, no outputs and undecided state keys.
+        seeds = [0, 4, 9]
+        for window in (1, 2, 4):
+            for cap in (0, 1, 5, 6):
+                capped = dataclasses.replace(
+                    family(window=window, selector="random", num_rounds=8), max_rounds=cap
+                )
+                lanes = BaselineBatchEngine(capped, seeds).run()
+                assert lanes == GenericBatchEngine(capped, seeds).run()
+                assert {(lane.rounds, lane.stopped) for lane in lanes} == {(cap, False)}
+                assert all(lane.outputs == {} for lane in lanes)
+
+    def test_batched_summaries_equal_serial_trial_summaries(self):
+        trial = family_trial("averaging")
+        seeds = list(range(4))
+        for rule in AVERAGING_RULES:
+            params = {"n": 7, "rule": rule, "num_rounds": 40}
+            assert trial.batch_fn(seeds=seeds, **params) == [
+                trial(seed=seed, **params) for seed in seeds
+            ]
+
+    @needs_numpy
+    def test_kernel_runs_both_rules(self):
+        for rule in AVERAGING_RULES:
+            assert kernel_refusal(averaging_lane_family(7, rule=rule)) is None
 
 
 class TestNearestVectorization:
@@ -886,7 +970,7 @@ class TestGridDispatch:
     """Which perfbench grid cells run on a kernel (read-only pin)."""
 
     @needs_numpy
-    def test_only_the_averaging_cell_runs_per_seed(self):
+    def test_every_grid_cell_runs_on_a_kernel(self):
         from perfbench.grid import SWEEP_CELLS
 
         from repro.scenario import resolve
@@ -897,7 +981,7 @@ class TestGridDispatch:
             lanes = resolved.family.lanes(**resolved.params)
             if kernel_refusal(lanes) is not None:
                 per_seed.append(resolved.entry.name)
-        assert per_seed == ["averaging"]
+        assert per_seed == []
 
     @needs_numpy
     def test_traced_kernel_rows_count_every_lane_once(self):
@@ -1027,14 +1111,14 @@ class TestByzBatchedTrialFunctions:
 
 # One parameter set per registered family that still takes the serial
 # path: observed trials record per-trial engine data a kernel cannot
-# produce, and averaging has no kernel.
+# produce.
 SERIAL_FALLBACK_PARAMS = {
     "dac": {"n": 9, "window": 2, "selector": "random", "observe": True},
     "dbac": {"n": 11, "strategy": "random", "max_rounds": 2_000, "observe": True},
     "byz": {"n": 11, "mode": "rotate", "max_rounds": 2_000, "observe": True},
     "baseline": {"n": 7, "algorithm": "trimmed", "selector": "random", "window": 2,
                  "observe": True},
-    "averaging": {"n": 6, "num_rounds": 30},
+    "averaging": {"n": 6, "num_rounds": 30, "observe": True},
 }
 
 
@@ -1069,11 +1153,11 @@ class TestSerialFallbackPerFamily:
             trial(seed=seed, **params) for seed in seeds
         ]
 
-    @pytest.mark.parametrize("family", ["dac", "dbac", "byz", "baseline"])
+    @pytest.mark.parametrize("family", ["dac", "dbac", "byz", "baseline", "averaging"])
     def test_one_seed_batch_runs_the_serial_trial(self, family, kernels_refused):
         # A single lane gains nothing from a kernel pass; it runs the
         # serial trial even when its parameters are vectorizable.
         trial = family_trial(family)
         params = {"dac": {"n": 9}, "dbac": {"n": 11}, "byz": {"n": 8},
-                  "baseline": {"n": 7}}[family]
+                  "baseline": {"n": 7}, "averaging": {"n": 6}}[family]
         assert trial.batch_fn(seeds=[3], **params) == [trial(seed=3, **params)]

@@ -43,12 +43,16 @@ _DBAC_STRATEGIES = ("extreme", "pin-high", "pin-low", "phase-liar", "random")
 def fuzz_configs(master_seed: int, count: int) -> list[dict]:
     """``count`` valid random configs drawn from ``master_seed``.
 
-    Samples across all three scenario families and their full legal
+    Samples across the scenario families and their full legal
     parameter space: crash counts up to the DAC bound, all three
     enforcing selectors, every trial-menu Byzantine strategy, all
-    mobile-omission modes, windows 1..3 (1..4 for DBAC, so silent
-    rounds meet Byzantine draws), and capped-round runs (so unstopped
-    lanes are compared too, not just terminating ones).
+    mobile-omission modes, windows 1..3 (1..4 for DBAC and averaging,
+    so silent rounds meet Byzantine draws and the kernel's silent-round
+    skip), and
+    capped-round runs (so unstopped lanes are compared too, not just
+    terminating ones). The averaging configs come last, from their own
+    stream of ``master_seed``, so adding them left every config drawn
+    before unchanged.
     """
     rng = random.Random(master_seed)
     configs: list[dict] = []
@@ -104,6 +108,19 @@ def fuzz_configs(master_seed: int, count: int) -> list[dict]:
                 # Small explicit budgets (0 included: output at init)
                 # keep the fixed-round semantics honest across kernels.
                 config["num_rounds"] = rng.randint(0, 8)
+        configs.append(config)
+    rng = random.Random(f"averaging-{master_seed}")
+    for _ in range(max(1, count // 4)):
+        config = {
+            "family": "averaging",
+            "n": rng.randrange(2, 17),
+            "rule": rng.choice(("mean", "midpoint")),
+            "window": rng.randint(1, 4),
+            "selector": rng.choice(("rotate", "nearest", "random")),
+            "seeds": tuple(rng.randrange(10_000) for _ in range(rng.randint(1, 3))),
+        }
+        if rng.random() < 0.5:
+            config["num_rounds"] = rng.randint(0, 12)
         configs.append(config)
     return configs
 

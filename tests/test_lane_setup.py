@@ -16,6 +16,9 @@ table: both are pinned as counts.
 The lane driver builds the live-sender key it hands the selector only
 when a crash round changes the live set; that count is pinned too.
 
+A batch of averaging lanes is one baseline kernel run: no serial engine
+runs a lane of it.
+
 The delivery sweeps re-scan a cell after a jump or quorum only while a
 later port can still change it. On the pooled grid's boundary cells no
 later port can, so a delivering round is one pass; random Byzantine
@@ -25,12 +28,15 @@ nodes keep live tails, and their rounds take more.
 import pytest
 
 import repro.net.ports as ports_module
+import repro.scenario.trial as trial_module
 import repro.sim.arena as arena
 import repro.sim.batch as batch
 import repro.workloads as workloads
 from repro.adversary.constrained import rotate_picks
+from repro.families.averaging import averaging_lane_family
 from repro.net.topology import Topology
-from repro.sim.batch import run_lanes
+from repro.scenario import family_trial
+from repro.sim.batch import BaselineBatchEngine, run_lanes
 from repro.workloads import (
     TRIAL_BYZANTINE_STRATEGIES,
     baseline_lane_family,
@@ -85,6 +91,9 @@ CASES = {
         ),
         0,
     ),
+    "averaging": (
+        lambda seeds: run_lanes(averaging_lane_family(7, num_rounds=6), seeds), 0
+    ),
 }
 
 
@@ -116,6 +125,22 @@ def test_kernel_calls_build_nothing_and_draw_once_per_lane(case, calls):
     assert lanes[0].state_keys  # the kernel really ran the lanes
     assert calls["build"] == 0
     assert calls["draw"] == draws_per_lane * len(SEEDS)
+
+
+def test_averaging_batch_is_one_kernel_run(monkeypatch):
+    # Four seeds of the averaging cell: one BaselineBatchEngine run and
+    # no run_consensus, the serial fallback's per-lane engine run.
+    counts = {"kernel": 0, "serial": 0}
+    monkeypatch.setattr(
+        BaselineBatchEngine, "run", counting(counts, BaselineBatchEngine.run, "kernel")
+    )
+    for module in (batch, trial_module):  # the fallback's lanes, the serial trial
+        monkeypatch.setattr(
+            module, "run_consensus", counting(counts, module.run_consensus, "serial")
+        )
+    summaries = family_trial("averaging").batch_fn(seeds=[0, 1, 2, 3], n=7, num_rounds=40)
+    assert len(summaries) == 4
+    assert counts == {"kernel": 1, "serial": 0}
 
 
 # The rotate selector's kernel tables come straight from rotate_picks

@@ -26,7 +26,8 @@ import sys
 # The public-API modules whose docstrings carry executable examples:
 # batching, the parallel layer, the family trial, the two shuffle
 # replays (the port draw and the random selector; their examples pin
-# the drawn rows for one seed), and the guarantee checker.
+# the drawn rows for one seed), the guarantee checker, and the
+# averaging mean (its examples pin the left-to-right bits).
 DOCTEST_MODULES = [
     "repro.sim.batch",
     "repro.sim.parallel",
@@ -34,6 +35,7 @@ DOCTEST_MODULES = [
     "repro.net.ports",
     "repro.adversary.constrained",
     "repro.analysis.guarantees",
+    "repro.core.averaging",
 ]
 
 
