@@ -16,7 +16,7 @@ Quickstart
 True
 
 See ``examples/`` for full scenarios and ``benchmarks/`` for the
-experiment suite indexed in DESIGN.md.
+experiment suite (``python -m repro.bench.cli --list`` prints its index).
 """
 
 from repro.adversary import (

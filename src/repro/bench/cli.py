@@ -22,7 +22,7 @@ from repro.sim.parallel import set_default_batch, set_default_workers
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-bench",
-        description="Reproduce the paper's claims (see DESIGN.md for the index).",
+        description="Reproduce the paper's claims (--list prints the index).",
     )
     parser.add_argument(
         "-e",

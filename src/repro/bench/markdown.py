@@ -1,7 +1,7 @@
 """Markdown rendering of experiment results.
 
 ``python -m repro.bench.cli --full --markdown results.md`` regenerates
-a machine-written companion to EXPERIMENTS.md: every experiment's table
+a machine-written record of one run: every experiment's table
 as GitHub-flavored markdown, with pass/fail badges and the notes as
 footnotes. Useful for CI artifacts and for diffing runs across
 versions.

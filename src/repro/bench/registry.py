@@ -57,7 +57,7 @@ EXPERIMENTS: dict[str, Callable[[bool], TableResult]] = {
 
 
 def run_experiment(experiment_id: str, quick: bool = True) -> TableResult:
-    """Run one experiment by its DESIGN.md id (e.g. ``"E1"``)."""
+    """Run one experiment by its :data:`EXPERIMENTS` id (e.g. ``"E1"``)."""
     key = experiment_id.upper()
     if key not in EXPERIMENTS:
         raise KeyError(

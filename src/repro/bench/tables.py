@@ -2,7 +2,7 @@
 
 The paper has no numeric tables (its results are theorems); the
 harness prints, for every claim, a table pairing "paper says" with the
-measured quantity so EXPERIMENTS.md can record both.
+measured quantity, so each row shows both side by side.
 """
 
 from __future__ import annotations

@@ -20,11 +20,12 @@ Usage::
     python -m repro.cli submit - --stream < scenario.json
 
 Exit status is 0 when the run's verdict matches the theory: a ``dac``
-or ``dbac`` run terminates with no
-:func:`~repro.analysis.guarantees.check_guarantees` violation, a
-``spec`` or ``sweep`` run keeps what its family declares
-(``_keeps_guarantees``), ``figure1`` is correct, and the impossibility
-constructions violate.
+or ``dbac`` run leaves :func:`~repro.analysis.guarantees.check_guarantees`
+with no violation and no missing evidence, a ``spec`` or ``sweep`` run
+keeps what its family declares (``_keeps_guarantees``), ``figure1`` is
+correct, and the impossibility constructions show their horn
+(:func:`~repro.analysis.guarantees.shows_necessity_horn`). An
+out-of-domain spec or flag exits 2, naming its field.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ import time
 from collections.abc import Callable, Mapping
 
 from repro.adversary.periodic import figure1_adversary
-from repro.analysis.guarantees import check_guarantees
+from repro.analysis.guarantees import check_guarantees, shows_necessity_horn
 from repro.core.dac import DACProcess
 from repro.net.ports import random_ports
 from repro.scenario.registry import AlgorithmFamily
+from repro.scenario.spec import SpecError
 from repro.sim.persistence import save_trace
 from repro.sim.rng import child_rng
 from repro.sim.runner import ExecutionReport, run_consensus
@@ -54,9 +56,10 @@ def _keeps_guarantees(family: AlgorithmFamily, params: Mapping, summary: Mapping
     """Whether a trial ``summary`` keeps what ``family`` declares for its
     completed ``params`` (:meth:`~repro.scenario.registry.AlgorithmFamily.guarantees`).
 
-    A summary keeps no phase ranges, so it must read ``correct`` where
-    the family declares guarantees and ``terminated`` where it declares
-    none.
+    A summary keeps no phase series or trace for ``check_guarantees``
+    to read (until trials keep them, ROADMAP item 20), so it must read
+    ``correct`` where the family declares guarantees and ``terminated``
+    where it declares none.
     """
     return summary["correct" if family.guarantees(**params) is not None else "terminated"]
 
@@ -158,9 +161,10 @@ def _cmd_boundary(args: argparse.Namespace) -> int:
     _print_report(report, args.verbose)
     finish()
     _maybe_save(report, args.save_trace)
-    # A capped run is no evidence for the checker; here it must terminate.
-    violations = check_guarantees(report, entry.obj.guarantees(**params))
-    return 0 if report.terminated and not violations else 1
+    violations, missing = check_guarantees(report, entry.obj.guarantees(**params))
+    if args.trace_out:  # a streamed trace is spilled, never re-checked (trace_sink)
+        missing = [line for line in missing if not line.startswith("dynadegree:")]
+    return 1 if violations or missing else 0
 
 
 def _cmd_necessity(build: Callable[..., dict], size: str, args: argparse.Namespace) -> int:
@@ -171,38 +175,33 @@ def _cmd_necessity(build: Callable[..., dict], size: str, args: argparse.Namespa
     _print_report(report, args.verbose)
     finish()
     _maybe_save(report, args.save_trace)
-    expected = (not report.epsilon_agreement) if not args.plain else (not report.terminated)
-    return 0 if expected else 1
+    return 0 if shows_necessity_horn(report, eager=not args.plain) else 1
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.sweep import Sweep
-    from repro.scenario import SpecError, parse_spec, resolve, spec_for
+    from repro.scenario import parse_spec, resolve, spec_for
 
     if args.save_trace or args.trace_out:
         print("error: sweep runs untraced; --save-trace/--trace-out are not supported here")
         return 2
     ns = args.n
-    try:
-        if args.spec:
-            if args.strategy is not None or args.sweep_selector is not None:
-                print("error: with --spec, set strategy/selector inside the spec")
-                return 2
-            spec = parse_spec(args.spec)
-        else:
-            # Family mode is a spec of the flags, swept like any other.
-            ns = ns or [5, 9]
-            flags = {
-                "n": ns[0],
-                "epsilon": args.epsilon,
-                "strategy": args.strategy,
-                "selector": args.sweep_selector,
-            }
-            spec = spec_for(args.family, {k: v for k, v in flags.items() if v is not None})
-        resolved = resolve(spec)
-    except SpecError as exc:
-        print(f"error: {exc}")
-        return 2
+    if args.spec:
+        if args.strategy is not None or args.sweep_selector is not None:
+            print("error: with --spec, set strategy/selector inside the spec")
+            return 2
+        spec = parse_spec(args.spec)
+    else:
+        # Family mode is a spec of the flags, swept like any other.
+        ns = ns or [5, 9]
+        flags = {
+            "n": ns[0],
+            "epsilon": args.epsilon,
+            "strategy": args.strategy,
+            "selector": args.sweep_selector,
+        }
+        spec = spec_for(args.family, {k: v for k, v in flags.items() if v is not None})
+    resolved = resolve(spec)
     family = resolved.entry.name
     # Swept dimensions: n, explicit --window values, and --observe; the
     # spec's given parameters ride into every cell, and family mode
@@ -236,11 +235,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     sweep = Sweep(grid=grid, repeats=args.repeats, seed0=args.seed)
     started = time.perf_counter()
-    try:
-        sweep.run(spec, workers=args.workers, batch=args.batch, pool=args.pool)
-    except SpecError as exc:
-        print(f"error: {exc}")
-        return 2
+    sweep.run(spec, workers=args.workers, batch=args.batch, pool=args.pool)
     elapsed = time.perf_counter() - started
     table = sweep.to_table(
         *(("n", "window") if "window" in grid else ("n",)),
@@ -267,13 +262,9 @@ def _cmd_spec(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.scenario import SpecError, resolve
+    from repro.scenario import resolve
 
-    try:
-        resolved = resolve(args.text)
-    except SpecError as exc:
-        print(f"error: {exc}")
-        return 2
+    resolved = resolve(args.text)
     canonical = resolved.canonical_spec()
     print(
         f"spec   : {canonical.content_hash}  "
@@ -624,9 +615,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.fn(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.fn(args)
+    except SpecError as exc:
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ Structure mirrors DAC, with three changes to survive Byzantine values:
    (f+1)-st lowest and (f+1)-st highest received states, each of which
    is anchored by at least one fault-free value.
 
-Fidelity notes (see DESIGN.md):
+Fidelity notes (where this code reads the paper's pseudo-code):
 
 - the node's own value is stored into ``R_low``/``R_high`` at phase
   start (the paper's pseudo-code pre-marks ``R_i[i]`` without storing,

@@ -227,7 +227,8 @@ class FaultPlan:
 
         Used by enforcing adversaries when counting links toward the
         ``(T, D)`` promise in the crash model: a partially-crashing
-        sender is conservatively *not* counted (DESIGN.md note 4).
+        sender is conservatively *not* counted: in its crash round it may
+        reach only some of its out-neighbours.
         Byzantine nodes always transmit (possibly garbage) and count.
         """
         return self._live_profile(t)[0]

@@ -20,11 +20,7 @@ from repro.obs.events import (
     RoundCompleted,
     RunFinished,
 )
-from repro.sim.metrics import PhaseRangeSeries
-
-# Phase-0 ranges below this are treated as already collapsed when
-# computing running contraction rates (matches PhaseRangeSeries).
-_RATE_FLOOR = 1e-15
+from repro.sim.metrics import RATE_FLOOR, PhaseRangeSeries
 
 
 class EngineAdapter:
@@ -80,7 +76,7 @@ class EngineAdapter:
                 before = self._series.range_of(phase - 1)
                 current = self._series.range_of(phase)
                 rate = None
-                if current is not None and before is not None and before > _RATE_FLOOR:
+                if current is not None and before is not None and before > RATE_FLOOR:
                     rate = current / before
                 self.bus.publish(
                     ConvergenceUpdate(

@@ -15,6 +15,10 @@ from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
+#: A phase range at or below this is (numerically) collapsed: the rate
+#: out of it is undefined, so no contraction is measured from it.
+RATE_FLOOR = 1e-15
+
 
 @dataclass
 class MetricsCollector:
@@ -151,7 +155,7 @@ class PhaseRangeSeries:
         for before, after in zip(series, series[1:]):
             if before is None or after is None:
                 continue  # undefined pair: one side has no recorded states
-            if before > 1e-15:
+            if before > RATE_FLOOR:
                 rates.append(after / before)
         return rates
 

@@ -84,7 +84,8 @@ class ConsensusProcess(ABC):
         """Consume this round's received messages and transition state.
 
         ``deliveries`` is sorted by ascending port number -- the fixed,
-        publicly-known processing order (DESIGN.md fidelity note 3).
+        publicly-known processing order (an anonymous node has no
+        identifiers to order by, only its local port labels).
         It contains this node's own message on ``self_port`` unless the
         class declares :attr:`ignores_own_echo`; then the message is
         left out, and an edge-free round, whose batch would hold only

@@ -320,7 +320,8 @@ def build_dbac_execution(
     (:class:`~repro.faults.byzantine.ExtremeByzantine` equivocators by
     default; pass ``byzantine_factory=lambda node: strategy`` to vary).
     Default stopping is oracle mode -- Equation 6's ``p_end`` is
-    astronomically conservative (see DESIGN.md) -- pass ``end_phase``
+    astronomically conservative (14,144 phases at n = 11 and epsilon =
+    1e-3, :func:`~repro.core.phases.dbac_end_phase`) -- pass ``end_phase``
     plus ``stop_mode="output"`` for algorithm-local termination.
     """
     family = dbac_lane_family(

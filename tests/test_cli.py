@@ -1,5 +1,6 @@
 """Tests for both command-line entry points."""
 
+import dataclasses
 import json
 
 import pytest
@@ -37,6 +38,41 @@ class TestScenarioCli:
         )
         assert scenario_main(["dbac", "--n", "6"]) == 1
         assert "terminated=False" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("override", [{"track_phases": False}, {"verify_promise": False}])
+    def test_boundary_exit_requires_the_evidence(self, monkeypatch, override, capsys):
+        # With no phase series or no re-checked trace the run shows nothing.
+        real = repro.cli.run_consensus
+        monkeypatch.setattr(
+            repro.cli, "run_consensus", lambda **kwargs: real(**{**kwargs, **override})
+        )
+        assert scenario_main(["dac", "--n", "7"]) == 1
+        assert "[OK]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, field",
+        [(["dbac", "--n", "6", "--f", "2"], "algorithm.f"), (["dac", "--n", "1"], "algorithm.n")],
+    )
+    def test_boundary_out_of_domain_flags_exit_2(self, argv, field, capsys):
+        assert scenario_main(argv) == 2
+        assert capsys.readouterr().out.startswith(f"error: {field}: ")
+
+    def test_boundary_trace_out_accepts_the_unchecked_trace(self, tmp_path, capsys):
+        # The streamed trace is spilled, not re-checked, and the run still passes.
+        path = tmp_path / "run.jsonl"
+        assert scenario_main(["dac", "--n", "7", "--trace-out", str(path)]) == 0
+        assert path.exists() and "[OK]" in capsys.readouterr().out
+
+    def test_necessity_eager_run_must_terminate(self, monkeypatch, capsys):
+        # Disagreeing values that were never final show no horn.
+        real = repro.cli.run_consensus
+        monkeypatch.setattr(
+            repro.cli,
+            "run_consensus",
+            lambda **kwargs: dataclasses.replace(real(**kwargs), terminated=False),
+        )
+        assert scenario_main(["theorem9", "--n", "6"]) == 1
+        assert "eps-agreement=False" in capsys.readouterr().out
 
     def test_theorem9_reports_expected_violation(self, capsys):
         rc = scenario_main(["theorem9", "--n", "6"])

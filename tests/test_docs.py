@@ -54,6 +54,30 @@ def test_docs_checker_flags_a_dead_link(tmp_path):
     assert checker.dead_links(tmp_path) == ["docs/a.md: missing.md"]
 
 
+def test_src_cites_no_missing_doc():
+    assert _load_checker().dead_citations(REPO_ROOT) == []
+
+
+def test_docs_checker_flags_a_dead_citation_in_src(tmp_path, capsys):
+    checker = _load_checker()
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "here.md").write_text("hello")
+    (tmp_path / "ROADMAP.md").write_text("hello")
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text(
+        '"""See ROADMAP.md and docs/here.md.\n\n'
+        "A note in DESIGN.md, and docs/gone.md#section.\n\n"
+        '``python -m repro.bench.cli --markdown results.md`` writes a file."""\n'
+    )
+    assert checker.dead_citations(tmp_path) == [
+        "src/repro/a.py:3: DESIGN.md",
+        "src/repro/a.py:3: docs/gone.md",
+    ]
+    assert checker.main([str(tmp_path)]) == 1
+    assert "dead citation: src/repro/a.py:3: DESIGN.md" in capsys.readouterr().out
+
+
 def test_docs_checker_flags_a_missing_module(tmp_path, capsys):
     checker = _load_checker()
     docs = tmp_path / "docs"

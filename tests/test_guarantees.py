@@ -15,7 +15,13 @@ import pytest
 
 import repro.bench.experiments
 import repro.workloads
-from repro.analysis.guarantees import RATE_SLACK_ULPS, Guarantees, check_guarantees
+import tests.helpers
+from repro.analysis.guarantees import (
+    RATE_SLACK_ULPS,
+    Guarantees,
+    check_guarantees,
+    shows_necessity_horn,
+)
 from repro.bench.registry import run_experiment
 from repro.core.phases import dac_convergence_rate, dbac_convergence_rate
 from repro.scenario import algorithm_entries, resolve
@@ -42,7 +48,7 @@ def test_a_boundary_dac_run_keeps_every_guarantee():
     report, guarantees = _report_and_guarantees()
     assert guarantees == Guarantees(rate=0.5, window=1, end_phase=10)
     assert report.terminated and report.dynadegree_verified is True
-    assert check_guarantees(report, guarantees) == []
+    assert check_guarantees(report, guarantees) == ([], [])
 
 
 @pytest.mark.parametrize(
@@ -59,17 +65,51 @@ def test_a_boundary_dac_run_keeps_every_guarantee():
 )
 def test_each_broken_guarantee_is_named(change, expected):
     report, guarantees = _report_and_guarantees()
-    violations = check_guarantees(dataclasses.replace(report, **change), guarantees)
-    assert len(violations) == 1 and violations[0].startswith(expected)
+    violations, missing = check_guarantees(dataclasses.replace(report, **change), guarantees)
+    assert len(violations) == 1 and violations[0].startswith(expected) and missing == []
+
+
+@pytest.mark.parametrize(
+    "change,expected",
+    [
+        (
+            {"rounds": 9, "terminated": False, "outputs": {}},
+            "termination: still running after 9 rounds",
+        ),
+        ({"convergence_rates": []}, "rate: no phase contraction was recorded"),
+        ({"dynadegree_verified": None}, "dynadegree: the trace was not re-checked"),
+    ],
+)
+def test_each_kind_of_missing_evidence_is_named(change, expected):
+    report, guarantees = _report_and_guarantees()
+    assert check_guarantees(dataclasses.replace(report, **change), guarantees) == ([], [expected])
 
 
 def test_runs_capped_below_the_bound_are_no_evidence():
     report, guarantees = _report_and_guarantees()
     capped = dataclasses.replace(report, rounds=9, terminated=False, outputs={})
-    assert check_guarantees(capped, guarantees) == []
+    missing = ["termination: still running after 9 rounds"]
+    assert check_guarantees(capped, guarantees) == ([], missing)
     # An oracle run's values are not outputs until it stops.
     unfinished = dataclasses.replace(capped, stop_mode="oracle", epsilon_agreement=False)
-    assert check_guarantees(unfinished, guarantees) == []
+    assert check_guarantees(unfinished, guarantees) == ([], missing)
+
+
+@pytest.mark.parametrize(
+    "eager,terminated,agreement,shown",
+    [
+        (True, True, False, True),
+        (True, False, False, False),
+        (True, True, True, False),
+        (False, False, True, True),
+        (False, True, False, False),
+    ],
+)
+def test_necessity_horns(eager, terminated, agreement, shown):
+    # Theorems 9/10: the eager run decides apart, the plain run never decides.
+    report, _ = _report_and_guarantees()
+    run = dataclasses.replace(report, terminated=terminated, epsilon_agreement=agreement)
+    assert shows_necessity_horn(run, eager=eager) is shown
 
 
 def test_rate_slack_is_a_few_ulps_of_the_inputs():
@@ -77,8 +117,8 @@ def test_rate_slack_is_a_few_ulps_of_the_inputs():
     slack = RATE_SLACK_ULPS * math.ulp(max(map(abs, report.inputs.values())))
     inside = dataclasses.replace(report, phase_ranges=[1e-3, 0.5e-3 + slack])
     outside = dataclasses.replace(report, phase_ranges=[1e-3, 0.5e-3 + 2 * slack])
-    assert check_guarantees(inside, guarantees) == []
-    assert check_guarantees(outside, guarantees)[0].startswith("rate: phase 0 -> 1")
+    assert check_guarantees(inside, guarantees) == ([], [])
+    assert check_guarantees(outside, guarantees)[0][0].startswith("rate: phase 0 -> 1")
     # The measured rate itself may exceed 1/2 by far more than an ulp.
     assert (0.5e-3 + slack) / 1e-3 - 0.5 > 100 * math.ulp(0.5)
 
@@ -180,6 +220,22 @@ def test_the_harness_fails_a_reference_that_breaks_a_guarantee(monkeypatch):
         assert_equivalent_runs([DAC], {"serial": serial_executor()})
 
 
+@pytest.mark.parametrize(
+    "override,expected",
+    [
+        ({"track_phases": False}, "rate: no phase contraction was recorded"),
+        ({"verify_promise": False}, "dynadegree: the trace was not re-checked"),
+    ],
+)
+def test_the_harness_fails_a_run_that_lacks_evidence(monkeypatch, override, expected):
+    real = tests.helpers.run_consensus
+    monkeypatch.setattr(
+        tests.helpers, "run_consensus", lambda **kwargs: real(**{**kwargs, **override})
+    )
+    with pytest.raises(AssertionError, match=expected):
+        assert_equivalent_runs([DAC], {"serial": serial_executor()})
+
+
 DBAC = {"family": "dbac", "n": 11, "window": 2, "selector": "rotate", "seeds": (3,)}
 
 
@@ -189,5 +245,5 @@ def test_the_harness_cap_is_a_termination_bound(monkeypatch):
     # although T * p_end lies far beyond it.
     assert_equivalent_runs([{**DBAC, "max_rounds": 3}], {"serial": serial_executor()})
     monkeypatch.setattr(repro.workloads.DbacFamily, "harness_defaults", {"max_rounds": 3})
-    with pytest.raises(AssertionError, match="still running at the harness cap of 3 rounds"):
+    with pytest.raises(AssertionError, match="termination: still running after 3 rounds"):
         assert_equivalent_runs([DBAC], {"serial": serial_executor()})

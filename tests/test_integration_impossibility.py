@@ -11,6 +11,7 @@ import pytest
 
 from repro.adversary.mobile import MobileOmissionAdversary
 from repro.analysis.agreement import cross_group_gap, groupwise_spread
+from repro.analysis.guarantees import shows_necessity_horn
 from repro.core.baselines import FloodMinProcess, MajorityVoteProcess
 from repro.mc.explorer import BoundedExplorer, mobile_omission_choices
 from repro.net.dynadegree import check_dynadegree
@@ -83,7 +84,7 @@ class TestTheorem9:
         # Horn 1: the proof's hypothetical terminating algorithm
         # (quorum floor(n/2)) disagrees 0 vs 1.
         eager = run_consensus(**theorem9_split_execution(n=n, seed=n))
-        assert eager.terminated and not eager.epsilon_agreement
+        assert shows_necessity_horn(eager, eager=True)
         groups = {
             "a": frozenset(range(n // 2)),
             "b": frozenset(range(n // 2, n)),
@@ -96,7 +97,7 @@ class TestTheorem9:
         stalled = run_consensus(
             **theorem9_split_execution(n=n, seed=n, eager_quorum=False, max_rounds=120)
         )
-        assert not stalled.terminated
+        assert shows_necessity_horn(stalled, eager=False)
 
     def test_trace_satisfies_claimed_degree(self):
         n = 8
@@ -110,8 +111,7 @@ class TestTheorem9:
         # With n = 2f, maximal eventual stability cannot save the
         # algorithm: it decided during the isolation prefix.
         report = run_consensus(**theorem9_part2_execution(n=8, seed=2))
-        assert report.terminated
-        assert not report.epsilon_agreement
+        assert shows_necessity_horn(report, eager=True)
         # After reconnection the trace is (isolation+1, n-1)-stable.
         trace = report.trace.dynamic_graph()
         window = 33  # isolation_rounds + 1
@@ -126,7 +126,7 @@ class TestTheorem10:
     def test_degree_one_short_forces_the_dilemma(self, f):
         n = 5 * f + 1
         eager = run_consensus(**theorem10_split_execution(f=f, seed=f))
-        assert eager.terminated and not eager.epsilon_agreement
+        assert shows_necessity_horn(eager, eager=True)
 
         # Listener groups agree internally, disagree across.
         low_end = (n - f) // 2
@@ -142,7 +142,7 @@ class TestTheorem10:
         stalled = run_consensus(
             **theorem10_split_execution(f=f, seed=f, eager_quorum=False, max_rounds=120)
         )
-        assert not stalled.terminated
+        assert shows_necessity_horn(stalled, eager=False)
 
     def test_trace_is_exactly_one_below_threshold(self):
         f = 1

@@ -39,6 +39,12 @@ imports must resolve the same way, wherever the statement sits: an
 inline span, a ``python -c`` string or a fenced block -- so a recipe
 cannot import a deleted name.
 
+The code cites docs too: every ``docs/<name>.md``, and every bare
+root-level name in capitals (``ROADMAP.md``), named anywhere in a
+``src/`` Python file must exist -- so a note cannot point at a deleted
+or never-written document. A lowercase bare name such as an output file
+(``--markdown results.md``) is not a citation.
+
 Used two ways: CI runs it as a standalone step, and
 ``tests/test_docs.py`` runs it inside tier-1 so a dead link fails the
 ordinary test suite too.
@@ -86,6 +92,23 @@ def dead_links(root: Path) -> list[str]:
             resolved = (path.parent / relative).resolve()
             if not resolved.exists():
                 problems.append(f"{path.relative_to(root)}: {target}")
+    return problems
+
+
+# A doc cited from src/: docs/<name>.md, or a root-level name in capitals.
+_CITATION = re.compile(r"(?<![\w./-])(docs/[\w-]+\.md|[A-Z][A-Z0-9_]*\.md)(?![\w-])")
+
+
+def dead_citations(root: Path) -> list[str]:
+    """Docs cited in ``src/`` that do not exist, as ``file:line: name`` strings."""
+    problems: list[str] = []
+    for path in sorted((root / "src").rglob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            problems += [
+                f"{path.relative_to(root)}:{number}: {name}"
+                for name in _CITATION.findall(line)
+                if not (root / name).is_file()
+            ]
     return problems
 
 
@@ -329,6 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     problems = dead_links(root)
     for problem in problems:
         print(f"dead link: {problem}")
+    citations = dead_citations(root)
+    for problem in citations:
+        print(f"dead citation: {problem}")
+    problems += citations
     parity = lint_rule_parity(root)
     for problem in parity:
         print(f"rule parity: {problem}")
