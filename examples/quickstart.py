@@ -35,9 +35,6 @@ def main() -> None:
     print()
     print("per-phase range of states (halves every phase, Remark 1):")
     for phase, spread in enumerate(report.phase_ranges):
-        if spread is None:  # empty phase in an aligned series
-            print(f"  phase {phase:2d}  range     (no recorded states)")
-            continue
         bar = "#" * max(1, int(spread * 48)) if spread > 0 else ""
         print(f"  phase {phase:2d}  range {spread:8.5f}  {bar}")
 

@@ -3,8 +3,9 @@
 Experiments E2, E5 and X4 print the *measured* contraction of
 ``range(V(p))`` next to the proven bounds (``1/2`` for DAC,
 ``1 - 2^-n`` for DBAC), which :mod:`repro.analysis.guarantees` judges.
-Measured rates come from :class:`repro.sim.metrics.PhaseRangeSeries`;
-this module reduces them to summary numbers: a rate series' worst,
+Measured ranges come from :class:`repro.sim.metrics.PhaseRangeSeries`
+and rates from :func:`repro.sim.metrics.convergence_rates`; this module
+reduces them to summary numbers: a rate series' worst,
 best and mean (the observers' metrics), a geometric fit over the whole
 series, and the first phase within epsilon.
 """
@@ -28,22 +29,16 @@ def summarize_rates(rates: Sequence[float]) -> dict[str, float]:
 
 
 def fit_geometric_rate(
-    range_series: Sequence[float | None], floor: float = 1e-12
+    range_series: Sequence[float], floor: float = 1e-12
 ) -> float | None:
     """Least-squares geometric rate of a decaying range series.
 
     Fits ``log(range_p) ~ log(range_0) + p * log(rho)`` over the phases
     with range above ``floor`` and returns ``rho``. ``None`` when fewer
     than two usable points exist. A pure geometric decay (e.g. DAC on a
-    clean network) recovers its rate exactly. Empty phases (``None``
-    entries of an aligned series) contribute no point but keep their
-    neighbours at the correct phase index.
+    clean network) recovers its rate exactly.
     """
-    points = [
-        (p, math.log(r))
-        for p, r in enumerate(range_series)
-        if r is not None and r > floor
-    ]
+    points = [(p, math.log(r)) for p, r in enumerate(range_series) if r > floor]
     if len(points) < 2:
         return None
     count = len(points)
@@ -56,13 +51,9 @@ def fit_geometric_rate(
     return math.exp(slope)
 
 
-def phases_until(range_series: Sequence[float | None], epsilon: float) -> int | None:
-    """Index of the first phase with range <= epsilon (``None`` if never).
-
-    Empty phases (``None`` entries of an aligned series) are skipped:
-    an unrecorded range is no evidence of convergence.
-    """
+def phases_until(range_series: Sequence[float], epsilon: float) -> int | None:
+    """Index of the first phase with range <= epsilon (``None`` if never)."""
     for phase, spread in enumerate(range_series):
-        if spread is not None and spread <= epsilon:
+        if spread <= epsilon:
             return phase
     return None

@@ -21,9 +21,10 @@ Usage::
 
 Exit status is 0 when the run's verdict matches the theory: a ``dac``
 or ``dbac`` run leaves :func:`~repro.analysis.guarantees.check_guarantees`
-with no violation and no missing evidence, a ``spec`` or ``sweep`` run
-keeps what its family declares (``_keeps_guarantees``), ``figure1`` is
-correct, and the impossibility constructions show their horn
+with no violation and no missing evidence, every result of a ``spec``,
+``sweep`` or ``submit`` run keeps what its family declares
+(``_keeps_guarantees``), ``figure1`` is correct, and the impossibility
+constructions show their horn
 (:func:`~repro.analysis.guarantees.shows_necessity_horn`). An
 out-of-domain spec or flag exits 2, naming its field.
 """
@@ -70,7 +71,7 @@ def _print_report(report: ExecutionReport, verbose: bool) -> None:
         print(f"  inputs  : { {k: round(v, 4) for k, v in sorted(report.inputs.items())} }")
         print(f"  outputs : { {k: round(v, 4) for k, v in sorted(report.outputs.items())} }")
         print(f"  promise : {report.dynadegree_promise} verified={report.dynadegree_verified}")
-        print(f"  ranges  : {[None if r is None else round(r, 5) for r in report.phase_ranges]}")
+        print(f"  ranges  : {[round(r, 5) for r in report.phase_ranges]}")
         print(f"  rates   : {[round(r, 4) for r in report.convergence_rates]}")
         if report.metrics:
             print(
@@ -323,11 +324,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_submit(args: argparse.Namespace) -> int:
     import json
 
+    from repro.scenario import resolve
     from repro.service import ServiceClient, ServiceError
 
     spec = args.text
     if spec == "-":
         spec = sys.stdin.read()
+    # Resolved here only to judge the rows by the spec's family; not run.
+    resolved = resolve(spec)
     on_event = None
     if args.stream:
 
@@ -356,9 +360,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         for row in payload["results"]:
             print(f"  seed {row['seed']} [{row['status']}]: {row['result']}")
     ok = all(
-        row["result"].get("terminated", True)
+        _keeps_guarantees(resolved.family, resolved.params, row["result"])
         for row in payload["results"]
-        if isinstance(row["result"], dict)
     )
     return 0 if ok else 1
 

@@ -96,15 +96,14 @@ def rounds_upper_bound(window: int, end_phase: int) -> int:
 
 
 def measured_phases_to_epsilon(
-    range_series: list[float | None], epsilon: float
+    range_series: list[float], epsilon: float
 ) -> int | None:
     """First phase whose recorded range is within ``epsilon``.
 
     Utility for experiments comparing the analytic ``p_end`` against
     what an execution actually needed; ``None`` when the series never
     got there. Delegates to :func:`repro.analysis.convergence.phases_until`
-    (one implementation of the search, including the skip over empty
-    ``None`` phases of an aligned series).
+    (one implementation of the search).
     """
     # lint: ignore[layering] — documented delegation upward: the one search implementation lives in analysis; deferred so core never imports it at module load
     from repro.analysis.convergence import phases_until

@@ -134,7 +134,7 @@ class LintConfig:
         "record",
         "setup",
         "set_routing_plan",
-        "observe_states",
+        "observe",
         "on_round",
         "choose",
     )

@@ -20,73 +20,63 @@ from repro.obs.events import (
     RoundCompleted,
     RunFinished,
 )
-from repro.sim.metrics import RATE_FLOOR, PhaseRangeSeries
+from repro.sim.metrics import PhaseRangeSeries, phase_rate
 
 
 class EngineAdapter:
     """Translate per-round snapshots into bus events.
 
     An instance is a valid entry for ``engine.observers`` (called as
-    ``adapter(engine, snapshot)``). Watched nodes are the fault plan's
-    fault-free set, resolved on first call; per-phase ranges are
-    tracked with the same :class:`PhaseRangeSeries` semantics the
-    runner uses (Definition 6 jump-filling included).
+    ``adapter(engine, snapshot)``). Round and phase events aggregate
+    the fault plan's fault-free nodes. Convergence events come from the
+    runner's own :class:`PhaseRangeSeries`, built on the first call
+    over the engine's processes (``V(0)`` from their inputs), so a
+    run's last event per phase carries the report's ``phase_ranges``.
     """
 
     def __init__(self, bus: ObserverBus) -> None:
         self.bus = bus
-        self._watched: tuple[int, ...] | None = None
+        self._fault_free: tuple[int, ...] = ()
         self._series: PhaseRangeSeries | None = None
         self._max_phase = 0
+        self._phases_published = 0
 
     def __call__(self, engine: Any, snapshot: Any) -> None:
-        if self._watched is None:
-            self._watched = tuple(sorted(engine.fault_plan.fault_free))
-            self._series = PhaseRangeSeries(self._watched)
-        states = snapshot.states
-        values: list[float] = []
-        phases: list[int] = []
-        for node in self._watched:
-            state = states.get(node)
-            if state is None:
-                continue
-            values.append(float(state["value"]))
-            phases.append(int(state["phase"]))
-        spread = (max(values) - min(values)) if values else 0.0
+        if self._series is None:
+            self._fault_free = tuple(sorted(engine.fault_plan.fault_free))
+            self._series = PhaseRangeSeries(engine.processes, engine.fault_plan)
+        states = [snapshot.states[node] for node in self._fault_free]
+        values = [float(state["value"]) for state in states]
+        phases = [int(state["phase"]) for state in states]
         self.bus.publish(
             RoundCompleted(
                 round=snapshot.round,
                 delivered=snapshot.delivered,
                 bits=snapshot.bits,
                 live_senders=len(snapshot.live_senders),
-                spread=spread,
-                min_phase=min(phases) if phases else 0,
-                max_phase=max(phases) if phases else 0,
+                spread=(max(values) - min(values)) if values else 0.0,
+                min_phase=min(phases, default=0),
+                max_phase=max(phases, default=0),
             )
         )
-        self._series.observe_states(states)
-        top = max(phases) if phases else 0
+        top = max(phases, default=0)
         if top > self._max_phase:
             self.bus.publish(
-                PhaseAdvanced(
-                    round=snapshot.round, phase=top, previous=self._max_phase
+                PhaseAdvanced(round=snapshot.round, phase=top, previous=self._max_phase)
+            )
+            self._max_phase = top
+        self._series.observe()
+        ranges = self._series.ranges()
+        for phase in range(self._phases_published, len(ranges)):
+            self.bus.publish(
+                ConvergenceUpdate(
+                    round=snapshot.round,
+                    phase=phase,
+                    phase_range=ranges[phase],
+                    rate=phase_rate(ranges[phase - 1], ranges[phase]) if phase else None,
                 )
             )
-            for phase in range(self._max_phase + 1, top + 1):
-                before = self._series.range_of(phase - 1)
-                current = self._series.range_of(phase)
-                rate = None
-                if current is not None and before is not None and before > RATE_FLOOR:
-                    rate = current / before
-                self.bus.publish(
-                    ConvergenceUpdate(
-                        round=snapshot.round,
-                        phase=phase,
-                        phase_range=current,
-                        rate=rate,
-                    )
-                )
-            self._max_phase = top
+        self._phases_published = len(ranges)
 
 
 def attach_engine(bus: ObserverBus, engine: Any) -> EngineAdapter:

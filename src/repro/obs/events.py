@@ -42,18 +42,23 @@ class PhaseAdvanced:
 
 @dataclass(frozen=True)
 class ConvergenceUpdate:
-    """A new phase ``p`` opened; the contraction observed so far.
+    """A watched node reached phase ``p`` for the first time.
 
-    ``phase_range`` is ``range(V(phase))`` at emission time and
-    ``rate`` is ``range(V(phase)) / range(V(phase - 1))``; both are
-    *running* figures -- laggards entering an old phase later can still
-    widen its multiset -- so they are progress telemetry, while final
-    tables should keep using the runner's post-hoc series.
+    ``phase_range`` is ``range(V(phase))`` after round ``round``: the
+    spread of the phase-``phase`` states of the watched nodes that have
+    reached it (every non-Byzantine node under crash-only plans, the
+    fault-free ones once any node is Byzantine), with Definition 6's
+    landing value for a node that jumped over it; ``V(0)`` is the
+    inputs. ``rate`` is ``range(V(phase)) / range(V(phase - 1))`` by
+    the runner's rule, ``None`` for phase 0 or out of a collapsed
+    phase. Both are *running* figures -- laggards entering the phase
+    later can still widen it -- so they are progress telemetry; the
+    report's ``phase_ranges`` hold the final series.
     """
 
     round: int
     phase: int
-    phase_range: float | None
+    phase_range: float
     rate: float | None
 
 

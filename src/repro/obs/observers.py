@@ -23,6 +23,7 @@ from repro.obs.events import (
     RoundCompleted,
     RunFinished,
 )
+from repro.sim.metrics import convergence_rates
 
 
 class MetricsAggregator:
@@ -112,33 +113,30 @@ class ConvergenceTracker:
     """Range-shrink telemetry from :class:`ConvergenceUpdate` events.
 
     Collects the running ``range(V(p))`` sequence and reduces it with
-    the same :mod:`repro.analysis` reductions the result tables use
+    the runner's rate rule (:func:`~repro.sim.metrics.convergence_rates`)
+    and the same :mod:`repro.analysis` reductions the result tables use
     (:func:`summarize_rates`, :func:`fit_geometric_rate`) -- so live
     progress and post-hoc analysis speak the same units.
     """
 
     def __init__(self) -> None:
-        self._ranges: list[float | None] = []
-        self._rates: list[float] = []
+        self._ranges: list[float] = []
 
     def on_event(self, event: Any) -> None:
         if isinstance(event, ConvergenceUpdate):
-            while len(self._ranges) <= event.phase:
-                self._ranges.append(None)
-            self._ranges[event.phase] = event.phase_range
-            if event.rate is not None:
-                self._rates.append(event.rate)
+            # Phases arrive in order from 0; phase 0 starts a new run.
+            self._ranges[event.phase :] = [event.phase_range]
 
     @property
-    def range_series(self) -> list[float | None]:
-        """Running ``range(V(p))`` by phase (``None`` = not yet seen)."""
+    def range_series(self) -> list[float]:
+        """Running ``range(V(p))`` by phase."""
         return list(self._ranges)
 
     def summary(self) -> dict[str, Any]:
         """Rates summary plus a geometric fit over the range series."""
         return {
             "phases": len(self._ranges),
-            "rates": summarize_rates(self._rates),
+            "rates": summarize_rates(convergence_rates(self._ranges)),
             "geometric_rate": fit_geometric_rate(self._ranges),
         }
 

@@ -1,23 +1,50 @@
 """Metrics: counters plus the per-phase range series behind every
 convergence claim in the paper.
 
-:class:`PhaseRangeSeries` materializes the paper's ``V(p)`` multisets
-(Definitions 5 and 6): the phase-``p`` state of every watched node,
-where a node that *jumps* over phases contributes its landing value to
-each skipped phase. ``range(V(p+1)) / range(V(p))`` is the measured
-convergence rate that experiments E2 and E5 compare against the proven
-``1/2`` (DAC) and ``1 - 2^-n`` (DBAC) bounds.
+:class:`PhaseRangeSeries` keeps ``interval(V(p))`` -- one ``(min, max)``
+pair per phase -- for the paper's ``V(p)`` multisets (Definitions 5
+and 6): ``V(0)`` holds the watched nodes' inputs, and a node that moves
+from phase ``q`` to ``p`` contributes its landing value to every phase
+``q+1 .. p``, the skipped ones included. ``range(V(p+1)) / range(V(p))``
+is the measured convergence rate that Remark 1 (``1/2``, DAC) and
+Theorem 7 (``1 - 2^-n``, DBAC) bound, read by the guarantee checker and
+experiments E2 and E5. :func:`convergence_rates` is the one rate rule.
+
+A jump of node 1 from phase 0 to 2 fills phase 1 with its landing value:
+
+>>> from types import SimpleNamespace as Node
+>>> from repro.faults.base import FaultPlan
+>>> nodes = {0: Node(input_value=0.0, phase=0, value=0.0),
+...          1: Node(input_value=1.0, phase=0, value=1.0)}
+>>> series = PhaseRangeSeries(nodes, FaultPlan.fault_free_plan(2))
+>>> nodes[0].phase, nodes[0].value = 1, 0.5
+>>> nodes[1].phase, nodes[1].value = 2, 0.75
+>>> series.observe()
+>>> series.ranges()
+[1.0, 0.25, 0.0]
+>>> nodes[0].phase, nodes[0].value = 2, 0.625
+>>> series.observe()
+>>> series.ranges()
+[1.0, 0.25, 0.125]
+>>> convergence_rates(series.ranges())
+[0.25, 0.5]
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Any
+from operator import attrgetter
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.faults.base import FaultPlan
 
 #: A phase range at or below this is (numerically) collapsed: the rate
 #: out of it is undefined, so no contraction is measured from it.
 RATE_FLOOR = 1e-15
+
+_PHASE = attrgetter("phase")
 
 
 @dataclass
@@ -46,122 +73,63 @@ class MetricsCollector:
         return self.bits / self.rounds if self.rounds else 0.0
 
 
+def phase_rate(before: float, after: float) -> float | None:
+    """``range(V(p+1)) / range(V(p))``; ``None`` once ``V(p)`` has collapsed."""
+    return after / before if before > RATE_FLOOR else None
+
+
+def convergence_rates(ranges: Sequence[float]) -> list[float]:
+    """The measured rate of every adjacent pair of ``ranges`` that has one."""
+    rates = map(phase_rate, ranges, ranges[1:])
+    return [rate for rate in rates if rate is not None]
+
+
 class PhaseRangeSeries:
-    """Tracks the multiset ``V(p)`` for each phase ``p``.
+    """``interval(V(p))`` for every phase ``p``, read off the processes.
 
-    Parameters
-    ----------
-    watched:
-        The nodes whose states constitute ``V(p)``. For the crash model
-        this is every non-Byzantine node (crashed nodes contribute up
-        to the phases they reached -- Definition 5 keeps "nodes that
-        have not crashed yet"); for the Byzantine model it is exactly
-        the fault-free nodes (Section V redefines ``V(p)`` that way).
-
-    Feed it phase/value transitions via :meth:`observe_states` once per
-    round; it applies Definition 6 to jumps (skipped phases inherit the
-    landing value).
+    ``V(p)`` is built from the watched nodes: every non-Byzantine node
+    while the plan is crash-only (crashed nodes contribute the phases
+    they reached -- Definition 5 keeps "nodes that have not crashed
+    yet"), and only the fault-free nodes once any node is Byzantine
+    (Section V redefines ``V(p)`` that way). Their inputs are ``V(0)``;
+    call :meth:`observe` at each round boundary to fold in the phase
+    transitions since the last call.
     """
 
-    def __init__(self, watched: Collection[int]) -> None:
-        self._watched = frozenset(watched)
-        self._last_phase: dict[int, int] = {}
-        self._values_by_phase: dict[int, list[float]] = {}
+    def __init__(self, processes: Mapping[int, Any], fault_plan: FaultPlan) -> None:
+        watched = fault_plan.fault_free if fault_plan.byzantine else fault_plan.non_byzantine
+        self._processes = [processes[node] for node in sorted(watched)]
+        self._phases = [0] * len(self._processes)
+        inputs = [float(proc.input_value) for proc in self._processes]
+        self._lo = [min(inputs)] if inputs else []
+        self._hi = [max(inputs)] if inputs else []
 
-    @property
-    def watched(self) -> frozenset[int]:
-        """The nodes whose states are being tracked."""
-        return self._watched
-
-    def observe_states(self, states: Mapping[int, Mapping[str, Any]]) -> None:
-        """Record any phase transitions visible in this round's snapshots.
-
-        ``states`` maps node -> snapshot with at least ``value`` and
-        ``phase`` keys; watched nodes absent from the mapping (crashed)
-        are simply skipped.
-        """
-        for node in self._watched:
-            state = states.get(node)
-            if state is None:
-                continue
-            phase = int(state["phase"])
-            value = float(state["value"])
-            previous = self._last_phase.get(node)
-            if previous is None:
-                # First sighting: the node's input is its phase-p state
-                # for every phase up to the current one (normally just
-                # phase 0 at round 0).
-                for p in range(0, phase + 1):
-                    self._values_by_phase.setdefault(p, []).append(value)
-            elif phase > previous:
-                # Definition 6: skipped phases inherit the landing value.
+    def observe(self) -> None:
+        """Fold in every watched node's phase transitions (Definition 6)."""
+        phases = list(map(_PHASE, self._processes))
+        if phases == self._phases:
+            return
+        lo, hi = self._lo, self._hi
+        for proc, phase, previous in zip(self._processes, phases, self._phases):
+            if phase > previous:
+                value = float(proc.value)
+                if phase == previous + 1 and phase < len(lo):
+                    # The common step: one phase on, into an open phase.
+                    if value < lo[phase]:
+                        lo[phase] = value
+                    elif value > hi[phase]:
+                        hi[phase] = value
+                    continue
                 for p in range(previous + 1, phase + 1):
-                    self._values_by_phase.setdefault(p, []).append(value)
-            self._last_phase[node] = phase
+                    if p == len(lo):
+                        lo.append(value)
+                        hi.append(value)
+                    elif value < lo[p]:
+                        lo[p] = value
+                    elif value > hi[p]:
+                        hi[p] = value
+        self._phases = phases
 
-    def record(self, phase: int, value: float) -> None:
-        """Append ``value`` directly to ``V(phase)``.
-
-        Seam for replaying externally recorded series (loaded traces,
-        hand-built scenarios). Unlike :meth:`observe_states`, direct
-        recording does not apply Definition 6's jump-filling, so the
-        resulting series may contain empty middle phases --
-        :meth:`range_series` keeps those aligned as ``None`` entries.
-        """
-        self._values_by_phase.setdefault(int(phase), []).append(float(value))
-
-    def multiset(self, phase: int) -> list[float]:
-        """The recorded ``V(phase)`` in chronological order."""
-        return list(self._values_by_phase.get(phase, []))
-
-    def max_phase(self) -> int:
-        """Highest phase with at least one recorded state."""
-        return max(self._values_by_phase, default=0)
-
-    def range_of(self, phase: int) -> float | None:
-        """``range(V(phase))`` or ``None`` when the phase is empty."""
-        values = self._values_by_phase.get(phase)
-        if not values:
-            return None
-        return max(values) - min(values)
-
-    def range_series(self) -> list[float | None]:
-        """``range(V(p))`` for every ``p = 0 .. max_phase()``, aligned.
-
-        Index ``p`` of the returned list is always phase ``p``; a phase
-        with no recorded states yields ``None`` instead of being
-        dropped, so consumers pairing adjacent entries (convergence
-        rates, decay fits) never silently pair non-adjacent phases.
-        Engine-driven series have no empty middle phases (Definition 6
-        fills jumped-over phases with the landing value), but series
-        fed via :meth:`record` may. Partially-filled phases are still
-        included -- their ranges remain meaningful upper-bound
-        witnesses.
-        """
-        if not self._values_by_phase:
-            return []
-        return [self.range_of(p) for p in range(self.max_phase() + 1)]
-
-    def convergence_rates(self) -> list[float]:
-        """Measured per-phase rates ``range(V(p+1)) / range(V(p))``.
-
-        Pairs involving an empty phase (``None`` in the aligned
-        :meth:`range_series`) are undefined and skipped explicitly, as
-        are phases whose predecessor range is (numerically) zero: once
-        collapsed, the ratio is undefined and agreement already holds.
-        """
-        series = self.range_series()
-        rates = []
-        for before, after in zip(series, series[1:]):
-            if before is None or after is None:
-                continue  # undefined pair: one side has no recorded states
-            if before > RATE_FLOOR:
-                rates.append(after / before)
-        return rates
-
-    def interval_of(self, phase: int) -> tuple[float, float] | None:
-        """``interval(V(phase)) = [min, max]`` or ``None`` when empty."""
-        values = self._values_by_phase.get(phase)
-        if not values:
-            return None
-        return (min(values), max(values))
+    def ranges(self) -> list[float]:
+        """``range(V(p))`` for every phase ``p`` reached so far."""
+        return [top - bottom for bottom, top in zip(self._lo, self._hi)]

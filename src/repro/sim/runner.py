@@ -28,7 +28,7 @@ from repro.faults.base import FaultPlan
 from repro.net.dynadegree import check_dynadegree
 from repro.net.ports import PortNumbering
 from repro.sim.engine import Engine
-from repro.sim.metrics import MetricsCollector, PhaseRangeSeries
+from repro.sim.metrics import MetricsCollector, PhaseRangeSeries, convergence_rates
 from repro.sim.node import ConsensusProcess
 from repro.sim.trace import ExecutionTrace
 
@@ -90,9 +90,7 @@ class ExecutionReport:
     output_spread: float
     epsilon_agreement: bool
     validity: bool
-    phase_ranges: list[float | None] = field(default_factory=list)
-    convergence_rates: list[float] = field(default_factory=list)
-    max_phase: int = 0
+    phase_ranges: list[float] = field(default_factory=list)
     dynadegree_promise: tuple[int, int] | None = None
     dynadegree_verified: bool | None = None
     metrics: MetricsCollector | None = None
@@ -103,6 +101,11 @@ class ExecutionReport:
         """Termination, validity and epsilon-agreement all hold."""
         return self.terminated and self.validity and self.epsilon_agreement
 
+    @property
+    def convergence_rates(self) -> list[float]:
+        """The measured per-phase contractions of :attr:`phase_ranges`."""
+        return convergence_rates(self.phase_ranges)
+
     def summary(self) -> str:
         """One-line human-readable verdict."""
         verdict = "OK" if self.correct else "VIOLATION"
@@ -112,18 +115,6 @@ class ExecutionReport:
             f"terminated={self.terminated} validity={self.validity} "
             f"eps-agreement={self.epsilon_agreement}"
         )
-
-
-def _watched_nodes(fault_plan: FaultPlan) -> frozenset[int]:
-    """Which nodes constitute ``V(p)`` (Definitions 5 vs Section V).
-
-    Pure-crash executions track every non-Byzantine node (crashed nodes
-    contribute the phases they reached); as soon as Byzantine nodes
-    exist, only fault-free nodes are tracked.
-    """
-    if fault_plan.byzantine:
-        return fault_plan.fault_free
-    return fault_plan.non_byzantine
 
 
 def _verify_promise(
@@ -178,12 +169,15 @@ def run_consensus(
         Hard cap; an execution hitting the cap without stopping is
         reported as non-terminating (``terminated=False``).
     track_phases:
-        Set ``False`` to skip the per-phase ``V(p)`` bookkeeping (the
-        report's ``phase_ranges``/``convergence_rates`` come back
-        empty). Combined with ``record_trace=False`` this leaves the
-        engine with no snapshot consumers at all, enabling its fast
-        path -- the right configuration for large sweeps that only
-        read verdicts and round counts.
+        Keep the per-phase ``V(p)`` ranges (a
+        :class:`~repro.sim.metrics.PhaseRangeSeries` read off the
+        watched processes each time the stop condition is evaluated:
+        before every round and once after the last). It takes no
+        snapshots, so a run with ``record_trace=False`` and no
+        observers keeps the engine's unattached fast path either way.
+        ``False`` leaves ``phase_ranges``/``convergence_rates`` empty
+        and the stop condition bare -- the right configuration for
+        large sweeps that only read verdicts and round counts.
     observers:
         Extra per-round snapshot callbacks (``(engine, snapshot) ->
         None``) appended to ``engine.observers`` -- the seam the
@@ -215,17 +209,20 @@ def run_consensus(
         record_trace=record_trace,
         trace_sink=trace_sink,
     )
-
-    series = PhaseRangeSeries(_watched_nodes(plan))
-    if track_phases:
-        series.observe_states(engine.state_snapshots())
-        engine.observers.append(lambda _eng, snap: series.observe_states(snap.states))
     engine.observers.extend(observers)
 
     if stop_mode == "output":
         stop = Engine.all_fault_free_output
     else:
         stop = lambda eng: eng.fault_free_range() <= epsilon  # noqa: E731
+    series = PhaseRangeSeries(engine.processes, plan) if track_phases else None
+    if series is not None:
+        # Engine.run evaluates the stop condition at every round boundary.
+        bare_stop = stop
+
+        def stop(eng: Engine) -> bool:
+            series.observe()
+            return bare_stop(eng)
 
     result = engine.run(max_rounds, stop_when=stop)
     if on_finish is not None:
@@ -263,9 +260,7 @@ def run_consensus(
         output_spread=verdict.spread,
         epsilon_agreement=verdict.epsilon_agreement,
         validity=verdict.validity,
-        phase_ranges=series.range_series(),
-        convergence_rates=series.convergence_rates(),
-        max_phase=series.max_phase(),
+        phase_ranges=series.ranges() if series is not None else [],
         dynadegree_promise=promise,
         dynadegree_verified=promise_ok,
         metrics=engine.metrics,

@@ -206,6 +206,31 @@ class TestScenarioCli:
         assert scenario_main(["spec", "algorithm: dac@1(n=5)"]) == 1
         assert scenario_main(["spec", "algorithm: averaging@1(n=5)"]) == 0
 
+    def test_submit_exit_keeps_what_the_family_declares(self, monkeypatch, capsys):
+        # The same rule as spec, applied to every row the daemon returns.
+        from repro.service import ServiceClient
+
+        rows = [
+            {"rounds": 9, "spread": 0.0, "terminated": True, "correct": True},
+            {"rounds": 1, "spread": 1.0, "terminated": True, "correct": False},
+        ]
+
+        def submit(self, spec, seeds=None, stream=False, on_event=None):
+            results = [
+                {"seed": seed, "status": "computed", "result": row}
+                for seed, row in enumerate(rows)
+            ]
+            return {"job": "j1", "scenario": "s", "computed": 2, "hit": 0,
+                    "coalesced": 0, "results": results}
+
+        monkeypatch.setattr(ServiceClient, "submit", submit)
+        assert scenario_main(["submit", "algorithm: dac@1(n=5)"]) == 1
+        assert scenario_main(["submit", "algorithm: averaging@1(n=5)"]) == 0
+        rows.pop()
+        assert scenario_main(["submit", "algorithm: dac@1(n=5)"]) == 0
+        assert scenario_main(["submit", "algorithm: dac@1(n=4, f=2)"]) == 2
+        assert "error: algorithm.f" in capsys.readouterr().out
+
 
 class TestBenchCli:
     def test_list(self, capsys):

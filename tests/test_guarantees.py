@@ -59,7 +59,7 @@ def test_a_boundary_dac_run_keeps_every_guarantee():
         ({"rounds": 11}, "rounds: terminated after 11 rounds, bound 10"),
         ({"terminated": False}, "rounds: still running after 10 rounds, bound 10"),
         ({"phase_ranges": [1.0, 0.75]}, "rate: phase 0 -> 1 contracted by 0.75, bound 0.5"),
-        ({"phase_ranges": [0.0, 1e-9]}, "rate: phase 0 -> 1 contracted by inf, bound 0.5"),
+        ({"phase_ranges": [1.0, 0.0, 1e-9]}, "rate: phase 1 -> 2 contracted by inf, bound 0.5"),
         ({"dynadegree_verified": False}, "dynadegree: the trace breaks the promised (1, 3)"),
     ],
 )
@@ -76,7 +76,7 @@ def test_each_broken_guarantee_is_named(change, expected):
             {"rounds": 9, "terminated": False, "outputs": {}},
             "termination: still running after 9 rounds",
         ),
-        ({"convergence_rates": []}, "rate: no phase contraction was recorded"),
+        ({"phase_ranges": []}, "rate: no phase contraction was recorded"),
         ({"dynadegree_verified": None}, "dynadegree: the trace was not re-checked"),
     ],
 )

@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro.analysis.convergence import summarize_rates
 from repro.obs import (
     ConvergenceTracker,
     ConvergenceUpdate,
@@ -36,7 +37,7 @@ from repro.sim.batch import run_lanes
 from repro.sim.engine import Engine
 from repro.sim.parallel import TrialSpec, run_trials
 from repro.sim.runner import run_consensus
-from repro.workloads import build_dac_execution, dac_lane_family
+from repro.workloads import build_dac_execution, build_dbac_execution, dac_lane_family
 
 from tests.helpers import (
     _build_serial,
@@ -176,6 +177,15 @@ class TestConvergenceTracker:
         assert summary["rates"]["max"] == 0.5
         assert summary["geometric_rate"] is not None
 
+    def test_phase_zero_starts_the_next_runs_series(self):
+        tracker = ConvergenceTracker()
+        for phase, spread in enumerate([1.0, 0.5, 0.25, 1.0, 0.25]):
+            tracker.on_event(
+                ConvergenceUpdate(round=phase, phase=phase % 3, phase_range=spread, rate=None)
+            )
+        assert tracker.range_series == [1.0, 0.25]
+        assert tracker.summary()["rates"]["max"] == 0.25
+
 
 class TestProgressReporter:
     def test_sampled_human_lines_and_jsonl_rows(self, tmp_path):
@@ -229,9 +239,31 @@ class TestObservedRuns:
         tracker = ConvergenceTracker()
         bus.attach(tracker)
         report = run_observed_dac(bus)
-        assert tracker.summary()["phases"] >= report.max_phase
-        final_ranges = [r for r in tracker.range_series if r is not None]
-        assert final_ranges and final_ranges[-1] <= 1e-3
+        assert tracker.summary()["phases"] == len(report.phase_ranges)
+        assert tracker.range_series and tracker.range_series[-1] <= 1e-3
+
+    @pytest.mark.parametrize(
+        "build,params",
+        [
+            (build_dac_execution, {"n": 7, "f": 2, "seed": 3}),
+            (build_dac_execution, {"n": 9, "f": 4, "seed": 11}),
+            (build_dbac_execution, {"n": 11, "f": 2, "seed": 4}),
+        ],
+    )
+    def test_the_stream_ends_on_the_reports_series(self, build, params):
+        # The adapter watches the runner's nodes, starts V(0) from the
+        # inputs and publishes phase 0, so on these runs (every node
+        # enters a phase in the round its first node does) the stream's
+        # ranges and rates are the report's.
+        bus = ObserverBus()
+        tracker = bus.attach(ConvergenceTracker())
+        updates = []
+        bus.subscribe(ConvergenceUpdate, updates.append)
+        report = run_consensus(**build(**params), **consensus_hooks(bus))
+        assert [u.phase for u in updates] == list(range(len(report.phase_ranges)))
+        assert tracker.range_series == report.phase_ranges
+        assert [u.rate for u in updates if u.rate is not None] == report.convergence_rates
+        assert tracker.summary()["rates"] == summarize_rates(report.convergence_rates)
 
     def test_run_finished_carries_the_final_spread(self):
         bus = ObserverBus()

@@ -8,6 +8,7 @@ from repro.core.dac import DACProcess
 from repro.faults.base import FaultPlan
 from repro.faults.byzantine import FixedValueByzantine
 from repro.net.ports import identity_ports
+from repro.sim.engine import Engine
 from repro.sim.runner import run_consensus
 
 from tests.helpers import spread_inputs
@@ -118,6 +119,34 @@ class TestVerdicts:
         assert report.phase_ranges[0] == pytest.approx(1.0)
         assert report.phase_ranges == sorted(report.phase_ranges, reverse=True)
         assert all(rate <= 0.5 + 1e-9 for rate in report.convergence_rates)
+
+    @pytest.mark.parametrize("stop_mode", ["output", "oracle"])
+    def test_untracked_runs_keep_the_bare_stop_condition(self, monkeypatch, stop_mode):
+        # Phase tracking wraps the stop condition; without it the engine
+        # gets the runner's stop rule itself, with no per-round wrapper.
+        seen = []
+        real = Engine.run
+
+        def run(engine, max_rounds, stop_when=None):
+            seen.append(stop_when)
+            return real(engine, max_rounds, stop_when)
+
+        monkeypatch.setattr(Engine, "run", run)
+        n = 5
+        reports = [
+            run_consensus(
+                dac_processes(n, 0), StaticAdversary(), identity_ports(n),
+                epsilon=1e-2, stop_mode=stop_mode, track_phases=tracked,
+            )
+            for tracked in (False, True)
+        ]
+        bare, wrapped = seen
+        assert "observe" not in bare.__code__.co_names
+        assert "observe" in wrapped.__code__.co_names
+        if stop_mode == "output":
+            assert bare is Engine.all_fault_free_output
+        assert reports[0].phase_ranges == [] and reports[1].phase_ranges
+        assert (reports[0].rounds, reports[0].outputs) == (reports[1].rounds, reports[1].outputs)
 
 
 class TestPromiseVerification:

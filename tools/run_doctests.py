@@ -26,8 +26,9 @@ import sys
 # The public-API modules whose docstrings carry executable examples:
 # batching, the parallel layer, the family trial, the two shuffle
 # replays (the port draw and the random selector; their examples pin
-# the drawn rows for one seed), the guarantee checker, and the
-# averaging mean (its examples pin the left-to-right bits).
+# the drawn rows for one seed), the guarantee checker, the averaging
+# mean (its examples pin the left-to-right bits), and the phase range
+# series (its example pins Definition 6's fill-in of a jump).
 DOCTEST_MODULES = [
     "repro.sim.batch",
     "repro.sim.parallel",
@@ -36,6 +37,7 @@ DOCTEST_MODULES = [
     "repro.adversary.constrained",
     "repro.analysis.guarantees",
     "repro.core.averaging",
+    "repro.sim.metrics",
 ]
 
 
