@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -43,8 +42,6 @@ if TYPE_CHECKING:
 #: A phase range at or below this is (numerically) collapsed: the rate
 #: out of it is undefined, so no contraction is measured from it.
 RATE_FLOOR = 1e-15
-
-_PHASE = attrgetter("phase")
 
 
 @dataclass
@@ -106,20 +103,11 @@ class PhaseRangeSeries:
 
     def observe(self) -> None:
         """Fold in every watched node's phase transitions (Definition 6)."""
-        phases = list(map(_PHASE, self._processes))
-        if phases == self._phases:
-            return
-        lo, hi = self._lo, self._hi
-        for proc, phase, previous in zip(self._processes, phases, self._phases):
+        lo, hi, phases = self._lo, self._hi, self._phases
+        for i, proc in enumerate(self._processes):
+            previous, phase = phases[i], proc.phase
             if phase > previous:
                 value = float(proc.value)
-                if phase == previous + 1 and phase < len(lo):
-                    # The common step: one phase on, into an open phase.
-                    if value < lo[phase]:
-                        lo[phase] = value
-                    elif value > hi[phase]:
-                        hi[phase] = value
-                    continue
                 for p in range(previous + 1, phase + 1):
                     if p == len(lo):
                         lo.append(value)
@@ -128,7 +116,7 @@ class PhaseRangeSeries:
                         lo[p] = value
                     elif value > hi[p]:
                         hi[p] = value
-        self._phases = phases
+                phases[i] = phase
 
     def ranges(self) -> list[float]:
         """``range(V(p))`` for every phase ``p`` reached so far."""

@@ -9,6 +9,7 @@ from repro.faults.base import FaultPlan
 from repro.faults.byzantine import FixedValueByzantine
 from repro.net.ports import identity_ports
 from repro.sim.engine import Engine
+from repro.sim.metrics import PhaseRangeSeries
 from repro.sim.runner import run_consensus
 
 from tests.helpers import spread_inputs
@@ -122,29 +123,33 @@ class TestVerdicts:
 
     @pytest.mark.parametrize("stop_mode", ["output", "oracle"])
     def test_untracked_runs_keep_the_bare_stop_condition(self, monkeypatch, stop_mode):
-        # Phase tracking wraps the stop condition; without it the engine
-        # gets the runner's stop rule itself, with no per-round wrapper.
-        seen = []
-        real = Engine.run
+        # A tracked run folds the series in at every round boundary (before
+        # each round and once after the last); an untracked one never does,
+        # and in output mode hands the engine the runner's stop rule itself.
+        stops, observed = [], []
+        real_run, real_observe = Engine.run, PhaseRangeSeries.observe
 
         def run(engine, max_rounds, stop_when=None):
-            seen.append(stop_when)
-            return real(engine, max_rounds, stop_when)
+            stops.append(stop_when)
+            return real_run(engine, max_rounds, stop_when)
+
+        def observe(series):
+            observed.append(series)
+            real_observe(series)
 
         monkeypatch.setattr(Engine, "run", run)
+        monkeypatch.setattr(PhaseRangeSeries, "observe", observe)
         n = 5
-        reports = [
-            run_consensus(
+        reports = []
+        for tracked in (False, True):
+            observed.clear()
+            reports.append(run_consensus(
                 dac_processes(n, 0), StaticAdversary(), identity_ports(n),
                 epsilon=1e-2, stop_mode=stop_mode, track_phases=tracked,
-            )
-            for tracked in (False, True)
-        ]
-        bare, wrapped = seen
-        assert "observe" not in bare.__code__.co_names
-        assert "observe" in wrapped.__code__.co_names
+            ))
+            assert len(observed) == (reports[-1].rounds + 1 if tracked else 0)
         if stop_mode == "output":
-            assert bare is Engine.all_fault_free_output
+            assert stops[0] is Engine.all_fault_free_output
         assert reports[0].phase_ranges == [] and reports[1].phase_ranges
         assert (reports[0].rounds, reports[0].outputs) == (reports[1].rounds, reports[1].outputs)
 
